@@ -7,15 +7,12 @@ from .laurent import (
     backward_shift_pow,
     conj_on_circle,
     decimate,
-    laurent_mul,
     stretch,
 )
 from .model_space import (
     InnerFunction,
     ModelSpaceBasis,
     TruncationError,
-    make_basis,
-    stretch_inner,
 )
 from .operators import (
     CompressionSetting,

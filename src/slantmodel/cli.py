@@ -11,8 +11,10 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .laurent import LaurentPoly
-from .model_space import InnerFunction, TruncationError, default_truncation, make_basis
+from .model_space import InnerFunction, ModelSpaceBasis, TruncationError, default_truncation
 from .operators import (
     CompressionSetting,
     NonMemberError,
@@ -198,7 +200,7 @@ def _run(args) -> int:
 
     if cmd == "info":
         inner = _parse_inner(args.alpha)
-        basis = make_basis(inner, args.truncation)
+        basis = ModelSpaceBasis.build(inner, args.truncation)
         payload = {
             "inner": inner.to_json(),
             "dim": basis.dim,
@@ -217,18 +219,13 @@ def _run(args) -> int:
 
     setting = _setting(args)
 
-    if cmd == "build":
-        U = build_compression(_parse_symbol(args.symbol), setting)
-        _emit(U.to_json(), args.format, _matrix_text)
-        return EXIT_OK
-
-    if cmd == "ttoeplitz":
+    if cmd in ("build", "ttoeplitz"):  # ttoeplitz has no --k, so k = 1
         U = build_compression(_parse_symbol(args.symbol), setting)
         _emit(U.to_json(), args.format, _matrix_text)
         return EXIT_OK
 
     if cmd == "membership":
-        if args.tol <= 0:
+        if not args.tol > 0:
             raise UsageError("tolerance must be positive")
         U = _parse_matrix(args.matrix, setting)
         report = membership(U, setting, args.variant, args.tol)
@@ -240,7 +237,7 @@ def _run(args) -> int:
         return EXIT_OK if report.member else EXIT_NEGATIVE
 
     if cmd == "recover":
-        if args.tol <= 0:
+        if not args.tol > 0:
             raise UsageError("tolerance must be positive")
         U = _parse_matrix(args.matrix, setting)
         report = membership(U, setting, args.variant, args.tol)
@@ -310,7 +307,14 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TruncationError, NonMemberError, ZeroDivisionError, FloatingPointError) as exc:
+    except (
+        TruncationError,
+        NonMemberError,
+        ZeroDivisionError,
+        FloatingPointError,
+        RuntimeError,
+        np.linalg.LinAlgError,
+    ) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

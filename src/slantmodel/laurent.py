@@ -6,7 +6,9 @@ return new objects; nothing is mutated in place.
 
 from __future__ import annotations
 
-from math import factorial
+from math import inf, perm
+
+import numpy as np
 
 # Coefficients below this modulus are dropped after every operation so that
 # supports stay finite and equality checks stay stable.
@@ -23,9 +25,25 @@ class LaurentPoly:
         if coeffs:
             for n, c in coeffs.items():
                 c = complex(c)
-                if abs(c) > COEFF_DROP:
+                a = abs(c)
+                if not a <= COEFF_DROP:  # kept, and NaN lands here too
+                    if not a < inf:
+                        raise ValueError(f"coefficient of z^{n} is not finite: {c}")
                     clean[int(n)] = c
         self._coeffs = clean
+
+    @classmethod
+    def from_array(cls, coeffs, lo: int = 0) -> "LaurentPoly":
+        """The polynomial with coefficients of frequencies lo, lo + 1, ..."""
+        return cls(dict(zip(range(lo, lo + len(coeffs)), np.asarray(coeffs).tolist())))
+
+    def to_array(self, lo: int, hi: int) -> np.ndarray:
+        """Dense coefficients of frequencies lo..hi; the rest is dropped."""
+        out = np.zeros(hi - lo + 1, dtype=complex)
+        for n, c in self._coeffs.items():
+            if lo <= n <= hi:
+                out[n - lo] = c
+        return out
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -132,7 +150,7 @@ class LaurentPoly:
         for n, c in self._coeffs.items():
             if n < order:
                 continue
-            total += c * (factorial(n) // factorial(n - order)) * w ** (n - order)
+            total += c * perm(n, order) * w ** (n - order)
         return total
 
     def to_json(self) -> dict:
@@ -159,11 +177,6 @@ class LaurentPoly:
             return "LaurentPoly(0)"
         terms = ", ".join(f"{n}: {c:.4g}" for n, c in sorted(self._coeffs.items()))
         return f"LaurentPoly({{{terms}}})"
-
-
-def laurent_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Pointwise product on the circle (coefficient convolution)."""
-    return p * q
 
 
 def conj_on_circle(p: LaurentPoly) -> LaurentPoly:

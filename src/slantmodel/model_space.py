@@ -3,18 +3,19 @@
 A model space is the orthogonal complement of alpha*H^2 inside H^2.  For
 alpha = z^N the space is spanned exactly by 1, z, ..., z^{N-1}; for a finite
 Blaschke product with distinct zeros we use the Takenaka-Malmquist basis,
-stored as Taylor expansions truncated at a certified order.
+stored as Taylor coefficient arrays truncated at a certified order.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import factorial, perm
 
 import numpy as np
 
-from .laurent import LaurentPoly, conj_on_circle, decimate
+from .laurent import LaurentPoly
 
 # Exact-backend comparisons; Blaschke-backend comparisons are 1e-8 throughout.
 EXACT_TOL = 1e-12
@@ -51,14 +52,14 @@ class InnerFunction:
         if not zeros:
             raise ValueError("Blaschke product needs at least one zero")
         for w in zeros:
-            if abs(w) >= 1.0:
+            if not abs(w) < 1.0:  # also rejects NaN
                 raise ValueError(f"Blaschke zero {w} is not inside the open disk")
         for i, w in enumerate(zeros):
             for v in zeros[i + 1 :]:
                 if abs(w - v) < ZERO_SEPARATION:
                     raise ValueError(f"Blaschke zeros {w} and {v} are not separated")
         constant = complex(constant)
-        if abs(abs(constant) - 1.0) > 1e-8:
+        if not abs(abs(constant) - 1.0) <= 1e-8:
             raise ValueError(f"Blaschke constant must be unimodular, got |c|={abs(constant)}")
         constant /= abs(constant)
         inner = cls(kind="blaschke", degree=len(zeros), zeros=zeros, constant=constant)
@@ -84,17 +85,8 @@ class InnerFunction:
         return val
 
     def to_laurent(self, order: int) -> LaurentPoly:
-        """Taylor expansion truncated at the given order (exact for monomials)."""
-        if self.kind == "monomial":
-            return LaurentPoly.monomial(self.degree)
-        poly = LaurentPoly.constant(self.constant)
-        for w in self.zeros:
-            # (z - w) / (1 - conj(w) z) expanded as (z - w) * sum conj(w)^n z^n.
-            wc = w.conjugate()
-            geo = LaurentPoly({n: wc**n for n in range(order + 1)})
-            factor = (LaurentPoly.monomial(1) - LaurentPoly.constant(w)) * geo
-            poly = (poly * factor).truncated(0, order)
-        return poly
+        """Taylor expansion up to the given order."""
+        return LaurentPoly.from_array(_taylor(self, order))
 
     def stretched(self, k: int) -> "InnerFunction":
         """The inner function z -> alpha(z^k)."""
@@ -170,75 +162,83 @@ def coeff_json(coords: np.ndarray) -> dict:
     return {"coords": [[z.real, z.imag] for z in np.asarray(coords, dtype=complex)]}
 
 
-def coeff_from_json(obj: dict) -> np.ndarray:
-    if not isinstance(obj, dict) or "coords" not in obj:
-        raise ValueError("expected an object with a 'coords' list")
-    return np.array([complex(float(re), float(im)) for re, im in obj["coords"]], dtype=complex)
+def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray) -> np.ndarray:
+    """Entries <W_k(phi src_j), dst_i>: the matrix of f -> P W_k(phi f) from
+    the span of the src rows into that of the orthonormal dst rows.
+
+    phi holds the coefficients of frequencies lo, lo + 1, ...; the rows hold
+    Taylor coefficients from frequency 0.
+    """
+    prod = np.array([np.convolve(phi, row) for row in src])  # frequencies lo, lo + 1, ...
+    idx = k * np.arange(dst.shape[1]) - lo
+    keep = (idx >= 0) & (idx < prod.shape[1])
+    return dst[:, keep].conj() @ prod[:, idx[keep]].T
 
 
-@dataclass
+_ONE = np.ones(1, dtype=complex)
+
+
 class ModelSpaceBasis:
-    """Ordered orthonormal basis of a model space, with certified truncation."""
+    """Orthonormal basis of a model space, stored as a dim x (T + 1) array of
+    Taylor coefficients: the identity rows for z^N, the Takenaka-Malmquist
+    rows truncated at a certified order T for a Blaschke product.
+    """
 
-    inner: InnerFunction
-    vectors: list  # LaurentPoly expansions, analytic, truncated at truncation_order
-    truncation_order: int
-    tail_bound: float
-    _alpha_expansion: LaurentPoly = field(default=None, repr=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def build(cls, inner: InnerFunction, truncation: int | None = None) -> "ModelSpaceBasis":
-        if truncation is None:
-            truncation = default_truncation(inner)
-        truncation = int(truncation)
-        if inner.kind == "monomial":
-            vectors = [LaurentPoly.monomial(j) for j in range(inner.degree)]
-            basis = cls(inner, vectors, truncation_order=inner.degree, tail_bound=0.0)
-        else:
-            rho = max(abs(w) for w in inner.zeros)
-            tail = rho ** (truncation + 1) / (1.0 - rho)
-            if tail > TAIL_BOUND_LIMIT:
-                raise TruncationError(
-                    f"truncation order {truncation} leaves tail bound {tail:.3e} "
-                    f"above {TAIL_BOUND_LIMIT:.0e}"
-                )
-            vectors = _takenaka_malmquist(inner, truncation)
-            basis = cls(inner, vectors, truncation_order=truncation, tail_bound=tail)
-        basis._check_gram()
-        return basis
-
-    def _check_gram(self):
-        gram = np.array(
-            [[self.vectors[i].inner(self.vectors[j]) for j in range(self.dim)] for i in range(self.dim)]
-        )
+    def __init__(self, inner: InnerFunction, rows: np.ndarray, truncation_order: int, tail_bound: float):
+        rows.setflags(write=False)
+        self.inner = inner
+        self.rows = rows
+        self.truncation_order = truncation_order
+        self.tail_bound = tail_bound
+        gram = _compress(_ONE, 0, rows, 1, rows)
         err = np.abs(gram - np.eye(self.dim)).max()
         if err > GRAM_TOL:
             raise TruncationError(f"basis Gram matrix deviates from identity by {err:.3e}")
+        # C f = alpha * conj(z f) pairs alpha_{n+m+1} with rows n and m, so the
+        # expansion runs to twice the row length.
+        cols = rows.shape[1]
+        self._alpha = _taylor(inner, 2 * cols)
+        self._alpha.setflags(write=False)
+        # z^(cols - 1) conj(f) is the reversed conjugate row, so multiplying it
+        # by alpha z^-cols gives alpha * conj(z f).
+        self._conjugation = _compress(self._alpha, -cols, rows[:, ::-1].conj(), 1, rows)
+        self._conjugation.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def vectors(self) -> list:
+        """The basis vectors as LaurentPoly expansions."""
+        return [LaurentPoly.from_array(row) for row in self.rows]
+
+    @classmethod
+    def build(cls, inner: InnerFunction, truncation: int | None = None) -> "ModelSpaceBasis":
+        if inner.kind == "monomial":
+            return cls(inner, np.eye(inner.degree, dtype=complex), inner.degree, 0.0)
+        truncation = default_truncation(inner) if truncation is None else int(truncation)
+        rho = max(abs(w) for w in inner.zeros)
+        tail = rho ** (truncation + 1) / (1.0 - rho)
+        if tail > TAIL_BOUND_LIMIT:
+            raise TruncationError(
+                f"truncation order {truncation} leaves tail bound {tail:.3e} "
+                f"above {TAIL_BOUND_LIMIT:.0e}"
+            )
+        return cls(inner, _takenaka_malmquist(inner.zeros, truncation), truncation, tail)
 
     def alpha_expansion(self) -> LaurentPoly:
         """Expansion of the inner function itself, long enough for projections."""
-        if self._alpha_expansion is None:
-            order = self.truncation_order if self.inner.kind == "monomial" else 2 * self.truncation_order + 2
-            self._alpha_expansion = self.inner.to_laurent(order)
-        return self._alpha_expansion
+        return LaurentPoly.from_array(self._alpha)
 
     # -- core maps ---------------------------------------------------------
 
     def project(self, f: LaurentPoly) -> np.ndarray:
         """Coordinates of the orthogonal projection of f onto the model space."""
-        return np.array([f.inner(e) for e in self.vectors], dtype=complex)
+        return self.rows.conj() @ f.to_array(0, self.rows.shape[1] - 1)
 
     def reconstruct(self, coords) -> LaurentPoly:
-        out = LaurentPoly.zero()
-        for c, e in zip(np.asarray(coords, dtype=complex), self.vectors):
-            out = out + complex(c) * e
-        return out
+        return LaurentPoly.from_array(np.asarray(coords, dtype=complex) @ self.rows)
 
     def kernel(self, w: complex, n: int = 0) -> np.ndarray:
         """Coordinates of the kernel representing f -> f^(n)(w)."""
@@ -247,76 +247,68 @@ class ModelSpaceBasis:
             raise ValueError(f"kernel point {w} must lie in the open disk")
         if n < 0:
             raise ValueError("derivative order must be nonnegative")
-        return np.array([e.derivative_at(w, n) for e in self.vectors], dtype=complex).conjugate()
+        cols = self.rows.shape[1]
+        if n >= cols:
+            return np.zeros(self.dim, dtype=complex)
+        if w == 0:
+            return factorial(n) * self.rows[:, n].conj()
+        weights = np.array([perm(m, n) * w ** (m - n) for m in range(n, cols)])
+        return (self.rows[:, n:] @ weights).conj()
 
     def conjugate_vector(self, coords) -> np.ndarray:
         """The antilinear involution f -> alpha * conj(z f) in coordinates."""
-        coords = np.asarray(coords, dtype=complex)
-        if self.inner.kind == "monomial":
-            return coords[::-1].conjugate()
-        g = self.reconstruct(coords)
-        h = self.alpha_expansion() * conj_on_circle(g) * LaurentPoly.monomial(-1)
-        return self.project(h)
+        return self._conjugation @ np.asarray(coords, dtype=complex).conj()
 
     def conjugation_matrix(self) -> np.ndarray:
         """Matrix C with coords(C f) = C @ conj(coords(f))."""
-        mat = np.empty((self.dim, self.dim), dtype=complex)
-        for j in range(self.dim):
-            unit = np.zeros(self.dim, dtype=complex)
-            unit[j] = 1.0
-            mat[:, j] = self.conjugate_vector(unit)
-        return mat
+        return self._conjugation
 
     def compressed_shift(self) -> tuple[np.ndarray, np.ndarray]:
         """Matrix of the compression of multiplication by z, and its adjoint."""
-        z = LaurentPoly.monomial(1)
-        mat = np.array(
-            [[(z * self.vectors[j]).inner(self.vectors[i]) for j in range(self.dim)] for i in range(self.dim)]
-        )
-        return mat, mat.conjugate().T
+        mat = _compress(_ONE, 1, self.rows, 1, self.rows)
+        return mat, mat.conj().T
 
     def backend_tol(self) -> float:
         return self.inner.backend_tol()
 
 
-def _takenaka_malmquist(inner: InnerFunction, order: int) -> list:
-    """Orthonormal rational basis for distinct zeros, in zero-list order."""
-    vectors = []
-    carried = LaurentPoly.constant(1.0)  # product of previous Blaschke factors
+def _blaschke_factor(w: complex, order: int):
+    """Taylor coefficients 0..order of 1 / (1 - conj(w) z) and of (z - w) / (1 - conj(w) z)."""
+    geo = np.conj(w) ** np.arange(order + 1)
+    return geo, np.convolve([-w, 1.0], geo)[: order + 1]
+
+
+def _taylor(inner: InnerFunction, order: int) -> np.ndarray:
+    """Taylor coefficients 0..order of the inner function."""
+    if inner.kind == "monomial":
+        out = np.zeros(order + 1, dtype=complex)
+        if inner.degree <= order:
+            out[inner.degree] = 1.0
+        return out
+    out = np.array([inner.constant])
     for w in inner.zeros:
-        wc = w.conjugate()
-        geo = LaurentPoly({n: wc**n for n in range(order + 1)})
-        head = math.sqrt(1.0 - abs(w) ** 2) * geo
-        vectors.append((head * carried).truncated(0, order))
-        factor = (LaurentPoly.monomial(1) - LaurentPoly.constant(w)) * geo
-        carried = (carried * factor).truncated(0, order)
-    return vectors
+        out = np.convolve(out, _blaschke_factor(w, order)[1])[: order + 1]
+    return out
 
 
-def make_basis(inner: InnerFunction, truncation: int | None = None) -> ModelSpaceBasis:
-    return ModelSpaceBasis.build(inner, truncation)
-
-
-def stretch_inner(inner: InnerFunction, k: int) -> InnerFunction:
-    return inner.stretched(k)
-
-
-def project_decimation_intertwined(basis: ModelSpaceBasis, f: LaurentPoly, k: int) -> LaurentPoly:
-    """Cross-check route: decimate after projecting onto the stretched space."""
-    stretched = make_basis(stretch_inner(basis.inner, k), None)
-    return decimate(stretched.reconstruct(stretched.project(f)), k)
+def _takenaka_malmquist(zeros, order: int) -> np.ndarray:
+    """Orthonormal rational basis for distinct zeros, in zero-list order."""
+    rows = np.empty((len(zeros), order + 1), dtype=complex)
+    carried = _ONE  # product of the previous Blaschke factors
+    for j, w in enumerate(zeros):
+        geo, factor = _blaschke_factor(w, order)
+        rows[j] = math.sqrt(1.0 - abs(w) ** 2) * np.convolve(geo, carried)[: order + 1]
+        carried = np.convolve(carried, factor)[: order + 1]
+    return rows
 
 
 __all__ = [
     "InnerFunction",
     "ModelSpaceBasis",
     "TruncationError",
-    "make_basis",
-    "stretch_inner",
     "default_truncation",
     "circle_grid",
     "coeff_json",
-    "coeff_from_json",
     "EXACT_TOL",
     "BLASCHKE_TOL",
 ]

@@ -22,9 +22,8 @@ from .laurent import (
 from .model_space import (
     InnerFunction,
     ModelSpaceBasis,
+    _compress,
     coeff_json,
-    make_basis,
-    stretch_inner,
 )
 
 VARIANTS = ("t35", "c38", "c310a", "c310b")
@@ -45,6 +44,8 @@ class OperatorMatrix:
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
+        if not np.isfinite(self.entries).all():
+            raise ValueError("matrix entries must be finite")
         if self.entries.shape != (self.beta.dim, self.alpha.dim):
             raise ValueError(
                 f"matrix shape {self.entries.shape} does not match spaces "
@@ -139,8 +140,8 @@ class CompressionSetting:
         self.k = k
         self.alpha = alpha
         self.beta = beta
-        self.basis_alpha = make_basis(alpha, truncation)
-        self.basis_beta = make_basis(beta, truncation)
+        self.basis_alpha = ModelSpaceBasis.build(alpha, truncation)
+        self.basis_beta = ModelSpaceBasis.build(beta, truncation)
         self.shift_alpha, self.shift_alpha_adj = self.basis_alpha.compressed_shift()
         self.shift_beta, self.shift_beta_adj = self.basis_beta.compressed_shift()
         self._stretched_beta_basis = None
@@ -149,7 +150,7 @@ class CompressionSetting:
     def stretched_beta_basis(self) -> ModelSpaceBasis:
         """Basis of the model space of beta(z^k); may reject some Blaschke beta."""
         if self._stretched_beta_basis is None:
-            self._stretched_beta_basis = make_basis(stretch_inner(self.beta, self.k))
+            self._stretched_beta_basis = ModelSpaceBasis.build(self.beta.stretched(self.k))
         return self._stretched_beta_basis
 
     def tol(self) -> float:
@@ -162,40 +163,27 @@ class CompressionSetting:
 # -- builders --------------------------------------------------------------
 
 
+def _compress_symbol(phi: LaurentPoly, src: ModelSpaceBasis, k: int, dst: ModelSpaceBasis) -> np.ndarray:
+    """The shared compression routine, with phi densified over its support."""
+    lo, hi = (phi.support[0], phi.support[-1]) if phi else (0, 0)
+    return _compress(phi.to_array(lo, hi), lo, src.rows, k, dst.rows)
+
+
 def build_compression(phi: LaurentPoly, setting: CompressionSetting) -> OperatorMatrix:
     """Matrix of f -> P_beta W_k(phi f) on the chosen bases."""
-    ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
-    entries = np.array(
-        [
-            [decimate(phi * ba.vectors[j], k).inner(bb.vectors[i]) for j in range(ba.dim)]
-            for i in range(bb.dim)
-        ]
-    )
-    return setting.matrix(entries)
+    return setting.matrix(_compress_symbol(phi, setting.basis_alpha, setting.k, setting.basis_beta))
 
 
 def build_truncated_toeplitz(
     phi: LaurentPoly, basis_alpha: ModelSpaceBasis, basis_beta: ModelSpaceBasis
 ) -> np.ndarray:
     """Matrix of f -> P_beta(phi f); the k = 1 case of build_compression."""
-    return np.array(
-        [
-            [(phi * basis_alpha.vectors[j]).inner(basis_beta.vectors[i]) for j in range(basis_alpha.dim)]
-            for i in range(basis_beta.dim)
-        ]
-    )
+    return _compress_symbol(phi, basis_alpha, 1, basis_beta)
 
 
 def decimation_matrix(setting: CompressionSetting) -> np.ndarray:
     """Matrix of W_k from the model space of beta(z^k) into that of beta."""
-    big = setting.stretched_beta_basis()
-    bb, k = setting.basis_beta, setting.k
-    return np.array(
-        [
-            [decimate(big.vectors[j], k).inner(bb.vectors[i]) for j in range(big.dim)]
-            for i in range(bb.dim)
-        ]
-    )
+    return _compress(np.ones(1), 0, setting.stretched_beta_basis().rows, setting.k, setting.basis_beta.rows)
 
 
 # -- defect operators ------------------------------------------------------
@@ -266,7 +254,7 @@ def membership(
     tol: float = DEFAULT_MEMBERSHIP_TOL,
 ) -> MembershipReport:
     """Least-squares fit of the defect against the variant's rank-one frame."""
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise ValueError("tolerance must be positive")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")

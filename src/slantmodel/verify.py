@@ -19,11 +19,10 @@ from .laurent import (
     backward_shift_pow,
     conj_on_circle,
     decimate,
-    laurent_mul,
     random_laurent,
     stretch,
 )
-from .model_space import InnerFunction, circle_grid, make_basis, stretch_inner
+from .model_space import InnerFunction, ModelSpaceBasis, circle_grid
 from .operators import (
     CompressionSetting,
     OperatorMatrix,
@@ -104,7 +103,7 @@ class MenuContext:
 
     def stretched_alpha_basis(self):
         if self._stretched_alpha is None:
-            self._stretched_alpha = make_basis(stretch_inner(self.alpha, self.k))
+            self._stretched_alpha = ModelSpaceBasis.build(self.alpha.stretched(self.k))
         return self._stretched_alpha
 
     def label(self) -> str:
@@ -197,9 +196,7 @@ def _prop_stretch_substitution(rng, ctx):
 @register("stretch_multiplicative", "stretch-multiplicative")
 def _prop_stretch_multiplicative(rng, ctx):
     p, q = random_laurent(rng), random_laurent(rng)
-    res = stretch(laurent_mul(p, q), ctx.k).distance(
-        laurent_mul(stretch(p, ctx.k), stretch(q, ctx.k))
-    )
+    res = stretch(p * q, ctx.k).distance(stretch(p, ctx.k) * stretch(q, ctx.k))
     return res, {"p": p.to_json(), "q": q.to_json()}
 
 
@@ -235,9 +232,7 @@ def _prop_projection_commutes(rng, ctx):
 def _prop_pull_through(rng, ctx):
     phi, f = random_laurent(rng, terms=5), random_laurent(rng)
     k = ctx.k
-    res = decimate(laurent_mul(stretch(phi, k), f), k).distance(
-        laurent_mul(phi, decimate(f, k))
-    )
+    res = decimate(stretch(phi, k) * f, k).distance(phi * decimate(f, k))
     return res, {"phi": phi.to_json(), "f": f.to_json()}
 
 
@@ -283,7 +278,7 @@ def _prop_monomial_sandwich(rng, ctx):
 
 @register("stretched_inner_unimodular", "stretched-inner", 1e-8, 1e-8)
 def _prop_stretched_inner(rng, ctx):
-    stretched = stretch_inner(ctx.alpha, ctx.k)
+    stretched = ctx.alpha.stretched(ctx.k)
     res = 0.0
     for z in circle_grid():
         res = max(res, abs(abs(stretched.evaluate(z)) - 1.0))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from slantmodel import cli
 from slantmodel.cli import main
 
 
@@ -212,3 +213,32 @@ class TestErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, ["--help"])[0] == 0
+
+    NAN_SYMBOL = '{"coeffs": [{"n": 0, "re": NaN, "im": 0}, {"n": 1, "re": 1, "im": 0}]}'
+    NAN_ZERO = '{"type": "blaschke", "zeros": [{"re": NaN, "im": 0}]}'
+    NAN_MATRIX = json.dumps({"rows": 3, "cols": 4, "data": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 11})
+    MEMBER = json.dumps({"rows": 3, "cols": 4, "data": [[0.0, 0.0]] * 12})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", *COMMON, "--symbol", NAN_SYMBOL],
+            ["build", "--k", "2", "--alpha", NAN_ZERO, "--beta", "z^3", "--symbol", SYM_WORKED],
+            ["membership", *COMMON, "--matrix", NAN_MATRIX],
+            ["membership", *COMMON, "--matrix", MEMBER, "--tol", "nan"],
+            ["recover", *COMMON, "--matrix", MEMBER, "--tol", "nan"],
+        ],
+        ids=["nan-symbol", "nan-zero", "nan-matrix", "nan-tol", "nan-tol-recover"],
+    )
+    def test_nonfinite_input_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("exc", [RuntimeError("backend accuracy"), np.linalg.LinAlgError("SVD did not converge")])
+    def test_numeric_failures_exit_three(self, capsys, monkeypatch, exc):
+        def boom(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "zero_test_sufficient", boom)
+        code, _, err = run(capsys, ["iszero", *COMMON, "--symbol", SYM_WORKED])
+        assert code == 3 and "numeric" in err

@@ -6,11 +6,10 @@ import pytest
 from slantmodel.laurent import LaurentPoly, decimate
 from slantmodel.model_space import (
     InnerFunction,
+    ModelSpaceBasis,
     TruncationError,
     circle_grid,
     default_truncation,
-    make_basis,
-    stretch_inner,
 )
 
 
@@ -25,7 +24,7 @@ def rng():
 
 @pytest.fixture(scope="module")
 def blaschke_basis():
-    return make_basis(InnerFunction.blaschke([0.5, -0.3]))
+    return ModelSpaceBasis.build(InnerFunction.blaschke([0.5, -0.3]))
 
 
 def random_coords(rng, dim):
@@ -46,6 +45,12 @@ class TestInnerFunction:
             InnerFunction.blaschke([0.3, 0.3])
         with pytest.raises(ValueError, match="unimodular"):
             InnerFunction.blaschke([0.3], constant=2.0)
+        with pytest.raises(ValueError, match="disk"):
+            InnerFunction.blaschke([float("nan")])
+        with pytest.raises(ValueError, match="disk"):
+            InnerFunction.blaschke([0.3, complex(0.1, float("nan"))])
+        with pytest.raises(ValueError, match="unimodular"):
+            InnerFunction.blaschke([0.3], constant=float("nan"))
 
     def test_unimodular_on_circle(self):
         b = InnerFunction.blaschke([0.5, -0.3, 0.2 + 0.4j], constant=1j)
@@ -71,19 +76,19 @@ class TestInnerFunction:
 
 class TestMakeBasis:
     def test_monomial_basis(self):
-        basis = make_basis(InnerFunction.monomial(3))
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
         assert basis.dim == 3
         assert basis.vectors == [L({0: 1}), L({1: 1}), L({2: 1})]
         assert basis.tail_bound == 0.0
 
     def test_single_zero_at_origin(self):
-        basis = make_basis(InnerFunction.blaschke([0.0]))
+        basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.0]))
         assert basis.dim == 1
         assert basis.vectors[0] == L({0: 1})
 
     def test_single_zero_half(self):
         # Normalized Cauchy kernel sqrt(0.75) * sum 0.5^n z^n.
-        basis = make_basis(InnerFunction.blaschke([0.5]))
+        basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.5]))
         v = basis.vectors[0]
         scale = math.sqrt(0.75)
         for n in range(10):
@@ -102,7 +107,7 @@ class TestMakeBasis:
 
     def test_truncation_too_small(self):
         with pytest.raises(TruncationError):
-            make_basis(InnerFunction.blaschke([0.5]), truncation=10)
+            ModelSpaceBasis.build(InnerFunction.blaschke([0.5]), truncation=10)
 
     def test_default_truncation_certifies_tail(self):
         inner = InnerFunction.blaschke([0.9])
@@ -113,12 +118,12 @@ class TestMakeBasis:
 
 class TestProject:
     def test_monomial_window(self):
-        basis = make_basis(InnerFunction.monomial(4))
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(4))
         coords = basis.project(L({-1: 1, 0: 1, 1: 1, 5: 1}))
         assert np.allclose(coords, [1, 1, 0, 0])
 
     def test_derivative_kernels_at_origin(self):
-        basis = make_basis(InnerFunction.monomial(4))
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(4))
         for j in range(4):
             coords = basis.project(L({j: math.factorial(j)}))
             expected = np.zeros(4)
@@ -126,7 +131,7 @@ class TestProject:
             assert np.allclose(coords, expected)
 
     def test_idempotent(self, rng, blaschke_basis):
-        for basis in (make_basis(InnerFunction.monomial(4)), blaschke_basis):
+        for basis in (ModelSpaceBasis.build(InnerFunction.monomial(4)), blaschke_basis):
             f = LaurentPoly(
                 {int(n): complex(*rng.standard_normal(2)) for n in range(-4, 8)}
             )
@@ -146,25 +151,25 @@ class TestProject:
 
 class TestKernel:
     def test_origin_derivative_kernel(self):
-        basis = make_basis(InnerFunction.monomial(4))
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(4))
         assert np.allclose(basis.kernel(0, 2), [0, 0, 2, 0])
 
     def test_order_beyond_dimension(self):
-        basis = make_basis(InnerFunction.monomial(4))
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(4))
         assert np.allclose(basis.kernel(0, 5), np.zeros(4))
 
     def test_point_kernel_is_one_when_alpha_vanishes(self):
-        basis = make_basis(InnerFunction.monomial(3))
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
         assert np.allclose(basis.kernel(0, 0), [1, 0, 0])
 
     def test_rejects_outside_disk(self):
-        basis = make_basis(InnerFunction.monomial(3))
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
         with pytest.raises(ValueError):
             basis.kernel(1.2, 0)
 
     @pytest.mark.parametrize("inner", [InnerFunction.monomial(4), InnerFunction.blaschke([0.5, -0.3])])
     def test_reproducing_property(self, rng, inner):
-        basis = make_basis(inner)
+        basis = ModelSpaceBasis.build(inner)
         for _ in range(20):
             coords = random_coords(rng, basis.dim)
             f = basis.reconstruct(coords)
@@ -176,12 +181,12 @@ class TestKernel:
 
 class TestConjugation:
     def test_monomial_formula(self):
-        basis = make_basis(InnerFunction.monomial(3))
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
         assert np.allclose(basis.conjugate_vector([1, 0, 0]), [0, 0, 1])
 
     @pytest.mark.parametrize("inner", [InnerFunction.monomial(4), InnerFunction.blaschke([0.5, -0.3])])
     def test_involution_and_isometry(self, rng, inner):
-        basis = make_basis(inner)
+        basis = ModelSpaceBasis.build(inner)
         for _ in range(10):
             v = random_coords(rng, basis.dim)
             w = random_coords(rng, basis.dim)
@@ -198,7 +203,7 @@ class TestConjugation:
 
 class TestCompressedShift:
     def test_jordan_block(self):
-        basis = make_basis(InnerFunction.monomial(3))
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
         S, S_adj = basis.compressed_shift()
         jordan = np.diag([1.0, 1.0], -1)
         assert np.allclose(S, jordan)
@@ -206,14 +211,14 @@ class TestCompressedShift:
 
     def test_shift_kills_top_power_when_alpha_vanishes_at_zero(self):
         # S applied to the conjugated point kernel gives -alpha(0) k_0.
-        basis = make_basis(InnerFunction.monomial(3))
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
         S, _ = basis.compressed_shift()
         tilde = basis.conjugate_vector(basis.kernel(0, 0))
         assert np.allclose(S @ tilde, np.zeros(3))
 
     @pytest.mark.parametrize("inner", [InnerFunction.monomial(4), InnerFunction.blaschke([0.5, -0.3])])
     def test_conjugation_symmetry(self, inner):
-        basis = make_basis(inner)
+        basis = ModelSpaceBasis.build(inner)
         S, S_adj = basis.compressed_shift()
         C = basis.conjugation_matrix()
         assert np.abs(C @ S.conjugate() @ C.conjugate() - S_adj).max() < 1e-10
@@ -236,23 +241,23 @@ class TestCompressedShift:
 
 class TestStretchInner:
     def test_monomial(self):
-        assert stretch_inner(InnerFunction.monomial(3), 2) == InnerFunction.monomial(6)
+        assert InnerFunction.monomial(3).stretched(2) == InnerFunction.monomial(6)
 
     def test_blaschke_quarter(self):
         alpha = InnerFunction.blaschke([0.25])
-        stretched = stretch_inner(alpha, 2)
+        stretched = alpha.stretched(2)
         assert sorted(w.real for w in stretched.zeros) == pytest.approx([-0.5, 0.5])
         for z in circle_grid():
             assert abs(stretched.evaluate(z) - alpha.evaluate(z**2)) < 1e-8
 
     def test_unimodular(self):
-        stretched = stretch_inner(InnerFunction.blaschke([0.5, -0.3]), 3)
+        stretched = InnerFunction.blaschke([0.5, -0.3]).stretched(3)
         for z in circle_grid():
             assert abs(abs(stretched.evaluate(z)) - 1.0) < 1e-8
 
     def test_rejects_zero_at_origin(self):
         with pytest.raises(ValueError, match="origin"):
-            stretch_inner(InnerFunction.blaschke([0.0, 0.5]), 2)
+            InnerFunction.blaschke([0.0, 0.5]).stretched(2)
 
 
 class TestProjectionDecimationIntertwine:
@@ -265,8 +270,8 @@ class TestProjectionDecimationIntertwine:
         ],
     )
     def test_identity(self, rng, inner, k):
-        basis = make_basis(inner)
-        big = make_basis(stretch_inner(inner, k))
+        basis = ModelSpaceBasis.build(inner)
+        big = ModelSpaceBasis.build(inner.stretched(k))
         for _ in range(10):
             f = LaurentPoly(
                 {int(n): complex(*rng.standard_normal(2)) for n in rng.integers(-6, 20, size=8)}

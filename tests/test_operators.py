@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slantmodel.laurent import LaurentPoly, conj_on_circle, random_laurent, stretch
+from slantmodel.laurent import LaurentPoly, conj_on_circle, decimate, random_laurent, stretch
 from slantmodel.model_space import InnerFunction
 from slantmodel.operators import (
     VARIANTS,
@@ -131,11 +131,64 @@ class TestBuildCompression:
     def test_matrix_shape_mismatch_rejected(self, s243):
         with pytest.raises(ValueError, match="shape"):
             s243.matrix(np.zeros((2, 2)))
+        for bad in (np.nan, np.inf):
+            entries = np.zeros((3, 4), dtype=complex)
+            entries[1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                s243.matrix(entries)
 
     def test_json_roundtrip(self, rng, s243):
         U = build_compression(random_laurent(rng, -4, 6, terms=5), s243)
         back = s243.matrix(type(U).entries_from_json(U.to_json()))
         assert np.array_equal(U.entries, back.entries)
+
+
+def loop_oracle(phi, src, k, dst):
+    """Reference compression by the LaurentPoly loop <W_k(phi e_j), f_i>."""
+    return np.array([[decimate(phi * e, k).inner(f) for e in src.vectors] for f in dst.vectors])
+
+
+B2 = InnerFunction.blaschke([0.5, -0.3])
+B3 = InnerFunction.blaschke([0.5, -0.3, 0.2j])
+BETA = InnerFunction.blaschke([0.4, -0.5j])
+
+
+class TestLoopOracle:
+    @pytest.mark.parametrize(
+        "alpha,beta,k",
+        [(zn(4), zn(3), 2), (zn(3), zn(3), 3), (zn(16), zn(12), 3), (zn(3), zn(4), 1)],
+        ids=["z4-z3-k2", "z3-z3-k3", "z16-z12-k3", "z3-z4-k1"],
+    )
+    def test_monomial_exact(self, rng, alpha, beta, k):
+        setting = CompressionSetting(alpha, beta, k)
+        ba, bb = setting.basis_alpha, setting.basis_beta
+        for _ in range(10):
+            phi = random_laurent(rng, -20, 40, terms=8)
+            assert np.array_equal(build_compression(phi, setting).entries, loop_oracle(phi, ba, k, bb))
+            assert np.array_equal(build_truncated_toeplitz(phi, ba, bb), loop_oracle(phi, ba, 1, bb))
+        big = setting.stretched_beta_basis()
+        assert np.array_equal(decimation_matrix(setting), loop_oracle(L({0: 1}), big, k, bb))
+        assert np.array_equal(ba.compressed_shift()[0], loop_oracle(L({1: 1}), ba, 1, ba))
+
+    @pytest.mark.parametrize(
+        "alpha,beta,k",
+        [(B2, zn(3), 2), (zn(3), BETA, 2), (B3, BETA, 2), (B3, BETA, 1)],
+        ids=["B2-z3-k2", "z3-B-k2", "B3-B-k2", "B3-B-k1"],
+    )
+    def test_blaschke_close(self, rng, alpha, beta, k):
+        setting = CompressionSetting(alpha, beta, k)
+        ba, bb = setting.basis_alpha, setting.basis_beta
+
+        def close(dense, oracle):
+            return np.abs(dense - oracle).max() <= 1e-12 * max(1.0, np.linalg.norm(oracle))
+
+        for _ in range(3):
+            phi = random_laurent(rng, -6, 12, terms=6)
+            assert close(build_compression(phi, setting).entries, loop_oracle(phi, ba, k, bb))
+            assert close(build_truncated_toeplitz(phi, ba, bb), loop_oracle(phi, ba, 1, bb))
+        big = setting.stretched_beta_basis()
+        assert close(decimation_matrix(setting), loop_oracle(L({0: 1}), big, k, bb))
+        assert close(ba.compressed_shift()[0], loop_oracle(L({1: 1}), ba, 1, ba))
 
 
 class TestDecimationMatrix:
@@ -252,9 +305,18 @@ class TestMembership:
         report = membership(s243.matrix(np.zeros((3, 4))), s243)
         assert report.member and report.residual == 0.0
 
+    def test_blaschke_nonmembers_rejected(self):
+        # k = 2 < dim K_alpha = 3, so not every 2 x 3 matrix is a compression.
+        setting = CompressionSetting(B3, BETA, 2)
+        for seed in range(5):
+            g = np.random.default_rng(seed)
+            U = setting.matrix(g.standard_normal((2, 3)) + 1j * g.standard_normal((2, 3)))
+            assert not membership(U, setting).member
+
     def test_bad_tolerance(self, s243):
-        with pytest.raises(ValueError):
-            membership(s243.matrix(np.zeros((3, 4))), s243, tol=0.0)
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                membership(s243.matrix(np.zeros((3, 4))), s243, tol=tol)
 
     def test_report_json(self, rng, s243):
         report = membership(build_compression(L({2: 1}), s243), s243)

@@ -85,6 +85,24 @@ class TestSuite:
         assert report.all_passed
         assert {r.space for r in report.results} == {"(z^3, z^2, k=2)"}
 
+    @pytest.mark.parametrize(
+        "alpha,beta,label",
+        [
+            (InnerFunction.monomial(3), InnerFunction.blaschke([0.4, -0.5j]), "(z^3, B[0.4+0j,-0-0.5j], k=2)"),
+            (
+                InnerFunction.blaschke([0.5, -0.3, 0.2j]),
+                InnerFunction.blaschke([0.4, -0.5j]),
+                "(B[0.5+0j,-0.3+0j,0+0.2j], B[0.4+0j,-0-0.5j], k=2)",
+            ),
+        ],
+        ids=["z3-blaschke", "blaschke-blaschke"],
+    )
+    def test_custom_menu_blaschke_beta(self, alpha, beta, label):
+        # Blaschke beta: its stretched basis and beta-side conjugation.
+        report = run_suite(SuiteConfig(seed=5, trials=2, menu=((alpha, beta, 2),)))
+        assert report.all_passed, [(r.name, r.worst_residual) for r in report.results if r.fails]
+        assert {r.space for r in report.results} == {label}
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SuiteConfig(trials=0)
