@@ -124,7 +124,12 @@ def _add_common(p, need_k=True):
         p.add_argument("--k", type=int, required=True, help="decimation order")
     p.add_argument("--alpha", required=True, help="inner function: 'z^N' or JSON (inline/file)")
     p.add_argument("--beta", required=True, help="inner function: 'z^N' or JSON (inline/file)")
-    p.add_argument("--truncation", type=int, default=None, help="Blaschke truncation order")
+    p.add_argument(
+        "--truncation",
+        type=int,
+        default=None,
+        help="Blaschke truncation order of alpha and beta; beta(z^k) always takes its own certified default",
+    )
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
@@ -243,7 +248,8 @@ def _run(args) -> int:
         report = membership(U, setting, args.variant, args.tol)
         if not report.member:
             print(
-                f"not a member: residual {report.residual:.3e} exceeds tolerance {args.tol:g}",
+                f"not a member: residual {report.residual:.3e} exceeds tolerance "
+                f"{report.effective_tolerance:.3e}",
                 file=sys.stderr,
             )
             return EXIT_NEGATIVE

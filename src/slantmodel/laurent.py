@@ -46,10 +46,6 @@ class LaurentPoly:
         return out
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def monomial(cls, n: int, c: complex = 1.0) -> "LaurentPoly":
         return cls({n: c})
 
@@ -67,10 +63,8 @@ class LaurentPoly:
     def items(self):
         return self._coeffs.items()
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol <= 0.0:
-            return not self._coeffs
-        return all(abs(c) <= tol for c in self._coeffs.values())
+    def is_zero(self) -> bool:
+        return not self._coeffs
 
     def is_analytic(self) -> bool:
         """True when no negative frequency carries a coefficient."""
@@ -117,10 +111,6 @@ class LaurentPoly:
     def shifted(self, m: int) -> "LaurentPoly":
         """Multiply by z^m."""
         return LaurentPoly({n + m: c for n, c in self._coeffs.items()})
-
-    def truncated(self, lo: int, hi: int) -> "LaurentPoly":
-        """Keep frequencies in the closed window [lo, hi]."""
-        return LaurentPoly({n: c for n, c in self._coeffs.items() if lo <= n <= hi})
 
     def inner(self, other: "LaurentPoly") -> complex:
         """L2 pairing sum_n a_n conj(b_n)."""

@@ -83,18 +83,17 @@ class OperatorMatrix:
 
 @dataclass
 class DefectDecomposition:
-    """Right-hand side of the defect identity: one chi in K_alpha and
-    psi_0..psi_{k-1} in K_beta, plus the least-squares fit residual."""
+    """Right-hand side of the defect identity, F chi^H + sum_j psi_j G_j^H:
+    one chi in K_alpha and psi_0..psi_{k-1} in K_beta.  Fits from
+    `membership` have every psi_j orthogonal to the K_beta frame vector F."""
 
     chi: np.ndarray
     psis: list
-    residual: float
     variant: str
 
     def to_json(self) -> dict:
         return {
             "variant": self.variant,
-            "residual": self.residual,
             "chi": coeff_json(self.chi),
             "psis": [coeff_json(p) for p in self.psis],
         }
@@ -105,7 +104,9 @@ class MembershipReport:
     member: bool
     residual: float
     decomposition: DefectDecomposition
+    # The relative knob, and the threshold it gives: tol * max(1, ||D||_F).
     tolerance: float
+    effective_tolerance: float
     # Source matrix kept for recovery routes; not part of the JSON schema.
     source: OperatorMatrix = field(default=None, repr=False)
 
@@ -117,15 +118,20 @@ class MembershipReport:
         return {
             "member": self.member,
             "residual": self.residual,
-            "variant": self.variant,
-            "chi": coeff_json(self.decomposition.chi),
-            "psis": [coeff_json(p) for p in self.decomposition.psis],
+            **self.decomposition.to_json(),
             "tolerance": self.tolerance,
+            "effective_tolerance": self.effective_tolerance,
         }
 
 
 class CompressionSetting:
-    """Bases and shift matrices for a fixed (alpha, beta, k) triple."""
+    """Bases and shift matrices for a fixed (alpha, beta, k) triple.
+
+    `truncation` is the Blaschke truncation order of the alpha and beta
+    bases.  The basis of beta(z^k) always takes its own certified default:
+    its zeros are the k-th roots of beta's, nearer the circle, so an order
+    that certifies beta can fail the tail bound there.
+    """
 
     def __init__(
         self,
@@ -145,7 +151,6 @@ class CompressionSetting:
         self.shift_alpha, self.shift_alpha_adj = self.basis_alpha.compressed_shift()
         self.shift_beta, self.shift_beta_adj = self.basis_beta.compressed_shift()
         self._stretched_beta_basis = None
-        self._truncation = truncation
 
     def stretched_beta_basis(self) -> ModelSpaceBasis:
         """Basis of the model space of beta(z^k); may reject some Blaschke beta."""
@@ -241,7 +246,7 @@ def defect_from_symbol(phi: LaurentPoly, setting: CompressionSetting) -> DefectD
     for j in range(k):
         v = bb.project(decimate(phi * LaurentPoly.monomial(-(k - j)), k))
         psis.append(setting.shift_beta @ v / factorial(j))
-    return DefectDecomposition(chi=chi, psis=psis, residual=0.0, variant="t35")
+    return DefectDecomposition(chi=chi, psis=psis, variant="t35")
 
 
 # -- membership ------------------------------------------------------------
@@ -253,61 +258,41 @@ def membership(
     variant: str = "t35",
     tol: float = DEFAULT_MEMBERSHIP_TOL,
 ) -> MembershipReport:
-    """Least-squares fit of the defect against the variant's rank-one frame."""
+    """Best fit of the defect D by F chi^H + Psi G^H, in closed form.
+
+    F is the variant's frame vector in K_beta and G the m x k matrix of its
+    frame in K_alpha.  chi = D^H F / ||F||^2 takes the P_F D part, and Psi
+    solves the m x k least-squares problem G Psi^H = R^H for the remainder
+    R = (I - P_F) D, so F^H Psi = 0 and the residual is
+    ||(I - P_F) D (I - P_G)||_F.  The matrix is a member when the residual
+    is at most tol * max(1, ||D||_F).
+    """
     if not tol > 0:  # also rejects NaN
         raise ValueError("tolerance must be positive")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    m, n, k = setting.basis_alpha.dim, setting.basis_beta.dim, setting.k
     D = defect(U, setting, variant)
     F, Gs = _frames(setting, variant)
-
-    # Columns: F e_i^H for each alpha slot i, then e_r G_j^H for each beta
-    # slot r and frame index j.  The chi block carries conj(chi).
-    cols = []
-    for i in range(m):
-        block = np.zeros((n, m), dtype=complex)
-        block[:, i] = F
-        cols.append(block.reshape(-1))
-    for r in range(n):
-        for j in range(k):
-            block = np.zeros((n, m), dtype=complex)
-            block[r, :] = Gs[j].conjugate()
-            cols.append(block.reshape(-1))
-    B = np.array(cols).T
-    d = D.reshape(-1)
-    x, *_ = np.linalg.lstsq(B, d, rcond=None)
-    residual = float(np.linalg.norm(B @ x - d))
-
-    chi = x[:m].conjugate()
-    psis = [x[m:].reshape(n, k)[:, j].copy() for j in range(k)]
-    dec = DefectDecomposition(chi=chi, psis=psis, residual=residual, variant=variant)
-    # Tolerance is relative to the defect's Frobenius norm, absolute below 1.
+    chi = D.conj().T @ F / np.vdot(F, F).real
+    R = D - np.outer(F, chi.conjugate())
+    # Kernels past dim K_alpha vanish, so G may have zero columns; lstsq
+    # returns the minimum-norm Psi, with psi_j = 0 there.
+    G = np.array(Gs).T
+    Y, *_ = np.linalg.lstsq(G, R.conj().T, rcond=None)
+    residual = float(np.linalg.norm(R - (G @ Y).conj().T))
+    psis = list(Y.conjugate())
     effective = tol * max(1.0, float(np.linalg.norm(D)))
     return MembershipReport(
         member=residual <= effective,
         residual=residual,
-        decomposition=dec,
+        decomposition=DefectDecomposition(chi=chi, psis=psis, variant=variant),
         tolerance=tol,
+        effective_tolerance=effective,
         source=U,
     )
 
 
 # -- symbol recovery -------------------------------------------------------
-
-
-def _normalized_parts(dec: DefectDecomposition, setting: CompressionSetting):
-    """Shift psi_j to vanish at 0 and absorb the constants into chi."""
-    bb, ba, k = setting.basis_beta, setting.basis_alpha, setting.k
-    k0b = bb.kernel(0, 0)
-    norm2 = float(np.vdot(k0b, k0b).real)
-    chi = dec.chi.copy()
-    psis = []
-    for j in range(k):
-        value0 = bb.reconstruct(dec.psis[j]).derivative_at(0.0, 0)
-        psis.append(dec.psis[j] - (value0 / norm2) * k0b)
-        chi = chi + (value0.conjugate() / norm2) * ba.kernel(0, j)
-    return chi, psis
 
 
 def recover_symbol(report: MembershipReport, setting: CompressionSetting) -> LaurentPoly:
@@ -318,7 +303,8 @@ def recover_symbol(report: MembershipReport, setting: CompressionSetting) -> Lau
     """
     if not report.member:
         raise NonMemberError(
-            f"matrix is not a member (residual {report.residual:.3e} > tol {report.tolerance:.0e})"
+            f"matrix is not a member (residual {report.residual:.3e} > "
+            f"tolerance {report.effective_tolerance:.3e})"
         )
     variant = report.variant
     if variant in ("c310a", "c310b"):
@@ -330,17 +316,17 @@ def recover_symbol(report: MembershipReport, setting: CompressionSetting) -> Lau
         return recover_symbol(base, setting)
 
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
+    dec = report.decomposition
     if variant == "t35":
-        chi, psis = _normalized_parts(report.decomposition, setting)
-        phi = conj_on_circle(ba.reconstruct(chi))
+        # The fit leaves every psi_j orthogonal to k_0^beta, i.e. psi_j(0) = 0.
+        phi = conj_on_circle(ba.reconstruct(dec.chi))
         for j in range(k):
-            part = stretch(bb.reconstruct(psis[j]), k) * factorial(j)
+            part = stretch(bb.reconstruct(dec.psis[j]), k) * factorial(j)
             phi = phi + part.shifted(-j)
         return phi
 
     # Adjoint-form decomposition: the transformed symbol needs expansions of
     # the inner functions themselves.
-    dec = report.decomposition
     beta_k = stretch(setting.basis_beta.alpha_expansion(), k)
     alpha_bar = conj_on_circle(setting.basis_alpha.alpha_expansion())
     phi = beta_k * conj_on_circle(ba.reconstruct(dec.chi)) * LaurentPoly.monomial(-k)
@@ -410,20 +396,14 @@ def zero_test_sufficient(
         d = bs.reconstruct(bs.project(LaurentPoly.monomial(shift - t))).shifted(-shift)
         d = d - conj_on_circle(ba.reconstruct(ba.project(LaurentPoly.monomial(t))))
         directions.append(d)
-    freqs = sorted(set(base.support).union(*(d.support for d in directions)))
-    if freqs:
-        index = {n: i for i, n in enumerate(freqs)}
-        rhs = np.zeros(len(freqs), dtype=complex)
-        for n, c in base.items():
-            rhs[index[n]] = c
-        A = np.zeros((len(freqs), len(directions)), dtype=complex)
-        for t, d in enumerate(directions):
-            for n, c in d.items():
-                A[index[n], t] = c
+    ends = [n for p in (base, *directions) for n in p.support[:1] + p.support[-1:]]
+    residue = 0.0
+    if ends:
+        lo, hi = min(ends), max(ends)
+        A = np.array([d.to_array(lo, hi) for d in directions]).T
+        rhs = base.to_array(lo, hi)
         x, *_ = np.linalg.lstsq(A, -rhs, rcond=None)
         residue = float(np.linalg.norm(A @ x + rhs))
-    else:
-        residue = 0.0
 
     tol = setting.tol() * max(1.0, phi.norm())
     if residue > tol:

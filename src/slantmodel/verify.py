@@ -463,18 +463,16 @@ def _prop_adjoint_roundtrip(rng, ctx):
 
 @register("recovery_orthogonality", "recovery-orthogonality", 1e-10, 1e-8)
 def _prop_recovery_orthogonality(rng, ctx):
-    from .operators import _normalized_parts
-
     phi = _symbol(rng, ctx)
     U = build_compression(phi, ctx.setting)
     report = membership(U, ctx.setting)
     if not report.member:
         return float("inf"), {"phi": phi.to_json()}
     ba, bb, k = ctx.setting.basis_alpha, ctx.setting.basis_beta, ctx.k
-    chi, psis = _normalized_parts(report.decomposition, ctx.setting)
-    parts = [conj_on_circle(ba.reconstruct(chi))]
+    dec = report.decomposition
+    parts = [conj_on_circle(ba.reconstruct(dec.chi))]
     for j in range(k):
-        parts.append((stretch(bb.reconstruct(psis[j]), k) * factorial(j)).shifted(-j))
+        parts.append((stretch(bb.reconstruct(dec.psis[j]), k) * factorial(j)).shifted(-j))
     res = 0.0
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):

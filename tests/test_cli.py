@@ -76,6 +76,27 @@ class TestMembershipRecover:
         assert code == 1
         assert json.loads(out)["member"] is False
 
+    def test_membership_json_keys(self, capsys):
+        matrix = self.build_matrix_json(capsys, SYM_WORKED)
+        code, out, _ = run(capsys, ["membership", *COMMON, "--matrix", matrix])
+        assert code == 0
+        assert set(json.loads(out)) == {
+            "member", "residual", "variant", "chi", "psis", "tolerance", "effective_tolerance"
+        }
+
+    def test_effective_tolerance_applied(self, capsys):
+        # Both defects have ||D||_F > 1, so the threshold exceeds the knob.
+        member = self.build_matrix_json(capsys, SYM_WORKED)
+        bad = json.dumps({"rows": 3, "cols": 4, "data": [[5.0, 0.0]] + [[0.0, 0.0]] * 11})
+        for matrix, expected in ((member, True), (bad, False)):
+            code, out, _ = run(capsys, ["membership", *COMMON, "--matrix", matrix])
+            obj = json.loads(out)
+            assert obj["effective_tolerance"] > obj["tolerance"]
+            assert obj["member"] is expected and code == (0 if expected else 1)
+            assert obj["member"] == (obj["residual"] <= obj["effective_tolerance"])
+        code, _, err = run(capsys, ["recover", *COMMON, "--matrix", bad])
+        assert code == 1 and f"{obj['effective_tolerance']:.3e}" in err
+
     def test_universal_order_always_member(self, capsys):
         rng = np.random.default_rng(3)
         data = [[float(x), float(y)] for x, y in rng.standard_normal((12, 2))]

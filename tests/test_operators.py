@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from slantmodel.laurent import LaurentPoly, conj_on_circle, decimate, random_laurent, stretch
-from slantmodel.model_space import InnerFunction
+from slantmodel.model_space import InnerFunction, ModelSpaceBasis, TruncationError, default_truncation
 from slantmodel.operators import (
     VARIANTS,
+    _frames,
     CompressionSetting,
     NonMemberError,
     assemble_defect,
@@ -318,12 +319,88 @@ class TestMembership:
             with pytest.raises(ValueError):
                 membership(s243.matrix(np.zeros((3, 4))), s243, tol=tol)
 
+    def test_effective_tolerance_is_the_threshold(self, s243):
+        member = build_compression(random_laurent(np.random.default_rng(5), -5, 8, terms=6) * 10.0, s243)
+        bad = member.entries.copy()
+        bad[0, 0] += 5.0
+        reports = []
+        for U in (member, s243.matrix(bad)):
+            report = membership(U, s243)
+            scale = np.linalg.norm(defect(U, s243))
+            assert scale > 1.0
+            assert report.effective_tolerance == report.tolerance * scale
+            assert report.member == (report.residual <= report.effective_tolerance)
+            reports.append(report)
+        accepted, rejected = reports
+        assert accepted.member and not rejected.member
+        with pytest.raises(NonMemberError, match=f"{rejected.effective_tolerance:.3e}"):
+            recover_symbol(rejected, s243)
+
     def test_report_json(self, rng, s243):
         report = membership(build_compression(L({2: 1}), s243), s243)
         obj = report.to_json()
         assert obj["member"] is True
         assert obj["variant"] == "t35"
         assert len(obj["psis"]) == 2
+
+
+def design_matrix_fit(U, setting, variant, tol=1e-9):
+    """Reference fit: minimum-norm lstsq of the vectorized defect against a
+    hand-built (n m) x (m + n k) design matrix.  Returns (member, residual)."""
+    m, n, k = setting.basis_alpha.dim, setting.basis_beta.dim, setting.k
+    D = defect(U, setting, variant)
+    F, Gs = _frames(setting, variant)
+    # Columns: F e_i^H for each alpha slot i, then e_r G_j^H for each beta
+    # slot r and frame index j.
+    cols = []
+    for i in range(m):
+        block = np.zeros((n, m), dtype=complex)
+        block[:, i] = F
+        cols.append(block.reshape(-1))
+    for r in range(n):
+        for j in range(k):
+            block = np.zeros((n, m), dtype=complex)
+            block[r, :] = Gs[j].conjugate()
+            cols.append(block.reshape(-1))
+    B = np.array(cols).T
+    d = D.reshape(-1)
+    x, *_ = np.linalg.lstsq(B, d, rcond=None)
+    residual = float(np.linalg.norm(B @ x - d))
+    return residual <= tol * max(1.0, float(np.linalg.norm(D))), residual
+
+
+B_NEAR = InnerFunction.blaschke([0.95, -0.3, 0.2j])
+
+
+class TestDesignMatrixOracle:
+    @pytest.mark.parametrize(
+        "alpha,beta,k",
+        [(zn(4), zn(3), 2), (zn(4), zn(3), 5), (zn(3), BETA, 4), (B2, zn(3), 2), (B_NEAR, BETA, 2)],
+        ids=["z4-z3-k2", "z4-z3-k5", "z3-B-k4", "B2-z3-k2", "Bnear-B-k2"],
+    )
+    def test_closed_form_matches_design_matrix(self, alpha, beta, k):
+        rng = np.random.default_rng(11)
+        setting = CompressionSetting(alpha, beta, k)
+        n, m = setting.basis_beta.dim, setting.basis_alpha.dim
+        k0b = setting.basis_beta.kernel(0, 0)
+        inputs = [(build_compression(random_laurent(rng, -6, 10, terms=6), setting), True) for _ in range(3)]
+        inputs += [
+            (setting.matrix(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))), False) for _ in range(3)
+        ]
+        for variant in VARIANTS:
+            for U, built in inputs:
+                D = defect(U, setting, variant)
+                scale = max(1.0, np.linalg.norm(D))
+                report = membership(U, setting, variant)
+                member, residual = design_matrix_fit(U, setting, variant)
+                assert report.member == member
+                assert abs(report.residual - residual) <= 1e-12 * scale
+                assert report.member or not built
+                if report.member:
+                    assert np.abs(D - assemble_defect(report.decomposition, setting)).max() <= 1e-12 * scale
+                if report.member and variant == "t35":
+                    # psi_j(0) = <psi_j, k_0^beta> = 0: the fit is already normalised.
+                    assert max(abs(np.vdot(k0b, psi)) for psi in report.decomposition.psis) <= 1e-12
 
 
 class TestRecovery:
@@ -361,6 +438,18 @@ class TestRecovery:
         recovered = recover_symbol(membership(U, s243), s243)
         again = canonical_symbol(recovered, s243, "first")
         assert np.abs(build_compression(again, s243).entries - U.entries).max() < 1e-8
+
+
+class TestCompressionSetting:
+    def test_explicit_truncation_skips_stretched_beta(self):
+        # 70 certifies the zeros of BETA (radius 0.5) but not their square
+        # roots (radius ~0.71), so beta(z^2) keeps its own default.
+        setting = CompressionSetting(zn(3), BETA, 2, truncation=70)
+        assert setting.basis_beta.truncation_order == 70
+        stretched = BETA.stretched(2)
+        assert setting.stretched_beta_basis().truncation_order == default_truncation(stretched)
+        with pytest.raises(TruncationError):
+            ModelSpaceBasis.build(stretched, 70)
 
 
 class TestCanonicalSymbol:
