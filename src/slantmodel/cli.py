@@ -212,13 +212,15 @@ def _run(args) -> int:
             "backend": inner.kind,
             "truncation_order": basis.truncation_order,
             "tail_bound": basis.tail_bound,
+            "gram_error": basis.gram_error,
             "default_truncation": default_truncation(inner),
         }
         _emit(
             payload,
             args.format,
             lambda o: f"dim={o['dim']} backend={o['backend']} "
-            f"truncation={o['truncation_order']} tail_bound={o['tail_bound']:.3e}",
+            f"truncation={o['truncation_order']} tail_bound={o['tail_bound']:.3e} "
+            f"gram_error={o['gram_error']:.3e}",
         )
         return EXIT_OK
 

@@ -191,9 +191,9 @@ class ModelSpaceBasis:
         self.truncation_order = truncation_order
         self.tail_bound = tail_bound
         gram = _compress(_ONE, 0, rows, 1, rows)
-        err = np.abs(gram - np.eye(self.dim)).max()
-        if err > GRAM_TOL:
-            raise TruncationError(f"basis Gram matrix deviates from identity by {err:.3e}")
+        self.gram_error = float(np.abs(gram - np.eye(self.dim)).max())
+        if self.gram_error > GRAM_TOL:
+            raise TruncationError(f"basis Gram matrix deviates from identity by {self.gram_error:.3e}")
         # C f = alpha * conj(z f) pairs alpha_{n+m+1} with rows n and m, so the
         # expansion runs to twice the row length.
         cols = rows.shape[1]
@@ -272,10 +272,24 @@ class ModelSpaceBasis:
         return self.inner.backend_tol()
 
 
-def _blaschke_factor(w: complex, order: int):
-    """Taylor coefficients 0..order of 1 / (1 - conj(w) z) and of (z - w) / (1 - conj(w) z)."""
-    geo = np.conj(w) ** np.arange(order + 1)
-    return geo, np.convolve([-w, 1.0], geo)[: order + 1]
+def _circle_factors(zeros, order: int):
+    """1 - conj(w) z and the Blaschke factor (z - w) / (1 - conj(w) z), one row
+    per zero, sampled at the M-th roots of unity z, M the smallest power of two
+    >= 2 (order + 1).
+
+    The FFT of M samples folds every coefficient n >= M onto n mod M; with all
+    zeros in |w| <= rho the folded tail is below rho^M / (1 - rho).
+    """
+    m = 1 << (2 * order + 1).bit_length()
+    z = np.exp(2j * np.pi * np.arange(m) / m)
+    w = np.asarray(zeros, dtype=complex)[:, None]
+    denom = 1.0 - w.conj() * z
+    return denom, (z - w) / denom
+
+
+def _coefficients(samples: np.ndarray, order: int) -> np.ndarray:
+    """Taylor coefficients 0..order from samples at the roots of unity (last axis)."""
+    return np.fft.fft(samples, axis=-1)[..., : order + 1] / samples.shape[-1]
 
 
 def _taylor(inner: InnerFunction, order: int) -> np.ndarray:
@@ -285,21 +299,17 @@ def _taylor(inner: InnerFunction, order: int) -> np.ndarray:
         if inner.degree <= order:
             out[inner.degree] = 1.0
         return out
-    out = np.array([inner.constant])
-    for w in inner.zeros:
-        out = np.convolve(out, _blaschke_factor(w, order)[1])[: order + 1]
-    return out
+    factors = _circle_factors(inner.zeros, order)[1]
+    return _coefficients(inner.constant * factors.prod(axis=0), order)
 
 
 def _takenaka_malmquist(zeros, order: int) -> np.ndarray:
-    """Orthonormal rational basis for distinct zeros, in zero-list order."""
-    rows = np.empty((len(zeros), order + 1), dtype=complex)
-    carried = _ONE  # product of the previous Blaschke factors
-    for j, w in enumerate(zeros):
-        geo, factor = _blaschke_factor(w, order)
-        rows[j] = math.sqrt(1.0 - abs(w) ** 2) * np.convolve(geo, carried)[: order + 1]
-        carried = np.convolve(carried, factor)[: order + 1]
-    return rows
+    """Orthonormal rational basis for distinct zeros, in zero-list order: row j
+    is sqrt(1 - |w_j|^2) / (1 - conj(w_j) z) times the factors of the zeros before it."""
+    denom, factors = _circle_factors(zeros, order)
+    carried = np.cumprod(np.vstack([np.ones_like(factors[:1]), factors[:-1]]), axis=0)
+    scale = np.sqrt([[1.0 - abs(w) ** 2] for w in zeros])
+    return _coefficients(scale * carried / denom, order)
 
 
 __all__ = [

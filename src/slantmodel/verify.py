@@ -96,6 +96,7 @@ class MenuContext:
         self.setting = CompressionSetting(alpha, beta, k)
         self.alpha, self.beta, self.k = alpha, beta, k
         self._stretched_alpha = None
+        self._universal = None
 
     @property
     def is_exact(self) -> bool:
@@ -105,6 +106,13 @@ class MenuContext:
         if self._stretched_alpha is None:
             self._stretched_alpha = ModelSpaceBasis.build(self.alpha.stretched(self.k))
         return self._stretched_alpha
+
+    def universal_setting(self) -> CompressionSetting:
+        """The setting of order max(k, dim K_alpha), where every matrix is a member."""
+        if self._universal is None:
+            k = max(self.k, self.setting.basis_alpha.dim)
+            self._universal = self.setting if k == self.k else CompressionSetting(self.alpha, self.beta, k)
+        return self._universal
 
     def label(self) -> str:
         def name(inner):
@@ -482,8 +490,7 @@ def _prop_recovery_orthogonality(rng, ctx):
 
 @register("universality", "universality", 1e-10, 1e-8)
 def _prop_universality(rng, ctx):
-    k = max(ctx.k, ctx.setting.basis_alpha.dim)
-    setting = ctx.setting if k == ctx.k else CompressionSetting(ctx.alpha, ctx.beta, k)
+    setting = ctx.universal_setting()
     n, m = setting.basis_beta.dim, setting.basis_alpha.dim
     U = setting.matrix(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
     report = membership(U, setting)

@@ -195,6 +195,7 @@ class TestVerifyInfo:
         assert code == 0
         obj = json.loads(out)
         assert obj["dim"] == 4 and obj["backend"] == "monomial"
+        assert obj["gram_error"] == 0.0
 
     def test_info_blaschke(self, capsys):
         inner = json.dumps({"type": "blaschke", "zeros": [{"re": 0.5, "im": 0.0}, {"re": -0.3, "im": 0.0}]})
@@ -202,6 +203,9 @@ class TestVerifyInfo:
         assert code == 0
         obj = json.loads(out)
         assert obj["dim"] == 2 and obj["tail_bound"] < 1e-12
+        assert obj["gram_error"] < 1e-10
+        code, out, _ = run(capsys, ["info", "--alpha", inner, "--format", "text"])
+        assert code == 0 and f"gram_error={obj['gram_error']:.3e}" in out
 
 
 class TestErrors:

@@ -8,6 +8,8 @@ from slantmodel.model_space import (
     InnerFunction,
     ModelSpaceBasis,
     TruncationError,
+    _takenaka_malmquist,
+    _taylor,
     circle_grid,
     default_truncation,
 )
@@ -279,3 +281,39 @@ class TestProjectionDecimationIntertwine:
             lhs = basis.reconstruct(basis.project(decimate(f, k)))
             rhs = decimate(big.reconstruct(big.project(f)), k)
             assert lhs.distance(rhs) < 1e-8
+
+
+def convolution_expansions(inner, order):
+    """Reference: the Takenaka-Malmquist rows and the Taylor coefficients of
+    the inner function, both 0..order, by chained truncated convolutions of
+    the Blaschke-factor series."""
+    rows = np.empty((inner.degree, order + 1), dtype=complex)
+    carried = np.ones(1, dtype=complex)  # product of the previous Blaschke factors
+    for j, w in enumerate(inner.zeros):
+        geo = np.conj(w) ** np.arange(order + 1)  # 1 / (1 - conj(w) z)
+        rows[j] = math.sqrt(1.0 - abs(w) ** 2) * np.convolve(geo, carried)[: order + 1]
+        carried = np.convolve(carried, np.convolve([-w, 1.0], geo)[: order + 1])[: order + 1]
+    return rows, inner.constant * carried
+
+
+class TestConvolutionOracle:
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            InnerFunction.blaschke([0.95, -0.3, 0.2j]),
+            InnerFunction.blaschke([0.99, -0.3, 0.2j]),
+            InnerFunction.blaschke([0.0, 0.5, -0.3j]),
+            InnerFunction.blaschke([0.3, 0.3 + 1e-9]),
+            InnerFunction.blaschke([0.5, -0.3], 1j),
+            InnerFunction.blaschke([0.4, -0.5j]).stretched(2),
+            InnerFunction.blaschke([0.4, -0.5j]).stretched(3),
+        ],
+        ids=["B95", "B99", "origin", "near-coincident", "constant-1j", "beta-k2", "beta-k3"],
+    )
+    def test_fft_matches_convolution(self, inner):
+        T = default_truncation(inner)
+        # The basis expands alpha to twice the row length; the rows are
+        # truncations of the same series, so one reference run covers both.
+        rows, alpha = convolution_expansions(inner, 2 * (T + 1))
+        assert np.abs(_takenaka_malmquist(inner.zeros, T) - rows[:, : T + 1]).max() <= 1e-14
+        assert np.abs(_taylor(inner, 2 * (T + 1)) - alpha).max() <= 1e-14

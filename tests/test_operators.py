@@ -403,6 +403,36 @@ class TestDesignMatrixOracle:
                     assert max(abs(np.vdot(k0b, psi)) for psi in report.decomposition.psis) <= 1e-12
 
 
+class TestNearCirclePipeline:
+    """B[0.99, -0.3, 0.2i] -> B[0.4, -0.5i], k = 2: alpha truncated at T = 3207."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        return CompressionSetting(InnerFunction.blaschke([0.99, -0.3, 0.2j]), BETA, 2)
+
+    @pytest.fixture(scope="class")
+    def member(self, setting):
+        return build_compression(random_laurent(np.random.default_rng(29), -6, 10, terms=6), setting)
+
+    def test_roundtrip(self, setting, member):
+        assert setting.basis_alpha.truncation_order == 3207
+        report = membership(member, setting)
+        assert report.member
+        rebuilt = build_compression(recover_symbol(report, setting), setting)
+        assert np.linalg.norm(rebuilt.entries - member.entries) <= 1e-8 * np.linalg.norm(member.entries)
+
+    def test_conjugation_sandwich(self, setting, member):
+        sandwich, _ = conjugate_operator(setting, U=member)
+        norm = np.linalg.norm(member.entries)
+        assert abs(np.linalg.norm(sandwich.entries) - norm) <= 1e-8 * norm
+        assert membership(sandwich, setting).member
+
+    def test_gaussian_rejected(self, setting):
+        g = np.random.default_rng(31)
+        U = setting.matrix(g.standard_normal((2, 3)) + 1j * g.standard_normal((2, 3)))
+        assert not membership(U, setting).member
+
+
 class TestRecovery:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_roundtrip(self, rng, all_settings, variant):
