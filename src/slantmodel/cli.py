@@ -53,9 +53,7 @@ def _load_json_arg(text: str):
 
 def _parse_inner(text: str) -> InnerFunction:
     try:
-        if text.strip().startswith("{"):
-            return InnerFunction.from_json(json.loads(text))
-        if text.strip().startswith("z"):
+        if text.strip().startswith(("{", "z")):
             return InnerFunction.parse(text)
         return InnerFunction.from_json(_load_json_arg(text))
     except (ValueError, KeyError, TypeError) as exc:
@@ -66,8 +64,6 @@ def _parse_symbol(text: str) -> LaurentPoly:
     try:
         return LaurentPoly.from_json(_load_json_arg(text))
     except (ValueError, KeyError, TypeError) as exc:
-        if isinstance(exc, UsageError):
-            raise
         raise UsageError(f"invalid symbol: {exc}") from exc
 
 
@@ -76,8 +72,6 @@ def _parse_matrix(text: str, setting: CompressionSetting) -> OperatorMatrix:
         entries = OperatorMatrix.entries_from_json(_load_json_arg(text))
         return setting.matrix(entries)
     except (ValueError, KeyError, TypeError) as exc:
-        if isinstance(exc, UsageError):
-            raise
         raise UsageError(f"invalid matrix: {exc}") from exc
 
 
@@ -87,8 +81,6 @@ def _setting(args) -> CompressionSetting:
     k = getattr(args, "k", 1) or 1
     try:
         return CompressionSetting(alpha, beta, k, truncation=args.truncation)
-    except TruncationError:
-        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

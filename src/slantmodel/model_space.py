@@ -184,7 +184,9 @@ class ModelSpaceBasis:
     rows truncated at a certified order T for a Blaschke product.
     """
 
-    def __init__(self, inner: InnerFunction, rows: np.ndarray, truncation_order: int, tail_bound: float):
+    def __init__(
+        self, inner: InnerFunction, rows: np.ndarray, mirror: np.ndarray, truncation_order: int, tail_bound: float
+    ):
         rows.setflags(write=False)
         self.inner = inner
         self.rows = rows
@@ -194,14 +196,8 @@ class ModelSpaceBasis:
         self.gram_error = float(np.abs(gram - np.eye(self.dim)).max())
         if self.gram_error > GRAM_TOL:
             raise TruncationError(f"basis Gram matrix deviates from identity by {self.gram_error:.3e}")
-        # C f = alpha * conj(z f) pairs alpha_{n+m+1} with rows n and m, so the
-        # expansion runs to twice the row length.
-        cols = rows.shape[1]
-        self._alpha = _taylor(inner, 2 * cols)
-        self._alpha.setflags(write=False)
-        # z^(cols - 1) conj(f) is the reversed conjugate row, so multiplying it
-        # by alpha z^-cols gives alpha * conj(z f).
-        self._conjugation = _compress(self._alpha, -cols, rows[:, ::-1].conj(), 1, rows)
+        # C e_j = c * mirror_j (see build), so C is a Gram matrix of the two row sets.
+        self._conjugation = inner.constant * rows.conj() @ mirror.T
         self._conjugation.setflags(write=False)
 
     @property
@@ -215,8 +211,13 @@ class ModelSpaceBasis:
 
     @classmethod
     def build(cls, inner: InnerFunction, truncation: int | None = None) -> "ModelSpaceBasis":
+        """The basis and its mirror rows.  For z^N, z^N conj(z^(j+1)) = z^(N-1-j).
+        For a Blaschke product, alpha * conj(z e_j) = c sqrt(1 - |w_j|^2) /
+        (1 - conj(w_j) z) * prod_{i>j} b_i on the circle: the Takenaka-Malmquist
+        row of the reversed zero list, read backwards."""
         if inner.kind == "monomial":
-            return cls(inner, np.eye(inner.degree, dtype=complex), inner.degree, 0.0)
+            eye = np.eye(inner.degree, dtype=complex)
+            return cls(inner, eye, eye[::-1], inner.degree, 0.0)
         truncation = default_truncation(inner) if truncation is None else int(truncation)
         rho = max(abs(w) for w in inner.zeros)
         tail = rho ** (truncation + 1) / (1.0 - rho)
@@ -225,11 +226,12 @@ class ModelSpaceBasis:
                 f"truncation order {truncation} leaves tail bound {tail:.3e} "
                 f"above {TAIL_BOUND_LIMIT:.0e}"
             )
-        return cls(inner, _takenaka_malmquist(inner.zeros, truncation), truncation, tail)
+        mirror = _takenaka_malmquist(inner.zeros[::-1], truncation)[::-1]
+        return cls(inner, _takenaka_malmquist(inner.zeros, truncation), mirror, truncation, tail)
 
     def alpha_expansion(self) -> LaurentPoly:
-        """Expansion of the inner function itself, long enough for projections."""
-        return LaurentPoly.from_array(self._alpha)
+        """Expansion of the inner function itself, to twice the row length."""
+        return LaurentPoly.from_array(_taylor(self.inner, 2 * self.rows.shape[1]))
 
     # -- core maps ---------------------------------------------------------
 

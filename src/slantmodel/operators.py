@@ -169,8 +169,11 @@ class CompressionSetting:
 
 
 def _compress_symbol(phi: LaurentPoly, src: ModelSpaceBasis, k: int, dst: ModelSpaceBasis) -> np.ndarray:
-    """The shared compression routine, with phi densified over its support."""
+    """The shared compression routine, with phi densified over the part of its
+    support that reaches a kept coefficient: frequencies -T_src..k T_dst."""
     lo, hi = (phi.support[0], phi.support[-1]) if phi else (0, 0)
+    lo = max(lo, 1 - src.rows.shape[1])
+    hi = max(lo, min(hi, k * (dst.rows.shape[1] - 1)))
     return _compress(phi.to_array(lo, hi), lo, src.rows, k, dst.rows)
 
 

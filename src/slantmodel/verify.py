@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from math import factorial
 
 import numpy as np
@@ -178,16 +179,9 @@ def _matrix(rng, ctx: MenuContext) -> OperatorMatrix:
 
 
 def _has_pattern_constraints(ctx: MenuContext) -> bool:
-    """True when the decimation diagonals tie at least two matrix entries."""
-    m, n, k = ctx.setting.basis_alpha.dim, ctx.setting.basis_beta.dim, ctx.k
-    seen = {}
-    for i in range(n):
-        for j in range(m):
-            d = k * i - j
-            if d in seen:
-                return True
-            seen[d] = (i, j)
-    return False
+    """True when the decimation diagonals tie at least two matrix entries:
+    k i - j = k i' - j' needs two rows and two columns k apart."""
+    return ctx.setting.basis_beta.dim > 1 and ctx.setting.basis_alpha.dim > ctx.k
 
 
 # -- decimation calculus ---------------------------------------------------
@@ -447,26 +441,18 @@ def _prop_variant_agreement(rng, ctx):
     return (0.0 if len(set(verdicts.values())) == 1 else 1.0), {"matrix": U.to_json()}
 
 
-@register("symbol_roundtrip", "symbol-recovery", 1e-9, 1e-8)
-def _prop_symbol_roundtrip(rng, ctx):
+def _prop_roundtrip(rng, ctx, variant):
     phi = _symbol(rng, ctx)
     U = build_compression(phi, ctx.setting)
-    report = membership(U, ctx.setting)
+    report = membership(U, ctx.setting, variant)
     if not report.member:
         return float("inf"), {"phi": phi.to_json()}
     rebuilt = build_compression(recover_symbol(report, ctx.setting), ctx.setting)
     return float(np.abs(rebuilt.entries - U.entries).max()), {"phi": phi.to_json()}
 
 
-@register("adjoint_form_roundtrip", "adjoint-recovery", 1e-9, 1e-8)
-def _prop_adjoint_roundtrip(rng, ctx):
-    phi = _symbol(rng, ctx)
-    U = build_compression(phi, ctx.setting)
-    report = membership(U, ctx.setting, "c38")
-    if not report.member:
-        return float("inf"), {"phi": phi.to_json()}
-    rebuilt = build_compression(recover_symbol(report, ctx.setting), ctx.setting)
-    return float(np.abs(rebuilt.entries - U.entries).max()), {"phi": phi.to_json()}
+register("symbol_roundtrip", "symbol-recovery", 1e-9, 1e-8)(partial(_prop_roundtrip, variant="t35"))
+register("adjoint_form_roundtrip", "adjoint-recovery", 1e-9, 1e-8)(partial(_prop_roundtrip, variant="c38"))
 
 
 @register("recovery_orthogonality", "recovery-orthogonality", 1e-10, 1e-8)
@@ -497,72 +483,45 @@ def _prop_universality(rng, ctx):
     return (report.residual if report.member else float("inf")), {"matrix": U.to_json()}
 
 
-@register("canonical_first_form", "canonical-symbol", 1e-9, 1e-8)
-def _prop_canonical_first(rng, ctx):
+def _prop_canonical(rng, ctx, which):
     phi = _symbol(rng, ctx)
-    reduced = canonical_symbol(phi, ctx.setting, "first")
+    reduced = canonical_symbol(phi, ctx.setting, which)
     U = build_compression(phi, ctx.setting)
     V = build_compression(reduced, ctx.setting)
     res = float(np.abs(U.entries - V.entries).max())
     if ctx.is_exact:
         m = ctx.setting.basis_alpha.dim
         n = ctx.setting.basis_beta.dim
+        top = ctx.k * n - (ctx.k - 1 if which == "second" else 0)
         for t in reduced.support:
-            if not (-m < t < ctx.k * n):
+            if not (-m < t < top):
                 res = float("inf")
     return res, {"phi": phi.to_json()}
 
 
-@register("canonical_second_form", "canonical-symbol-shifted", 1e-9, 1e-8)
-def _prop_canonical_second(rng, ctx):
-    phi = _symbol(rng, ctx)
-    reduced = canonical_symbol(phi, ctx.setting, "second")
-    U = build_compression(phi, ctx.setting)
-    V = build_compression(reduced, ctx.setting)
-    res = float(np.abs(U.entries - V.entries).max())
-    if ctx.is_exact:
-        m = ctx.setting.basis_alpha.dim
-        n = ctx.setting.basis_beta.dim
-        for t in reduced.support:
-            if not (-m < t < ctx.k * n - (ctx.k - 1)):
-                res = float("inf")
-    return res, {"phi": phi.to_json()}
+register("canonical_first_form", "canonical-symbol", 1e-9, 1e-8)(partial(_prop_canonical, which="first"))
+register("canonical_second_form", "canonical-symbol-shifted", 1e-9, 1e-8)(partial(_prop_canonical, which="second"))
 
 
-def _zero_space_symbol(rng, ctx, shifted: bool) -> LaurentPoly:
+def _prop_zero(rng, ctx, which):
+    # A symbol of the zero space: conj(alpha h1) + z^-shift beta(z^k) h2.
     h1 = analytic_project(random_laurent(rng, lo=0, hi=4, terms=4))
     h2 = analytic_project(random_laurent(rng, lo=0, hi=4, terms=4))
     alpha_exp = ctx.setting.basis_alpha.alpha_expansion()
     beta_k = stretch(ctx.setting.basis_beta.alpha_expansion(), ctx.k)
-    phi = conj_on_circle(alpha_exp * h1) + beta_k * h2
-    if shifted:
-        phi = conj_on_circle(alpha_exp * h1) + (beta_k * h2).shifted(-(ctx.k - 1))
-    return phi
-
-
-@register("zero_sufficient_first", "zero-symbol-sufficient", 0.0, 0.0)
-def _prop_zero_first(rng, ctx):
-    phi = _zero_space_symbol(rng, ctx, shifted=False)
-    ok = zero_test_sufficient(phi, ctx.setting, "p22")
-    res = 0.0 if ok else 1.0
+    shift = ctx.k - 1 if which == "p27" else 0
+    phi = conj_on_circle(alpha_exp * h1) + (beta_k * h2).shifted(-shift)
+    res = 0.0 if zero_test_sufficient(phi, ctx.setting, which) else 1.0
     # Soundness on generic symbols: a positive answer forces a zero matrix.
     generic = _symbol(rng, ctx)
-    if zero_test_sufficient(generic, ctx.setting, "p22"):
+    if zero_test_sufficient(generic, ctx.setting, which):
         if build_compression(generic, ctx.setting).norm() > ctx.setting.tol() * 100:
             res = 1.0
     return res, {"phi": phi.to_json()}
 
 
-@register("zero_sufficient_second", "zero-symbol-sufficient-shifted", 0.0, 0.0)
-def _prop_zero_second(rng, ctx):
-    phi = _zero_space_symbol(rng, ctx, shifted=True)
-    ok = zero_test_sufficient(phi, ctx.setting, "p27")
-    res = 0.0 if ok else 1.0
-    generic = _symbol(rng, ctx)
-    if zero_test_sufficient(generic, ctx.setting, "p27"):
-        if build_compression(generic, ctx.setting).norm() > ctx.setting.tol() * 100:
-            res = 1.0
-    return res, {"phi": phi.to_json()}
+register("zero_sufficient_first", "zero-symbol-sufficient", 0.0, 0.0)(partial(_prop_zero, which="p22"))
+register("zero_sufficient_second", "zero-symbol-sufficient-shifted", 0.0, 0.0)(partial(_prop_zero, which="p27"))
 
 
 @register("conjugation_symbol_transform", "conjugation-intertwining", 1e-9, 1e-8)

@@ -42,6 +42,15 @@ class TestBuild:
         code, out, _ = run(capsys, ["build", *COMMON, "--symbol", str(path)])
         assert code == 0 and json.loads(out)["rows"] == 3
 
+    def test_far_frequency_symbol(self, capsys):
+        # z^(10^18) reaches no kept coefficient, so this is the matrix of 1.
+        code, out, _ = run(capsys, ["build", *COMMON, "--symbol", sym({0: 1, 10**18: 1})])
+        assert code == 0
+        obj = json.loads(out)
+        got = np.array([complex(re, im) for re, im in obj["data"]]).reshape(3, 4)
+        expected = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], dtype=complex)
+        assert np.array_equal(got, expected)
+
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, ["build", *COMMON, "--symbol", SYM_WORKED, "--format", "text"])
         assert code == 0

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from slantmodel.model_space import (
     InnerFunction,
     ModelSpaceBasis,
     TruncationError,
+    _compress,
     _takenaka_malmquist,
     _taylor,
     circle_grid,
@@ -317,3 +319,44 @@ class TestConvolutionOracle:
         rows, alpha = convolution_expansions(inner, 2 * (T + 1))
         assert np.abs(_takenaka_malmquist(inner.zeros, T) - rows[:, : T + 1]).max() <= 1e-14
         assert np.abs(_taylor(inner, 2 * (T + 1)) - alpha).max() <= 1e-14
+
+
+def compressed_conjugation(basis):
+    """Reference: the conjugation matrix as the compression of alpha z^-cols
+    on the reversed conjugate rows, z^(cols - 1) conj(e_j), with alpha
+    expanded to twice the row length."""
+    rows = basis.rows
+    cols = rows.shape[1]
+    return _compress(_taylor(basis.inner, 2 * cols), -cols, rows[:, ::-1].conj(), 1, rows)
+
+
+class TestConjugationOracle:
+    INNERS = [
+        InnerFunction.monomial(1),
+        InnerFunction.monomial(4),
+        InnerFunction.blaschke([0.5, -0.3]),
+        InnerFunction.blaschke([0.95, -0.3, 0.2j]),
+        InnerFunction.blaschke([0.99, -0.3, 0.2j]),
+        InnerFunction.blaschke([0.0, 0.4, -0.5j]),
+        InnerFunction.blaschke([0.5, -0.3], cmath.exp(0.3j)),
+        InnerFunction.blaschke([0.4, -0.5j]).stretched(2),
+        InnerFunction.blaschke([0.4, -0.5j]).stretched(3),
+    ]
+    IDS = ["z1", "z4", "B2", "B95", "B99", "origin", "constant", "beta-k2", "beta-k3"]
+
+    @pytest.mark.parametrize("inner", INNERS, ids=IDS)
+    def test_mirror_gram_matches_compression(self, inner):
+        basis = ModelSpaceBasis.build(inner)
+        assert np.abs(basis.conjugation_matrix() - compressed_conjugation(basis)).max() <= 1e-14
+
+    @pytest.mark.parametrize("inner", INNERS, ids=IDS)
+    def test_symmetric_involution(self, inner):
+        basis = ModelSpaceBasis.build(inner)
+        C = basis.conjugation_matrix()
+        assert np.linalg.norm(C - C.T) <= 1e-14
+        assert np.linalg.norm(C @ C.conj() - np.eye(basis.dim)) <= 1e-13
+
+    @pytest.mark.parametrize("degree", [1, 2, 4, 7])
+    def test_monomial_is_the_flip(self, degree):
+        C = ModelSpaceBasis.build(InnerFunction.monomial(degree)).conjugation_matrix()
+        assert np.array_equal(C, np.eye(degree)[::-1])

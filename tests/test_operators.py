@@ -129,6 +129,14 @@ class TestBuildCompression:
         rhs = build_compression(p, sblaschke).entries + 2.5j * build_compression(q, sblaschke).entries
         assert np.abs(lhs - rhs).max() < 1e-10
 
+    def test_far_frequencies_drop_out(self, rng):
+        # Only frequencies -T_src..k T_dst reach a kept coefficient; the
+        # whole support of this symbol would not fit in memory.
+        setting = CompressionSetting(B3, BETA, 2)
+        phi = random_laurent(rng, -6, 12, terms=6)
+        far = build_compression(phi + L({-(10**18): 1.5, 10**18: -2j}), setting)
+        assert np.abs(far.entries - build_compression(phi, setting).entries).max() <= 1e-14
+
     def test_matrix_shape_mismatch_rejected(self, s243):
         with pytest.raises(ValueError, match="shape"):
             s243.matrix(np.zeros((2, 2)))
