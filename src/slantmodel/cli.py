@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (including member/zero-true verdicts), 1 computed
 negative (non-member, not provably zero), 2 usage or input error, 3 numeric
-or backend error.
+or truncation error.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _parse_matrix(text: str, setting: CompressionSetting) -> OperatorMatrix:
 def _setting(args) -> CompressionSetting:
     alpha = _parse_inner(args.alpha)
     beta = _parse_inner(args.beta)
-    k = getattr(args, "k", 1) or 1
+    k = getattr(args, "k", 1)  # ttoeplitz has no --k
     try:
         return CompressionSetting(alpha, beta, k, truncation=args.truncation)
     except ValueError as exc:

@@ -20,6 +20,8 @@ from .laurent import (
     stretch,
 )
 from .model_space import (
+    BLASCHKE_TOL,
+    EXACT_TOL,
     InnerFunction,
     ModelSpaceBasis,
     _compress,
@@ -46,10 +48,10 @@ class OperatorMatrix:
         self.entries = np.asarray(self.entries, dtype=complex)
         if not np.isfinite(self.entries).all():
             raise ValueError("matrix entries must be finite")
-        if self.entries.shape != (self.beta.dim, self.alpha.dim):
+        if self.entries.shape != (self.beta.degree, self.alpha.degree):
             raise ValueError(
                 f"matrix shape {self.entries.shape} does not match spaces "
-                f"({self.beta.dim}, {self.alpha.dim})"
+                f"({self.beta.degree}, {self.alpha.degree})"
             )
 
     @property
@@ -153,13 +155,18 @@ class CompressionSetting:
         self._stretched_beta_basis = None
 
     def stretched_beta_basis(self) -> ModelSpaceBasis:
-        """Basis of the model space of beta(z^k); may reject some Blaschke beta."""
+        """Basis of the model space of beta(z^k)."""
         if self._stretched_beta_basis is None:
             self._stretched_beta_basis = ModelSpaceBasis.build(self.beta.stretched(self.k))
         return self._stretched_beta_basis
 
+    @property
+    def exact(self) -> bool:
+        """True when neither basis drops a tail: both are z^N, up to the constant."""
+        return self.basis_alpha.tail_bound == self.basis_beta.tail_bound == 0.0
+
     def tol(self) -> float:
-        return max(self.basis_alpha.backend_tol(), self.basis_beta.backend_tol())
+        return EXACT_TOL if self.exact else BLASCHKE_TOL
 
     def matrix(self, entries) -> OperatorMatrix:
         return OperatorMatrix(entries, self.alpha, self.beta)

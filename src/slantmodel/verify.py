@@ -8,7 +8,7 @@ across runs with the same configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from math import factorial
 
@@ -99,10 +99,6 @@ class MenuContext:
         self._stretched_alpha = None
         self._universal = None
 
-    @property
-    def is_exact(self) -> bool:
-        return self.alpha.kind == "monomial" and self.beta.kind == "monomial"
-
     def stretched_alpha_basis(self):
         if self._stretched_alpha is None:
             self._stretched_alpha = ModelSpaceBasis.build(self.alpha.stretched(self.k))
@@ -136,7 +132,7 @@ class PropertySpec:
     def tolerance(self, ctx: MenuContext, overrides: dict) -> float:
         if self.name in overrides:
             return overrides[self.name]
-        return self.tol_exact if ctx.is_exact else self.tol_blaschke
+        return self.tol_exact if ctx.setting.exact else self.tol_blaschke
 
 
 _REGISTRY: list[PropertySpec] = []
@@ -290,7 +286,7 @@ def _prop_stretched_inner(rng, ctx):
 
 @register("projection_decimation_intertwine", "projection-decimation-intertwine", 1e-10, 1e-8)
 def _prop_projection_intertwine(rng, ctx):
-    f = random_laurent(rng, lo=-6, hi=4 * ctx.k * ctx.alpha.dim)
+    f = random_laurent(rng, lo=-6, hi=4 * ctx.k * ctx.alpha.degree)
     ba = ctx.setting.basis_alpha
     big = ctx.stretched_alpha_basis()
     lhs = ba.reconstruct(ba.project(decimate(f, ctx.k)))
@@ -395,7 +391,7 @@ def _prop_membership_accepts(rng, ctx):
     U = build_compression(phi, ctx.setting)
     report = membership(U, ctx.setting)
     res = report.residual if report.member else float("inf")
-    if _has_pattern_constraints(ctx) and ctx.is_exact:
+    if _has_pattern_constraints(ctx) and ctx.setting.exact:
         # Negative control: a one-entry bump off the diagonal pattern must fail.
         bumped = U.entries.copy()
         bumped[0, 0] += 1e-3
@@ -406,7 +402,7 @@ def _prop_membership_accepts(rng, ctx):
 
 @register("membership_pattern_oracle", "decimation-diagonal-pattern", 0.0, 0.0)
 def _prop_pattern_oracle(rng, ctx):
-    if not ctx.is_exact:
+    if not ctx.setting.exact:
         return 0.0, None
     m, n, k = ctx.setting.basis_alpha.dim, ctx.setting.basis_beta.dim, ctx.k
     U = _matrix(rng, ctx)
@@ -489,7 +485,7 @@ def _prop_canonical(rng, ctx, which):
     U = build_compression(phi, ctx.setting)
     V = build_compression(reduced, ctx.setting)
     res = float(np.abs(U.entries - V.entries).max())
-    if ctx.is_exact:
+    if ctx.setting.exact:
         m = ctx.setting.basis_alpha.dim
         n = ctx.setting.basis_beta.dim
         top = ctx.k * n - (ctx.k - 1 if which == "second" else 0)
@@ -617,16 +613,7 @@ class PropertyResult:
     first_counterexample: dict | None
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "anchor": self.anchor,
-            "space": self.space,
-            "passes": self.passes,
-            "fails": self.fails,
-            "worst_residual": self.worst_residual,
-            "tolerance": self.tolerance,
-            "first_counterexample": self.first_counterexample,
-        }
+        return asdict(self)
 
 
 @dataclass

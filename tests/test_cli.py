@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -185,6 +186,28 @@ class TestSymbolCommands:
         assert code == 2 and "error" in err
 
 
+class TestRepeatedZeros:
+    # beta = B[0, 0.5] has beta(0) = 0, so beta(z^2) has a double zero at the origin.
+    BETA0 = json.dumps({"type": "blaschke", "zeros": [{"re": 0}, {"re": 0.5}]})
+    SETTING = ["--k", "2", "--alpha", "z^3", "--beta", BETA0]
+
+    def test_canonical(self, capsys):
+        code, out, _ = run(capsys, ["canonical", *self.SETTING, "--symbol", SYM_WORKED])
+        assert code == 0 and json.loads(out)["coeffs"]
+
+    def test_iszero(self, capsys):
+        code, out, _ = run(capsys, ["iszero", *self.SETTING, "--symbol", sym({-3: 1})])
+        assert code == 0 and json.loads(out)["sufficient"] is True
+        code, _, _ = run(capsys, ["iszero", *self.SETTING, "--symbol", sym({1: 1})])
+        assert code == 1
+
+    def test_info_double_zero(self, capsys):
+        code, out, _ = run(capsys, ["info", "--alpha", '{"zeros":[0.5,0.5]}'])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["dim"] == 2 and obj["gram_error"] <= 1e-12 and obj["tail_bound"] <= 1e-12
+
+
 class TestVerifyInfo:
     def test_verify_deterministic(self, capsys):
         code, out1, _ = run(capsys, ["verify", "--seed", "4", "--trials", "2"])
@@ -244,6 +267,30 @@ class TestErrors:
             ["build", "--k", "2", "--alpha", inner, "--beta", "z^3", "--symbol", SYM_WORKED, "--truncation", "5"],
         )
         assert code == 3 and "numeric" in err
+
+    def test_order_zero_is_usage_error(self, capsys):
+        code, _, err = run(capsys, ["build", "--k", "0", "--alpha", "z^4", "--beta", "z^3", "--symbol", SYM_WORKED])
+        assert code == 2 and "order" in err
+
+    @pytest.mark.parametrize("degree", ["2.5", "true"])
+    def test_non_integer_degree_is_usage_error(self, capsys, degree):
+        code, _, err = run(capsys, ["info", "--alpha", f'{{"type": "monomial", "degree": {degree}}}'])
+        assert code == 2 and "integer" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "--alpha", '{"type": "blaschke", "zeros": [{"re": 0.999999999}]}'],
+            ["info", "--alpha", '{"type": "blaschke", "zeros": [{"re": 0.5}]}', "--truncation", str(10**15)],
+            ["info", "--alpha", "z^1000000000000"],
+        ],
+        ids=["near-circle-zero", "explicit", "monomial-degree"],
+    )
+    def test_truncation_above_cap_is_numeric_error(self, capsys, argv):
+        start = time.perf_counter()
+        code, _, err = run(capsys, argv)
+        assert code == 3 and "outside" in err
+        assert time.perf_counter() - start < 0.5
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, ["--help"])[0] == 0

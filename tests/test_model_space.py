@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from slantmodel.laurent import LaurentPoly, decimate
 from slantmodel.model_space import (
     InnerFunction,
     ModelSpaceBasis,
+    MAX_TRUNCATION,
     TruncationError,
     _compress,
     _takenaka_malmquist,
@@ -40,13 +42,41 @@ class TestInnerFunction:
         with pytest.raises(ValueError):
             InnerFunction.monomial(0)
 
+    @pytest.mark.parametrize("degree", [2.5, 2.0, True, False, "3", None])
+    def test_monomial_rejects_non_integer_degree(self, degree):
+        with pytest.raises(ValueError, match="integer"):
+            InnerFunction.monomial(degree)
+        with pytest.raises(ValueError, match="integer"):
+            InnerFunction.from_json({"type": "monomial", "degree": degree})
+
+    def test_monomial_is_zeros_at_origin(self):
+        m = InnerFunction.monomial(3)
+        assert m.zeros == (0, 0, 0) and m.constant == 1
+        assert m.kind == "monomial" and m.degree == 3
+        assert InnerFunction.blaschke([0, 0, 0]) == m
+        assert InnerFunction.blaschke([0, 0, 0], 1j).kind == "blaschke"
+        assert InnerFunction.blaschke([0, 0.5]).kind == "blaschke"
+        z = cmath.exp(0.7j)
+        assert m.evaluate(z) == z**3
+
+    def test_repeated_zeros_accepted(self):
+        b = InnerFunction.blaschke([0.3, 0.3])
+        assert b.zeros == (0.3, 0.3) and b.degree == 2
+        for z in circle_grid(8):
+            assert abs(b.evaluate(z) - ((z - 0.3) / (1 - 0.3 * z)) ** 2) < 1e-15
+
+    def test_json_zero_shorthand(self):
+        # The "type" may be left out, and zeros and constant given as numbers.
+        b = InnerFunction.from_json({"zeros": [0.5, 0.5, {"re": 0.1, "im": 0.2}], "constant": -1})
+        assert b == InnerFunction.blaschke([0.5, 0.5, 0.1 + 0.2j], -1)
+        with pytest.raises(ValueError, match="type"):
+            InnerFunction.from_json({"type": "rational", "zeros": [0.5]})
+
     def test_blaschke_validation(self):
         with pytest.raises(ValueError):
             InnerFunction.blaschke([])
         with pytest.raises(ValueError, match="disk"):
             InnerFunction.blaschke([1.5])
-        with pytest.raises(ValueError, match="separated"):
-            InnerFunction.blaschke([0.3, 0.3])
         with pytest.raises(ValueError, match="unimodular"):
             InnerFunction.blaschke([0.3], constant=2.0)
         with pytest.raises(ValueError, match="disk"):
@@ -63,7 +93,7 @@ class TestInnerFunction:
 
     def test_expansion_matches_evaluation(self):
         b = InnerFunction.blaschke([0.5, -0.3])
-        poly = b.to_laurent(80)
+        poly = LaurentPoly.from_array(_taylor(b, 80))
         for z in circle_grid(8):
             assert abs(poly.evaluate(z) - b.evaluate(z)) < 1e-10
 
@@ -118,6 +148,55 @@ class TestMakeBasis:
         t = default_truncation(inner)
         assert 0.9 ** (t + 1) / 0.1 <= 1e-12
         assert t >= 64
+
+    def test_default_truncation_closed_form(self, rng):
+        # Reference: the smallest t >= 1 with rho^(t+1) / (1 - rho) <= 1e-12, by stepping.
+        def stepped(rho):
+            t = 1
+            while rho ** (t + 1) / (1.0 - rho) > 1e-12:
+                t += 1
+            return max(64, t)
+
+        for rho in [0.99, 0.95, 0.9, 0.5, 0.5**0.5, *rng.uniform(0.01, 0.999, 300)]:
+            assert default_truncation(InnerFunction.blaschke([rho, -0.3 * rho])) == stepped(rho)
+        assert default_truncation(InnerFunction.blaschke([0.99, -0.3, 0.2j])) == 3207
+        assert default_truncation(InnerFunction.monomial(5)) == 4
+
+    def test_repeated_zero_tail_is_measured(self):
+        # At T = 284 the simple-zero estimate 0.9^285 / 0.1 is below 1e-12, but a
+        # triple zero at 0.9 drops a tail near 1.6e-10 there.
+        inner = InnerFunction.blaschke([0.9, 0.9, 0.9])
+        with pytest.raises(TruncationError, match="tail"):
+            ModelSpaceBasis.build(inner, truncation=284)
+        basis = ModelSpaceBasis.build(inner)
+        rows = convolution_expansions(inner, 4 * basis.truncation_order)[0]
+        for t in (284, basis.truncation_order):
+            dropped = np.linalg.norm(rows[:, t + 1 :], axis=1).max()
+            assert abs(_takenaka_malmquist(inner.zeros, t)[1] - dropped) <= 1e-3 * dropped + 1e-14
+        assert basis.tail_bound <= 1e-12 and basis.gram_error <= 1e-12
+
+    @pytest.mark.parametrize(
+        "inner,truncation",
+        [
+            (InnerFunction.blaschke([1 - 1e-9]), None),
+            (InnerFunction.blaschke([0.5]), 10**15),
+            (InnerFunction.blaschke([0.5]), -1),
+            (InnerFunction.monomial(3), 10**15),
+            (InnerFunction((0j,) * (MAX_TRUNCATION + 2)), None),
+        ],
+        ids=["near-circle-zero", "explicit", "negative", "monomial-explicit", "origin-zeros"],
+    )
+    def test_truncation_cap(self, inner, truncation):
+        start = time.perf_counter()
+        with pytest.raises(TruncationError, match="outside"):
+            ModelSpaceBasis.build(inner, truncation)
+        assert time.perf_counter() - start < 0.5
+
+    def test_monomial_degree_cap(self):
+        # z^N needs T = N - 1, so N zeros are never stored past the cap.
+        assert InnerFunction.monomial(MAX_TRUNCATION + 1).degree == MAX_TRUNCATION + 1
+        with pytest.raises(TruncationError, match="outside"):
+            InnerFunction.monomial(10**12)
 
 
 class TestProject:
@@ -259,9 +338,13 @@ class TestStretchInner:
         for z in circle_grid():
             assert abs(abs(stretched.evaluate(z)) - 1.0) < 1e-8
 
-    def test_rejects_zero_at_origin(self):
-        with pytest.raises(ValueError, match="origin"):
-            InnerFunction.blaschke([0.0, 0.5]).stretched(2)
+    def test_zero_at_origin_becomes_repeated_zero(self):
+        alpha = InnerFunction.blaschke([0.0, 0.5])
+        stretched = alpha.stretched(2)
+        assert stretched.zeros[:2] == (0, 0)
+        assert sorted(w.real for w in stretched.zeros[2:]) == pytest.approx([-(0.5**0.5), 0.5**0.5])
+        for z in circle_grid():
+            assert abs(stretched.evaluate(z) - alpha.evaluate(z**2)) < 1e-15
 
 
 class TestProjectionDecimationIntertwine:
@@ -309,15 +392,21 @@ class TestConvolutionOracle:
             InnerFunction.blaschke([0.5, -0.3], 1j),
             InnerFunction.blaschke([0.4, -0.5j]).stretched(2),
             InnerFunction.blaschke([0.4, -0.5j]).stretched(3),
+            InnerFunction.blaschke([0.5, 0.5]),
+            InnerFunction.blaschke([0.0, 0.0, 0.5, -0.3]),
+            InnerFunction.blaschke([0.9, 0.9, 0.9]),
         ],
-        ids=["B95", "B99", "origin", "near-coincident", "constant-1j", "beta-k2", "beta-k3"],
+        ids=[
+            "B95", "B99", "origin", "near-coincident", "constant-1j", "beta-k2", "beta-k3",
+            "double", "double-origin", "triple",
+        ],
     )
     def test_fft_matches_convolution(self, inner):
         T = default_truncation(inner)
         # The basis expands alpha to twice the row length; the rows are
         # truncations of the same series, so one reference run covers both.
         rows, alpha = convolution_expansions(inner, 2 * (T + 1))
-        assert np.abs(_takenaka_malmquist(inner.zeros, T) - rows[:, : T + 1]).max() <= 1e-14
+        assert np.abs(_takenaka_malmquist(inner.zeros, T)[0] - rows[:, : T + 1]).max() <= 1e-14
         assert np.abs(_taylor(inner, 2 * (T + 1)) - alpha).max() <= 1e-14
 
 
@@ -341,8 +430,11 @@ class TestConjugationOracle:
         InnerFunction.blaschke([0.5, -0.3], cmath.exp(0.3j)),
         InnerFunction.blaschke([0.4, -0.5j]).stretched(2),
         InnerFunction.blaschke([0.4, -0.5j]).stretched(3),
+        InnerFunction.blaschke([0.5, 0.5]),
+        InnerFunction.blaschke([0.0, 0.0, 0.5, -0.3]),
+        InnerFunction.blaschke([0.9, 0.9, 0.9]),
     ]
-    IDS = ["z1", "z4", "B2", "B95", "B99", "origin", "constant", "beta-k2", "beta-k3"]
+    IDS = ["z1", "z4", "B2", "B95", "B99", "origin", "constant", "beta-k2", "beta-k3", "double", "double-origin", "triple"]
 
     @pytest.mark.parametrize("inner", INNERS, ids=IDS)
     def test_mirror_gram_matches_compression(self, inner):

@@ -378,13 +378,21 @@ def design_matrix_fit(U, setting, variant, tol=1e-9):
 
 
 B_NEAR = InnerFunction.blaschke([0.95, -0.3, 0.2j])
+B_REPEATED = InnerFunction.blaschke([0.5, 0.5, -0.3])
 
 
 class TestDesignMatrixOracle:
     @pytest.mark.parametrize(
         "alpha,beta,k",
-        [(zn(4), zn(3), 2), (zn(4), zn(3), 5), (zn(3), BETA, 4), (B2, zn(3), 2), (B_NEAR, BETA, 2)],
-        ids=["z4-z3-k2", "z4-z3-k5", "z3-B-k4", "B2-z3-k2", "Bnear-B-k2"],
+        [
+            (zn(4), zn(3), 2),
+            (zn(4), zn(3), 5),
+            (zn(3), BETA, 4),
+            (B2, zn(3), 2),
+            (B_NEAR, BETA, 2),
+            (B_REPEATED, InnerFunction.blaschke([0.0, 0.0, 0.4]), 2),
+        ],
+        ids=["z4-z3-k2", "z4-z3-k5", "z3-B-k4", "B2-z3-k2", "Bnear-B-k2", "Brepeated-k2"],
     )
     def test_closed_form_matches_design_matrix(self, alpha, beta, k):
         rng = np.random.default_rng(11)
@@ -439,6 +447,47 @@ class TestNearCirclePipeline:
         g = np.random.default_rng(31)
         U = setting.matrix(g.standard_normal((2, 3)) + 1j * g.standard_normal((2, 3)))
         assert not membership(U, setting).member
+
+
+class TestRepeatedZeros:
+    """Zero lists with multiplicity, and a beta with beta(0) = 0, whose
+    stretched basis has a repeated zero at the origin."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        return CompressionSetting(B_REPEATED, InnerFunction.blaschke([0.0, 0.5]), 2)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_roundtrip(self, setting, variant):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            U = build_compression(random_laurent(rng, -6, 10, terms=6), setting)
+            report = membership(U, setting, variant)
+            assert report.member
+            rebuilt = build_compression(recover_symbol(report, setting), setting)
+            assert np.linalg.norm(rebuilt.entries - U.entries) <= 1e-8 * np.linalg.norm(U.entries)
+            again = ModelSpaceBasis.build(setting.alpha).rows
+            assert np.array_equal(again, setting.basis_alpha.rows)
+
+    def test_gaussian_rejected(self, setting):
+        g = np.random.default_rng(43)
+        U = setting.matrix(g.standard_normal((2, 3)) + 1j * g.standard_normal((2, 3)))
+        assert not membership(U, setting).member
+
+    def test_canonical_and_zero_symbols(self):
+        setting = CompressionSetting(zn(3), InnerFunction.blaschke([0.0, 0.5]), 2)
+        assert setting.stretched_beta_basis().inner.zeros[:2] == (0, 0)
+        rng = np.random.default_rng(47)
+        for which in ("first", "second"):
+            phi = random_laurent(rng, -7, 12, terms=7)
+            out = canonical_symbol(phi, setting, which)
+            assert np.abs(build_compression(out, setting).entries - build_compression(phi, setting).entries).max() < 1e-10
+        alpha_bar = conj_on_circle(setting.basis_alpha.alpha_expansion())
+        phi = alpha_bar * random_laurent(rng, -3, 0, terms=3)
+        phi = phi + stretched_beta_expansion(setting) * random_laurent(rng, 0, 3, terms=3)
+        assert zero_test_sufficient(phi, setting, "p22")
+        assert zero_test_sufficient(phi, setting, "p27")
+        assert not zero_test_sufficient(L({1: 1}), setting, "p22")
 
 
 class TestRecovery:
