@@ -56,14 +56,14 @@ def _parse_inner(text: str) -> InnerFunction:
         if text.strip().startswith(("{", "z")):
             return InnerFunction.parse(text)
         return InnerFunction.from_json(_load_json_arg(text))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"invalid inner function {text!r}: {exc}") from exc
 
 
 def _parse_symbol(text: str) -> LaurentPoly:
     try:
         return LaurentPoly.from_json(_load_json_arg(text))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"invalid symbol: {exc}") from exc
 
 
@@ -71,7 +71,7 @@ def _parse_matrix(text: str, setting: CompressionSetting) -> OperatorMatrix:
     try:
         entries = OperatorMatrix.entries_from_json(_load_json_arg(text))
         return setting.matrix(entries)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"invalid matrix: {exc}") from exc
 
 
@@ -120,7 +120,7 @@ def _add_common(p, need_k=True):
         "--truncation",
         type=int,
         default=None,
-        help="Blaschke truncation order of alpha and beta; beta(z^k) always takes its own certified default",
+        help="Blaschke truncation order of alpha and beta; beta(z^k) inherits beta's",
     )
     p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -176,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the seeded property suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--inject-failure", action="store_true", help="add a broken property; the suite must fail")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("info", help="describe a model space")
@@ -191,7 +192,7 @@ def _run(args) -> int:
     if cmd == "verify":
         if args.trials < 1:
             raise UsageError("trials must be >= 1")
-        report = run_suite(SuiteConfig(seed=args.seed, trials=args.trials))
+        report = run_suite(SuiteConfig(args.seed, args.trials, inject_failure=args.inject_failure))
         print(report.to_json_text() if args.format == "json" else report.to_text())
         return EXIT_OK if report.all_passed else EXIT_NEGATIVE
 

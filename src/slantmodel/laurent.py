@@ -7,12 +7,21 @@ return new objects; nothing is mutated in place.
 from __future__ import annotations
 
 from math import inf, perm
+from numbers import Integral
 
 import numpy as np
 
 # Coefficients below this modulus are dropped after every operation so that
 # supports stay finite and equality checks stay stable.
 COEFF_DROP = 1e-14
+
+
+def strict_int(value, name: str) -> int:
+    """value as an int; bool, float and string are refused, so JSON 1.5,
+    true and 1e400 are input errors rather than z^1 or an overflow."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class LaurentPoly:
@@ -156,7 +165,7 @@ class LaurentPoly:
             raise ValueError("expected an object with a 'coeffs' list")
         coeffs: dict[int, complex] = {}
         for entry in obj["coeffs"]:
-            n = int(entry["n"])
+            n = strict_int(entry["n"], "frequency 'n'")
             if n in coeffs:
                 raise ValueError(f"duplicate frequency {n} in coefficient list")
             coeffs[n] = complex(float(entry["re"]), float(entry.get("im", 0.0)))

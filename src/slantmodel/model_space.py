@@ -13,11 +13,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial, perm
-from numbers import Integral
 
 import numpy as np
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, strict_int
 
 # Comparisons on exact bases (every zero at the origin), and on truncated ones.
 EXACT_TOL = 1e-12
@@ -27,6 +26,8 @@ TAIL_BOUND_LIMIT = 1e-12
 # Largest truncation order T.  It admits a simple zero up to |w| = 0.99996;
 # a basis row then takes 2^22 circle samples (64 MB).
 MAX_TRUNCATION = 1 << 20
+# Largest basis array, dim x (T + 1) entries: 2^24 complex numbers (256 MB).
+MAX_ENTRIES = 1 << 24
 
 
 class TruncationError(Exception):
@@ -51,7 +52,7 @@ class InnerFunction:
     @classmethod
     def monomial(cls, degree: int) -> "InnerFunction":
         """z^degree: degree zeros at the origin."""
-        if isinstance(degree, bool) or not isinstance(degree, Integral) or degree < 1:
+        if strict_int(degree, "monomial degree") < 1:
             raise ValueError(f"monomial degree must be an integer >= 1, got {degree!r}")
         return cls((0j,) * (_checked(int(degree) - 1) + 1))
 
@@ -140,6 +141,11 @@ def _checked(order: int) -> int:
     return order
 
 
+def _check_size(dim: int, order: int) -> None:
+    if dim * (order + 1) > MAX_ENTRIES:
+        raise TruncationError(f"a {dim} x {order + 1} basis array is above the cap of {MAX_ENTRIES} entries")
+
+
 def default_truncation(inner: InnerFunction) -> int:
     """The smallest T >= 64 with rho^(T+1) / (1 - rho) <= 1e-12, plus one per
     zero at the origin, rho the largest |w|^(1/m) over zeros w of multiplicity
@@ -176,22 +182,21 @@ _ONE = np.ones(1, dtype=complex)
 class ModelSpaceBasis:
     """Orthonormal basis of a model space, stored as a dim x (T + 1) array of
     Taylor coefficients: the Takenaka-Malmquist rows truncated at a certified
-    order T, or the identity rows when every zero is at the origin.
+    order T, the identity rows when every zero is at the origin, or the rows
+    of another basis stretched to the model space of its alpha(z^k).
     """
 
-    def __init__(self, inner: InnerFunction, rows: np.ndarray, mirror: np.ndarray, tail_bound: float):
+    def __init__(
+        self, inner: InnerFunction, rows: np.ndarray, conjugation: np.ndarray, tail_bound: float, gram_error: float
+    ):
         rows.setflags(write=False)
+        conjugation.setflags(write=False)
         self.inner = inner
         self.rows = rows
         self.tail_bound = tail_bound
+        self.gram_error = gram_error
+        self._conjugation = conjugation
         self._alpha = None
-        gram = _compress(_ONE, 0, rows, 1, rows)
-        self.gram_error = float(np.abs(gram - np.eye(self.dim)).max())
-        if self.gram_error > GRAM_TOL:
-            raise TruncationError(f"basis Gram matrix deviates from identity by {self.gram_error:.3e}")
-        # C e_j = c * mirror_j (see build), so C is a Gram matrix of the two row sets.
-        self._conjugation = inner.constant * rows.conj() @ mirror.T
-        self._conjugation.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -208,24 +213,49 @@ class ModelSpaceBasis:
 
     @classmethod
     def build(cls, inner: InnerFunction, truncation: int | None = None) -> "ModelSpaceBasis":
-        """The basis and its mirror rows: alpha * conj(z e_j) = c sqrt(1 - |w_j|^2)
-        / (1 - conj(w_j) z) * prod_{i>j} b_i on the circle, the Takenaka-Malmquist
-        row of the reversed zero list, read backwards (z^(N-1-j) for z^N).
+        """The basis, its Gram check and its conjugation matrix.  On the circle
+        alpha * conj(z e_j) = c sqrt(1 - |w_j|^2) / (1 - conj(w_j) z) * prod_{i>j} b_i:
+        the Takenaka-Malmquist row of the reversed zero list, read backwards
+        (z^(N-1-j) for z^N), so C is a Gram matrix of the rows and these mirror rows.
 
         The tail certificate is the largest l2 norm over the rows of the FFT
-        coefficients T+1..M-1 they drop.  Orders outside 0..MAX_TRUNCATION are
-        refused before anything is sampled."""
+        coefficients T+1..M-1 they drop.  Orders outside 0..MAX_TRUNCATION, and
+        arrays above MAX_ENTRIES, are refused before anything is sampled."""
         order = default_truncation(inner) if truncation is None else _checked(int(truncation))
+        _check_size(inner.degree, order)
         if not any(inner.zeros):
-            eye = np.eye(inner.degree, dtype=complex)
-            return cls(inner, eye, eye[::-1], 0.0)
-        rows, tail = _takenaka_malmquist(inner.zeros, order)
-        if tail > TAIL_BOUND_LIMIT:
-            raise TruncationError(
-                f"truncation order {order} leaves a tail of {tail:.3e} above {TAIL_BOUND_LIMIT:.0e}"
-            )
-        mirror = _takenaka_malmquist(inner.zeros[::-1], order)[0][::-1]
-        return cls(inner, rows, mirror, tail)
+            rows = np.eye(inner.degree, dtype=complex)
+            mirror, tail = rows[::-1], 0.0
+        else:
+            rows, tail = _takenaka_malmquist(inner.zeros, order)
+            if tail > TAIL_BOUND_LIMIT:
+                raise TruncationError(
+                    f"truncation order {order} leaves a tail of {tail:.3e} above {TAIL_BOUND_LIMIT:.0e}"
+                )
+            mirror = _takenaka_malmquist(inner.zeros[::-1], order)[0][::-1]
+        gram = _compress(_ONE, 0, rows, 1, rows)
+        gram_error = float(np.abs(gram - np.eye(inner.degree)).max())
+        if gram_error > GRAM_TOL:
+            raise TruncationError(f"basis Gram matrix deviates from identity by {gram_error:.3e}")
+        return cls(inner, rows, inner.constant * rows.conj() @ mirror.T, tail, gram_error)
+
+    def stretched(self, k: int) -> "ModelSpaceBasis":
+        """The basis of the model space of alpha(z^k), from this one.
+
+        H^2 is the orthogonal sum of z^j H^2(z^k) over j < k, so the space is
+        the orthogonal sum of z^j K_alpha(z^k): row i k + j is z^j e_i(z^k),
+        row i with its coefficients placed at frequencies j, j + k, ...  And
+        C(z^j e_i(z^k)) = z^(k-1-j) (C e_i)(z^k), so the conjugation matrix is
+        kron(C, flipped identity).  The tail and the Gram error are this
+        basis's; nothing is sampled."""
+        _check_size(self.dim * k, k * self.rows.shape[1] - 1)
+        return ModelSpaceBasis(
+            self.inner.stretched(k),
+            np.kron(self.rows, np.eye(k)),
+            np.kron(self._conjugation, np.eye(k)[::-1]),
+            self.tail_bound,
+            self.gram_error,
+        )
 
     def alpha_expansion(self) -> LaurentPoly:
         """Expansion of the inner function itself, to twice the row length;

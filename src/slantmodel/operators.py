@@ -17,6 +17,7 @@ from .laurent import (
     LaurentPoly,
     conj_on_circle,
     decimate,
+    strict_int,
     stretch,
 )
 from .model_space import (
@@ -76,7 +77,7 @@ class OperatorMatrix:
     def entries_from_json(obj: dict) -> np.ndarray:
         if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
             raise ValueError("expected an object with 'rows', 'cols' and 'data'")
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = strict_int(obj["rows"], "'rows'"), strict_int(obj["cols"], "'cols'")
         flat = [complex(float(re), float(im)) for re, im in obj["data"]]
         if len(flat) != rows * cols:
             raise ValueError("matrix data length does not match rows*cols")
@@ -130,9 +131,7 @@ class CompressionSetting:
     """Bases and shift matrices for a fixed (alpha, beta, k) triple.
 
     `truncation` is the Blaschke truncation order of the alpha and beta
-    bases.  The basis of beta(z^k) always takes its own certified default:
-    its zeros are the k-th roots of beta's, nearer the circle, so an order
-    that certifies beta can fail the tail bound there.
+    bases; the basis of beta(z^k) is stretched from beta's and inherits it.
     """
 
     def __init__(
@@ -155,9 +154,9 @@ class CompressionSetting:
         self._stretched_beta_basis = None
 
     def stretched_beta_basis(self) -> ModelSpaceBasis:
-        """Basis of the model space of beta(z^k)."""
+        """Basis of the model space of beta(z^k), stretched from beta's."""
         if self._stretched_beta_basis is None:
-            self._stretched_beta_basis = ModelSpaceBasis.build(self.beta.stretched(self.k))
+            self._stretched_beta_basis = self.basis_beta.stretched(self.k)
         return self._stretched_beta_basis
 
     @property

@@ -8,7 +8,7 @@ across runs with the same configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from math import factorial
 
@@ -128,11 +128,6 @@ class PropertySpec:
     run: callable  # (rng, ctx) -> (residual, payload)
     tol_exact: float = 1e-12
     tol_blaschke: float = 1e-8
-
-    def tolerance(self, ctx: MenuContext, overrides: dict) -> float:
-        if self.name in overrides:
-            return overrides[self.name]
-        return self.tol_exact if ctx.setting.exact else self.tol_blaschke
 
 
 _REGISTRY: list[PropertySpec] = []
@@ -591,7 +586,6 @@ class SuiteConfig:
     seed: int = 0
     trials: int = 50
     menu: tuple = DEFAULT_MENU
-    tolerance_overrides: dict = field(default_factory=dict)
     inject_failure: bool = False
 
     def __post_init__(self):
@@ -665,7 +659,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     results = []
     for pidx, prop in enumerate(registry):
         for cidx, ctx in enumerate(contexts):
-            tol = prop.tolerance(ctx, config.tolerance_overrides)
+            tol = prop.tol_exact if ctx.setting.exact else prop.tol_blaschke
             passes = fails = 0
             worst = 0.0
             first_cx = None

@@ -222,6 +222,13 @@ class TestVerifyInfo:
         assert code == 0
         assert out.splitlines()[0].endswith("status=PASS")
 
+    def test_verify_inject_failure(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--seed", "4", "--trials", "1", "--inject-failure"])
+        assert code == 1
+        rows = json.loads(out)["results"]
+        assert any(r["name"] == "injected_broken_property" and r["fails"] for r in rows)
+        assert all(r["fails"] == 0 for r in rows if r["name"] != "injected_broken_property")
+
     def test_info_monomial(self, capsys):
         code, out, _ = run(capsys, ["info", "--alpha", "z^4"])
         assert code == 0
@@ -292,6 +299,33 @@ class TestErrors:
         assert code == 3 and "outside" in err
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", *COMMON, "--symbol", '{"coeffs": [{"n": 1e400, "re": 1}]}'],
+            ["build", *COMMON, "--symbol", '{"coeffs": [{"n": 1.5, "re": 1}]}'],
+            ["build", *COMMON, "--symbol", '{"coeffs": [{"n": true, "re": 1}]}'],
+            ["build", *COMMON, "--symbol", '{"coeffs": [{"n": "1", "re": 1}]}'],
+            ["membership", *COMMON, "--matrix", '{"rows": 1e400, "cols": 4, "data": []}'],
+            ["membership", *COMMON, "--matrix", '{"rows": 3, "cols": 4.0, "data": []}'],
+            ["membership", *COMMON, "--matrix", '{"rows": true, "cols": 4, "data": []}'],
+        ],
+        ids=["n-overflow", "n-float", "n-bool", "n-string", "rows-overflow", "cols-float", "rows-bool"],
+    )
+    def test_non_integer_json_field_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and "integer" in err
+
+    @pytest.mark.parametrize("k", ["500", "2000"])
+    @pytest.mark.parametrize("command", ["canonical", "iszero"])
+    def test_stretched_beta_above_cap_is_numeric_error(self, capsys, command, k):
+        beta = '{"zeros": [0.4, {"re": 0, "im": -0.5}]}'
+        argv = [command, "--k", k, "--alpha", "z^3", "--beta", beta, "--symbol", sym({1: 1})]
+        start = time.perf_counter()
+        code, _, err = run(capsys, argv)
+        assert code == 3 and "cap" in err
+        assert time.perf_counter() - start < 0.5
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, ["--help"])[0] == 0
 
@@ -308,8 +342,11 @@ class TestErrors:
             ["membership", *COMMON, "--matrix", NAN_MATRIX],
             ["membership", *COMMON, "--matrix", MEMBER, "--tol", "nan"],
             ["recover", *COMMON, "--matrix", MEMBER, "--tol", "nan"],
+            ["build", *COMMON, "--symbol", '{"coeffs": [{"n": 1, "re": 1%s}]}' % ("0" * 400)],
+            ["build", "--k", "2", "--alpha", '{"zeros": [1%s]}' % ("0" * 400), "--beta", "z^3", "--symbol", SYM_WORKED],
+            ["membership", *COMMON, "--matrix", MEMBER.replace("0.0", "1" + "0" * 400, 1)],
         ],
-        ids=["nan-symbol", "nan-zero", "nan-matrix", "nan-tol", "nan-tol-recover"],
+        ids=["nan-symbol", "nan-zero", "nan-matrix", "nan-tol", "nan-tol-recover", "huge-symbol", "huge-zero", "huge-matrix"],
     )
     def test_nonfinite_input_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, argv)

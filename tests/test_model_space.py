@@ -452,3 +452,68 @@ class TestConjugationOracle:
     def test_monomial_is_the_flip(self, degree):
         C = ModelSpaceBasis.build(InnerFunction.monomial(degree)).conjugation_matrix()
         assert np.array_equal(C, np.eye(degree)[::-1])
+
+
+class TestStretchedBasis:
+    """The basis of alpha(z^k) stretched from alpha's, against the direct
+    Takenaka-Malmquist build on the k-th roots of the zeros."""
+
+    INNERS = [
+        InnerFunction.monomial(3),
+        InnerFunction.blaschke([0.4, -0.5j]),
+        InnerFunction.blaschke([0.0, 0.5]),
+        InnerFunction.blaschke([0.5, 0.5]),
+        InnerFunction.blaschke([0.5, -0.3], cmath.exp(0.3j)),
+    ]
+    IDS = ["z3", "B", "origin", "double", "constant"]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("inner", INNERS, ids=IDS)
+    def test_matches_direct_build(self, rng, inner, k):
+        basis = ModelSpaceBasis.build(inner)
+        fast = basis.stretched(k)
+        ref = ModelSpaceBasis.build(inner.stretched(k))
+        assert fast.inner == inner.stretched(k) and fast.dim == ref.dim == k * basis.dim
+        assert fast.truncation_order == k * (basis.truncation_order + 1) - 1
+        assert fast.tail_bound == basis.tail_bound and fast.gram_error == basis.gram_error
+        # The two bases differ; the projector onto the space does not.
+        cols = min(fast.rows.shape[1], ref.rows.shape[1])
+
+        def projector(b):
+            return b.rows[:, :cols].T @ b.rows[:, :cols].conj()
+
+        assert np.abs(projector(fast) - projector(ref)).max() <= 1e-13
+        for _ in range(3):
+            v = random_coords(rng, fast.dim)
+            f = LaurentPoly.from_array(v @ fast.rows)
+            image = fast.reconstruct(fast.conjugate_vector(v))
+            oracle = ref.reconstruct(ref.conjugate_vector(ref.project(f)))
+            window = (image - oracle).to_array(0, cols - 1)
+            assert np.abs(window).max() <= 1e-13 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("degree", [1, 3, 4])
+    def test_monomial_is_the_identity(self, degree, k):
+        fast = ModelSpaceBasis.build(InnerFunction.monomial(degree)).stretched(k)
+        eye = np.eye(k * degree)
+        assert np.array_equal(fast.rows, eye) and np.array_equal(fast.conjugation_matrix(), eye[::-1])
+        ref = ModelSpaceBasis.build(InnerFunction.monomial(degree).stretched(k))
+        assert np.array_equal(fast.rows, ref.rows)
+        assert np.array_equal(fast.conjugation_matrix(), ref.conjugation_matrix())
+
+    def test_size_cap(self):
+        # B[0.4, -0.5i] has T = 64: k = 200 gives 400 x 13,000 entries, under
+        # the cap; k = 500 and 2000 are refused before any array is made,
+        # stretched or built on the k-th roots.
+        beta = InnerFunction.blaschke([0.4, -0.5j])
+        basis = ModelSpaceBasis.build(beta)
+        assert basis.stretched(200).rows.shape == (400, 13_000)
+        for k in (500, 2000):
+            start = time.perf_counter()
+            with pytest.raises(TruncationError, match="cap"):
+                basis.stretched(k)
+            with pytest.raises(TruncationError, match="cap"):
+                ModelSpaceBasis.build(beta.stretched(k))
+            assert time.perf_counter() - start < 0.5
+        with pytest.raises(TruncationError, match="cap"):
+            ModelSpaceBasis.build(InnerFunction.monomial(5000))

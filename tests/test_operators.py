@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slantmodel.laurent import LaurentPoly, conj_on_circle, decimate, random_laurent, stretch
-from slantmodel.model_space import InnerFunction, ModelSpaceBasis, TruncationError, default_truncation
+from slantmodel.model_space import InnerFunction, ModelSpaceBasis, TruncationError
 from slantmodel.operators import (
     VARIANTS,
     _frames,
@@ -528,15 +528,23 @@ class TestRecovery:
 
 
 class TestCompressionSetting:
-    def test_explicit_truncation_skips_stretched_beta(self):
-        # 70 certifies the zeros of BETA (radius 0.5) but not their square
-        # roots (radius ~0.71), so beta(z^2) keeps its own default.
+    def test_explicit_truncation_reaches_stretched_beta(self, monkeypatch):
+        # beta(z^2) is stretched from beta's basis: order 70 becomes 2 * 71 - 1
+        # with beta's tail, while a direct build on the square roots (radius
+        # ~0.71) cannot certify 70.
         setting = CompressionSetting(zn(3), BETA, 2, truncation=70)
         assert setting.basis_beta.truncation_order == 70
-        stretched = BETA.stretched(2)
-        assert setting.stretched_beta_basis().truncation_order == default_truncation(stretched)
         with pytest.raises(TruncationError):
-            ModelSpaceBasis.build(stretched, 70)
+            ModelSpaceBasis.build(BETA.stretched(2), 70)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the stretched basis must not be built from its roots")
+
+        monkeypatch.setattr(ModelSpaceBasis, "build", no_build)
+        big = setting.stretched_beta_basis()
+        assert big.truncation_order == 141
+        assert big.tail_bound == setting.basis_beta.tail_bound
+        assert big is setting.stretched_beta_basis()
 
 
 class TestCanonicalSymbol:

@@ -69,16 +69,6 @@ class TestSuite:
         cx = next(r.first_counterexample for r in broken if r.fails > 0)
         assert cx is not None and "inputs" in cx and cx["residual"] > 0
 
-    def test_tolerance_override(self):
-        config = SuiteConfig(
-            seed=11,
-            trials=2,
-            tolerance_overrides={"stretch_is_substitution": 0.0},
-        )
-        report = run_suite(config)
-        rows = [r for r in report.results if r.name == "stretch_is_substitution"]
-        assert all(r.tolerance == 0.0 for r in rows)
-
     def test_custom_menu(self):
         menu = ((InnerFunction.monomial(3), InnerFunction.monomial(2), 2),)
         report = run_suite(SuiteConfig(seed=5, trials=2, menu=menu))
