@@ -8,6 +8,7 @@ or truncation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -125,7 +126,10 @@ def _add_common(p, need_k=True):
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged,
+    so every call of `main` shares it.  Callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="slantmodel",
         description="Finite-matrix compressions of slant Toeplitz operators to model spaces",

@@ -42,9 +42,25 @@ class LaurentPoly:
         self._coeffs = clean
 
     @classmethod
-    def from_array(cls, coeffs, lo: int = 0) -> "LaurentPoly":
-        """The polynomial with coefficients of frequencies lo, lo + 1, ..."""
-        return cls(dict(zip(range(lo, lo + len(coeffs)), np.asarray(coeffs).tolist())))
+    def from_array(cls, coeffs, lo: int = 0, step: int | None = None) -> "LaurentPoly":
+        """The polynomial with coefficients of frequencies lo, lo + 1, ...; a
+        2-D array holds rows no longer than `step`, row n from lo + step n.
+        One finiteness check, then one pass that drops moduli <= COEFF_DROP."""
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
+        out = cls.__new__(cls)
+        lo = int(lo)
+        if coeffs.ndim == 1:
+            out._coeffs = {n: c for n, c in enumerate(coeffs.tolist(), lo) if abs(c) > COEFF_DROP}
+        else:
+            out._coeffs = {
+                n: c
+                for r, row in enumerate(coeffs.tolist())
+                for n, c in enumerate(row, lo + step * r)
+                if abs(c) > COEFF_DROP
+            }
+        return out
 
     def to_array(self, lo: int, hi: int) -> np.ndarray:
         """Dense coefficients of frequencies lo..hi; the rest is dropped."""

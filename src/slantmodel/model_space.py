@@ -28,6 +28,8 @@ TAIL_BOUND_LIMIT = 1e-12
 MAX_TRUNCATION = 1 << 20
 # Largest basis array, dim x (T + 1) entries: 2^24 complex numbers (256 MB).
 MAX_ENTRIES = 1 << 24
+# Largest derivative order n of a kernel or a symbol part: 171! overflows a double.
+MAX_DERIVATIVE_ORDER = 170
 
 
 class TruncationError(Exception):
@@ -159,6 +161,14 @@ def default_truncation(inner: InnerFunction) -> int:
     return _checked(max(64, t + multiplicity[0]))
 
 
+def derivative_scale(n: int) -> float:
+    """n! as a double; orders above MAX_DERIVATIVE_ORDER raise FloatingPointError,
+    a numeric error (exit 3), rather than an OverflowError."""
+    if n > MAX_DERIVATIVE_ORDER:
+        raise FloatingPointError(f"derivative order {n} is above {MAX_DERIVATIVE_ORDER}: {n}! overflows a double")
+    return float(factorial(n))
+
+
 def coeff_json(coords: np.ndarray) -> dict:
     return {"coords": [[z.real, z.imag] for z in np.asarray(coords, dtype=complex)]}
 
@@ -257,11 +267,12 @@ class ModelSpaceBasis:
             self.gram_error,
         )
 
-    def alpha_expansion(self) -> LaurentPoly:
-        """Expansion of the inner function itself, to twice the row length;
-        computed on the first call."""
+    def alpha_expansion(self) -> np.ndarray:
+        """Taylor coefficients of the inner function itself, to twice the row
+        length (frequencies 0..2(T + 1)); computed on the first call, read-only."""
         if self._alpha is None:
-            self._alpha = LaurentPoly.from_array(_taylor(self.inner, 2 * self.rows.shape[1]))
+            self._alpha = _taylor(self.inner, 2 * self.rows.shape[1])
+            self._alpha.setflags(write=False)
         return self._alpha
 
     # -- core maps ---------------------------------------------------------
@@ -283,8 +294,9 @@ class ModelSpaceBasis:
         cols = self.rows.shape[1]
         if n >= cols:
             return np.zeros(self.dim, dtype=complex)
+        scale = derivative_scale(n)  # bounds the order off the origin too
         if w == 0:
-            return factorial(n) * self.rows[:, n].conj()
+            return scale * self.rows[:, n].conj()
         weights = np.array([perm(m, n) * w ** (m - n) for m in range(n, cols)])
         return (self.rows[:, n:] @ weights).conj()
 

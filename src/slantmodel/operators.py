@@ -9,17 +9,10 @@ Matrix convention: rows index the target (beta) basis, columns the source
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
 
 import numpy as np
 
-from .laurent import (
-    LaurentPoly,
-    conj_on_circle,
-    decimate,
-    strict_int,
-    stretch,
-)
+from .laurent import LaurentPoly, strict_int
 from .model_space import (
     BLASCHKE_TOL,
     EXACT_TOL,
@@ -27,6 +20,7 @@ from .model_space import (
     ModelSpaceBasis,
     _compress,
     coeff_json,
+    derivative_scale,
 )
 
 VARIANTS = ("t35", "c38", "c310a", "c310b")
@@ -152,12 +146,24 @@ class CompressionSetting:
         self.shift_alpha, self.shift_alpha_adj = self.basis_alpha.compressed_shift()
         self.shift_beta, self.shift_beta_adj = self.basis_beta.compressed_shift()
         self._stretched_beta_basis = None
+        self._frames = {}
 
     def stretched_beta_basis(self) -> ModelSpaceBasis:
         """Basis of the model space of beta(z^k), stretched from beta's."""
         if self._stretched_beta_basis is None:
             self._stretched_beta_basis = self.basis_beta.stretched(self.k)
         return self._stretched_beta_basis
+
+    def frames(self, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The frame vector in K_beta, the matrix G whose column j is the frame
+        vector of order j in K_alpha, and for each column the power of two
+        just above its largest modulus (1 for a zero column); computed once
+        per variant."""
+        if variant not in self._frames:
+            F, Gs = _frames(self, variant)
+            G = np.array(Gs).T
+            self._frames[variant] = F, G, np.ldexp(1.0, np.frexp(np.abs(G).max(axis=0))[1])
+        return self._frames[variant]
 
     @property
     def exact(self) -> bool:
@@ -171,16 +177,105 @@ class CompressionSetting:
         return OperatorMatrix(entries, self.alpha, self.beta)
 
 
+# -- coefficient arrays ------------------------------------------------------
+# The symbol-level routines work on dense coefficient arrays, each paired with
+# the frequency of its first entry, and build one LaurentPoly at return.
+#
+# A factor f(z^k) leaves (k - 1)/k of such an array zero once k is past the
+# width of what multiplies it.  There the routines compute at the stride s of
+# that width, with z^s standing for z^k, and `_place` moves each block of s
+# coefficients out to its place at stride k; below it, s = k.
+
+
+def _clip(phi: LaurentPoly, src: ModelSpaceBasis, k: int, dst: ModelSpaceBasis) -> tuple[np.ndarray, int]:
+    """phi densified over the part of its support that reaches a kept
+    coefficient of the compression: frequencies -T_src..k T_dst."""
+    lo, hi = (phi.support[0], phi.support[-1]) if phi else (0, 0)
+    lo = max(lo, 1 - src.rows.shape[1])
+    hi = max(lo, min(hi, k * (dst.rows.shape[1] - 1)))
+    return phi.to_array(lo, hi), lo
+
+
+def _stretch(coeffs: np.ndarray, k: int) -> np.ndarray:
+    """f(z^k) from the Taylor coefficients of f."""
+    out = np.zeros(k * (len(coeffs) - 1) + 1, dtype=complex)
+    out[::k] = coeffs
+    return out
+
+
+def _times_stretched(q: np.ndarray, e: np.ndarray, s: int) -> np.ndarray:
+    """q(z) e(z^s) from frequency 0; block n of s coefficients is e_n q when
+    q fits in it."""
+    if s < len(q):
+        return np.convolve(q, _stretch(e, s))
+    out = np.zeros((len(e), s), dtype=complex)
+    out[:, : len(q)] = np.outer(e, q)
+    return out.reshape(-1)
+
+
+def _place(coeffs: np.ndarray, lo: int, s: int, k: int, base: int) -> LaurentPoly:
+    """The polynomial of coefficients of frequencies lo, lo + 1, ... computed
+    at stride s <= k: frequency base + s n + t, 0 <= t < s, is block n and
+    moves to base + k n + t.  With s = k nothing moves."""
+    if s == k:
+        return LaurentPoly.from_array(coeffs, lo)
+    first = (lo - base) // s
+    pre = lo - base - s * first
+    blocks = np.zeros(-(-(pre + len(coeffs)) // s) * s, dtype=complex)
+    blocks[pre : pre + len(coeffs)] = coeffs
+    return LaurentPoly.from_array(blocks.reshape(-1, s), base + k * first, step=k)
+
+
+def _sum(*parts) -> tuple[np.ndarray, int]:
+    """The (coeffs, lo) parts added into one array over the union of their windows."""
+    lo = min(p_lo for _, p_lo in parts)
+    hi = max(p_lo + len(c) for c, p_lo in parts)
+    out = np.zeros(hi - lo, dtype=complex)
+    for c, p_lo in parts:
+        out[p_lo - lo : p_lo - lo + len(c)] += c
+    return out, lo
+
+
+def _head(coords: np.ndarray, basis: ModelSpaceBasis) -> tuple[np.ndarray, int]:
+    """conj(f) on the circle for f with these coordinates: frequencies -T..0."""
+    return (coords @ basis.rows)[::-1].conj(), -basis.truncation_order
+
+
+def _used(setting: CompressionSetting) -> int:
+    """How many psi_j count: psi_j only meets the frame through the kernel of
+    order j in K_alpha, which vanishes past the alpha row length."""
+    return min(setting.k, setting.basis_alpha.rows.shape[1])
+
+
+def _stretched_parts(dec: "DefectDecomposition", setting: CompressionSetting) -> np.ndarray:
+    """Row n, column j < _used: j! times the n-th Taylor coefficient of psi_j."""
+    used = _used(setting)
+    scale = np.array([derivative_scale(j) for j in range(used)])
+    return (np.array(dec.psis[:used]) @ setting.basis_beta.rows).T * scale
+
+
+def _reduced(phi: LaurentPoly, setting: CompressionSetting, shift: int) -> tuple[np.ndarray, int]:
+    """conj(P_alpha f) + z^-shift P_{beta(z^k)}(z^shift g) for phi = conj(f) + g,
+    f from the frequencies <= 0 and g from those >= 1: frequencies
+    -max(T_alpha, shift)..T_s - shift, T_s the order of the beta(z^k) basis.
+    Only phi over that window is read."""
+    ba, bs = setting.basis_alpha, setting.stretched_beta_basis()
+    ta, ts = ba.truncation_order, bs.truncation_order
+    lo = -max(ta, shift)
+    w = phi.to_array(lo, ts - shift)
+    f = w[-lo - ta : 1 - lo][::-1].conj()
+    g = w[1 - lo :]  # the coefficients shift + 1..T_s of z^shift g
+    head = _head(ba.rows.conj() @ f, ba)
+    tail = (bs.rows[:, shift + 1 :].conj() @ g) @ bs.rows, -shift
+    return _sum(head, tail)
+
+
 # -- builders --------------------------------------------------------------
 
 
 def _compress_symbol(phi: LaurentPoly, src: ModelSpaceBasis, k: int, dst: ModelSpaceBasis) -> np.ndarray:
-    """The shared compression routine, with phi densified over the part of its
-    support that reaches a kept coefficient: frequencies -T_src..k T_dst."""
-    lo, hi = (phi.support[0], phi.support[-1]) if phi else (0, 0)
-    lo = max(lo, 1 - src.rows.shape[1])
-    hi = max(lo, min(hi, k * (dst.rows.shape[1] - 1)))
-    return _compress(phi.to_array(lo, hi), lo, src.rows, k, dst.rows)
+    """The shared compression routine, on phi clipped to what it reads."""
+    return _compress(*_clip(phi, src, k, dst), src.rows, k, dst.rows)
 
 
 def build_compression(phi: LaurentPoly, setting: CompressionSetting) -> OperatorMatrix:
@@ -240,21 +335,33 @@ def _frames(setting: CompressionSetting, variant: str):
 
 def assemble_defect(dec: DefectDecomposition, setting: CompressionSetting) -> np.ndarray:
     """Matrix of frame_beta (x) chi + sum_j psi_j (x) frame_alpha_j."""
-    F, Gs = _frames(setting, dec.variant)
+    F, G, _ = setting.frames(dec.variant)
     out = np.outer(F, dec.chi.conjugate())
-    for psi, G in zip(dec.psis, Gs):
-        out = out + np.outer(psi, G.conjugate())
+    for psi, g in zip(dec.psis, G.T):
+        out = out + np.outer(psi, g.conjugate())
     return out
 
 
 def defect_from_symbol(phi: LaurentPoly, setting: CompressionSetting) -> DefectDecomposition:
-    """Closed-form decomposition of the defect of a symbol-built compression."""
+    """Closed-form decomposition of the defect of a symbol-built compression:
+    chi = P_alpha conj(phi) and psi_j = S_beta P_beta W_k(z^(j-k) phi) / j!
+    for j < _used, from phi over frequencies -T_alpha..k (T_beta + 1).  The
+    psi_j past _used meet only zero frame vectors; they are set to 0, as the
+    minimum-norm membership fit sets them."""
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
-    chi = ba.project(conj_on_circle(phi))
-    psis = []
-    for j in range(k):
-        v = bb.project(decimate(phi * LaurentPoly.monomial(-(k - j)), k))
-        psis.append(setting.shift_beta @ v / factorial(j))
+    ta, tb = ba.truncation_order, bb.truncation_order
+    chi = ba.rows.conj() @ phi.to_array(-ta, 0)[::-1].conj()
+    # Row n, column j: the coefficient of frequency k (n + 1) - j, which
+    # W_k(z^(j-k) phi) puts at n.
+    used = _used(setting)
+    decimated = np.zeros((tb + 1, used), dtype=complex)
+    for f, c in phi.items():
+        n, j = divmod(-f, k)
+        if j < used and -tb - 1 <= n <= -1:
+            decimated[-n - 1, j] = c
+    projected = setting.shift_beta @ (bb.rows.conj() @ decimated)
+    psis = [projected[:, j] / derivative_scale(j) for j in range(used)]
+    psis += list(np.zeros((k - used, bb.dim), dtype=complex))
     return DefectDecomposition(chi=chi, psis=psis, variant="t35")
 
 
@@ -281,15 +388,18 @@ def membership(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     D = defect(U, setting, variant)
-    F, Gs = _frames(setting, variant)
+    F, G, scale = setting.frames(variant)
     chi = D.conj().T @ F / np.vdot(F, F).real
     R = D - np.outer(F, chi.conjugate())
+    # The kernel of order j carries j!, so the column norms of G span hundreds
+    # of decades at large k.  Each column is divided by its scale, a power of
+    # two, which rounds nothing, so that rcond drops no real direction.
     # Kernels past dim K_alpha vanish, so G may have zero columns; lstsq
     # returns the minimum-norm Psi, with psi_j = 0 there.
-    G = np.array(Gs).T
+    G = G / scale
     Y, *_ = np.linalg.lstsq(G, R.conj().T, rcond=None)
     residual = float(np.linalg.norm(R - (G @ Y).conj().T))
-    psis = list(Y.conjugate())
+    psis = list((Y / scale[:, None]).conjugate())
     effective = tol * max(1.0, float(np.linalg.norm(D)))
     return MembershipReport(
         member=residual <= effective,
@@ -326,33 +436,31 @@ def recover_symbol(report: MembershipReport, setting: CompressionSetting) -> Lau
 
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
     dec = report.decomposition
+    head = _head(dec.chi, ba)
+    parts = _stretched_parts(dec, setting)
+    used = parts.shape[1]
     if variant == "t35":
-        # The fit leaves every psi_j orthogonal to k_0^beta, i.e. psi_j(0) = 0.
-        phi = conj_on_circle(ba.reconstruct(dec.chi))
-        for j in range(k):
-            part = stretch(bb.reconstruct(dec.psis[j]), k) * factorial(j)
-            phi = phi + part.shifted(-j)
-        return phi
+        # conj(chi) + sum_j j! psi_j(z^k) z^-j.  The fit leaves every psi_j
+        # orthogonal to k_0^beta, i.e. psi_j(0) = 0.  Block n holds frequencies
+        # k n - used + 1..k n, and frequency k n - j sits at used n + used - 1 - j.
+        # With used < k, used is the alpha row length and head is block 0.
+        tail = parts[:, ::-1].reshape(-1), 1 - used
+        return _place(*_sum(head, tail), used, k, 1 - used)
 
-    # Adjoint-form decomposition: the transformed symbol needs expansions of
-    # the inner functions themselves.
-    beta_k = stretch(setting.basis_beta.alpha_expansion(), k)
-    alpha_bar = conj_on_circle(setting.basis_alpha.alpha_expansion())
-    phi = beta_k * conj_on_circle(ba.reconstruct(dec.chi)) * LaurentPoly.monomial(-k)
-    for j in range(k):
-        part = stretch(bb.reconstruct(dec.psis[j]), k) * factorial(j)
-        phi = phi + alpha_bar * part.shifted(j + 1)
-    return phi
+    # Adjoint-form decomposition: beta(z^k) conj(chi) z^-k + conj(alpha)
+    # sum_j j! psi_j(z^k) z^(j + 1).  Block n holds frequencies
+    # k n + 2 - len(ea)..k n + used, and frequency k n + j + 1 of the sum sits
+    # at s n + j from 1.
+    ea, eb = ba.alpha_expansion(), bb.alpha_expansion()
+    s = min(k, used + len(ea) - 1)
+    blocks = np.zeros((len(parts), s), dtype=complex)
+    blocks[:, :used] = parts
+    first = _times_stretched(head[0], eb, s), head[1] - s
+    second = np.convolve(ea[::-1].conj(), blocks.reshape(-1)), 2 - len(ea)
+    return _place(*_sum(first, second), s, k, 2 - len(ea))
 
 
 # -- canonical symbols and zero tests --------------------------------------
-
-
-def _split(phi: LaurentPoly):
-    """phi = conj(f) + g with f analytic (from frequencies <= 0), g strict."""
-    neg = LaurentPoly({n: c for n, c in phi.items() if n <= 0})
-    pos = LaurentPoly({n: c for n, c in phi.items() if n >= 1})
-    return conj_on_circle(neg), pos
 
 
 def canonical_symbol(
@@ -364,18 +472,9 @@ def canonical_symbol(
     conj(K_alpha) + z^{-(k-1)} K_{beta(z^k)}.  The compression matrix is
     unchanged either way.
     """
-    ba = setting.basis_alpha
-    bs = setting.stretched_beta_basis()
-    k = setting.k
-    f, g = _split(phi)
-    head = conj_on_circle(ba.reconstruct(ba.project(f)))
-    if which == "first":
-        tail = bs.reconstruct(bs.project(g))
-    elif which == "second":
-        tail = bs.reconstruct(bs.project(g.shifted(k - 1))).shifted(-(k - 1))
-    else:
+    if which not in ("first", "second"):
         raise ValueError(f"unknown canonical form {which!r}")
-    return head + tail
+    return LaurentPoly.from_array(*_reduced(phi, setting, 0 if which == "first" else setting.k - 1))
 
 
 def zero_test_sufficient(
@@ -389,30 +488,20 @@ def zero_test_sufficient(
     """
     if which not in ("p22", "p27"):
         raise ValueError(f"unknown zero test {which!r}")
-    ba = setting.basis_alpha
-    bs = setting.stretched_beta_basis()
-    k = setting.k
-    shift = 0 if which == "p22" else k - 1
-    f, g = _split(phi)
-    base = conj_on_circle(ba.reconstruct(ba.project(f))) + bs.reconstruct(
-        bs.project(g.shifted(shift))
-    ).shifted(-shift)
+    ba, bs = setting.basis_alpha, setting.stretched_beta_basis()
+    ta = ba.truncation_order
+    shift = 0 if which == "p22" else setting.k - 1
+    rhs, lo = _reduced(phi, setting, shift)
 
     # The split is ambiguous on frequencies -shift..0, which either summand
-    # can absorb; minimize the residue over that window.
-    directions = []
-    for t in range(shift + 1):
-        d = bs.reconstruct(bs.project(LaurentPoly.monomial(shift - t))).shifted(-shift)
-        d = d - conj_on_circle(ba.reconstruct(ba.project(LaurentPoly.monomial(t))))
-        directions.append(d)
-    ends = [n for p in (base, *directions) for n in p.support[:1] + p.support[-1:]]
-    residue = 0.0
-    if ends:
-        lo, hi = min(ends), max(ends)
-        A = np.array([d.to_array(lo, hi) for d in directions]).T
-        rhs = base.to_array(lo, hi)
-        x, *_ = np.linalg.lstsq(A, -rhs, rcond=None)
-        residue = float(np.linalg.norm(A @ x + rhs))
+    # can absorb; minimize the residue over that window.  Direction t is
+    # z^-shift P_{beta(z^k)} z^(shift - t) - conj(P_alpha z^t), over rhs's window.
+    A = np.zeros((shift + 1, len(rhs)), dtype=complex)
+    A[:, -shift - lo :] = bs.rows[:, shift::-1].conj().T @ bs.rows
+    reach = min(shift, ta) + 1
+    A[:reach, -ta - lo : 1 - lo] -= (ba.rows[:, :reach].conj().T @ ba.rows)[:, ::-1].conj()
+    x, *_ = np.linalg.lstsq(A.T, -rhs, rcond=None)
+    residue = float(np.linalg.norm(A.T @ x + rhs))
 
     tol = setting.tol() * max(1.0, phi.norm())
     if residue > tol:
@@ -430,11 +519,15 @@ def zero_test_sufficient(
 
 
 def conjugate_symbol(phi: LaurentPoly, setting: CompressionSetting) -> LaurentPoly:
-    """The symbol of the conjugation sandwich of a symbol-built compression."""
-    k = setting.k
-    alpha_exp = setting.basis_alpha.alpha_expansion()
-    beta_k = stretch(setting.basis_beta.alpha_expansion(), k)
-    return conj_on_circle((alpha_exp * phi).shifted(k - 1)) * beta_k
+    """The symbol conj(alpha phi z^(k-1)) beta(z^k) of the conjugation sandwich
+    of a symbol-built compression, from phi clipped to -T_alpha..k T_beta."""
+    ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
+    w, lo = _clip(phi, ba, k, bb)
+    prod = np.convolve(ba.alpha_expansion(), w)  # frequencies lo, lo + 1, ...
+    # z^(1 - k) q beta(z^k) with q = conj(alpha phi) from frequency q_lo.
+    q, q_lo = prod[::-1].conj(), 1 - lo - len(prod)
+    s = min(k, len(q))
+    return _place(_times_stretched(q, bb.alpha_expansion(), s), q_lo + 1 - s, s, k, q_lo + 1)
 
 
 def conjugate_operator(
@@ -467,14 +560,16 @@ def rank_one(
         raise ValueError(f"index l={l} out of range 0..{k - 1}")
     ba, bb = setting.basis_alpha, setting.basis_beta
     if kind == "tilde_k":
+        # l! beta(z^k) z^-(l + k)
         F = bb.conjugate_vector(bb.kernel(0, 0))
         G = ba.kernel(0, l)
-        beta_k = stretch(bb.alpha_expansion(), k)
-        symbol = beta_k.shifted(-(l + k)) * factorial(l)
+        symbol = _place(bb.alpha_expansion() * derivative_scale(l), -(l + 1), 1, k, -l)
     elif kind == "k_tilde":
+        # l! conj(alpha) z^(l + 1)
         F = bb.kernel(0, 0)
         G = ba.conjugate_vector(ba.kernel(0, l))
-        symbol = conj_on_circle(ba.alpha_expansion()).shifted(l + 1) * factorial(l)
+        ea = ba.alpha_expansion()
+        symbol = LaurentPoly.from_array(ea[::-1].conj() * derivative_scale(l), l + 2 - len(ea))
     else:
         raise ValueError(f"unknown rank-one kind {kind!r}")
     return setting.matrix(np.outer(F, G.conjugate())), symbol

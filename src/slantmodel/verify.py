@@ -498,8 +498,8 @@ def _prop_zero(rng, ctx, which):
     # A symbol of the zero space: conj(alpha h1) + z^-shift beta(z^k) h2.
     h1 = analytic_project(random_laurent(rng, lo=0, hi=4, terms=4))
     h2 = analytic_project(random_laurent(rng, lo=0, hi=4, terms=4))
-    alpha_exp = ctx.setting.basis_alpha.alpha_expansion()
-    beta_k = stretch(ctx.setting.basis_beta.alpha_expansion(), ctx.k)
+    alpha_exp = LaurentPoly.from_array(ctx.setting.basis_alpha.alpha_expansion())
+    beta_k = stretch(LaurentPoly.from_array(ctx.setting.basis_beta.alpha_expansion()), ctx.k)
     shift = ctx.k - 1 if which == "p27" else 0
     phi = conj_on_circle(alpha_exp * h1) + (beta_k * h2).shifted(-shift)
     res = 0.0 if zero_test_sufficient(phi, ctx.setting, which) else 1.0

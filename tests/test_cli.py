@@ -247,6 +247,21 @@ class TestVerifyInfo:
         assert code == 0 and f"gram_error={obj['gram_error']:.3e}" in out
 
 
+class TestParserReuse:
+    def test_consecutive_calls_share_no_state(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        code, out, _ = run(capsys, ["conjugate", *COMMON, "--symbol", sym({4: 1})])
+        assert code == 0 and json.loads(out)["symbol"]["coeffs"] == [{"n": -3, "re": 1.0, "im": 0.0}]
+        matrix = json.dumps({"rows": 3, "cols": 4, "data": [[1.0, 0.0]] + [[0.0, 0.0]] * 11})
+        code, out, _ = run(capsys, ["conjugate", *COMMON, "--matrix", matrix])
+        obj = json.loads(out)
+        assert code == 0 and obj["symbol"] is None and obj["matrix"]["data"][11] == [1.0, 0.0]
+        code, _, err = run(capsys, ["conjugate", *COMMON, "--symbol", sym({4: 1}), "--matrix", matrix])
+        assert code == 2 and "not allowed" in err
+        code, out, _ = run(capsys, ["info", "--alpha", "z^2"])
+        assert code == 0 and json.loads(out)["dim"] == 2
+
+
 class TestErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 2
@@ -325,6 +340,41 @@ class TestErrors:
         code, _, err = run(capsys, argv)
         assert code == 3 and "cap" in err
         assert time.perf_counter() - start < 0.5
+
+    NEAR = '{"zeros": [0.95, -0.3]}'
+    ZERO_3X2 = json.dumps({"rows": 3, "cols": 2, "data": [[0.0, 0.0]] * 6})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["membership", "--k", "200", "--alpha", NEAR, "--beta", "z^3", "--matrix", ZERO_3X2],
+            ["recover", "--k", "200", "--alpha", NEAR, "--beta", "z^3", "--matrix", ZERO_3X2],
+            ["rankone", "--k", "200", "--l", "180", "--alpha", NEAR, "--beta", "z^3"],
+            ["rankone", "--k", "200", "--l", "180", "--alpha", "z^3", "--beta", "z^3"],
+        ],
+        ids=["membership", "recover", "rankone", "rankone-monomial"],
+    )
+    def test_derivative_order_above_170_is_numeric_error(self, capsys, argv):
+        code, _, err = run(capsys, argv)
+        assert code == 3 and "derivative order" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rankone", "--l", "0", "--kind", "tilde_k"],
+            ["conjugate", "--symbol", sym({1: 1, -2: 0.5})],
+        ],
+        ids=["rankone", "conjugate"],
+    )
+    def test_large_order_stretched_beta_is_prompt(self, capsys, argv):
+        # beta(z^k) as a dense array would hold about 1.2e8 coefficients here.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, [argv[0], "--k", "100000", "--alpha", "z^3", "--beta", self.NEAR, *argv[1:]])
+        assert code == 0
+        assert time.perf_counter() - start < 1.5
+        coeffs = json.loads(out)["symbol"]["coeffs"]
+        assert 0 < len(coeffs) < 10**5
+        assert max(abs(c["n"]) for c in coeffs) > 10**7
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, ["--help"])[0] == 0

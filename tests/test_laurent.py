@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slantmodel.laurent import (
+    COEFF_DROP,
     LaurentPoly,
     analytic_project,
     backward_shift_pow,
@@ -45,6 +46,35 @@ class TestArithmetic:
     def test_nonfinite_coefficient_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             L({0: bad, 1: 1})
+
+    @pytest.mark.parametrize("bad", [float("nan"), complex(0, float("nan")), float("inf"), complex(1, float("-inf"))])
+    def test_from_array_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LaurentPoly.from_array([1.0, bad], lo=-1)
+
+    def test_from_array_drop_rule(self):
+        # Moduli <= COEFF_DROP are dropped exactly as the constructor drops them.
+        values = [1.0, COEFF_DROP, -COEFF_DROP * 1j, COEFF_DROP * (1 + 1e-15), 0.6e-14 + 0.8e-14j, 1e-300, 0.0, -2j]
+        p = LaurentPoly.from_array(values, lo=-3)
+        assert p == L(dict(zip(range(-3, 5), values)))
+        assert p.support == [-3, 0, 4]
+        assert LaurentPoly.from_array(np.zeros(4)).is_zero()
+
+    @given(st.lists(coeff_values | st.complex_numbers(max_magnitude=1e-13), max_size=12), st.integers(-20, 20))
+    @settings(max_examples=50, deadline=None)
+    def test_from_array_matches_constructor(self, values, lo):
+        p = LaurentPoly.from_array(np.array(values, dtype=complex), lo)
+        assert p == L(dict(zip(range(lo, lo + len(values)), values)))
+        assert all(isinstance(n, int) for n in p.support)
+
+    def test_from_array_rows_at_step(self):
+        # Row r starts at lo + step r; frequencies stay Python ints past int64.
+        rows = np.array([[1.0, 0.0, 2j], [COEFF_DROP, -1.0, 0.0]])
+        step = 10**19
+        p = LaurentPoly.from_array(rows, lo=-1, step=step)
+        assert p == L({-1: 1.0, 1: 2j, step: -1.0})
+        with pytest.raises(ValueError, match="finite"):
+            LaurentPoly.from_array(np.array([[1.0], [np.nan]]), lo=0, step=3)
 
     def test_json_roundtrip(self):
         p = L({-3: 1 + 2j, 0: -0.5, 7: 3j})

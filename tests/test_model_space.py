@@ -245,6 +245,15 @@ class TestKernel:
         basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
         assert np.allclose(basis.kernel(0, 0), [1, 0, 0])
 
+    def test_order_above_170_is_numeric_error(self):
+        # 171! overflows a double; below the row length such a kernel is refused.
+        basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.95, -0.3]))
+        assert np.isfinite(basis.kernel(0, 170)).all()
+        for w in (0, 0.5):
+            with pytest.raises(FloatingPointError, match="derivative order 171"):
+                basis.kernel(w, 171)
+        assert not ModelSpaceBasis.build(InnerFunction.monomial(3)).kernel(0, 200).any()
+
     def test_rejects_outside_disk(self):
         basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from slantmodel.operators import (
     VARIANTS,
     _frames,
     CompressionSetting,
+    DefectDecomposition,
     NonMemberError,
     assemble_defect,
     build_compression,
@@ -33,7 +36,7 @@ def zn(n):
 
 
 def stretched_beta_expansion(setting):
-    return stretch(setting.basis_beta.alpha_expansion(), setting.k)
+    return stretch(LaurentPoly.from_array(setting.basis_beta.alpha_expansion()), setting.k)
 
 
 def monomial_oracle_matrix(phi, setting):
@@ -482,7 +485,7 @@ class TestRepeatedZeros:
             phi = random_laurent(rng, -7, 12, terms=7)
             out = canonical_symbol(phi, setting, which)
             assert np.abs(build_compression(out, setting).entries - build_compression(phi, setting).entries).max() < 1e-10
-        alpha_bar = conj_on_circle(setting.basis_alpha.alpha_expansion())
+        alpha_bar = conj_on_circle(LaurentPoly.from_array(setting.basis_alpha.alpha_expansion()))
         phi = alpha_bar * random_laurent(rng, -3, 0, terms=3)
         phi = phi + stretched_beta_expansion(setting) * random_laurent(rng, 0, 3, terms=3)
         assert zero_test_sufficient(phi, setting, "p22")
@@ -621,7 +624,7 @@ class TestZeroTest:
         for setting in all_settings:
             m, n, k = setting.basis_alpha.dim, setting.basis_beta.dim, setting.k
             phi = conj_on_circle(
-                setting.basis_alpha.alpha_expansion()
+                LaurentPoly.from_array(setting.basis_alpha.alpha_expansion())
             ) * random_laurent(rng, -3, 0, terms=3)
             phi = phi + stretched_beta_expansion(setting) * random_laurent(rng, 0, 3, terms=3)
             assert zero_test_sufficient(phi, setting, "p22")
@@ -630,7 +633,7 @@ class TestZeroTest:
     def test_split_ambiguity_absorbed(self, s543):
         # A constant can sit on either side of the split; both tests must
         # treat alpha-side constants correctly.
-        alpha_bar = conj_on_circle(s543.basis_alpha.alpha_expansion())
+        alpha_bar = conj_on_circle(LaurentPoly.from_array(s543.basis_alpha.alpha_expansion()))
         assert zero_test_sufficient(alpha_bar * L({0: 2.0}), s543, "p22")
         assert zero_test_sufficient(alpha_bar * L({0: 2.0}), s543, "p27")
 
@@ -736,3 +739,242 @@ class TestRankOne:
     def test_unknown_kind(self, s243):
         with pytest.raises(ValueError):
             rank_one(s243, 0, "other")
+
+
+class TestLargeOrderMembership:
+    """k >= dim K_alpha makes every matrix a member.  The kernel of order j
+    carries j!, so the frame columns span hundreds of decades at large k;
+    the fit must keep every real direction."""
+
+    @pytest.mark.parametrize("k", [3, 10, 20, 30])
+    def test_gaussian_accepted_and_recovered(self, k):
+        setting = CompressionSetting(B_NEAR, BETA, k)
+        g = np.random.default_rng(53)
+        U = setting.matrix(g.standard_normal((2, 3)) + 1j * g.standard_normal((2, 3)))
+        report = membership(U, setting)
+        assert report.member and report.residual <= 1e-13
+        rebuilt = build_compression(recover_symbol(report, setting), setting)
+        assert np.abs(rebuilt.entries - U.entries).max() <= 1e-12 * np.linalg.norm(U.entries)
+
+    def test_below_dimension_still_rejected(self):
+        setting = CompressionSetting(B_NEAR, BETA, 2)
+        g = np.random.default_rng(53)
+        U = setting.matrix(g.standard_normal((2, 3)) + 1j * g.standard_normal((2, 3)))
+        assert membership(U, setting).residual > 0.1
+
+    def test_derivative_order_above_170_is_numeric_error(self):
+        setting = CompressionSetting(B_NEAR, BETA, 172)
+        with pytest.raises(FloatingPointError, match="derivative order 171"):
+            membership(setting.matrix(np.zeros((2, 3))), setting)
+
+
+# -- dict oracles of the symbol-level routines ---------------------------------
+# The LaurentPoly implementations that the coefficient-array routines replaced,
+# kept as references.
+
+
+def dict_alpha(basis):
+    return LaurentPoly.from_array(basis.alpha_expansion())
+
+
+def dict_recover(report, setting):
+    ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
+    dec = report.decomposition
+    if report.variant == "t35":
+        phi = conj_on_circle(ba.reconstruct(dec.chi))
+        for j in range(k):
+            part = stretch(bb.reconstruct(dec.psis[j]), k) * factorial(j)
+            phi = phi + part.shifted(-j)
+        return phi
+    beta_k = stretch(dict_alpha(bb), k)
+    alpha_bar = conj_on_circle(dict_alpha(ba))
+    phi = beta_k * conj_on_circle(ba.reconstruct(dec.chi)) * LaurentPoly.monomial(-k)
+    for j in range(k):
+        part = stretch(bb.reconstruct(dec.psis[j]), k) * factorial(j)
+        phi = phi + alpha_bar * part.shifted(j + 1)
+    return phi
+
+
+def dict_split(phi):
+    neg = LaurentPoly({n: c for n, c in phi.items() if n <= 0})
+    pos = LaurentPoly({n: c for n, c in phi.items() if n >= 1})
+    return conj_on_circle(neg), pos
+
+
+def dict_reduced(phi, setting, shift):
+    ba, bs = setting.basis_alpha, setting.stretched_beta_basis()
+    f, g = dict_split(phi)
+    head = conj_on_circle(ba.reconstruct(ba.project(f)))
+    return head + bs.reconstruct(bs.project(g.shifted(shift))).shifted(-shift)
+
+
+def dict_canonical(phi, setting, which):
+    return dict_reduced(phi, setting, 0 if which == "first" else setting.k - 1)
+
+
+def dict_zero_test(phi, setting, which):
+    ba, bs = setting.basis_alpha, setting.stretched_beta_basis()
+    shift = 0 if which == "p22" else setting.k - 1
+    base = dict_reduced(phi, setting, shift)
+    directions = []
+    for t in range(shift + 1):
+        d = bs.reconstruct(bs.project(LaurentPoly.monomial(shift - t))).shifted(-shift)
+        directions.append(d - conj_on_circle(ba.reconstruct(ba.project(LaurentPoly.monomial(t)))))
+    ends = [n for p in (base, *directions) for n in p.support[:1] + p.support[-1:]]
+    residue = 0.0
+    if ends:
+        lo, hi = min(ends), max(ends)
+        A = np.array([d.to_array(lo, hi) for d in directions]).T
+        rhs = base.to_array(lo, hi)
+        x, *_ = np.linalg.lstsq(A, -rhs, rcond=None)
+        residue = float(np.linalg.norm(A @ x + rhs))
+    return residue <= setting.tol() * max(1.0, phi.norm())
+
+
+def dict_conjugate_symbol(phi, setting):
+    beta_k = stretch(dict_alpha(setting.basis_beta), setting.k)
+    return conj_on_circle((dict_alpha(setting.basis_alpha) * phi).shifted(setting.k - 1)) * beta_k
+
+
+def dict_rank_one_symbol(setting, l, kind):
+    if kind == "tilde_k":
+        return stretch(dict_alpha(setting.basis_beta), setting.k).shifted(-(l + setting.k)) * factorial(l)
+    return conj_on_circle(dict_alpha(setting.basis_alpha)).shifted(l + 1) * factorial(l)
+
+
+def dict_defect_from_symbol(phi, setting):
+    ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
+    chi = ba.project(conj_on_circle(phi))
+    psis = [
+        setting.shift_beta @ bb.project(decimate(phi * LaurentPoly.monomial(-(k - j)), k)) / factorial(j)
+        for j in range(k)
+    ]
+    return chi, psis
+
+
+def clipped(phi, setting):
+    """phi over the frequencies its compression reads, -T_alpha..k T_beta."""
+    lo, hi = -setting.basis_alpha.truncation_order, setting.k * setting.basis_beta.truncation_order
+    return LaurentPoly({n: c for n, c in phi.items() if lo <= n <= hi})
+
+
+FAR = L({-(10**18): 1.5, 10**18: -2j})
+
+
+class TestSymbolArrayOracle:
+    """The array routines against the dict oracles: z^N settings rebuild
+    identical matrices, the rest agree within 1e-12 of the symbol's size."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            (zn(4), zn(3), 2),
+            (zn(4), zn(3), 5),
+            (zn(3), zn(4), 3),
+            (B2, zn(3), 2),
+            (InnerFunction.blaschke([0.5, 0.5]), zn(3), 2),
+            (zn(3), InnerFunction.blaschke([0.5, 0.5]), 2),
+            (B3, BETA, 2),
+            (B2, BETA, 3),
+            # k past every window: the stretched factors are placed block by block.
+            (zn(3), zn(2), 40),
+            (InnerFunction.blaschke([0.1, -0.05]), zn(3), 60, 14),
+        ],
+        ids=[
+            "z4-z3-k2",
+            "z4-z3-k5",
+            "z3-z4-k3",
+            "B2-z3-k2",
+            "double-z3-k2",
+            "z3-double-k2",
+            "B3-B-k2",
+            "B2-B-k3",
+            "z3-z2-k40",
+            "small-z3-k60",
+        ],
+    )
+    def setting(self, request):
+        return CompressionSetting(*request.param)
+
+    def agree(self, setting, got, want):
+        if setting.exact:
+            assert np.array_equal(
+                build_compression(got, setting).entries, build_compression(want, setting).entries
+            )
+        else:
+            ends = got.support[:1] + got.support[-1:] + want.support[:1] + want.support[-1:]
+            lo, hi = min(ends), max(ends)
+            want = want.to_array(lo, hi)
+            scale = max(1.0, np.abs(want).max())  # l! reaches 1e260; its square overflows
+            assert np.abs(got.to_array(lo, hi) - want).max() <= 1e-12 * scale
+
+    def symbols(self, setting, count=4):
+        rng = np.random.default_rng(59)
+        return [random_laurent(rng, -8, 14, terms=7) for _ in range(count)]
+
+    @pytest.mark.parametrize("variant", ["t35", "c38"])
+    def test_recover(self, setting, variant):
+        rng = np.random.default_rng(61)
+        n, m = setting.basis_beta.dim, setting.basis_alpha.dim
+        inputs = [build_compression(phi, setting) for phi in self.symbols(setting)]
+        # Universal: a Gaussian matrix is a member too.  Its psi_j fall like
+        # 1/j!, and past k = 10 the oracle drops them below COEFF_DROP before
+        # scaling them by j!, so it is only a reference below that.
+        if m <= setting.k <= 10:
+            inputs.append(setting.matrix(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))))
+        for U in inputs:
+            report = membership(U, setting, variant)
+            assert report.member
+            self.agree(setting, recover_symbol(report, setting), dict_recover(report, setting))
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_canonical(self, setting, which):
+        for phi in self.symbols(setting):
+            got = canonical_symbol(phi, setting, which)
+            self.agree(setting, got, dict_canonical(phi, setting, which))
+            assert canonical_symbol(phi + FAR, setting, which) == got
+
+    @pytest.mark.parametrize("which", ["p22", "p27"])
+    def test_zero_test(self, setting, which):
+        shift = 0 if which == "p22" else setting.k - 1
+        rng = np.random.default_rng(67)
+        alpha_bar = conj_on_circle(dict_alpha(setting.basis_alpha))
+        beta_k = stretch(dict_alpha(setting.basis_beta), setting.k)
+        zero = alpha_bar * random_laurent(rng, -3, 0, terms=3) + (beta_k * random_laurent(rng, 0, 3, terms=3)).shifted(-shift)
+        for phi in [zero, *self.symbols(setting), L({setting.k * setting.basis_beta.dim: 1.0})]:
+            verdict = zero_test_sufficient(phi, setting, which)
+            assert verdict == dict_zero_test(phi, setting, which)
+            assert zero_test_sufficient(phi + FAR, setting, which) == verdict
+        assert zero_test_sufficient(zero, setting, which)
+
+    def test_conjugate_symbol(self, setting):
+        for phi in self.symbols(setting):
+            got = conjugate_symbol(phi, setting)
+            # Only phi over -T_alpha..k T_beta is read, so the symbol is that
+            # of the clipped phi, and its compression that of the full phi's.
+            self.agree(setting, got, dict_conjugate_symbol(clipped(phi, setting), setting))
+            full = dict_conjugate_symbol(phi, setting)
+            diff = build_compression(got, setting).entries - build_compression(full, setting).entries
+            assert np.abs(diff).max() <= (0.0 if setting.exact else 1e-10 * max(1.0, full.norm()))
+            self.agree(setting, conjugate_symbol(phi + FAR, setting), got)
+
+    @pytest.mark.parametrize("kind", ["tilde_k", "k_tilde"])
+    def test_rank_one(self, setting, kind):
+        for l in range(setting.k):
+            self.agree(setting, rank_one(setting, l, kind)[1], dict_rank_one_symbol(setting, l, kind))
+
+    def test_defect_from_symbol(self, setting):
+        for phi in self.symbols(setting):
+            dec = defect_from_symbol(phi, setting)
+            chi, psis = dict_defect_from_symbol(phi, setting)
+            tol = 0.0 if setting.exact else 1e-12 * max(1.0, phi.norm())
+            # psi_j past the alpha row length meets a zero kernel and is set to 0.
+            used = min(setting.k, setting.basis_alpha.rows.shape[1])
+            assert np.abs(dec.chi - chi).max() <= tol
+            assert np.abs(np.array(dec.psis[:used]) - np.array(psis[:used])).max() <= tol
+            assert not np.array(dec.psis[used:]).any()
+            oracle = DefectDecomposition(chi=chi, psis=psis, variant="t35")
+            diff = assemble_defect(dec, setting) - assemble_defect(oracle, setting)
+            assert np.abs(diff).max() <= 10 * tol
+            far = defect_from_symbol(phi + FAR, setting)
+            assert np.array_equal(far.chi, dec.chi) and np.array_equal(np.array(far.psis), np.array(dec.psis))
