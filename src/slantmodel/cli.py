@@ -17,6 +17,8 @@ import numpy as np
 from .laurent import LaurentPoly
 from .model_space import InnerFunction, ModelSpaceBasis, TruncationError, default_truncation
 from .operators import (
+    DEFAULT_MEMBERSHIP_TOL,
+    VARIANTS,
     CompressionSetting,
     NonMemberError,
     OperatorMatrix,
@@ -74,6 +76,14 @@ def _parse_matrix(text: str, setting: CompressionSetting) -> OperatorMatrix:
         return setting.matrix(entries)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"invalid matrix: {exc}") from exc
+
+
+def _membership(args, setting: CompressionSetting):
+    U = _parse_matrix(args.matrix, setting)
+    try:
+        return membership(U, setting, args.variant, args.tol)
+    except ValueError as exc:  # only the tolerance is left: argparse checked the variant
+        raise UsageError(str(exc)) from exc
 
 
 def _setting(args) -> CompressionSetting:
@@ -147,14 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("membership", help="test a matrix for compression structure")
     _add_common(p)
     p.add_argument("--matrix", required=True, help="matrix JSON, inline or file")
-    p.add_argument("--variant", choices=("t35", "c38", "c310a", "c310b"), default="t35")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--variant", choices=VARIANTS, default="t35")
+    p.add_argument("--tol", type=float, default=DEFAULT_MEMBERSHIP_TOL)
 
     p = sub.add_parser("recover", help="recover a symbol from a member matrix")
     _add_common(p)
     p.add_argument("--matrix", required=True)
-    p.add_argument("--variant", choices=("t35", "c38", "c310a", "c310b"), default="t35")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--variant", choices=VARIANTS, default="t35")
+    p.add_argument("--tol", type=float, default=DEFAULT_MEMBERSHIP_TOL)
 
     p = sub.add_parser("canonical", help="equivalent symbol from the canonical subspace")
     _add_common(p)
@@ -196,6 +206,8 @@ def _run(args) -> int:
     if cmd == "verify":
         if args.trials < 1:
             raise UsageError("trials must be >= 1")
+        if args.seed < 0:
+            raise UsageError("seed must be >= 0")
         report = run_suite(SuiteConfig(args.seed, args.trials, inject_failure=args.inject_failure))
         print(report.to_json_text() if args.format == "json" else report.to_text())
         return EXIT_OK if report.all_passed else EXIT_NEGATIVE
@@ -229,10 +241,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if cmd == "membership":
-        if not args.tol > 0:
-            raise UsageError("tolerance must be positive")
-        U = _parse_matrix(args.matrix, setting)
-        report = membership(U, setting, args.variant, args.tol)
+        report = _membership(args, setting)
         _emit(
             report.to_json(),
             args.format,
@@ -241,10 +250,7 @@ def _run(args) -> int:
         return EXIT_OK if report.member else EXIT_NEGATIVE
 
     if cmd == "recover":
-        if not args.tol > 0:
-            raise UsageError("tolerance must be positive")
-        U = _parse_matrix(args.matrix, setting)
-        report = membership(U, setting, args.variant, args.tol)
+        report = _membership(args, setting)
         if not report.member:
             print(
                 f"not a member: residual {report.residual:.3e} exceeds tolerance "
@@ -317,6 +323,7 @@ def main(argv=None) -> int:
         NonMemberError,
         ZeroDivisionError,
         FloatingPointError,
+        OverflowError,
         RuntimeError,
         np.linalg.LinAlgError,
     ) as exc:

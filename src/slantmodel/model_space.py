@@ -28,7 +28,7 @@ TAIL_BOUND_LIMIT = 1e-12
 MAX_TRUNCATION = 1 << 20
 # Largest basis array, dim x (T + 1) entries: 2^24 complex numbers (256 MB).
 MAX_ENTRIES = 1 << 24
-# Largest derivative order n of a kernel or a symbol part: 171! overflows a double.
+# Largest derivative order n of a kernel or a rank-one symbol: 171! overflows a double.
 MAX_DERIVATIVE_ORDER = 170
 
 

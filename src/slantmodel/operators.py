@@ -81,8 +81,11 @@ class OperatorMatrix:
 @dataclass
 class DefectDecomposition:
     """Right-hand side of the defect identity, F chi^H + sum_j psi_j G_j^H:
-    one chi in K_alpha and psi_0..psi_{k-1} in K_beta.  Fits from
-    `membership` have every psi_j orthogonal to the K_beta frame vector F."""
+    one chi in K_alpha and psi_j in K_beta for j < min(k, T_alpha + 1), the
+    parts against the Taylor-coefficient frame G_j of `_frames` (j! times
+    the parts against the derivative kernels); every later G_j is zero, so
+    its part is 0.  Fits from `membership` have every psi_j orthogonal to
+    the K_beta frame vector F."""
 
     chi: np.ndarray
     psis: list
@@ -146,24 +149,12 @@ class CompressionSetting:
         self.shift_alpha, self.shift_alpha_adj = self.basis_alpha.compressed_shift()
         self.shift_beta, self.shift_beta_adj = self.basis_beta.compressed_shift()
         self._stretched_beta_basis = None
-        self._frames = {}
 
     def stretched_beta_basis(self) -> ModelSpaceBasis:
         """Basis of the model space of beta(z^k), stretched from beta's."""
         if self._stretched_beta_basis is None:
             self._stretched_beta_basis = self.basis_beta.stretched(self.k)
         return self._stretched_beta_basis
-
-    def frames(self, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The frame vector in K_beta, the matrix G whose column j is the frame
-        vector of order j in K_alpha, and for each column the power of two
-        just above its largest modulus (1 for a zero column); computed once
-        per variant."""
-        if variant not in self._frames:
-            F, Gs = _frames(self, variant)
-            G = np.array(Gs).T
-            self._frames[variant] = F, G, np.ldexp(1.0, np.frexp(np.abs(G).max(axis=0))[1])
-        return self._frames[variant]
 
     @property
     def exact(self) -> bool:
@@ -242,16 +233,9 @@ def _head(coords: np.ndarray, basis: ModelSpaceBasis) -> tuple[np.ndarray, int]:
 
 
 def _used(setting: CompressionSetting) -> int:
-    """How many psi_j count: psi_j only meets the frame through the kernel of
-    order j in K_alpha, which vanishes past the alpha row length."""
+    """How many psi_j count: psi_j only meets the frame through the Taylor
+    coefficient of order j in K_alpha, which vanishes past the alpha row length."""
     return min(setting.k, setting.basis_alpha.rows.shape[1])
-
-
-def _stretched_parts(dec: "DefectDecomposition", setting: CompressionSetting) -> np.ndarray:
-    """Row n, column j < _used: j! times the n-th Taylor coefficient of psi_j."""
-    used = _used(setting)
-    scale = np.array([derivative_scale(j) for j in range(used)])
-    return (np.array(dec.psis[:used]) @ setting.basis_beta.rows).T * scale
 
 
 def _reduced(phi: LaurentPoly, setting: CompressionSetting, shift: int) -> tuple[np.ndarray, int]:
@@ -317,25 +301,26 @@ def defect(U: OperatorMatrix, setting: CompressionSetting, variant: str = "t35")
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _frames(setting: CompressionSetting, variant: str):
-    """Per-variant frame vectors: one in K_beta, k of them in K_alpha."""
-    ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
-    k0b = bb.kernel(0, 0)
-    kernels_a = [ba.kernel(0, j) for j in range(k)]
-    if variant == "t35":
-        return k0b, kernels_a
-    if variant == "c38":
-        return bb.conjugate_vector(k0b), [ba.conjugate_vector(g) for g in kernels_a]
-    if variant == "c310a":
-        return bb.conjugate_vector(k0b), kernels_a
-    if variant == "c310b":
-        return k0b, [ba.conjugate_vector(g) for g in kernels_a]
-    raise ValueError(f"unknown variant {variant!r}")
+def _frames(setting: CompressionSetting, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """The variant's frame vector F in K_beta and the dim K_alpha x _used
+    matrix G in K_alpha.  Before the conjugations, F = conj(rows_beta[:, 0])
+    is the kernel at 0 and column j of G, conj(rows_alpha[:, j]), represents
+    f -> f^(j)(0) / j!: the derivative kernel of order j over j!."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    ba, bb = setting.basis_alpha, setting.basis_beta
+    F = bb.rows[:, 0].conj()
+    G = ba.rows[:, : _used(setting)].conj()
+    if variant in ("c38", "c310a"):
+        F = bb.conjugate_vector(F)
+    if variant in ("c38", "c310b"):
+        G = ba.conjugation_matrix() @ G.conj()
+    return F, G
 
 
 def assemble_defect(dec: DefectDecomposition, setting: CompressionSetting) -> np.ndarray:
     """Matrix of frame_beta (x) chi + sum_j psi_j (x) frame_alpha_j."""
-    F, G, _ = setting.frames(dec.variant)
+    F, G = _frames(setting, dec.variant)
     out = np.outer(F, dec.chi.conjugate())
     for psi, g in zip(dec.psis, G.T):
         out = out + np.outer(psi, g.conjugate())
@@ -344,10 +329,8 @@ def assemble_defect(dec: DefectDecomposition, setting: CompressionSetting) -> np
 
 def defect_from_symbol(phi: LaurentPoly, setting: CompressionSetting) -> DefectDecomposition:
     """Closed-form decomposition of the defect of a symbol-built compression:
-    chi = P_alpha conj(phi) and psi_j = S_beta P_beta W_k(z^(j-k) phi) / j!
-    for j < _used, from phi over frequencies -T_alpha..k (T_beta + 1).  The
-    psi_j past _used meet only zero frame vectors; they are set to 0, as the
-    minimum-norm membership fit sets them."""
+    chi = P_alpha conj(phi) and psi_j = S_beta P_beta W_k(z^(j-k) phi) for
+    j < _used, from phi over frequencies -T_alpha..k (T_beta + 1)."""
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
     ta, tb = ba.truncation_order, bb.truncation_order
     chi = ba.rows.conj() @ phi.to_array(-ta, 0)[::-1].conj()
@@ -360,9 +343,7 @@ def defect_from_symbol(phi: LaurentPoly, setting: CompressionSetting) -> DefectD
         if j < used and -tb - 1 <= n <= -1:
             decimated[-n - 1, j] = c
     projected = setting.shift_beta @ (bb.rows.conj() @ decimated)
-    psis = [projected[:, j] / derivative_scale(j) for j in range(used)]
-    psis += list(np.zeros((k - used, bb.dim), dtype=complex))
-    return DefectDecomposition(chi=chi, psis=psis, variant="t35")
+    return DefectDecomposition(chi=chi, psis=list(projected.T), variant="t35")
 
 
 # -- membership ------------------------------------------------------------
@@ -376,30 +357,22 @@ def membership(
 ) -> MembershipReport:
     """Best fit of the defect D by F chi^H + Psi G^H, in closed form.
 
-    F is the variant's frame vector in K_beta and G the m x k matrix of its
-    frame in K_alpha.  chi = D^H F / ||F||^2 takes the P_F D part, and Psi
-    solves the m x k least-squares problem G Psi^H = R^H for the remainder
-    R = (I - P_F) D, so F^H Psi = 0 and the residual is
+    F is the variant's frame vector in K_beta and G the dim K_alpha x
+    min(k, T_alpha + 1) matrix of its frame in K_alpha (`_frames`).  chi = D^H F / ||F||^2 takes
+    the P_F D part, and Psi solves the least-squares problem G Psi^H = R^H
+    for the remainder R = (I - P_F) D, so F^H Psi = 0 and the residual is
     ||(I - P_F) D (I - P_G)||_F.  The matrix is a member when the residual
-    is at most tol * max(1, ||D||_F).
+    is at most tol * max(1, ||D||_F), for a finite tol > 0.
     """
-    if not tol > 0:  # also rejects NaN
-        raise ValueError("tolerance must be positive")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    if not 0 < tol < np.inf:  # also rejects NaN
+        raise ValueError("tolerance must be positive and finite")
+    F, G = _frames(setting, variant)
     D = defect(U, setting, variant)
-    F, G, scale = setting.frames(variant)
     chi = D.conj().T @ F / np.vdot(F, F).real
     R = D - np.outer(F, chi.conjugate())
-    # The kernel of order j carries j!, so the column norms of G span hundreds
-    # of decades at large k.  Each column is divided by its scale, a power of
-    # two, which rounds nothing, so that rcond drops no real direction.
-    # Kernels past dim K_alpha vanish, so G may have zero columns; lstsq
-    # returns the minimum-norm Psi, with psi_j = 0 there.
-    G = G / scale
     Y, *_ = np.linalg.lstsq(G, R.conj().T, rcond=None)
     residual = float(np.linalg.norm(R - (G @ Y).conj().T))
-    psis = list((Y / scale[:, None]).conjugate())
+    psis = list(Y.conjugate())
     effective = tol * max(1.0, float(np.linalg.norm(D)))
     return MembershipReport(
         member=residual <= effective,
@@ -437,10 +410,10 @@ def recover_symbol(report: MembershipReport, setting: CompressionSetting) -> Lau
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
     dec = report.decomposition
     head = _head(dec.chi, ba)
-    parts = _stretched_parts(dec, setting)
+    parts = (np.array(dec.psis) @ bb.rows).T  # row n, column j: coefficient n of psi_j
     used = parts.shape[1]
     if variant == "t35":
-        # conj(chi) + sum_j j! psi_j(z^k) z^-j.  The fit leaves every psi_j
+        # conj(chi) + sum_j psi_j(z^k) z^-j.  The fit leaves every psi_j
         # orthogonal to k_0^beta, i.e. psi_j(0) = 0.  Block n holds frequencies
         # k n - used + 1..k n, and frequency k n - j sits at used n + used - 1 - j.
         # With used < k, used is the alpha row length and head is block 0.
@@ -448,7 +421,7 @@ def recover_symbol(report: MembershipReport, setting: CompressionSetting) -> Lau
         return _place(*_sum(head, tail), used, k, 1 - used)
 
     # Adjoint-form decomposition: beta(z^k) conj(chi) z^-k + conj(alpha)
-    # sum_j j! psi_j(z^k) z^(j + 1).  Block n holds frequencies
+    # sum_j psi_j(z^k) z^(j + 1).  Block n holds frequencies
     # k n + 2 - len(ea)..k n + used, and frequency k n + j + 1 of the sum sits
     # at s n + j from 1.
     ea, eb = ba.alpha_expansion(), bb.alpha_expansion()

@@ -456,8 +456,8 @@ def _prop_recovery_orthogonality(rng, ctx):
     ba, bb, k = ctx.setting.basis_alpha, ctx.setting.basis_beta, ctx.k
     dec = report.decomposition
     parts = [conj_on_circle(ba.reconstruct(dec.chi))]
-    for j in range(k):
-        parts.append((stretch(bb.reconstruct(dec.psis[j]), k) * factorial(j)).shifted(-j))
+    for j, psi in enumerate(dec.psis):
+        parts.append(stretch(bb.reconstruct(psi), k).shifted(-j))
     res = 0.0
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):

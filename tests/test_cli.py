@@ -229,6 +229,10 @@ class TestVerifyInfo:
         assert any(r["name"] == "injected_broken_property" and r["fails"] for r in rows)
         assert all(r["fails"] == 0 for r in rows if r["name"] != "injected_broken_property")
 
+    def test_verify_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["verify", "--seed", "-1", "--trials", "1"])
+        assert code == 2 and "seed" in err and not out
+
     def test_info_monomial(self, capsys):
         code, out, _ = run(capsys, ["info", "--alpha", "z^4"])
         assert code == 0
@@ -342,21 +346,40 @@ class TestErrors:
         assert time.perf_counter() - start < 0.5
 
     NEAR = '{"zeros": [0.95, -0.3]}'
-    ZERO_3X2 = json.dumps({"rows": 3, "cols": 2, "data": [[0.0, 0.0]] * 6})
+    MATRIX_3X2 = json.dumps({"rows": 3, "cols": 2, "data": [[1, 0], [0, 1], [2, -1], [0.5, 0.25], [-1, 0], [0, -3]]})
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["membership", "--k", "200", "--alpha", NEAR, "--beta", "z^3", "--matrix", ZERO_3X2],
-            ["recover", "--k", "200", "--alpha", NEAR, "--beta", "z^3", "--matrix", ZERO_3X2],
             ["rankone", "--k", "200", "--l", "180", "--alpha", NEAR, "--beta", "z^3"],
             ["rankone", "--k", "200", "--l", "180", "--alpha", "z^3", "--beta", "z^3"],
         ],
-        ids=["membership", "recover", "rankone", "rankone-monomial"],
+        ids=["rankone", "rankone-monomial"],
     )
     def test_derivative_order_above_170_is_numeric_error(self, capsys, argv):
         code, _, err = run(capsys, argv)
         assert code == 3 and "derivative order" in err
+
+    @pytest.mark.parametrize("k", ["200", "100000000", "99999999999999999999"])
+    @pytest.mark.parametrize("command", ["membership", "recover"])
+    def test_large_order_membership_is_prompt(self, capsys, command, k):
+        # k >= dim K_alpha: every matrix is a member, and the fit keeps only
+        # the T_alpha + 1 = 598 parts whose frame vectors are nonzero.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, [command, "--k", k, "--alpha", self.NEAR, "--beta", "z^3", "--matrix", self.MATRIX_3X2])
+        assert code == 0
+        assert time.perf_counter() - start < 1.0
+        obj = json.loads(out)
+        if command == "membership":
+            assert obj["member"] and len(obj["psis"]) == min(int(k), 598)
+        else:
+            assert obj["coeffs"]
+
+    @pytest.mark.parametrize("command", ["build", "conjugate"])
+    def test_order_past_int64_is_numeric_error(self, capsys, command):
+        argv = [command, "--k", "99999999999999999999", "--alpha", "z^4", "--beta", "z^3", "--symbol", SYM_WORKED]
+        code, _, err = run(capsys, argv)
+        assert code == 3 and "numeric" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -383,6 +406,8 @@ class TestErrors:
     NAN_ZERO = '{"type": "blaschke", "zeros": [{"re": NaN, "im": 0}]}'
     NAN_MATRIX = json.dumps({"rows": 3, "cols": 4, "data": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 11})
     MEMBER = json.dumps({"rows": 3, "cols": 4, "data": [[0.0, 0.0]] * 12})
+    # With tol = inf, recover printed a symbol whose compression is another matrix.
+    NON_MEMBER = json.dumps({"rows": 3, "cols": 4, "data": [[1.0, 0.0]] + [[0.0, 0.0]] * 10 + [[0.0, 3.0]]})
 
     @pytest.mark.parametrize(
         "argv",
@@ -392,15 +417,28 @@ class TestErrors:
             ["membership", *COMMON, "--matrix", NAN_MATRIX],
             ["membership", *COMMON, "--matrix", MEMBER, "--tol", "nan"],
             ["recover", *COMMON, "--matrix", MEMBER, "--tol", "nan"],
+            ["membership", *COMMON, "--matrix", NON_MEMBER, "--tol", "inf"],
+            ["recover", *COMMON, "--matrix", NON_MEMBER, "--tol", "inf"],
             ["build", *COMMON, "--symbol", '{"coeffs": [{"n": 1, "re": 1%s}]}' % ("0" * 400)],
             ["build", "--k", "2", "--alpha", '{"zeros": [1%s]}' % ("0" * 400), "--beta", "z^3", "--symbol", SYM_WORKED],
             ["membership", *COMMON, "--matrix", MEMBER.replace("0.0", "1" + "0" * 400, 1)],
         ],
-        ids=["nan-symbol", "nan-zero", "nan-matrix", "nan-tol", "nan-tol-recover", "huge-symbol", "huge-zero", "huge-matrix"],
+        ids=[
+            "nan-symbol",
+            "nan-zero",
+            "nan-matrix",
+            "nan-tol",
+            "nan-tol-recover",
+            "inf-tol",
+            "inf-tol-recover",
+            "huge-symbol",
+            "huge-zero",
+            "huge-matrix",
+        ],
     )
     def test_nonfinite_input_is_usage_error(self, capsys, argv):
-        code, _, err = run(capsys, argv)
-        assert code == 2 and "error" in err
+        code, out, err = run(capsys, argv)
+        assert code == 2 and "error" in err and not out
 
     @pytest.mark.parametrize("exc", [RuntimeError("backend accuracy"), np.linalg.LinAlgError("SVD did not converge")])
     def test_numeric_failures_exit_three(self, capsys, monkeypatch, exc):
