@@ -30,6 +30,12 @@ MAX_TRUNCATION = 1 << 20
 MAX_ENTRIES = 1 << 24
 # Largest derivative order n of a kernel or a rank-one symbol: 171! overflows a double.
 MAX_DERIVATIVE_ORDER = 170
+# Largest order k of a compression: int64's largest value.
+MAX_ORDER = (1 << 63) - 1
+# Entries of the shorter factor per contraction step of _compress (16 KB):
+# the overlapping windows take numpy's non-BLAS matmul loop, which rereads
+# that slice for every window and slows fourfold once it leaves L1.
+CONTRACTION_BLOCK = 1 << 10
 
 
 class TruncationError(Exception):
@@ -178,12 +184,50 @@ def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray
     the span of the src rows into that of the orthonormal dst rows.
 
     phi holds the coefficients of frequencies lo, lo + 1, ...; the rows hold
-    Taylor coefficients from frequency 0.
+    Taylor coefficients from frequency 0.  Only the kept frequencies k n,
+    n <= T_dst, of each product phi src_j are formed: the one at index
+    q = k n - lo of the product is the window longer[q - w + 1 .. q] of the
+    longer factor against the shorter one reversed, w its length.  The
+    windows are strided views read at stride k, so the work is
+    (T_dst + 1) w dim_src and nothing of that size is stored; a window cut by
+    an end of the longer factor reads a zero-padded copy of that end, under
+    2 w entries per row at any k.  Frequencies are Python ints.
     """
-    prod = np.array([np.convolve(phi, row) for row in src])  # frequencies lo, lo + 1, ...
-    idx = k * np.arange(dst.shape[1]) - lo
-    keep = (idx >= 0) & (idx < prod.shape[1])
-    return dst[:, keep].conj() @ prod[:, idx[keep]].T
+    if k > MAX_ORDER:
+        raise OverflowError(f"order k = {k} is past int64, the limit of the compression's frequency arithmetic")
+    longer, shorter = (phi[None], src) if len(phi) >= src.shape[1] else (src, phi[None])
+    longer = np.ascontiguousarray(longer, dtype=complex)
+    nl, w = longer.shape[1], shorter.shape[1]
+    rev = np.ascontiguousarray(shorter[:, ::-1].T)
+    block = max(1, CONTRACTION_BLOCK // len(shorter))
+    # Kept: 0 <= q <= nl + w - 2.  Windows n0..n1 - 1 are cut at the front
+    # (q < w - 1), n2..n3 - 1 at the back (q > nl - 1).
+    n0 = max(0, -(-lo // k))
+    n3 = min(dst.shape[1], (nl + w - 2 + lo) // k + 1)
+    if n0 >= n3:
+        return np.zeros((dst.shape[0], src.shape[0]), dtype=complex)
+    n1 = min(max(n0, (w - 2 + lo) // k + 1), n3)
+    n2 = min(max(n1, (nl - 1 + lo) // k + 1), n3)
+    parts = []
+    for start, stop in ((n0, n1), (n1, n2), (n2, n3)):
+        if start == stop:
+            continue
+        lead, last = k * start - lo - w + 1, k * (stop - 1) - lo  # the indices the windows span
+        base = longer
+        if lead < 0 or last >= nl:
+            base = np.zeros((len(longer), last - lead + 1), dtype=complex)
+            base[:, max(-lead, 0) : nl - lead] = longer[:, max(lead, 0) : last + 1]
+            lead = 0
+        count, size = stop - start, base.itemsize
+        # One window needs no stride, and k * size may pass int64.
+        strides = (base.strides[0], k * size if count > 1 else 0, size)
+        windows = np.ndarray((len(base), count, w), complex, base, lead * size, strides)
+        part = windows[..., :block] @ rev[:block]
+        for t in range(block, w, block):
+            part += windows[..., t : t + block] @ rev[t : t + block]
+        parts.append(part)
+    kept = np.concatenate(parts, axis=1)  # (rows of longer, n, rows of shorter)
+    return dst[:, n0:n3].conj() @ kept.transpose(1, 0, 2).reshape(n3 - n0, -1)
 
 
 _ONE = np.ones(1, dtype=complex)

@@ -52,6 +52,15 @@ class TestBuild:
         expected = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], dtype=complex)
         assert np.array_equal(got, expected)
 
+    def test_order_near_int64_keeps_only_frequency_zero(self, capsys):
+        # 4 k passes 2^63; in int64 it wrapped around to 4 and put z^4 in row 4.
+        argv = ["build", "--k", "4611686018427387905", "--alpha", "z^1", "--beta", "z^5", "--symbol", sym({4: 1, 1: 1})]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["rows"], obj["cols"]) == (5, 1)
+        assert all(re == 0 and im == 0 for re, im in obj["data"])
+
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, ["build", *COMMON, "--symbol", SYM_WORKED, "--format", "text"])
         assert code == 0

@@ -4,11 +4,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slantmodel.laurent import LaurentPoly, decimate
 from slantmodel.model_space import (
+    CONTRACTION_BLOCK,
     InnerFunction,
     ModelSpaceBasis,
+    MAX_ORDER,
     MAX_TRUNCATION,
     TruncationError,
     _compress,
@@ -461,6 +465,98 @@ class TestConjugationOracle:
     def test_monomial_is_the_flip(self, degree):
         C = ModelSpaceBasis.build(InnerFunction.monomial(degree)).conjugation_matrix()
         assert np.array_equal(C, np.eye(degree)[::-1])
+
+
+def full_convolution_compress(phi, lo, src, k, dst):
+    """Reference for _compress: the whole product phi src_j, read at the
+    kept frequencies k n afterwards."""
+    prod = np.array([np.convolve(phi, row) for row in src])  # frequencies lo, lo + 1, ...
+    idx = k * np.arange(dst.shape[1]) - lo
+    keep = (idx >= 0) & (idx < prod.shape[1])
+    return dst[:, keep].conj() @ prod[:, idx[keep]].T
+
+
+def assert_matches_full_convolution(phi, lo, src, k, dst):
+    got = _compress(phi, lo, src, k, dst)
+    want = full_convolution_compress(phi, lo, src, k, dst)
+    assert got.shape == want.shape == (dst.shape[0], src.shape[0])
+    width = min(len(phi), src.shape[1])
+    scale = np.abs(phi).max() * np.abs(src).max() * np.abs(dst).max() * width
+    assert np.abs(got - want).max() <= 1e-14 * scale
+
+
+class TestKeptFrequencyCompression:
+    """_compress forms only the kept coefficients k n of each product, from
+    strided windows of the longer factor; the full convolution is the oracle."""
+
+    @pytest.mark.parametrize("t_dst", [3, 12], ids=["dst-shorter", "dst-longer"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 40])
+    @pytest.mark.parametrize("lo", [-6, 0, 5])
+    @pytest.mark.parametrize("phi_len", [1, 3, 8, 20], ids=["phi-one", "phi-short", "phi-equal", "phi-long"])
+    def test_grid(self, phi_len, lo, k, t_dst):
+        # The source rows have 8 coefficients; k = 40 is past them.
+        rng = np.random.default_rng(phi_len * 1000 + lo * 100 + k * 10 + t_dst)
+        phi, src, dst = random_coords(rng, phi_len), random_coords(rng, (3, 8)), random_coords(rng, (2, t_dst + 1))
+        assert_matches_full_convolution(phi, lo, src, k, dst)
+
+    @given(
+        st.integers(1, 24),
+        st.integers(-30, 30),
+        st.integers(1, 4),
+        st.integers(1, 16),
+        st.sampled_from([1, 2, 3, 5, 17, 40, 10**6]),
+        st.integers(1, 3),
+        st.integers(1, 20),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_shapes(self, phi_len, lo, dim_src, src_len, k, dim_dst, dst_len, reversed_rows, seed):
+        rng = np.random.default_rng(seed)
+        src = random_coords(rng, (dim_src, src_len))
+        if reversed_rows:  # a negatively strided view, as the mirror-Gram oracle passes
+            src = src[:, ::-1]
+        assert_matches_full_convolution(random_coords(rng, phi_len), lo, src, k, random_coords(rng, (dim_dst, dst_len)))
+
+    @pytest.mark.parametrize("lo", [0, 1], ids=["gram", "shift"])
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            InnerFunction.monomial(1),
+            InnerFunction.monomial(4),
+            InnerFunction.blaschke([0.5, -0.3]),
+            InnerFunction.blaschke([0.95, -0.3, 0.2j]),
+        ],
+        ids=["z1", "z4", "B2", "B95"],
+    )
+    def test_one_entry_symbol(self, inner, lo):
+        rows = ModelSpaceBasis.build(inner).rows
+        assert_matches_full_convolution(np.ones(1), lo, rows, 1, rows)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("src", [4, 3, "B2"])
+    def test_verify_suite_shapes(self, rng, src, k):
+        # The property suite's spaces: z^4, z^3 and B[0.5, -0.3] into z^3,
+        # with symbols clipped to -T_src..k T_dst.
+        inner = InnerFunction.blaschke([0.5, -0.3]) if src == "B2" else InnerFunction.monomial(src)
+        src_rows, dst_rows = ModelSpaceBasis.build(inner).rows, np.eye(3, dtype=complex)
+        for lo in range(1 - src_rows.shape[1], 3):
+            phi = random_coords(rng, 2 * k + 1 - lo)
+            assert_matches_full_convolution(phi, lo, src_rows, k, dst_rows)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    @pytest.mark.parametrize("phi_len, src_shape", [(2000, (3, 700)), (1100, (2, 1500))], ids=["rows", "phi"])
+    def test_contraction_in_blocks(self, rng, phi_len, src_shape, k):
+        # The shorter factor (the rows, then phi) spans several contraction blocks.
+        phi, src = random_coords(rng, phi_len), random_coords(rng, src_shape)
+        shorter = src if src_shape[1] <= phi_len else phi[None]
+        assert shorter.shape[1] > CONTRACTION_BLOCK // len(shorter)
+        assert_matches_full_convolution(phi, -300, src, k, random_coords(rng, (2, 60)))
+
+    def test_past_int64_is_numeric_error(self):
+        rows = np.eye(4, dtype=complex)
+        with pytest.raises(OverflowError, match="int64"):
+            _compress(np.ones(1), 1, rows, MAX_ORDER + 1, rows[:3])
 
 
 class TestStretchedBasis:
