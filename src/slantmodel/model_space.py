@@ -96,8 +96,7 @@ class InnerFunction:
 
     def stretched(self, k: int) -> "InnerFunction":
         """The inner function z -> alpha(z^k): each zero w becomes the k k-th roots of w."""
-        k = int(k)
-        if k < 1:
+        if strict_int(k, "order k") < 1:
             raise ValueError(f"order must be >= 1, got {k}")
         roots = []
         for w in self.zeros:
@@ -147,11 +146,6 @@ def _checked(order: int) -> int:
     if not 0 <= order <= MAX_TRUNCATION:
         raise TruncationError(f"truncation order {order} is outside 0..{MAX_TRUNCATION}")
     return order
-
-
-def _check_size(dim: int, order: int) -> None:
-    if dim * (order + 1) > MAX_ENTRIES:
-        raise TruncationError(f"a {dim} x {order + 1} basis array is above the cap of {MAX_ENTRIES} entries")
 
 
 def default_truncation(inner: InnerFunction) -> int:
@@ -236,8 +230,7 @@ _ONE = np.ones(1, dtype=complex)
 class ModelSpaceBasis:
     """Orthonormal basis of a model space, stored as a dim x (T + 1) array of
     Taylor coefficients: the Takenaka-Malmquist rows truncated at a certified
-    order T, the identity rows when every zero is at the origin, or the rows
-    of another basis stretched to the model space of its alpha(z^k).
+    order T, or the identity rows when every zero is at the origin.
     """
 
     def __init__(
@@ -275,8 +268,9 @@ class ModelSpaceBasis:
         The tail certificate is the largest l2 norm over the rows of the FFT
         coefficients T+1..M-1 they drop.  Orders outside 0..MAX_TRUNCATION, and
         arrays above MAX_ENTRIES, are refused before anything is sampled."""
-        order = default_truncation(inner) if truncation is None else _checked(int(truncation))
-        _check_size(inner.degree, order)
+        order = default_truncation(inner) if truncation is None else _checked(strict_int(truncation, "truncation"))
+        if inner.degree * (order + 1) > MAX_ENTRIES:
+            raise TruncationError(f"a {inner.degree} x {order + 1} basis array is above the cap of {MAX_ENTRIES} entries")
         if not any(inner.zeros):
             rows = np.eye(inner.degree, dtype=complex)
             mirror, tail = rows[::-1], 0.0
@@ -293,23 +287,14 @@ class ModelSpaceBasis:
             raise TruncationError(f"basis Gram matrix deviates from identity by {gram_error:.3e}")
         return cls(inner, rows, inner.constant * rows.conj() @ mirror.T, tail, gram_error)
 
-    def stretched(self, k: int) -> "ModelSpaceBasis":
-        """The basis of the model space of alpha(z^k), from this one.
-
-        H^2 is the orthogonal sum of z^j H^2(z^k) over j < k, so the space is
-        the orthogonal sum of z^j K_alpha(z^k): row i k + j is z^j e_i(z^k),
-        row i with its coefficients placed at frequencies j, j + k, ...  And
-        C(z^j e_i(z^k)) = z^(k-1-j) (C e_i)(z^k), so the conjugation matrix is
-        kron(C, flipped identity).  The tail and the Gram error are this
-        basis's; nothing is sampled."""
-        _check_size(self.dim * k, k * self.rows.shape[1] - 1)
-        return ModelSpaceBasis(
-            self.inner.stretched(k),
-            np.kron(self.rows, np.eye(k)),
-            np.kron(self._conjugation, np.eye(k)[::-1]),
-            self.tail_bound,
-            self.gram_error,
-        )
+    def stretched_projection(self, coeffs: np.ndarray, k: int) -> np.ndarray:
+        """Taylor coefficients of the projection onto the model space of
+        alpha(z^k) of f with coefficients 0..k (T + 1) - 1.  That space is the
+        orthogonal sum of z^j K_alpha(z^k) over j < k, so column j of the
+        (T + 1) x k array of f, frequencies j, j + k, ..., is projected by
+        these rows: the space's own k dim rows are never formed."""
+        block = coeffs.reshape(self.rows.shape[1], k)
+        return (self.rows.T @ (self.rows.conj() @ block)).reshape(-1)
 
     def alpha_expansion(self) -> np.ndarray:
         """Taylor coefficients of the inner function itself, to twice the row

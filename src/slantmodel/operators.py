@@ -8,6 +8,7 @@ Matrix convention: rows index the target (beta) basis, columns the source
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,7 +129,9 @@ class CompressionSetting:
     """Bases and shift matrices for a fixed (alpha, beta, k) triple.
 
     `truncation` is the Blaschke truncation order of the alpha and beta
-    bases; the basis of beta(z^k) is stretched from beta's and inherits it.
+    bases.  The model space of beta(z^k) inherits it: it is never formed,
+    and the routines that need it apply beta's rows column by polyphase
+    column (`ModelSpaceBasis.stretched_projection`).
     """
 
     def __init__(
@@ -138,7 +141,7 @@ class CompressionSetting:
         k: int,
         truncation: int | None = None,
     ):
-        k = int(k)
+        k = strict_int(k, "order k")
         if k < 1:
             raise ValueError(f"order must be >= 1, got {k}")
         self.k = k
@@ -148,13 +151,6 @@ class CompressionSetting:
         self.basis_beta = ModelSpaceBasis.build(beta, truncation)
         self.shift_alpha, self.shift_alpha_adj = self.basis_alpha.compressed_shift()
         self.shift_beta, self.shift_beta_adj = self.basis_beta.compressed_shift()
-        self._stretched_beta_basis = None
-
-    def stretched_beta_basis(self) -> ModelSpaceBasis:
-        """Basis of the model space of beta(z^k), stretched from beta's."""
-        if self._stretched_beta_basis is None:
-            self._stretched_beta_basis = self.basis_beta.stretched(self.k)
-        return self._stretched_beta_basis
 
     @property
     def exact(self) -> bool:
@@ -187,20 +183,15 @@ def _clip(phi: LaurentPoly, src: ModelSpaceBasis, k: int, dst: ModelSpaceBasis) 
     return phi.to_array(lo, hi), lo
 
 
-def _stretch(coeffs: np.ndarray, k: int) -> np.ndarray:
-    """f(z^k) from the Taylor coefficients of f."""
-    out = np.zeros(k * (len(coeffs) - 1) + 1, dtype=complex)
-    out[::k] = coeffs
-    return out
-
-
 def _times_stretched(q: np.ndarray, e: np.ndarray, s: int) -> np.ndarray:
-    """q(z) e(z^s) from frequency 0; block n of s coefficients is e_n q when
-    q fits in it."""
-    if s < len(q):
-        return np.convolve(q, _stretch(e, s))
-    out = np.zeros((len(e), s), dtype=complex)
-    out[:, : len(q)] = np.outer(e, q)
+    """q(z) e(z^s) from frequency 0: q cut into blocks of s coefficients, and
+    e_j times that block array added j blocks on, for the nonzero e_j only
+    (z^N has one)."""
+    blocks = np.zeros((-(-len(q) // s), s), dtype=complex)
+    blocks.reshape(-1)[: len(q)] = q
+    out = np.zeros((len(blocks) + len(e) - 1, s), dtype=complex)
+    for j in np.flatnonzero(e):
+        out[j : j + len(blocks)] += e[j] * blocks
     return out.reshape(-1)
 
 
@@ -241,17 +232,16 @@ def _used(setting: CompressionSetting) -> int:
 def _reduced(phi: LaurentPoly, setting: CompressionSetting, shift: int) -> tuple[np.ndarray, int]:
     """conj(P_alpha f) + z^-shift P_{beta(z^k)}(z^shift g) for phi = conj(f) + g,
     f from the frequencies <= 0 and g from those >= 1: frequencies
-    -max(T_alpha, shift)..T_s - shift, T_s the order of the beta(z^k) basis.
-    Only phi over that window is read."""
-    ba, bs = setting.basis_alpha, setting.stretched_beta_basis()
-    ta, ts = ba.truncation_order, bs.truncation_order
+    -max(T_alpha, shift)..k (T_beta + 1) - 1 - shift, beta(z^k) truncated
+    with beta.  Only phi over that window is read."""
+    ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
+    ta = ba.truncation_order
     lo = -max(ta, shift)
-    w = phi.to_array(lo, ts - shift)
+    w = phi.to_array(lo, k * bb.rows.shape[1] - 1 - shift)
     f = w[-lo - ta : 1 - lo][::-1].conj()
-    g = w[1 - lo :]  # the coefficients shift + 1..T_s of z^shift g
+    w[-shift - lo : 1 - lo] = 0  # leaves z^shift g from frequency 0
     head = _head(ba.rows.conj() @ f, ba)
-    tail = (bs.rows[:, shift + 1 :].conj() @ g) @ bs.rows, -shift
-    return _sum(head, tail)
+    return _sum(head, (bb.stretched_projection(w[-shift - lo :], k), -shift))
 
 
 # -- builders --------------------------------------------------------------
@@ -276,7 +266,10 @@ def build_truncated_toeplitz(
 
 def decimation_matrix(setting: CompressionSetting) -> np.ndarray:
     """Matrix of W_k from the model space of beta(z^k) into that of beta."""
-    return _compress(np.ones(1), 0, setting.stretched_beta_basis().rows, setting.k, setting.basis_beta.rows)
+    # Column i k + j is z^j e_i(z^k), and W_k of it is e_i for j = 0, else 0:
+    # beta's Gram matrix in columns i k.
+    rows = setting.basis_beta.rows
+    return ((rows.conj() @ rows.T)[:, :, None] * np.eye(1, setting.k)).reshape(len(rows), -1)
 
 
 # -- defect operators ------------------------------------------------------
@@ -461,20 +454,38 @@ def zero_test_sufficient(
     """
     if which not in ("p22", "p27"):
         raise ValueError(f"unknown zero test {which!r}")
-    ba, bs = setting.basis_alpha, setting.stretched_beta_basis()
+    ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
     ta = ba.truncation_order
-    shift = 0 if which == "p22" else setting.k - 1
+    shift = 0 if which == "p22" else k - 1
     rhs, lo = _reduced(phi, setting, shift)
 
     # The split is ambiguous on frequencies -shift..0, which either summand
     # can absorb; minimize the residue over that window.  Direction t is
-    # z^-shift P_{beta(z^k)} z^(shift - t) - conj(P_alpha z^t), over rhs's window.
-    A = np.zeros((shift + 1, len(rhs)), dtype=complex)
-    A[:, -shift - lo :] = bs.rows[:, shift::-1].conj().T @ bs.rows
+    # z^-t kappa(z^k) - conj(P_alpha z^t), kappa = P_beta 1: column shift - t
+    # of the polyphase array of rhs from frequency -shift, and for t < reach
+    # also frequency -t of the alpha window -T_alpha..0.  Those directions are
+    # solved with that window in one block, each column cut to its component
+    # along kappa[1:]; each later one alone in its column.  The rank cut is
+    # that of least squares on all directions at once: one relative to the
+    # block keeps its rounding noise when every direction in it vanishes.
+    kappa = bb.rows[:, 0].conj() @ bb.rows
     reach = min(shift, ta) + 1
-    A[:reach, -ta - lo : 1 - lo] -= (ba.rows[:, :reach].conj().T @ ba.rows)[:, ::-1].conj()
-    x, *_ = np.linalg.lstsq(A.T, -rhs, rcond=None)
-    residue = float(np.linalg.norm(A.T @ x + rhs))
+    cols = rhs[-shift - lo :].reshape(-1, k)
+    near, far = cols[1:, shift + 1 - reach : shift + 1][:, ::-1], cols[:, : shift + 1 - reach]
+    out = np.linalg.norm(kappa[1:])
+    unit = kappa[1:] / out if out else kappa[1:]
+    along = unit.conj() @ near
+    # Rows: the window from frequency 0 down, then one per near column.
+    block = np.vstack([kappa[0] * np.eye(ta + 1, reach) - ba.rows.conj().T @ ba.rows[:, :reach], out * np.eye(reach)])
+    b = np.concatenate([rhs[-lo - ta : 1 - lo][::-1], along])
+    u, sv, _ = np.linalg.svd(block, full_matrices=False)
+    whole = np.linalg.norm(kappa) if far.size else 0.0
+    cut = np.finfo(float).eps * len(rhs) * max(sv[0], whole)
+    u = u[:, sv > cut]
+    if whole > cut:
+        far = far - np.outer(kappa / whole, kappa.conj() @ far / whole)
+    parts = (b - u @ (u.conj().T @ b), near - np.outer(unit, along), far, cols[:, shift + 1 :])
+    residue = math.sqrt(sum(np.vdot(p, p).real for p in parts))
 
     tol = setting.tol() * max(1.0, phi.norm())
     if residue > tol:
@@ -529,7 +540,7 @@ def rank_one(
 ) -> tuple[OperatorMatrix, LaurentPoly]:
     """The two families of rank-one members, with their symbols."""
     k = setting.k
-    if not 0 <= l < k:
+    if not 0 <= strict_int(l, "index l") < k:
         raise ValueError(f"index l={l} out of range 0..{k - 1}")
     ba, bb = setting.basis_alpha, setting.basis_beta
     if kind == "tilde_k":

@@ -23,7 +23,7 @@ from .laurent import (
     random_laurent,
     stretch,
 )
-from .model_space import InnerFunction, ModelSpaceBasis, circle_grid
+from .model_space import InnerFunction, ModelSpaceBasis, _compress, circle_grid
 from .operators import (
     CompressionSetting,
     OperatorMatrix,
@@ -34,7 +34,6 @@ from .operators import (
     canonical_symbol,
     conjugate_operator,
     conjugate_symbol,
-    decimation_matrix,
     defect,
     defect_from_symbol,
     membership,
@@ -96,13 +95,15 @@ class MenuContext:
     def __init__(self, alpha: InnerFunction, beta: InnerFunction, k: int):
         self.setting = CompressionSetting(alpha, beta, k)
         self.alpha, self.beta, self.k = alpha, beta, k
-        self._stretched_alpha = None
+        self._stretched = {}
         self._universal = None
 
-    def stretched_alpha_basis(self):
-        if self._stretched_alpha is None:
-            self._stretched_alpha = ModelSpaceBasis.build(self.alpha.stretched(self.k))
-        return self._stretched_alpha
+    def stretched_basis(self, inner: InnerFunction) -> ModelSpaceBasis:
+        """The basis of inner(z^k) built on the k-th roots of its zeros: the
+        library never forms it, so it is an independent reference."""
+        if inner not in self._stretched:
+            self._stretched[inner] = ModelSpaceBasis.build(inner.stretched(self.k))
+        return self._stretched[inner]
 
     def universal_setting(self) -> CompressionSetting:
         """The setting of order max(k, dim K_alpha), where every matrix is a member."""
@@ -283,7 +284,7 @@ def _prop_stretched_inner(rng, ctx):
 def _prop_projection_intertwine(rng, ctx):
     f = random_laurent(rng, lo=-6, hi=4 * ctx.k * ctx.alpha.degree)
     ba = ctx.setting.basis_alpha
-    big = ctx.stretched_alpha_basis()
+    big = ctx.stretched_basis(ctx.alpha)
     lhs = ba.reconstruct(ba.project(decimate(f, ctx.k)))
     rhs = decimate(big.reconstruct(big.project(f)), ctx.k)
     return lhs.distance(rhs), {"f": f.to_json()}
@@ -335,12 +336,13 @@ def _prop_compressed_shift(rng, ctx):
 
 @register("slant_factorization", "slant-factorization", 1e-10, 1e-8)
 def _prop_factorization(rng, ctx):
+    # U = W A through the model space of beta(z^k): W_k of beta(z^k) H^2 is
+    # beta H^2, orthogonal to K_beta.
     phi = _symbol(rng, ctx)
     U = build_compression(phi, ctx.setting)
-    W = decimation_matrix(ctx.setting)
-    A = build_truncated_toeplitz(
-        phi, ctx.setting.basis_alpha, ctx.setting.stretched_beta_basis()
-    )
+    big = ctx.stretched_basis(ctx.beta)
+    W = _compress(np.ones(1), 0, big.rows, ctx.k, ctx.setting.basis_beta.rows)
+    A = build_truncated_toeplitz(phi, ctx.setting.basis_alpha, big)
     return float(np.abs(U.entries - W @ A).max()), {"phi": phi.to_json()}
 
 

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from slantmodel import cli
+from slantmodel import CompressionSetting, InnerFunction, LaurentPoly, build_compression, cli
 from slantmodel.cli import main
 
 
@@ -347,11 +347,21 @@ class TestErrors:
     @pytest.mark.parametrize("k", ["500", "2000"])
     @pytest.mark.parametrize("command", ["canonical", "iszero"])
     def test_stretched_beta_above_cap_is_numeric_error(self, capsys, command, k):
+        # A stored basis of beta(z^k) was above the array cap (exit 3) at
+        # these orders; beta's own rows answer promptly.  z is no zero
+        # symbol (iszero exits 1), conj(z^3) = z^-3 is one (exit 0).
         beta = '{"zeros": [0.4, {"re": 0, "im": -0.5}]}'
-        argv = [command, "--k", k, "--alpha", "z^3", "--beta", beta, "--symbol", sym({1: 1})]
+        common = ["--k", k, "--alpha", "z^3", "--beta", beta]
         start = time.perf_counter()
-        code, _, err = run(capsys, argv)
-        assert code == 3 and "cap" in err
+        code, out, _ = run(capsys, [command, *common, "--symbol", sym({1: 1})])
+        if command == "canonical":
+            assert code == 0
+            setting = CompressionSetting(InnerFunction.monomial(3), InnerFunction.blaschke([0.4, -0.5j]), int(k))
+            got = build_compression(LaurentPoly.from_json(json.loads(out)), setting).entries
+            assert np.abs(got - build_compression(LaurentPoly({1: 1}), setting).entries).max() <= 1e-12
+        else:
+            assert code == 1 and json.loads(out)["sufficient"] is False
+            assert run(capsys, [command, *common, "--symbol", sym({-3: 1})])[0] == 0
         assert time.perf_counter() - start < 0.5
 
     NEAR = '{"zeros": [0.95, -0.3]}'

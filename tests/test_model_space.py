@@ -560,8 +560,9 @@ class TestKeptFrequencyCompression:
 
 
 class TestStretchedBasis:
-    """The basis of alpha(z^k) stretched from alpha's, against the direct
-    Takenaka-Malmquist build on the k-th roots of the zeros."""
+    """The projection onto the model space of alpha(z^k) by alpha's own rows,
+    column by polyphase column, against the direct Takenaka-Malmquist build on
+    the k-th roots of the zeros."""
 
     INNERS = [
         InnerFunction.monomial(3),
@@ -572,53 +573,53 @@ class TestStretchedBasis:
     ]
     IDS = ["z3", "B", "origin", "double", "constant"]
 
+    @staticmethod
+    def projector(basis, k):
+        """The matrix of `stretched_projection` on coefficients 0..k (T + 1) - 1."""
+        size = k * basis.rows.shape[1]
+        return np.array([basis.stretched_projection(e, k) for e in np.eye(size, dtype=complex)]).T
+
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("inner", INNERS, ids=IDS)
     def test_matches_direct_build(self, rng, inner, k):
         basis = ModelSpaceBasis.build(inner)
-        fast = basis.stretched(k)
         ref = ModelSpaceBasis.build(inner.stretched(k))
-        assert fast.inner == inner.stretched(k) and fast.dim == ref.dim == k * basis.dim
-        assert fast.truncation_order == k * (basis.truncation_order + 1) - 1
-        assert fast.tail_bound == basis.tail_bound and fast.gram_error == basis.gram_error
-        # The two bases differ; the projector onto the space does not.
-        cols = min(fast.rows.shape[1], ref.rows.shape[1])
-
-        def projector(b):
-            return b.rows[:, :cols].T @ b.rows[:, :cols].conj()
-
-        assert np.abs(projector(fast) - projector(ref)).max() <= 1e-13
+        fast = self.projector(basis, k)
+        # A projector's trace is the dimension of its range.
+        assert abs(np.trace(fast) - k * basis.dim) <= 1e-10
+        # The two truncations differ; the projector onto the space does not.
+        cols = min(len(fast), ref.rows.shape[1])
+        direct = ref.rows[:, :cols].T @ ref.rows[:, :cols].conj()
+        assert np.abs(fast[:cols, :cols] - direct).max() <= 1e-13
         for _ in range(3):
-            v = random_coords(rng, fast.dim)
-            f = LaurentPoly.from_array(v @ fast.rows)
-            image = fast.reconstruct(fast.conjugate_vector(v))
-            oracle = ref.reconstruct(ref.conjugate_vector(ref.project(f)))
-            window = (image - oracle).to_array(0, cols - 1)
-            assert np.abs(window).max() <= 1e-13 * np.linalg.norm(v)
+            f = rng.standard_normal(len(fast)) + 1j * rng.standard_normal(len(fast))
+            image = basis.stretched_projection(f, k)
+            assert np.abs(image - fast @ f).max() <= 1e-13 * np.linalg.norm(f)
+            assert np.abs(basis.stretched_projection(image, k) - image).max() <= 1e-13 * np.linalg.norm(f)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("degree", [1, 3, 4])
     def test_monomial_is_the_identity(self, degree, k):
-        fast = ModelSpaceBasis.build(InnerFunction.monomial(degree)).stretched(k)
-        eye = np.eye(k * degree)
-        assert np.array_equal(fast.rows, eye) and np.array_equal(fast.conjugation_matrix(), eye[::-1])
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(degree))
+        fast = self.projector(basis, k)
+        assert np.array_equal(fast, np.eye(k * degree))
         ref = ModelSpaceBasis.build(InnerFunction.monomial(degree).stretched(k))
-        assert np.array_equal(fast.rows, ref.rows)
-        assert np.array_equal(fast.conjugation_matrix(), ref.conjugation_matrix())
+        assert np.array_equal(fast, ref.rows.T @ ref.rows.conj())
 
     def test_size_cap(self):
-        # B[0.4, -0.5i] has T = 64: k = 200 gives 400 x 13,000 entries, under
-        # the cap; k = 500 and 2000 are refused before any array is made,
-        # stretched or built on the k-th roots.
+        # B[0.4, -0.5i] has T = 64: at k = 500 and 2000 its rows project
+        # 65 k coefficients promptly, while a basis built on the k-th roots
+        # is refused before any array is made.
         beta = InnerFunction.blaschke([0.4, -0.5j])
         basis = ModelSpaceBasis.build(beta)
-        assert basis.stretched(200).rows.shape == (400, 13_000)
+        rng = np.random.default_rng(7)
         for k in (500, 2000):
+            f = rng.standard_normal(65 * k) + 1j * rng.standard_normal(65 * k)
             start = time.perf_counter()
-            with pytest.raises(TruncationError, match="cap"):
-                basis.stretched(k)
+            image = basis.stretched_projection(f, k)
             with pytest.raises(TruncationError, match="cap"):
                 ModelSpaceBasis.build(beta.stretched(k))
             assert time.perf_counter() - start < 0.5
+            assert np.abs(basis.stretched_projection(image, k) - image).max() <= 1e-13 * np.linalg.norm(f)
         with pytest.raises(TruncationError, match="cap"):
             ModelSpaceBasis.build(InnerFunction.monomial(5000))

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -24,6 +25,7 @@ from slantmodel.operators import (
     rank_one,
     recover_symbol,
     zero_test_sufficient,
+    _reduced,
 )
 
 
@@ -37,6 +39,19 @@ def zn(n):
 
 def stretched_beta_expansion(setting):
     return stretch(LaurentPoly.from_array(setting.basis_beta.alpha_expansion()), setting.k)
+
+
+def kron_basis(setting):
+    """Reference basis of the model space of beta(z^k), in the polyphase
+    order of `decimation_matrix`: row i k + j is z^j e_i(z^k)."""
+    bb, k = setting.basis_beta, setting.k
+    return ModelSpaceBasis(
+        bb.inner.stretched(k),
+        np.kron(bb.rows, np.eye(k)),
+        np.kron(bb.conjugation_matrix(), np.eye(k)[::-1]),
+        bb.tail_bound,
+        bb.gram_error,
+    )
 
 
 def monomial_oracle_matrix(phi, setting):
@@ -185,7 +200,7 @@ class TestLoopOracle:
             phi = random_laurent(rng, -20, 40, terms=8)
             assert np.array_equal(build_compression(phi, setting).entries, loop_oracle(phi, ba, k, bb))
             assert np.array_equal(build_truncated_toeplitz(phi, ba, bb), loop_oracle(phi, ba, 1, bb))
-        big = setting.stretched_beta_basis()
+        big = kron_basis(setting)
         assert np.array_equal(decimation_matrix(setting), loop_oracle(L({0: 1}), big, k, bb))
         assert np.array_equal(ba.compressed_shift()[0], loop_oracle(L({1: 1}), ba, 1, ba))
 
@@ -205,7 +220,7 @@ class TestLoopOracle:
             phi = random_laurent(rng, -6, 12, terms=6)
             assert close(build_compression(phi, setting).entries, loop_oracle(phi, ba, k, bb))
             assert close(build_truncated_toeplitz(phi, ba, bb), loop_oracle(phi, ba, 1, bb))
-        big = setting.stretched_beta_basis()
+        big = kron_basis(setting)
         assert close(decimation_matrix(setting), loop_oracle(L({0: 1}), big, k, bb))
         assert close(ba.compressed_shift()[0], loop_oracle(L({1: 1}), ba, 1, ba))
 
@@ -222,7 +237,7 @@ class TestDecimationMatrix:
         # Compression = W_k after multiplication into the stretched space.
         for setting in all_settings:
             W = decimation_matrix(setting)
-            big = setting.stretched_beta_basis()
+            big = kron_basis(setting)
             phi = random_laurent(rng, -5, 8, terms=6)
             U = build_compression(phi, setting)
             lifted = np.array(
@@ -492,7 +507,7 @@ class TestRepeatedZeros:
 
     def test_canonical_and_zero_symbols(self):
         setting = CompressionSetting(zn(3), InnerFunction.blaschke([0.0, 0.5]), 2)
-        assert setting.stretched_beta_basis().inner.zeros[:2] == (0, 0)
+        assert kron_basis(setting).inner.zeros[:2] == (0, 0)
         rng = np.random.default_rng(47)
         for which in ("first", "second"):
             phi = random_laurent(rng, -7, 12, terms=7)
@@ -545,22 +560,51 @@ class TestRecovery:
 
 class TestCompressionSetting:
     def test_explicit_truncation_reaches_stretched_beta(self, monkeypatch):
-        # beta(z^2) is stretched from beta's basis: order 70 becomes 2 * 71 - 1
-        # with beta's tail, while a direct build on the square roots (radius
-        # ~0.71) cannot certify 70.
+        # beta(z^2) is held as beta's rows: order 70 reaches frequency
+        # 2 * 71 - 1 = 141 with beta's tail, while a direct build on the
+        # square roots (radius ~0.71) cannot certify 70.
         setting = CompressionSetting(zn(3), BETA, 2, truncation=70)
         assert setting.basis_beta.truncation_order == 70
         with pytest.raises(TruncationError):
             ModelSpaceBasis.build(BETA.stretched(2), 70)
 
         def no_build(*args, **kwargs):
-            raise AssertionError("the stretched basis must not be built from its roots")
+            raise AssertionError("the model space of beta(z^k) must not be built from its roots")
 
         monkeypatch.setattr(ModelSpaceBasis, "build", no_build)
-        big = setting.stretched_beta_basis()
-        assert big.truncation_order == 141
-        assert big.tail_bound == setting.basis_beta.tail_bound
-        assert big is setting.stretched_beta_basis()
+        rng = np.random.default_rng(53)
+        alpha_bar = conj_on_circle(dict_alpha(setting.basis_alpha))
+        for _ in range(3):
+            phi = random_laurent(rng, -6, 150, terms=7)
+            for which, shift in (("first", 0), ("second", 1)):
+                coeffs, lo = _reduced(phi, setting, shift)
+                assert (lo, lo + len(coeffs) - 1) == (-2, 141 - shift)
+                got = canonical_symbol(phi, setting, which)
+                want = dict_canonical(phi, setting, which).to_array(-2, 141)
+                assert np.abs(got.to_array(-2, 141) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+            zero = alpha_bar * random_laurent(rng, -3, 0, terms=3)
+            for which, shift in (("p22", 0), ("p27", 1)):
+                member = zero + (stretched_beta_expansion(setting) * random_laurent(rng, 0, 3, terms=3)).shifted(-shift)
+                for symbol in (phi, member):
+                    assert zero_test_sufficient(symbol, setting, which) == dict_zero_test(symbol, setting, which)
+                assert zero_test_sufficient(member, setting, which)
+
+    @pytest.mark.parametrize("value", [2.5, True, "3", np.int64(2)], ids=["float", "bool", "string", "int64"])
+    def test_orders_are_strict_integers(self, value):
+        # int() made order 2.5 into 2, True into 1 and "3" into 3.
+        s5 = CompressionSetting(zn(4), zn(3), 5)
+        calls = {
+            "k": lambda v: CompressionSetting(zn(4), zn(3), v).k,
+            "truncation": lambda v: CompressionSetting(zn(4), zn(3), 2, truncation=v).k,
+            "stretched": lambda v: zn(3).stretched(v),
+            "l": lambda v: rank_one(s5, v)[1],
+        }
+        for call in calls.values():
+            if isinstance(value, np.integer):
+                assert call(value) == call(2)
+            else:
+                with pytest.raises(ValueError, match="integer"):
+                    call(value)
 
 
 class TestCanonicalSymbol:
@@ -653,6 +697,29 @@ class TestZeroTest:
     def test_unknown_test(self, s243):
         with pytest.raises(ValueError):
             zero_test_sufficient(L({0: 1}), s243, "p99")
+
+    @pytest.mark.parametrize("k", [4, 7])
+    @pytest.mark.parametrize("which", ["p22", "p27"])
+    def test_rank_cut_of_all_directions(self, k, which):
+        # beta(0) = 0 makes kappa = P_beta 1 exactly 1, so with alpha = z^3 the
+        # directions t < 3, which meet conj(K_alpha), vanish up to rounding
+        # while those past it do not.  Singular values are cut against the
+        # largest over all directions, as least squares on all of them at
+        # once would; a cut relative to the vanishing block fits its noise.
+        setting = CompressionSetting(zn(3), InnerFunction.blaschke([0.0, 0.5]), k)
+        shift = 0 if which == "p22" else k - 1
+        rng = np.random.default_rng(79)
+        alpha_bar = conj_on_circle(dict_alpha(setting.basis_alpha))
+        generic = [random_laurent(rng, -shift - 4, 0, terms=4) for _ in range(10)]
+        generic += [random_laurent(rng, -8, 3 * k, terms=6) for _ in range(10)]
+        members = [
+            alpha_bar * random_laurent(rng, -3, 0, terms=3)
+            + (stretched_beta_expansion(setting) * random_laurent(rng, 0, 3, terms=3)).shifted(-shift)
+            for _ in range(5)
+        ]
+        for phi in generic + members:
+            assert zero_test_sufficient(phi, setting, which) == dict_zero_test(phi, setting, which)
+        assert all(zero_test_sufficient(phi, setting, which) for phi in members)
 
 
 class TestConjugation:
@@ -817,6 +884,38 @@ class TestLargeOrderMembership:
             assert np.abs(rebuilt.entries - U.entries).max() <= 1e-12 * norm
 
 
+class TestLargeOrderStretchedBeta:
+    """beta(z^k) is held as beta's 2 x 65 rows here, so these cost memory and
+    time like k (T_beta + 1), where a stored basis of beta(z^k) took k^2."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda phi, s: zero_test_sufficient(phi, s, "p27"), lambda phi, s: canonical_symbol(phi, s, "second")],
+        ids=["p27", "second"],
+    )
+    def test_bounded_memory(self, run):
+        setting = CompressionSetting(zn(3), BETA, 2000)
+        phi = random_laurent(np.random.default_rng(83), -6, 2000 * 65, terms=7)
+        tracemalloc.start()
+        try:
+            run(phi, setting)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    def test_conjugate_symbol_prompt(self):
+        # A 5-term symbol reaching frequency k T_beta = 64 k.
+        setting = CompressionSetting(B_NEAR, BETA, 1000)
+        phi = L({-3: 1.0, 0: 0.5, 1: -1j, 7000: 0.25, 64000: 1.0})
+        start = time.perf_counter()
+        psi = conjugate_symbol(phi, setting)
+        assert time.perf_counter() - start < 0.5
+        sandwich, _ = conjugate_operator(setting, U=build_compression(phi, setting))
+        rebuilt = build_compression(psi, setting).entries
+        assert np.abs(rebuilt - sandwich.entries).max() <= 1e-10 * max(1.0, np.linalg.norm(sandwich.entries))
+
+
 # -- dict oracles of the symbol-level routines ---------------------------------
 # The LaurentPoly implementations that the coefficient-array routines replaced,
 # kept as references.
@@ -849,7 +948,7 @@ def dict_split(phi):
 
 
 def dict_reduced(phi, setting, shift):
-    ba, bs = setting.basis_alpha, setting.stretched_beta_basis()
+    ba, bs = setting.basis_alpha, kron_basis(setting)
     f, g = dict_split(phi)
     head = conj_on_circle(ba.reconstruct(ba.project(f)))
     return head + bs.reconstruct(bs.project(g.shifted(shift))).shifted(-shift)
@@ -860,7 +959,7 @@ def dict_canonical(phi, setting, which):
 
 
 def dict_zero_test(phi, setting, which):
-    ba, bs = setting.basis_alpha, setting.stretched_beta_basis()
+    ba, bs = setting.basis_alpha, kron_basis(setting)
     shift = 0 if which == "p22" else setting.k - 1
     base = dict_reduced(phi, setting, shift)
     directions = []
