@@ -1,14 +1,7 @@
 """Compressions of k-th order slant Toeplitz operators to model spaces,
 realized as explicit finite matrices."""
 
-from .laurent import (
-    LaurentPoly,
-    analytic_project,
-    backward_shift_pow,
-    conj_on_circle,
-    decimate,
-    stretch,
-)
+from .laurent import LaurentPoly
 from .model_space import (
     InnerFunction,
     ModelSpaceBasis,

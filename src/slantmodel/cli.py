@@ -1,8 +1,8 @@
 """Command-line front end over JSON files and stdout.
 
 Exit codes: 0 success (including member/zero-true verdicts), 1 computed
-negative (non-member, not provably zero), 2 usage or input error, 3 numeric
-or truncation error.
+negative (non-member, not provably zero), 2 usage or input error, 3 numeric,
+truncation or allocation error.
 """
 
 from __future__ import annotations
@@ -324,6 +324,7 @@ def main(argv=None) -> int:
         ZeroDivisionError,
         FloatingPointError,
         OverflowError,
+        MemoryError,
         RuntimeError,
         np.linalg.LinAlgError,
     ) as exc:

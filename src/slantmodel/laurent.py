@@ -1,12 +1,14 @@
-"""Finitely supported Laurent series on the unit circle.
+"""Finitely supported Laurent series on the unit circle: the symbol type at
+the library's boundary and in its JSON.
 
-Frequencies are integers, coefficients are complex doubles.  All operations
-return new objects; nothing is mutated in place.
+Frequencies are integers, coefficients are complex doubles.  The symbol
+routines compute on dense coefficient arrays and build one LaurentPoly at
+return; this type only converts, adds and serialises.
 """
 
 from __future__ import annotations
 
-from math import inf, perm
+from math import inf
 from numbers import Integral
 
 import numpy as np
@@ -71,10 +73,6 @@ class LaurentPoly:
         return out
 
     @classmethod
-    def monomial(cls, n: int, c: complex = 1.0) -> "LaurentPoly":
-        return cls({n: c})
-
-    @classmethod
     def constant(cls, c: complex) -> "LaurentPoly":
         return cls({0: c})
 
@@ -87,13 +85,6 @@ class LaurentPoly:
 
     def items(self):
         return self._coeffs.items()
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def is_analytic(self) -> bool:
-        """True when no negative frequency carries a coefficient."""
-        return all(n >= 0 for n in self._coeffs)
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -114,59 +105,8 @@ class LaurentPoly:
             out[n] = out.get(n, 0j) + c
         return LaurentPoly(out)
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({n: -c for n, c in self._coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return LaurentPoly({n: other * c for n, c in self._coeffs.items()})
-        out: dict[int, complex] = {}
-        for n, a in self._coeffs.items():
-            for m, b in other._coeffs.items():
-                k = n + m
-                out[k] = out.get(k, 0j) + a * b
-        return LaurentPoly(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def shifted(self, m: int) -> "LaurentPoly":
-        """Multiply by z^m."""
-        return LaurentPoly({n + m: c for n, c in self._coeffs.items()})
-
-    def inner(self, other: "LaurentPoly") -> complex:
-        """L2 pairing sum_n a_n conj(b_n)."""
-        if len(other._coeffs) < len(self._coeffs):
-            return complex(other.inner(self)).conjugate()
-        return sum(
-            (a * other._coeffs[n].conjugate() for n, a in self._coeffs.items() if n in other._coeffs),
-            0j,
-        )
-
     def norm(self) -> float:
         return sum(abs(c) ** 2 for c in self._coeffs.values()) ** 0.5
-
-    def distance(self, other: "LaurentPoly") -> float:
-        return (self - other).norm()
-
-    def evaluate(self, z: complex) -> complex:
-        if any(n < 0 for n in self._coeffs) and z == 0:
-            raise ZeroDivisionError("negative frequencies cannot be evaluated at 0")
-        return sum((c * z**n for n, c in self._coeffs.items()), 0j)
-
-    def derivative_at(self, w: complex, order: int = 0) -> complex:
-        """Value of the order-th derivative at w; input must be analytic."""
-        if not self.is_analytic():
-            raise ValueError("derivative_at requires an analytic polynomial")
-        total = 0j
-        for n, c in self._coeffs.items():
-            if n < order:
-                continue
-            total += c * perm(n, order) * w ** (n - order)
-        return total
 
     def to_json(self) -> dict:
         return {
@@ -193,47 +133,3 @@ class LaurentPoly:
         terms = ", ".join(f"{n}: {c:.4g}" for n, c in sorted(self._coeffs.items()))
         return f"LaurentPoly({{{terms}}})"
 
-
-def conj_on_circle(p: LaurentPoly) -> LaurentPoly:
-    """f -> conj(f) on |z| = 1, i.e. a_n -> conj(a_{-n})."""
-    return LaurentPoly({-n: c.conjugate() for n, c in p.items()})
-
-
-def analytic_project(p: LaurentPoly) -> LaurentPoly:
-    """Drop every negative frequency; the Riesz projection onto H^2."""
-    return LaurentPoly({n: c for n, c in p.items() if n >= 0})
-
-
-def _check_order(k: int) -> int:
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"decimation order must be >= 1, got {k}")
-    return k
-
-
-def decimate(p: LaurentPoly, k: int) -> LaurentPoly:
-    """Keep every k-th coefficient: z^{kn} -> z^n, the rest -> 0."""
-    k = _check_order(k)
-    return LaurentPoly({n // k: c for n, c in p.items() if n % k == 0})
-
-
-def stretch(p: LaurentPoly, k: int) -> LaurentPoly:
-    """Compose with z^k: a_n moves to frequency k*n.  Adjoint of decimate."""
-    k = _check_order(k)
-    return LaurentPoly({k * n: c for n, c in p.items()})
-
-
-def backward_shift_pow(p: LaurentPoly, k: int) -> LaurentPoly:
-    """k-fold backward shift on analytic input: a_{n+k} -> a_n, n >= 0."""
-    k = _check_order(k)
-    if not p.is_analytic():
-        raise ValueError("backward shift is defined on analytic input only")
-    return LaurentPoly({n - k: c for n, c in p.items() if n >= k})
-
-
-def random_laurent(rng, lo: int = -8, hi: int = 8, terms: int = 8) -> LaurentPoly:
-    """Seeded random symbol: ~terms Gaussian coefficients in [lo, hi]."""
-    freqs = rng.choice(range(lo, hi + 1), size=min(terms, hi - lo + 1), replace=False)
-    return LaurentPoly(
-        {int(n): complex(rng.standard_normal(), rng.standard_normal()) for n in freqs}
-    )

@@ -138,10 +138,6 @@ class InnerFunction:
         return cls.from_json(json.loads(text))
 
 
-def circle_grid(count: int = 64):
-    return [cmath.exp(2j * math.pi * t / count) for t in range(count)]
-
-
 def _checked(order: int) -> int:
     if not 0 <= order <= MAX_TRUNCATION:
         raise TruncationError(f"truncation order {order} is outside 0..{MAX_TRUNCATION}")
@@ -252,11 +248,6 @@ class ModelSpaceBasis:
     @property
     def truncation_order(self) -> int:
         return self.rows.shape[1] - 1
-
-    @property
-    def vectors(self) -> list:
-        """The basis vectors as LaurentPoly expansions."""
-        return [LaurentPoly.from_array(row) for row in self.rows]
 
     @classmethod
     def build(cls, inner: InnerFunction, truncation: int | None = None) -> "ModelSpaceBasis":
@@ -392,7 +383,6 @@ __all__ = [
     "ModelSpaceBasis",
     "TruncationError",
     "default_truncation",
-    "circle_grid",
     "coeff_json",
     "EXACT_TOL",
     "BLASCHKE_TOL",

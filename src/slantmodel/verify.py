@@ -7,23 +7,17 @@ across runs with the same configuration.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from math import factorial
 
 import numpy as np
 
-from .laurent import (
-    LaurentPoly,
-    analytic_project,
-    backward_shift_pow,
-    conj_on_circle,
-    decimate,
-    random_laurent,
-    stretch,
-)
-from .model_space import InnerFunction, ModelSpaceBasis, _compress, circle_grid
+from .laurent import LaurentPoly
+from .model_space import InnerFunction, ModelSpaceBasis, _compress
 from .operators import (
     CompressionSetting,
     OperatorMatrix,
@@ -40,6 +34,10 @@ from .operators import (
     rank_one,
     recover_symbol,
     zero_test_sufficient,
+    _head,
+    _place,
+    _sum,
+    _times_stretched,
 )
 
 DEFAULT_MENU = (
@@ -156,6 +154,18 @@ def audit_registry(registry=None):
 # -- random input helpers --------------------------------------------------
 
 
+def random_laurent(rng, lo: int = -8, hi: int = 8, terms: int = 8) -> LaurentPoly:
+    """Seeded random symbol: ~terms Gaussian coefficients in [lo, hi]."""
+    freqs = lo + rng.choice(hi - lo + 1, size=min(terms, hi - lo + 1), replace=False)
+    # Real and imaginary parts drawn in turn, as one array.
+    coeffs = rng.standard_normal(2 * len(freqs)).view(complex)
+    return LaurentPoly(dict(zip(freqs.tolist(), coeffs.tolist())))
+
+
+def circle_grid(count: int = 64):
+    return [cmath.exp(2j * math.pi * t / count) for t in range(count)]
+
+
 def _symbol(rng, ctx: MenuContext, terms: int = 8) -> LaurentPoly:
     m, n, k = ctx.setting.basis_alpha.dim, ctx.setting.basis_beta.dim, ctx.k
     return random_laurent(rng, lo=-2 * m, hi=2 * k * n, terms=terms)
@@ -177,94 +187,163 @@ def _has_pattern_constraints(ctx: MenuContext) -> bool:
 
 
 # -- decimation calculus ---------------------------------------------------
+# On (coeffs, lo) pairs, coefficients of frequencies lo, lo + 1, ..., through
+# the routines the pipeline runs: W_k by `_compress`, f -> z^m f(z^k) by
+# `_place`, f(z) g(z^s) by `_times_stretched`, conjugation on the circle by
+# the reversed conjugate array.
+
+_UNIT = np.ones((1, 1), dtype=complex)  # the row of the constant 1
+
+
+def _dense(p: LaurentPoly) -> tuple[np.ndarray, int]:
+    """p over the span of its support."""
+    lo, hi = (p.support[0], p.support[-1]) if p else (0, 0)
+    return p.to_array(lo, hi), lo
+
+
+def _decimated(f, k: int):
+    """W_k f by `_compress` into identity rows, f read as starting at
+    frequency lo - k n0, n0 = ceil(lo / k): row i is frequency n0 + i."""
+    c, lo = f
+    n0, n1 = -(-lo // k), (lo + len(c) - 1) // k
+    if n1 < n0:
+        return np.zeros(1, dtype=complex), 0
+    return _compress(c, lo - k * n0, _UNIT, k, np.eye(n1 - n0 + 1))[:, 0], n0
+
+
+def _backward(f, k: int):
+    """S*^k f = P(z^-k f) for analytic f: `_compress` of z^-k f at stride 1."""
+    c, lo = f
+    return _compress(c, lo - k, _UNIT, 1, np.eye(max(1, lo + len(c) - k)))[:, 0], 0
+
+
+def _stretched(f, k: int, m: int = 0):
+    """z^m f(z^k)."""
+    c, lo = f
+    return _place(c, lo + m, 1, k, m).to_array(m + k * lo, m + k * (lo + len(c) - 1)), m + k * lo
+
+
+def _times(f, g, s: int = 1):
+    """f(z) g(z^s); a plain product is np.convolve, as in the symbol routines."""
+    c = np.convolve(f[0], g[0]) if s == 1 else _times_stretched(f[0], g[0], s)
+    return c, f[1] + s * g[1]
+
+
+def _conj(f):
+    c, lo = f
+    return c[::-1].conj(), 1 - lo - len(c)
+
+
+def _analytic(f):
+    """The frequencies >= 0 of f."""
+    c, lo = f
+    if lo >= 0:
+        return f
+    return (c[-lo:], 0) if len(c) > -lo else (np.zeros(1, dtype=complex), 0)
+
+
+def _inner(f, g) -> complex:
+    """sum_n f_n conj(g_n)."""
+    (a, la), (b, lb) = f, g
+    lo, hi = max(la, lb), min(la + len(a), lb + len(b))
+    return complex(np.vdot(b[lo - lb : hi - lb], a[lo - la : hi - la])) if lo < hi else 0j
+
+
+def _gap(f, g) -> float:
+    d = _sum(f, (-g[0], g[1]))[0]
+    return math.sqrt(np.vdot(d, d).real)
 
 
 @register("stretch_is_substitution", "stretch-substitution", 1e-10, 1e-10)
 def _prop_stretch_substitution(rng, ctx):
     p = random_laurent(rng)
-    s = stretch(p, ctx.k)
-    res = max(abs(s.evaluate(z) - p.evaluate(z**ctx.k)) for z in circle_grid(16))
+    f, z = _dense(p), np.array(circle_grid(16))
+
+    def values(g, z):
+        return z[:, None] ** np.arange(g[1], g[1] + len(g[0])) @ g[0]
+
+    res = float(np.abs(values(_stretched(f, ctx.k), z) - values(f, z**ctx.k)).max())
     return res, {"p": p.to_json()}
 
 
 @register("stretch_multiplicative", "stretch-multiplicative")
 def _prop_stretch_multiplicative(rng, ctx):
     p, q = random_laurent(rng), random_laurent(rng)
-    res = stretch(p * q, ctx.k).distance(stretch(p, ctx.k) * stretch(q, ctx.k))
+    f, g, k = _dense(p), _dense(q), ctx.k
+    res = _gap(_stretched(_times(f, g), k), _times(_stretched(f, k), g, k))
     return res, {"p": p.to_json(), "q": q.to_json()}
 
 
 @register("decimate_stretch_roundtrip", "decimate-stretch-identity")
 def _prop_decimate_stretch(rng, ctx):
     p = random_laurent(rng)
-    k = ctx.k
-    res = decimate(stretch(p, k), k).distance(p)
-    kept = LaurentPoly({n: c for n, c in p.items() if n % k == 0})
-    res = max(res, stretch(decimate(p, k), k).distance(kept))
+    f, k = _dense(p), ctx.k
+    res = _gap(_decimated(_stretched(f, k), k), f)
+    kept = np.where((f[1] + np.arange(len(f[0]))) % k == 0, f[0], 0), f[1]
+    res = max(res, _gap(_stretched(_decimated(f, k), k), kept))
     return res, {"p": p.to_json()}
 
 
 @register("conjugate_commutes", "circle-conjugate-commutes")
 def _prop_conjugate_commutes(rng, ctx):
     p = random_laurent(rng)
-    k = ctx.k
-    res = decimate(conj_on_circle(p), k).distance(conj_on_circle(decimate(p, k)))
-    res = max(res, stretch(conj_on_circle(p), k).distance(conj_on_circle(stretch(p, k))))
+    f, k = _dense(p), ctx.k
+    res = _gap(_decimated(_conj(f), k), _conj(_decimated(f, k)))
+    res = max(res, _gap(_stretched(_conj(f), k), _conj(_stretched(f, k))))
     return res, {"p": p.to_json()}
 
 
 @register("projection_commutes", "analytic-projection-commutes")
 def _prop_projection_commutes(rng, ctx):
     p = random_laurent(rng)
-    k = ctx.k
-    res = analytic_project(decimate(p, k)).distance(decimate(analytic_project(p), k))
-    res = max(res, analytic_project(stretch(p, k)).distance(stretch(analytic_project(p), k)))
+    f, k = _dense(p), ctx.k
+    res = _gap(_analytic(_decimated(f, k)), _decimated(_analytic(f), k))
+    res = max(res, _gap(_analytic(_stretched(f, k)), _stretched(_analytic(f), k)))
     return res, {"p": p.to_json()}
 
 
 @register("multiplier_pull_through", "multiplier-pull-through")
 def _prop_pull_through(rng, ctx):
     phi, f = random_laurent(rng, terms=5), random_laurent(rng)
-    k = ctx.k
-    res = decimate(stretch(phi, k) * f, k).distance(phi * decimate(f, k))
+    a, b, k = _dense(phi), _dense(f), ctx.k
+    res = _gap(_decimated(_times(b, a, k), k), _times(a, _decimated(b, k)))
     return res, {"phi": phi.to_json(), "f": f.to_json()}
 
 
 @register("decimation_adjoint", "decimation-adjoint")
 def _prop_adjoint(rng, ctx):
     p, q = random_laurent(rng), random_laurent(rng)
-    res = abs(decimate(p, ctx.k).inner(q) - p.inner(stretch(q, ctx.k)))
+    f, g, k = _dense(p), _dense(q), ctx.k
+    res = abs(_inner(_decimated(f, k), g) - _inner(f, _stretched(g, k)))
     return res, {"p": p.to_json(), "q": q.to_json()}
 
 
 @register("backward_shift_expansion", "backward-shift-expansion")
 def _prop_shift_expansion(rng, ctx):
-    p = analytic_project(random_laurent(rng, lo=0, hi=10))
-    k = ctx.k
-    direct = backward_shift_pow(p, k)
-    other = p.shifted(-k)
-    for j in range(k):
-        other = other - LaurentPoly.monomial(-(k - j), p.coeff(j))
-    return direct.distance(other), {"p": p.to_json()}
+    p = random_laurent(rng, lo=0, hi=10)
+    f, k = _dense(p), ctx.k
+    # z^-k p less its k leading terms p_j z^(j - k).
+    other = _sum((f[0], f[1] - k), (-p.to_array(0, k - 1), -k))
+    return _gap(_backward(f, k), other), {"p": p.to_json()}
 
 
 @register("stretch_shift_constant", "stretch-shift-constant")
 def _prop_stretch_shift_constant(rng, ctx):
-    f = analytic_project(random_laurent(rng, lo=0, hi=10))
-    k = ctx.k
-    lhs = stretch(f, k) - stretch(backward_shift_pow(f, 1), k).shifted(k)
-    return lhs.distance(LaurentPoly.constant(f.coeff(0))), {"f": f.to_json()}
+    f = random_laurent(rng, lo=0, hi=10)
+    a, k = _dense(f), ctx.k
+    rhs = _sum(_stretched(_backward(a, 1), k, k), (np.array([f.coeff(0)]), 0))
+    return _gap(_stretched(a, k), rhs), {"f": f.to_json()}
 
 
 @register("middle_monomial_sandwich", "middle-monomial-sandwich")
 def _prop_monomial_sandwich(rng, ctx):
     f = random_laurent(rng)
-    k = ctx.k
-    res = decimate(stretch(f, k), k).distance(f)
-    for m in range(1, k):
-        for sign in (1, -1):
-            res = max(res, decimate(stretch(f, k).shifted(sign * m), k).norm())
-    return res, {"f": f.to_json()}
+    a, k = _dense(f), ctx.k
+    # Column j is W_k(z^(j + 1 - k) f(z^k)) from frequency a[1], for every
+    # |j + 1 - k| < k at once: f at column k - 1 and zero elsewhere.
+    W = _compress(_stretched(a, k)[0], 1 - k, np.eye(2 * k - 1), k, np.eye(len(a[0])))
+    W[:, k - 1] -= a[0]
+    return float(np.linalg.norm(W, axis=0).max()), {"f": f.to_json()}
 
 
 # -- model space -----------------------------------------------------------
@@ -283,23 +362,24 @@ def _prop_stretched_inner(rng, ctx):
 @register("projection_decimation_intertwine", "projection-decimation-intertwine", 1e-10, 1e-8)
 def _prop_projection_intertwine(rng, ctx):
     f = random_laurent(rng, lo=-6, hi=4 * ctx.k * ctx.alpha.degree)
+    c, lo = _dense(f)
     ba = ctx.setting.basis_alpha
     big = ctx.stretched_basis(ctx.alpha)
-    lhs = ba.reconstruct(ba.project(decimate(f, ctx.k)))
-    rhs = decimate(big.reconstruct(big.project(f)), ctx.k)
-    return lhs.distance(rhs), {"f": f.to_json()}
+    lhs = _compress(c, lo, _UNIT, ctx.k, ba.rows)[:, 0] @ ba.rows, 0
+    rhs = _decimated((_compress(c, lo, _UNIT, 1, big.rows)[:, 0] @ big.rows, 0), ctx.k)
+    return _gap(lhs, rhs), {"f": f.to_json()}
 
 
 @register("reproducing_kernels", "derivative-reproducing", 1e-8, 1e-8)
 def _prop_reproducing(rng, ctx):
     ba = ctx.setting.basis_alpha
     coords = _vector(rng, ba.dim)
-    f = ba.reconstruct(coords)
+    f = coords @ ba.rows
     res = 0.0
     for n in range(3):
         w = 0.7 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
         pairing = complex(np.vdot(ba.kernel(w, n), coords))
-        res = max(res, abs(pairing - f.derivative_at(w, n)))
+        res = max(res, abs(pairing - np.polynomial.polynomial.polyval(w, np.polynomial.polynomial.polyder(f, n))))
     return res, {"coords": [[c.real, c.imag] for c in coords]}
 
 
@@ -323,8 +403,9 @@ def _prop_compressed_shift(rng, ctx):
     ba = ctx.setting.basis_alpha
     S, S_adj = ctx.setting.shift_alpha, ctx.setting.shift_alpha_adj
     v = _vector(rng, ba.dim)
-    # Adjoint acts as the coefficient backward shift on the space.
-    direct = ba.project(backward_shift_pow(ba.reconstruct(v), 1))
+    # Adjoint acts as the coefficient backward shift on the space: P_alpha of
+    # z^-1 f, by `_compress` from the row of f.
+    direct = _compress(np.ones(1), -1, (v @ ba.rows)[None], 1, ba.rows)[:, 0]
     res = float(np.linalg.norm(S_adj @ v - direct))
     C = ba.conjugation_matrix()
     res = max(res, float(np.abs(C @ S.conjugate() @ C.conjugate() - S_adj).max()))
@@ -364,14 +445,12 @@ def _prop_symbol_from_parts(rng, ctx):
     norm2 = float(np.vdot(k0b, k0b).real)
     for _ in range(k):
         p = _vector(rng, bb.dim)
-        value0 = bb.reconstruct(p).derivative_at(0.0, 0)
+        value0 = p @ bb.rows[:, 0]
         psis.append(p - (value0 / norm2) * k0b)  # enforce psi(0) = 0
-    phi = conj_on_circle(ba.reconstruct(chi))
-    for j in range(1, k + 1):
-        part = stretch(
-            bb.reconstruct(ctx.setting.shift_beta_adj @ psis[k - j]), k
-        ) * factorial(k - j)
-        phi = phi + part.shifted(j)
+    # conj(f_chi) + sum_j (k - j)! z^j (S_beta^* psi_(k-j))(z^k) for j = 1..k:
+    # block n of k coefficients from frequency 1 holds k n + 1..k n + k.
+    parts = np.array([factorial(k - j) * (ctx.setting.shift_beta_adj @ psis[k - j]) @ bb.rows for j in range(1, k + 1)])
+    phi = LaurentPoly.from_array(*_sum(_head(chi, ba), (parts.T.reshape(-1), 1)))
     U = build_compression(phi, ctx.setting)
     D = defect(U, ctx.setting, "t35")
     target = np.outer(k0b, chi.conjugate())
@@ -457,13 +536,13 @@ def _prop_recovery_orthogonality(rng, ctx):
         return float("inf"), {"phi": phi.to_json()}
     ba, bb, k = ctx.setting.basis_alpha, ctx.setting.basis_beta, ctx.k
     dec = report.decomposition
-    parts = [conj_on_circle(ba.reconstruct(dec.chi))]
+    parts = [_head(dec.chi, ba)]
     for j, psi in enumerate(dec.psis):
-        parts.append(stretch(bb.reconstruct(psi), k).shifted(-j))
+        parts.append(_stretched((psi @ bb.rows, 0), k, -j))
     res = 0.0
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):
-            res = max(res, abs(parts[a].inner(parts[b])))
+            res = max(res, abs(_inner(parts[a], parts[b])))
     return res, {"phi": phi.to_json()}
 
 
@@ -498,12 +577,13 @@ register("canonical_second_form", "canonical-symbol-shifted", 1e-9, 1e-8)(partia
 
 def _prop_zero(rng, ctx, which):
     # A symbol of the zero space: conj(alpha h1) + z^-shift beta(z^k) h2.
-    h1 = analytic_project(random_laurent(rng, lo=0, hi=4, terms=4))
-    h2 = analytic_project(random_laurent(rng, lo=0, hi=4, terms=4))
-    alpha_exp = LaurentPoly.from_array(ctx.setting.basis_alpha.alpha_expansion())
-    beta_k = stretch(LaurentPoly.from_array(ctx.setting.basis_beta.alpha_expansion()), ctx.k)
+    h1 = _dense(random_laurent(rng, lo=0, hi=4, terms=4))
+    h2 = _dense(random_laurent(rng, lo=0, hi=4, terms=4))
+    alpha_exp = ctx.setting.basis_alpha.alpha_expansion(), 0
+    beta_exp = ctx.setting.basis_beta.alpha_expansion(), 0
     shift = ctx.k - 1 if which == "p27" else 0
-    phi = conj_on_circle(alpha_exp * h1) + (beta_k * h2).shifted(-shift)
+    second = _times(h2, beta_exp, ctx.k)
+    phi = LaurentPoly.from_array(*_sum(_conj(_times(alpha_exp, h1)), (second[0], second[1] - shift)))
     res = 0.0 if zero_test_sufficient(phi, ctx.setting, which) else 1.0
     # Soundness on generic symbols: a positive answer forces a zero matrix.
     generic = _symbol(rng, ctx)

@@ -403,6 +403,27 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["canonical", "--symbol", sym({-3: 1})],
+            ["iszero", "--which", "p22", "--symbol", sym({-3: 1})],
+            ["iszero", "--which", "p27", "--symbol", sym({-3: 1})],
+            ["build", "--symbol", sym({1: 1, 10**15: 1})],
+            ["conjugate", "--symbol", sym({1: 1, 10**15: 1})],
+        ],
+        ids=["canonical", "iszero-p22", "iszero-p27", "build", "conjugate"],
+    )
+    def test_allocation_failure_is_numeric_error(self, capsys, argv):
+        # At k = 10^12 these commands densify about 6.5e13 coefficients
+        # (946 TiB), past any 64-bit user address space, so the allocation
+        # fails at once.  Exit 1 would read as a negative verdict.
+        beta = '{"zeros": [0.4, {"re": 0, "im": -0.5}]}'
+        start = time.perf_counter()
+        code, out, err = run(capsys, [argv[0], "--k", "1000000000000", "--alpha", "z^3", "--beta", beta, *argv[1:]])
+        assert code == 3 and "numeric error" in err and not out
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["rankone", "--l", "0", "--kind", "tilde_k"],
             ["conjugate", "--symbol", sym({1: 1, -2: 0.5})],
         ],

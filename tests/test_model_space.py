@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slantmodel.laurent import LaurentPoly, decimate
+from laurent_oracle import backward_shift_pow, decimate, derivative_at, distance, evaluate, inner, monomial
+from slantmodel.laurent import LaurentPoly
 from slantmodel.model_space import (
     CONTRACTION_BLOCK,
     InnerFunction,
@@ -18,9 +19,9 @@ from slantmodel.model_space import (
     _compress,
     _takenaka_malmquist,
     _taylor,
-    circle_grid,
     default_truncation,
 )
+from slantmodel.verify import circle_grid
 
 
 def L(d):
@@ -99,7 +100,7 @@ class TestInnerFunction:
         b = InnerFunction.blaschke([0.5, -0.3])
         poly = LaurentPoly.from_array(_taylor(b, 80))
         for z in circle_grid(8):
-            assert abs(poly.evaluate(z) - b.evaluate(z)) < 1e-10
+            assert abs(evaluate(poly, z) - b.evaluate(z)) < 1e-10
 
     def test_parse_shorthand(self):
         assert InnerFunction.parse("z^4").degree == 4
@@ -116,31 +117,27 @@ class TestMakeBasis:
     def test_monomial_basis(self):
         basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
         assert basis.dim == 3
-        assert basis.vectors == [L({0: 1}), L({1: 1}), L({2: 1})]
+        assert [LaurentPoly.from_array(row) for row in basis.rows] == [L({0: 1}), L({1: 1}), L({2: 1})]
         assert basis.tail_bound == 0.0
 
     def test_single_zero_at_origin(self):
         basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.0]))
         assert basis.dim == 1
-        assert basis.vectors[0] == L({0: 1})
+        assert LaurentPoly.from_array(basis.rows[0]) == L({0: 1})
 
     def test_single_zero_half(self):
         # Normalized Cauchy kernel sqrt(0.75) * sum 0.5^n z^n.
         basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.5]))
-        v = basis.vectors[0]
+        v = LaurentPoly.from_array(basis.rows[0])
         scale = math.sqrt(0.75)
         for n in range(10):
             assert v.coeff(n) == pytest.approx(scale * 0.5**n)
-        assert abs(v.inner(v) - 1.0) < 1e-10
+        assert abs(inner(v, v) - 1.0) < 1e-10
 
     def test_gram_identity(self, blaschke_basis):
         d = blaschke_basis.dim
-        gram = np.array(
-            [
-                [blaschke_basis.vectors[i].inner(blaschke_basis.vectors[j]) for j in range(d)]
-                for i in range(d)
-            ]
-        )
+        vectors = [LaurentPoly.from_array(row) for row in blaschke_basis.rows]
+        gram = np.array([[inner(vectors[i], vectors[j]) for j in range(d)] for i in range(d)])
         assert np.abs(gram - np.eye(d)).max() < 1e-10
 
     def test_truncation_too_small(self):
@@ -228,12 +225,12 @@ class TestProject:
 
     def test_self_adjoint_on_spanning_set(self, blaschke_basis):
         # <P f, g> = <f, P g> over a frequency spanning set.
-        span = [LaurentPoly.monomial(n) for n in range(-3, 8)]
+        span = [monomial(n) for n in range(-3, 8)]
         for f in span:
             for g in span:
                 pf = blaschke_basis.reconstruct(blaschke_basis.project(f))
                 pg = blaschke_basis.reconstruct(blaschke_basis.project(g))
-                assert abs(pf.inner(g) - f.inner(pg)) < 1e-10
+                assert abs(inner(pf, g) - inner(f, pg)) < 1e-10
 
 
 class TestKernel:
@@ -272,7 +269,7 @@ class TestKernel:
             w = 0.7 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
             for n in range(3):
                 pairing = complex(np.vdot(basis.kernel(w, n), coords))
-                assert abs(pairing - f.derivative_at(w, n)) < 1e-8
+                assert abs(pairing - derivative_at(f, w, n)) < 1e-8
 
 
 class TestConjugation:
@@ -327,8 +324,6 @@ class TestCompressedShift:
         assert np.abs(S @ tilde + a0 * blaschke_basis.kernel(0, 0)).max() < 1e-8
 
     def test_adjoint_is_backward_shift(self, rng, blaschke_basis):
-        from slantmodel.laurent import backward_shift_pow
-
         v = random_coords(rng, blaschke_basis.dim)
         _, S_adj = blaschke_basis.compressed_shift()
         direct = blaschke_basis.project(backward_shift_pow(blaschke_basis.reconstruct(v), 1))
@@ -378,7 +373,7 @@ class TestProjectionDecimationIntertwine:
             )
             lhs = basis.reconstruct(basis.project(decimate(f, k)))
             rhs = decimate(big.reconstruct(big.project(f)), k)
-            assert lhs.distance(rhs) < 1e-8
+            assert distance(lhs, rhs) < 1e-8
 
 
 def convolution_expansions(inner, order):

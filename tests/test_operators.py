@@ -4,8 +4,11 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slantmodel.laurent import LaurentPoly, conj_on_circle, decimate, random_laurent, stretch
+from laurent_oracle import conj_on_circle, decimate, distance, inner, is_zero, monomial, mul, shifted, stretch, sub
+from slantmodel.laurent import LaurentPoly
 from slantmodel.model_space import MAX_ORDER, InnerFunction, ModelSpaceBasis, TruncationError
 from slantmodel.operators import (
     VARIANTS,
@@ -25,8 +28,11 @@ from slantmodel.operators import (
     rank_one,
     recover_symbol,
     zero_test_sufficient,
+    _place,
     _reduced,
+    _times_stretched,
 )
+from slantmodel.verify import random_laurent
 
 
 def L(d):
@@ -35,6 +41,11 @@ def L(d):
 
 def zn(n):
     return InnerFunction.monomial(n)
+
+
+def vectors(basis):
+    """The basis rows as LaurentPoly expansions."""
+    return [LaurentPoly.from_array(row) for row in basis.rows]
 
 
 def stretched_beta_expansion(setting):
@@ -143,7 +154,7 @@ class TestBuildCompression:
     def test_linear_in_symbol(self, rng, sblaschke):
         p = random_laurent(rng, -5, 9, terms=6)
         q = random_laurent(rng, -5, 9, terms=6)
-        lhs = build_compression(p + q * 2.5j, sblaschke).entries
+        lhs = build_compression(p + mul(q, 2.5j), sblaschke).entries
         rhs = build_compression(p, sblaschke).entries + 2.5j * build_compression(q, sblaschke).entries
         assert np.abs(lhs - rhs).max() < 1e-10
 
@@ -179,7 +190,7 @@ class TestBuildCompression:
 
 def loop_oracle(phi, src, k, dst):
     """Reference compression by the LaurentPoly loop <W_k(phi e_j), f_i>."""
-    return np.array([[decimate(phi * e, k).inner(f) for e in src.vectors] for f in dst.vectors])
+    return np.array([[inner(decimate(mul(phi, e), k), f) for e in vectors(src)] for f in vectors(dst)])
 
 
 B2 = InnerFunction.blaschke([0.5, -0.3])
@@ -240,12 +251,7 @@ class TestDecimationMatrix:
             big = kron_basis(setting)
             phi = random_laurent(rng, -5, 8, terms=6)
             U = build_compression(phi, setting)
-            lifted = np.array(
-                [
-                    [(phi * setting.basis_alpha.vectors[j]).inner(big.vectors[i]) for j in range(setting.basis_alpha.dim)]
-                    for i in range(big.dim)
-                ]
-            )
+            lifted = np.array([[inner(mul(phi, e), f) for e in vectors(setting.basis_alpha)] for f in vectors(big)])
             assert np.abs(U.entries - W @ lifted).max() < 1e-8
 
 
@@ -353,7 +359,7 @@ class TestMembership:
                 membership(s243.matrix(np.zeros((3, 4))), s243, tol=tol)
 
     def test_effective_tolerance_is_the_threshold(self, s243):
-        member = build_compression(random_laurent(np.random.default_rng(5), -5, 8, terms=6) * 10.0, s243)
+        member = build_compression(mul(random_laurent(np.random.default_rng(5), -5, 8, terms=6), 10.0), s243)
         bad = member.entries.copy()
         bad[0, 0] += 5.0
         reports = []
@@ -514,8 +520,8 @@ class TestRepeatedZeros:
             out = canonical_symbol(phi, setting, which)
             assert np.abs(build_compression(out, setting).entries - build_compression(phi, setting).entries).max() < 1e-10
         alpha_bar = conj_on_circle(LaurentPoly.from_array(setting.basis_alpha.alpha_expansion()))
-        phi = alpha_bar * random_laurent(rng, -3, 0, terms=3)
-        phi = phi + stretched_beta_expansion(setting) * random_laurent(rng, 0, 3, terms=3)
+        phi = mul(alpha_bar, random_laurent(rng, -3, 0, terms=3))
+        phi = phi + mul(stretched_beta_expansion(setting), random_laurent(rng, 0, 3, terms=3))
         assert zero_test_sufficient(phi, setting, "p22")
         assert zero_test_sufficient(phi, setting, "p27")
         assert not zero_test_sufficient(L({1: 1}), setting, "p22")
@@ -582,9 +588,9 @@ class TestCompressionSetting:
                 got = canonical_symbol(phi, setting, which)
                 want = dict_canonical(phi, setting, which).to_array(-2, 141)
                 assert np.abs(got.to_array(-2, 141) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-            zero = alpha_bar * random_laurent(rng, -3, 0, terms=3)
+            zero = mul(alpha_bar, random_laurent(rng, -3, 0, terms=3))
             for which, shift in (("p22", 0), ("p27", 1)):
-                member = zero + (stretched_beta_expansion(setting) * random_laurent(rng, 0, 3, terms=3)).shifted(-shift)
+                member = zero + shifted(mul(stretched_beta_expansion(setting), random_laurent(rng, 0, 3, terms=3)), -shift)
                 for symbol in (phi, member):
                     assert zero_test_sufficient(symbol, setting, which) == dict_zero_test(symbol, setting, which)
                 assert zero_test_sufficient(member, setting, which)
@@ -609,7 +615,7 @@ class TestCompressionSetting:
 
 class TestCanonicalSymbol:
     def test_annihilated_monomial(self, s243):
-        assert canonical_symbol(L({7: 1}), s243, "first").is_zero()
+        assert is_zero(canonical_symbol(L({7: 1}), s243, "first"))
 
     def test_passthrough(self, s243):
         assert canonical_symbol(L({-5: 1, 1: 1}), s243, "first") == L({1: 1})
@@ -638,7 +644,7 @@ class TestCanonicalSymbol:
     def test_idempotent(self, rng, s543):
         phi = random_laurent(rng, -7, 18, terms=7)
         once = canonical_symbol(phi, s543, "first")
-        assert once.distance(canonical_symbol(once, s543, "first")) < 1e-10
+        assert distance(once, canonical_symbol(once, s543, "first")) < 1e-10
 
     def test_unknown_form(self, s243):
         with pytest.raises(ValueError):
@@ -680,10 +686,11 @@ class TestZeroTest:
         # re-checked here).
         for setting in all_settings:
             m, n, k = setting.basis_alpha.dim, setting.basis_beta.dim, setting.k
-            phi = conj_on_circle(
-                LaurentPoly.from_array(setting.basis_alpha.alpha_expansion())
-            ) * random_laurent(rng, -3, 0, terms=3)
-            phi = phi + stretched_beta_expansion(setting) * random_laurent(rng, 0, 3, terms=3)
+            phi = mul(
+                conj_on_circle(LaurentPoly.from_array(setting.basis_alpha.alpha_expansion())),
+                random_laurent(rng, -3, 0, terms=3),
+            )
+            phi = phi + mul(stretched_beta_expansion(setting), random_laurent(rng, 0, 3, terms=3))
             assert zero_test_sufficient(phi, setting, "p22")
             assert build_compression(phi, setting).norm() < 1e-7
 
@@ -691,8 +698,8 @@ class TestZeroTest:
         # A constant can sit on either side of the split; both tests must
         # treat alpha-side constants correctly.
         alpha_bar = conj_on_circle(LaurentPoly.from_array(s543.basis_alpha.alpha_expansion()))
-        assert zero_test_sufficient(alpha_bar * L({0: 2.0}), s543, "p22")
-        assert zero_test_sufficient(alpha_bar * L({0: 2.0}), s543, "p27")
+        assert zero_test_sufficient(mul(alpha_bar, L({0: 2.0})), s543, "p22")
+        assert zero_test_sufficient(mul(alpha_bar, L({0: 2.0})), s543, "p27")
 
     def test_unknown_test(self, s243):
         with pytest.raises(ValueError):
@@ -713,8 +720,8 @@ class TestZeroTest:
         generic = [random_laurent(rng, -shift - 4, 0, terms=4) for _ in range(10)]
         generic += [random_laurent(rng, -8, 3 * k, terms=6) for _ in range(10)]
         members = [
-            alpha_bar * random_laurent(rng, -3, 0, terms=3)
-            + (stretched_beta_expansion(setting) * random_laurent(rng, 0, 3, terms=3)).shifted(-shift)
+            mul(alpha_bar, random_laurent(rng, -3, 0, terms=3))
+            + shifted(mul(stretched_beta_expansion(setting), random_laurent(rng, 0, 3, terms=3)), -shift)
             for _ in range(5)
         ]
         for phi in generic + members:
@@ -916,6 +923,56 @@ class TestLargeOrderStretchedBeta:
         assert np.abs(rebuilt - sandwich.entries).max() <= 1e-10 * max(1.0, np.linalg.norm(sandwich.entries))
 
 
+# -- the array primitives of f(z^k) ---------------------------------------------
+# `_place` and `_times_stretched` against the dict maps they stand for.
+
+coeff_arrays = st.lists(
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=4, allow_nan=False, allow_infinity=False) | st.just(0j),
+    min_size=1,
+    max_size=12,
+).map(lambda values: np.array(values, dtype=complex))
+
+
+def moved_blocks(p, s, k, base):
+    """Frequency base + s n + t, 0 <= t < s, moved to base + k n + t."""
+    out = {}
+    for f, c in p.items():
+        n, t = divmod(f - base, s)
+        out[base + k * n + t] = c
+    return LaurentPoly(out)
+
+
+class TestArrayPrimitives:
+    @given(coeff_arrays, st.integers(-20, 20), st.integers(1, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_place_at_stride_one_is_stretch(self, c, lo, k):
+        assert _place(c, lo, 1, k, 0) == stretch(LaurentPoly.from_array(c, lo), k)
+
+    @given(coeff_arrays, st.integers(-20, 20), st.integers(-20, 20), st.integers(1, 8), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_place_moves_blocks_to_stride_k(self, c, lo, base, s, extra):
+        k = s + extra
+        assert _place(c, lo, s, k, base) == moved_blocks(LaurentPoly.from_array(c, lo), s, k, base)
+
+    def test_place_past_int64(self):
+        # Frequencies are Python ints: k n and base + k n pass 2^63 exactly.
+        k = 3 * 2**63 + 5
+        c = np.array([1.0, 2j, 0.0, -3.0, 0.5j])
+        p = LaurentPoly.from_array(c, -2)
+        assert _place(c, -2, 1, k, 0) == stretch(p, k)
+        assert _place(c, -2, 2, k, 1) == moved_blocks(p, 2, k, 1)
+        assert max(_place(c, -2, 1, k, 0).support) == 2 * k
+
+    # The output is dense at stride s, and the symbol routines call it with s
+    # at most the width of q, so s stays small here.
+    @given(coeff_arrays, coeff_arrays, st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_times_stretched_is_product_with_stretch(self, q, e, s):
+        got = LaurentPoly.from_array(_times_stretched(q, e, s))
+        want = mul(LaurentPoly.from_array(q), stretch(LaurentPoly.from_array(e), s))
+        assert distance(got, want) <= 1e-14 * max(1.0, float(np.abs(q).sum() * np.abs(e).sum()))
+
+
 # -- dict oracles of the symbol-level routines ---------------------------------
 # The LaurentPoly implementations that the coefficient-array routines replaced,
 # kept as references.
@@ -931,13 +988,13 @@ def dict_recover(report, setting):
     if report.variant == "t35":
         phi = conj_on_circle(ba.reconstruct(dec.chi))
         for j, psi in enumerate(dec.psis):
-            phi = phi + stretch(bb.reconstruct(psi), k).shifted(-j)
+            phi = phi + shifted(stretch(bb.reconstruct(psi), k), -j)
         return phi
     beta_k = stretch(dict_alpha(bb), k)
     alpha_bar = conj_on_circle(dict_alpha(ba))
-    phi = beta_k * conj_on_circle(ba.reconstruct(dec.chi)) * LaurentPoly.monomial(-k)
+    phi = mul(mul(beta_k, conj_on_circle(ba.reconstruct(dec.chi))), monomial(-k))
     for j, psi in enumerate(dec.psis):
-        phi = phi + alpha_bar * stretch(bb.reconstruct(psi), k).shifted(j + 1)
+        phi = phi + mul(alpha_bar, shifted(stretch(bb.reconstruct(psi), k), j + 1))
     return phi
 
 
@@ -951,7 +1008,7 @@ def dict_reduced(phi, setting, shift):
     ba, bs = setting.basis_alpha, kron_basis(setting)
     f, g = dict_split(phi)
     head = conj_on_circle(ba.reconstruct(ba.project(f)))
-    return head + bs.reconstruct(bs.project(g.shifted(shift))).shifted(-shift)
+    return head + shifted(bs.reconstruct(bs.project(shifted(g, shift))), -shift)
 
 
 def dict_canonical(phi, setting, which):
@@ -964,8 +1021,8 @@ def dict_zero_test(phi, setting, which):
     base = dict_reduced(phi, setting, shift)
     directions = []
     for t in range(shift + 1):
-        d = bs.reconstruct(bs.project(LaurentPoly.monomial(shift - t))).shifted(-shift)
-        directions.append(d - conj_on_circle(ba.reconstruct(ba.project(LaurentPoly.monomial(t)))))
+        d = shifted(bs.reconstruct(bs.project(monomial(shift - t))), -shift)
+        directions.append(sub(d, conj_on_circle(ba.reconstruct(ba.project(monomial(t))))))
     ends = [n for p in (base, *directions) for n in p.support[:1] + p.support[-1:]]
     residue = 0.0
     if ends:
@@ -979,20 +1036,20 @@ def dict_zero_test(phi, setting, which):
 
 def dict_conjugate_symbol(phi, setting):
     beta_k = stretch(dict_alpha(setting.basis_beta), setting.k)
-    return conj_on_circle((dict_alpha(setting.basis_alpha) * phi).shifted(setting.k - 1)) * beta_k
+    return mul(conj_on_circle(shifted(mul(dict_alpha(setting.basis_alpha), phi), setting.k - 1)), beta_k)
 
 
 def dict_rank_one_symbol(setting, l, kind):
     if kind == "tilde_k":
-        return stretch(dict_alpha(setting.basis_beta), setting.k).shifted(-(l + setting.k)) * factorial(l)
-    return conj_on_circle(dict_alpha(setting.basis_alpha)).shifted(l + 1) * factorial(l)
+        return mul(shifted(stretch(dict_alpha(setting.basis_beta), setting.k), -(l + setting.k)), factorial(l))
+    return mul(shifted(conj_on_circle(dict_alpha(setting.basis_alpha)), l + 1), factorial(l))
 
 
 def dict_defect_from_symbol(phi, setting):
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
     chi = ba.project(conj_on_circle(phi))
     psis = [
-        setting.shift_beta @ bb.project(decimate(phi * LaurentPoly.monomial(-(k - j)), k))
+        setting.shift_beta @ bb.project(decimate(mul(phi, monomial(-(k - j))), k))
         for j in range(k)
     ]
     return chi, psis
@@ -1084,7 +1141,7 @@ class TestSymbolArrayOracle:
         rng = np.random.default_rng(67)
         alpha_bar = conj_on_circle(dict_alpha(setting.basis_alpha))
         beta_k = stretch(dict_alpha(setting.basis_beta), setting.k)
-        zero = alpha_bar * random_laurent(rng, -3, 0, terms=3) + (beta_k * random_laurent(rng, 0, 3, terms=3)).shifted(-shift)
+        zero = mul(alpha_bar, random_laurent(rng, -3, 0, terms=3)) + shifted(mul(beta_k, random_laurent(rng, 0, 3, terms=3)), -shift)
         for phi in [zero, *self.symbols(setting), L({setting.k * setting.basis_beta.dim: 1.0})]:
             verdict = zero_test_sufficient(phi, setting, which)
             assert verdict == dict_zero_test(phi, setting, which)

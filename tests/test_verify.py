@@ -1,13 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
+from slantmodel.laurent import LaurentPoly
 from slantmodel.model_space import InnerFunction
 from slantmodel.verify import (
     DEFAULT_MENU,
     REQUIRED_ANCHORS,
     SuiteConfig,
     audit_registry,
+    random_laurent,
     registered_properties,
     run_suite,
 )
@@ -33,6 +36,21 @@ class TestRegistry:
     def test_names_unique(self):
         names = [p.name for p in registered_properties()]
         assert len(names) == len(set(names))
+
+
+class TestRandomLaurent:
+    @pytest.mark.parametrize("lo,hi,terms", [(-8, 8, 8), (0, 4, 4), (-6, 40, 8), (3, 3, 1), (-2, 1, 9)])
+    def test_draws_as_one_scalar_per_part(self, lo, hi, terms):
+        # One array of draws is the stream of a choice over the range, then a
+        # real and an imaginary scalar draw per frequency, so every seeded
+        # input of the suite stays as it was.
+        for seed in range(20):
+            ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            freqs = ref.choice(range(lo, hi + 1), size=min(terms, hi - lo + 1), replace=False)
+            want = LaurentPoly({int(n): complex(ref.standard_normal(), ref.standard_normal()) for n in freqs})
+            got = random_laurent(rng, lo, hi, terms)
+            assert list(got.items()) == list(want.items())
+            assert rng.standard_normal() == ref.standard_normal()
 
 
 class TestSuite:
