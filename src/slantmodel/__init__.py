@@ -15,7 +15,6 @@ from .operators import (
     OperatorMatrix,
     assemble_defect,
     build_compression,
-    build_truncated_toeplitz,
     canonical_symbol,
     conjugate_operator,
     conjugate_symbol,

@@ -89,9 +89,8 @@ def _membership(args, setting: CompressionSetting):
 def _setting(args) -> CompressionSetting:
     alpha = _parse_inner(args.alpha)
     beta = _parse_inner(args.beta)
-    k = getattr(args, "k", 1)  # ttoeplitz has no --k
     try:
-        return CompressionSetting(alpha, beta, k, truncation=args.truncation)
+        return CompressionSetting(alpha, beta, args.k, truncation=args.truncation)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -122,9 +121,8 @@ def _symbol_text(obj: dict) -> str:
     return "  ".join(f"z^{e['n']}: {complex(e['re'], e['im']):.6g}" for e in obj["coeffs"])
 
 
-def _add_common(p, need_k=True):
-    if need_k:
-        p.add_argument("--k", type=int, required=True, help="decimation order")
+def _add_common(p):
+    p.add_argument("--k", type=int, required=True, help="decimation order")
     p.add_argument("--alpha", required=True, help="inner function: 'z^N' or JSON (inline/file)")
     p.add_argument("--beta", required=True, help="inner function: 'z^N' or JSON (inline/file)")
     p.add_argument(
@@ -149,10 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="compression matrix of a symbol")
     _add_common(p)
     p.add_argument("--symbol", required=True, help="Laurent coefficients, JSON inline or file")
-
-    p = sub.add_parser("ttoeplitz", help="truncated Toeplitz matrix (order 1)")
-    _add_common(p, need_k=False)
-    p.add_argument("--symbol", required=True)
 
     p = sub.add_parser("membership", help="test a matrix for compression structure")
     _add_common(p)
@@ -235,7 +229,7 @@ def _run(args) -> int:
 
     setting = _setting(args)
 
-    if cmd in ("build", "ttoeplitz"):  # ttoeplitz has no --k, so k = 1
+    if cmd == "build":
         U = build_compression(_parse_symbol(args.symbol), setting)
         _emit(U.to_json(), args.format, _matrix_text)
         return EXIT_OK

@@ -16,6 +16,8 @@ import numpy as np
 # Coefficients below this modulus are dropped after every operation so that
 # supports stay finite and equality checks stay stable.
 COEFF_DROP = 1e-14
+# Most complex coefficients a numpy array can hold: its byte size is an intp.
+MAX_WINDOW = np.iinfo(np.intp).max // 16
 
 
 def strict_int(value, name: str) -> int:
@@ -65,7 +67,11 @@ class LaurentPoly:
         return out
 
     def to_array(self, lo: int, hi: int) -> np.ndarray:
-        """Dense coefficients of frequencies lo..hi; the rest is dropped."""
+        """Dense coefficients of frequencies lo..hi; the rest is dropped.  A
+        window past numpy's address space is a MemoryError, as a failed
+        allocation is."""
+        if hi - lo + 1 > MAX_WINDOW:
+            raise MemoryError(f"a window of {hi - lo + 1} coefficients is past the address space")
         out = np.zeros(hi - lo + 1, dtype=complex)
         for n, c in self._coeffs.items():
             if lo <= n <= hi:

@@ -174,13 +174,11 @@ class CompressionSetting:
 # coefficients out to its place at stride k; below it, s = k.
 
 
-def _clip(phi: LaurentPoly, src: ModelSpaceBasis, k: int, dst: ModelSpaceBasis) -> tuple[np.ndarray, int]:
-    """phi densified over the part of its support that reaches a kept
-    coefficient of the compression: frequencies -T_src..k T_dst."""
-    lo, hi = (phi.support[0], phi.support[-1]) if phi else (0, 0)
-    lo = max(lo, 1 - src.rows.shape[1])
-    hi = max(lo, min(hi, k * (dst.rows.shape[1] - 1)))
-    return phi.to_array(lo, hi), lo
+def _clip(phi: LaurentPoly, lo: int, hi: int) -> tuple[np.ndarray, int]:
+    """phi densified over the part of its support inside frequencies lo..hi."""
+    first, last = (phi.support[0], phi.support[-1]) if phi else (0, 0)
+    lo = max(lo, first)
+    return phi.to_array(lo, max(lo, min(hi, last))), lo
 
 
 def _times_stretched(q: np.ndarray, e: np.ndarray, s: int) -> np.ndarray:
@@ -247,21 +245,12 @@ def _reduced(phi: LaurentPoly, setting: CompressionSetting, shift: int) -> tuple
 # -- builders --------------------------------------------------------------
 
 
-def _compress_symbol(phi: LaurentPoly, src: ModelSpaceBasis, k: int, dst: ModelSpaceBasis) -> np.ndarray:
-    """The shared compression routine, on phi clipped to what it reads."""
-    return _compress(*_clip(phi, src, k, dst), src.rows, k, dst.rows)
-
-
 def build_compression(phi: LaurentPoly, setting: CompressionSetting) -> OperatorMatrix:
-    """Matrix of f -> P_beta W_k(phi f) on the chosen bases."""
-    return setting.matrix(_compress_symbol(phi, setting.basis_alpha, setting.k, setting.basis_beta))
-
-
-def build_truncated_toeplitz(
-    phi: LaurentPoly, basis_alpha: ModelSpaceBasis, basis_beta: ModelSpaceBasis
-) -> np.ndarray:
-    """Matrix of f -> P_beta(phi f); the k = 1 case of build_compression."""
-    return _compress_symbol(phi, basis_alpha, 1, basis_beta)
+    """Matrix of f -> P_beta W_k(phi f) on the chosen bases, from phi over
+    frequencies -T_alpha..k T_beta: only those reach a kept coefficient."""
+    ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
+    window = _clip(phi, -ba.truncation_order, k * bb.truncation_order)
+    return setting.matrix(_compress(*window, ba.rows, k, bb.rows))
 
 
 def decimation_matrix(setting: CompressionSetting) -> np.ndarray:
@@ -323,20 +312,15 @@ def assemble_defect(dec: DefectDecomposition, setting: CompressionSetting) -> np
 def defect_from_symbol(phi: LaurentPoly, setting: CompressionSetting) -> DefectDecomposition:
     """Closed-form decomposition of the defect of a symbol-built compression:
     chi = P_alpha conj(phi) and psi_j = S_beta P_beta W_k(z^(j-k) phi) for
-    j < _used, from phi over frequencies -T_alpha..k (T_beta + 1)."""
+    j < _used, the compression of z^-k phi from the span of 1, ..., z^(used-1)
+    into K_beta.  Only phi over -T_alpha..0 and k + 1 - used..k (T_beta + 1)
+    is read."""
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
-    ta, tb = ba.truncation_order, bb.truncation_order
-    chi = ba.rows.conj() @ phi.to_array(-ta, 0)[::-1].conj()
-    # Row n, column j: the coefficient of frequency k (n + 1) - j, which
-    # W_k(z^(j-k) phi) puts at n.
+    chi = ba.rows.conj() @ phi.to_array(-ba.truncation_order, 0)[::-1].conj()
     used = _used(setting)
-    decimated = np.zeros((tb + 1, used), dtype=complex)
-    for f, c in phi.items():
-        n, j = divmod(-f, k)
-        if j < used and -tb - 1 <= n <= -1:
-            decimated[-n - 1, j] = c
-    projected = setting.shift_beta @ (bb.rows.conj() @ decimated)
-    return DefectDecomposition(chi=chi, psis=list(projected.T), variant="t35")
+    c, lo = _clip(phi, k + 1 - used, k * bb.rows.shape[1])
+    psis = setting.shift_beta @ _compress(c, lo - k, np.eye(used), k, bb.rows)
+    return DefectDecomposition(chi=chi, psis=list(psis.T), variant="t35")
 
 
 # -- membership ------------------------------------------------------------
@@ -506,7 +490,7 @@ def conjugate_symbol(phi: LaurentPoly, setting: CompressionSetting) -> LaurentPo
     """The symbol conj(alpha phi z^(k-1)) beta(z^k) of the conjugation sandwich
     of a symbol-built compression, from phi clipped to -T_alpha..k T_beta."""
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
-    w, lo = _clip(phi, ba, k, bb)
+    w, lo = _clip(phi, -ba.truncation_order, k * bb.truncation_order)
     prod = np.convolve(ba.alpha_expansion(), w)  # frequencies lo, lo + 1, ...
     # z^(1 - k) q beta(z^k) with q = conj(alpha phi) from frequency q_lo.
     q, q_lo = prod[::-1].conj(), 1 - lo - len(prod)
@@ -568,7 +552,6 @@ __all__ = [
     "VARIANTS",
     "DEFAULT_MEMBERSHIP_TOL",
     "build_compression",
-    "build_truncated_toeplitz",
     "decimation_matrix",
     "defect",
     "defect_from_symbol",

@@ -24,7 +24,6 @@ from .operators import (
     VARIANTS,
     assemble_defect,
     build_compression,
-    build_truncated_toeplitz,
     canonical_symbol,
     conjugate_operator,
     conjugate_symbol,
@@ -34,6 +33,7 @@ from .operators import (
     rank_one,
     recover_symbol,
     zero_test_sufficient,
+    _clip,
     _head,
     _place,
     _sum,
@@ -286,11 +286,14 @@ def _prop_decimate_stretch(rng, ctx):
 
 @register("conjugate_commutes", "circle-conjugate-commutes")
 def _prop_conjugate_commutes(rng, ctx):
-    p = random_laurent(rng)
-    f, k = _dense(p), ctx.k
+    p, q = random_laurent(rng), random_laurent(rng)
+    f, g, k = _dense(p), _dense(q), ctx.k
     res = _gap(_decimated(_conj(f), k), _conj(_decimated(f, k)))
     res = max(res, _gap(_stretched(_conj(f), k), _conj(_stretched(f, k))))
-    return res, {"p": p.to_json()}
+    # <conj f, g> = conj <f, conj g>: plain reversal, which commutes with
+    # decimation and stretching too, fails this.
+    res = max(res, abs(_inner(_conj(f), g) - _inner(f, _conj(g)).conjugate()))
+    return res, {"p": p.to_json(), "q": q.to_json()}
 
 
 @register("projection_commutes", "analytic-projection-commutes")
@@ -421,9 +424,9 @@ def _prop_factorization(rng, ctx):
     # beta H^2, orthogonal to K_beta.
     phi = _symbol(rng, ctx)
     U = build_compression(phi, ctx.setting)
-    big = ctx.stretched_basis(ctx.beta)
+    ba, big = ctx.setting.basis_alpha, ctx.stretched_basis(ctx.beta)
     W = _compress(np.ones(1), 0, big.rows, ctx.k, ctx.setting.basis_beta.rows)
-    A = build_truncated_toeplitz(phi, ctx.setting.basis_alpha, big)
+    A = _compress(*_clip(phi, -ba.truncation_order, big.truncation_order), ba.rows, 1, big.rows)
     return float(np.abs(U.entries - W @ A).max()), {"phi": phi.to_json()}
 
 
@@ -749,7 +752,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                 rng = np.random.default_rng(
                     np.random.SeedSequence(config.seed, spawn_key=(pidx, cidx, trial))
                 )
-                residual, payload = prop.run(rng, ctx)
+                try:
+                    residual, payload = prop.run(rng, ctx)
+                except Exception as exc:  # a failing trial of this row, not the end of the suite
+                    residual, payload = math.inf, {"error": repr(exc)}
                 worst = max(worst, residual)
                 if residual <= tol:
                     passes += 1

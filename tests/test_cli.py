@@ -67,9 +67,10 @@ class TestBuild:
         assert len(out.strip().splitlines()) == 3
 
     def test_ttoeplitz(self, capsys):
+        # The truncated Toeplitz matrix is the order-1 compression.
         code, out, _ = run(
             capsys,
-            ["ttoeplitz", "--alpha", "z^2", "--beta", "z^2", "--symbol", sym({1: 1})],
+            ["build", "--k", "1", "--alpha", "z^2", "--beta", "z^2", "--symbol", sym({1: 1})],
         )
         assert code == 0
         obj = json.loads(out)
@@ -401,23 +402,28 @@ class TestErrors:
         assert code == 3 and "numeric" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "k,argv",
         [
-            ["canonical", "--symbol", sym({-3: 1})],
-            ["iszero", "--which", "p22", "--symbol", sym({-3: 1})],
-            ["iszero", "--which", "p27", "--symbol", sym({-3: 1})],
-            ["build", "--symbol", sym({1: 1, 10**15: 1})],
-            ["conjugate", "--symbol", sym({1: 1, 10**15: 1})],
+            pytest.param(k, [command, *flags, "--symbol", symbol], id=name + suffix)
+            for k, far, suffix in ((10**12, 10**15, ""), (10**16, 10**18, "-k1e16"), (10**20, 10**18, "-k1e20"))
+            for name, command, flags, symbol in (
+                ("canonical", "canonical", [], sym({-3: 1})),
+                ("iszero-p22", "iszero", ["--which", "p22"], sym({-3: 1})),
+                ("iszero-p27", "iszero", ["--which", "p27"], sym({-3: 1})),
+                ("build", "build", [], sym({1: 1, far: 1})),
+                ("conjugate", "conjugate", [], sym({1: 1, far: 1})),
+            )
         ],
-        ids=["canonical", "iszero-p22", "iszero-p27", "build", "conjugate"],
     )
-    def test_allocation_failure_is_numeric_error(self, capsys, argv):
+    def test_allocation_failure_is_numeric_error(self, capsys, k, argv):
         # At k = 10^12 these commands densify about 6.5e13 coefficients
         # (946 TiB), past any 64-bit user address space, so the allocation
-        # fails at once.  Exit 1 would read as a negative verdict.
+        # fails at once.  At k = 10^16 the window passes numpy's byte limit,
+        # and at k = 10^20 its largest dimension; both are refused before
+        # numpy sees them.  Exit 1 would read as a negative verdict.
         beta = '{"zeros": [0.4, {"re": 0, "im": -0.5}]}'
         start = time.perf_counter()
-        code, out, err = run(capsys, [argv[0], "--k", "1000000000000", "--alpha", "z^3", "--beta", beta, *argv[1:]])
+        code, out, err = run(capsys, [argv[0], "--k", str(k), "--alpha", "z^3", "--beta", beta, *argv[1:]])
         assert code == 3 and "numeric error" in err and not out
         assert time.perf_counter() - start < 1.0
 

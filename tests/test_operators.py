@@ -17,7 +17,6 @@ from slantmodel.operators import (
     NonMemberError,
     assemble_defect,
     build_compression,
-    build_truncated_toeplitz,
     canonical_symbol,
     conjugate_operator,
     conjugate_symbol,
@@ -140,15 +139,15 @@ class TestBuildCompression:
         assert U.entries.shape == (3, 2)
 
     def test_order_one_is_truncated_toeplitz(self, rng):
+        # At k = 1, entry (i, j) is the Toeplitz coefficient a_(i - j).
         setting = CompressionSetting(zn(3), zn(4), 1)
         phi = random_laurent(rng, -4, 4, terms=6)
         U = build_compression(phi, setting)
-        T = build_truncated_toeplitz(phi, setting.basis_alpha, setting.basis_beta)
-        assert np.abs(U.entries - T).max() < 1e-12
+        assert np.abs(U.entries - monomial_oracle_matrix(phi, setting)).max() < 1e-12
 
     def test_truncated_toeplitz_hand_case(self):
         setting = CompressionSetting(zn(2), zn(2), 1)
-        T = build_truncated_toeplitz(L({1: 1}), setting.basis_alpha, setting.basis_beta)
+        T = build_compression(L({1: 1}), setting).entries
         assert np.array_equal(T, np.array([[0, 0], [1, 0]], dtype=complex))
 
     def test_linear_in_symbol(self, rng, sblaschke):
@@ -206,11 +205,12 @@ class TestLoopOracle:
     )
     def test_monomial_exact(self, rng, alpha, beta, k):
         setting = CompressionSetting(alpha, beta, k)
+        order_one = CompressionSetting(alpha, beta, 1)
         ba, bb = setting.basis_alpha, setting.basis_beta
         for _ in range(10):
             phi = random_laurent(rng, -20, 40, terms=8)
             assert np.array_equal(build_compression(phi, setting).entries, loop_oracle(phi, ba, k, bb))
-            assert np.array_equal(build_truncated_toeplitz(phi, ba, bb), loop_oracle(phi, ba, 1, bb))
+            assert np.array_equal(build_compression(phi, order_one).entries, loop_oracle(phi, ba, 1, bb))
         big = kron_basis(setting)
         assert np.array_equal(decimation_matrix(setting), loop_oracle(L({0: 1}), big, k, bb))
         assert np.array_equal(ba.compressed_shift()[0], loop_oracle(L({1: 1}), ba, 1, ba))
@@ -222,6 +222,7 @@ class TestLoopOracle:
     )
     def test_blaschke_close(self, rng, alpha, beta, k):
         setting = CompressionSetting(alpha, beta, k)
+        order_one = CompressionSetting(alpha, beta, 1)
         ba, bb = setting.basis_alpha, setting.basis_beta
 
         def close(dense, oracle):
@@ -230,7 +231,7 @@ class TestLoopOracle:
         for _ in range(3):
             phi = random_laurent(rng, -6, 12, terms=6)
             assert close(build_compression(phi, setting).entries, loop_oracle(phi, ba, k, bb))
-            assert close(build_truncated_toeplitz(phi, ba, bb), loop_oracle(phi, ba, 1, bb))
+            assert close(build_compression(phi, order_one).entries, loop_oracle(phi, ba, 1, bb))
         big = kron_basis(setting)
         assert close(decimation_matrix(setting), loop_oracle(L({0: 1}), big, k, bb))
         assert close(ba.compressed_shift()[0], loop_oracle(L({1: 1}), ba, 1, ba))

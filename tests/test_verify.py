@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from slantmodel import verify
+from slantmodel.cli import main
 from slantmodel.laurent import LaurentPoly
 from slantmodel.model_space import InnerFunction
 from slantmodel.verify import (
     DEFAULT_MENU,
     REQUIRED_ANCHORS,
+    PropertySpec,
     SuiteConfig,
     audit_registry,
     random_laurent,
@@ -86,6 +89,25 @@ class TestSuite:
         assert broken and any(r.fails > 0 for r in broken)
         cx = next(r.first_counterexample for r in broken if r.fails > 0)
         assert cx is not None and "inputs" in cx and cx["residual"] > 0
+
+    def test_raising_property_is_a_failing_row(self, monkeypatch, capsys):
+        def raising(rng, ctx):
+            raise RuntimeError("backend accuracy problem")
+
+        spec = PropertySpec("raising_property", "negative-control", raising)
+        monkeypatch.setattr(verify, "_REGISTRY", [*verify._REGISTRY, spec])
+        menu = ((InnerFunction.monomial(3), InnerFunction.monomial(2), 2),)
+        report = run_suite(SuiteConfig(seed=5, trials=2, menu=menu))
+        rows = {r.name: r for r in report.results}
+        assert not report.all_passed and len(rows) == len(verify._REGISTRY)
+        row = rows.pop("raising_property")
+        assert (row.passes, row.fails, row.worst_residual) == (0, 2, float("inf"))
+        assert row.first_counterexample["trial"] == 0
+        assert "RuntimeError" in row.first_counterexample["inputs"]["error"]
+        assert all(r.fails == 0 for r in rows.values())
+        # The CLI reports the row and exits 1, the suite's negative verdict.
+        assert main(["verify", "--trials", "1", "--format", "text"]) == 1
+        assert any(line.startswith("raising_property") and line.endswith("inf") for line in capsys.readouterr().out.splitlines())
 
     def test_custom_menu(self):
         menu = ((InnerFunction.monomial(3), InnerFunction.monomial(2), 2),)
