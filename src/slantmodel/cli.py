@@ -56,7 +56,7 @@ def _load_json_arg(text: str):
 
 def _parse_inner(text: str) -> InnerFunction:
     try:
-        if text.strip().startswith(("{", "z")):
+        if text.strip().startswith(("{", "z^")) or text.strip() == "z":
             return InnerFunction.parse(text)
         return InnerFunction.from_json(_load_json_arg(text))
     except (ValueError, KeyError, TypeError, OverflowError) as exc:

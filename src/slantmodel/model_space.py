@@ -30,8 +30,6 @@ MAX_TRUNCATION = 1 << 20
 MAX_ENTRIES = 1 << 24
 # Largest derivative order n of a kernel or a rank-one symbol: 171! overflows a double.
 MAX_DERIVATIVE_ORDER = 170
-# Largest order k of a compression: int64's largest value.
-MAX_ORDER = (1 << 63) - 1
 # Entries of the shorter factor per contraction step of _compress (16 KB):
 # the overlapping windows take numpy's non-BLAS matmul loop, which rereads
 # that slice for every window and slows fourfold once it leaves L1.
@@ -183,8 +181,6 @@ def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray
     an end of the longer factor reads a zero-padded copy of that end, under
     2 w entries per row at any k.  Frequencies are Python ints.
     """
-    if k > MAX_ORDER:
-        raise OverflowError(f"order k = {k} is past int64, the limit of the compression's frequency arithmetic")
     longer, shorter = (phi[None], src) if len(phi) >= src.shape[1] else (src, phi[None])
     longer = np.ascontiguousarray(longer, dtype=complex)
     nl, w = longer.shape[1], shorter.shape[1]

@@ -174,11 +174,24 @@ class CompressionSetting:
 # coefficients out to its place at stride k; below it, s = k.
 
 
-def _clip(phi: LaurentPoly, lo: int, hi: int) -> tuple[np.ndarray, int]:
-    """phi densified over the part of its support inside frequencies lo..hi."""
-    first, last = (phi.support[0], phi.support[-1]) if phi else (0, 0)
-    lo = max(lo, first)
-    return phi.to_array(lo, max(lo, min(hi, last))), lo
+def _clip(phi: LaurentPoly, width: int, k: int, s: int, first: int, last: int) -> tuple[np.ndarray, int]:
+    """phi over the windows k n - width < f <= k n, first <= n <= last, that a
+    compression at order k reads, frequency k n - r moved to s n - r: `_place`
+    run in reverse, for s = k or s >= width.  Every term outside the windows
+    drops out.  The array ends where phi densified at stride k would, so
+    `_compress` cuts the same windows and gives the same entries."""
+    lo, hi = s * first - width + 1, s * last
+
+    def fold(f, outside):
+        r = -f % k  # f = k n - r with 0 <= r < k
+        g = s * ((f + r) // k) - r
+        return g if r < width and lo <= g <= hi else outside
+
+    support = phi.support
+    start, stop = (fold(support[0], lo), fold(support[-1], hi)) if support else (lo, hi)
+    if width < k:  # the windows are disjoint; below, they cover lo..hi
+        phi = LaurentPoly({g: c for f, c in phi.items() if (g := fold(f, None)) is not None})
+    return phi.to_array(start, stop), start
 
 
 def _times_stretched(q: np.ndarray, e: np.ndarray, s: int) -> np.ndarray:
@@ -246,11 +259,13 @@ def _reduced(phi: LaurentPoly, setting: CompressionSetting, shift: int) -> tuple
 
 
 def build_compression(phi: LaurentPoly, setting: CompressionSetting) -> OperatorMatrix:
-    """Matrix of f -> P_beta W_k(phi f) on the chosen bases, from phi over
-    frequencies -T_alpha..k T_beta: only those reach a kept coefficient."""
+    """Matrix of f -> P_beta W_k(phi f) on the chosen bases, from phi over the
+    windows k n - T_alpha..k n, n <= T_beta, that reach a kept coefficient,
+    folded onto the stride s = min(k, T_alpha + 1)."""
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
-    window = _clip(phi, -ba.truncation_order, k * bb.truncation_order)
-    return setting.matrix(_compress(*window, ba.rows, k, bb.rows))
+    s = min(k, ba.rows.shape[1])
+    window = _clip(phi, ba.rows.shape[1], k, s, 0, bb.truncation_order)
+    return setting.matrix(_compress(*window, ba.rows, s, bb.rows))
 
 
 def decimation_matrix(setting: CompressionSetting) -> np.ndarray:
@@ -313,13 +328,13 @@ def defect_from_symbol(phi: LaurentPoly, setting: CompressionSetting) -> DefectD
     """Closed-form decomposition of the defect of a symbol-built compression:
     chi = P_alpha conj(phi) and psi_j = S_beta P_beta W_k(z^(j-k) phi) for
     j < _used, the compression of z^-k phi from the span of 1, ..., z^(used-1)
-    into K_beta.  Only phi over -T_alpha..0 and k + 1 - used..k (T_beta + 1)
-    is read."""
+    into K_beta.  Only phi over -T_alpha..0 and k n + 1 - used..k n,
+    1 <= n <= T_beta + 1, is read, the latter folded onto the stride used."""
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
     chi = ba.rows.conj() @ phi.to_array(-ba.truncation_order, 0)[::-1].conj()
     used = _used(setting)
-    c, lo = _clip(phi, k + 1 - used, k * bb.rows.shape[1])
-    psis = setting.shift_beta @ _compress(c, lo - k, np.eye(used), k, bb.rows)
+    c, lo = _clip(phi, used, k, used, 1, bb.rows.shape[1])
+    psis = setting.shift_beta @ _compress(c, lo - used, np.eye(used), used, bb.rows)
     return DefectDecomposition(chi=chi, psis=list(psis.T), variant="t35")
 
 
@@ -488,14 +503,18 @@ def zero_test_sufficient(
 
 def conjugate_symbol(phi: LaurentPoly, setting: CompressionSetting) -> LaurentPoly:
     """The symbol conj(alpha phi z^(k-1)) beta(z^k) of the conjugation sandwich
-    of a symbol-built compression, from phi clipped to -T_alpha..k T_beta."""
+    of a symbol-built compression, from phi over the windows its matrix reads."""
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
-    w, lo = _clip(phi, -ba.truncation_order, k * bb.truncation_order)
-    prod = np.convolve(ba.alpha_expansion(), w)  # frequencies lo, lo + 1, ...
-    # z^(1 - k) q beta(z^k) with q = conj(alpha phi) from frequency q_lo.
+    ea, width = ba.alpha_expansion(), ba.rows.shape[1]
+    # Block n of alpha phi holds frequencies k n + t, -T_alpha <= t < len(ea):
+    # at the stride s of that width they stay apart, and z^s stands for z^k.
+    s = min(k, width + len(ea) - 1)
+    w, lo = _clip(phi, width, k, s, 0, bb.truncation_order)
+    prod = np.convolve(ea, w)  # frequencies lo, lo + 1, ...
+    # z^(1 - s) q beta(z^s) with q = conj(alpha phi) from frequency q_lo, in
+    # blocks of s from frequency 2 - len(ea).
     q, q_lo = prod[::-1].conj(), 1 - lo - len(prod)
-    s = min(k, len(q))
-    return _place(_times_stretched(q, bb.alpha_expansion(), s), q_lo + 1 - s, s, k, q_lo + 1)
+    return _place(_times_stretched(q, bb.alpha_expansion(), s), q_lo + 1 - s, s, k, 2 - len(ea))
 
 
 def conjugate_operator(

@@ -426,7 +426,7 @@ def _prop_factorization(rng, ctx):
     U = build_compression(phi, ctx.setting)
     ba, big = ctx.setting.basis_alpha, ctx.stretched_basis(ctx.beta)
     W = _compress(np.ones(1), 0, big.rows, ctx.k, ctx.setting.basis_beta.rows)
-    A = _compress(*_clip(phi, -ba.truncation_order, big.truncation_order), ba.rows, 1, big.rows)
+    A = _compress(*_clip(phi, ba.rows.shape[1], 1, 1, 0, big.truncation_order), ba.rows, 1, big.rows)
     return float(np.abs(U.entries - W @ A).max()), {"phi": phi.to_json()}
 
 

@@ -12,6 +12,18 @@ def sym(coeffs):
     return json.dumps({"coeffs": [{"n": n, "re": c.real, "im": c.imag} for n, c in coeffs.items()]})
 
 
+def same_windows(coeffs, k, order):
+    """The terms of frequency k n - r, 0 <= r < order, moved to order n - r:
+    the symbol at that order with the same windowed terms."""
+    return {order * -(-f // k) - (-f % k): c for f, c in coeffs.items() if -f % k < order}
+
+
+def matrix_of(out):
+    """The matrix printed by build, or by conjugate beside its symbol."""
+    obj = json.loads(out)
+    return obj.get("matrix", obj)
+
+
 SYM_WORKED = sym({-1: 2, 0: 3, 2: 1})
 COMMON = ["--k", "2", "--alpha", "z^4", "--beta", "z^3"]
 
@@ -250,6 +262,14 @@ class TestVerifyInfo:
         assert obj["dim"] == 4 and obj["backend"] == "monomial"
         assert obj["gram_error"] == 0.0
 
+    @pytest.mark.parametrize("name", ["alpha.json", "zeros.json"])
+    def test_info_from_file(self, capsys, tmp_path, monkeypatch, name):
+        # Only "z" and "z^N" are the monomial shorthand; "zeros.json" is a file.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text('{"zeros": [0.5, -0.3]}')
+        code, out, _ = run(capsys, ["info", "--alpha", name])
+        assert code == 0 and json.loads(out)["dim"] == 2
+
     def test_info_blaschke(self, capsys):
         inner = json.dumps({"type": "blaschke", "zeros": [{"re": 0.5, "im": 0.0}, {"re": -0.3, "im": 0.0}]})
         code, out, _ = run(capsys, ["info", "--alpha", inner])
@@ -397,35 +417,52 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["build", "conjugate"])
     def test_order_past_int64_is_numeric_error(self, capsys, command):
-        argv = [command, "--k", "99999999999999999999", "--alpha", "z^4", "--beta", "z^3", "--symbol", SYM_WORKED]
-        code, _, err = run(capsys, argv)
-        assert code == 3 and "numeric" in err
+        # These once exited 3.  The compression reads the symbol only in the
+        # windows k n - 3..k n, which it folds onto stride 4 whatever k is, so
+        # the matrix is that of the same windowed terms at k = 100.
+        k = 99999999999999999999
+        coeffs = {-1: 2, 0: 3, 2: 1}
+        start = time.perf_counter()
+        code, out, _ = run(capsys, [command, "--k", str(k), "--alpha", "z^4", "--beta", "z^3", "--symbol", sym(coeffs)])
+        assert code == 0 and time.perf_counter() - start < 1.0
+        argv = [command, "--k", "100", "--alpha", "z^4", "--beta", "z^3", "--symbol", sym(same_windows(coeffs, k, 100))]
+        assert matrix_of(out) == matrix_of(run(capsys, argv)[1])
 
     @pytest.mark.parametrize(
         "k,argv",
         [
-            pytest.param(k, [command, *flags, "--symbol", symbol], id=name + suffix)
+            pytest.param(k, [command, *flags, symbol], id=name + suffix)
             for k, far, suffix in ((10**12, 10**15, ""), (10**16, 10**18, "-k1e16"), (10**20, 10**18, "-k1e20"))
             for name, command, flags, symbol in (
-                ("canonical", "canonical", [], sym({-3: 1})),
-                ("iszero-p22", "iszero", ["--which", "p22"], sym({-3: 1})),
-                ("iszero-p27", "iszero", ["--which", "p27"], sym({-3: 1})),
-                ("build", "build", [], sym({1: 1, far: 1})),
-                ("conjugate", "conjugate", [], sym({1: 1, far: 1})),
+                ("canonical", "canonical", [], {-3: 1}),
+                ("iszero-p22", "iszero", ["--which", "p22"], {-3: 1}),
+                ("iszero-p27", "iszero", ["--which", "p27"], {-3: 1}),
+                ("build", "build", [], {-2: 0.5, 1: 1, 3 * k: 1, 5 * k - 2: 2, far: 1}),
+                ("conjugate", "conjugate", [], {-2: 0.5, 1: 1, 3 * k: 1, 5 * k - 2: 2, far: 1}),
             )
         ],
     )
     def test_allocation_failure_is_numeric_error(self, capsys, k, argv):
-        # At k = 10^12 these commands densify about 6.5e13 coefficients
+        # At k = 10^12 canonical and iszero densify about 6.5e13 coefficients
         # (946 TiB), past any 64-bit user address space, so the allocation
         # fails at once.  At k = 10^16 the window passes numpy's byte limit,
         # and at k = 10^20 its largest dimension; both are refused before
-        # numpy sees them.  Exit 1 would read as a negative verdict.
+        # numpy sees them.  Exit 1 would read as a negative verdict.  build
+        # and conjugate once failed so too; they read the symbol only in the
+        # windows k n - 2..k n, folded onto a stride of at most 6, and answer
+        # as at k = 100.
         beta = '{"zeros": [0.4, {"re": 0, "im": -0.5}]}'
+        command, flags, coeffs = argv[0], argv[1:-1], argv[-1]
+        common = ["--alpha", "z^3", "--beta", beta, *flags]
         start = time.perf_counter()
-        code, out, err = run(capsys, [argv[0], "--k", str(k), "--alpha", "z^3", "--beta", beta, *argv[1:]])
-        assert code == 3 and "numeric error" in err and not out
+        code, out, err = run(capsys, [command, "--k", str(k), *common, "--symbol", sym(coeffs)])
         assert time.perf_counter() - start < 1.0
+        if command in ("canonical", "iszero"):
+            assert code == 3 and "numeric error" in err and not out
+        else:
+            assert code == 0
+            argv = [command, "--k", "100", *common, "--symbol", sym(same_windows(coeffs, k, 100))]
+            assert matrix_of(out) == matrix_of(run(capsys, argv)[1])
 
     @pytest.mark.parametrize(
         "argv",

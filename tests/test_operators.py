@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from laurent_oracle import conj_on_circle, decimate, distance, inner, is_zero, monomial, mul, shifted, stretch, sub
 from slantmodel.laurent import LaurentPoly
-from slantmodel.model_space import MAX_ORDER, InnerFunction, ModelSpaceBasis, TruncationError
+from slantmodel.model_space import InnerFunction, ModelSpaceBasis, TruncationError, _compress
 from slantmodel.operators import (
     VARIANTS,
     CompressionSetting,
@@ -165,7 +165,7 @@ class TestBuildCompression:
         far = build_compression(phi + L({-(10**18): 1.5, 10**18: -2j}), setting)
         assert np.abs(far.entries - build_compression(phi, setting).entries).max() <= 1e-14
 
-    @pytest.mark.parametrize("k", [(1 << 62) + 1, MAX_ORDER])
+    @pytest.mark.parametrize("k", [(1 << 62) + 1, (1 << 63) - 1])
     def test_order_near_int64_keeps_only_frequency_zero(self, k):
         # Row n reads frequency k n, past the symbol for every n >= 1.  In
         # int64, 4 k wrapped around to 4 and put z^4 in row 4.
@@ -829,6 +829,16 @@ class TestRankOne:
             rank_one(s243, 0, "other")
 
 
+def traced_peak(run):
+    """The tracemalloc peak of run(), in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def kept_compression(phi, setting):
     """build_compression from only the frequencies k n it keeps: entry (i, j)
     is sum_n conj(e_i^beta[n]) (phi e_j^alpha)[k n], whatever the size of k."""
@@ -873,6 +883,8 @@ class TestLargeOrderMembership:
         built = build_compression(phi, setting).entries
         assert time.perf_counter() - start < 1.0
         assert np.abs(built - rebuilt).max() <= 1e-14
+        # phi is read in 65 windows of 598, not densified over 64 k.
+        assert traced_peak(lambda: build_compression(phi, setting)) < 8 << 20
 
     @pytest.mark.parametrize("variant", ["t35", "c38"])
     def test_symbol_built_members_rebuild_at_order_150(self, variant):
@@ -904,21 +916,18 @@ class TestLargeOrderStretchedBeta:
     def test_bounded_memory(self, run):
         setting = CompressionSetting(zn(3), BETA, 2000)
         phi = random_laurent(np.random.default_rng(83), -6, 2000 * 65, terms=7)
-        tracemalloc.start()
-        try:
-            run(phi, setting)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 << 20
+        assert traced_peak(lambda: run(phi, setting)) < 16 << 20
 
-    def test_conjugate_symbol_prompt(self):
-        # A 5-term symbol reaching frequency k T_beta = 64 k.
-        setting = CompressionSetting(B_NEAR, BETA, 1000)
-        phi = L({-3: 1.0, 0: 0.5, 1: -1j, 7000: 0.25, 64000: 1.0})
+    @pytest.mark.parametrize("k, seconds", [(1000, 0.5), (10**5, 1.0)], ids=["1000", "100000"])
+    def test_conjugate_symbol_prompt(self, k, seconds):
+        # A 5-term symbol reaching frequency k T_beta = 64 k.  Past
+        # k = 1794 it is read at that stride, not densified over 64 k.
+        setting = CompressionSetting(B_NEAR, BETA, k)
+        phi = L({-3: 1.0, 0: 0.5, 1: -1j, 7 * k: 0.25, 64 * k: 1.0})
         start = time.perf_counter()
         psi = conjugate_symbol(phi, setting)
-        assert time.perf_counter() - start < 0.5
+        assert time.perf_counter() - start < seconds
+        assert traced_peak(lambda: conjugate_symbol(phi, setting)) < 48 << 20
         sandwich, _ = conjugate_operator(setting, U=build_compression(phi, setting))
         rebuilt = build_compression(psi, setting).entries
         assert np.abs(rebuilt - sandwich.entries).max() <= 1e-10 * max(1.0, np.linalg.norm(sandwich.entries))
@@ -1057,9 +1066,20 @@ def dict_defect_from_symbol(phi, setting):
 
 
 def clipped(phi, setting):
-    """phi over the frequencies its compression reads, -T_alpha..k T_beta."""
-    lo, hi = -setting.basis_alpha.truncation_order, setting.k * setting.basis_beta.truncation_order
-    return LaurentPoly({n: c for n, c in phi.items() if lo <= n <= hi})
+    """phi over the frequencies its compression reads: the windows
+    k n - T_alpha..k n, n <= T_beta."""
+    width, k = setting.basis_alpha.rows.shape[1], setting.k
+    return LaurentPoly(
+        {f: c for f, c in phi.items() if -f % k < width and -width < f <= k * setting.basis_beta.truncation_order}
+    )
+
+
+def dense_clip(phi, lo, hi):
+    """The dense `_clip` that the fold onto the windows replaced: phi
+    densified over the part of its support inside frequencies lo..hi."""
+    first, last = (phi.support[0], phi.support[-1]) if phi else (0, 0)
+    lo = max(lo, first)
+    return phi.to_array(lo, max(lo, min(hi, last))), lo
 
 
 FAR = L({-(10**18): 1.5, 10**18: -2j})
@@ -1116,6 +1136,25 @@ class TestSymbolArrayOracle:
         rng = np.random.default_rng(59)
         return [random_laurent(rng, -8, 14, terms=7) for _ in range(count)]
 
+    def spread(self, setting):
+        """A symbol over every window k n - T_alpha..k n, n <= T_beta + 1, and
+        between them: the terms a fold moves, and those it drops."""
+        lo, hi = -setting.basis_alpha.truncation_order, setting.k * setting.basis_beta.rows.shape[1]
+        return random_laurent(np.random.default_rng(73), lo, hi, terms=24)
+
+    def test_fold_matches_dense_clip(self, setting):
+        # The dense window at stride k gives the same entries, bit for bit, as
+        # the windows folded onto stride min(k, T_alpha + 1).
+        ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
+        used = min(k, ba.rows.shape[1])
+        for phi in [*self.symbols(setting), self.spread(setting)]:
+            for p in (phi, phi + FAR):
+                window = dense_clip(p, -ba.truncation_order, k * bb.truncation_order)
+                assert np.array_equal(build_compression(p, setting).entries, _compress(*window, ba.rows, k, bb.rows))
+                c, lo = dense_clip(p, k + 1 - used, k * bb.rows.shape[1])
+                psis = setting.shift_beta @ _compress(c, lo - k, np.eye(used), k, bb.rows)
+                assert np.array_equal(np.array(defect_from_symbol(p, setting).psis).T, psis)
+
     @pytest.mark.parametrize("variant", ["t35", "c38"])
     def test_recover(self, setting, variant):
         rng = np.random.default_rng(61)
@@ -1150,10 +1189,11 @@ class TestSymbolArrayOracle:
         assert zero_test_sufficient(zero, setting, which)
 
     def test_conjugate_symbol(self, setting):
-        for phi in self.symbols(setting):
+        for phi in [*self.symbols(setting), self.spread(setting)]:
             got = conjugate_symbol(phi, setting)
-            # Only phi over -T_alpha..k T_beta is read, so the symbol is that
-            # of the clipped phi, and its compression that of the full phi's.
+            # Only phi over the windows k n - T_alpha..k n, n <= T_beta, is
+            # read, so the symbol is that of the clipped phi, and its
+            # compression that of the full phi's.
             self.agree(setting, got, dict_conjugate_symbol(clipped(phi, setting), setting))
             full = dict_conjugate_symbol(phi, setting)
             diff = build_compression(got, setting).entries - build_compression(full, setting).entries
