@@ -49,21 +49,23 @@ class LaurentPoly:
     def from_array(cls, coeffs, lo: int = 0, step: int | None = None) -> "LaurentPoly":
         """The polynomial with coefficients of frequencies lo, lo + 1, ...; a
         2-D array holds rows no longer than `step`, row n from lo + step n.
-        One finiteness check, then one pass that drops moduli <= COEFF_DROP."""
+        One finiteness check, then one numpy pass that drops moduli <=
+        COEFF_DROP; only the kept indices become frequencies, in Python ints,
+        since step may pass int64."""
         coeffs = np.asarray(coeffs, dtype=complex)
         if not np.isfinite(coeffs).all():
             raise ValueError("coefficients must be finite")
-        out = cls.__new__(cls)
+        # The modulus as abs(complex) rounds it, through the C library's
+        # hypot: np.abs rounds a third of all moduli an ulp apart.
+        kept = np.hypot(coeffs.real, coeffs.imag) > COEFF_DROP
         lo = int(lo)
         if coeffs.ndim == 1:
-            out._coeffs = {n: c for n, c in enumerate(coeffs.tolist(), lo) if abs(c) > COEFF_DROP}
+            freqs = [lo + t for t in np.flatnonzero(kept).tolist()]
         else:
-            out._coeffs = {
-                n: c
-                for r, row in enumerate(coeffs.tolist())
-                for n, c in enumerate(row, lo + step * r)
-                if abs(c) > COEFF_DROP
-            }
+            rows, cols = np.nonzero(kept)
+            freqs = [lo + step * r + t for r, t in zip(rows.tolist(), cols.tolist())]
+        out = cls.__new__(cls)
+        out._coeffs = dict(zip(freqs, coeffs[kept].tolist()))
         return out
 
     def to_array(self, lo: int, hi: int) -> np.ndarray:

@@ -8,6 +8,7 @@ Matrix convention: rows index the target (beta) basis, columns the source
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -83,10 +84,10 @@ class OperatorMatrix:
 class DefectDecomposition:
     """Right-hand side of the defect identity, F chi^H + sum_j psi_j G_j^H:
     one chi in K_alpha and psi_j in K_beta for j < min(k, T_alpha + 1), the
-    parts against the Taylor-coefficient frame G_j of `_frames` (j! times
-    the parts against the derivative kernels); every later G_j is zero, so
-    its part is 0.  Fits from `membership` have every psi_j orthogonal to
-    the K_beta frame vector F."""
+    parts against the Taylor-coefficient frame G_j of
+    `CompressionSetting.frames` (j! times the parts against the derivative
+    kernels); every later G_j is zero, so its part is 0.  Fits from
+    `membership` have every psi_j orthogonal to the K_beta frame vector F."""
 
     chi: np.ndarray
     psis: list
@@ -126,7 +127,10 @@ class MembershipReport:
 
 
 class CompressionSetting:
-    """Bases and shift matrices for a fixed (alpha, beta, k) triple.
+    """Bases and shift matrices for a fixed (alpha, beta, k) triple, and the
+    constants of the membership fit: S_alpha^k and, per variant, the frames
+    with the pseudo-inverse of G.  Those are computed on first use, once, and
+    like the shifts they are read-only, so no caller can leave them stale.
 
     `truncation` is the Blaschke truncation order of the alpha and beta
     bases.  The model space of beta(z^k) inherits it: it is never formed,
@@ -149,8 +153,33 @@ class CompressionSetting:
         self.beta = beta
         self.basis_alpha = ModelSpaceBasis.build(alpha, truncation)
         self.basis_beta = ModelSpaceBasis.build(beta, truncation)
-        self.shift_alpha, self.shift_alpha_adj = self.basis_alpha.compressed_shift()
-        self.shift_beta, self.shift_beta_adj = self.basis_beta.compressed_shift()
+        self.shift_alpha, self.shift_alpha_adj = _frozen(*self.basis_alpha.compressed_shift())
+        self.shift_beta, self.shift_beta_adj = _frozen(*self.basis_beta.compressed_shift())
+        self._frames = {}
+
+    @functools.cached_property
+    def shift_alpha_power(self) -> np.ndarray:
+        """S_alpha^k; its adjoint power is its conjugate transpose."""
+        return _frozen(np.linalg.matrix_power(self.shift_alpha, self.k))[0]
+
+    def frames(self, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The variant's frame vector F in K_beta, the dim K_alpha x _used
+        matrix G in K_alpha, and the pseudo-inverse of G.  Before the
+        conjugations, F = conj(rows_beta[:, 0]) is the kernel at 0 and column
+        j of G, conj(rows_alpha[:, j]), represents f -> f^(j)(0) / j!: the
+        derivative kernel of order j over j!."""
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        if variant not in self._frames:
+            ba, bb = self.basis_alpha, self.basis_beta
+            F = bb.rows[:, 0].conj()
+            G = ba.rows[:, : _used(self)].conj()
+            if variant in ("c38", "c310a"):
+                F = bb.conjugate_vector(F)
+            if variant in ("c38", "c310b"):
+                G = ba.conjugation_matrix() @ G.conj()
+            self._frames[variant] = _frozen(F, G, _pinv(G))
+        return self._frames[variant]
 
     @property
     def exact(self) -> bool:
@@ -162,6 +191,27 @@ class CompressionSetting:
 
     def matrix(self, entries) -> OperatorMatrix:
         return OperatorMatrix(entries, self.alpha, self.beta)
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _pinv(G: np.ndarray) -> np.ndarray:
+    """The pseudo-inverse of G.  That is G^H when the smaller of G G^H and
+    G^H G is exactly the identity, as for z^N; otherwise it comes from one
+    SVD, with the rank cut of lstsq(rcond=None): singular values <= eps
+    max(G.shape) sigma_1 are dropped."""
+    adjoint = G.conj().T
+    gram = G @ adjoint if G.shape[0] <= G.shape[1] else adjoint @ G
+    if np.array_equal(gram, np.eye(len(gram))):
+        return adjoint
+    u, sv, vh = np.linalg.svd(G, full_matrices=False)
+    rank = np.count_nonzero(sv > np.finfo(float).eps * max(G.shape) * sv[0])
+    return ((u[:, :rank] / sv[:rank]) @ vh[:rank]).conj().T
 
 
 # -- coefficient arrays ------------------------------------------------------
@@ -283,41 +333,22 @@ def defect(U: OperatorMatrix, setting: CompressionSetting, variant: str = "t35")
     """The shift combination whose low-rank structure decides membership."""
     if U.entries.shape != (setting.basis_beta.dim, setting.basis_alpha.dim):
         raise ValueError("matrix dimensions do not match the setting")
-    M = U.entries
-    Sa, Sa_adj = setting.shift_alpha, setting.shift_alpha_adj
-    Sb, Sb_adj = setting.shift_beta, setting.shift_beta_adj
-    k = setting.k
-    if variant == "t35":
-        return M - Sb @ M @ np.linalg.matrix_power(Sa_adj, k)
-    if variant == "c38":
-        return M - Sb_adj @ M @ np.linalg.matrix_power(Sa, k)
-    if variant == "c310a":
-        return Sb_adj @ M - M @ np.linalg.matrix_power(Sa_adj, k)
-    if variant == "c310b":
-        return Sb @ M - M @ np.linalg.matrix_power(Sa, k)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _frames(setting: CompressionSetting, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """The variant's frame vector F in K_beta and the dim K_alpha x _used
-    matrix G in K_alpha.  Before the conjugations, F = conj(rows_beta[:, 0])
-    is the kernel at 0 and column j of G, conj(rows_alpha[:, j]), represents
-    f -> f^(j)(0) / j!: the derivative kernel of order j over j!."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    ba, bb = setting.basis_alpha, setting.basis_beta
-    F = bb.rows[:, 0].conj()
-    G = ba.rows[:, : _used(setting)].conj()
-    if variant in ("c38", "c310a"):
-        F = bb.conjugate_vector(F)
-    if variant in ("c38", "c310b"):
-        G = ba.conjugation_matrix() @ G.conj()
-    return F, G
+    M, power = U.entries, setting.shift_alpha_power
+    Sb, Sb_adj = setting.shift_beta, setting.shift_beta_adj
+    if variant == "t35":
+        return M - Sb @ M @ power.conj().T
+    if variant == "c38":
+        return M - Sb_adj @ M @ power
+    if variant == "c310a":
+        return Sb_adj @ M - M @ power.conj().T
+    return Sb @ M - M @ power
 
 
 def assemble_defect(dec: DefectDecomposition, setting: CompressionSetting) -> np.ndarray:
     """Matrix of frame_beta (x) chi + sum_j psi_j (x) frame_alpha_j."""
-    F, G = _frames(setting, dec.variant)
+    F, G, _ = setting.frames(dec.variant)
     out = np.outer(F, dec.chi.conjugate())
     for psi, g in zip(dec.psis, G.T):
         out = out + np.outer(psi, g.conjugate())
@@ -350,19 +381,21 @@ def membership(
     """Best fit of the defect D by F chi^H + Psi G^H, in closed form.
 
     F is the variant's frame vector in K_beta and G the dim K_alpha x
-    min(k, T_alpha + 1) matrix of its frame in K_alpha (`_frames`).  chi = D^H F / ||F||^2 takes
-    the P_F D part, and Psi solves the least-squares problem G Psi^H = R^H
-    for the remainder R = (I - P_F) D, so F^H Psi = 0 and the residual is
+    min(k, T_alpha + 1) matrix of its frame in K_alpha
+    (`CompressionSetting.frames`).  chi = D^H F / ||F||^2 takes the P_F D
+    part, and Psi^H = G^+ R^H, with the setting's pseudo-inverse of G, is the
+    minimum-norm least-squares solution of G Psi^H = R^H for the remainder
+    R = (I - P_F) D, so F^H Psi = 0 and the residual is
     ||(I - P_F) D (I - P_G)||_F.  The matrix is a member when the residual
     is at most tol * max(1, ||D||_F), for a finite tol > 0.
     """
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValueError("tolerance must be positive and finite")
-    F, G = _frames(setting, variant)
+    F, G, G_pinv = setting.frames(variant)
     D = defect(U, setting, variant)
     chi = D.conj().T @ F / np.vdot(F, F).real
     R = D - np.outer(F, chi.conjugate())
-    Y, *_ = np.linalg.lstsq(G, R.conj().T, rcond=None)
+    Y = G_pinv @ R.conj().T
     residual = float(np.linalg.norm(R - (G @ Y).conj().T))
     psis = list(Y.conjugate())
     effective = tol * max(1.0, float(np.linalg.norm(D)))

@@ -84,6 +84,34 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="finite"):
             LaurentPoly.from_array(np.array([[1.0], [np.nan]]), lo=0, step=3)
 
+    @pytest.mark.parametrize(
+        "shape,step", [((240,), None), ((40, 6), 6), ((12, 20), 10**20)], ids=["1d", "2d", "2d-step-1e20"]
+    )
+    def test_from_array_matches_comprehension(self, shape, step):
+        # The per-entry comprehension from_array ran before its one numpy
+        # pass, on moduli at, just below and just above COEFF_DROP.
+        def comprehension(coeffs, lo):
+            if coeffs.ndim == 1:
+                return {n: c for n, c in enumerate(coeffs.tolist(), lo) if abs(c) > COEFF_DROP}
+            return {
+                n: c
+                for r, row in enumerate(coeffs.tolist())
+                for n, c in enumerate(row, lo + step * r)
+                if abs(c) > COEFF_DROP
+            }
+
+        rng = np.random.default_rng(19)
+        near = [COEFF_DROP, np.nextafter(COEFF_DROP, 0), np.nextafter(COEFF_DROP, 1), 0.6e-14, 0.0, 1.0]
+        size = int(np.prod(shape))
+        moduli = rng.choice(near, size) * rng.choice([1.0, 1 + 1e-15, 1 - 1e-15], size)
+        phases = rng.choice([1, -1, 1j, -1j, np.exp(0.3j), (0.6 + 0.8j)], size)
+        coeffs = (moduli * phases).reshape(shape)
+        for lo in (-7, 0, 10**19):
+            p = LaurentPoly.from_array(coeffs, lo, step)
+            want = comprehension(coeffs, lo)
+            assert dict(p.items()) == want and 0 < len(want) < size
+            assert all(type(n) is int for n in p.support)
+
     def test_json_roundtrip(self):
         p = L({-3: 1 + 2j, 0: -0.5, 7: 3j})
         assert LaurentPoly.from_json(p.to_json()) == p

@@ -27,6 +27,7 @@ from slantmodel.operators import (
     rank_one,
     recover_symbol,
     zero_test_sufficient,
+    _pinv,
     _place,
     _reduced,
     _times_stretched,
@@ -441,7 +442,9 @@ class TestDesignMatrixOracle:
         inputs += [
             (setting.matrix(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))), False) for _ in range(3)
         ]
-        for variant in VARIANTS:
+        # One setting serves every call, in both variant orders: the fit
+        # runs on the frames and pseudo-inverse it cached on first use.
+        for variant in VARIANTS + VARIANTS[::-1]:
             for U, built in inputs:
                 D = defect(U, setting, variant)
                 scale = max(1.0, np.linalg.norm(D))
@@ -455,6 +458,79 @@ class TestDesignMatrixOracle:
                 if report.member and variant == "t35":
                     # psi_j(0) = <psi_j, k_0^beta> = 0: the fit is already normalised.
                     assert max(abs(np.vdot(k0b, psi)) for psi in report.decomposition.psis) <= 1e-12
+
+
+class TestSettingCache:
+    """S_alpha^k, the frames and the pseudo-inverse of G are computed once
+    per setting and then read by every call."""
+
+    @pytest.mark.parametrize(
+        "alpha,beta,k",
+        [(zn(4), zn(3), 2), (B_NEAR, BETA, 2), (B_REPEATED, InnerFunction.blaschke([0.0, 0.0, 0.4]), 2)],
+        ids=["z4-z3-k2", "Bnear-B-k2", "Brepeated-k2"],
+    )
+    def test_reused_setting_matches_fresh(self, alpha, beta, k):
+        rng = np.random.default_rng(3)
+        for order in (VARIANTS, VARIANTS[::-1]):
+            reused = CompressionSetting(alpha, beta, k)
+            n, m = reused.basis_beta.dim, reused.basis_alpha.dim
+            inputs = [build_compression(random_laurent(rng, -6, 10, terms=6), reused) for _ in range(2)]
+            inputs += [reused.matrix(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) for _ in range(2)]
+            for _ in range(2):
+                for variant in order:
+                    for U in inputs:
+                        fresh = CompressionSetting(alpha, beta, k)
+                        got, want = membership(U, reused, variant), membership(U, fresh, variant)
+                        assert got.to_json() == want.to_json()
+                        assert np.array_equal(defect(U, reused, variant), defect(U, fresh, variant))
+                        assert np.array_equal(
+                            assemble_defect(got.decomposition, reused), assemble_defect(want.decomposition, fresh)
+                        )
+
+    def test_constants_computed_once_and_read_only(self):
+        setting = CompressionSetting(B_NEAR, BETA, 3)
+        U = setting.matrix(np.zeros((2, 3)))
+        # An unknown variant is refused before anything is computed.
+        for call in (lambda: membership(U, setting, "bogus"), lambda: defect(U, setting, "bogus")):
+            with pytest.raises(ValueError, match="variant"):
+                call()
+        assert setting._frames == {} and "shift_alpha_power" not in vars(setting)
+        for variant in VARIANTS:
+            membership(U, setting, variant)
+            assert setting.frames(variant) is setting.frames(variant)
+        assert setting.shift_alpha_power is setting.shift_alpha_power
+        arrays = [setting.shift_alpha, setting.shift_alpha_adj, setting.shift_beta, setting.shift_beta_adj]
+        arrays += [setting.shift_alpha_power] + [a for v in VARIANTS for a in setting.frames(v)]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+
+    def test_pinv_matches_lstsq(self):
+        # The adjoint shortcut (identity Gram), full-rank SVDs, and rank cuts.
+        rng = np.random.default_rng(61)
+        A = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        isometries = [np.eye(4, 2), 1j * np.eye(3)[::-1], np.linalg.qr(A.T)[0].T]
+        cases = isometries + [A, A.T, np.outer(A[0], A[:, 1]), [[1, 2, 0], [2, 4, 0]]]
+        for G in cases:
+            G = np.asarray(G, dtype=complex)
+            want = np.linalg.lstsq(G, np.eye(len(G)), rcond=None)[0]
+            assert np.abs(_pinv(G) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("alpha,beta", [(zn(4), zn(3)), (B_NEAR, BETA)], ids=["z4-z3", "Bnear-B"])
+    def test_membership_prompt_at_order_1e8(self, alpha, beta):
+        # k = 10^8 is 27 squarings of S_alpha and at most T_alpha + 1 frame columns.
+        setting = CompressionSetting(alpha, beta, 10**8)
+        n, m = setting.basis_beta.dim, setting.basis_alpha.dim
+        g = np.random.default_rng(59)
+        U = setting.matrix(g.standard_normal((n, m)) + 1j * g.standard_normal((n, m)))
+        start = time.perf_counter()
+        report = membership(U, setting)
+        again = membership(U, setting)
+        assert time.perf_counter() - start < 1.0
+        assert report.member and report.residual <= 1e-13
+        assert again.to_json() == report.to_json()
 
 
 class TestNearCirclePipeline:
