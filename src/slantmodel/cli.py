@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, ascii_int
 from .model_space import InnerFunction, ModelSpaceBasis, TruncationError, default_truncation
 from .operators import (
     DEFAULT_MEMBERSHIP_TOL,
@@ -122,12 +122,12 @@ def _symbol_text(obj: dict) -> str:
 
 
 def _add_common(p):
-    p.add_argument("--k", type=int, required=True, help="decimation order")
+    p.add_argument("--k", type=ascii_int, required=True, help="decimation order")
     p.add_argument("--alpha", required=True, help="inner function: 'z^N' or JSON (inline/file)")
     p.add_argument("--beta", required=True, help="inner function: 'z^N' or JSON (inline/file)")
     p.add_argument(
         "--truncation",
-        type=int,
+        type=ascii_int,
         default=None,
         help="Blaschke truncation order of alpha and beta; beta(z^k) inherits beta's",
     )
@@ -178,18 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rankone", help="rank-one member and its symbol")
     _add_common(p)
-    p.add_argument("--l", type=int, required=True, help="derivative index, 0 <= l < k")
+    p.add_argument("--l", type=ascii_int, required=True, help="derivative index, 0 <= l < k")
     p.add_argument("--kind", choices=("tilde_k", "k_tilde"), default="tilde_k")
 
     p = sub.add_parser("verify", help="run the seeded property suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--seed", type=ascii_int, default=0)
+    p.add_argument("--trials", type=ascii_int, default=50)
     p.add_argument("--inject-failure", action="store_true", help="add a broken property; the suite must fail")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("info", help="describe a model space")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--truncation", type=int, default=None)
+    p.add_argument("--truncation", type=ascii_int, default=None)
     p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 

@@ -8,8 +8,9 @@ return; this type only converts, adds and serialises.
 
 from __future__ import annotations
 
+import re
 from math import inf
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,6 +27,22 @@ def strict_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def strict_real(value, name: str) -> float:
+    """value as a float; bool and string are refused, so JSON true and "1.5"
+    are input errors rather than 1.0 and 1.5."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def ascii_int(text: str) -> int:
+    """An integer written as an optional '-' and ASCII digits; int() would
+    also read '1_0' as 10 and other scripts' digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
 
 
 class LaurentPoly:
@@ -132,7 +149,7 @@ class LaurentPoly:
             n = strict_int(entry["n"], "frequency 'n'")
             if n in coeffs:
                 raise ValueError(f"duplicate frequency {n} in coefficient list")
-            coeffs[n] = complex(float(entry["re"]), float(entry.get("im", 0.0)))
+            coeffs[n] = complex(strict_real(entry["re"], "'re'"), strict_real(entry.get("im", 0.0), "'im'"))
         return cls(coeffs)
 
     def __repr__(self) -> str:

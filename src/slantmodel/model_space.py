@@ -16,7 +16,7 @@ from math import factorial, perm
 
 import numpy as np
 
-from .laurent import LaurentPoly, strict_int
+from .laurent import LaurentPoly, ascii_int, strict_int, strict_real
 
 # Comparisons on exact bases (every zero at the origin), and on truncated ones.
 EXACT_TOL = 1e-12
@@ -43,8 +43,8 @@ class TruncationError(Exception):
 def _complex(value) -> complex:
     """A JSON number or {"re": ..., "im": ...} object as a complex number."""
     if isinstance(value, dict):
-        return complex(float(value["re"]), float(value.get("im", 0.0)))
-    return complex(float(value))
+        return complex(strict_real(value["re"], "'re'"), strict_real(value.get("im", 0.0), "'im'"))
+    return complex(strict_real(value, "a zero or constant"))
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class InnerFunction:
         """Accept the inline shorthand 'z^N' or a JSON object string."""
         text = text.strip()
         if text.startswith("z^"):
-            return cls.monomial(int(text[2:]))
+            return cls.monomial(ascii_int(text[2:]))
         if text == "z":
             return cls.monomial(1)
         return cls.from_json(json.loads(text))
@@ -173,27 +173,47 @@ def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray
 
     phi holds the coefficients of frequencies lo, lo + 1, ...; the rows hold
     Taylor coefficients from frequency 0.  Only the kept frequencies k n,
-    n <= T_dst, of each product phi src_j are formed: the one at index
-    q = k n - lo of the product is the window longer[q - w + 1 .. q] of the
-    longer factor against the shorter one reversed, w its length.  The
-    windows are strided views read at stride k, so the work is
-    (T_dst + 1) w dim_src and nothing of that size is stored; a window cut by
-    an end of the longer factor reads a zero-padded copy of that end, under
+    n <= T_dst, of each product phi src_j are formed, so phi is read only in
+    the windows k n - T_src <= f <= k n, from its first to its last nonzero
+    term there.  The windowed factor is chosen from k and that span alone:
+    phi once k > T_src or the span is as long as the rows, else the rows.  So
+    the entries depend on those terms alone, bit for bit, however phi is
+    padded.  The kept frequency at index q = k n - lo is the window
+    longer[q - w + 1 .. q] of the windowed factor against the other one
+    reversed, w its length, read as strided views at stride k: the work is
+    (T_dst + 1) w dim_src and nothing of that size is stored.  Windows of phi
+    read one zero-padded copy of its span, at most T_src longer at each end;
+    one cut by an end of the rows reads a zero-padded copy of that end, under
     2 w entries per row at any k.  Frequencies are Python ints.
     """
-    longer, shorter = (phi[None], src) if len(phi) >= src.shape[1] else (src, phi[None])
+    out, width = np.zeros((dst.shape[0], src.shape[0]), dtype=complex), src.shape[1]
+    # Kept: 0 <= q <= len(phi) + T_src - 1, in windows n0..n3 - 1.  They
+    # span the offsets 0..k (n3 - n0 - 1) + T_src from index lead.
+    n0 = max(0, -(-lo // k))
+    n3 = min(dst.shape[1], (len(phi) + width - 2 + lo) // k + 1)
+    if n0 >= n3:
+        return out
+    lead = k * n0 - lo - width + 1
+    a, b = max(0, lead), min(len(phi), lead + k * (n3 - n0 - 1) + width)
+    read = phi[a:b].nonzero()[0]
+    if k > width:  # gaps between the windows: offset r is read when r mod k < width
+        read = read[(read + (a - lead)) % min(k, b - lead) < width]
+    if not len(read):
+        return out
+    # The read span r0..r1, and the windows that reach it.
+    r0, r1 = int(read[0]) + a - lead, int(read[-1]) + a - lead
+    phi, lo = phi[lead + r0 : lead + r1 + 1], lo + lead + r0
+    n0, n3 = n0 + max(0, -((width - 1 - r0) // k)), min(n3, n0 + r1 // k + 1)
+    windowed = k >= width or len(phi) >= width
+    longer, shorter = (phi[None], src) if windowed else (src, phi[None])
     longer = np.ascontiguousarray(longer, dtype=complex)
     nl, w = longer.shape[1], shorter.shape[1]
     rev = np.ascontiguousarray(shorter[:, ::-1].T)
     block = max(1, CONTRACTION_BLOCK // len(shorter))
-    # Kept: 0 <= q <= nl + w - 2.  Windows n0..n1 - 1 are cut at the front
-    # (q < w - 1), n2..n3 - 1 at the back (q > nl - 1).
-    n0 = max(0, -(-lo // k))
-    n3 = min(dst.shape[1], (nl + w - 2 + lo) // k + 1)
-    if n0 >= n3:
-        return np.zeros((dst.shape[0], src.shape[0]), dtype=complex)
-    n1 = min(max(n0, (w - 2 + lo) // k + 1), n3)
-    n2 = min(max(n1, (nl - 1 + lo) // k + 1), n3)
+    # Windows of phi read one padded copy.  Windows of the rows n0..n1 - 1
+    # are cut at the front (q < w - 1), n2..n3 - 1 at the back (q > nl - 1).
+    n1 = n0 if windowed else min(max(n0, (w - 2 + lo) // k + 1), n3)
+    n2 = n3 if windowed else min(max(n1, (nl - 1 + lo) // k + 1), n3)
     parts = []
     for start, stop in ((n0, n1), (n1, n2), (n2, n3)):
         if start == stop:
@@ -212,7 +232,7 @@ def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray
         for t in range(block, w, block):
             part += windows[..., t : t + block] @ rev[t : t + block]
         parts.append(part)
-    kept = np.concatenate(parts, axis=1)  # (rows of longer, n, rows of shorter)
+    kept = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]  # (rows of longer, n, rows of shorter)
     return dst[:, n0:n3].conj() @ kept.transpose(1, 0, 2).reshape(n3 - n0, -1)
 
 

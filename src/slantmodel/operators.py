@@ -8,13 +8,15 @@ Matrix convention: rows index the target (beta) basis, columns the source
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laurent import LaurentPoly, strict_int
+from .laurent import LaurentPoly, strict_int, strict_real
 from .model_space import (
     BLASCHKE_TOL,
     EXACT_TOL,
@@ -74,10 +76,14 @@ class OperatorMatrix:
         if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
             raise ValueError("expected an object with 'rows', 'cols' and 'data'")
         rows, cols = strict_int(obj["rows"], "'rows'"), strict_int(obj["cols"], "'cols'")
-        flat = [complex(float(re), float(im)) for re, im in obj["data"]]
-        if len(flat) != rows * cols:
-            raise ValueError("matrix data length does not match rows*cols")
-        return np.array(flat, dtype=complex).reshape(rows, cols)
+        data = obj["data"]
+        values = list(itertools.chain.from_iterable(data))
+        if not {float, int}.issuperset(map(type, values)):  # JSON numbers pass in one C loop
+            for value in values:
+                strict_real(value, "matrix data")
+        if len(data) != rows * cols or set(map(len, data)) - {2}:
+            raise ValueError("matrix data must be rows*cols [re, im] pairs")
+        return np.array(values, dtype=float).view(complex).reshape(rows, cols)
 
 
 @dataclass
@@ -228,20 +234,15 @@ def _clip(phi: LaurentPoly, width: int, k: int, s: int, first: int, last: int) -
     """phi over the windows k n - width < f <= k n, first <= n <= last, that a
     compression at order k reads, frequency k n - r moved to s n - r: `_place`
     run in reverse, for s = k or s >= width.  Every term outside the windows
-    drops out.  The array ends where phi densified at stride k would, so
-    `_compress` cuts the same windows and gives the same entries."""
-    lo, hi = s * first - width + 1, s * last
-
-    def fold(f, outside):
-        r = -f % k  # f = k n - r with 0 <= r < k
-        g = s * ((f + r) // k) - r
-        return g if r < width and lo <= g <= hi else outside
-
-    support = phi.support
-    start, stop = (fold(support[0], lo), fold(support[-1], hi)) if support else (lo, hi)
+    drops out, and the array spans the terms kept."""
     if width < k:  # the windows are disjoint; below, they cover lo..hi
-        phi = LaurentPoly({g: c for f, c in phi.items() if (g := fold(f, None)) is not None})
-    return phi.to_array(start, stop), start
+        # f = k n - r with 0 <= r < k
+        phi = LaurentPoly({s * ((f + r) // k) - r: c for f, c in phi.items() if (r := -f % k) < width})
+    lo, hi = s * first - width + 1, s * last
+    support = phi.support
+    kept = support[bisect.bisect_left(support, lo) : bisect.bisect_right(support, hi)]
+    start = kept[0] if kept else lo
+    return phi.to_array(start, kept[-1] if kept else lo), start
 
 
 def _times_stretched(q: np.ndarray, e: np.ndarray, s: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from slantmodel import CompressionSetting, InnerFunction, LaurentPoly, build_compression, cli
+from slantmodel import CompressionSetting, InnerFunction, LaurentPoly, ModelSpaceBasis, build_compression, cli
 from slantmodel.cli import main
 
 
@@ -63,6 +63,20 @@ class TestBuild:
         got = np.array([complex(re, im) for re, im in obj["data"]]).reshape(3, 4)
         expected = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], dtype=complex)
         assert np.array_equal(got, expected)
+
+    def test_near_circle_order_1e5(self, capsys):
+        # Zeros at 0.999 (T = 34521): the 4-term symbol is read where its
+        # windows reach it, not over k T_beta = 3.5e9 frequencies.
+        alpha, beta = '{"zeros":[0.999,-0.3,{"re":0,"im":0.2}]}', '{"zeros":[{"re":0,"im":0.999},{"re":0,"im":-0.5}]}'
+        argv = ["build", "--k", "100000", "--alpha", alpha, "--beta", beta, "--symbol", sym({-3: 1, 0: 0.5, 2: 1j, 7: 2})]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and time.perf_counter() - start < 2.0
+        # Past T_alpha only window 0 reads a term: those of frequency -3 and 0.
+        ra = ModelSpaceBasis.build(InnerFunction.blaschke([0.999, -0.3, 0.2j])).rows
+        rb = ModelSpaceBasis.build(InnerFunction.blaschke([0.999j, -0.5j])).rows
+        got = np.array([complex(re, im) for re, im in json.loads(out)["data"]]).reshape(2, 3)
+        assert np.abs(got - np.outer(rb[:, 0].conj(), ra[:, 3] + 0.5 * ra[:, 0])).max() <= 1e-15
 
     def test_order_near_int64_keeps_only_frequency_zero(self, capsys):
         # 4 k passes 2^63; in int64 it wrapped around to 4 and put z^4 in row 4.
@@ -364,6 +378,43 @@ class TestErrors:
     def test_non_integer_json_field_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, argv)
         assert code == 2 and "integer" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", *COMMON, "--symbol", '{"coeffs": [{"n": 1, "re": "1.5"}]}'],
+            ["build", *COMMON, "--symbol", '{"coeffs": [{"n": 1, "re": true}]}'],
+            ["build", *COMMON, "--symbol", '{"coeffs": [{"n": 1, "re": 1, "im": "0"}]}'],
+            ["info", "--alpha", '{"zeros": [false, 0.5]}'],
+            ["info", "--alpha", '{"zeros": "0.5"}'],
+            ["info", "--alpha", '{"zeros": [{"re": "0.5"}]}'],
+            ["info", "--alpha", '{"zeros": [0.5], "constant": "1"}'],
+            ["membership", *COMMON, "--matrix", json.dumps({"rows": 3, "cols": 4, "data": [["1", "0"]] + [[0, 0]] * 11})],
+        ],
+        ids=["re-string", "re-bool", "im-string", "zero-bool", "zeros-string", "zero-re-string", "constant-string", "data-string"],
+    )
+    def test_non_real_json_number_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and "real number" in err and not out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "--alpha", "z^3_0"],
+            ["info", "--alpha", "z^\u0663"],
+            ["info", "--alpha", '{"zeros": [0.5]}', "--truncation", "6_4"],
+            ["build", "--k", "1_0", "--alpha", "z^4", "--beta", "z^3", "--symbol", SYM_WORKED],
+            ["build", "--k", "\u0662", "--alpha", "z^4", "--beta", "z^3", "--symbol", SYM_WORKED],
+            ["build", "--k", "+2", "--alpha", "z^4", "--beta", "z^3", "--symbol", SYM_WORKED],
+            ["rankone", *COMMON, "--l", "0_1"],
+            ["verify", "--trials", "1_0"],
+            ["verify", "--seed", "\u0663", "--trials", "1"],
+        ],
+        ids=["degree-underscore", "degree-arabic-indic", "truncation", "k-underscore", "k-arabic-indic", "k-plus", "l", "trials", "seed"],
+    )
+    def test_integer_text_needs_ascii_digits(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and "ascii" in err.lower() and not out
 
     @pytest.mark.parametrize("k", ["500", "2000"])
     @pytest.mark.parametrize("command", ["canonical", "iszero"])

@@ -105,6 +105,12 @@ class TestInnerFunction:
         assert InnerFunction.parse("z^4").degree == 4
         assert InnerFunction.parse("z").degree == 1
 
+    @pytest.mark.parametrize("text", ["z^3_0", "z^\u0663", "z^+3", "z^ 3", "z^3.0", "z^"])
+    def test_parse_shorthand_needs_ascii_digits(self, text):
+        # int() would read the first two as 30 and 3.
+        with pytest.raises(ValueError, match="ASCII digits"):
+            InnerFunction.parse(text)
+
     def test_json_roundtrip(self):
         b = InnerFunction.blaschke([0.5, -0.3], constant=1j)
         assert InnerFunction.from_json(b.to_json()) == b

@@ -1009,6 +1009,37 @@ class TestLargeOrderStretchedBeta:
         assert np.abs(rebuilt - sandwich.entries).max() <= 1e-10 * max(1.0, np.linalg.norm(sandwich.entries))
 
 
+class TestReadSpan:
+    """On B[0.99,-0.3,0.2i] -> B[0.99i,-0.5i] (T = 3207) a 4-term symbol is
+    read from its first to its last term that a window reads: neither k nor
+    a term that no window reads makes an array of k T entries."""
+
+    PHI = L({-3: 1.0, 0: 0.5, 2: 1j, 7: 2.0})
+    FAR_TERM = L({10**18: 1.0})
+
+    @pytest.fixture(scope="class")
+    def spaces(self):
+        return InnerFunction.blaschke([0.99, -0.3, 0.2j]), InnerFunction.blaschke([0.99j, -0.5j])
+
+    def test_build_at_order_1e4(self, spaces):
+        setting = CompressionSetting(*spaces, 10**4)
+        assert traced_peak(lambda: build_compression(self.PHI, setting)) < 2 << 20
+        # Past T_alpha only window 0 reads a term: those of frequency -3 and 0.
+        ra, rb = setting.basis_alpha.rows, setting.basis_beta.rows
+        want = np.outer(rb[:, 0].conj(), ra[:, 3] + 0.5 * ra[:, 0])
+        assert np.abs(build_compression(self.PHI, setting).entries - want).max() <= 1e-15
+
+    def test_far_term_reads_nothing(self, spaces):
+        setting = CompressionSetting(*spaces, 1000)
+        phi = self.PHI + self.FAR_TERM
+        assert traced_peak(lambda: build_compression(phi, setting)) < 2 << 20
+        assert np.array_equal(build_compression(phi, setting).entries, build_compression(self.PHI, setting).entries)
+        start = time.perf_counter()
+        psi = conjugate_symbol(phi, setting)
+        assert time.perf_counter() - start < 2.0
+        assert psi == conjugate_symbol(self.PHI, setting)
+
+
 # -- the array primitives of f(z^k) ---------------------------------------------
 # `_place` and `_times_stretched` against the dict maps they stand for.
 
@@ -1161,6 +1192,30 @@ def dense_clip(phi, lo, hi):
 FAR = L({-(10**18): 1.5, 10**18: -2j})
 
 
+def read_mask(size, lo, width, k, count):
+    """Which frequencies lo..lo + size - 1 a window k n - width < f <= k n,
+    0 <= n < count, reads."""
+    mask = []
+    for f in range(lo, lo + size):
+        n = max(0, -(-f // k))  # the first window ending at or past f
+        mask.append(n < count and k * n - f < width)
+    return np.array(mask)
+
+
+def windowed_compress(phi, lo, src, k, dst):
+    """Reference for `_compress`, one window at a time: entry (i, j) is
+    sum_n conj(dst_i[n]) sum_t phi[k n - t] src_j[t], frequencies from lo."""
+    out = np.zeros((dst.shape[0], src.shape[0]), dtype=complex)
+    for n in range(dst.shape[1]):
+        q = k * n - lo
+        a, b = max(0, q - src.shape[1] + 1), min(len(phi), q + 1)
+        if a < b:
+            window = np.zeros(src.shape[1], dtype=complex)
+            window[q - b + 1 : q - a + 1] = phi[a:b][::-1]
+            out += np.outer(dst[:, n].conj(), src @ window)
+    return out
+
+
 class TestSymbolArrayOracle:
     """The array routines against the dict oracles: z^N settings rebuild
     identical matrices, the rest agree within 1e-12 of the symbol's size."""
@@ -1230,6 +1285,42 @@ class TestSymbolArrayOracle:
                 c, lo = dense_clip(p, k + 1 - used, k * bb.rows.shape[1])
                 psis = setting.shift_beta @ _compress(c, lo - k, np.eye(used), k, bb.rows)
                 assert np.array_equal(np.array(defect_from_symbol(p, setting).psis).T, psis)
+
+    def test_fold_matches_dense_clip_on_random_symbols(self, setting):
+        # 72 symbols per setting over the windows, between them and past both
+        # ends, every other one with the far terms.
+        ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
+        used = min(k, ba.rows.shape[1])
+        span = -ba.rows.shape[1] - 2, k * bb.rows.shape[1] + ba.rows.shape[1]
+        rng = np.random.default_rng(89)
+        for case in range(72):
+            p = random_laurent(rng, *span, terms=int(rng.integers(1, 25))) + (FAR if case % 2 else L({}))
+            window = dense_clip(p, -ba.truncation_order, k * bb.truncation_order)
+            assert np.array_equal(build_compression(p, setting).entries, _compress(*window, ba.rows, k, bb.rows))
+            c, lo = dense_clip(p, k + 1 - used, k * bb.rows.shape[1])
+            psis = setting.shift_beta @ _compress(c, lo - k, np.eye(used), k, bb.rows)
+            assert np.array_equal(np.array(defect_from_symbol(p, setting).psis).T, psis)
+
+    def test_compress_reads_only_its_windows(self, setting):
+        # Zero padding, and any terms outside the windows k n - T_src..k n,
+        # n <= T_dst, leave the entries unchanged, bit for bit, for k on both
+        # sides of the window length T_src + 1 and past int64.
+        src, dst = setting.basis_alpha.rows, setting.basis_beta.rows
+        width = src.shape[1]
+        orders = [1, 2, 3, max(1, width - 1), width, width + 1, 2 * width + 3, 10**6, 1 << 63, 3 << 63]
+        rng = np.random.default_rng(79)
+        for case in range(300):
+            k, size = orders[case % len(orders)], int(rng.integers(1, 2 * width + 3))
+            lo = k * int(rng.integers(dst.shape[1])) - int(rng.integers(-width, size + width))
+            phi = rng.standard_normal(2 * size).view(complex) * (rng.random(size) < 0.6)
+            front, back = (int(n) for n in rng.integers(0, width + 2, size=2))
+            padded = np.concatenate([np.zeros(front), phi, np.zeros(back)])
+            unread = ~read_mask(len(padded), lo - front, width, k, dst.shape[1])
+            padded[unread] = rng.standard_normal(2 * len(padded)).view(complex)[unread]
+            got = _compress(phi, lo, src, k, dst)
+            assert np.array_equal(_compress(padded, lo - front, src, k, dst), got)
+            scale = width * max(1.0, np.abs(phi).max())
+            assert np.abs(got - windowed_compress(phi, lo, src, k, dst)).max() <= 1e-14 * scale
 
     @pytest.mark.parametrize("variant", ["t35", "c38"])
     def test_recover(self, setting, variant):
