@@ -163,8 +163,14 @@ def derivative_scale(n: int) -> float:
     return float(factorial(n))
 
 
+def complex_pairs(values) -> list:
+    """The [re, im] pairs of an array in C order, as Python floats: numpy
+    float64 would pass JSON encoding but not a float type check."""
+    return np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2).tolist()
+
+
 def coeff_json(coords: np.ndarray) -> dict:
-    return {"coords": [[z.real, z.imag] for z in np.asarray(coords, dtype=complex)]}
+    return {"coords": complex_pairs(coords)}
 
 
 def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray) -> np.ndarray:

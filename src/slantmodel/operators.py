@@ -24,6 +24,7 @@ from .model_space import (
     ModelSpaceBasis,
     _compress,
     coeff_json,
+    complex_pairs,
     derivative_scale,
 )
 
@@ -68,7 +69,7 @@ class OperatorMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "data": [[z.real, z.imag] for z in self.entries.reshape(-1)],
+            "data": complex_pairs(self.entries),
         }
 
     @staticmethod
@@ -187,6 +188,21 @@ class CompressionSetting:
             self._frames[variant] = _frozen(F, G, _pinv(G))
         return self._frames[variant]
 
+    @functools.cached_property
+    def interpolation(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+        """The constants that write recovered parts as polynomials of degree
+        below the dimension: A^-1 and B^-1, for A = conj(rows_alpha[:, :dim])
+        and B the same for beta, whose column j holds the coordinates of the
+        projection of z^j; and the fold conj(A^-1) rows_alpha[:, dim:_used],
+        which moves the t35 parts psi_j, j >= dim K_alpha, onto j < dim with
+        Psi G^H kept.  A basis whose first dim columns are exactly the
+        identity (z^N) has no inverse, and the fold is None when _used <= dim
+        K_alpha.  Computed on first use, read-only."""
+        ba, used = self.basis_alpha, _used(self)
+        inv_a = _interpolant(ba)
+        fold = None if used <= ba.dim else _frozen(inv_a.conj() @ ba.rows[:, ba.dim : used])[0]
+        return inv_a, _interpolant(self.basis_beta), fold
+
     @property
     def exact(self) -> bool:
         """True when neither basis drops a tail: both are z^N, up to the constant."""
@@ -204,6 +220,18 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
     return arrays
+
+
+def _interpolant(basis: ModelSpaceBasis) -> np.ndarray | None:
+    """The read-only inverse of A = conj(rows[:, :dim]), which maps the
+    coordinates of f in the model space to the coefficients of the polynomial
+    of degree < dim with the same projection; None when A is exactly the
+    identity (z^N).  A is invertible, as no nonzero polynomial of degree < dim
+    lies in alpha H^2."""
+    head = basis.rows[:, : basis.dim]
+    if np.array_equal(head, np.eye(basis.dim)):
+        return None
+    return _frozen(np.linalg.inv(head.conj()))[0]
 
 
 def _pinv(G: np.ndarray) -> np.ndarray:
@@ -435,16 +463,29 @@ def recover_symbol(report: MembershipReport, setting: CompressionSetting) -> Lau
 
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
     dec = report.decomposition
+    if variant == "t35":
+        # conj(g) + sum_j p_j(z^k) z^-j, g and p_j the polynomials of degree
+        # below the dimension with the projections chi and psi_j: they differ
+        # from those by terms of alpha H^2 and beta H^2, and conj(alpha H^2)
+        # and z^-j beta(z^k) H^2, j < k, compress to 0.  Parts past
+        # j = dim K_alpha are first folded onto the others.  On z^N, g = chi
+        # and p_j = psi_j.  Block n holds frequencies k n - used + 1..k n,
+        # and frequency k n - j sits at used n + used - 1 - j.  With used < k,
+        # used is dim K_alpha and conj(g) is block 0.
+        inv_a, inv_b, fold = setting.interpolation
+        psis = np.array(dec.psis)
+        if fold is not None:
+            psis = psis[: ba.dim] + fold @ psis[ba.dim :]
+        g = dec.chi if inv_a is None else inv_a @ dec.chi
+        parts = psis.T if inv_b is None else inv_b @ psis.T  # row n, column j: coefficient n of p_j
+        used = parts.shape[1]
+        head = g[::-1].conj(), 1 - len(g)
+        tail = parts[:, ::-1].reshape(-1), 1 - used
+        return _place(*_sum(head, tail), used, k, 1 - used)
+
     head = _head(dec.chi, ba)
     parts = (np.array(dec.psis) @ bb.rows).T  # row n, column j: coefficient n of psi_j
     used = parts.shape[1]
-    if variant == "t35":
-        # conj(chi) + sum_j psi_j(z^k) z^-j.  The fit leaves every psi_j
-        # orthogonal to k_0^beta, i.e. psi_j(0) = 0.  Block n holds frequencies
-        # k n - used + 1..k n, and frequency k n - j sits at used n + used - 1 - j.
-        # With used < k, used is the alpha row length and head is block 0.
-        tail = parts[:, ::-1].reshape(-1), 1 - used
-        return _place(*_sum(head, tail), used, k, 1 - used)
 
     # Adjoint-form decomposition: beta(z^k) conj(chi) z^-k + conj(alpha)
     # sum_j psi_j(z^k) z^(j + 1).  Block n holds frequencies

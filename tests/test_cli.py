@@ -166,6 +166,24 @@ class TestMembershipRecover:
         b = json.loads(out2)["data"]
         assert np.abs(np.array(a) - np.array(b)).max() < 1e-8
 
+    def test_recover_near_circle_order_1e5(self, capsys):
+        # Zeros at 0.999 (T = 34521): the printed symbol has at most
+        # n + (m - 1) min(k, n) = 3 + 3 terms, on the frequencies k i - j.
+        alpha, beta = '{"zeros":[0.999,-0.3,{"re":0,"im":0.2}]}', '{"zeros":[{"re":0,"im":0.999},{"re":0,"im":-0.5}]}'
+        common = ["--k", "100000", "--alpha", alpha, "--beta", beta]
+        phi = sym({-3: 1, 0: 0.5, 2: 1j, 7: 2, 100000: 0.3, 200001: -1})
+        code, matrix, _ = run(capsys, ["build", *common, "--symbol", phi])
+        assert code == 0
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["recover", *common, "--matrix", matrix])
+        assert code == 0 and time.perf_counter() - start < 2.0
+        coeffs = json.loads(out)["coeffs"]
+        assert len(coeffs) <= 6
+        assert {c["n"] for c in coeffs} <= {100000 * i - j for i in range(2) for j in range(3)}
+        code, rebuilt, _ = run(capsys, ["build", *common, "--symbol", out])
+        a, b = np.array(json.loads(matrix)["data"]), np.array(json.loads(rebuilt)["data"])
+        assert code == 0 and np.abs(a - b).max() <= 1e-12 * np.linalg.norm(a)
+
     def test_recover_nonmember_exit_one(self, capsys):
         bad = json.dumps({"rows": 3, "cols": 4, "data": [[1.0, 0.0]] + [[0.0, 0.0]] * 11})
         code, _, err = run(capsys, ["recover", *COMMON, "--matrix", bad])

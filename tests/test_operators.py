@@ -1,3 +1,4 @@
+import json
 import time
 import tracemalloc
 from math import factorial
@@ -186,6 +187,22 @@ class TestBuildCompression:
         U = build_compression(random_laurent(rng, -4, 6, terms=5), s243)
         back = s243.matrix(type(U).entries_from_json(U.to_json()))
         assert np.array_equal(U.entries, back.entries)
+
+    def test_json_values_are_python_floats(self, rng, s243):
+        # Row-major [re, im] pairs of Python floats, so entries_from_json
+        # takes its one-pass type check; transposed and strided entries and
+        # -0.0 give the same text as the per-entry numpy scalars did.
+        values = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        values[0, 0], values[1, 2] = complex(-0.0, 1.0), complex(2.0, -0.0)
+        for entries in (values[:, :4], values[:, ::2], np.ascontiguousarray(values[:, :4].T).T):
+            U = s243.matrix(entries)
+            obj = U.to_json()
+            assert all(type(x) is float for pair in obj["data"] for x in pair)
+            old = {"rows": 3, "cols": 4, "data": [[z.real, z.imag] for z in U.entries.reshape(-1)]}
+            assert json.dumps(obj) == json.dumps(old)
+            back = type(U).entries_from_json(json.loads(json.dumps(obj)))
+            assert np.array_equal(back, U.entries)
+            assert np.array_equal(np.signbit(back.view(float)), np.signbit(np.ascontiguousarray(U.entries).view(float)))
 
 
 def loop_oracle(phi, src, k, dst):
@@ -461,8 +478,9 @@ class TestDesignMatrixOracle:
 
 
 class TestSettingCache:
-    """S_alpha^k, the frames and the pseudo-inverse of G are computed once
-    per setting and then read by every call."""
+    """S_alpha^k, the frames, the pseudo-inverse of G and the interpolation
+    constants of recovery are computed once per setting and then read by
+    every call."""
 
     @pytest.mark.parametrize(
         "alpha,beta,k",
@@ -499,8 +517,16 @@ class TestSettingCache:
             membership(U, setting, variant)
             assert setting.frames(variant) is setting.frames(variant)
         assert setting.shift_alpha_power is setting.shift_alpha_power
+        # Past k = dim K_alpha the parts psi_j, j >= 3, are folded onto the rest.
+        folding = CompressionSetting(B_NEAR, BETA, 10)
+        for s in (setting, folding):
+            assert "interpolation" not in vars(s)
+            recover_symbol(membership(s.matrix(np.ones((2, 3))), s), s)
+            assert s.interpolation is s.interpolation
+        assert setting.interpolation[2] is None
         arrays = [setting.shift_alpha, setting.shift_alpha_adj, setting.shift_beta, setting.shift_beta_adj]
         arrays += [setting.shift_alpha_power] + [a for v in VARIANTS for a in setting.frames(v)]
+        arrays += [*setting.interpolation[:2], *folding.interpolation]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
@@ -517,6 +543,24 @@ class TestSettingCache:
             G = np.asarray(G, dtype=complex)
             want = np.linalg.lstsq(G, np.eye(len(G)), rcond=None)[0]
             assert np.abs(_pinv(G) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize(
+        "alpha,beta,k",
+        [(zn(4), zn(3), 2), (zn(3), zn(2), 40), (zn(1), zn(5), 1 << 62), (zn(3), BETA, 4), (B2, zn(3), 5)],
+        ids=["z4-z3-k2", "z3-z2-k40", "z1-z5-k2^62", "z3-B-k4", "B2-z3-k5"],
+    )
+    def test_no_interpolation_on_monomials(self, alpha, beta, k):
+        # z^N needs no A^-1 or B^-1: its parts are already polynomials of
+        # degree < dim.  Only a Blaschke alpha folds, once k passes dim.
+        setting = CompressionSetting(alpha, beta, k)
+        n, m = setting.basis_beta.dim, setting.basis_alpha.dim
+        U = setting.matrix(np.random.default_rng(7).standard_normal((n, m)))
+        report = membership(U, setting)
+        if report.member:
+            recover_symbol(report, setting)
+        inv_a, inv_b, fold = setting.interpolation
+        assert (inv_a is None) == (alpha.kind == "monomial") and (inv_b is None) == (beta.kind == "monomial")
+        assert (fold is None) == (alpha.kind == "monomial" or k <= alpha.degree)
 
     @pytest.mark.parametrize("alpha,beta", [(zn(4), zn(3)), (B_NEAR, BETA)], ids=["z4-z3", "Bnear-B"])
     def test_membership_prompt_at_order_1e8(self, alpha, beta):
@@ -1040,6 +1084,87 @@ class TestReadSpan:
         assert psi == conjugate_symbol(self.PHI, setting)
 
 
+class TestShortRecovery:
+    """t35 recovery writes chi and the psi_j as polynomials of degree < dim,
+    so its symbol lives on the frequencies k i - j, i < m = dim K_beta,
+    j < n = dim K_alpha: at most n + (m - 1) min(k, n) terms, the dimension
+    of the space of members, at any k."""
+
+    @staticmethod
+    def spaces(rho):
+        return InnerFunction.blaschke([rho, -0.3, 0.2j]), InnerFunction.blaschke([rho * 1j, -0.5j])
+
+    @staticmethod
+    def cliff_symbol(k):
+        return L({-3: 1.0, 0: 0.5, 2: 1j, 7: 2.0, k: 0.3, 2 * k + 1: -1.0})
+
+    @pytest.mark.parametrize("k", [10**6, 1 << 63], ids=["1e6", "2^63"])
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(B3, BETA), (B_NEAR, BETA), (zn(3), InnerFunction.blaschke([0.5, 0.5])), (B_REPEATED, zn(2))],
+        ids=["B3-B", "Bnear-B", "z3-double", "Brepeated-z2"],
+    )
+    def test_support_at_large_order(self, alpha, beta, k):
+        setting = CompressionSetting(alpha, beta, k)
+        n, m = setting.basis_beta.dim, setting.basis_alpha.dim
+        rng = np.random.default_rng(97)
+        inputs = [build_compression(random_laurent(rng, -8, 14, terms=7) + self.cliff_symbol(k), setting)]
+        inputs.append(setting.matrix(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))))
+        for U in inputs:
+            phi = recover_symbol(membership(U, setting), setting)
+            assert set(phi.support) <= short_support(setting)
+            assert len(phi) <= operator_space_dim(setting)
+            rebuilt = build_compression(phi, setting).entries
+            assert np.abs(rebuilt - U.entries).max() <= 1e-12 * np.linalg.norm(U.entries)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,k",
+        [
+            (B3, BETA, 2),
+            (B_REPEATED, BETA, 5),
+            (zn(3), InnerFunction.blaschke([0.5, 0.5]), 4),
+            (B_NEAR, BETA, 10),
+            (B2, B3, 1),
+            (InnerFunction.blaschke([0.9, 0.9, 0.9]), InnerFunction.blaschke([0.99j, -0.5j, 0.3]), 2),
+        ],
+        ids=["B3-B-k2", "double-B-k5", "z3-double-k4", "Bnear-B-k10", "B2-B3-k1", "triple-B3-k2"],
+    )
+    def test_monomials_span_the_member_space(self, alpha, beta, k):
+        # The compressions of z^f, f = k i - j, are linearly independent: the
+        # mn x dim matrix of them has full rank n + (m - 1) min(k, n).
+        setting = CompressionSetting(alpha, beta, k)
+        support = sorted(short_support(setting))
+        columns = np.array([build_compression(L({f: 1.0}), setting).entries.reshape(-1) for f in support]).T
+        assert len(support) == operator_space_dim(setting) <= columns.shape[0]
+        assert np.linalg.matrix_rank(columns) == operator_space_dim(setting)
+
+    def test_near_circle_order_1e4(self):
+        # B[0.99,-0.3,0.2i] -> B[0.99i,-0.5i] (T = 3207): the paper's formula
+        # gave 2.15M terms here; these are at most 3 + 1 * 3.
+        setting = CompressionSetting(*self.spaces(0.99), 10**4)
+        U = build_compression(self.cliff_symbol(10**4), setting)
+        report = membership(U, setting)
+        run = lambda: build_compression(recover_symbol(report, setting), setting)  # noqa: E731
+        assert traced_peak(run) < 8 << 20
+        start = time.perf_counter()
+        rebuilt = run().entries
+        assert time.perf_counter() - start < 1.0
+        assert len(recover_symbol(report, setting)) <= operator_space_dim(setting) == 6
+        assert np.abs(rebuilt - U.entries).max() <= 1e-12 * np.linalg.norm(U.entries)
+
+    def test_near_circle_order_1_rebuild(self):
+        # Zeros at 0.999 (T = 34521), k = 1: the paper's formula gave 53,020
+        # terms, and the rebuild from them took seconds.
+        setting = CompressionSetting(*self.spaces(0.999), 1)
+        U = build_compression(self.cliff_symbol(1), setting)
+        phi = recover_symbol(membership(U, setting), setting)
+        assert len(phi) <= operator_space_dim(setting) == 4
+        start = time.perf_counter()
+        rebuilt = build_compression(phi, setting).entries
+        assert time.perf_counter() - start < 1.0
+        assert np.abs(rebuilt - U.entries).max() <= 1e-12 * np.linalg.norm(U.entries)
+
+
 # -- the array primitives of f(z^k) ---------------------------------------------
 # `_place` and `_times_stretched` against the dict maps they stand for.
 
@@ -1113,6 +1238,38 @@ def dict_recover(report, setting):
     for j, psi in enumerate(dec.psis):
         phi = phi + mul(alpha_bar, shifted(stretch(bb.reconstruct(psi), k), j + 1))
     return phi
+
+
+def short_recover(report, setting):
+    """The t35 symbol conj(g) + sum_j p_j(z^k) z^-j, j < min(k, n), with g and
+    p_j the polynomials of degree < dim whose projections are chi and the
+    psi_j: A and B hold the projections of z^j, j < dim, and the parts past
+    j = n are first folded onto the others with Psi G^H kept."""
+    ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
+    dec = report.decomposition
+    n, m, used = ba.dim, bb.dim, len(dec.psis)
+    A = np.array([ba.project(monomial(j)) for j in range(n)]).T
+    B = np.array([bb.project(monomial(i)) for i in range(m)]).T
+    Psi = np.array(dec.psis).T
+    if used > n:
+        G = np.array([ba.project(monomial(j)) for j in range(used)]).T
+        Psi = np.linalg.solve(A, G @ Psi.conj().T).conj().T
+    g, P = np.linalg.solve(A, dec.chi), np.linalg.solve(B, Psi)
+    phi = conj_on_circle(LaurentPoly.from_array(g))
+    for j, p in enumerate(P.T):
+        phi = phi + shifted(stretch(LaurentPoly.from_array(p), k), -j)
+    return phi
+
+
+def short_support(setting):
+    """The frequencies k i - j, i < dim K_beta, j < dim K_alpha."""
+    n, m, k = setting.basis_alpha.dim, setting.basis_beta.dim, setting.k
+    return {k * i - j for i in range(m) for j in range(n)}
+
+
+def operator_space_dim(setting):
+    n, m, k = setting.basis_alpha.dim, setting.basis_beta.dim, setting.k
+    return n + (m - 1) * min(k, n)
 
 
 def dict_split(phi):
@@ -1322,18 +1479,39 @@ class TestSymbolArrayOracle:
             scale = width * max(1.0, np.abs(phi).max())
             assert np.abs(got - windowed_compress(phi, lo, src, k, dst)).max() <= 1e-14 * scale
 
-    @pytest.mark.parametrize("variant", ["t35", "c38"])
-    def test_recover(self, setting, variant):
+    def members(self, setting):
         rng = np.random.default_rng(61)
         n, m = setting.basis_beta.dim, setting.basis_alpha.dim
         inputs = [build_compression(phi, setting) for phi in self.symbols(setting)]
         # Universal: a Gaussian matrix is a member too.
         if m <= setting.k:
             inputs.append(setting.matrix(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))))
-        for U in inputs:
+        return inputs
+
+    @pytest.mark.parametrize("variant", ["t35", "c38"])
+    def test_recover(self, setting, variant):
+        # t35 writes its parts as the polynomials of degree < dim with the
+        # same projections; on z^N those are the parts themselves, and the
+        # symbol is the paper's own, term for term.
+        for U in self.members(setting):
             report = membership(U, setting, variant)
             assert report.member
-            self.agree(setting, recover_symbol(report, setting), dict_recover(report, setting))
+            got = recover_symbol(report, setting)
+            if variant == "c38":
+                self.agree(setting, got, dict_recover(report, setting))
+                continue
+            self.agree(setting, got, short_recover(report, setting))
+            if setting.exact:
+                assert got == dict_recover(report, setting)
+
+    @pytest.mark.parametrize("variant", ["t35", "c310a", "c310b"])
+    def test_recovered_support(self, setting, variant):
+        # At most n + (m - 1) min(k, n) terms, on the frequencies k i - j.
+        support = short_support(setting)
+        assert len(support) == operator_space_dim(setting)
+        for U in self.members(setting):
+            phi = recover_symbol(membership(U, setting, variant), setting)
+            assert set(phi.support) <= support
 
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_canonical(self, setting, which):
