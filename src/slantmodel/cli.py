@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .laurent import LaurentPoly, ascii_int
-from .model_space import InnerFunction, ModelSpaceBasis, TruncationError, default_truncation
+from .laurent import LaurentPoly, ascii_int, ascii_real
+from .model_space import InnerFunction, ModelSpaceBasis, TruncationError
 from .operators import (
     DEFAULT_MEMBERSHIP_TOL,
     VARIANTS,
@@ -152,13 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--matrix", required=True, help="matrix JSON, inline or file")
     p.add_argument("--variant", choices=VARIANTS, default="t35")
-    p.add_argument("--tol", type=float, default=DEFAULT_MEMBERSHIP_TOL)
+    p.add_argument("--tol", type=ascii_real, default=DEFAULT_MEMBERSHIP_TOL)
 
     p = sub.add_parser("recover", help="recover a symbol from a member matrix")
     _add_common(p)
     p.add_argument("--matrix", required=True)
     p.add_argument("--variant", choices=VARIANTS, default="t35")
-    p.add_argument("--tol", type=float, default=DEFAULT_MEMBERSHIP_TOL)
+    p.add_argument("--tol", type=ascii_real, default=DEFAULT_MEMBERSHIP_TOL)
 
     p = sub.add_parser("canonical", help="equivalent symbol from the canonical subspace")
     _add_common(p)
@@ -216,7 +216,6 @@ def _run(args) -> int:
             "truncation_order": basis.truncation_order,
             "tail_bound": basis.tail_bound,
             "gram_error": basis.gram_error,
-            "default_truncation": default_truncation(inner),
         }
         _emit(
             payload,

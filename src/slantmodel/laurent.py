@@ -45,6 +45,15 @@ def ascii_int(text: str) -> int:
     return int(text)
 
 
+def ascii_real(text: str) -> float:
+    """A real number written as an optional '-', ASCII digits with an optional
+    point and exponent, or nan or inf, which the caller's range check refuses;
+    float() would also read '1_0e-9' as 1e-8 and other scripts' digits."""
+    if not re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|-?(nan|inf)", text, re.IGNORECASE):
+        raise ValueError(f"expected a real number in ASCII digits, got {text!r}")
+    return float(text)
+
+
 class LaurentPoly:
     """A finite frequency -> coefficient map, f(z) = sum a_n z^n on |z| = 1."""
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from math import factorial, perm
 
@@ -23,7 +22,7 @@ EXACT_TOL = 1e-12
 BLASCHKE_TOL = 1e-8
 GRAM_TOL = 1e-10
 TAIL_BOUND_LIMIT = 1e-12
-# Largest truncation order T.  It admits a simple zero up to |w| = 0.99996;
+# Largest truncation order T.  It admits a single zero up to |w| = 0.99997;
 # a basis row then takes 2^22 circle samples (64 MB).
 MAX_TRUNCATION = 1 << 20
 # Largest basis array, dim x (T + 1) entries: 2^24 complex numbers (256 MB).
@@ -140,19 +139,6 @@ def _checked(order: int) -> int:
     if not 0 <= order <= MAX_TRUNCATION:
         raise TruncationError(f"truncation order {order} is outside 0..{MAX_TRUNCATION}")
     return order
-
-
-def default_truncation(inner: InnerFunction) -> int:
-    """The smallest T >= 64 with rho^(T+1) / (1 - rho) <= 1e-12, plus one per
-    zero at the origin, rho the largest |w|^(1/m) over zeros w of multiplicity
-    m: the root stretches T over the n^(m-1) |w|^n growth of a repeated zero.
-    With every zero at the origin T = N - 1 holds the rows exactly."""
-    multiplicity = Counter(inner.zeros)
-    rho = max(abs(w) ** (1.0 / m) for w, m in multiplicity.items())
-    if rho == 0:
-        return _checked(inner.degree - 1)
-    t = math.ceil(math.log(TAIL_BOUND_LIMIT * (1.0 - rho)) / math.log(rho)) - 1
-    return _checked(max(64, t + multiplicity[0]))
 
 
 def derivative_scale(n: int) -> float:
@@ -278,22 +264,35 @@ class ModelSpaceBasis:
         the Takenaka-Malmquist row of the reversed zero list, read backwards
         (z^(N-1-j) for z^N), so C is a Gram matrix of the rows and these mirror rows.
 
-        The tail certificate is the largest l2 norm over the rows of the FFT
-        coefficients T+1..M-1 they drop.  Orders outside 0..MAX_TRUNCATION, and
-        arrays above MAX_ENTRIES, are refused before anything is sampled."""
-        order = default_truncation(inner) if truncation is None else _checked(strict_int(truncation, "truncation"))
+        The tail certificate is the largest l2 norm over the rows and the mirror
+        rows of the FFT coefficients T+1..M-1 they drop.  By default T is the
+        least order with 2 (T + 1) <= M it certifies, M sampled for a single
+        zero of modulus max |w| and doubled only when no order passes.  Orders
+        outside 0..MAX_TRUNCATION, and arrays above MAX_ENTRIES, are refused
+        before anything is sampled."""
+        rho = max(map(abs, inner.zeros))
+        single = math.ceil(math.log(TAIL_BOUND_LIMIT) / math.log(rho)) - 1 if rho else inner.degree - 1
+        order = _checked(single if truncation is None else strict_int(truncation, "truncation"))
         if inner.degree * (order + 1) > MAX_ENTRIES:
             raise TruncationError(f"a {inner.degree} x {order + 1} basis array is above the cap of {MAX_ENTRIES} entries")
         if not any(inner.zeros):
             rows = np.eye(inner.degree, dtype=complex)
             mirror, tail = rows[::-1], 0.0
         else:
-            rows, tail = _takenaka_malmquist(inner.zeros, order)
-            if tail > TAIL_BOUND_LIMIT:
+            last = order if truncation is not None else min(MAX_TRUNCATION, MAX_ENTRIES // inner.degree - 1)
+            while True:
+                rows, tails = _takenaka_malmquist(inner.zeros, order)
+                mirror, back = _takenaka_malmquist(inner.zeros[::-1], order)
+                tails = np.maximum(tails, back)
+                top = min(last, len(tails) // 2 - 1)
+                order = max(last if truncation is not None else 0, int(np.count_nonzero(tails > TAIL_BOUND_LIMIT)))
+                if order <= top or top == last:
+                    break  # else order >= M / 2, and sampling for it doubles M
+            if order > top:
                 raise TruncationError(
-                    f"truncation order {order} leaves a tail of {tail:.3e} above {TAIL_BOUND_LIMIT:.0e}"
+                    f"truncation order {top} leaves a tail of {tails[top]:.3e} above {TAIL_BOUND_LIMIT:.0e}"
                 )
-            mirror = _takenaka_malmquist(inner.zeros[::-1], order)[0][::-1]
+            rows, mirror, tail = rows[:, : order + 1], mirror[::-1, : order + 1], float(tails[order])
         gram = _compress(_ONE, 0, rows, 1, rows)
         gram_error = float(np.abs(gram - np.eye(inner.degree)).max())
         if gram_error > GRAM_TOL:
@@ -388,23 +387,24 @@ def _taylor(inner: InnerFunction, order: int) -> np.ndarray:
     return out
 
 
-def _takenaka_malmquist(zeros, order: int) -> tuple[np.ndarray, float]:
+def _takenaka_malmquist(zeros, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal rational basis in zero-list order, repeats allowed: row j
     is sqrt(1 - |w_j|^2) / (1 - conj(w_j) z) times the factors of the zeros
-    before it.  Returns the coefficients 0..order of the rows, and the largest
-    l2 norm over the rows of the coefficients order+1..M-1 they drop."""
+    before it.  Returns the coefficients 0..M-1 of the rows, and for t < M
+    their largest l2 norm of coefficients t+1..M-1, summed from M-1 down: it
+    never increases in t."""
     denom, factors = _circle_factors(zeros, order)
     carried = np.cumprod(np.vstack([np.ones_like(factors[:1]), factors[:-1]]), axis=0)
     scale = np.sqrt([[1.0 - abs(w) ** 2] for w in zeros])
     coeffs = _coefficients(scale * carried / denom)
-    return coeffs[:, : order + 1], float(np.linalg.norm(coeffs[:, order + 1 :], axis=1).max())
+    dropped = np.cumsum((np.abs(coeffs) ** 2)[:, :0:-1], axis=1).max(axis=0)
+    return coeffs, np.sqrt(np.append(dropped[::-1], 0.0))
 
 
 __all__ = [
     "InnerFunction",
     "ModelSpaceBasis",
     "TruncationError",
-    "default_truncation",
     "coeff_json",
     "EXACT_TOL",
     "BLASCHKE_TOL",

@@ -65,8 +65,8 @@ class TestBuild:
         assert np.array_equal(got, expected)
 
     def test_near_circle_order_1e5(self, capsys):
-        # Zeros at 0.999 (T = 34521): the 4-term symbol is read where its
-        # windows reach it, not over k T_beta = 3.5e9 frequencies.
+        # Zeros at 0.999 (T = 27632): the 4-term symbol is read where its
+        # windows reach it, not over k T_beta = 2.8e9 frequencies.
         alpha, beta = '{"zeros":[0.999,-0.3,{"re":0,"im":0.2}]}', '{"zeros":[{"re":0,"im":0.999},{"re":0,"im":-0.5}]}'
         argv = ["build", "--k", "100000", "--alpha", alpha, "--beta", beta, "--symbol", sym({-3: 1, 0: 0.5, 2: 1j, 7: 2})]
         start = time.perf_counter()
@@ -167,7 +167,7 @@ class TestMembershipRecover:
         assert np.abs(np.array(a) - np.array(b)).max() < 1e-8
 
     def test_recover_near_circle_order_1e5(self, capsys):
-        # Zeros at 0.999 (T = 34521): the printed symbol has at most
+        # Zeros at 0.999 (T = 27632): the printed symbol has at most
         # n + (m - 1) min(k, n) = 3 + 3 terms, on the frequencies k i - j.
         alpha, beta = '{"zeros":[0.999,-0.3,{"re":0,"im":0.2}]}', '{"zeros":[{"re":0,"im":0.999},{"re":0,"im":-0.5}]}'
         common = ["--k", "100000", "--alpha", alpha, "--beta", beta]
@@ -434,6 +434,18 @@ class TestErrors:
         code, out, err = run(capsys, argv)
         assert code == 2 and "ascii" in err.lower() and not out
 
+    @pytest.mark.parametrize("tol", ["1_0e-9", "\u0661e-9"], ids=["underscore", "arabic-indic"])
+    @pytest.mark.parametrize("command", ["membership", "recover"])
+    def test_tolerance_text_needs_ascii_digits(self, capsys, command, tol):
+        # float() read these as 1e-8 and 1e-9; nan and inf still reach the range check.
+        code, out, err = run(capsys, [command, *COMMON, "--matrix", self.MEMBER, "--tol", tol])
+        assert code == 2 and "ascii" in err.lower() and not out
+
+    @pytest.mark.parametrize("tol", ["1e-9", ".5E-8", "2."])
+    def test_tolerance_in_ascii_is_read(self, capsys, tol):
+        code, out, _ = run(capsys, ["membership", *COMMON, "--matrix", self.MEMBER, "--tol", tol])
+        assert code == 0 and json.loads(out)["tolerance"] == float(tol)
+
     @pytest.mark.parametrize("k", ["500", "2000"])
     @pytest.mark.parametrize("command", ["canonical", "iszero"])
     def test_stretched_beta_above_cap_is_numeric_error(self, capsys, command, k):
@@ -473,14 +485,15 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["membership", "recover"])
     def test_large_order_membership_is_prompt(self, capsys, command, k):
         # k >= dim K_alpha: every matrix is a member, and the fit keeps only
-        # the T_alpha + 1 = 598 parts whose frame vectors are nonzero.
+        # the T_alpha + 1 parts whose frame vectors are nonzero.
         start = time.perf_counter()
         code, out, _ = run(capsys, [command, "--k", k, "--alpha", self.NEAR, "--beta", "z^3", "--matrix", self.MATRIX_3X2])
         assert code == 0
         assert time.perf_counter() - start < 1.0
         obj = json.loads(out)
         if command == "membership":
-            assert obj["member"] and len(obj["psis"]) == min(int(k), 598)
+            parts = ModelSpaceBasis.build(InnerFunction.parse(self.NEAR)).truncation_order + 1
+            assert obj["member"] and len(obj["psis"]) == min(int(k), parts)
         else:
             assert obj["coeffs"]
 

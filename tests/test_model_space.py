@@ -11,6 +11,7 @@ from laurent_oracle import backward_shift_pow, decimate, derivative_at, distance
 from slantmodel.laurent import LaurentPoly
 from slantmodel.model_space import (
     CONTRACTION_BLOCK,
+    GRAM_TOL,
     InnerFunction,
     ModelSpaceBasis,
     MAX_TRUNCATION,
@@ -18,7 +19,6 @@ from slantmodel.model_space import (
     _compress,
     _takenaka_malmquist,
     _taylor,
-    default_truncation,
 )
 from slantmodel.verify import circle_grid
 
@@ -150,23 +150,35 @@ class TestMakeBasis:
             ModelSpaceBasis.build(InnerFunction.blaschke([0.5]), truncation=10)
 
     def test_default_truncation_certifies_tail(self):
-        inner = InnerFunction.blaschke([0.9])
-        t = default_truncation(inner)
-        assert 0.9 ** (t + 1) / 0.1 <= 1e-12
-        assert t >= 64
+        # The row sqrt(1 - |w|^2) / (1 - conj(w) z) of one zero drops an l2
+        # tail of exactly |w|^(T+1), so T is the least order with 0.9^(T+1) <= 1e-12.
+        basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.9]))
+        t = basis.truncation_order
+        assert 0.9 ** (t + 1) <= 1e-12 < 0.9**t
+        assert abs(basis.tail_bound - 0.9 ** (t + 1)) <= 1e-3 * 0.9 ** (t + 1)
 
-    def test_default_truncation_closed_form(self, rng):
-        # Reference: the smallest t >= 1 with rho^(t+1) / (1 - rho) <= 1e-12, by stepping.
-        def stepped(rho):
-            t = 1
-            while rho ** (t + 1) / (1.0 - rho) > 1e-12:
-                t += 1
-            return max(64, t)
+    def test_close_zeros_build(self):
+        # Three close zeros have the coefficient growth of a triple zero, which
+        # an order read off max |w| alone does not see: the tail picks T.
+        basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.9, 0.91, 0.92]))
+        assert basis.tail_bound <= 1e-12 and basis.gram_error <= GRAM_TOL
+        # Twelve zeros at 0.9 pass no order T with 2 (T + 1) <= M at the
+        # first M, so M doubles.
+        basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.9] * 12))
+        assert basis.tail_bound <= 1e-12 and basis.gram_error <= GRAM_TOL
 
-        for rho in [0.99, 0.95, 0.9, 0.5, 0.5**0.5, *rng.uniform(0.01, 0.999, 300)]:
-            assert default_truncation(InnerFunction.blaschke([rho, -0.3 * rho])) == stepped(rho)
-        assert default_truncation(InnerFunction.blaschke([0.99, -0.3, 0.2j])) == 3207
-        assert default_truncation(InnerFunction.monomial(5)) == 4
+    @pytest.mark.parametrize("count,radius", [(4, 0.9), (8, 0.9), (10, 0.9), (12, 0.9), (4, 0.95), (12, 0.95)])
+    def test_random_products_build(self, count, radius):
+        # Each draw builds, or is refused only by a cap on the order or the array.
+        rng = np.random.default_rng(1000 * count + round(100 * radius))
+        for _ in range(20):
+            zeros = radius * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+            try:
+                basis = ModelSpaceBasis.build(InnerFunction.blaschke(zeros))
+            except TruncationError as exc:
+                assert "outside" in str(exc) or "cap" in str(exc)
+                continue
+            assert basis.tail_bound <= 1e-12 and basis.gram_error <= GRAM_TOL
 
     def test_repeated_zero_tail_is_measured(self):
         # At T = 284 the simple-zero estimate 0.9^285 / 0.1 is below 1e-12, but a
@@ -178,7 +190,7 @@ class TestMakeBasis:
         rows = convolution_expansions(inner, 4 * basis.truncation_order)[0]
         for t in (284, basis.truncation_order):
             dropped = np.linalg.norm(rows[:, t + 1 :], axis=1).max()
-            assert abs(_takenaka_malmquist(inner.zeros, t)[1] - dropped) <= 1e-3 * dropped + 1e-14
+            assert abs(_takenaka_malmquist(inner.zeros, t)[1][t] - dropped) <= 1e-3 * dropped + 1e-14
         assert basis.tail_bound <= 1e-12 and basis.gram_error <= 1e-12
 
     @pytest.mark.parametrize(
@@ -395,32 +407,39 @@ def convolution_expansions(inner, order):
 
 
 class TestConvolutionOracle:
-    @pytest.mark.parametrize(
-        "inner",
-        [
-            InnerFunction.blaschke([0.95, -0.3, 0.2j]),
-            InnerFunction.blaschke([0.99, -0.3, 0.2j]),
-            InnerFunction.blaschke([0.0, 0.5, -0.3j]),
-            InnerFunction.blaschke([0.3, 0.3 + 1e-9]),
-            InnerFunction.blaschke([0.5, -0.3], 1j),
-            InnerFunction.blaschke([0.4, -0.5j]).stretched(2),
-            InnerFunction.blaschke([0.4, -0.5j]).stretched(3),
-            InnerFunction.blaschke([0.5, 0.5]),
-            InnerFunction.blaschke([0.0, 0.0, 0.5, -0.3]),
-            InnerFunction.blaschke([0.9, 0.9, 0.9]),
-        ],
-        ids=[
-            "B95", "B99", "origin", "near-coincident", "constant-1j", "beta-k2", "beta-k3",
-            "double", "double-origin", "triple",
-        ],
-    )
+    INNERS = [
+        InnerFunction.blaschke([0.95, -0.3, 0.2j]),
+        InnerFunction.blaschke([0.99, -0.3, 0.2j]),
+        InnerFunction.blaschke([0.0, 0.5, -0.3j]),
+        InnerFunction.blaschke([0.3, 0.3 + 1e-9]),
+        InnerFunction.blaschke([0.5, -0.3], 1j),
+        InnerFunction.blaschke([0.4, -0.5j]).stretched(2),
+        InnerFunction.blaschke([0.4, -0.5j]).stretched(3),
+        InnerFunction.blaschke([0.5, 0.5]),
+        InnerFunction.blaschke([0.0, 0.0, 0.5, -0.3]),
+        InnerFunction.blaschke([0.9, 0.9, 0.9]),
+    ]
+    IDS = ["B95", "B99", "origin", "near-coincident", "constant-1j", "beta-k2", "beta-k3", "double", "double-origin", "triple"]
+
+    @pytest.mark.parametrize("inner", INNERS, ids=IDS)
     def test_fft_matches_convolution(self, inner):
-        T = default_truncation(inner)
+        T = ModelSpaceBasis.build(inner).truncation_order
         # The basis expands alpha to twice the row length; the rows are
         # truncations of the same series, so one reference run covers both.
         rows, alpha = convolution_expansions(inner, 2 * (T + 1))
-        assert np.abs(_takenaka_malmquist(inner.zeros, T)[0] - rows[:, : T + 1]).max() <= 1e-14
+        assert np.abs(_takenaka_malmquist(inner.zeros, T)[0][:, : T + 1] - rows[:, : T + 1]).max() <= 1e-14
         assert np.abs(_taylor(inner, 2 * (T + 1)) - alpha).max() <= 1e-14
+
+    @pytest.mark.parametrize("inner", INNERS, ids=IDS)
+    def test_tail_bound_covers_mirror_rows(self, inner):
+        # The conjugation matrix reads the mirror rows, the rows of the
+        # reversed zero list read backwards, so the certificate bounds the
+        # tail they drop too.  Past 2 (T + 1) that tail is below 1e-20.
+        basis = ModelSpaceBasis.build(inner)
+        T = basis.truncation_order
+        mirror = convolution_expansions(InnerFunction(inner.zeros[::-1]), 2 * (T + 1))[0][::-1]
+        dropped = np.linalg.norm(mirror[:, T + 1 :], axis=1).max()
+        assert dropped <= basis.tail_bound * (1 + 1e-3)
 
 
 def compressed_conjugation(basis):
@@ -610,14 +629,15 @@ class TestStretchedBasis:
         assert np.array_equal(fast, ref.rows.T @ ref.rows.conj())
 
     def test_size_cap(self):
-        # B[0.4, -0.5i] has T = 64: at k = 500 and 2000 its rows project
-        # 65 k coefficients promptly, while a basis built on the k-th roots
-        # is refused before any array is made.
+        # At k = 500 and 2000 the rows of B[0.4, -0.5i] project (T + 1) k
+        # coefficients promptly, while a basis built on the k-th roots is
+        # refused before any array is made.
         beta = InnerFunction.blaschke([0.4, -0.5j])
         basis = ModelSpaceBasis.build(beta)
+        cols = basis.rows.shape[1]
         rng = np.random.default_rng(7)
         for k in (500, 2000):
-            f = rng.standard_normal(65 * k) + 1j * rng.standard_normal(65 * k)
+            f = rng.standard_normal(cols * k) + 1j * rng.standard_normal(cols * k)
             start = time.perf_counter()
             image = basis.stretched_projection(f, k)
             with pytest.raises(TruncationError, match="cap"):

@@ -578,7 +578,7 @@ class TestSettingCache:
 
 
 class TestNearCirclePipeline:
-    """B[0.99, -0.3, 0.2i] -> B[0.4, -0.5i], k = 2: alpha truncated at T = 3207."""
+    """B[0.99, -0.3, 0.2i] -> B[0.4, -0.5i], k = 2: alpha truncated at T = 2750."""
 
     @pytest.fixture(scope="class")
     def setting(self):
@@ -589,7 +589,8 @@ class TestNearCirclePipeline:
         return build_compression(random_laurent(np.random.default_rng(29), -6, 10, terms=6), setting)
 
     def test_roundtrip(self, setting, member):
-        assert setting.basis_alpha.truncation_order == 3207
+        # The row of the zero at 0.99 alone drops 0.99^(T+1): T >= 2749.
+        assert 0.99 ** (setting.basis_alpha.truncation_order + 1) <= 1e-12
         report = membership(member, setting)
         assert report.member
         rebuilt = build_compression(recover_symbol(report, setting), setting)
@@ -970,7 +971,7 @@ def kept_compression(phi, setting):
 class TestLargeOrderMembership:
     """k >= dim K_alpha makes every matrix a member.  The fit runs on the
     Taylor-coefficient frame, whose columns vanish past the alpha row length
-    (598 here), so it needs no j! and no more than 598 parts at any k."""
+    T_alpha + 1, so it needs no j! and no more than T_alpha + 1 parts at any k."""
 
     @pytest.mark.parametrize("k", [3, 10, 20, 30])
     def test_gaussian_accepted_and_recovered(self, k):
@@ -995,7 +996,7 @@ class TestLargeOrderMembership:
         U = setting.matrix(g.standard_normal((2, 3)) + 1j * g.standard_normal((2, 3)))
         report = membership(U, setting)
         assert report.member and report.residual <= 1e-13
-        assert len(report.decomposition.psis) == min(k, 598)
+        assert len(report.decomposition.psis) == min(k, setting.basis_alpha.truncation_order + 1)
         phi = recover_symbol(report, setting)
         rebuilt = kept_compression(phi, setting)
         assert np.abs(rebuilt - U.entries).max() <= 1e-12 * np.linalg.norm(U.entries)
@@ -1003,7 +1004,7 @@ class TestLargeOrderMembership:
         built = build_compression(phi, setting).entries
         assert time.perf_counter() - start < 1.0
         assert np.abs(built - rebuilt).max() <= 1e-14
-        # phi is read in 65 windows of 598, not densified over 64 k.
+        # phi is read in T_beta + 1 windows of T_alpha + 1, not densified over k T_beta.
         assert traced_peak(lambda: build_compression(phi, setting)) < 8 << 20
 
     @pytest.mark.parametrize("variant", ["t35", "c38"])
@@ -1025,8 +1026,9 @@ class TestLargeOrderMembership:
 
 
 class TestLargeOrderStretchedBeta:
-    """beta(z^k) is held as beta's 2 x 65 rows here, so these cost memory and
-    time like k (T_beta + 1), where a stored basis of beta(z^k) took k^2."""
+    """beta(z^k) is held as beta's 2 x (T_beta + 1) rows here, so these cost
+    memory and time like k (T_beta + 1), where a stored basis of beta(z^k)
+    took k^2."""
 
     @pytest.mark.parametrize(
         "run",
@@ -1035,15 +1037,15 @@ class TestLargeOrderStretchedBeta:
     )
     def test_bounded_memory(self, run):
         setting = CompressionSetting(zn(3), BETA, 2000)
-        phi = random_laurent(np.random.default_rng(83), -6, 2000 * 65, terms=7)
+        phi = random_laurent(np.random.default_rng(83), -6, 2000 * setting.basis_beta.rows.shape[1], terms=7)
         assert traced_peak(lambda: run(phi, setting)) < 16 << 20
 
     @pytest.mark.parametrize("k, seconds", [(1000, 0.5), (10**5, 1.0)], ids=["1000", "100000"])
     def test_conjugate_symbol_prompt(self, k, seconds):
-        # A 5-term symbol reaching frequency k T_beta = 64 k.  Past
-        # k = 1794 it is read at that stride, not densified over 64 k.
+        # A 5-term symbol reaching frequency k T_beta.  Past k = 3 (T_alpha
+        # + 1) it is read at that stride, not densified over k T_beta.
         setting = CompressionSetting(B_NEAR, BETA, k)
-        phi = L({-3: 1.0, 0: 0.5, 1: -1j, 7 * k: 0.25, 64 * k: 1.0})
+        phi = L({-3: 1.0, 0: 0.5, 1: -1j, 7 * k: 0.25, setting.basis_beta.truncation_order * k: 1.0})
         start = time.perf_counter()
         psi = conjugate_symbol(phi, setting)
         assert time.perf_counter() - start < seconds
@@ -1054,7 +1056,7 @@ class TestLargeOrderStretchedBeta:
 
 
 class TestReadSpan:
-    """On B[0.99,-0.3,0.2i] -> B[0.99i,-0.5i] (T = 3207) a 4-term symbol is
+    """On B[0.99,-0.3,0.2i] -> B[0.99i,-0.5i] (T = 2750) a 4-term symbol is
     read from its first to its last term that a window reads: neither k nor
     a term that no window reads makes an array of k T entries."""
 
@@ -1139,7 +1141,7 @@ class TestShortRecovery:
         assert np.linalg.matrix_rank(columns) == operator_space_dim(setting)
 
     def test_near_circle_order_1e4(self):
-        # B[0.99,-0.3,0.2i] -> B[0.99i,-0.5i] (T = 3207): the paper's formula
+        # B[0.99,-0.3,0.2i] -> B[0.99i,-0.5i] (T = 2750): the paper's formula
         # gave 2.15M terms here; these are at most 3 + 1 * 3.
         setting = CompressionSetting(*self.spaces(0.99), 10**4)
         U = build_compression(self.cliff_symbol(10**4), setting)
@@ -1153,7 +1155,7 @@ class TestShortRecovery:
         assert np.abs(rebuilt - U.entries).max() <= 1e-12 * np.linalg.norm(U.entries)
 
     def test_near_circle_order_1_rebuild(self):
-        # Zeros at 0.999 (T = 34521), k = 1: the paper's formula gave 53,020
+        # Zeros at 0.999 (T = 27632), k = 1: the paper's formula gave 53,020
         # terms, and the rebuild from them took seconds.
         setting = CompressionSetting(*self.spaces(0.999), 1)
         U = build_compression(self.cliff_symbol(1), setting)
