@@ -90,7 +90,7 @@ def _setting(args) -> CompressionSetting:
     alpha = _parse_inner(args.alpha)
     beta = _parse_inner(args.beta)
     try:
-        return CompressionSetting(alpha, beta, args.k, truncation=args.truncation)
+        return CompressionSetting(alpha, beta, args.k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -125,12 +125,6 @@ def _add_common(p):
     p.add_argument("--k", type=ascii_int, required=True, help="decimation order")
     p.add_argument("--alpha", required=True, help="inner function: 'z^N' or JSON (inline/file)")
     p.add_argument("--beta", required=True, help="inner function: 'z^N' or JSON (inline/file)")
-    p.add_argument(
-        "--truncation",
-        type=ascii_int,
-        default=None,
-        help="Blaschke truncation order of alpha and beta; beta(z^k) inherits beta's",
-    )
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
@@ -189,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="describe a model space")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--truncation", type=ascii_int, default=None)
     p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
@@ -208,7 +201,7 @@ def _run(args) -> int:
 
     if cmd == "info":
         inner = _parse_inner(args.alpha)
-        basis = ModelSpaceBasis.build(inner, args.truncation)
+        basis = ModelSpaceBasis.build(inner)
         payload = {
             "inner": inner.to_json(),
             "dim": basis.dim,
@@ -221,7 +214,7 @@ def _run(args) -> int:
             payload,
             args.format,
             lambda o: f"dim={o['dim']} backend={o['backend']} "
-            f"truncation={o['truncation_order']} tail_bound={o['tail_bound']:.3e} "
+            f"truncation_order={o['truncation_order']} tail_bound={o['tail_bound']:.3e} "
             f"gram_error={o['gram_error']:.3e}",
         )
         return EXIT_OK

@@ -258,39 +258,42 @@ class ModelSpaceBasis:
         return self.rows.shape[1] - 1
 
     @classmethod
-    def build(cls, inner: InnerFunction, truncation: int | None = None) -> "ModelSpaceBasis":
+    def build(cls, inner: InnerFunction) -> "ModelSpaceBasis":
         """The basis, its Gram check and its conjugation matrix.  On the circle
         alpha * conj(z e_j) = c sqrt(1 - |w_j|^2) / (1 - conj(w_j) z) * prod_{i>j} b_i:
         the Takenaka-Malmquist row of the reversed zero list, read backwards
         (z^(N-1-j) for z^N), so C is a Gram matrix of the rows and these mirror rows.
 
         The tail certificate is the largest l2 norm over the rows and the mirror
-        rows of the FFT coefficients T+1..M-1 they drop.  By default T is the
-        least order with 2 (T + 1) <= M it certifies, M sampled for a single
-        zero of modulus max |w| and doubled only when no order passes.  Orders
-        outside 0..MAX_TRUNCATION, and arrays above MAX_ENTRIES, are refused
-        before anything is sampled."""
+        rows of the FFT coefficients T+1..M-1 they drop.  T is the least order
+        with 2 (T + 1) <= M it certifies, M sampled for a single zero of modulus
+        max |w| and doubled only when no order passes, and not once the tail at
+        the top order has reached the rounding floor eps / (1 - max |w|) of the
+        samples, which doubling barely lowers.  That single-zero order above
+        MAX_TRUNCATION, and arrays above MAX_ENTRIES, are refused before
+        anything is sampled."""
         rho = max(map(abs, inner.zeros))
-        single = math.ceil(math.log(TAIL_BOUND_LIMIT) / math.log(rho)) - 1 if rho else inner.degree - 1
-        order = _checked(single if truncation is None else strict_int(truncation, "truncation"))
+        order = _checked(math.ceil(math.log(TAIL_BOUND_LIMIT) / math.log(rho)) - 1 if rho else inner.degree - 1)
         if inner.degree * (order + 1) > MAX_ENTRIES:
             raise TruncationError(f"a {inner.degree} x {order + 1} basis array is above the cap of {MAX_ENTRIES} entries")
         if not any(inner.zeros):
             rows = np.eye(inner.degree, dtype=complex)
             mirror, tail = rows[::-1], 0.0
         else:
-            last = order if truncation is not None else min(MAX_TRUNCATION, MAX_ENTRIES // inner.degree - 1)
+            last = min(MAX_TRUNCATION, MAX_ENTRIES // inner.degree - 1)
+            floor = np.finfo(float).eps / (1.0 - rho)
             while True:
                 rows, tails = _takenaka_malmquist(inner.zeros, order)
                 mirror, back = _takenaka_malmquist(inner.zeros[::-1], order)
                 tails = np.maximum(tails, back)
                 top = min(last, len(tails) // 2 - 1)
-                order = max(last if truncation is not None else 0, int(np.count_nonzero(tails > TAIL_BOUND_LIMIT)))
-                if order <= top or top == last:
+                order = int(np.count_nonzero(tails > TAIL_BOUND_LIMIT))
+                if order <= top or top == last or tails[top] <= floor:
                     break  # else order >= M / 2, and sampling for it doubles M
             if order > top:
                 raise TruncationError(
                     f"truncation order {top} leaves a tail of {tails[top]:.3e} above {TAIL_BOUND_LIMIT:.0e}"
+                    f" (the rounding floor of the samples is {floor:.1e})"
                 )
             rows, mirror, tail = rows[:, : order + 1], mirror[::-1, : order + 1], float(tails[order])
         gram = _compress(_ONE, 0, rows, 1, rows)
@@ -393,10 +396,15 @@ def _takenaka_malmquist(zeros, order: int) -> tuple[np.ndarray, np.ndarray]:
     before it.  Returns the coefficients 0..M-1 of the rows, and for t < M
     their largest l2 norm of coefficients t+1..M-1, summed from M-1 down: it
     never increases in t."""
-    denom, factors = _circle_factors(zeros, order)
-    carried = np.cumprod(np.vstack([np.ones_like(factors[:1]), factors[:-1]]), axis=0)
-    scale = np.sqrt([[1.0 - abs(w) ** 2] for w in zeros])
-    coeffs = _coefficients(scale * carried / denom)
+    denom, carried = _circle_factors(zeros, order)
+    # In place, so that a pass holds few arrays of M samples per zero: the
+    # factors shifted down one row and multiplied up are those before each zero.
+    carried[1:], carried[0] = carried[:-1], 1.0
+    np.cumprod(carried, axis=0, out=carried)
+    carried *= np.sqrt([[1.0 - abs(w) ** 2] for w in zeros])
+    carried /= denom
+    del denom
+    coeffs = _coefficients(carried)
     dropped = np.cumsum((np.abs(coeffs) ** 2)[:, :0:-1], axis=1).max(axis=0)
     return coeffs, np.sqrt(np.append(dropped[::-1], 0.0))
 

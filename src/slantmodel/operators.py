@@ -139,27 +139,20 @@ class CompressionSetting:
     with the pseudo-inverse of G.  Those are computed on first use, once, and
     like the shifts they are read-only, so no caller can leave them stale.
 
-    `truncation` is the Blaschke truncation order of the alpha and beta
-    bases.  The model space of beta(z^k) inherits it: it is never formed,
-    and the routines that need it apply beta's rows column by polyphase
-    column (`ModelSpaceBasis.stretched_projection`).
+    The model space of beta(z^k) inherits beta's measured truncation order:
+    it is never formed, and the routines that need it apply beta's rows
+    column by polyphase column (`ModelSpaceBasis.stretched_projection`).
     """
 
-    def __init__(
-        self,
-        alpha: InnerFunction,
-        beta: InnerFunction,
-        k: int,
-        truncation: int | None = None,
-    ):
+    def __init__(self, alpha: InnerFunction, beta: InnerFunction, k: int):
         k = strict_int(k, "order k")
         if k < 1:
             raise ValueError(f"order must be >= 1, got {k}")
         self.k = k
         self.alpha = alpha
         self.beta = beta
-        self.basis_alpha = ModelSpaceBasis.build(alpha, truncation)
-        self.basis_beta = ModelSpaceBasis.build(beta, truncation)
+        self.basis_alpha = ModelSpaceBasis.build(alpha)
+        self.basis_beta = ModelSpaceBasis.build(beta)
         self.shift_alpha, self.shift_alpha_adj = _frozen(*self.basis_alpha.compressed_shift())
         self.shift_beta, self.shift_beta_adj = _frozen(*self.basis_beta.compressed_shift())
         self._frames = {}

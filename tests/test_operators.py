@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from laurent_oracle import conj_on_circle, decimate, distance, inner, is_zero, monomial, mul, shifted, stretch, sub
 from slantmodel.laurent import LaurentPoly
-from slantmodel.model_space import InnerFunction, ModelSpaceBasis, TruncationError, _compress
+from slantmodel.model_space import InnerFunction, ModelSpaceBasis, _compress
 from slantmodel.operators import (
     VARIANTS,
     CompressionSetting,
@@ -688,13 +688,10 @@ class TestRecovery:
 
 class TestCompressionSetting:
     def test_explicit_truncation_reaches_stretched_beta(self, monkeypatch):
-        # beta(z^2) is held as beta's rows: order 70 reaches frequency
-        # 2 * 71 - 1 = 141 with beta's tail, while a direct build on the
-        # square roots (radius ~0.71) cannot certify 70.
-        setting = CompressionSetting(zn(3), BETA, 2, truncation=70)
-        assert setting.basis_beta.truncation_order == 70
-        with pytest.raises(TruncationError):
-            ModelSpaceBasis.build(BETA.stretched(2), 70)
+        # beta(z^2) is held as beta's rows: beta's measured order 40 reaches
+        # frequency 2 * 41 - 1 = 81 with beta's tail.
+        setting = CompressionSetting(zn(3), BETA, 2)
+        assert setting.basis_beta.truncation_order == 40
 
         def no_build(*args, **kwargs):
             raise AssertionError("the model space of beta(z^k) must not be built from its roots")
@@ -706,10 +703,10 @@ class TestCompressionSetting:
             phi = random_laurent(rng, -6, 150, terms=7)
             for which, shift in (("first", 0), ("second", 1)):
                 coeffs, lo = _reduced(phi, setting, shift)
-                assert (lo, lo + len(coeffs) - 1) == (-2, 141 - shift)
+                assert (lo, lo + len(coeffs) - 1) == (-2, 81 - shift)
                 got = canonical_symbol(phi, setting, which)
-                want = dict_canonical(phi, setting, which).to_array(-2, 141)
-                assert np.abs(got.to_array(-2, 141) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+                want = dict_canonical(phi, setting, which).to_array(-2, 81)
+                assert np.abs(got.to_array(-2, 81) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
             zero = mul(alpha_bar, random_laurent(rng, -3, 0, terms=3))
             for which, shift in (("p22", 0), ("p27", 1)):
                 member = zero + shifted(mul(stretched_beta_expansion(setting), random_laurent(rng, 0, 3, terms=3)), -shift)
@@ -723,7 +720,6 @@ class TestCompressionSetting:
         s5 = CompressionSetting(zn(4), zn(3), 5)
         calls = {
             "k": lambda v: CompressionSetting(zn(4), zn(3), v).k,
-            "truncation": lambda v: CompressionSetting(zn(4), zn(3), 2, truncation=v).k,
             "stretched": lambda v: zn(3).stretched(v),
             "l": lambda v: rank_one(s5, v)[1],
         }
@@ -1392,7 +1388,7 @@ class TestSymbolArrayOracle:
             (B2, BETA, 3),
             # k past every window: the stretched factors are placed block by block.
             (zn(3), zn(2), 40),
-            (InnerFunction.blaschke([0.1, -0.05]), zn(3), 60, 14),
+            (InnerFunction.blaschke([0.1, -0.05]), zn(3), 60),
         ],
         ids=[
             "z4-z3-k2",
