@@ -231,23 +231,24 @@ def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray
 _ONE = np.ones(1, dtype=complex)
 
 
+@dataclass(frozen=True, eq=False)
 class ModelSpaceBasis:
     """Orthonormal basis of a model space, stored as a dim x (T + 1) array of
     Taylor coefficients: the Takenaka-Malmquist rows truncated at a certified
-    order T, or the identity rows when every zero is at the origin.
+    order T, or the identity rows when every zero is at the origin, with the
+    expansion of alpha over frequencies 0..2(T + 1).  Frozen, arrays read-only.
     """
 
-    def __init__(
-        self, inner: InnerFunction, rows: np.ndarray, conjugation: np.ndarray, tail_bound: float, gram_error: float
-    ):
-        rows.setflags(write=False)
-        conjugation.setflags(write=False)
-        self.inner = inner
-        self.rows = rows
-        self.tail_bound = tail_bound
-        self.gram_error = gram_error
-        self._conjugation = conjugation
-        self._alpha = None
+    inner: InnerFunction
+    rows: np.ndarray
+    _conjugation: np.ndarray
+    alpha_expansion: np.ndarray
+    tail_bound: float
+    gram_error: float
+
+    def __post_init__(self):
+        for array in (self.rows, self._conjugation, self.alpha_expansion):
+            array.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -259,10 +260,11 @@ class ModelSpaceBasis:
 
     @classmethod
     def build(cls, inner: InnerFunction) -> "ModelSpaceBasis":
-        """The basis, its Gram check and its conjugation matrix.  On the circle
-        alpha * conj(z e_j) = c sqrt(1 - |w_j|^2) / (1 - conj(w_j) z) * prod_{i>j} b_i:
-        the Takenaka-Malmquist row of the reversed zero list, read backwards
-        (z^(N-1-j) for z^N), so C is a Gram matrix of the rows and these mirror rows.
+        """The basis, its Gram check, its conjugation matrix and the expansion
+        of alpha, all from one sampling of the factors b_i.  On the circle
+        alpha * conj(z e_j) = c sqrt(1 - |w_j|^2) / (1 - conj(w_j) z) * prod_{i>j} b_i,
+        c times the mirror row j (z^(N-1-j) for z^N), so C is a Gram matrix of
+        the rows and the mirror rows.  For z^N alpha is exactly c z^N.
 
         The tail certificate is the largest l2 norm over the rows and the mirror
         rows of the FFT coefficients T+1..M-1 they drop.  T is the least order
@@ -279,13 +281,12 @@ class ModelSpaceBasis:
         if not any(inner.zeros):
             rows = np.eye(inner.degree, dtype=complex)
             mirror, tail = rows[::-1], 0.0
+            alpha = np.append(np.zeros(inner.degree, dtype=complex), inner.constant)
         else:
             last = min(MAX_TRUNCATION, MAX_ENTRIES // inner.degree - 1)
             floor = np.finfo(float).eps / (1.0 - rho)
             while True:
-                rows, tails = _takenaka_malmquist(inner.zeros, order)
-                mirror, back = _takenaka_malmquist(inner.zeros[::-1], order)
-                tails = np.maximum(tails, back)
+                rows, mirror, alpha, tails = _takenaka_malmquist(inner, order)
                 top = min(last, len(tails) // 2 - 1)
                 order = int(np.count_nonzero(tails > TAIL_BOUND_LIMIT))
                 if order <= top or top == last or tails[top] <= floor:
@@ -295,12 +296,16 @@ class ModelSpaceBasis:
                     f"truncation order {top} leaves a tail of {tails[top]:.3e} above {TAIL_BOUND_LIMIT:.0e}"
                     f" (the rounding floor of the samples is {floor:.1e})"
                 )
-            rows, mirror, tail = rows[:, : order + 1], mirror[::-1, : order + 1], float(tails[order])
+            rows, mirror, tail = rows[:, : order + 1], mirror[:, : order + 1], float(tails[order])
+        # Frequencies 0..2(T + 1).  Frequency M, which 2(T + 1) = M reaches, has
+        # no sample of its own; it lies far past the tail certified at T and stays 0.
+        expansion = np.zeros(2 * order + 3, dtype=complex)
+        expansion[: len(alpha)] = alpha[: len(expansion)]
         gram = _compress(_ONE, 0, rows, 1, rows)
         gram_error = float(np.abs(gram - np.eye(inner.degree)).max())
         if gram_error > GRAM_TOL:
             raise TruncationError(f"basis Gram matrix deviates from identity by {gram_error:.3e}")
-        return cls(inner, rows, inner.constant * rows.conj() @ mirror.T, tail, gram_error)
+        return cls(inner, rows, inner.constant * rows.conj() @ mirror.T, expansion, tail, gram_error)
 
     def stretched_projection(self, coeffs: np.ndarray, k: int) -> np.ndarray:
         """Taylor coefficients of the projection onto the model space of
@@ -310,14 +315,6 @@ class ModelSpaceBasis:
         these rows: the space's own k dim rows are never formed."""
         block = coeffs.reshape(self.rows.shape[1], k)
         return (self.rows.T @ (self.rows.conj() @ block)).reshape(-1)
-
-    def alpha_expansion(self) -> np.ndarray:
-        """Taylor coefficients of the inner function itself, to twice the row
-        length (frequencies 0..2(T + 1)); computed on the first call, read-only."""
-        if self._alpha is None:
-            self._alpha = _taylor(self.inner, 2 * self.rows.shape[1])
-            self._alpha.setflags(write=False)
-        return self._alpha
 
     # -- core maps ---------------------------------------------------------
 
@@ -376,37 +373,37 @@ def _circle_factors(zeros, order: int):
 
 def _coefficients(samples: np.ndarray) -> np.ndarray:
     """Taylor coefficients 0..M-1 from M samples at the roots of unity (last axis)."""
-    return np.fft.fft(samples, axis=-1) / samples.shape[-1]
+    return np.fft.fft(samples, axis=-1, norm="forward")
 
 
-def _taylor(inner: InnerFunction, order: int) -> np.ndarray:
-    """Taylor coefficients 0..order of the inner function: c z^d times the
-    factors of the other zeros, d the number of zeros at the origin."""
-    d = inner.zeros.count(0)
-    out = np.zeros(order + 1, dtype=complex)
-    if d <= order:
-        factors = _circle_factors([w for w in inner.zeros if w], order - d)[1]
-        out[d:] = _coefficients(inner.constant * factors.prod(axis=0))[: order + 1 - d]
-    return out
-
-
-def _takenaka_malmquist(zeros, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _takenaka_malmquist(inner: InnerFunction, order: int) -> tuple[np.ndarray, ...]:
     """Orthonormal rational basis in zero-list order, repeats allowed: row j
     is sqrt(1 - |w_j|^2) / (1 - conj(w_j) z) times the factors of the zeros
-    before it.  Returns the coefficients 0..M-1 of the rows, and for t < M
-    their largest l2 norm of coefficients t+1..M-1, summed from M-1 down: it
-    never increases in t."""
-    denom, carried = _circle_factors(zeros, order)
+    before it, mirror row j the same times the factors of the zeros after it.
+    From one sampling of the factors, returns the coefficients 0..M-1 of the
+    rows, of the mirror rows and of alpha = c prod_j b_j, and for t < M the
+    largest l2 norm over the rows and the mirror rows of coefficients
+    t+1..M-1, summed from M-1 down: it never increases in t."""
+    denom, rows = _circle_factors(inner.zeros, order)
+    # The factors after each zero, multiplied up from the last zero down.
+    mirror = np.empty_like(rows)
+    mirror[:-1], mirror[-1] = rows[1:], 1.0
+    np.cumprod(mirror[::-1], axis=0, out=mirror[::-1])
+    alpha = inner.constant * (rows[0] * mirror[0])
     # In place, so that a pass holds few arrays of M samples per zero: the
     # factors shifted down one row and multiplied up are those before each zero.
-    carried[1:], carried[0] = carried[:-1], 1.0
-    np.cumprod(carried, axis=0, out=carried)
-    carried *= np.sqrt([[1.0 - abs(w) ** 2] for w in zeros])
-    carried /= denom
-    del denom
-    coeffs = _coefficients(carried)
-    dropped = np.cumsum((np.abs(coeffs) ** 2)[:, :0:-1], axis=1).max(axis=0)
-    return coeffs, np.sqrt(np.append(dropped[::-1], 0.0))
+    rows[1:], rows[0] = rows[:-1], 1.0
+    np.cumprod(rows, axis=0, out=rows)
+    for samples in (rows, mirror):
+        samples *= np.sqrt([[1.0 - abs(w) ** 2] for w in inner.zeros])
+        samples /= denom
+    del denom, samples
+    rows = _coefficients(rows)
+    mirror = _coefficients(mirror)
+    dropped = 0.0
+    for coeffs in (rows, mirror):
+        dropped = np.maximum(dropped, np.cumsum((np.abs(coeffs) ** 2)[:, :0:-1], axis=1).max(axis=0))
+    return rows, mirror, _coefficients(alpha), np.sqrt(np.append(dropped[::-1], 0.0))
 
 
 __all__ = [

@@ -353,8 +353,8 @@ def decimation_matrix(setting: CompressionSetting) -> np.ndarray:
 
 def defect(U: OperatorMatrix, setting: CompressionSetting, variant: str = "t35") -> np.ndarray:
     """The shift combination whose low-rank structure decides membership."""
-    if U.entries.shape != (setting.basis_beta.dim, setting.basis_alpha.dim):
-        raise ValueError("matrix dimensions do not match the setting")
+    if (U.alpha, U.beta) != (setting.alpha, setting.beta):
+        raise ValueError("matrix belongs to another pair of model spaces than the setting")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     M, power = U.entries, setting.shift_alpha_power
@@ -484,7 +484,7 @@ def recover_symbol(report: MembershipReport, setting: CompressionSetting) -> Lau
     # sum_j psi_j(z^k) z^(j + 1).  Block n holds frequencies
     # k n + 2 - len(ea)..k n + used, and frequency k n + j + 1 of the sum sits
     # at s n + j from 1.
-    ea, eb = ba.alpha_expansion(), bb.alpha_expansion()
+    ea, eb = ba.alpha_expansion, bb.alpha_expansion
     s = min(k, used + len(ea) - 1)
     blocks = np.zeros((len(parts), s), dtype=complex)
     blocks[:, :used] = parts
@@ -573,7 +573,7 @@ def conjugate_symbol(phi: LaurentPoly, setting: CompressionSetting) -> LaurentPo
     """The symbol conj(alpha phi z^(k-1)) beta(z^k) of the conjugation sandwich
     of a symbol-built compression, from phi over the windows its matrix reads."""
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
-    ea, width = ba.alpha_expansion(), ba.rows.shape[1]
+    ea, width = ba.alpha_expansion, ba.rows.shape[1]
     # Block n of alpha phi holds frequencies k n + t, -T_alpha <= t < len(ea):
     # at the stride s of that width they stay apart, and z^s stands for z^k.
     s = min(k, width + len(ea) - 1)
@@ -582,7 +582,7 @@ def conjugate_symbol(phi: LaurentPoly, setting: CompressionSetting) -> LaurentPo
     # z^(1 - s) q beta(z^s) with q = conj(alpha phi) from frequency q_lo, in
     # blocks of s from frequency 2 - len(ea).
     q, q_lo = prod[::-1].conj(), 1 - lo - len(prod)
-    return _place(_times_stretched(q, bb.alpha_expansion(), s), q_lo + 1 - s, s, k, 2 - len(ea))
+    return _place(_times_stretched(q, bb.alpha_expansion, s), q_lo + 1 - s, s, k, 2 - len(ea))
 
 
 def conjugate_operator(
@@ -597,6 +597,8 @@ def conjugate_operator(
     if phi is not None:
         U = build_compression(phi, setting)
         psi = conjugate_symbol(phi, setting)
+    elif (U.alpha, U.beta) != (setting.alpha, setting.beta):
+        raise ValueError("matrix belongs to another pair of model spaces than the setting")
     Ca = setting.basis_alpha.conjugation_matrix()
     Cb = setting.basis_beta.conjugation_matrix()
     sandwich = Cb @ U.entries.conjugate() @ Ca.conjugate()
@@ -618,12 +620,12 @@ def rank_one(
         # l! beta(z^k) z^-(l + k)
         F = bb.conjugate_vector(bb.kernel(0, 0))
         G = ba.kernel(0, l)
-        symbol = _place(bb.alpha_expansion() * derivative_scale(l), -(l + 1), 1, k, -l)
+        symbol = _place(bb.alpha_expansion * derivative_scale(l), -(l + 1), 1, k, -l)
     elif kind == "k_tilde":
         # l! conj(alpha) z^(l + 1)
         F = bb.kernel(0, 0)
         G = ba.conjugate_vector(ba.kernel(0, l))
-        ea = ba.alpha_expansion()
+        ea = ba.alpha_expansion
         symbol = LaurentPoly.from_array(ea[::-1].conj() * derivative_scale(l), l + 2 - len(ea))
     else:
         raise ValueError(f"unknown rank-one kind {kind!r}")

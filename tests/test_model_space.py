@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from slantmodel.model_space import (
     TruncationError,
     _compress,
     _takenaka_malmquist,
-    _taylor,
 )
 from slantmodel.verify import circle_grid
 
@@ -97,10 +97,27 @@ class TestInnerFunction:
             assert abs(abs(b.evaluate(z)) - 1.0) < 1e-8
 
     def test_expansion_matches_evaluation(self):
-        b = InnerFunction.blaschke([0.5, -0.3])
-        poly = LaurentPoly.from_array(_taylor(b, 80))
-        for z in circle_grid(8):
-            assert abs(evaluate(poly, z) - b.evaluate(z)) < 1e-10
+        # Every zero at the origin (z^3, 1j z^3) gives exactly c z^N.  B[0.645]
+        # has T = 63 and M = 128 = 2 (T + 1): frequency M has no sample.
+        inners = [
+            InnerFunction.blaschke([0.5, -0.3]),
+            InnerFunction.blaschke([0.645]),
+            InnerFunction.monomial(3),
+            InnerFunction.blaschke([0, 0, 0], 1j),
+            InnerFunction.blaschke([0, 0, 0.5, -0.3]),
+        ]
+        for inner in inners:
+            basis = ModelSpaceBasis.build(inner)
+            T = basis.truncation_order
+            expansion = basis.alpha_expansion
+            assert expansion.shape == (2 * (T + 1) + 1,) and not expansion.flags.writeable
+            assert np.abs(expansion - convolution_expansions(inner, 2 * (T + 1))[1]).max() <= 1e-14
+            if not any(inner.zeros):
+                assert np.array_equal(expansion, inner.constant * np.eye(1, len(expansion), inner.degree)[0])
+            poly = LaurentPoly.from_array(expansion)
+            for z in circle_grid(8):
+                assert abs(evaluate(poly, z) - inner.evaluate(z)) < 1e-10
+        assert ModelSpaceBasis.build(inners[1]).truncation_order == 63
 
     def test_parse_shorthand(self):
         assert InnerFunction.parse("z^4").degree == 4
@@ -185,7 +202,7 @@ class TestMakeBasis:
         rows = convolution_expansions(inner, 4 * basis.truncation_order)[0]
         for t in (284, basis.truncation_order):
             dropped = np.linalg.norm(rows[:, t + 1 :], axis=1).max()
-            assert abs(_takenaka_malmquist(inner.zeros, t)[1][t] - dropped) <= 1e-3 * dropped + 1e-14
+            assert abs(_takenaka_malmquist(inner, t)[3][t] - dropped) <= 1e-3 * dropped + 1e-14
         assert basis.tail_bound <= 1e-12 and basis.gram_error <= 1e-12
 
     @pytest.mark.parametrize(
@@ -210,12 +227,26 @@ class TestMakeBasis:
         with pytest.raises(TruncationError, match="rounding floor"):
             ModelSpaceBasis.build(InnerFunction.blaschke([0.9999, -0.3, 0.2j]))
         assert time.process_time() - start < 0.5
-        assert len(passes) == 2  # the rows and the mirror rows, once
+        assert len(passes) == 1  # one sampling gives the rows, the mirror rows and alpha
         # Tails far above the floor still double M until an order passes: 200
         # zeros at 0.5 fall slowly (0.78, 0.74, 0.73, 0.51), then plunge.
         for zeros, order in (([0.9] * 12, 590), ([0.9] * 40, 1250), ([0.95] * 30, 2102), ([0.5] * 200, 719)):
             basis = ModelSpaceBasis.build(InnerFunction.blaschke(zeros))
             assert basis.truncation_order == order and basis.tail_bound <= 1e-12
+
+    def test_sampling_pass_memory(self):
+        # One pass samples the factors once for the rows, the mirror rows and
+        # alpha.  It may hold no more arrays of dim x M samples than the two
+        # passes, one per row set, did: 12.5 MiB, 4.17 arrays of 3 x 2^16.
+        inner = InnerFunction.blaschke([0.999, -0.3, 0.2j])
+        tracemalloc.start()
+        try:
+            basis = ModelSpaceBasis.build(inner)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.truncation_order == 27632
+        assert peak <= 12.5 * 2**20
 
     def test_monomial_degree_cap(self):
         # z^N needs T = N - 1, so N zeros are never stored past the cap.
@@ -430,12 +461,13 @@ class TestConvolutionOracle:
 
     @pytest.mark.parametrize("inner", INNERS, ids=IDS)
     def test_fft_matches_convolution(self, inner):
-        T = ModelSpaceBasis.build(inner).truncation_order
+        basis = ModelSpaceBasis.build(inner)
+        T = basis.truncation_order
         # The basis expands alpha to twice the row length; the rows are
         # truncations of the same series, so one reference run covers both.
         rows, alpha = convolution_expansions(inner, 2 * (T + 1))
-        assert np.abs(_takenaka_malmquist(inner.zeros, T)[0][:, : T + 1] - rows[:, : T + 1]).max() <= 1e-14
-        assert np.abs(_taylor(inner, 2 * (T + 1)) - alpha).max() <= 1e-14
+        assert np.abs(_takenaka_malmquist(inner, T)[0][:, : T + 1] - rows[:, : T + 1]).max() <= 1e-14
+        assert np.abs(basis.alpha_expansion - alpha).max() <= 1e-14
 
     @pytest.mark.parametrize("inner", INNERS, ids=IDS)
     def test_tail_bound_covers_mirror_rows(self, inner):
@@ -455,7 +487,7 @@ def compressed_conjugation(basis):
     expanded to twice the row length."""
     rows = basis.rows
     cols = rows.shape[1]
-    return _compress(_taylor(basis.inner, 2 * cols), -cols, rows[:, ::-1].conj(), 1, rows)
+    return _compress(convolution_expansions(basis.inner, 2 * cols)[1], -cols, rows[:, ::-1].conj(), 1, rows)
 
 
 class TestConjugationOracle:
@@ -478,7 +510,10 @@ class TestConjugationOracle:
     @pytest.mark.parametrize("inner", INNERS, ids=IDS)
     def test_mirror_gram_matches_compression(self, inner):
         basis = ModelSpaceBasis.build(inner)
-        assert np.abs(basis.conjugation_matrix() - compressed_conjugation(basis)).max() <= 1e-14
+        # The rows carry the rounding floor eps / (1 - max |w|) of their samples,
+        # 2.2e-14 for B99, which the independent expansion of alpha exposes.
+        floor = np.finfo(float).eps / (1.0 - max(map(abs, inner.zeros)))
+        assert np.abs(basis.conjugation_matrix() - compressed_conjugation(basis)).max() <= max(1e-14, floor)
 
     @pytest.mark.parametrize("inner", INNERS, ids=IDS)
     def test_symmetric_involution(self, inner):

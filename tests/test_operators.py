@@ -50,7 +50,7 @@ def vectors(basis):
 
 
 def stretched_beta_expansion(setting):
-    return stretch(LaurentPoly.from_array(setting.basis_beta.alpha_expansion()), setting.k)
+    return stretch(LaurentPoly.from_array(setting.basis_beta.alpha_expansion), setting.k)
 
 
 def kron_basis(setting):
@@ -61,6 +61,7 @@ def kron_basis(setting):
         bb.inner.stretched(k),
         np.kron(bb.rows, np.eye(k)),
         np.kron(bb.conjugation_matrix(), np.eye(k)[::-1]),
+        np.kron(bb.alpha_expansion, np.eye(1, k)[0])[: 2 * k * bb.rows.shape[1] + 1],
         bb.tail_bound,
         bb.gram_error,
     )
@@ -296,9 +297,16 @@ class TestDefect:
             defect(s243.matrix(np.zeros((3, 4))), s243, "bogus")
 
     def test_dimension_check(self, s243, s233):
-        U = s233.matrix(np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            defect(U, s243)
+        # The second matrix has the setting's shape but other spaces.
+        other = CompressionSetting(InnerFunction.blaschke([0.5, -0.3]), zn(3), 2)
+        setting = CompressionSetting(InnerFunction.blaschke([0.4, -0.5j]), zn(3), 2)
+        for U, target in ((s233.matrix(np.zeros((3, 3))), s243), (other.matrix(np.eye(3, 2)), setting)):
+            with pytest.raises(ValueError):
+                defect(U, target)
+            with pytest.raises(ValueError):
+                membership(U, target)
+            with pytest.raises(ValueError):
+                conjugate_operator(target, U=U)
 
 
 class TestMembership:
@@ -641,7 +649,7 @@ class TestRepeatedZeros:
             phi = random_laurent(rng, -7, 12, terms=7)
             out = canonical_symbol(phi, setting, which)
             assert np.abs(build_compression(out, setting).entries - build_compression(phi, setting).entries).max() < 1e-10
-        alpha_bar = conj_on_circle(LaurentPoly.from_array(setting.basis_alpha.alpha_expansion()))
+        alpha_bar = conj_on_circle(LaurentPoly.from_array(setting.basis_alpha.alpha_expansion))
         phi = mul(alpha_bar, random_laurent(rng, -3, 0, terms=3))
         phi = phi + mul(stretched_beta_expansion(setting), random_laurent(rng, 0, 3, terms=3))
         assert zero_test_sufficient(phi, setting, "p22")
@@ -805,7 +813,7 @@ class TestZeroTest:
         for setting in all_settings:
             m, n, k = setting.basis_alpha.dim, setting.basis_beta.dim, setting.k
             phi = mul(
-                conj_on_circle(LaurentPoly.from_array(setting.basis_alpha.alpha_expansion())),
+                conj_on_circle(LaurentPoly.from_array(setting.basis_alpha.alpha_expansion)),
                 random_laurent(rng, -3, 0, terms=3),
             )
             phi = phi + mul(stretched_beta_expansion(setting), random_laurent(rng, 0, 3, terms=3))
@@ -815,7 +823,7 @@ class TestZeroTest:
     def test_split_ambiguity_absorbed(self, s543):
         # A constant can sit on either side of the split; both tests must
         # treat alpha-side constants correctly.
-        alpha_bar = conj_on_circle(LaurentPoly.from_array(s543.basis_alpha.alpha_expansion()))
+        alpha_bar = conj_on_circle(LaurentPoly.from_array(s543.basis_alpha.alpha_expansion))
         assert zero_test_sufficient(mul(alpha_bar, L({0: 2.0})), s543, "p22")
         assert zero_test_sufficient(mul(alpha_bar, L({0: 2.0})), s543, "p27")
 
@@ -1219,7 +1227,7 @@ class TestArrayPrimitives:
 
 
 def dict_alpha(basis):
-    return LaurentPoly.from_array(basis.alpha_expansion())
+    return LaurentPoly.from_array(basis.alpha_expansion)
 
 
 def dict_recover(report, setting):

@@ -32,9 +32,10 @@ class TestRegistry:
         assert REQUIRED_ANCHORS <= anchors
 
     def test_audit_detects_missing_anchor(self):
-        registry = [p for p in registered_properties() if p.anchor != "universality"]
-        with pytest.raises(RuntimeError, match="universality"):
-            audit_registry(registry)
+        # An empty registry misses every anchor; it is not the global one.
+        for registry in ([p for p in registered_properties() if p.anchor != "universality"], []):
+            with pytest.raises(RuntimeError, match="universality"):
+                audit_registry(registry)
 
     def test_names_unique(self):
         names = [p.name for p in registered_properties()]
