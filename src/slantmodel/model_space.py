@@ -2,7 +2,9 @@
 inside H^2 for a finite Blaschke product alpha, whose zeros may repeat (z^N is
 N zeros at the origin).  A basis is the Takenaka-Malmquist rows, stored as
 Taylor coefficient arrays truncated at a certified order; when every zero is
-at the origin they are exactly 1, z, ..., z^{N-1}.
+at the origin they are exactly 1, z, ..., z^{N-1}.  Column n of the rows is
+E[n] = A^n B for a lossless realization (A, B) in closed form, A the
+conjugate of the compressed shift (Ninness and Gustafsson, IEEE TAC 42, 1997).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from math import factorial, perm
+from math import factorial
 
 import numpy as np
 
@@ -22,11 +24,14 @@ EXACT_TOL = 1e-12
 BLASCHKE_TOL = 1e-8
 GRAM_TOL = 1e-10
 TAIL_BOUND_LIMIT = 1e-12
-# Largest truncation order T.  It admits a single zero up to |w| = 0.99997;
-# a basis row then takes 2^22 circle samples (64 MB).
+# Largest truncation order T.  It admits a single zero up to |w| = 0.99997,
+# whose rows then take 2^21 columns of A^n B.
 MAX_TRUNCATION = 1 << 20
-# Largest basis array, dim x (T + 1) entries: 2^24 complex numbers (256 MB).
+# Largest coefficient array of a build, 2^24 complex numbers (256 MB): the rows
+# of z^N, or 2 x dim x 2^S for 2^S columns of the rows and the mirror rows.
 MAX_ENTRIES = 1 << 24
+# Columns per block of the tail sums (1 MB per row).
+TAIL_BLOCK = 1 << 16
 # Largest derivative order n of a kernel or a rank-one symbol: 171! overflows a double.
 MAX_DERIVATIVE_ORDER = 170
 # Entries of the shorter factor per contraction step of _compress (16 KB):
@@ -228,26 +233,25 @@ def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray
     return dst[:, n0:n3].conj() @ kept.transpose(1, 0, 2).reshape(n3 - n0, -1)
 
 
-_ONE = np.ones(1, dtype=complex)
-
-
 @dataclass(frozen=True, eq=False)
 class ModelSpaceBasis:
     """Orthonormal basis of a model space, stored as a dim x (T + 1) array of
     Taylor coefficients: the Takenaka-Malmquist rows truncated at a certified
     order T, or the identity rows when every zero is at the origin, with the
-    expansion of alpha over frequencies 0..2(T + 1).  Frozen, arrays read-only.
+    matrix of the compressed shift and the expansion of alpha over
+    frequencies 0..2(T + 1).  Frozen, arrays read-only.
     """
 
     inner: InnerFunction
     rows: np.ndarray
     _conjugation: np.ndarray
+    _shift: np.ndarray
     alpha_expansion: np.ndarray
     tail_bound: float
     gram_error: float
 
     def __post_init__(self):
-        for array in (self.rows, self._conjugation, self.alpha_expansion):
+        for array in (self.rows, self._conjugation, self._shift, self.alpha_expansion):
             array.setflags(write=False)
 
     @property
@@ -260,52 +264,30 @@ class ModelSpaceBasis:
 
     @classmethod
     def build(cls, inner: InnerFunction) -> "ModelSpaceBasis":
-        """The basis, its Gram check, its conjugation matrix and the expansion
-        of alpha, all from one sampling of the factors b_i.  On the circle
+        """The basis, its Gram check, its conjugation matrix, its compressed
+        shift and the expansion of alpha.  On the circle
         alpha * conj(z e_j) = c sqrt(1 - |w_j|^2) / (1 - conj(w_j) z) * prod_{i>j} b_i,
-        c times the mirror row j (z^(N-1-j) for z^N), so C is a Gram matrix of
-        the rows and the mirror rows.  For z^N alpha is exactly c z^N.
-
-        The tail certificate is the largest l2 norm over the rows and the mirror
-        rows of the FFT coefficients T+1..M-1 they drop.  T is the least order
-        with 2 (T + 1) <= M it certifies, M sampled for a single zero of modulus
-        max |w| and doubled only when no order passes, and not once the tail at
-        the top order has reached the rounding floor eps / (1 - max |w|) of the
-        samples, which doubling barely lowers.  That single-zero order above
-        MAX_TRUNCATION, and arrays above MAX_ENTRIES, are refused before
-        anything is sampled."""
-        rho = max(map(abs, inner.zeros))
-        order = _checked(math.ceil(math.log(TAIL_BOUND_LIMIT) / math.log(rho)) - 1 if rho else inner.degree - 1)
-        if inner.degree * (order + 1) > MAX_ENTRIES:
-            raise TruncationError(f"a {inner.degree} x {order + 1} basis array is above the cap of {MAX_ENTRIES} entries")
-        if not any(inner.zeros):
-            rows = np.eye(inner.degree, dtype=complex)
-            mirror, tail = rows[::-1], 0.0
-            alpha = np.append(np.zeros(inner.degree, dtype=complex), inner.constant)
+        c times the mirror row j (z^(N-1-j) for z^N), the row j of the reversed
+        list, so C is a Gram matrix of the rows and the mirror rows.  As
+        I - A A^H = B B^H, the l2 tail of row i past column n - 1 is the norm
+        of row i of A^n.  T is the least order whose tail, the largest over the
+        rows and the mirror rows, is <= 1e-12, and that tail is `tail_bound`.
+        Row i of A^n has the diagonal entry conj(w_i)^n, so T is at least the
+        order of a single zero of modulus max |w|: that order above
+        MAX_TRUNCATION, and arrays above MAX_ENTRIES for it, are refused before
+        anything is allocated.  For z^N, A is the nilpotent shift."""
+        dim, rho, c = inner.degree, max(map(abs, inner.zeros)), inner.constant
+        order = _checked(math.ceil(math.log(TAIL_BOUND_LIMIT) / math.log(rho)) - 1 if rho else dim - 1)
+        if rho:
+            rows, conjugation, shift, alpha, tail = _impulse_responses(inner.zeros, c, max(1, order.bit_length()))
         else:
-            last = min(MAX_TRUNCATION, MAX_ENTRIES // inner.degree - 1)
-            floor = np.finfo(float).eps / (1.0 - rho)
-            while True:
-                rows, mirror, alpha, tails = _takenaka_malmquist(inner, order)
-                top = min(last, len(tails) // 2 - 1)
-                order = int(np.count_nonzero(tails > TAIL_BOUND_LIMIT))
-                if order <= top or top == last or tails[top] <= floor:
-                    break  # else order >= M / 2, and sampling for it doubles M
-            if order > top:
-                raise TruncationError(
-                    f"truncation order {top} leaves a tail of {tails[top]:.3e} above {TAIL_BOUND_LIMIT:.0e}"
-                    f" (the rounding floor of the samples is {floor:.1e})"
-                )
-            rows, mirror, tail = rows[:, : order + 1], mirror[:, : order + 1], float(tails[order])
-        # Frequencies 0..2(T + 1).  Frequency M, which 2(T + 1) = M reaches, has
-        # no sample of its own; it lies far past the tail certified at T and stays 0.
-        expansion = np.zeros(2 * order + 3, dtype=complex)
-        expansion[: len(alpha)] = alpha[: len(expansion)]
-        gram = _compress(_ONE, 0, rows, 1, rows)
-        gram_error = float(np.abs(gram - np.eye(inner.degree)).max())
+            _capped(dim, dim)
+            rows, shift, tail = np.eye(dim, dtype=complex), np.eye(dim, k=-1, dtype=complex), 0.0
+            conjugation, alpha = c * rows[::-1], c * np.eye(1, 2 * dim + 1, dim, dtype=complex)[0]
+        gram_error = float(np.abs(rows.conj() @ rows.T - np.eye(dim)).max())
         if gram_error > GRAM_TOL:
             raise TruncationError(f"basis Gram matrix deviates from identity by {gram_error:.3e}")
-        return cls(inner, rows, inner.constant * rows.conj() @ mirror.T, expansion, tail, gram_error)
+        return cls(inner, rows, conjugation, shift, alpha, tail, gram_error)
 
     def stretched_projection(self, coeffs: np.ndarray, k: int) -> np.ndarray:
         """Taylor coefficients of the projection onto the model space of
@@ -332,14 +314,15 @@ class ModelSpaceBasis:
             raise ValueError(f"kernel point {w} must lie in the open disk")
         if n < 0:
             raise ValueError("derivative order must be nonnegative")
-        cols = self.rows.shape[1]
-        if n >= cols:
+        if n >= self.rows.shape[1]:
             return np.zeros(self.dim, dtype=complex)
         scale = derivative_scale(n)  # bounds the order off the origin too
         if w == 0:
             return scale * self.rows[:, n].conj()
-        weights = np.array([perm(m, n) * w ** (m - n) for m in range(n, cols)])
-        return (self.rows[:, n:] @ weights).conj()
+        # n! A^n (I - w A)^-(n+1) B, the derivative of the rows (I - z A)^-1 B; conj(A) is the shift.
+        resolvent = np.linalg.inv(np.eye(self.dim) - w.conjugate() * self._shift)
+        power = np.linalg.matrix_power(self._shift, n) @ np.linalg.matrix_power(resolvent, n + 1)
+        return scale * power @ self.rows[:, 0].conj()
 
     def conjugate_vector(self, coords) -> np.ndarray:
         """The antilinear involution f -> alpha * conj(z f) in coordinates."""
@@ -350,60 +333,76 @@ class ModelSpaceBasis:
         return self._conjugation
 
     def compressed_shift(self) -> tuple[np.ndarray, np.ndarray]:
-        """Matrix of the compression of multiplication by z, and its adjoint."""
-        mat = _compress(_ONE, 1, self.rows, 1, self.rows)
-        return mat, mat.conj().T
+        """Matrix of the compression of multiplication by z, and its adjoint.
+        E[n + 1] = A E[n] gives <z e_j, e_i> = conj(A[i, j]), with no tail."""
+        return self._shift, self._shift.conj().T
 
 
-def _circle_factors(zeros, order: int):
-    """1 - conj(w) z and the Blaschke factor (z - w) / (1 - conj(w) z), one row
-    per zero, sampled at the M-th roots of unity z, M the smallest power of two
-    >= 2 (order + 1).
-
-    The FFT of M samples folds every coefficient n >= M onto n mod M.  For
-    decaying coefficients that folded tail past M - 1 is below the tail over
-    order+1..M-1, which `ModelSpaceBasis.build` measures and bounds.
-    """
-    m = 1 << (2 * order + 1).bit_length()
-    z = np.exp(2j * np.pi * np.arange(m) / m)
-    w = np.asarray(zeros, dtype=complex)[:, None]
-    denom = 1.0 - w.conj() * z
-    return denom, (z - w) / denom
+def _capped(*shape: int) -> None:
+    if math.prod(shape) > MAX_ENTRIES:
+        raise TruncationError(f"a {' x '.join(map(str, shape))} array is above the cap of {MAX_ENTRIES} entries")
 
 
-def _coefficients(samples: np.ndarray) -> np.ndarray:
-    """Taylor coefficients 0..M-1 from M samples at the roots of unity (last axis)."""
-    return np.fft.fft(samples, axis=-1, norm="forward")
+def _realization(zeros: list) -> np.ndarray:
+    """The lower triangle M[i, i] = conj(w_i), M[i, j] = r_i r_j prod_{j<l<i} (-w_l),
+    r_i = sqrt(1 - |w_i|^2).  Of the zeros it is A; of them padded with a zero at
+    the origin at each end, the system [[0, 0, 0], [B, A, 0], [D, C, 0]] with
+    B_i = r_i prod_{l<i} (-w_l), C_j = r_j prod_{l>j} (-w_l), D = prod (-w_l)."""
+    r = [math.sqrt(1.0 - abs(w) ** 2) for w in zeros]
+    m = [[0j] * len(zeros) for _ in zeros]
+    for j, w in enumerate(zeros):
+        m[j][j], link = w.conjugate(), r[j]
+        for i in range(j + 1, len(zeros)):
+            m[i][j] = r[i] * link
+            link *= -zeros[i]
+    return np.array(m)
 
 
-def _takenaka_malmquist(inner: InnerFunction, order: int) -> tuple[np.ndarray, ...]:
-    """Orthonormal rational basis in zero-list order, repeats allowed: row j
-    is sqrt(1 - |w_j|^2) / (1 - conj(w_j) z) times the factors of the zeros
-    before it, mirror row j the same times the factors of the zeros after it.
-    From one sampling of the factors, returns the coefficients 0..M-1 of the
-    rows, of the mirror rows and of alpha = c prod_j b_j, and for t < M the
-    largest l2 norm over the rows and the mirror rows of coefficients
-    t+1..M-1, summed from M-1 down: it never increases in t."""
-    denom, rows = _circle_factors(inner.zeros, order)
-    # The factors after each zero, multiplied up from the last zero down.
-    mirror = np.empty_like(rows)
-    mirror[:-1], mirror[-1] = rows[1:], 1.0
-    np.cumprod(mirror[::-1], axis=0, out=mirror[::-1])
-    alpha = inner.constant * (rows[0] * mirror[0])
-    # In place, so that a pass holds few arrays of M samples per zero: the
-    # factors shifted down one row and multiplied up are those before each zero.
-    rows[1:], rows[0] = rows[:-1], 1.0
-    np.cumprod(rows, axis=0, out=rows)
-    for samples in (rows, mirror):
-        samples *= np.sqrt([[1.0 - abs(w) ** 2] for w in inner.zeros])
-        samples /= denom
-    del denom, samples
-    rows = _coefficients(rows)
-    mirror = _coefficients(mirror)
-    dropped = 0.0
-    for coeffs in (rows, mirror):
-        dropped = np.maximum(dropped, np.cumsum((np.abs(coeffs) ** 2)[:, :0:-1], axis=1).max(axis=0))
-    return rows, mirror, _coefficients(alpha), np.sqrt(np.append(dropped[::-1], 0.0))
+def _impulse_responses(zeros: tuple, c: complex, first: int) -> tuple:
+    """The rows at their order T, the conjugation matrix, conj(A), alpha over
+    0..2(T + 1) and the tail (see `ModelSpaceBasis.build`).  Columns fill by
+    doubling, E[:, m:2m] = A^m E[:, :m], to the least 2^S >= 2^first with row
+    norms of A^(2^S) <= 1e-12.  The reversed list has the system J A^T J: the
+    mirror rows are (A^T)^n C, with the column norms of A^n as tails."""
+    dim = len(zeros)
+    _capped(2, dim, 1 << first)
+    system = _realization([0j, *zeros, 0j])
+    powers = [system[1:-1, 1:-1]]  # A^(2^s)
+    for _ in range(first):
+        powers.append(powers[-1] @ powers[-1])
+    # Squared row norms of A^(2^S) and of its transpose, the tails past 2^S - 1.
+    while (last := (np.abs(np.stack([powers[-1], powers[-1].T])) ** 2).sum(axis=2)).max() > TAIL_BOUND_LIMIT**2:
+        if 1 << (len(powers) - 1) > MAX_TRUNCATION:
+            raise TruncationError(f"truncation order {1 << (len(powers) - 1)} or more is outside 0..{MAX_TRUNCATION}")
+        _capped(2, dim, 2 << (len(powers) - 1))
+        powers.append(powers[-1] @ powers[-1])
+    # The rows and the mirror rows up to h = 2^(S-1); E[:, h + r] = A^h E[:, r].
+    resp = np.empty((2, dim, 1 << (len(powers) - 2)), dtype=complex)
+    resp[:, :, 0] = system[1:-1, 0], system[-1, 1:-1]
+    for s, power in enumerate(powers[:-2]):
+        np.matmul(power, resp[0, :, : 1 << s], out=resp[0, :, 1 << s : 2 << s])
+        np.matmul(power.T, resp[1, :, : 1 << s], out=resp[1, :, 1 << s : 2 << s])
+    # Squared tails of the orders h - 1..2h - 1: last plus the squares of the
+    # columns past each, summed in blocks from the end.  So T >= h - 1.
+    h, step = resp.shape[2], np.stack([powers[-2], powers[-2].T])
+    tails, carry = np.empty(h + 1), last
+    for stop in range(h, 0, -TAIL_BLOCK):
+        block = np.abs(step @ resp[..., max(0, stop - TAIL_BLOCK) : stop]) ** 2
+        block = np.cumsum(block[..., ::-1], axis=-1)[..., ::-1] + carry[..., None]
+        tails[stop - block.shape[2] : stop], carry = block.max(axis=(0, 1)), block[..., 0]
+    tails[h] = last.max()
+    passed = int(np.count_nonzero(tails > TAIL_BOUND_LIMIT**2))
+    order = _checked(h - 1 + passed)
+    second = step @ resp[..., :passed]  # columns h..T
+    rows = np.concatenate([resp[0], second[0]], axis=1)
+    gram = resp[0].conj() @ resp[1].T + second[0].conj() @ second[1].T  # conj(rows) @ mirror^T
+    # alpha[0] = c D and alpha[q h + r + 1] = c C A^(q h) E[:, r].
+    alpha, out = np.empty(2 * order + 3, dtype=complex), c * system[-1, 1:-1]
+    alpha[0] = c * system[-1, 0]
+    for start in range(1, len(alpha), h):
+        np.matmul(out, resp[0, :, : len(alpha) - start], out=alpha[start : start + h])
+        out = out @ powers[-2]
+    return rows, c * gram, powers[0].conj(), alpha, math.sqrt(tails[passed])
 
 
 __all__ = [

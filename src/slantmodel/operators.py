@@ -136,8 +136,9 @@ class MembershipReport:
 class CompressionSetting:
     """Bases and shift matrices for a fixed (alpha, beta, k) triple, and the
     constants of the membership fit: S_alpha^k and, per variant, the frames
-    with the pseudo-inverse of G.  Those are computed on first use, once, and
-    like the shifts they are read-only, so no caller can leave them stale.
+    with the pseudo-inverse of G; and per shift the block of the zero test.
+    Those are computed on first use, once, and like the shifts they are
+    read-only, so no caller can leave them stale.
 
     The model space of beta(z^k) inherits beta's measured truncation order:
     it is never formed, and the routines that need it apply beta's rows
@@ -156,6 +157,7 @@ class CompressionSetting:
         self.shift_alpha, self.shift_alpha_adj = _frozen(*self.basis_alpha.compressed_shift())
         self.shift_beta, self.shift_beta_adj = _frozen(*self.basis_beta.compressed_shift())
         self._frames = {}
+        self._zero_tests = {}
 
     @functools.cached_property
     def shift_alpha_power(self) -> np.ndarray:
@@ -180,6 +182,22 @@ class CompressionSetting:
                 G = ba.conjugation_matrix() @ G.conj()
             self._frames[variant] = _frozen(F, G, _pinv(G))
         return self._frames[variant]
+
+    def zero_test_block(self, shift: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """kappa = P_beta 1 as coefficients, and U and sigma of the SVD of the
+        block of `zero_test_sufficient` for this shift: column t < min(shift,
+        T_alpha) + 1 holds kappa[0] e_t - conj(P_alpha z^t) at the frequencies
+        0 down to -T_alpha, then ||kappa[1:]|| e_t."""
+        if shift not in self._zero_tests:
+            ba, bb = self.basis_alpha, self.basis_beta
+            ta = ba.truncation_order
+            reach = min(shift, ta) + 1
+            kappa = bb.rows[:, 0].conj() @ bb.rows
+            out = np.linalg.norm(kappa[1:])
+            block = np.vstack([kappa[0] * np.eye(ta + 1, reach) - ba.rows.conj().T @ ba.rows[:, :reach], out * np.eye(reach)])
+            u, sv, _ = np.linalg.svd(block, full_matrices=False)
+            self._zero_tests[shift] = _frozen(kappa, u, sv)
+        return self._zero_tests[shift]
 
     @functools.cached_property
     def interpolation(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
@@ -521,8 +539,8 @@ def zero_test_sufficient(
     """
     if which not in ("p22", "p27"):
         raise ValueError(f"unknown zero test {which!r}")
-    ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
-    ta = ba.truncation_order
+    k = setting.k
+    ta = setting.basis_alpha.truncation_order
     shift = 0 if which == "p22" else k - 1
     rhs, lo = _reduced(phi, setting, shift)
 
@@ -531,21 +549,20 @@ def zero_test_sufficient(
     # z^-t kappa(z^k) - conj(P_alpha z^t), kappa = P_beta 1: column shift - t
     # of the polyphase array of rhs from frequency -shift, and for t < reach
     # also frequency -t of the alpha window -T_alpha..0.  Those directions are
-    # solved with that window in one block, each column cut to its component
-    # along kappa[1:]; each later one alone in its column.  The rank cut is
-    # that of least squares on all directions at once: one relative to the
-    # block keeps its rounding noise when every direction in it vanishes.
-    kappa = bb.rows[:, 0].conj() @ bb.rows
+    # solved with that window in one block (`CompressionSetting.zero_test_block`),
+    # each column cut to its component along kappa[1:]; each later one alone in
+    # its column.  The rank cut is that of least squares on all directions at
+    # once: one relative to the block keeps its rounding noise when every
+    # direction in it vanishes.
+    kappa, u, sv = setting.zero_test_block(shift)
     reach = min(shift, ta) + 1
     cols = rhs[-shift - lo :].reshape(-1, k)
     near, far = cols[1:, shift + 1 - reach : shift + 1][:, ::-1], cols[:, : shift + 1 - reach]
     out = np.linalg.norm(kappa[1:])
     unit = kappa[1:] / out if out else kappa[1:]
     along = unit.conj() @ near
-    # Rows: the window from frequency 0 down, then one per near column.
-    block = np.vstack([kappa[0] * np.eye(ta + 1, reach) - ba.rows.conj().T @ ba.rows[:, :reach], out * np.eye(reach)])
+    # Rows of the block: the window from frequency 0 down, then one per near column.
     b = np.concatenate([rhs[-lo - ta : 1 - lo][::-1], along])
-    u, sv, _ = np.linalg.svd(block, full_matrices=False)
     whole = np.linalg.norm(kappa) if far.size else 0.0
     cut = np.finfo(float).eps * len(rhs) * max(sv[0], whole)
     u = u[:, sv > cut]

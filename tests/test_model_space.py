@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laurent_oracle import backward_shift_pow, decimate, derivative_at, distance, evaluate, inner, monomial
-from slantmodel import model_space
 from slantmodel.laurent import LaurentPoly
 from slantmodel.model_space import (
     CONTRACTION_BLOCK,
@@ -19,7 +18,6 @@ from slantmodel.model_space import (
     MAX_TRUNCATION,
     TruncationError,
     _compress,
-    _takenaka_malmquist,
 )
 from slantmodel.verify import circle_grid
 
@@ -98,7 +96,8 @@ class TestInnerFunction:
 
     def test_expansion_matches_evaluation(self):
         # Every zero at the origin (z^3, 1j z^3) gives exactly c z^N.  B[0.645]
-        # has T = 63 and M = 128 = 2 (T + 1): frequency M has no sample.
+        # has T = 63 and holds 32 columns of A^n B: alpha's 129 terms read them
+        # four times, through C A^(32 q).
         inners = [
             InnerFunction.blaschke([0.5, -0.3]),
             InnerFunction.blaschke([0.645]),
@@ -176,8 +175,8 @@ class TestMakeBasis:
         # an order read off max |w| alone does not see: the tail picks T.
         basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.9, 0.91, 0.92]))
         assert basis.tail_bound <= 1e-12 and basis.gram_error <= GRAM_TOL
-        # Twelve zeros at 0.9 pass no order T with 2 (T + 1) <= M at the
-        # first M, so M doubles.
+        # Twelve zeros at 0.9 need T = 590, past the 512 columns that the
+        # order of a single zero at 0.9 sets: the doubling goes on.
         basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.9] * 12))
         assert basis.tail_bound <= 1e-12 and basis.gram_error <= GRAM_TOL
 
@@ -196,13 +195,18 @@ class TestMakeBasis:
 
     def test_repeated_zero_tail_is_measured(self):
         # At T = 284 the simple-zero estimate 0.9^285 / 0.1 is below 1e-12, but a
-        # triple zero at 0.9 drops a tail near 1.6e-10 there.
+        # triple zero at 0.9 drops a tail near 1.6e-10 there.  The exact tail
+        # at order t is the largest row norm of A^(t+1), A = conj(S); the
+        # mirror rows of this list are the rows reversed.
         inner = InnerFunction.blaschke([0.9, 0.9, 0.9])
         basis = ModelSpaceBasis.build(inner)
-        rows = convolution_expansions(inner, 4 * basis.truncation_order)[0]
-        for t in (284, basis.truncation_order):
+        T = basis.truncation_order
+        a = basis.compressed_shift()[0].conj()
+        rows = convolution_expansions(inner, 4 * T)[0]
+        for t in (284, T):
             dropped = np.linalg.norm(rows[:, t + 1 :], axis=1).max()
-            assert abs(_takenaka_malmquist(inner, t)[3][t] - dropped) <= 1e-3 * dropped + 1e-14
+            assert abs(np.linalg.norm(np.linalg.matrix_power(a, t + 1), axis=1).max() - dropped) <= 1e-3 * dropped
+        assert abs(basis.tail_bound - dropped) <= 1e-3 * dropped
         assert basis.tail_bound <= 1e-12 and basis.gram_error <= 1e-12
 
     @pytest.mark.parametrize(
@@ -216,28 +220,27 @@ class TestMakeBasis:
             ModelSpaceBasis.build(inner)
         assert time.perf_counter() - start < 0.5
 
-    def test_rounding_floor_ends_the_search(self, monkeypatch):
-        # A sample near a zero of modulus 0.9999 carries a rounding error near
-        # eps / 1e-4, and the tail stays near 1.1e-12 whatever M, so the first
-        # pass refuses: doubling M up to the cap takes seconds and 1.6 GB.
-        passes = []
-        real = model_space._takenaka_malmquist
-        monkeypatch.setattr(model_space, "_takenaka_malmquist", lambda *args: passes.append(args) or real(*args))
-        start = time.process_time()  # CPU time: other processes do not count
-        with pytest.raises(TruncationError, match="rounding floor"):
-            ModelSpaceBasis.build(InnerFunction.blaschke([0.9999, -0.3, 0.2j]))
-        assert time.process_time() - start < 0.5
-        assert len(passes) == 1  # one sampling gives the rows, the mirror rows and alpha
-        # Tails far above the floor still double M until an order passes: 200
-        # zeros at 0.5 fall slowly (0.78, 0.74, 0.73, 0.51), then plunge.
+    def test_near_circle_zeros_build(self):
+        # The tail is exact, with no rounding floor to stop it: zeros at 0.9999
+        # and 0.99987 certify their order in milliseconds.  A single zero drops
+        # exactly |w|^(T+1).
+        for zeros in ([0.9999, -0.3, 0.2j], [0.9999], [0.99987]):
+            start = time.process_time()  # CPU time: other processes do not count
+            basis = ModelSpaceBasis.build(InnerFunction.blaschke(zeros))
+            assert time.process_time() - start < 0.5
+            assert basis.tail_bound <= 1e-12 and basis.gram_error <= GRAM_TOL
+            if len(zeros) == 1:
+                t = basis.truncation_order
+                assert zeros[0] ** (t + 1) <= 1e-12 * (1 + 1e-9) and abs(basis.tail_bound / zeros[0] ** (t + 1) - 1) <= 1e-6
+        # Repeated zeros need orders far past that of one zero of their modulus
+        # (262 at 0.9, 538 at 0.95, 39 at 0.5), and the doubling goes on to them.
         for zeros, order in (([0.9] * 12, 590), ([0.9] * 40, 1250), ([0.95] * 30, 2102), ([0.5] * 200, 719)):
             basis = ModelSpaceBasis.build(InnerFunction.blaschke(zeros))
             assert basis.truncation_order == order and basis.tail_bound <= 1e-12
 
-    def test_sampling_pass_memory(self):
-        # One pass samples the factors once for the rows, the mirror rows and
-        # alpha.  It may hold no more arrays of dim x M samples than the two
-        # passes, one per row set, did: 12.5 MiB, 4.17 arrays of 3 x 2^16.
+    def test_build_memory(self):
+        # The build holds the first 2^14 columns of the rows and the mirror
+        # rows (1.5 MiB at dim 3), then the rows (1.3 MiB) and alpha (0.8 MiB).
         inner = InnerFunction.blaschke([0.999, -0.3, 0.2j])
         tracemalloc.start()
         try:
@@ -245,8 +248,16 @@ class TestMakeBasis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert basis.truncation_order == 27632
-        assert peak <= 12.5 * 2**20
+        assert basis.truncation_order == 27618
+        assert peak <= 6 * 2**20
+
+    @pytest.mark.parametrize("zeros", [[0.9, 0.9, 0.9], [0.4, -0.5j], [0, 0, 0.5, -0.3]], ids=["triple", "complex", "origin"])
+    def test_realization_is_lossless(self, zeros):
+        # I - A A^H = B B^H: the rows have unit norm over all frequencies, and
+        # the row norms of A^n are the exact tails.
+        basis = ModelSpaceBasis.build(InnerFunction.blaschke(zeros))
+        a, b = basis.compressed_shift()[0].conj(), basis.rows[:, 0]
+        assert np.linalg.norm(np.eye(len(b)) - a @ a.conj().T - np.outer(b, b.conj())) <= 1e-15
 
     def test_monomial_degree_cap(self):
         # z^N needs T = N - 1, so N zeros are never stored past the cap.
@@ -466,8 +477,29 @@ class TestConvolutionOracle:
         # The basis expands alpha to twice the row length; the rows are
         # truncations of the same series, so one reference run covers both.
         rows, alpha = convolution_expansions(inner, 2 * (T + 1))
-        assert np.abs(_takenaka_malmquist(inner, T)[0][:, : T + 1] - rows[:, : T + 1]).max() <= 1e-14
+        assert np.abs(basis.rows - rows[:, : T + 1]).max() <= 1e-14
         assert np.abs(basis.alpha_expansion - alpha).max() <= 1e-14
+
+    @pytest.mark.parametrize("inner", INNERS, ids=IDS)
+    def test_kernel_matches_series(self, inner):
+        # Off the origin the kernel comes from the realization.  The Taylor
+        # series of the rows, differentiated n times, read far enough past T
+        # that the terms it drops vanish, agrees at |w| <= 0.5.
+        basis = ModelSpaceBasis.build(inner)
+        rows = convolution_expansions(inner, max(basis.truncation_order, 200))[0]
+        for w in (0.5, -0.3 + 0.4j, 0.4j):
+            for n in range(6):
+                weights = np.array([math.perm(m, n) * w ** (m - n) for m in range(n, rows.shape[1])])
+                kernel = basis.kernel(w, n)
+                assert np.abs(kernel - (rows[:, n:] @ weights).conj()).max() <= 1e-13 * np.linalg.norm(kernel)
+
+    @pytest.mark.parametrize("inner", INNERS, ids=IDS)
+    def test_shift_matches_compression(self, inner):
+        # The compression of z on the truncated rows misses only the terms
+        # e_j[n] conj(e_i[n + 1]) with n >= T, below the certified tail.
+        basis = ModelSpaceBasis.build(inner)
+        truncated = _compress(np.ones(1), 1, basis.rows, 1, basis.rows)
+        assert np.abs(basis.compressed_shift()[0] - truncated).max() <= basis.tail_bound
 
     @pytest.mark.parametrize("inner", INNERS, ids=IDS)
     def test_tail_bound_covers_mirror_rows(self, inner):
@@ -510,10 +542,7 @@ class TestConjugationOracle:
     @pytest.mark.parametrize("inner", INNERS, ids=IDS)
     def test_mirror_gram_matches_compression(self, inner):
         basis = ModelSpaceBasis.build(inner)
-        # The rows carry the rounding floor eps / (1 - max |w|) of their samples,
-        # 2.2e-14 for B99, which the independent expansion of alpha exposes.
-        floor = np.finfo(float).eps / (1.0 - max(map(abs, inner.zeros)))
-        assert np.abs(basis.conjugation_matrix() - compressed_conjugation(basis)).max() <= max(1e-14, floor)
+        assert np.abs(basis.conjugation_matrix() - compressed_conjugation(basis)).max() <= 1e-14
 
     @pytest.mark.parametrize("inner", INNERS, ids=IDS)
     def test_symmetric_involution(self, inner):

@@ -55,12 +55,14 @@ def stretched_beta_expansion(setting):
 
 def kron_basis(setting):
     """Reference basis of the model space of beta(z^k), in the polyphase
-    order of `decimation_matrix`: row i k + j is z^j e_i(z^k)."""
+    order of `decimation_matrix`: row i k + j is z^j e_i(z^k).  z moves it to
+    row i k + j + 1, and z^k e_i(z^k) to the compressed shift of e_i at z^k."""
     bb, k = setting.basis_beta, setting.k
     return ModelSpaceBasis(
         bb.inner.stretched(k),
         np.kron(bb.rows, np.eye(k)),
         np.kron(bb.conjugation_matrix(), np.eye(k)[::-1]),
+        np.kron(bb.compressed_shift()[0], np.eye(k, k=1 - k)) + np.kron(np.eye(bb.dim), np.eye(k, k=-1)),
         np.kron(bb.alpha_expansion, np.eye(1, k)[0])[: 2 * k * bb.rows.shape[1] + 1],
         bb.tail_bound,
         bb.gram_error,
@@ -1159,7 +1161,7 @@ class TestShortRecovery:
         assert np.abs(rebuilt - U.entries).max() <= 1e-12 * np.linalg.norm(U.entries)
 
     def test_near_circle_order_1_rebuild(self):
-        # Zeros at 0.999 (T = 27632), k = 1: the paper's formula gave 53,020
+        # Zeros at 0.999 (T = 27618), k = 1: the paper's formula gave about 53,000
         # terms, and the rebuild from them took seconds.
         setting = CompressionSetting(*self.spaces(0.999), 1)
         U = build_compression(self.cliff_symbol(1), setting)
