@@ -89,7 +89,8 @@ class InnerFunction:
         """'monomial' for z^N (every zero at the origin and c = 1), else 'blaschke'."""
         return "blaschke" if any(self.zeros) or self.constant != 1 else "monomial"
 
-    def evaluate(self, z: complex) -> complex:
+    def evaluate(self, z):
+        """alpha(z) at a complex number, or at each entry of an array."""
         # The zeros at the origin give c z^d, so z^N is evaluated exactly.
         val = self.constant * z ** self.zeros.count(0)
         for w in filter(None, self.zeros):
@@ -183,20 +184,20 @@ def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray
     one cut by an end of the rows reads a zero-padded copy of that end, under
     2 w entries per row at any k.  Frequencies are Python ints.
     """
-    out, width = np.zeros((dst.shape[0], src.shape[0]), dtype=complex), src.shape[1]
+    width = src.shape[1]
     # Kept: 0 <= q <= len(phi) + T_src - 1, in windows n0..n3 - 1.  They
     # span the offsets 0..k (n3 - n0 - 1) + T_src from index lead.
     n0 = max(0, -(-lo // k))
     n3 = min(dst.shape[1], (len(phi) + width - 2 + lo) // k + 1)
     if n0 >= n3:
-        return out
+        return np.zeros((dst.shape[0], src.shape[0]), dtype=complex)
     lead = k * n0 - lo - width + 1
     a, b = max(0, lead), min(len(phi), lead + k * (n3 - n0 - 1) + width)
     read = phi[a:b].nonzero()[0]
     if k > width:  # gaps between the windows: offset r is read when r mod k < width
         read = read[(read + (a - lead)) % min(k, b - lead) < width]
     if not len(read):
-        return out
+        return np.zeros((dst.shape[0], src.shape[0]), dtype=complex)
     # The read span r0..r1, and the windows that reach it.
     r0, r1 = int(read[0]) + a - lead, int(read[-1]) + a - lead
     phi, lo = phi[lead + r0 : lead + r1 + 1], lo + lead + r0
@@ -314,14 +315,17 @@ class ModelSpaceBasis:
             raise ValueError(f"kernel point {w} must lie in the open disk")
         if n < 0:
             raise ValueError("derivative order must be nonnegative")
-        if n >= self.rows.shape[1]:
-            return np.zeros(self.dim, dtype=complex)
+        if n >= self.dim and not any(self.inner.zeros):
+            return np.zeros(self.dim, dtype=complex)  # z^N: A is nilpotent
         scale = derivative_scale(n)  # bounds the order off the origin too
-        if w == 0:
+        if w == 0 and n < self.rows.shape[1]:
             return scale * self.rows[:, n].conj()
-        # n! A^n (I - w A)^-(n+1) B, the derivative of the rows (I - z A)^-1 B; conj(A) is the shift.
-        resolvent = np.linalg.inv(np.eye(self.dim) - w.conjugate() * self._shift)
-        power = np.linalg.matrix_power(self._shift, n) @ np.linalg.matrix_power(resolvent, n + 1)
+        # n! A^n (I - w A)^-(n+1) B, the derivative of the rows (I - z A)^-1 B,
+        # past T too; conj(A) is the shift.
+        power = np.linalg.matrix_power(self._shift, n)
+        if w != 0:
+            resolvent = np.linalg.inv(np.eye(self.dim) - w.conjugate() * self._shift)
+            power = power @ np.linalg.matrix_power(resolvent, n + 1)
         return scale * power @ self.rows[:, 0].conj()
 
     def conjugate_vector(self, coords) -> np.ndarray:

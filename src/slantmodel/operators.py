@@ -161,12 +161,17 @@ class CompressionSetting:
 
     @functools.cached_property
     def shift_alpha_power(self) -> np.ndarray:
-        """S_alpha^k; its adjoint power is its conjugate transpose."""
+        """S_alpha^k."""
         return _frozen(np.linalg.matrix_power(self.shift_alpha, self.k))[0]
 
-    def frames(self, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    @functools.cached_property
+    def shift_alpha_power_adj(self) -> np.ndarray:
+        """The adjoint of S_alpha^k, its conjugate transpose."""
+        return _frozen(self.shift_alpha_power.conj().T)[0]
+
+    def frames(self, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """The variant's frame vector F in K_beta, the dim K_alpha x _used
-        matrix G in K_alpha, and the pseudo-inverse of G.  Before the
+        matrix G in K_alpha, the pseudo-inverse of G, and ||F||^2.  Before the
         conjugations, F = conj(rows_beta[:, 0]) is the kernel at 0 and column
         j of G, conj(rows_alpha[:, j]), represents f -> f^(j)(0) / j!: the
         derivative kernel of order j over j!."""
@@ -180,7 +185,7 @@ class CompressionSetting:
                 F = bb.conjugate_vector(F)
             if variant in ("c38", "c310b"):
                 G = ba.conjugation_matrix() @ G.conj()
-            self._frames[variant] = _frozen(F, G, _pinv(G))
+            self._frames[variant] = (*_frozen(F, G, _pinv(G)), float(np.vdot(F, F).real))
         return self._frames[variant]
 
     def zero_test_block(self, shift: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -375,20 +380,19 @@ def defect(U: OperatorMatrix, setting: CompressionSetting, variant: str = "t35")
         raise ValueError("matrix belongs to another pair of model spaces than the setting")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    M, power = U.entries, setting.shift_alpha_power
-    Sb, Sb_adj = setting.shift_beta, setting.shift_beta_adj
+    M, Sb, Sb_adj = U.entries, setting.shift_beta, setting.shift_beta_adj
     if variant == "t35":
-        return M - Sb @ M @ power.conj().T
+        return M - Sb @ M @ setting.shift_alpha_power_adj
     if variant == "c38":
-        return M - Sb_adj @ M @ power
+        return M - Sb_adj @ M @ setting.shift_alpha_power
     if variant == "c310a":
-        return Sb_adj @ M - M @ power.conj().T
-    return Sb @ M - M @ power
+        return Sb_adj @ M - M @ setting.shift_alpha_power_adj
+    return Sb @ M - M @ setting.shift_alpha_power
 
 
 def assemble_defect(dec: DefectDecomposition, setting: CompressionSetting) -> np.ndarray:
     """Matrix of frame_beta (x) chi + sum_j psi_j (x) frame_alpha_j."""
-    F, G, _ = setting.frames(dec.variant)
+    F, G, *_ = setting.frames(dec.variant)
     out = np.outer(F, dec.chi.conjugate())
     for psi, g in zip(dec.psis, G.T):
         out = out + np.outer(psi, g.conjugate())
@@ -431,9 +435,9 @@ def membership(
     """
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValueError("tolerance must be positive and finite")
-    F, G, G_pinv = setting.frames(variant)
+    F, G, G_pinv, norm2 = setting.frames(variant)
     D = defect(U, setting, variant)
-    chi = D.conj().T @ F / np.vdot(F, F).real
+    chi = D.conj().T @ F / norm2
     R = D - np.outer(F, chi.conjugate())
     Y = G_pinv @ R.conj().T
     residual = float(np.linalg.norm(R - (G @ Y).conj().T))

@@ -13,11 +13,12 @@ import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from math import factorial
+from time import perf_counter
 
 import numpy as np
 
 from .laurent import LaurentPoly
-from .model_space import InnerFunction, ModelSpaceBasis, _compress
+from .model_space import InnerFunction, ModelSpaceBasis, _compress, complex_pairs
 from .operators import (
     CompressionSetting,
     OperatorMatrix,
@@ -124,7 +125,7 @@ class MenuContext:
 class PropertySpec:
     name: str
     anchor: str
-    run: callable  # (rng, ctx) -> (residual, payload)
+    run: callable  # (rng, ctx) -> (residual, the inputs drawn)
     tol_exact: float = 1e-12
     tol_blaschke: float = 1e-8
 
@@ -263,7 +264,7 @@ def _prop_stretch_substitution(rng, ctx):
         return z[:, None] ** np.arange(g[1], g[1] + len(g[0])) @ g[0]
 
     res = float(np.abs(values(_stretched(f, ctx.k), z) - values(f, z**ctx.k)).max())
-    return res, {"p": p.to_json()}
+    return res, {"p": p}
 
 
 @register("stretch_multiplicative", "stretch-multiplicative")
@@ -271,7 +272,7 @@ def _prop_stretch_multiplicative(rng, ctx):
     p, q = random_laurent(rng), random_laurent(rng)
     f, g, k = _dense(p), _dense(q), ctx.k
     res = _gap(_stretched(_times(f, g), k), _times(_stretched(f, k), g, k))
-    return res, {"p": p.to_json(), "q": q.to_json()}
+    return res, {"p": p, "q": q}
 
 
 @register("decimate_stretch_roundtrip", "decimate-stretch-identity")
@@ -281,7 +282,7 @@ def _prop_decimate_stretch(rng, ctx):
     res = _gap(_decimated(_stretched(f, k), k), f)
     kept = np.where((f[1] + np.arange(len(f[0]))) % k == 0, f[0], 0), f[1]
     res = max(res, _gap(_stretched(_decimated(f, k), k), kept))
-    return res, {"p": p.to_json()}
+    return res, {"p": p}
 
 
 @register("conjugate_commutes", "circle-conjugate-commutes")
@@ -293,7 +294,7 @@ def _prop_conjugate_commutes(rng, ctx):
     # <conj f, g> = conj <f, conj g>: plain reversal, which commutes with
     # decimation and stretching too, fails this.
     res = max(res, abs(_inner(_conj(f), g) - _inner(f, _conj(g)).conjugate()))
-    return res, {"p": p.to_json(), "q": q.to_json()}
+    return res, {"p": p, "q": q}
 
 
 @register("projection_commutes", "analytic-projection-commutes")
@@ -302,7 +303,7 @@ def _prop_projection_commutes(rng, ctx):
     f, k = _dense(p), ctx.k
     res = _gap(_analytic(_decimated(f, k)), _decimated(_analytic(f), k))
     res = max(res, _gap(_analytic(_stretched(f, k)), _stretched(_analytic(f), k)))
-    return res, {"p": p.to_json()}
+    return res, {"p": p}
 
 
 @register("multiplier_pull_through", "multiplier-pull-through")
@@ -310,7 +311,7 @@ def _prop_pull_through(rng, ctx):
     phi, f = random_laurent(rng, terms=5), random_laurent(rng)
     a, b, k = _dense(phi), _dense(f), ctx.k
     res = _gap(_decimated(_times(b, a, k), k), _times(a, _decimated(b, k)))
-    return res, {"phi": phi.to_json(), "f": f.to_json()}
+    return res, {"phi": phi, "f": f}
 
 
 @register("decimation_adjoint", "decimation-adjoint")
@@ -318,7 +319,7 @@ def _prop_adjoint(rng, ctx):
     p, q = random_laurent(rng), random_laurent(rng)
     f, g, k = _dense(p), _dense(q), ctx.k
     res = abs(_inner(_decimated(f, k), g) - _inner(f, _stretched(g, k)))
-    return res, {"p": p.to_json(), "q": q.to_json()}
+    return res, {"p": p, "q": q}
 
 
 @register("backward_shift_expansion", "backward-shift-expansion")
@@ -327,7 +328,7 @@ def _prop_shift_expansion(rng, ctx):
     f, k = _dense(p), ctx.k
     # z^-k p less its k leading terms p_j z^(j - k).
     other = _sum((f[0], f[1] - k), (-p.to_array(0, k - 1), -k))
-    return _gap(_backward(f, k), other), {"p": p.to_json()}
+    return _gap(_backward(f, k), other), {"p": p}
 
 
 @register("stretch_shift_constant", "stretch-shift-constant")
@@ -335,7 +336,7 @@ def _prop_stretch_shift_constant(rng, ctx):
     f = random_laurent(rng, lo=0, hi=10)
     a, k = _dense(f), ctx.k
     rhs = _sum(_stretched(_backward(a, 1), k, k), (np.array([f.coeff(0)]), 0))
-    return _gap(_stretched(a, k), rhs), {"f": f.to_json()}
+    return _gap(_stretched(a, k), rhs), {"f": f}
 
 
 @register("middle_monomial_sandwich", "middle-monomial-sandwich")
@@ -346,7 +347,7 @@ def _prop_monomial_sandwich(rng, ctx):
     # |j + 1 - k| < k at once: f at column k - 1 and zero elsewhere.
     W = _compress(_stretched(a, k)[0], 1 - k, np.eye(2 * k - 1), k, np.eye(len(a[0])))
     W[:, k - 1] -= a[0]
-    return float(np.linalg.norm(W, axis=0).max()), {"f": f.to_json()}
+    return float(np.linalg.norm(W, axis=0).max()), {"f": f}
 
 
 # -- model space -----------------------------------------------------------
@@ -354,12 +355,10 @@ def _prop_monomial_sandwich(rng, ctx):
 
 @register("stretched_inner_unimodular", "stretched-inner", 1e-8, 1e-8)
 def _prop_stretched_inner(rng, ctx):
-    stretched = ctx.alpha.stretched(ctx.k)
-    res = 0.0
-    for z in circle_grid():
-        res = max(res, abs(abs(stretched.evaluate(z)) - 1.0))
-        res = max(res, abs(stretched.evaluate(z) - ctx.alpha.evaluate(z**ctx.k)))
-    return res, {"alpha": ctx.alpha.to_json(), "k": ctx.k}
+    z = np.array(circle_grid())
+    values = ctx.alpha.stretched(ctx.k).evaluate(z)
+    res = max(np.abs(np.abs(values) - 1.0).max(), np.abs(values - ctx.alpha.evaluate(z**ctx.k)).max())
+    return float(res), {"alpha": ctx.alpha, "k": ctx.k}
 
 
 @register("projection_decimation_intertwine", "projection-decimation-intertwine", 1e-10, 1e-8)
@@ -370,7 +369,7 @@ def _prop_projection_intertwine(rng, ctx):
     big = ctx.stretched_basis(ctx.alpha)
     lhs = _compress(c, lo, _UNIT, ctx.k, ba.rows)[:, 0] @ ba.rows, 0
     rhs = _decimated((_compress(c, lo, _UNIT, 1, big.rows)[:, 0] @ big.rows, 0), ctx.k)
-    return _gap(lhs, rhs), {"f": f.to_json()}
+    return _gap(lhs, rhs), {"f": f}
 
 
 @register("reproducing_kernels", "derivative-reproducing", 1e-8, 1e-8)
@@ -383,7 +382,7 @@ def _prop_reproducing(rng, ctx):
         w = 0.7 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
         pairing = complex(np.vdot(ba.kernel(w, n), coords))
         res = max(res, abs(pairing - np.polynomial.polynomial.polyval(w, np.polynomial.polynomial.polyder(f, n))))
-    return res, {"coords": [[c.real, c.imag] for c in coords]}
+    return res, {"coords": coords}
 
 
 @register("conjugation_involution", "conjugation-involution", 1e-10, 1e-8)
@@ -398,7 +397,7 @@ def _prop_conjugation(rng, ctx):
     )
     # Image stays in the space: re-projecting the reconstruction is a fixed point.
     res = max(res, float(np.linalg.norm(ba.project(ba.reconstruct(cv)) - cv)))
-    return res, {"v": [[c.real, c.imag] for c in v]}
+    return res, {"v": v}
 
 
 @register("compressed_shift_adjoint", "compressed-shift", 1e-10, 1e-8)
@@ -412,7 +411,7 @@ def _prop_compressed_shift(rng, ctx):
     res = float(np.linalg.norm(S_adj @ v - direct))
     C = ba.conjugation_matrix()
     res = max(res, float(np.abs(C @ S.conjugate() @ C.conjugate() - S_adj).max()))
-    return res, {"v": [[c.real, c.imag] for c in v]}
+    return res, {"v": v}
 
 
 # -- compressions and characterizations ------------------------------------
@@ -427,7 +426,7 @@ def _prop_factorization(rng, ctx):
     ba, big = ctx.setting.basis_alpha, ctx.stretched_basis(ctx.beta)
     W = _compress(np.ones(1), 0, big.rows, ctx.k, ctx.setting.basis_beta.rows)
     A = _compress(*_clip(phi, ba.rows.shape[1], 1, 1, 0, big.truncation_order), ba.rows, 1, big.rows)
-    return float(np.abs(U.entries - W @ A).max()), {"phi": phi.to_json()}
+    return float(np.abs(U.entries - W @ A).max()), {"phi": phi}
 
 
 @register("defect_closed_form", "defect-closed-form", 1e-10, 1e-8)
@@ -436,7 +435,7 @@ def _prop_defect_closed_form(rng, ctx):
     U = build_compression(phi, ctx.setting)
     D = defect(U, ctx.setting, "t35")
     assembled = assemble_defect(defect_from_symbol(phi, ctx.setting), ctx.setting)
-    return float(np.abs(D - assembled).max()), {"phi": phi.to_json()}
+    return float(np.abs(D - assembled).max()), {"phi": phi}
 
 
 @register("symbol_from_parts", "symbol-from-parts", 1e-10, 1e-8)
@@ -459,9 +458,7 @@ def _prop_symbol_from_parts(rng, ctx):
     target = np.outer(k0b, chi.conjugate())
     for j in range(k):
         target = target + np.outer(psis[j], ba.kernel(0, j).conjugate())
-    return float(np.abs(D - target).max()), {
-        "chi": [[c.real, c.imag] for c in chi],
-    }
+    return float(np.abs(D - target).max()), {"chi": chi}
 
 
 @register("membership_accepts_symbols", "defect-characterization", 1e-10, 1e-8)
@@ -476,7 +473,7 @@ def _prop_membership_accepts(rng, ctx):
         bumped[0, 0] += 1e-3
         if membership(ctx.setting.matrix(bumped), ctx.setting).member:
             res = float("inf")
-    return res, {"phi": phi.to_json()}
+    return res, {"phi": phi}
 
 
 @register("membership_pattern_oracle", "decimation-diagonal-pattern", 0.0, 0.0)
@@ -503,7 +500,7 @@ def _prop_pattern_oracle(rng, ctx):
                 oracle = False
             diags.setdefault(d, U.entries[i, j])
     verdict = membership(U, ctx.setting).member
-    return (0.0 if verdict == oracle else 1.0), {"matrix": U.to_json()}
+    return (0.0 if verdict == oracle else 1.0), {"matrix": U}
 
 
 @register("variant_agreement", "variant-agreement", 0.0, 0.0)
@@ -513,7 +510,7 @@ def _prop_variant_agreement(rng, ctx):
     else:
         U = _matrix(rng, ctx)
     verdicts = {v: membership(U, ctx.setting, v).member for v in VARIANTS}
-    return (0.0 if len(set(verdicts.values())) == 1 else 1.0), {"matrix": U.to_json()}
+    return (0.0 if len(set(verdicts.values())) == 1 else 1.0), {"matrix": U}
 
 
 def _prop_roundtrip(rng, ctx, variant):
@@ -521,9 +518,9 @@ def _prop_roundtrip(rng, ctx, variant):
     U = build_compression(phi, ctx.setting)
     report = membership(U, ctx.setting, variant)
     if not report.member:
-        return float("inf"), {"phi": phi.to_json()}
+        return float("inf"), {"phi": phi}
     rebuilt = build_compression(recover_symbol(report, ctx.setting), ctx.setting)
-    return float(np.abs(rebuilt.entries - U.entries).max()), {"phi": phi.to_json()}
+    return float(np.abs(rebuilt.entries - U.entries).max()), {"phi": phi}
 
 
 register("symbol_roundtrip", "symbol-recovery", 1e-9, 1e-8)(partial(_prop_roundtrip, variant="t35"))
@@ -536,7 +533,7 @@ def _prop_recovery_orthogonality(rng, ctx):
     U = build_compression(phi, ctx.setting)
     report = membership(U, ctx.setting)
     if not report.member:
-        return float("inf"), {"phi": phi.to_json()}
+        return float("inf"), {"phi": phi}
     ba, bb, k = ctx.setting.basis_alpha, ctx.setting.basis_beta, ctx.k
     dec = report.decomposition
     parts = [_head(dec.chi, ba)]
@@ -546,7 +543,7 @@ def _prop_recovery_orthogonality(rng, ctx):
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):
             res = max(res, abs(_inner(parts[a], parts[b])))
-    return res, {"phi": phi.to_json()}
+    return res, {"phi": phi}
 
 
 @register("universality", "universality", 1e-10, 1e-8)
@@ -555,7 +552,7 @@ def _prop_universality(rng, ctx):
     n, m = setting.basis_beta.dim, setting.basis_alpha.dim
     U = setting.matrix(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
     report = membership(U, setting)
-    return (report.residual if report.member else float("inf")), {"matrix": U.to_json()}
+    return (report.residual if report.member else float("inf")), {"matrix": U}
 
 
 def _prop_canonical(rng, ctx, which):
@@ -571,7 +568,7 @@ def _prop_canonical(rng, ctx, which):
         for t in reduced.support:
             if not (-m < t < top):
                 res = float("inf")
-    return res, {"phi": phi.to_json()}
+    return res, {"phi": phi}
 
 
 register("canonical_first_form", "canonical-symbol", 1e-9, 1e-8)(partial(_prop_canonical, which="first"))
@@ -593,7 +590,7 @@ def _prop_zero(rng, ctx, which):
     if zero_test_sufficient(generic, ctx.setting, which):
         if build_compression(generic, ctx.setting).norm() > ctx.setting.tol() * 100:
             res = 1.0
-    return res, {"phi": phi.to_json()}
+    return res, {"phi": phi}
 
 
 register("zero_sufficient_first", "zero-symbol-sufficient", 0.0, 0.0)(partial(_prop_zero, which="p22"))
@@ -610,7 +607,7 @@ def _prop_conjugation_transform(rng, ctx):
     U = build_compression(phi, ctx.setting)
     again, _ = conjugate_operator(ctx.setting, U=sandwich)
     res = max(res, float(np.abs(again.entries - U.entries).max()))
-    return res, {"phi": phi.to_json()}
+    return res, {"phi": phi}
 
 
 @register("conjugation_membership_invariance", "conjugation-membership-invariance", 0.0, 0.0)
@@ -622,7 +619,7 @@ def _prop_conjugation_invariance(rng, ctx):
     sandwich, _ = conjugate_operator(ctx.setting, U=U)
     a = membership(U, ctx.setting).member
     b = membership(sandwich, ctx.setting).member
-    return (0.0 if a == b else 1.0), {"matrix": U.to_json()}
+    return (0.0 if a == b else 1.0), {"matrix": U}
 
 
 @register("rank_one_membership", "rank-one-membership", 1e-10, 1e-8)
@@ -655,7 +652,7 @@ def _broken_property(rng, ctx):
     bumped = U.entries.copy()
     bumped[0, 0] += 1e-3
     report = membership(ctx.setting.matrix(bumped), ctx.setting)
-    return (0.0 if report.member else 1.0), {"matrix": U.to_json()}
+    return (0.0 if report.member else 1.0), {"matrix": U}
 
 
 BROKEN_PROPERTY = PropertySpec(
@@ -690,9 +687,12 @@ class PropertyResult:
     worst_residual: float
     tolerance: float
     first_counterexample: dict | None
+    seconds: float = 0.0  # wall time of the row, in the text report only
 
     def to_json(self) -> dict:
-        return asdict(self)
+        out = asdict(self)
+        del out["seconds"]
+        return out
 
 
 @dataclass
@@ -722,19 +722,34 @@ class SuiteReport:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
     def to_text(self) -> str:
+        width = max([24] + [len(r.space) for r in self.results])
         lines = [
             f"seed={self.seed} trials={self.trials} "
             f"status={'PASS' if self.all_passed else 'FAIL'}",
-            f"{'property':<36} {'space':<24} {'pass':>5} {'fail':>5}  worst",
+            f"{'property':<36} {'space':<{width}} {'pass':>5} {'fail':>5} {'ms':>7}  worst",
         ]
         for r in self.results:
             lines.append(
-                f"{r.name:<36} {r.space:<24} {r.passes:>5} {r.fails:>5}  {r.worst_residual:.3e}"
+                f"{r.name:<36} {r.space:<{width}} {r.passes:>5} {r.fails:>5} {1e3 * r.seconds:>7.2f}  {r.worst_residual:.3e}"
             )
         return "\n".join(lines)
 
 
+def _jsonable(inputs):
+    """A trial's inputs as JSON: polynomials, matrices and inner functions by
+    their own `to_json`, coordinate arrays as [re, im] pairs."""
+    if isinstance(inputs, dict):
+        return {key: _jsonable(value) for key, value in inputs.items()}
+    if isinstance(inputs, np.ndarray):
+        return complex_pairs(inputs)
+    return inputs.to_json() if hasattr(inputs, "to_json") else inputs
+
+
 def run_suite(config: SuiteConfig) -> SuiteReport:
+    """Every property on every menu entry, config.trials seeded trials each.
+    A property that draws nothing in its first trial repeats that computation
+    in every later one, so that trial stands for all of them.  A row keeps
+    the inputs of its first failing trial, as JSON."""
     registry = registered_properties()
     if config.inject_failure:
         registry.append(BROKEN_PROPERTY)
@@ -748,21 +763,27 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             passes = fails = 0
             worst = 0.0
             first_cx = None
+            start = perf_counter()
             for trial in range(config.trials):
                 rng = np.random.default_rng(
                     np.random.SeedSequence(config.seed, spawn_key=(pidx, cidx, trial))
                 )
+                fresh = rng.bit_generator.state if trial == 0 else None
                 try:
                     residual, payload = prop.run(rng, ctx)
                 except Exception as exc:  # a failing trial of this row, not the end of the suite
                     residual, payload = math.inf, {"error": repr(exc)}
+                # Drew nothing: every later trial is this one.
+                count = config.trials if fresh is not None and rng.bit_generator.state == fresh else 1
                 worst = max(worst, residual)
                 if residual <= tol:
-                    passes += 1
+                    passes += count
                 else:
-                    fails += 1
+                    fails += count
                     if first_cx is None:
-                        first_cx = {"trial": trial, "residual": residual, "inputs": payload}
+                        first_cx = {"trial": trial, "residual": residual, "inputs": _jsonable(payload)}
+                if count > 1:
+                    break
             results.append(
                 PropertyResult(
                     name=prop.name,
@@ -773,6 +794,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                     worst_residual=worst,
                     tolerance=tol,
                     first_counterexample=first_cx,
+                    seconds=perf_counter() - start,
                 )
             )
     return SuiteReport(seed=config.seed, trials=config.trials, results=results)

@@ -321,6 +321,30 @@ class TestKernel:
                 basis.kernel(w, 171)
         assert not ModelSpaceBasis.build(InnerFunction.monomial(3)).kernel(0, 200).any()
 
+    @pytest.mark.parametrize("zeros", [[0.5], [0.5, -0.3], [0.0, 0.6j, 0.6j]], ids=["single", "pair", "origin-double"])
+    def test_orders_past_truncation(self, zeros):
+        # The rows stop at T, the kernels do not: at the origin the kernel of
+        # order n is n! conj(A^n B), at w the conjugate of the n-th
+        # derivative of the series sum_m A^m B z^m, read here to m = 600.
+        basis = ModelSpaceBasis.build(InnerFunction.blaschke(zeros))
+        T = basis.truncation_order
+        A, B = basis.compressed_shift()[0].conj(), basis.rows[:, 0]
+        columns = [B]
+        for _ in range(600):
+            columns.append(A @ columns[-1])
+        columns = np.array(columns).conj()
+        for n in (T, T + 1, T + 7, 60, 170):
+            want = math.factorial(n) * columns[n]
+            assert np.abs(basis.kernel(0, n) - want).max() <= 1e-13 * np.abs(want).max()
+            if n > 60:  # 170! times the series' weights overflow a double
+                continue
+            for w in (0.3, -0.2j):
+                weights = np.array([math.perm(m, n) * w.conjugate() ** (m - n) for m in range(n, 601)])
+                want, scale = weights @ columns[n:], np.abs(weights) @ np.abs(columns[n:])
+                # The series' terms rotate with the zeros' phases, so its
+                # rounding is relative to the sum of their moduli.
+                assert np.abs(basis.kernel(w, n) - want).max() <= 1e-13 * scale.max()
+
     def test_rejects_outside_disk(self):
         basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
         with pytest.raises(ValueError):
@@ -411,6 +435,18 @@ class TestStretchInner:
         stretched = InnerFunction.blaschke([0.5, -0.3]).stretched(3)
         for z in circle_grid():
             assert abs(abs(stretched.evaluate(z)) - 1.0) < 1e-8
+
+    @pytest.mark.parametrize(
+        "inner",
+        [InnerFunction.monomial(3), InnerFunction.blaschke([0.5, -0.3]), InnerFunction.blaschke([0.4 - 0.5j, 0.2j], 1j)],
+        ids=["z3", "B-real", "B-complex"],
+    )
+    def test_evaluates_an_array(self, inner):
+        # One call on the 64-point grid gives each point's scalar value.
+        grid = circle_grid()
+        values = inner.evaluate(np.array(grid))
+        assert values.shape == (64,)
+        assert max(abs(v - inner.evaluate(z)) for v, z in zip(values, grid)) <= 1e-15
 
     def test_zero_at_origin_becomes_repeated_zero(self):
         alpha = InnerFunction.blaschke([0.0, 0.5])

@@ -522,11 +522,12 @@ class TestSettingCache:
         for call in (lambda: membership(U, setting, "bogus"), lambda: defect(U, setting, "bogus")):
             with pytest.raises(ValueError, match="variant"):
                 call()
-        assert setting._frames == {} and "shift_alpha_power" not in vars(setting)
+        assert setting._frames == {} and not {"shift_alpha_power", "shift_alpha_power_adj"} & set(vars(setting))
         for variant in VARIANTS:
             membership(U, setting, variant)
             assert setting.frames(variant) is setting.frames(variant)
         assert setting.shift_alpha_power is setting.shift_alpha_power
+        assert setting.shift_alpha_power_adj is setting.shift_alpha_power_adj
         # Past k = dim K_alpha the parts psi_j, j >= 3, are folded onto the rest.
         folding = CompressionSetting(B_NEAR, BETA, 10)
         for s in (setting, folding):
@@ -535,7 +536,8 @@ class TestSettingCache:
             assert s.interpolation is s.interpolation
         assert setting.interpolation[2] is None
         arrays = [setting.shift_alpha, setting.shift_alpha_adj, setting.shift_beta, setting.shift_beta_adj]
-        arrays += [setting.shift_alpha_power] + [a for v in VARIANTS for a in setting.frames(v)]
+        # The fourth frame constant, ||F||^2, is a float.
+        arrays += [setting.shift_alpha_power, setting.shift_alpha_power_adj] + [a for v in VARIANTS for a in setting.frames(v)[:3]]
         arrays += [*setting.interpolation[:2], *folding.interpolation]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -944,6 +946,17 @@ class TestRankOne:
             mat, _ = rank_one(s543, l, "tilde_k")
             expected = 1 if l < m else 0
             assert np.linalg.matrix_rank(mat.entries, tol=1e-10) == expected
+
+    def test_order_past_truncation(self):
+        # On B[0.5] (T = 39) the alpha kernel of order l = 45 comes from the
+        # realization, 45! conj(A^45 B) = 45! 0.5^45 sqrt(0.75), not from the
+        # truncated rows; so does the rank-one matrix built on it.
+        setting = CompressionSetting(InnerFunction.blaschke([0.5]), zn(2), 50)
+        assert setting.basis_alpha.truncation_order == 39
+        scale = factorial(45) * 0.5**45 * 0.75**0.5
+        for kind in ("tilde_k", "k_tilde"):
+            mat, _ = rank_one(setting, 45, kind)
+            assert abs(mat.norm() - scale) <= 1e-13 * scale
 
     def test_index_out_of_range(self, s243):
         with pytest.raises(ValueError):

@@ -83,6 +83,15 @@ class TestSuite:
         assert text.splitlines()[0].endswith("status=PASS")
         assert len(text.splitlines()) == 2 + len(fast_report.results)
 
+    def test_row_time_is_text_only(self, fast_report):
+        # Each row's wall time is a column of the text report, never a JSON
+        # field, so the JSON of a seed stays byte-identical across runs.
+        header, first = fast_report.to_text().splitlines()[1:3]
+        assert header.split()[-2:] == ["ms", "worst"]
+        assert float(first.split()[-2]) == pytest.approx(1e3 * fast_report.results[0].seconds, abs=0.01)
+        assert all(r.seconds > 0 for r in fast_report.results)
+        assert "seconds" not in fast_report.to_json_text()
+
     def test_injected_failure_detected(self):
         report = run_suite(SuiteConfig(seed=11, trials=3, inject_failure=True))
         assert not report.all_passed
@@ -139,3 +148,62 @@ class TestSuite:
             SuiteConfig(trials=0)
         with pytest.raises(ValueError):
             SuiteConfig(menu=())
+
+
+class Unserialisable:
+    """An input whose JSON form must never be asked for."""
+
+    def to_json(self):
+        raise AssertionError("a passing trial serialised its inputs")
+
+
+def spies(monkeypatch, **bodies):
+    """Registers each body as a property that counts its runs; the counts."""
+    runs = dict.fromkeys(bodies, 0)
+
+    def spy(name, body):
+        def run(rng, ctx):
+            runs[name] += 1
+            return body(rng, ctx)
+
+        return PropertySpec(name, "negative-control", run)
+
+    monkeypatch.setattr(verify, "_REGISTRY", [*verify._REGISTRY, *(spy(n, b) for n, b in bodies.items())])
+    return runs
+
+
+class TestTrialReuse:
+    MENU = (
+        (InnerFunction.monomial(3), InnerFunction.monomial(2), 2),
+        (InnerFunction.blaschke([0.5]), InnerFunction.monomial(2), 3),
+    )
+
+    def test_draw_free_property_runs_once_per_space(self, monkeypatch):
+        runs = spies(
+            monkeypatch,
+            drawing=lambda rng, ctx: (0.0, {"x": rng.standard_normal(), "never": Unserialisable()}),
+            draw_free=lambda rng, ctx: (0.0, {"k": ctx.k, "never": Unserialisable()}),
+        )
+        report = run_suite(SuiteConfig(seed=3, trials=4, menu=self.MENU))
+        assert runs == {"drawing": 4 * 2, "draw_free": 2}
+        rows = [r for r in report.results if r.name in runs]
+        assert len(rows) == 4 and report.all_passed
+        assert all((r.passes, r.fails, r.first_counterexample) == (4, 0, None) for r in rows)
+
+    def test_failing_draw_free_property_fails_every_trial(self, monkeypatch):
+        def failing(rng, ctx):
+            n, m = ctx.setting.basis_beta.dim, ctx.setting.basis_alpha.dim
+            return 0.5, {"matrix": ctx.setting.matrix(np.ones((n, m))), "coords": np.array([1j, 2.0])}
+
+        runs = spies(monkeypatch, failing=failing)
+        report = run_suite(SuiteConfig(seed=3, trials=4, menu=self.MENU))
+        assert runs == {"failing": 2} and not report.all_passed
+        rows = [r for r in report.results if r.name == "failing"]
+        for row, (alpha, beta, _) in zip(rows, self.MENU, strict=True):
+            assert (row.passes, row.fails, row.worst_residual) == (0, 4, 0.5)
+            cx = row.first_counterexample
+            assert (cx["trial"], cx["residual"]) == (0, 0.5)
+            # The failing trial's inputs are serialised by their own to_json.
+            n, m = beta.degree, alpha.degree
+            assert cx["inputs"] == {"matrix": {"rows": n, "cols": m, "data": [[1.0, 0.0]] * (n * m)}, "coords": [[0.0, 1.0], [2.0, 0.0]]}
+        json.loads(report.to_json_text())
