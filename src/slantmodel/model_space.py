@@ -3,17 +3,22 @@ inside H^2 for a finite Blaschke product alpha, whose zeros may repeat (z^N is
 N zeros at the origin).  A basis is the Takenaka-Malmquist rows, stored as
 Taylor coefficient arrays truncated at a certified order; when every zero is
 at the origin they are exactly 1, z, ..., z^{N-1}.  Column n of the rows is
-E[n] = A^n B for a lossless realization (A, B) in closed form, A the
+E[n] = A^n B for a lossless realization (A, B, C, D) in closed form, A the
 conjugate of the compressed shift (Ninness and Gustafsson, IEEE TAC 42, 1997).
+A build holds the realization and the compressed shift; the truncated rows
+and all that is read off them are computed on first read, and the leading
+columns of the rows can be read without them.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -234,30 +239,45 @@ def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray
     return dst[:, n0:n3].conj() @ kept.transpose(1, 0, 2).reshape(n3 - n0, -1)
 
 
+class _Truncation(NamedTuple):
+    """What a basis computes on the first read of its rows."""
+
+    rows: np.ndarray
+    conjugation: np.ndarray
+    tail_bound: float
+    gram_error: float
+    held: int  # h, the columns of the rows that doubling fills
+    step: np.ndarray | None  # A^h; None for z^N
+
+
 @dataclass(frozen=True, eq=False)
 class ModelSpaceBasis:
-    """Orthonormal basis of a model space, stored as a dim x (T + 1) array of
-    Taylor coefficients: the Takenaka-Malmquist rows truncated at a certified
-    order T, or the identity rows when every zero is at the origin, with the
-    matrix of the compressed shift and the expansion of alpha over
-    frequencies 0..2(T + 1).  Frozen, arrays read-only.
+    """Orthonormal basis of a model space: the Takenaka-Malmquist rows as a
+    dim x (T + 1) array of Taylor coefficients truncated at a certified order
+    T, or the identity rows when every zero is at the origin.  `build` holds
+    the realization and the matrix of the compressed shift.  The rows, their
+    tail bound and Gram check, the conjugation matrix and the expansion of
+    the inner function are each computed on first read, once, and are plain
+    instance attributes from then on; `first_columns` reads the leading
+    columns of the rows without forming them.  Frozen, arrays read-only.
     """
 
     inner: InnerFunction
-    rows: np.ndarray
-    _conjugation: np.ndarray
-    _shift: np.ndarray
-    alpha_expansion: np.ndarray
-    tail_bound: float
-    gram_error: float
+    # The padded system [[0, 0, 0], [B, A, 0], [D, C, 0]] of `_realization`;
+    # None when every zero is at the origin.
+    _system: np.ndarray | None
+    _shift: np.ndarray  # conj(A)
+    # T is never below it: the order of a single zero of modulus max |w|, N - 1 for z^N.
+    least_order: int
 
     def __post_init__(self):
-        for array in (self.rows, self._conjugation, self._shift, self.alpha_expansion):
-            array.setflags(write=False)
+        self._shift.setflags(write=False)
+        if self._system is not None:
+            self._system.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.rows.shape[0]
+        return len(self._shift)
 
     @property
     def truncation_order(self) -> int:
@@ -265,30 +285,98 @@ class ModelSpaceBasis:
 
     @classmethod
     def build(cls, inner: InnerFunction) -> "ModelSpaceBasis":
-        """The basis, its Gram check, its conjugation matrix, its compressed
-        shift and the expansion of alpha.  On the circle
+        """The realization (A, B, C, D) of `_realization` and the compressed
+        shift; for z^N, A is the nilpotent shift.  Row i of A^n has the
+        diagonal entry conj(w_i)^n, so T is at least the order of a single
+        zero of modulus max |w|: that order above MAX_TRUNCATION, and arrays
+        above MAX_ENTRIES for it, are refused here, before anything is
+        allocated.  What needs the rows is refused on their first read
+        (`_truncation`)."""
+        dim, rho = inner.degree, max(map(abs, inner.zeros))
+        order = _checked(math.ceil(math.log(TAIL_BOUND_LIMIT) / math.log(rho)) - 1 if rho else dim - 1)
+        if not rho:
+            _capped(dim, dim)
+            return cls(inner, None, np.eye(dim, k=-1, dtype=complex), order)
+        _capped(2, dim, 1 << _first(order))
+        system = _realization([0j, *inner.zeros, 0j])
+        return cls(inner, system, system[1:-1, 1:-1].conj(), order)
+
+    @functools.cached_property
+    def _truncation(self) -> _Truncation:
+        """The rows, the conjugation matrix, the tail bound and the Gram
+        check, computed together on first read.  On the circle
         alpha * conj(z e_j) = c sqrt(1 - |w_j|^2) / (1 - conj(w_j) z) * prod_{i>j} b_i,
         c times the mirror row j (z^(N-1-j) for z^N), the row j of the reversed
         list, so C is a Gram matrix of the rows and the mirror rows.  As
         I - A A^H = B B^H, the l2 tail of row i past column n - 1 is the norm
         of row i of A^n.  T is the least order whose tail, the largest over the
         rows and the mirror rows, is <= 1e-12, and that tail is `tail_bound`.
-        Row i of A^n has the diagonal entry conj(w_i)^n, so T is at least the
-        order of a single zero of modulus max |w|: that order above
-        MAX_TRUNCATION, and arrays above MAX_ENTRIES for it, are refused before
-        anything is allocated.  For z^N, A is the nilpotent shift."""
-        dim, rho, c = inner.degree, max(map(abs, inner.zeros)), inner.constant
-        order = _checked(math.ceil(math.log(TAIL_BOUND_LIMIT) / math.log(rho)) - 1 if rho else dim - 1)
-        if rho:
-            rows, conjugation, shift, alpha, tail = _impulse_responses(inner.zeros, c, max(1, order.bit_length()))
+        An order above MAX_TRUNCATION, arrays above MAX_ENTRIES for it, and a
+        Gram matrix off the identity by more than GRAM_TOL are refused."""
+        dim, c = self.dim, self.inner.constant
+        if self._system is None:
+            rows = np.eye(dim, dtype=complex)
+            conjugation, tail, held, step = c * rows[::-1], 0.0, dim, None
         else:
-            _capped(dim, dim)
-            rows, shift, tail = np.eye(dim, dtype=complex), np.eye(dim, k=-1, dtype=complex), 0.0
-            conjugation, alpha = c * rows[::-1], c * np.eye(1, 2 * dim + 1, dim, dtype=complex)[0]
+            rows, gram, tail, held, step = _impulse_responses(self._system, _first(self.least_order))
+            conjugation = c * gram
         gram_error = float(np.abs(rows.conj() @ rows.T - np.eye(dim)).max())
         if gram_error > GRAM_TOL:
             raise TruncationError(f"basis Gram matrix deviates from identity by {gram_error:.3e}")
-        return cls(inner, rows, conjugation, shift, alpha, tail, gram_error)
+        rows.setflags(write=False)
+        conjugation.setflags(write=False)
+        return _Truncation(rows, conjugation, tail, gram_error, held, step)
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The dim x (T + 1) Taylor coefficients, read-only."""
+        return self._truncation.rows
+
+    @functools.cached_property
+    def tail_bound(self) -> float:
+        return self._truncation.tail_bound
+
+    @functools.cached_property
+    def gram_error(self) -> float:
+        return self._truncation.gram_error
+
+    @functools.cached_property
+    def _conjugation(self) -> np.ndarray:
+        return self._truncation.conjugation
+
+    @functools.cached_property
+    def inner_expansion(self) -> np.ndarray:
+        """Taylor coefficients of the inner function over frequencies
+        0..2(T + 1), read-only: c z^N when every zero is at the origin, else
+        alpha[0] = c D and alpha[q h + r + 1] = c C A^(q h) E[:, r], r < h,
+        from the h columns E of the rows that doubling fills."""
+        c, length = self.inner.constant, 2 * self.truncation_order + 3
+        if self._system is None:
+            expansion = c * np.eye(1, length, self.dim, dtype=complex)[0]
+        else:
+            held, step, system = self._truncation.held, self._truncation.step, self._system
+            head = self.rows[:, :held]
+            expansion, out = np.empty(length, dtype=complex), c * system[-1, 1:-1]
+            expansion[0] = c * system[-1, 0]
+            for start in range(1, length, held):
+                np.matmul(out, head[:, : length - start], out=expansion[start : start + held])
+                out = out @ step
+        expansion.setflags(write=False)
+        return expansion
+
+    def first_columns(self, n: int) -> np.ndarray:
+        """rows[:, :n], read-only and bit for bit, for 1 <= n <= T + 1.  The
+        rows hold their first 2^(s - 1) columns, s = `_first(least_order)`,
+        from doubling alone; until the rows are read, n up to that many come
+        from the same doubling, stopped at the first power of two >= n.  Past
+        that, once the rows exist, and for z^N, this is a slice of the rows."""
+        held = 1 << (_first(self.least_order) - 1)
+        if self._system is None or "rows" in vars(self) or n > held:
+            return self.rows[:, :n]
+        powers = _squares(self._system[1:-1, 1:-1], (n - 1).bit_length())
+        columns = _doubled(self._system, powers)[0, :, :n]
+        columns.setflags(write=False)
+        return columns
 
     def stretched_projection(self, coeffs: np.ndarray, k: int) -> np.ndarray:
         """Taylor coefficients of the projection onto the model space of
@@ -362,18 +450,42 @@ def _realization(zeros: list) -> np.ndarray:
     return np.array(m)
 
 
-def _impulse_responses(zeros: tuple, c: complex, first: int) -> tuple:
-    """The rows at their order T, the conjugation matrix, conj(A), alpha over
-    0..2(T + 1) and the tail (see `ModelSpaceBasis.build`).  Columns fill by
-    doubling, E[:, m:2m] = A^m E[:, :m], to the least 2^S >= 2^first with row
-    norms of A^(2^S) <= 1e-12.  The reversed list has the system J A^T J: the
-    mirror rows are (A^T)^n C, with the column norms of A^n as tails."""
-    dim = len(zeros)
-    _capped(2, dim, 1 << first)
-    system = _realization([0j, *zeros, 0j])
-    powers = [system[1:-1, 1:-1]]  # A^(2^s)
-    for _ in range(first):
+def _first(order: int) -> int:
+    """The least s >= 1 with 2^s > order: a build squares A that far before
+    it measures the tail, and so fills the first 2^(s-1) columns of the rows
+    by doubling alone."""
+    return max(1, order.bit_length())
+
+
+def _squares(a: np.ndarray, count: int) -> list:
+    """A^(2^s) for s < count, by repeated squaring."""
+    powers = [a]
+    for _ in range(count - 1):
         powers.append(powers[-1] @ powers[-1])
+    return powers[:count]
+
+
+def _doubled(system: np.ndarray, powers: list, mirror: bool = False) -> np.ndarray:
+    """The first 2^len(powers) columns of the rows E[:, n] = A^n B, and with
+    mirror of the mirror rows (A^T)^n C, stacked: column 0 from the padded
+    system, then E[:, m:2m] = A^m E[:, :m] for m = 2^s, A^m = powers[s]."""
+    resp = np.empty((1 + mirror, len(system) - 2, 1 << len(powers)), dtype=complex)
+    resp[:, :, 0] = (system[1:-1, 0], system[-1, 1:-1])[: 1 + mirror]
+    for s, power in enumerate(powers):
+        np.matmul(power, resp[0, :, : 1 << s], out=resp[0, :, 1 << s : 2 << s])
+        if mirror:
+            np.matmul(power.T, resp[1, :, : 1 << s], out=resp[1, :, 1 << s : 2 << s])
+    return resp
+
+
+def _impulse_responses(system: np.ndarray, first: int) -> tuple:
+    """The rows at their order T, conj(rows) @ mirror^T, the tail (see
+    `ModelSpaceBasis._truncation`), and h with A^h.  Columns fill by doubling
+    (`_doubled`) to h = 2^(S-1), for the least S >= first with row norms of
+    A^(2^S) <= 1e-12.  The reversed list has the system J A^T J: the mirror
+    rows are (A^T)^n C, with the column norms of A^n as tails."""
+    dim = len(system) - 2
+    powers = _squares(system[1:-1, 1:-1], first + 1)  # A^(2^s)
     # Squared row norms of A^(2^S) and of its transpose, the tails past 2^S - 1.
     while (last := (np.abs(np.stack([powers[-1], powers[-1].T])) ** 2).sum(axis=2)).max() > TAIL_BOUND_LIMIT**2:
         if 1 << (len(powers) - 1) > MAX_TRUNCATION:
@@ -381,14 +493,22 @@ def _impulse_responses(zeros: tuple, c: complex, first: int) -> tuple:
         _capped(2, dim, 2 << (len(powers) - 1))
         powers.append(powers[-1] @ powers[-1])
     # The rows and the mirror rows up to h = 2^(S-1); E[:, h + r] = A^h E[:, r].
-    resp = np.empty((2, dim, 1 << (len(powers) - 2)), dtype=complex)
-    resp[:, :, 0] = system[1:-1, 0], system[-1, 1:-1]
-    for s, power in enumerate(powers[:-2]):
-        np.matmul(power, resp[0, :, : 1 << s], out=resp[0, :, 1 << s : 2 << s])
-        np.matmul(power.T, resp[1, :, : 1 << s], out=resp[1, :, 1 << s : 2 << s])
-    # Squared tails of the orders h - 1..2h - 1: last plus the squares of the
-    # columns past each, summed in blocks from the end.  So T >= h - 1.
+    resp = _doubled(system, powers[:-2], mirror=True)
     h, step = resp.shape[2], np.stack([powers[-2], powers[-2].T])
+    passed, tail = _measured(resp, step, last)
+    _checked(h - 1 + passed)  # T
+    second = step @ resp[..., :passed]  # columns h..T
+    # conj(rows) @ mirror^T, before the rows are joined: one copy less at the peak.
+    gram = resp[0].conj() @ resp[1].T + second[0].conj() @ second[1].T
+    return np.concatenate([resp[0], second[0]], axis=1), gram, tail, h, powers[-2]
+
+
+def _measured(resp: np.ndarray, step: np.ndarray, last: np.ndarray) -> tuple[int, float]:
+    """How many columns past the h held ones the rows keep, and their tail.
+    The squared tails of the orders h - 1..2h - 1 are last, the squared row
+    norms of A^(2h) and its transpose, plus the squares of the columns
+    A^h E[:, r] past each, summed in blocks from the end.  So T >= h - 1."""
+    h = resp.shape[2]
     tails, carry = np.empty(h + 1), last
     for stop in range(h, 0, -TAIL_BLOCK):
         block = np.abs(step @ resp[..., max(0, stop - TAIL_BLOCK) : stop]) ** 2
@@ -396,17 +516,7 @@ def _impulse_responses(zeros: tuple, c: complex, first: int) -> tuple:
         tails[stop - block.shape[2] : stop], carry = block.max(axis=(0, 1)), block[..., 0]
     tails[h] = last.max()
     passed = int(np.count_nonzero(tails > TAIL_BOUND_LIMIT**2))
-    order = _checked(h - 1 + passed)
-    second = step @ resp[..., :passed]  # columns h..T
-    rows = np.concatenate([resp[0], second[0]], axis=1)
-    gram = resp[0].conj() @ resp[1].T + second[0].conj() @ second[1].T  # conj(rows) @ mirror^T
-    # alpha[0] = c D and alpha[q h + r + 1] = c C A^(q h) E[:, r].
-    alpha, out = np.empty(2 * order + 3, dtype=complex), c * system[-1, 1:-1]
-    alpha[0] = c * system[-1, 0]
-    for start in range(1, len(alpha), h):
-        np.matmul(out, resp[0, :, : len(alpha) - start], out=alpha[start : start + h])
-        out = out @ powers[-2]
-    return rows, c * gram, powers[0].conj(), alpha, math.sqrt(tails[passed])
+    return passed, math.sqrt(tails[passed])
 
 
 __all__ = [

@@ -143,6 +143,13 @@ class CompressionSetting:
     The model space of beta(z^k) inherits beta's measured truncation order:
     it is never formed, and the routines that need it apply beta's rows
     column by polyphase column (`ModelSpaceBasis.stretched_projection`).
+
+    The bases are built with their realizations and shifts alone; each
+    forms its truncated rows when a routine first reads them.  The t35
+    frames and the interpolation constants read only leading columns
+    (`ModelSpaceBasis.first_columns`), so a t35 fit and its recovery need
+    no rows while k and the dimensions stay within the columns that the
+    doubling of every build fills.
     """
 
     def __init__(self, alpha: InnerFunction, beta: InnerFunction, k: int):
@@ -179,8 +186,8 @@ class CompressionSetting:
             raise ValueError(f"unknown variant {variant!r}")
         if variant not in self._frames:
             ba, bb = self.basis_alpha, self.basis_beta
-            F = bb.rows[:, 0].conj()
-            G = ba.rows[:, : _used(self)].conj()
+            F = bb.first_columns(1)[:, 0].conj()
+            G = ba.first_columns(_used(self)).conj()
             if variant in ("c38", "c310a"):
                 F = bb.conjugate_vector(F)
             if variant in ("c38", "c310b"):
@@ -216,7 +223,7 @@ class CompressionSetting:
         K_alpha.  Computed on first use, read-only."""
         ba, used = self.basis_alpha, _used(self)
         inv_a = _interpolant(ba)
-        fold = None if used <= ba.dim else _frozen(inv_a.conj() @ ba.rows[:, ba.dim : used])[0]
+        fold = None if used <= ba.dim else _frozen(inv_a.conj() @ ba.first_columns(used)[:, ba.dim :])[0]
         return inv_a, _interpolant(self.basis_beta), fold
 
     @property
@@ -244,7 +251,7 @@ def _interpolant(basis: ModelSpaceBasis) -> np.ndarray | None:
     of degree < dim with the same projection; None when A is exactly the
     identity (z^N).  A is invertible, as no nonzero polynomial of degree < dim
     lies in alpha H^2."""
-    head = basis.rows[:, : basis.dim]
+    head = basis.first_columns(basis.dim)
     if np.array_equal(head, np.eye(basis.dim)):
         return None
     return _frozen(np.linalg.inv(head.conj()))[0]
@@ -331,8 +338,10 @@ def _head(coords: np.ndarray, basis: ModelSpaceBasis) -> tuple[np.ndarray, int]:
 
 def _used(setting: CompressionSetting) -> int:
     """How many psi_j count: psi_j only meets the frame through the Taylor
-    coefficient of order j in K_alpha, which vanishes past the alpha row length."""
-    return min(setting.k, setting.basis_alpha.rows.shape[1])
+    coefficient of order j in K_alpha, which vanishes past the alpha row
+    length.  That is k, with no need for T, for k <= least_order + 1."""
+    ba, k = setting.basis_alpha, setting.k
+    return k if k <= ba.least_order + 1 else min(k, ba.rows.shape[1])
 
 
 def _reduced(phi: LaurentPoly, setting: CompressionSetting, shift: int) -> tuple[np.ndarray, int]:
@@ -506,7 +515,7 @@ def recover_symbol(report: MembershipReport, setting: CompressionSetting) -> Lau
     # sum_j psi_j(z^k) z^(j + 1).  Block n holds frequencies
     # k n + 2 - len(ea)..k n + used, and frequency k n + j + 1 of the sum sits
     # at s n + j from 1.
-    ea, eb = ba.alpha_expansion, bb.alpha_expansion
+    ea, eb = ba.inner_expansion, bb.inner_expansion
     s = min(k, used + len(ea) - 1)
     blocks = np.zeros((len(parts), s), dtype=complex)
     blocks[:, :used] = parts
@@ -594,7 +603,7 @@ def conjugate_symbol(phi: LaurentPoly, setting: CompressionSetting) -> LaurentPo
     """The symbol conj(alpha phi z^(k-1)) beta(z^k) of the conjugation sandwich
     of a symbol-built compression, from phi over the windows its matrix reads."""
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
-    ea, width = ba.alpha_expansion, ba.rows.shape[1]
+    ea, width = ba.inner_expansion, ba.rows.shape[1]
     # Block n of alpha phi holds frequencies k n + t, -T_alpha <= t < len(ea):
     # at the stride s of that width they stay apart, and z^s stands for z^k.
     s = min(k, width + len(ea) - 1)
@@ -603,7 +612,7 @@ def conjugate_symbol(phi: LaurentPoly, setting: CompressionSetting) -> LaurentPo
     # z^(1 - s) q beta(z^s) with q = conj(alpha phi) from frequency q_lo, in
     # blocks of s from frequency 2 - len(ea).
     q, q_lo = prod[::-1].conj(), 1 - lo - len(prod)
-    return _place(_times_stretched(q, bb.alpha_expansion, s), q_lo + 1 - s, s, k, 2 - len(ea))
+    return _place(_times_stretched(q, bb.inner_expansion, s), q_lo + 1 - s, s, k, 2 - len(ea))
 
 
 def conjugate_operator(
@@ -641,12 +650,12 @@ def rank_one(
         # l! beta(z^k) z^-(l + k)
         F = bb.conjugate_vector(bb.kernel(0, 0))
         G = ba.kernel(0, l)
-        symbol = _place(bb.alpha_expansion * derivative_scale(l), -(l + 1), 1, k, -l)
+        symbol = _place(bb.inner_expansion * derivative_scale(l), -(l + 1), 1, k, -l)
     elif kind == "k_tilde":
         # l! conj(alpha) z^(l + 1)
         F = bb.kernel(0, 0)
         G = ba.conjugate_vector(ba.kernel(0, l))
-        ea = ba.alpha_expansion
+        ea = ba.inner_expansion
         symbol = LaurentPoly.from_array(ea[::-1].conj() * derivative_scale(l), l + 2 - len(ea))
     else:
         raise ValueError(f"unknown rank-one kind {kind!r}")

@@ -579,8 +579,8 @@ def _prop_zero(rng, ctx, which):
     # A symbol of the zero space: conj(alpha h1) + z^-shift beta(z^k) h2.
     h1 = _dense(random_laurent(rng, lo=0, hi=4, terms=4))
     h2 = _dense(random_laurent(rng, lo=0, hi=4, terms=4))
-    alpha_exp = ctx.setting.basis_alpha.alpha_expansion, 0
-    beta_exp = ctx.setting.basis_beta.alpha_expansion, 0
+    alpha_exp = ctx.setting.basis_alpha.inner_expansion, 0
+    beta_exp = ctx.setting.basis_beta.inner_expansion, 0
     shift = ctx.k - 1 if which == "p27" else 0
     second = _times(h2, beta_exp, ctx.k)
     phi = LaurentPoly.from_array(*_sum(_conj(_times(alpha_exp, h1)), (second[0], second[1] - shift)))

@@ -384,6 +384,19 @@ class TestErrors:
         assert code == 3 and "outside" in err
         assert time.perf_counter() - start < 0.5
 
+    def test_rows_refused_only_where_read(self, capsys):
+        # A double zero at 0.99997 needs T = 1059425 > 2^20, which only the
+        # measured tail shows: info reads the rows and refuses them, while
+        # t35 membership and recovery at k = 2 read two columns and answer.
+        alpha = '{"zeros": [0.99997, 0.99997]}'
+        code, _, err = run(capsys, ["info", "--alpha", alpha])
+        assert code == 3 and "outside" in err
+        common = ["--k", "2", "--alpha", alpha, "--beta", "z^2", "--matrix", json.dumps({"rows": 2, "cols": 2, "data": [[0, 0]] * 4})]
+        code, out, _ = run(capsys, ["membership", *common])
+        assert code == 0 and json.loads(out)["member"] is True
+        code, out, _ = run(capsys, ["recover", *common])
+        assert code == 0 and json.loads(out) == {"coeffs": []}
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -108,7 +108,7 @@ class TestInnerFunction:
         for inner in inners:
             basis = ModelSpaceBasis.build(inner)
             T = basis.truncation_order
-            expansion = basis.alpha_expansion
+            expansion = basis.inner_expansion
             assert expansion.shape == (2 * (T + 1) + 1,) and not expansion.flags.writeable
             assert np.abs(expansion - convolution_expansions(inner, 2 * (T + 1))[1]).max() <= 1e-14
             if not any(inner.zeros):
@@ -188,6 +188,7 @@ class TestMakeBasis:
             zeros = radius * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
             try:
                 basis = ModelSpaceBasis.build(InnerFunction.blaschke(zeros))
+                basis.rows
             except TruncationError as exc:
                 assert "outside" in str(exc) or "cap" in str(exc)
                 continue
@@ -227,6 +228,7 @@ class TestMakeBasis:
         for zeros in ([0.9999, -0.3, 0.2j], [0.9999], [0.99987]):
             start = time.process_time()  # CPU time: other processes do not count
             basis = ModelSpaceBasis.build(InnerFunction.blaschke(zeros))
+            basis.rows
             assert time.process_time() - start < 0.5
             assert basis.tail_bound <= 1e-12 and basis.gram_error <= GRAM_TOL
             if len(zeros) == 1:
@@ -239,17 +241,32 @@ class TestMakeBasis:
             assert basis.truncation_order == order and basis.tail_bound <= 1e-12
 
     def test_build_memory(self):
-        # The build holds the first 2^14 columns of the rows and the mirror
-        # rows (1.5 MiB at dim 3), then the rows (1.3 MiB) and alpha (0.8 MiB).
+        # The rows hold the first 2^14 columns of the rows and the mirror
+        # rows (1.5 MiB at dim 3), then the rows (1.3 MiB); alpha (0.8 MiB)
+        # comes from them.
         inner = InnerFunction.blaschke([0.999, -0.3, 0.2j])
         tracemalloc.start()
         try:
             basis = ModelSpaceBasis.build(inner)
+            basis.inner_expansion
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert basis.truncation_order == 27618
         assert peak <= 6 * 2**20
+
+    def test_refusals_wait_for_the_rows(self):
+        # A double zero at 0.99997 needs T = 1059425 > 2^20, past the order
+        # 921020 of one zero at 0.99997: only the measured tail shows it, so
+        # the build stands and reading the rows refuses it, every time.
+        basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.99997, 0.99997]))
+        assert basis.least_order == 921020 and basis.dim == 2
+        for _ in range(2):
+            with pytest.raises(TruncationError, match="outside"):
+                basis.rows
+        r = math.sqrt(1 - 0.99997**2)
+        columns = basis.first_columns(2)
+        assert columns.shape == (2, 2) and np.abs(columns[:, 0] - [r, -0.99997 * r]).max() <= 1e-18
 
     @pytest.mark.parametrize("zeros", [[0.9, 0.9, 0.9], [0.4, -0.5j], [0, 0, 0.5, -0.3]], ids=["triple", "complex", "origin"])
     def test_realization_is_lossless(self, zeros):
@@ -264,6 +281,33 @@ class TestMakeBasis:
         assert InnerFunction.monomial(MAX_TRUNCATION + 1).degree == MAX_TRUNCATION + 1
         with pytest.raises(TruncationError, match="outside"):
             InnerFunction.monomial(10**12)
+
+
+class TestFirstColumns:
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            InnerFunction.blaschke([0.9, 0.9, 0.9]),
+            InnerFunction.blaschke([0.4, -0.5j]),
+            InnerFunction.blaschke([0, 0, 0.5, -0.3]),
+            InnerFunction.monomial(5),
+        ],
+        ids=["repeated", "complex", "origin", "monomial"],
+    )
+    def test_equal_to_rows_either_way(self, inner):
+        # Every build fills the first 2^(s-1) columns by doubling, s the bit
+        # length of its least order: up to that many come from the doubling
+        # before the rows exist, bit for bit, and the rest from the rows.
+        rows = ModelSpaceBasis.build(inner).rows
+        held = 1 << (max(1, ModelSpaceBasis.build(inner).least_order.bit_length()) - 1)
+        widths = {1, 2, 3, inner.degree, held - 1, held, held + 1, rows.shape[1] - 1, rows.shape[1]}
+        for n in sorted(w for w in widths if 1 <= w <= rows.shape[1]):
+            basis = ModelSpaceBasis.build(inner)
+            first = basis.first_columns(n)
+            assert ("rows" in vars(basis)) == (n > held or inner.kind == "monomial")
+            assert np.array_equal(first, rows[:, :n]) and not first.flags.writeable
+            assert np.array_equal(basis.rows, rows)
+            assert np.array_equal(basis.first_columns(n), first)
 
 
 class TestProject:
@@ -514,7 +558,7 @@ class TestConvolutionOracle:
         # truncations of the same series, so one reference run covers both.
         rows, alpha = convolution_expansions(inner, 2 * (T + 1))
         assert np.abs(basis.rows - rows[:, : T + 1]).max() <= 1e-14
-        assert np.abs(basis.alpha_expansion - alpha).max() <= 1e-14
+        assert np.abs(basis.inner_expansion - alpha).max() <= 1e-14
 
     @pytest.mark.parametrize("inner", INNERS, ids=IDS)
     def test_kernel_matches_series(self, inner):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from laurent_oracle import conj_on_circle, decimate, distance, inner, is_zero, monomial, mul, shifted, stretch, sub
 from slantmodel.laurent import LaurentPoly
-from slantmodel.model_space import InnerFunction, ModelSpaceBasis, _compress
+from slantmodel.model_space import InnerFunction, ModelSpaceBasis, TruncationError, _compress
 from slantmodel.operators import (
     VARIANTS,
     CompressionSetting,
@@ -50,7 +50,7 @@ def vectors(basis):
 
 
 def stretched_beta_expansion(setting):
-    return stretch(LaurentPoly.from_array(setting.basis_beta.alpha_expansion), setting.k)
+    return stretch(LaurentPoly.from_array(setting.basis_beta.inner_expansion), setting.k)
 
 
 def kron_basis(setting):
@@ -58,15 +58,18 @@ def kron_basis(setting):
     order of `decimation_matrix`: row i k + j is z^j e_i(z^k).  z moves it to
     row i k + j + 1, and z^k e_i(z^k) to the compressed shift of e_i at z^k."""
     bb, k = setting.basis_beta, setting.k
-    return ModelSpaceBasis(
-        bb.inner.stretched(k),
-        np.kron(bb.rows, np.eye(k)),
-        np.kron(bb.conjugation_matrix(), np.eye(k)[::-1]),
-        np.kron(bb.compressed_shift()[0], np.eye(k, k=1 - k)) + np.kron(np.eye(bb.dim), np.eye(k, k=-1)),
-        np.kron(bb.alpha_expansion, np.eye(1, k)[0])[: 2 * k * bb.rows.shape[1] + 1],
-        bb.tail_bound,
-        bb.gram_error,
+    rows = np.kron(bb.rows, np.eye(k))
+    shift = np.kron(bb.compressed_shift()[0], np.eye(k, k=1 - k)) + np.kron(np.eye(bb.dim), np.eye(k, k=-1))
+    big = ModelSpaceBasis(bb.inner.stretched(k), None, shift, rows.shape[1] - 1)
+    # What a build computes on first read is given here, so it is never computed.
+    vars(big).update(
+        rows=rows,
+        _conjugation=np.kron(bb.conjugation_matrix(), np.eye(k)[::-1]),
+        inner_expansion=np.kron(bb.inner_expansion, np.eye(1, k)[0])[: 2 * k * bb.rows.shape[1] + 1],
+        tail_bound=bb.tail_bound,
+        gram_error=bb.gram_error,
     )
+    return big
 
 
 def monomial_oracle_matrix(phi, setting):
@@ -589,6 +592,61 @@ class TestSettingCache:
         assert again.to_json() == report.to_json()
 
 
+class TestRowsOnDemand:
+    """t35 membership and recovery read the first k columns of alpha's rows
+    and the first dim of beta's.  The doubling gives them before the rows
+    exist up to the 2^(s-1) columns that every build fills that way, s the
+    bit length of the least order: 32 for a zero at 0.5, 512 at 0.95."""
+
+    @pytest.mark.parametrize(
+        "alpha,beta,k",
+        [(B3, BETA, 2), (B2, zn(3), 5), (zn(3), BETA, 3), (B_NEAR, B_NEAR, 2), (B_REPEATED, BETA, 32)],
+        ids=["B3-B-k2", "B2-z3-k5-fold", "z3-B-k3", "Bnear-k2", "Brepeated-k32"],
+    )
+    def test_t35_leaves_rows_unbuilt(self, alpha, beta, k):
+        built = CompressionSetting(alpha, beta, k)
+        rng = np.random.default_rng(61)
+        inputs = [build_compression(random_laurent(rng, -6, 10, terms=6), built) for _ in range(2)]
+        n, m = built.basis_beta.dim, built.basis_alpha.dim
+        inputs.append(built.matrix(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))))
+        for i, U in enumerate(inputs):
+            fresh = CompressionSetting(alpha, beta, k)
+            report = membership(U, fresh)
+            assert report.member or i == 2
+            symbol = recover_symbol(report, fresh) if report.member else None
+            for basis in (fresh.basis_alpha, fresh.basis_beta):
+                assert "rows" not in vars(basis) or basis.inner.kind == "monomial"
+            # The same bits from a setting whose rows were read first.
+            want = membership(U, built)
+            assert json.dumps(report.to_json()) == json.dumps(want.to_json())
+            assert symbol == (recover_symbol(want, built) if want.member else None)
+
+    def test_near_circle_membership_memory(self):
+        # B[0.99995i, -0.5i] has T = 552606: its rows take 17 MB, and the
+        # build of the rows and the mirror rows five times that.  Membership
+        # at k = 2 reads two columns of alpha's rows and one of beta's.
+        inner = InnerFunction.blaschke([0.99995j, -0.5j])
+        g = np.random.default_rng(67)
+        U = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
+
+        def run():
+            setting = CompressionSetting(inner, inner, 2)
+            membership(setting.matrix(U), setting)
+
+        assert traced_peak(run) < 1 << 20
+
+    def test_refused_rows_still_answer(self):
+        # A double zero at 0.99997 needs T = 1059425 > 2^20, which only the
+        # measured tail shows: the rows are refused, membership and
+        # recovery at k = 2 read two columns and answer.
+        setting = CompressionSetting(InnerFunction.blaschke([0.99997, 0.99997]), zn(2), 2)
+        with pytest.raises(TruncationError, match="outside"):
+            setting.basis_alpha.rows
+        report = membership(setting.matrix(np.zeros((2, 2))), setting)
+        assert report.member and report.residual == 0.0
+        assert recover_symbol(report, setting) == L({})
+
+
 class TestNearCirclePipeline:
     """B[0.99, -0.3, 0.2i] -> B[0.4, -0.5i], k = 2: alpha truncated at T = 2750."""
 
@@ -653,7 +711,7 @@ class TestRepeatedZeros:
             phi = random_laurent(rng, -7, 12, terms=7)
             out = canonical_symbol(phi, setting, which)
             assert np.abs(build_compression(out, setting).entries - build_compression(phi, setting).entries).max() < 1e-10
-        alpha_bar = conj_on_circle(LaurentPoly.from_array(setting.basis_alpha.alpha_expansion))
+        alpha_bar = conj_on_circle(LaurentPoly.from_array(setting.basis_alpha.inner_expansion))
         phi = mul(alpha_bar, random_laurent(rng, -3, 0, terms=3))
         phi = phi + mul(stretched_beta_expansion(setting), random_laurent(rng, 0, 3, terms=3))
         assert zero_test_sufficient(phi, setting, "p22")
@@ -817,7 +875,7 @@ class TestZeroTest:
         for setting in all_settings:
             m, n, k = setting.basis_alpha.dim, setting.basis_beta.dim, setting.k
             phi = mul(
-                conj_on_circle(LaurentPoly.from_array(setting.basis_alpha.alpha_expansion)),
+                conj_on_circle(LaurentPoly.from_array(setting.basis_alpha.inner_expansion)),
                 random_laurent(rng, -3, 0, terms=3),
             )
             phi = phi + mul(stretched_beta_expansion(setting), random_laurent(rng, 0, 3, terms=3))
@@ -827,7 +885,7 @@ class TestZeroTest:
     def test_split_ambiguity_absorbed(self, s543):
         # A constant can sit on either side of the split; both tests must
         # treat alpha-side constants correctly.
-        alpha_bar = conj_on_circle(LaurentPoly.from_array(s543.basis_alpha.alpha_expansion))
+        alpha_bar = conj_on_circle(LaurentPoly.from_array(s543.basis_alpha.inner_expansion))
         assert zero_test_sufficient(mul(alpha_bar, L({0: 2.0})), s543, "p22")
         assert zero_test_sufficient(mul(alpha_bar, L({0: 2.0})), s543, "p27")
 
@@ -1242,7 +1300,7 @@ class TestArrayPrimitives:
 
 
 def dict_alpha(basis):
-    return LaurentPoly.from_array(basis.alpha_expansion)
+    return LaurentPoly.from_array(basis.inner_expansion)
 
 
 def dict_recover(report, setting):
