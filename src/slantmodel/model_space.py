@@ -258,8 +258,9 @@ class ModelSpaceBasis:
     the realization and the matrix of the compressed shift.  The rows, their
     tail bound and Gram check, the conjugation matrix and the expansion of
     the inner function are each computed on first read, once, and are plain
-    instance attributes from then on; `first_columns` reads the leading
-    columns of the rows without forming them.  Frozen, arrays read-only.
+    instance attributes from then on, as is a refusal of the rows;
+    `first_columns` reads the leading columns of the rows without forming
+    them.  Frozen, arrays read-only.
     """
 
     inner: InnerFunction
@@ -301,10 +302,27 @@ class ModelSpaceBasis:
         system = _realization([0j, *inner.zeros, 0j])
         return cls(inner, system, system[1:-1, 1:-1].conj(), order)
 
-    @functools.cached_property
+    @property
     def _truncation(self) -> _Truncation:
         """The rows, the conjugation matrix, the tail bound and the Gram
-        check, computed together on first read.  On the circle
+        check, computed together on first read (`_truncate`).  A refusal is
+        kept as well: every later read raises it again without recomputing."""
+        outcome = self._truncation_outcome
+        if isinstance(outcome, TruncationError):
+            raise outcome.with_traceback(None)  # one read's frames, not every read's
+        return outcome
+
+    @functools.cached_property
+    def _truncation_outcome(self) -> _Truncation | TruncationError:
+        try:
+            return self._truncate()
+        except TruncationError as refusal:
+            # Its traceback would hold the frames, and the arrays, of the attempt.
+            return refusal.with_traceback(None)
+
+    def _truncate(self) -> _Truncation:
+        """The rows at their certified order, with what is read off them.
+        On the circle
         alpha * conj(z e_j) = c sqrt(1 - |w_j|^2) / (1 - conj(w_j) z) * prod_{i>j} b_i,
         c times the mirror row j (z^(N-1-j) for z^N), the row j of the reversed
         list, so C is a Gram matrix of the rows and the mirror rows.  As
@@ -314,15 +332,15 @@ class ModelSpaceBasis:
         An order above MAX_TRUNCATION, arrays above MAX_ENTRIES for it, and a
         Gram matrix off the identity by more than GRAM_TOL are refused."""
         dim, c = self.dim, self.inner.constant
-        if self._system is None:
+        if self._system is None:  # the identity rows: no tail, orthonormal exactly
             rows = np.eye(dim, dtype=complex)
-            conjugation, tail, held, step = c * rows[::-1], 0.0, dim, None
+            conjugation, tail, gram_error, held, step = c * rows[::-1], 0.0, 0.0, dim, None
         else:
             rows, gram, tail, held, step = _impulse_responses(self._system, _first(self.least_order))
             conjugation = c * gram
-        gram_error = float(np.abs(rows.conj() @ rows.T - np.eye(dim)).max())
-        if gram_error > GRAM_TOL:
-            raise TruncationError(f"basis Gram matrix deviates from identity by {gram_error:.3e}")
+            gram_error = float(np.abs(rows.conj() @ rows.T - np.eye(dim)).max())
+            if gram_error > GRAM_TOL:
+                raise TruncationError(f"basis Gram matrix deviates from identity by {gram_error:.3e}")
         rows.setflags(write=False)
         conjugation.setflags(write=False)
         return _Truncation(rows, conjugation, tail, gram_error, held, step)

@@ -1,8 +1,9 @@
 """Seeded property harness re-checking every implemented identity numerically.
 
-Each registered property draws random inputs from a per-(property, space,
-trial) generator derived from the suite seed, so reports are byte-identical
-across runs with the same configuration.
+Each (property, space) row draws the random inputs of its trials, in turn,
+from one generator derived from the suite seed and the row, so reports are
+byte-identical across runs with the same configuration, and a row's first
+trials do not depend on how many follow.
 """
 
 from __future__ import annotations
@@ -746,10 +747,11 @@ def _jsonable(inputs):
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Every property on every menu entry, config.trials seeded trials each.
-    A property that draws nothing in its first trial repeats that computation
-    in every later one, so that trial stands for all of them.  A row keeps
-    the inputs of its first failing trial, as JSON."""
+    """Every property on every menu entry, config.trials seeded trials each,
+    drawn in turn from the row's generator.  A property that draws nothing in
+    its first trial repeats that computation in every later one, so that
+    trial stands for all of them.  A row keeps the inputs of its first
+    failing trial, as JSON."""
     registry = registered_properties()
     if config.inject_failure:
         registry.append(BROKEN_PROPERTY)
@@ -764,17 +766,15 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             worst = 0.0
             first_cx = None
             start = perf_counter()
+            rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(pidx, cidx)))
+            fresh = rng.bit_generator.state
             for trial in range(config.trials):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(config.seed, spawn_key=(pidx, cidx, trial))
-                )
-                fresh = rng.bit_generator.state if trial == 0 else None
                 try:
                     residual, payload = prop.run(rng, ctx)
                 except Exception as exc:  # a failing trial of this row, not the end of the suite
                     residual, payload = math.inf, {"error": repr(exc)}
                 # Drew nothing: every later trial is this one.
-                count = config.trials if fresh is not None and rng.bit_generator.state == fresh else 1
+                count = config.trials if trial == 0 and rng.bit_generator.state == fresh else 1
                 worst = max(worst, residual)
                 if residual <= tol:
                     passes += count

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laurent_oracle import backward_shift_pow, decimate, derivative_at, distance, evaluate, inner, monomial
+from slantmodel import model_space
 from slantmodel.laurent import LaurentPoly
 from slantmodel.model_space import (
     CONTRACTION_BLOCK,
@@ -255,15 +256,40 @@ class TestMakeBasis:
         assert basis.truncation_order == 27618
         assert peak <= 6 * 2**20
 
-    def test_refusals_wait_for_the_rows(self):
+    def test_monomial_rows_memory(self):
+        # z^N's rows are the identity, orthonormal by construction: the rows
+        # and the conjugation matrix (16 MiB each at N = 1024), no Gram product.
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(1024))
+        tracemalloc.start()
+        try:
+            basis.rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.gram_error == 0.0 and basis.truncation_order == 1023
+        assert peak <= 40 * 2**20
+
+    def test_refusals_wait_for_the_rows(self, monkeypatch):
         # A double zero at 0.99997 needs T = 1059425 > 2^20, past the order
         # 921020 of one zero at 0.99997: only the measured tail shows it, so
-        # the build stands and reading the rows refuses it, every time.
+        # the build stands and reading the rows refuses it, every time, from
+        # the one attempt.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return impulse_responses(*args)
+
+        impulse_responses = model_space._impulse_responses
+        monkeypatch.setattr(model_space, "_impulse_responses", counted)
         basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.99997, 0.99997]))
         assert basis.least_order == 921020 and basis.dim == 2
-        for _ in range(2):
-            with pytest.raises(TruncationError, match="outside"):
-                basis.rows
+        refusals = []
+        for name in ("rows", "tail_bound", "gram_error", "truncation_order", "rows"):
+            with pytest.raises(TruncationError, match="outside") as refused:
+                getattr(basis, name)
+            refusals.append(refused.value)
+        assert len(calls) == 1 and all(r is refusals[0] for r in refusals)
         r = math.sqrt(1 - 0.99997**2)
         columns = basis.first_columns(2)
         assert columns.shape == (2, 2) and np.abs(columns[:, 0] - [r, -0.99997 * r]).max() <= 1e-18

@@ -10,6 +10,7 @@ from slantmodel.model_space import InnerFunction
 from slantmodel.verify import (
     DEFAULT_MENU,
     REQUIRED_ANCHORS,
+    MenuContext,
     PropertySpec,
     SuiteConfig,
     audit_registry,
@@ -207,3 +208,41 @@ class TestTrialReuse:
             n, m = beta.degree, alpha.degree
             assert cx["inputs"] == {"matrix": {"rows": n, "cols": m, "data": [[1.0, 0.0]] * (n * m)}, "coords": [[0.0, 1.0], [2.0, 0.0]]}
         json.loads(report.to_json_text())
+
+
+class TestRowStream:
+    """Each (property, space) row draws its trials in turn from one generator."""
+
+    MENU = TestTrialReuse.MENU
+
+    def test_trials_draw_in_turn(self, monkeypatch):
+        pidx = len(verify._REGISTRY)
+        draws = {}
+
+        def recording(rng, ctx):
+            row = draws.setdefault(ctx.label(), [])
+            if ctx.setting.exact:
+                row.append(rng.standard_normal(len(row) + 1))  # trial t draws t + 1 values
+            else:
+                row.append(None)  # the Blaschke entry's row draws nothing
+            return 0.0, None
+
+        runs = spies(monkeypatch, recording=recording)
+        exact, blaschke = (MenuContext(*entry).label() for entry in self.MENU)
+        seen = {}
+        for trials in (2, 3):
+            draws.clear()
+            report = run_suite(SuiteConfig(seed=7, trials=trials, menu=self.MENU))
+            rows = [r for r in report.results if r.name == "recording"]
+            assert report.all_passed and [(r.passes, r.fails) for r in rows] == [(trials, 0)] * 2
+            # Trial t draws what the row's generator gives after trials 0..t-1.
+            stream = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(pidx, 0)))
+            assert len(draws[exact]) == trials
+            for t, values in enumerate(draws[exact]):
+                assert np.array_equal(values, stream.standard_normal(t + 1))
+            # The draw-free row ran once and counts for every trial.
+            assert draws[blaschke] == [None]
+            seen[trials] = list(draws[exact])
+        assert runs == {"recording": 2 + 1 + 3 + 1}
+        # A row's first trials do not depend on how many follow.
+        assert all(np.array_equal(a, b) for a, b in zip(seen[2], seen[3][:2], strict=True))
