@@ -39,10 +39,13 @@ MAX_ENTRIES = 1 << 24
 TAIL_BLOCK = 1 << 16
 # Largest derivative order n of a kernel or a rank-one symbol: 171! overflows a double.
 MAX_DERIVATIVE_ORDER = 170
-# Entries of the shorter factor per contraction step of _compress (16 KB):
-# the overlapping windows take numpy's non-BLAS matmul loop, which rereads
-# that slice for every window and slows fourfold once it leaves L1.
-CONTRACTION_BLOCK = 1 << 10
+# Largest band of _banded, and largest block of windows per product or of
+# rows per FFT group, in complex numbers (1 MB, 4 MB).
+BAND_ENTRIES = 1 << 16
+WINDOW_ENTRIES = 1 << 18
+# Cost of an FFT per N log2 N, in products of _banded's GEMMs: fitted on 320
+# shapes against both kernels (2-vCPU VM, one BLAS thread).
+FFT_COST = 4
 
 
 class TruncationError(Exception):
@@ -178,16 +181,10 @@ def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray
     Taylor coefficients from frequency 0.  Only the kept frequencies k n,
     n <= T_dst, of each product phi src_j are formed, so phi is read only in
     the windows k n - T_src <= f <= k n, from its first to its last nonzero
-    term there.  The windowed factor is chosen from k and that span alone:
-    phi once k > T_src or the span is as long as the rows, else the rows.  So
-    the entries depend on those terms alone, bit for bit, however phi is
-    padded.  The kept frequency at index q = k n - lo is the window
-    longer[q - w + 1 .. q] of the windowed factor against the other one
-    reversed, w its length, read as strided views at stride k: the work is
-    (T_dst + 1) w dim_src and nothing of that size is stored.  Windows of phi
-    read one zero-padded copy of its span, at most T_src longer at each end;
-    one cut by an end of the rows reads a zero-padded copy of that end, under
-    2 w entries per row at any k.  Frequencies are Python ints.
+    term there.  `_route` chooses the kernel from k, the shape of the rows,
+    that span and the windows that reach it, never from the array's length,
+    so the entries depend on those terms alone, bit for bit, however phi is
+    padded.  Frequencies are Python ints.
     """
     width = src.shape[1]
     # Kept: 0 <= q <= len(phi) + T_src - 1, in windows n0..n3 - 1.  They
@@ -207,36 +204,85 @@ def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray
     r0, r1 = int(read[0]) + a - lead, int(read[-1]) + a - lead
     phi, lo = phi[lead + r0 : lead + r1 + 1], lo + lead + r0
     n0, n3 = n0 + max(0, -((width - 1 - r0) // k)), min(n3, n0 + r1 // k + 1)
-    windowed = k >= width or len(phi) >= width
+    count, q0 = n3 - n0, k * n0 - lo
+    layout = _route(k, src.shape, len(phi), count)
+    kept = _fourier(phi, q0, src, k, count) if layout is None else _banded(phi, q0, src, k, count, *layout)
+    return dst[:, n0:n3].conj() @ kept
+
+
+def _route(k: int, shape: tuple, span: int, count: int) -> tuple[bool, int] | None:
+    """The kernel for count kept coefficients at stride k of the products
+    of phi, span terms long, with rows of this shape (dim_src x (T_src + 1)):
+    None for `_fourier`, else the layout of `_banded`: whether it windows
+    phi (once k or the span reaches the row length) rather than the rows,
+    and b, the windows of one block.  b is at most ceil(w / k), so that at
+    most half the band is zeros, the square root of count, and small enough
+    for BAND_ENTRIES.  `_fourier` is taken where its 2 dim_src + 1
+    transforms of length N, at FFT_COST N log2 N each, cost less than the
+    dim_src count L products of the band's GEMMs, L = k (b - 1) + w."""
+    dim, width = shape
+    windowed = k >= width or span >= width
+    rows, w = (dim, width) if windowed else (1, span)  # the band's factor
+    b = max(1, min(-(-w // k), math.isqrt(count), BAND_ENTRIES // (2 * rows * w)))
+    size = 1 << (span + width - 2).bit_length()
+    if dim * count * (k * (b - 1) + w) > FFT_COST * (2 * dim + 1) * size * size.bit_length():
+        return None
+    return windowed, b
+
+
+def _banded(phi: np.ndarray, q0: int, src: np.ndarray, k: int, count: int, windowed: bool, b: int) -> np.ndarray:
+    """The coefficients q0 + k t, t < count, of the products phi src_j, as
+    a count x dim_src array, by GEMMs.  Coefficient q is the window
+    longer[q - w + 1 .. q] of the windowed factor against the other one, w
+    its length, reversed.  The b windows t = b c + r, r < b, are row c of
+    the windows longer[q0 - w + 1 + k b c ...] of L = k (b - 1) + w entries
+    against the band B[r, u] = shorter[k r + w - 1 - u]: one band serves
+    every block, and every product is a GEMM even where windows overlap."""
     longer, shorter = (phi[None], src) if windowed else (src, phi[None])
-    longer = np.ascontiguousarray(longer, dtype=complex)
-    nl, w = longer.shape[1], shorter.shape[1]
-    rev = np.ascontiguousarray(shorter[:, ::-1].T)
-    block = max(1, CONTRACTION_BLOCK // len(shorter))
-    # Windows of phi read one padded copy.  Windows of the rows n0..n1 - 1
-    # are cut at the front (q < w - 1), n2..n3 - 1 at the back (q > nl - 1).
-    n1 = n0 if windowed else min(max(n0, (w - 2 + lo) // k + 1), n3)
-    n2 = n3 if windowed else min(max(n1, (nl - 1 + lo) // k + 1), n3)
+    (nl, width), (ns, w) = longer.shape, shorter.shape
+    span, blocks = k * (b - 1) + w, -(-count // b)
+    if b == 1:
+        band = np.ascontiguousarray(shorter[:, ::-1], dtype=complex)
+    else:
+        band = np.zeros((ns, b, span + k), dtype=complex)
+        band[:, :, :w] = shorter[:, None, ::-1]
+        band = band.reshape(ns, -1)[:, : b * span].reshape(ns * b, span)
+    # The windows read longer[start:stop], zero-padded past its ends.
+    start, stop = q0 - w + 1, q0 + k * (b * blocks - 1) + 1
+    if start < 0 or stop > width:
+        padded = np.zeros((nl, stop - start), dtype=complex)
+        padded[:, max(0, -start) : width - start] = longer[:, max(0, start) : stop]
+        longer, start = padded, 0
+    else:
+        longer = np.ascontiguousarray(longer, dtype=complex)
+    size, step = longer.itemsize, k * b
+    per = max(1, WINDOW_ENTRIES // (nl * span))  # blocks per product
     parts = []
-    for start, stop in ((n0, n1), (n1, n2), (n2, n3)):
-        if start == stop:
-            continue
-        lead, last = k * start - lo - w + 1, k * (stop - 1) - lo  # the indices the windows span
-        base = longer
-        if lead < 0 or last >= nl:
-            base = np.zeros((len(longer), last - lead + 1), dtype=complex)
-            base[:, max(-lead, 0) : nl - lead] = longer[:, max(lead, 0) : last + 1]
-            lead = 0
-        count, size = stop - start, base.itemsize
-        # One window needs no stride, and k * size may pass int64.
-        strides = (base.strides[0], k * size if count > 1 else 0, size)
-        windows = np.ndarray((len(base), count, w), complex, base, lead * size, strides)
-        part = windows[..., :block] @ rev[:block]
-        for t in range(block, w, block):
-            part += windows[..., t : t + block] @ rev[t : t + block]
-        parts.append(part)
-    kept = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]  # (rows of longer, n, rows of shorter)
-    return dst[:, n0:n3].conj() @ kept.transpose(1, 0, 2).reshape(n3 - n0, -1)
+    for c in range(0, blocks, per):
+        n = min(per, blocks - c)
+        # One block needs no stride, and k * size may pass int64.
+        strides = (longer.strides[0], step * size if n > 1 else 0, size)
+        windows = np.ndarray((nl, n, span), complex, longer, (start + step * c) * size, strides)
+        # The rows' windows of a block are a BLAS operand as they are, one
+        # GEMM per block; unless the blocks are fewer than the rows, one
+        # copied operand costs less.
+        if n < nl:
+            parts.append((windows.transpose(1, 0, 2) @ band.T).transpose(1, 0, 2))
+        else:
+            parts.append((np.ascontiguousarray(windows).reshape(nl * n, span) @ band.T).reshape(nl, n, -1))
+    kept = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]  # rows of longer x blocks x (rows of shorter, r)
+    return kept.reshape(nl, blocks, ns, b).transpose(1, 3, 0, 2).reshape(blocks * b, -1)[:count]
+
+
+def _fourier(phi: np.ndarray, q0: int, src: np.ndarray, k: int, count: int) -> np.ndarray:
+    """As `_banded`, from the whole products phi src_j, each one FFT of the
+    least power of two that holds it, read at stride k from q0; the rows go
+    through in groups of at most WINDOW_ENTRIES coefficients."""
+    size = 1 << (len(phi) + src.shape[1] - 2).bit_length()
+    spectrum, group = np.fft.fft(phi, size), max(1, WINDOW_ENTRIES // size)
+    read = slice(q0, q0 + k * (count - 1) + 1, k if count > 1 else 1)
+    kept = [np.fft.ifft(spectrum * np.fft.fft(src[j : j + group], size), size)[:, read] for j in range(0, len(src), group)]
+    return np.concatenate(kept).T
 
 
 class _Truncation(NamedTuple):
@@ -282,7 +328,8 @@ class ModelSpaceBasis:
 
     @property
     def truncation_order(self) -> int:
-        return self.rows.shape[1] - 1
+        """T; N - 1 for z^N, with no rows formed."""
+        return self.least_order if self._system is None else self.rows.shape[1] - 1
 
     @classmethod
     def build(cls, inner: InnerFunction) -> "ModelSpaceBasis":
@@ -352,11 +399,13 @@ class ModelSpaceBasis:
 
     @functools.cached_property
     def tail_bound(self) -> float:
-        return self._truncation.tail_bound
+        """The l2 tail past T; 0 for z^N, with no rows formed."""
+        return 0.0 if self._system is None else self._truncation.tail_bound
 
     @functools.cached_property
     def gram_error(self) -> float:
-        return self._truncation.gram_error
+        """The largest entry of rows^* rows - I; 0 for z^N, with no rows formed."""
+        return 0.0 if self._system is None else self._truncation.gram_error
 
     @functools.cached_property
     def _conjugation(self) -> np.ndarray:

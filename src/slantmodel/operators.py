@@ -22,6 +22,7 @@ from .model_space import (
     EXACT_TOL,
     InnerFunction,
     ModelSpaceBasis,
+    TruncationError,
     _compress,
     coeff_json,
     complex_pairs,
@@ -641,11 +642,19 @@ def conjugate_operator(
 def rank_one(
     setting: CompressionSetting, l: int, kind: str = "tilde_k"
 ) -> tuple[OperatorMatrix, LaurentPoly]:
-    """The two families of rank-one members, with their symbols."""
+    """The two families of rank-one members, with their symbols.  Past the
+    truncation order of alpha's rows the kernel of order l comes from the
+    realization while the symbol compresses through those rows, so l > T_alpha
+    is refused, unless alpha's rows are exact (z^N, where both are 0)."""
     k = setting.k
     if not 0 <= strict_int(l, "index l") < k:
         raise ValueError(f"index l={l} out of range 0..{k - 1}")
     ba, bb = setting.basis_alpha, setting.basis_beta
+    if l > ba.truncation_order and ba.tail_bound:
+        raise TruncationError(
+            f"index l={l} is past alpha's truncation order {ba.truncation_order}: "
+            "its symbol would not compress to its matrix"
+        )
     if kind == "tilde_k":
         # l! beta(z^k) z^-(l + k)
         F = bb.conjugate_vector(bb.kernel(0, 0))

@@ -239,6 +239,12 @@ class TestSymbolCommands:
         code, _, err = run(capsys, ["rankone", *COMMON, "--l", "7"])
         assert code == 2 and "error" in err
 
+    def test_rankone_past_truncation(self, capsys):
+        # B[0.5] has T = 39: the matrix of order 45 comes from the
+        # realization, its symbol would compress through the rows to 0.
+        code, _, err = run(capsys, ["rankone", "--k", "50", "--l", "45", "--alpha", '{"zeros": [0.5]}', "--beta", "z^2"])
+        assert code == 3 and "truncation order 39" in err
+
 
 class TestRepeatedZeros:
     # beta = B[0, 0.5] has beta(0) = 0, so beta(z^2) has a double zero at the origin.

@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import math
 import time
 import tracemalloc
@@ -12,7 +13,6 @@ from laurent_oracle import backward_shift_pow, decimate, derivative_at, distance
 from slantmodel import model_space
 from slantmodel.laurent import LaurentPoly
 from slantmodel.model_space import (
-    CONTRACTION_BLOCK,
     GRAM_TOL,
     InnerFunction,
     ModelSpaceBasis,
@@ -268,6 +268,19 @@ class TestMakeBasis:
             tracemalloc.stop()
         assert basis.gram_error == 0.0 and basis.truncation_order == 1023
         assert peak <= 40 * 2**20
+
+    def test_monomial_reads_without_rows(self):
+        # T = N - 1, a tail of 0 and a Gram error of 0 need no rows: at
+        # z^4096 the rows and the conjugation matrix would take 256 MiB each.
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(4096))
+        tracemalloc.start()
+        try:
+            read = basis.truncation_order, basis.tail_bound, basis.gram_error
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read == (4095, 0.0, 0.0) and peak <= 2**16
+        assert "_truncation_outcome" not in vars(basis) and "rows" not in vars(basis)
 
     def test_refusals_wait_for_the_rows(self, monkeypatch):
         # A double zero at 0.99997 needs T = 1059425 > 2^20, past the order
@@ -672,13 +685,42 @@ def full_convolution_compress(phi, lo, src, k, dst):
     return dst[:, keep].conj() @ prod[:, idx[keep]].T
 
 
+@contextlib.contextmanager
+def recorded_routes(fft_cost=None):
+    """The layouts `_route` returns inside the block, None for the FFT
+    kernel; with fft_cost, FFT_COST is replaced: 0 takes the FFT kernel and
+    inf the band kernel, whatever the shapes."""
+    routes, route = [], model_space._route
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_space, "_route", lambda *args: routes.append(route(*args)) or routes[-1])
+        if fft_cost is not None:
+            mp.setattr(model_space, "FFT_COST", fft_cost)
+        yield routes
+
+
+def kernel_name(routes):
+    """'fft' or 'band' for the one call of `_compress` that chose a kernel,
+    None if it read no term."""
+    assert len(routes) <= 1
+    return ("fft" if routes[0] is None else "band") if routes else None
+
+
 def assert_matches_full_convolution(phi, lo, src, k, dst):
-    got = _compress(phi, lo, src, k, dst)
+    """_compress against the full convolution, on its own and with each
+    kernel forced; returns the kernel it takes on its own, None when it
+    reads no term."""
     want = full_convolution_compress(phi, lo, src, k, dst)
-    assert got.shape == want.shape == (dst.shape[0], src.shape[0])
     width = min(len(phi), src.shape[1])
     scale = np.abs(phi).max() * np.abs(src).max() * np.abs(dst).max() * width
-    assert np.abs(got - want).max() <= 1e-14 * scale
+    taken = {}
+    for forced, fft_cost in ((None, None), ("fft", 0.0), ("band", math.inf)):
+        with recorded_routes(fft_cost) as routes:
+            got = _compress(phi, lo, src, k, dst)
+        taken[forced] = kernel_name(routes)
+        assert got.shape == want.shape == (dst.shape[0], src.shape[0])
+        assert np.abs(got - want).max() <= 1e-14 * scale
+    assert taken["fft"] in ("fft", None) and taken["band"] in ("band", None)
+    return taken[None]
 
 
 class TestKeptFrequencyCompression:
@@ -693,7 +735,7 @@ class TestKeptFrequencyCompression:
         # The source rows have 8 coefficients; k = 40 is past them.
         rng = np.random.default_rng(phi_len * 1000 + lo * 100 + k * 10 + t_dst)
         phi, src, dst = random_coords(rng, phi_len), random_coords(rng, (3, 8)), random_coords(rng, (2, t_dst + 1))
-        assert_matches_full_convolution(phi, lo, src, k, dst)
+        assert assert_matches_full_convolution(phi, lo, src, k, dst) in ("band", None)
 
     @given(
         st.integers(1, 24),
@@ -704,11 +746,15 @@ class TestKeptFrequencyCompression:
         st.integers(1, 3),
         st.integers(1, 20),
         st.booleans(),
+        st.sampled_from([1, 1, 1, 30]),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
-    def test_random_shapes(self, phi_len, lo, dim_src, src_len, k, dim_dst, dst_len, reversed_rows, seed):
+    def test_random_shapes(self, phi_len, lo, dim_src, src_len, k, dim_dst, dst_len, reversed_rows, stretch, seed):
+        # One shape in four is 30 times as long, where the FFT kernel may
+        # be the cheaper one; each kernel is also forced on every shape.
         rng = np.random.default_rng(seed)
+        phi_len, src_len, dst_len = stretch * phi_len, stretch * src_len, stretch * dst_len
         src = random_coords(rng, (dim_src, src_len))
         if reversed_rows:  # a negatively strided view, as the mirror-Gram oracle passes
             src = src[:, ::-1]
@@ -727,7 +773,7 @@ class TestKeptFrequencyCompression:
     )
     def test_one_entry_symbol(self, inner, lo):
         rows = ModelSpaceBasis.build(inner).rows
-        assert_matches_full_convolution(np.ones(1), lo, rows, 1, rows)
+        assert assert_matches_full_convolution(np.ones(1), lo, rows, 1, rows) in ("band", None)
 
     @pytest.mark.parametrize("k", [2, 5])
     @pytest.mark.parametrize("src", [4, 3, "B2"])
@@ -738,16 +784,32 @@ class TestKeptFrequencyCompression:
         src_rows, dst_rows = ModelSpaceBasis.build(inner).rows, np.eye(3, dtype=complex)
         for lo in range(1 - src_rows.shape[1], 3):
             phi = random_coords(rng, 2 * k + 1 - lo)
-            assert_matches_full_convolution(phi, lo, src_rows, k, dst_rows)
+            assert assert_matches_full_convolution(phi, lo, src_rows, k, dst_rows) in ("band", None)
 
     @pytest.mark.parametrize("k", [1, 2, 7])
     @pytest.mark.parametrize("phi_len, src_shape", [(2000, (3, 700)), (1100, (2, 1500))], ids=["rows", "phi"])
-    def test_contraction_in_blocks(self, rng, phi_len, src_shape, k):
-        # The shorter factor (the rows, then phi) spans several contraction blocks.
+    def test_contraction_in_blocks(self, rng, phi_len, src_shape, k, monkeypatch):
+        # The band kernel on blocks of several windows, with a band of the
+        # rows, then of phi, and a few blocks per product: 2^11 entries of
+        # windows hold two blocks of phi's windows, or one of the rows'.
+        # The FFT kernel, forced, transforms one row at a time.
+        monkeypatch.setattr(model_space, "WINDOW_ENTRIES", 1 << 11)
         phi, src = random_coords(rng, phi_len), random_coords(rng, src_shape)
-        shorter = src if src_shape[1] <= phi_len else phi[None]
-        assert shorter.shape[1] > CONTRACTION_BLOCK // len(shorter)
-        assert_matches_full_convolution(phi, -300, src, k, random_coords(rng, (2, 60)))
+        windowed, b = model_space._route(k, src_shape, phi_len, 60)
+        assert windowed == (phi_len > src_shape[1]) and b > 1
+        assert assert_matches_full_convolution(phi, -300, src, k, random_coords(rng, (2, 60))) == "band"
+
+    @pytest.mark.parametrize("terms, kernel", [(4, "band"), (None, "fft")], ids=["four-terms", "dense"])
+    def test_symbol_near_the_circle(self, rng, terms, kernel):
+        # At rho = 0.99 (T = 2750, k = 1) a dense symbol as long as two rows
+        # takes the FFT kernel, and four terms the band kernel, within the
+        # tolerance of the short shapes.
+        src = ModelSpaceBasis.build(InnerFunction.blaschke([0.99, -0.3, 0.2j])).rows
+        dst = ModelSpaceBasis.build(InnerFunction.blaschke([0.99j, -0.5j])).rows
+        phi = random_coords(rng, 2 * src.shape[1])
+        if terms:
+            phi[terms:] = 0
+        assert assert_matches_full_convolution(phi, -src.shape[1], src, 1, dst) == kernel
 
     def test_past_int64_is_numeric_error(self):
         # Frequencies are Python ints, and one kept window needs no stride:

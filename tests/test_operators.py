@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laurent_oracle import conj_on_circle, decimate, distance, inner, is_zero, monomial, mul, shifted, stretch, sub
+from slantmodel import model_space
 from slantmodel.laurent import LaurentPoly
 from slantmodel.model_space import InnerFunction, ModelSpaceBasis, TruncationError, _compress
 from slantmodel.operators import (
@@ -1008,13 +1009,26 @@ class TestRankOne:
     def test_order_past_truncation(self):
         # On B[0.5] (T = 39) the alpha kernel of order l = 45 comes from the
         # realization, 45! conj(A^45 B) = 45! 0.5^45 sqrt(0.75), not from the
-        # truncated rows; so does the rank-one matrix built on it.
+        # truncated rows, through which any symbol compresses: so l = 45 is
+        # refused.  Up to l = T the symbol rebuilds the matrix, k_tilde's to
+        # the tail of alpha's expansion, which reaches 8e-8 of the largest
+        # entry at l = T; past T it was 0, and 2.3e-4 off.
         setting = CompressionSetting(InnerFunction.blaschke([0.5]), zn(2), 50)
         assert setting.basis_alpha.truncation_order == 39
         scale = factorial(45) * 0.5**45 * 0.75**0.5
+        assert abs(np.linalg.norm(setting.basis_alpha.kernel(0, 45)) - scale) <= 1e-13 * scale
         for kind in ("tilde_k", "k_tilde"):
-            mat, _ = rank_one(setting, 45, kind)
-            assert abs(mat.norm() - scale) <= 1e-13 * scale
+            with pytest.raises(TruncationError, match="truncation order 39"):
+                rank_one(setting, 45, kind)
+            for l in (0, 20, 39):
+                mat, symbol = rank_one(setting, l, kind)
+                built = build_compression(symbol, setting).entries
+                assert np.abs(built - mat.entries).max() <= 1e-6 * np.abs(mat.entries).max()
+        # z^N keeps its exact zeros past N - 1.
+        exact = CompressionSetting(zn(3), zn(2), 50)
+        for kind in ("tilde_k", "k_tilde"):
+            mat, symbol = rank_one(exact, 45, kind)
+            assert mat.norm() == 0.0 and build_compression(symbol, exact).norm() == 0.0
 
     def test_index_out_of_range(self, s243):
         with pytest.raises(ValueError):
@@ -1558,6 +1572,30 @@ class TestSymbolArrayOracle:
             scale = width * max(1.0, np.abs(phi).max())
             assert np.abs(got - windowed_compress(phi, lo, src, k, dst)).max() <= 1e-14 * scale
 
+    def test_padding_past_the_route_threshold(self, monkeypatch):
+        # The two checks above on arrays long enough that the FFT kernel
+        # would take them, were the kernel chosen from the array's length:
+        # at rho = 0.99, k = 1, a 5-term symbol densified over the whole
+        # window -T_alpha..T_beta, and padded past it with unread terms.
+        # Both keep the band kernel of the symbol's span, bit for bit.
+        setting = CompressionSetting(InnerFunction.blaschke([0.99, -0.3, 0.2j]), InnerFunction.blaschke([0.99j, -0.5j]), 1)
+        src, dst = setting.basis_alpha.rows, setting.basis_beta.rows
+        width, count = src.shape[1], dst.shape[1]
+        phi = random_laurent(np.random.default_rng(83), -3, 7, terms=5)
+        want = build_compression(phi, setting).entries
+        routes, route = [], model_space._route
+        monkeypatch.setattr(model_space, "_route", lambda *args: routes.append(route(*args)) or routes[-1])
+        lo = -setting.basis_alpha.truncation_order
+        dense = phi.to_array(lo, count - 1)
+        assert route(1, src.shape, len(dense), count) is None
+        assert np.array_equal(_compress(dense, lo, src, 1, dst), want)
+        rng = np.random.default_rng(97)
+        padded = np.concatenate([np.zeros(width), dense, np.zeros(width)])
+        unread = ~read_mask(len(padded), lo - width, width, 1, count)
+        padded[unread] = rng.standard_normal(2 * len(padded)).view(complex)[unread]
+        assert np.array_equal(_compress(padded, lo - width, src, 1, dst), want)
+        assert len(routes) == 2 and None not in routes
+
     def members(self, setting):
         rng = np.random.default_rng(61)
         n, m = setting.basis_beta.dim, setting.basis_alpha.dim
@@ -1626,7 +1664,12 @@ class TestSymbolArrayOracle:
 
     @pytest.mark.parametrize("kind", ["tilde_k", "k_tilde"])
     def test_rank_one(self, setting, kind):
+        # Past T_alpha (small-z3-k60) a truncated alpha is refused.
         for l in range(setting.k):
+            if l > setting.basis_alpha.truncation_order and setting.basis_alpha.tail_bound:
+                with pytest.raises(TruncationError):
+                    rank_one(setting, l, kind)
+                continue
             self.agree(setting, rank_one(setting, l, kind)[1], dict_rank_one_symbol(setting, l, kind))
 
     def test_defect_from_symbol(self, setting):
