@@ -5,9 +5,11 @@ Taylor coefficient arrays truncated at a certified order; when every zero is
 at the origin they are exactly 1, z, ..., z^{N-1}.  Column n of the rows is
 E[n] = A^n B for a lossless realization (A, B, C, D) in closed form, A the
 conjugate of the compressed shift (Ninness and Gustafsson, IEEE TAC 42, 1997).
-A build holds the realization and the compressed shift; the truncated rows
-and all that is read off them are computed on first read, and the leading
-columns of the rows can be read without them.
+The conjugation f -> alpha conj(z f) comes from the same realization, as the
+solution of a Stein equation, with no rows.  A build holds the realization;
+the truncated rows and all that is read off them, the shift and the
+conjugation are computed on first read, and the leading columns of the rows
+can be read without them.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ TAIL_BOUND_LIMIT = 1e-12
 # Largest truncation order T.  It admits a single zero up to |w| = 0.99997,
 # whose rows then take 2^21 columns of A^n B.
 MAX_TRUNCATION = 1 << 20
-# Largest coefficient array of a build, 2^24 complex numbers (256 MB): the rows
-# of z^N, or 2 x dim x 2^S for 2^S columns of the rows and the mirror rows.
+# Largest coefficient array of a build, 2^24 complex numbers (256 MB): the rows,
+# the shift or the conjugation of z^N, or 2 x dim x 2^S for the 2^(S-1) held
+# columns of the rows and the joined rows, at most 2^S columns, together.
 MAX_ENTRIES = 1 << 24
 # Columns per block of the tail sums (1 MB per row).
 TAIL_BLOCK = 1 << 16
@@ -289,7 +292,6 @@ class _Truncation(NamedTuple):
     """What a basis computes on the first read of its rows."""
 
     rows: np.ndarray
-    conjugation: np.ndarray
     tail_bound: float
     gram_error: float
     held: int  # h, the columns of the rows that doubling fills
@@ -301,30 +303,29 @@ class ModelSpaceBasis:
     """Orthonormal basis of a model space: the Takenaka-Malmquist rows as a
     dim x (T + 1) array of Taylor coefficients truncated at a certified order
     T, or the identity rows when every zero is at the origin.  `build` holds
-    the realization and the matrix of the compressed shift.  The rows, their
-    tail bound and Gram check, the conjugation matrix and the expansion of
-    the inner function are each computed on first read, once, and are plain
+    the realization.  The rows, their tail bound and Gram check, the matrix
+    of the compressed shift, the conjugation matrix and the expansion of the
+    inner function are each computed on first read, once, and are plain
     instance attributes from then on, as is a refusal of the rows;
     `first_columns` reads the leading columns of the rows without forming
-    them.  Frozen, arrays read-only.
+    them, and the shift and the conjugation read no rows.  Frozen, arrays
+    read-only.
     """
 
     inner: InnerFunction
     # The padded system [[0, 0, 0], [B, A, 0], [D, C, 0]] of `_realization`;
     # None when every zero is at the origin.
     _system: np.ndarray | None
-    _shift: np.ndarray  # conj(A)
     # T is never below it: the order of a single zero of modulus max |w|, N - 1 for z^N.
     least_order: int
 
     def __post_init__(self):
-        self._shift.setflags(write=False)
         if self._system is not None:
             self._system.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return len(self._shift)
+        return self.inner.degree
 
     @property
     def truncation_order(self) -> int:
@@ -333,27 +334,26 @@ class ModelSpaceBasis:
 
     @classmethod
     def build(cls, inner: InnerFunction) -> "ModelSpaceBasis":
-        """The realization (A, B, C, D) of `_realization` and the compressed
-        shift; for z^N, A is the nilpotent shift.  Row i of A^n has the
-        diagonal entry conj(w_i)^n, so T is at least the order of a single
-        zero of modulus max |w|: that order above MAX_TRUNCATION, and arrays
-        above MAX_ENTRIES for it, are refused here, before anything is
-        allocated.  What needs the rows is refused on their first read
-        (`_truncation`)."""
+        """The realization (A, B, C, D) of `_realization`, none for z^N,
+        whose A is the nilpotent shift.  Row i of A^n has the diagonal entry
+        conj(w_i)^n, so T is at least the order of a single zero of modulus
+        max |w|: that order above MAX_TRUNCATION, and arrays above
+        MAX_ENTRIES for it (dim x dim for z^N), are refused here, before
+        anything is allocated.  What needs the rows is refused on their
+        first read (`_truncation`)."""
         dim, rho = inner.degree, max(map(abs, inner.zeros))
         order = _checked(math.ceil(math.log(TAIL_BOUND_LIMIT) / math.log(rho)) - 1 if rho else dim - 1)
         if not rho:
             _capped(dim, dim)
-            return cls(inner, None, np.eye(dim, k=-1, dtype=complex), order)
+            return cls(inner, None, order)
         _capped(2, dim, 1 << _first(order))
-        system = _realization([0j, *inner.zeros, 0j])
-        return cls(inner, system, system[1:-1, 1:-1].conj(), order)
+        return cls(inner, _realization([0j, *inner.zeros, 0j]), order)
 
     @property
     def _truncation(self) -> _Truncation:
-        """The rows, the conjugation matrix, the tail bound and the Gram
-        check, computed together on first read (`_truncate`).  A refusal is
-        kept as well: every later read raises it again without recomputing."""
+        """The rows, the tail bound and the Gram check, computed together on
+        first read (`_truncate`).  A refusal is kept as well: every later
+        read raises it again without recomputing."""
         outcome = self._truncation_outcome
         if isinstance(outcome, TruncationError):
             raise outcome.with_traceback(None)  # one read's frames, not every read's
@@ -369,28 +369,21 @@ class ModelSpaceBasis:
 
     def _truncate(self) -> _Truncation:
         """The rows at their certified order, with what is read off them.
-        On the circle
-        alpha * conj(z e_j) = c sqrt(1 - |w_j|^2) / (1 - conj(w_j) z) * prod_{i>j} b_i,
-        c times the mirror row j (z^(N-1-j) for z^N), the row j of the reversed
-        list, so C is a Gram matrix of the rows and the mirror rows.  As
-        I - A A^H = B B^H, the l2 tail of row i past column n - 1 is the norm
-        of row i of A^n.  T is the least order whose tail, the largest over the
-        rows and the mirror rows, is <= 1e-12, and that tail is `tail_bound`.
-        An order above MAX_TRUNCATION, arrays above MAX_ENTRIES for it, and a
-        Gram matrix off the identity by more than GRAM_TOL are refused."""
-        dim, c = self.dim, self.inner.constant
+        As I - A A^H = B B^H, the l2 tail of row i past column n - 1 is the
+        norm of row i of A^n.  T is the least order whose tail, the largest
+        over the rows, is <= 1e-12, and that tail is `tail_bound`.  An order
+        above MAX_TRUNCATION, arrays above MAX_ENTRIES for it, and a Gram
+        matrix off the identity by more than GRAM_TOL are refused."""
+        dim = self.dim
         if self._system is None:  # the identity rows: no tail, orthonormal exactly
-            rows = np.eye(dim, dtype=complex)
-            conjugation, tail, gram_error, held, step = c * rows[::-1], 0.0, 0.0, dim, None
+            rows, tail, gram_error, held, step = np.eye(dim, dtype=complex), 0.0, 0.0, dim, None
         else:
-            rows, gram, tail, held, step = _impulse_responses(self._system, _first(self.least_order))
-            conjugation = c * gram
+            rows, tail, held, step = _impulse_responses(self._system, _first(self.least_order))
             gram_error = float(np.abs(rows.conj() @ rows.T - np.eye(dim)).max())
             if gram_error > GRAM_TOL:
                 raise TruncationError(f"basis Gram matrix deviates from identity by {gram_error:.3e}")
         rows.setflags(write=False)
-        conjugation.setflags(write=False)
-        return _Truncation(rows, conjugation, tail, gram_error, held, step)
+        return _Truncation(rows, tail, gram_error, held, step)
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
@@ -408,8 +401,37 @@ class ModelSpaceBasis:
         return 0.0 if self._system is None else self._truncation.gram_error
 
     @functools.cached_property
+    def _shift(self) -> np.ndarray:
+        """conj(A), the matrix of the compressed shift; for z^N the nilpotent shift."""
+        shift = np.eye(self.dim, k=-1, dtype=complex) if self._system is None else self._system[1:-1, 1:-1].conj()
+        shift.setflags(write=False)
+        return shift
+
+    @functools.cached_property
     def _conjugation(self) -> np.ndarray:
-        return self._truncation.conjugation
+        """C, with coords(alpha conj(z f)) = C conj(coords(f)); c J for z^N.
+        On the circle alpha conj(z e_j) = c sqrt(1 - |w_j|^2) / (1 - conj(w_j) z)
+        prod_{i>j} b_i, c times the impulse response (A^T)^n C^T, so C / c is
+        X = sum_n conj(A)^n conj(B) C^T A^n, the solution of the Stein equation
+        X = conj(B) C^T + conj(A) X A.  Doubling sums it: each pass adds
+        conj(P) X P for P = A^m and squares P, until ||P||_F^2 <= 1e-24; X is
+        unitary, so what is left out is below that.  C must be a unitary
+        involution, C C^H = C conj(C) = I, within GRAM_TOL; it is refused
+        otherwise, a NaN too."""
+        c, system = self.inner.constant, self._system
+        if system is None:
+            conjugation = c * np.eye(self.dim, dtype=complex)[::-1]
+        else:
+            x, power = np.outer(system[1:-1, 0].conj(), system[-1, 1:-1]), system[1:-1, 1:-1]
+            while (np.abs(power) ** 2).sum() > TAIL_BOUND_LIMIT**2:
+                x += power.conj() @ x @ power
+                power = power @ power
+            conjugation, eye = c * x, np.eye(len(x))
+            error = max(np.abs(x @ x.conj().T - eye).max(), np.abs(x @ x.conj() - eye).max())
+            if not error <= GRAM_TOL:
+                raise TruncationError(f"conjugation matrix deviates from a unitary involution by {error:.3e}")
+        conjugation.setflags(write=False)
+        return conjugation
 
     @functools.cached_property
     def inner_expansion(self) -> np.ndarray:
@@ -441,7 +463,7 @@ class ModelSpaceBasis:
         if self._system is None or "rows" in vars(self) or n > held:
             return self.rows[:, :n]
         powers = _squares(self._system[1:-1, 1:-1], (n - 1).bit_length())
-        columns = _doubled(self._system, powers)[0, :, :n]
+        columns = _doubled(self._system, powers)[:, :n]
         columns.setflags(write=False)
         return columns
 
@@ -532,55 +554,48 @@ def _squares(a: np.ndarray, count: int) -> list:
     return powers[:count]
 
 
-def _doubled(system: np.ndarray, powers: list, mirror: bool = False) -> np.ndarray:
-    """The first 2^len(powers) columns of the rows E[:, n] = A^n B, and with
-    mirror of the mirror rows (A^T)^n C, stacked: column 0 from the padded
-    system, then E[:, m:2m] = A^m E[:, :m] for m = 2^s, A^m = powers[s]."""
-    resp = np.empty((1 + mirror, len(system) - 2, 1 << len(powers)), dtype=complex)
-    resp[:, :, 0] = (system[1:-1, 0], system[-1, 1:-1])[: 1 + mirror]
+def _doubled(system: np.ndarray, powers: list) -> np.ndarray:
+    """The first 2^len(powers) columns of the rows E[:, n] = A^n B: column 0
+    from the padded system, then E[:, m:2m] = A^m E[:, :m] for m = 2^s,
+    A^m = powers[s]."""
+    resp = np.empty((len(system) - 2, 1 << len(powers)), dtype=complex)
+    resp[:, 0] = system[1:-1, 0]
     for s, power in enumerate(powers):
-        np.matmul(power, resp[0, :, : 1 << s], out=resp[0, :, 1 << s : 2 << s])
-        if mirror:
-            np.matmul(power.T, resp[1, :, : 1 << s], out=resp[1, :, 1 << s : 2 << s])
+        np.matmul(power, resp[:, : 1 << s], out=resp[:, 1 << s : 2 << s])
     return resp
 
 
 def _impulse_responses(system: np.ndarray, first: int) -> tuple:
-    """The rows at their order T, conj(rows) @ mirror^T, the tail (see
-    `ModelSpaceBasis._truncation`), and h with A^h.  Columns fill by doubling
-    (`_doubled`) to h = 2^(S-1), for the least S >= first with row norms of
-    A^(2^S) <= 1e-12.  The reversed list has the system J A^T J: the mirror
-    rows are (A^T)^n C, with the column norms of A^n as tails."""
+    """The rows at their order T, the tail (see `ModelSpaceBasis._truncate`),
+    and h with A^h.  Columns fill by doubling (`_doubled`) to h = 2^(S-1),
+    for the least S >= first with row norms of A^(2^S) <= 1e-12."""
     dim = len(system) - 2
     powers = _squares(system[1:-1, 1:-1], first + 1)  # A^(2^s)
-    # Squared row norms of A^(2^S) and of its transpose, the tails past 2^S - 1.
-    while (last := (np.abs(np.stack([powers[-1], powers[-1].T])) ** 2).sum(axis=2)).max() > TAIL_BOUND_LIMIT**2:
+    # Squared row norms of A^(2^S), the tails past 2^S - 1.
+    while (last := (np.abs(powers[-1]) ** 2).sum(axis=1)).max() > TAIL_BOUND_LIMIT**2:
         if 1 << (len(powers) - 1) > MAX_TRUNCATION:
             raise TruncationError(f"truncation order {1 << (len(powers) - 1)} or more is outside 0..{MAX_TRUNCATION}")
         _capped(2, dim, 2 << (len(powers) - 1))
         powers.append(powers[-1] @ powers[-1])
-    # The rows and the mirror rows up to h = 2^(S-1); E[:, h + r] = A^h E[:, r].
-    resp = _doubled(system, powers[:-2], mirror=True)
-    h, step = resp.shape[2], np.stack([powers[-2], powers[-2].T])
-    passed, tail = _measured(resp, step, last)
+    # The rows up to h = 2^(S-1); E[:, h + r] = A^h E[:, r].
+    held, step = _doubled(system, powers[:-2]), powers[-2]
+    h = held.shape[1]
+    passed, tail = _measured(held, step, last)
     _checked(h - 1 + passed)  # T
-    second = step @ resp[..., :passed]  # columns h..T
-    # conj(rows) @ mirror^T, before the rows are joined: one copy less at the peak.
-    gram = resp[0].conj() @ resp[1].T + second[0].conj() @ second[1].T
-    return np.concatenate([resp[0], second[0]], axis=1), gram, tail, h, powers[-2]
+    return np.concatenate([held, step @ held[:, :passed]], axis=1), tail, h, step
 
 
-def _measured(resp: np.ndarray, step: np.ndarray, last: np.ndarray) -> tuple[int, float]:
+def _measured(held: np.ndarray, step: np.ndarray, last: np.ndarray) -> tuple[int, float]:
     """How many columns past the h held ones the rows keep, and their tail.
     The squared tails of the orders h - 1..2h - 1 are last, the squared row
-    norms of A^(2h) and its transpose, plus the squares of the columns
-    A^h E[:, r] past each, summed in blocks from the end.  So T >= h - 1."""
-    h = resp.shape[2]
+    norms of A^(2h), plus the squares of the columns A^h E[:, r] past each,
+    summed in blocks from the end.  So T >= h - 1."""
+    h = held.shape[1]
     tails, carry = np.empty(h + 1), last
     for stop in range(h, 0, -TAIL_BLOCK):
-        block = np.abs(step @ resp[..., max(0, stop - TAIL_BLOCK) : stop]) ** 2
-        block = np.cumsum(block[..., ::-1], axis=-1)[..., ::-1] + carry[..., None]
-        tails[stop - block.shape[2] : stop], carry = block.max(axis=(0, 1)), block[..., 0]
+        block = np.abs(step @ held[:, max(0, stop - TAIL_BLOCK) : stop]) ** 2
+        block = np.cumsum(block[:, ::-1], axis=1)[:, ::-1] + carry[:, None]
+        tails[stop - block.shape[1] : stop], carry = block.max(axis=0), block[:, 0]
     tails[h] = last.max()
     passed = int(np.count_nonzero(tails > TAIL_BOUND_LIMIT**2))
     return passed, math.sqrt(tails[passed])

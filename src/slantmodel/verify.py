@@ -46,7 +46,7 @@ DEFAULT_MENU = (
     (InnerFunction.monomial(4), InnerFunction.monomial(3), 2),
     (InnerFunction.monomial(4), InnerFunction.monomial(3), 5),
     (InnerFunction.monomial(3), InnerFunction.monomial(3), 2),
-    (InnerFunction.blaschke([0.5, -0.3]), InnerFunction.monomial(3), 2),
+    (InnerFunction.blaschke([0.5, -0.3j], cmath.exp(0.3j)), InnerFunction.monomial(3), 2),
 )
 
 # Every subject the harness must cover; the audit fails if one is missing.
@@ -117,7 +117,7 @@ class MenuContext:
             if inner.kind == "monomial":
                 return f"z^{inner.degree}"
             zeros = ",".join(f"{w:.3g}" for w in inner.zeros)
-            return f"B[{zeros}]"
+            return f"B[{zeros}]" if inner.constant == 1 else f"B[{zeros}; c={inner.constant:.3g}]"
 
         return f"({name(self.alpha)}, {name(self.beta)}, k={self.k})"
 

@@ -65,7 +65,7 @@ class TestBuild:
         assert np.array_equal(got, expected)
 
     def test_near_circle_order_1e5(self, capsys):
-        # Zeros at 0.999 (T = 27618): the 4-term symbol is read where its
+        # Zeros at 0.999 (T = 27617): the 4-term symbol is read where its
         # windows reach it, not over k T_beta = 2.8e9 frequencies.
         alpha, beta = '{"zeros":[0.999,-0.3,{"re":0,"im":0.2}]}', '{"zeros":[{"re":0,"im":0.999},{"re":0,"im":-0.5}]}'
         argv = ["build", "--k", "100000", "--alpha", alpha, "--beta", beta, "--symbol", sym({-3: 1, 0: 0.5, 2: 1j, 7: 2})]
@@ -167,7 +167,7 @@ class TestMembershipRecover:
         assert np.abs(np.array(a) - np.array(b)).max() < 1e-8
 
     def test_recover_near_circle_order_1e5(self, capsys):
-        # Zeros at 0.999 (T = 27618): the printed symbol has at most
+        # Zeros at 0.999 (T = 27617): the printed symbol has at most
         # n + (m - 1) min(k, n) = 3 + 3 terms, on the frequencies k i - j.
         alpha, beta = '{"zeros":[0.999,-0.3,{"re":0,"im":0.2}]}', '{"zeros":[{"re":0,"im":0.999},{"re":0,"im":-0.5}]}'
         common = ["--k", "100000", "--alpha", alpha, "--beta", beta]

@@ -198,8 +198,7 @@ class TestMakeBasis:
     def test_repeated_zero_tail_is_measured(self):
         # At T = 284 the simple-zero estimate 0.9^285 / 0.1 is below 1e-12, but a
         # triple zero at 0.9 drops a tail near 1.6e-10 there.  The exact tail
-        # at order t is the largest row norm of A^(t+1), A = conj(S); the
-        # mirror rows of this list are the rows reversed.
+        # at order t is the largest row norm of A^(t+1), A = conj(S).
         inner = InnerFunction.blaschke([0.9, 0.9, 0.9])
         basis = ModelSpaceBasis.build(inner)
         T = basis.truncation_order
@@ -242,8 +241,8 @@ class TestMakeBasis:
             assert basis.truncation_order == order and basis.tail_bound <= 1e-12
 
     def test_build_memory(self):
-        # The rows hold the first 2^14 columns of the rows and the mirror
-        # rows (1.5 MiB at dim 3), then the rows (1.3 MiB); alpha (0.8 MiB)
+        # The build holds the first 2^14 columns of the rows (0.75 MiB at
+        # dim 3), then joins the rest to them (1.3 MiB); alpha (0.8 MiB)
         # comes from them.
         inner = InnerFunction.blaschke([0.999, -0.3, 0.2j])
         tracemalloc.start()
@@ -253,7 +252,7 @@ class TestMakeBasis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert basis.truncation_order == 27618
+        assert basis.truncation_order == 27617
         assert peak <= 6 * 2**20
 
     def test_monomial_rows_memory(self):
@@ -270,17 +269,19 @@ class TestMakeBasis:
         assert peak <= 40 * 2**20
 
     def test_monomial_reads_without_rows(self):
-        # T = N - 1, a tail of 0 and a Gram error of 0 need no rows: at
-        # z^4096 the rows and the conjugation matrix would take 256 MiB each.
-        basis = ModelSpaceBasis.build(InnerFunction.monomial(4096))
+        # The dimension, T = N - 1, a tail of 0 and a Gram error of 0, which
+        # `info` reads, need no rows and no shift: at z^4096 the rows, the
+        # shift and the conjugation matrix would take 256 MiB each.
+        inner = InnerFunction.monomial(4096)
         tracemalloc.start()
         try:
-            read = basis.truncation_order, basis.tail_bound, basis.gram_error
+            basis = ModelSpaceBasis.build(inner)
+            read = basis.dim, basis.truncation_order, basis.tail_bound, basis.gram_error
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert read == (4095, 0.0, 0.0) and peak <= 2**16
-        assert "_truncation_outcome" not in vars(basis) and "rows" not in vars(basis)
+        assert read == (4096, 4095, 0.0, 0.0) and peak <= 2**16
+        assert not {"_truncation_outcome", "rows", "_shift", "_conjugation"} & set(vars(basis))
 
     def test_refusals_wait_for_the_rows(self, monkeypatch):
         # A double zero at 0.99997 needs T = 1059425 > 2^20, past the order
@@ -620,16 +621,28 @@ class TestConvolutionOracle:
         truncated = _compress(np.ones(1), 1, basis.rows, 1, basis.rows)
         assert np.abs(basis.compressed_shift()[0] - truncated).max() <= basis.tail_bound
 
-    @pytest.mark.parametrize("inner", INNERS, ids=IDS)
-    def test_tail_bound_covers_mirror_rows(self, inner):
-        # The conjugation matrix reads the mirror rows, the rows of the
-        # reversed zero list read backwards, so the certificate bounds the
-        # tail they drop too.  Past 2 (T + 1) that tail is below 1e-20.
+    @pytest.mark.parametrize(
+        "inner",
+        INNERS + [InnerFunction.blaschke([0.999, -0.3, 0.2j]), InnerFunction.blaschke([0.99995j, -0.5j])],
+        ids=IDS + ["B999", "B99995i"],
+    )
+    def test_conjugation_matches_mirror_gram(self, inner):
+        # The conjugation matrix from the Stein sum, formed with no rows,
+        # against the Gram matrix of the rows and the mirror rows.
         basis = ModelSpaceBasis.build(inner)
-        T = basis.truncation_order
-        mirror = convolution_expansions(InnerFunction(inner.zeros[::-1]), 2 * (T + 1))[0][::-1]
-        dropped = np.linalg.norm(mirror[:, T + 1 :], axis=1).max()
-        assert dropped <= basis.tail_bound * (1 + 1e-3)
+        C = basis.conjugation_matrix()
+        assert "_truncation_outcome" not in vars(basis)
+        assert np.abs(C - mirror_gram(basis)).max() <= 1e-13
+
+
+def mirror_gram(basis):
+    """Reference: the conjugation matrix as c conj(rows) @ mirror^T.  On the
+    circle alpha conj(z e_j) is c times the mirror row j, the row j of the
+    reversed zero list read backwards (whose system is J A^T J); both are cut
+    at the lesser of their certified orders, which drops below 1e-24."""
+    mirror = ModelSpaceBasis.build(InnerFunction(basis.inner.zeros[::-1])).rows[::-1]
+    cols = min(basis.rows.shape[1], mirror.shape[1])
+    return basis.inner.constant * basis.rows[:, :cols].conj() @ mirror[:, :cols].T
 
 
 def compressed_conjugation(basis):
@@ -660,6 +673,7 @@ class TestConjugationOracle:
 
     @pytest.mark.parametrize("inner", INNERS, ids=IDS)
     def test_mirror_gram_matches_compression(self, inner):
+        # The conjugation matrix against the compression of alpha on the rows.
         basis = ModelSpaceBasis.build(inner)
         assert np.abs(basis.conjugation_matrix() - compressed_conjugation(basis)).max() <= 1e-14
 
@@ -669,6 +683,17 @@ class TestConjugationOracle:
         C = basis.conjugation_matrix()
         assert np.linalg.norm(C - C.T) <= 1e-14
         assert np.linalg.norm(C @ C.conj() - np.eye(basis.dim)) <= 1e-13
+
+    def test_involution_check_refuses(self, monkeypatch):
+        # C is refused unless C C^H = C conj(C) = I within GRAM_TOL, a NaN too.
+        basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.5, -0.3j], cmath.exp(0.3j)))
+        system = basis._system.copy()
+        system[-1, 1] = math.nan
+        with pytest.raises(TruncationError, match="involution"):
+            ModelSpaceBasis(basis.inner, system, basis.least_order).conjugation_matrix()
+        monkeypatch.setattr(model_space, "GRAM_TOL", -1.0)
+        with pytest.raises(TruncationError, match="involution"):
+            basis.conjugation_matrix()
 
     @pytest.mark.parametrize("degree", [1, 2, 4, 7])
     def test_monomial_is_the_flip(self, degree):
@@ -756,7 +781,7 @@ class TestKeptFrequencyCompression:
         rng = np.random.default_rng(seed)
         phi_len, src_len, dst_len = stretch * phi_len, stretch * src_len, stretch * dst_len
         src = random_coords(rng, (dim_src, src_len))
-        if reversed_rows:  # a negatively strided view, as the mirror-Gram oracle passes
+        if reversed_rows:  # a negatively strided view, as the compressed-conjugation oracle passes
             src = src[:, ::-1]
         assert_matches_full_convolution(random_coords(rng, phi_len), lo, src, k, random_coords(rng, (dim_dst, dst_len)))
 
@@ -801,7 +826,7 @@ class TestKeptFrequencyCompression:
 
     @pytest.mark.parametrize("terms, kernel", [(4, "band"), (None, "fft")], ids=["four-terms", "dense"])
     def test_symbol_near_the_circle(self, rng, terms, kernel):
-        # At rho = 0.99 (T = 2750, k = 1) a dense symbol as long as two rows
+        # At rho = 0.99 (T = 2749, k = 1) a dense symbol as long as two rows
         # takes the FFT kernel, and four terms the band kernel, within the
         # tolerance of the short shapes.
         src = ModelSpaceBasis.build(InnerFunction.blaschke([0.99, -0.3, 0.2j])).rows

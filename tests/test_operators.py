@@ -61,10 +61,11 @@ def kron_basis(setting):
     bb, k = setting.basis_beta, setting.k
     rows = np.kron(bb.rows, np.eye(k))
     shift = np.kron(bb.compressed_shift()[0], np.eye(k, k=1 - k)) + np.kron(np.eye(bb.dim), np.eye(k, k=-1))
-    big = ModelSpaceBasis(bb.inner.stretched(k), None, shift, rows.shape[1] - 1)
+    big = ModelSpaceBasis(bb.inner.stretched(k), None, rows.shape[1] - 1)
     # What a build computes on first read is given here, so it is never computed.
     vars(big).update(
         rows=rows,
+        _shift=shift,
         _conjugation=np.kron(bb.conjugation_matrix(), np.eye(k)[::-1]),
         inner_expansion=np.kron(bb.inner_expansion, np.eye(1, k)[0])[: 2 * k * bb.rows.shape[1] + 1],
         tail_bound=bb.tail_bound,
@@ -623,9 +624,9 @@ class TestRowsOnDemand:
             assert symbol == (recover_symbol(want, built) if want.member else None)
 
     def test_near_circle_membership_memory(self):
-        # B[0.99995i, -0.5i] has T = 552606: its rows take 17 MB, and the
-        # build of the rows and the mirror rows five times that.  Membership
-        # at k = 2 reads two columns of alpha's rows and one of beta's.
+        # B[0.99995i, -0.5i] has T = 552606: its rows take 17 MB, and their
+        # build twice that.  Membership at k = 2 reads two columns of
+        # alpha's rows and one of beta's.
         inner = InnerFunction.blaschke([0.99995j, -0.5j])
         g = np.random.default_rng(67)
         U = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
@@ -647,9 +648,26 @@ class TestRowsOnDemand:
         assert report.member and report.residual == 0.0
         assert recover_symbol(report, setting) == L({})
 
+    @pytest.mark.parametrize("variant", ["c38", "c310b"])
+    @pytest.mark.parametrize("zeros", [[0.99995j, -0.5j], [0.99997, 0.99997]], ids=["B99995i", "double-99997"])
+    def test_conjugated_fits_read_no_rows(self, variant, zeros):
+        # c38 and c310b read the conjugation matrices, which come from the
+        # realizations: no rows are formed, not even where they are refused.
+        # At k = 2 every 2 x 2 matrix is a member (n + (m - 1) min(k, n) = 4).
+        inner = InnerFunction.blaschke(zeros)
+        g = np.random.default_rng(71)
+        U = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
+        for entries in (np.zeros((2, 2)), U):
+            setting = CompressionSetting(inner, inner, 2)
+            reports = []
+            assert traced_peak(lambda: reports.append(membership(setting.matrix(entries), setting, variant))) < 1 << 20
+            assert reports[0].member
+            for basis in (setting.basis_alpha, setting.basis_beta):
+                assert "_truncation_outcome" not in vars(basis)  # what holds the rows
+
 
 class TestNearCirclePipeline:
-    """B[0.99, -0.3, 0.2i] -> B[0.4, -0.5i], k = 2: alpha truncated at T = 2750."""
+    """B[0.99, -0.3, 0.2i] -> B[0.4, -0.5i], k = 2: alpha truncated at T = 2749."""
 
     @pytest.fixture(scope="class")
     def setting(self):
@@ -1147,7 +1165,7 @@ class TestLargeOrderStretchedBeta:
 
 
 class TestReadSpan:
-    """On B[0.99,-0.3,0.2i] -> B[0.99i,-0.5i] (T = 2750) a 4-term symbol is
+    """On B[0.99,-0.3,0.2i] -> B[0.99i,-0.5i] (T = 2749) a 4-term symbol is
     read from its first to its last term that a window reads: neither k nor
     a term that no window reads makes an array of k T entries."""
 
@@ -1232,7 +1250,7 @@ class TestShortRecovery:
         assert np.linalg.matrix_rank(columns) == operator_space_dim(setting)
 
     def test_near_circle_order_1e4(self):
-        # B[0.99,-0.3,0.2i] -> B[0.99i,-0.5i] (T = 2750): the paper's formula
+        # B[0.99,-0.3,0.2i] -> B[0.99i,-0.5i] (T = 2749): the paper's formula
         # gave 2.15M terms here; these are at most 3 + 1 * 3.
         setting = CompressionSetting(*self.spaces(0.99), 10**4)
         U = build_compression(self.cliff_symbol(10**4), setting)
@@ -1246,7 +1264,7 @@ class TestShortRecovery:
         assert np.abs(rebuilt - U.entries).max() <= 1e-12 * np.linalg.norm(U.entries)
 
     def test_near_circle_order_1_rebuild(self):
-        # Zeros at 0.999 (T = 27618), k = 1: the paper's formula gave about 53,000
+        # Zeros at 0.999 (T = 27617), k = 1: the paper's formula gave about 53,000
         # terms, and the rebuild from them took seconds.
         setting = CompressionSetting(*self.spaces(0.999), 1)
         U = build_compression(self.cliff_symbol(1), setting)
