@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,6 +118,7 @@ class MembershipReport:
     # The relative knob, and the threshold it gives: tol * max(1, ||D||_F).
     tolerance: float
     effective_tolerance: float
+    defect_norm: float
     # Source matrix kept for recovery routes; not part of the JSON schema.
     source: OperatorMatrix = field(default=None, repr=False)
 
@@ -131,15 +133,30 @@ class MembershipReport:
             **self.decomposition.to_json(),
             "tolerance": self.tolerance,
             "effective_tolerance": self.effective_tolerance,
+            "defect_norm": self.defect_norm,
         }
+
+
+class Frames(NamedTuple):
+    """The constants of one variant's membership fit (`CompressionSetting.frames`),
+    every array read-only."""
+
+    F: np.ndarray
+    G: np.ndarray
+    G_pinv: np.ndarray
+    norm2: float
+    F_conj: np.ndarray
+    G_adj: np.ndarray
+    G_pinv_adj: np.ndarray
 
 
 class CompressionSetting:
     """Bases and shift matrices for a fixed (alpha, beta, k) triple, and the
     constants of the membership fit: S_alpha^k and, per variant, the frames
-    with the pseudo-inverse of G; and per shift the block of the zero test.
-    Those are computed on first use, once, and like the shifts they are
-    read-only, so no caller can leave them stale.
+    with the pseudo-inverse of G and their adjoints; and per shift the block
+    of the zero test.  The shifts and those constants are computed on first
+    use, once, and are read-only, so no caller can leave them stale; a build
+    forms none of them.
 
     The model space of beta(z^k) inherits beta's measured truncation order:
     it is never formed, and the routines that need it apply beta's rows
@@ -162,10 +179,28 @@ class CompressionSetting:
         self.beta = beta
         self.basis_alpha = ModelSpaceBasis.build(alpha)
         self.basis_beta = ModelSpaceBasis.build(beta)
-        self.shift_alpha, self.shift_alpha_adj = _frozen(*self.basis_alpha.compressed_shift())
-        self.shift_beta, self.shift_beta_adj = _frozen(*self.basis_beta.compressed_shift())
         self._frames = {}
         self._zero_tests = {}
+
+    @functools.cached_property
+    def shift_alpha(self) -> np.ndarray:
+        """S_alpha, the compressed shift of K_alpha."""
+        return _frozen(self.basis_alpha.compressed_shift()[0])[0]
+
+    @functools.cached_property
+    def shift_alpha_adj(self) -> np.ndarray:
+        """The adjoint of S_alpha."""
+        return _frozen(self.basis_alpha.compressed_shift()[1])[0]
+
+    @functools.cached_property
+    def shift_beta(self) -> np.ndarray:
+        """S_beta, the compressed shift of K_beta."""
+        return _frozen(self.basis_beta.compressed_shift()[0])[0]
+
+    @functools.cached_property
+    def shift_beta_adj(self) -> np.ndarray:
+        """The adjoint of S_beta."""
+        return _frozen(self.basis_beta.compressed_shift()[1])[0]
 
     @functools.cached_property
     def shift_alpha_power(self) -> np.ndarray:
@@ -177,12 +212,13 @@ class CompressionSetting:
         """The adjoint of S_alpha^k, its conjugate transpose."""
         return _frozen(self.shift_alpha_power.conj().T)[0]
 
-    def frames(self, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """The variant's frame vector F in K_beta, the dim K_alpha x _used
-        matrix G in K_alpha, the pseudo-inverse of G, and ||F||^2.  Before the
-        conjugations, F = conj(rows_beta[:, 0]) is the kernel at 0 and column
-        j of G, conj(rows_alpha[:, j]), represents f -> f^(j)(0) / j!: the
-        derivative kernel of order j over j!."""
+    def frames(self, variant: str) -> Frames:
+        """The variant's `Frames`: the frame vector F in K_beta, the dim
+        K_alpha x _used matrix G in K_alpha, the pseudo-inverse of G, ||F||^2,
+        and the adjoints the fit multiplies by.  Before the conjugations,
+        F = conj(rows_beta[:, 0]) is the kernel at 0 and column j of G,
+        conj(rows_alpha[:, j]), represents f -> f^(j)(0) / j!: the derivative
+        kernel of order j over j!."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         if variant not in self._frames:
@@ -193,7 +229,9 @@ class CompressionSetting:
                 F = bb.conjugate_vector(F)
             if variant in ("c38", "c310b"):
                 G = ba.conjugation_matrix() @ G.conj()
-            self._frames[variant] = (*_frozen(F, G, _pinv(G)), float(np.vdot(F, F).real))
+            G_pinv = _pinv(G)
+            adjoints = _frozen(F.conj(), G.conj().T, G_pinv.conj().T)
+            self._frames[variant] = Frames(*_frozen(F, G, G_pinv), float(np.vdot(F, F).real), *adjoints)
         return self._frames[variant]
 
     def zero_test_block(self, shift: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -402,10 +440,10 @@ def defect(U: OperatorMatrix, setting: CompressionSetting, variant: str = "t35")
 
 def assemble_defect(dec: DefectDecomposition, setting: CompressionSetting) -> np.ndarray:
     """Matrix of frame_beta (x) chi + sum_j psi_j (x) frame_alpha_j."""
-    F, G, *_ = setting.frames(dec.variant)
-    out = np.outer(F, dec.chi.conjugate())
-    for psi, g in zip(dec.psis, G.T):
-        out = out + np.outer(psi, g.conjugate())
+    frames = setting.frames(dec.variant)
+    out = np.outer(frames.F, dec.chi.conjugate())
+    for psi, g_adj in zip(dec.psis, frames.G_adj):
+        out = out + np.outer(psi, g_adj)
     return out
 
 
@@ -436,29 +474,35 @@ def membership(
 
     F is the variant's frame vector in K_beta and G the dim K_alpha x
     min(k, T_alpha + 1) matrix of its frame in K_alpha
-    (`CompressionSetting.frames`).  chi = D^H F / ||F||^2 takes the P_F D
-    part, and Psi^H = G^+ R^H, with the setting's pseudo-inverse of G, is the
-    minimum-norm least-squares solution of G Psi^H = R^H for the remainder
-    R = (I - P_F) D, so F^H Psi = 0 and the residual is
-    ||(I - P_F) D (I - P_G)||_F.  The matrix is a member when the residual
+    (`CompressionSetting.frames`).  chi = conj(F^H D) / ||F||^2 takes the
+    P_F D part, and Z = R (G^+)^H, with the setting's pseudo-inverse of G,
+    is the minimum-norm least-squares solution of Z G^H = R for the
+    remainder R = D - F chi^H; the psi_j are the rows of Z^T, so F^H Psi = 0
+    and the residual is ||R - Z G^H||_F = ||(I - P_F) D (I - P_G)||_F.  The
+    products read the adjoints cached with the frames, so no conjugate
+    transpose is formed per call.  The matrix is a member when the residual
     is at most tol * max(1, ||D||_F), for a finite tol > 0.
     """
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValueError("tolerance must be positive and finite")
-    F, G, G_pinv, norm2 = setting.frames(variant)
+    F, _, _, norm2, F_conj, G_adj, G_pinv_adj = setting.frames(variant)
     D = defect(U, setting, variant)
-    chi = D.conj().T @ F / norm2
-    R = D - np.outer(F, chi.conjugate())
-    Y = G_pinv @ R.conj().T
-    residual = float(np.linalg.norm(R - (G @ Y).conj().T))
-    psis = list(Y.conjugate())
-    effective = tol * max(1.0, float(np.linalg.norm(D)))
+    chi_conj = F_conj @ D / norm2
+    R = D - F[:, None] * chi_conj
+    Z = R @ G_pinv_adj
+    E = R - Z @ G_adj
+    residual = math.sqrt(np.vdot(E, E).real)
+    # numpy.linalg.norm(D) term for term, so the threshold is tol times it exactly.
+    d = D.ravel(order="K")
+    norm = math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag))
+    effective = tol * max(1.0, norm)
     return MembershipReport(
         member=residual <= effective,
         residual=residual,
-        decomposition=DefectDecomposition(chi=chi, psis=psis, variant=variant),
+        decomposition=DefectDecomposition(chi=chi_conj.conj(), psis=list(Z.T), variant=variant),
         tolerance=tol,
         effective_tolerance=effective,
+        defect_norm=norm,
         source=U,
     )
 
@@ -675,6 +719,7 @@ __all__ = [
     "OperatorMatrix",
     "DefectDecomposition",
     "MembershipReport",
+    "Frames",
     "CompressionSetting",
     "NonMemberError",
     "VARIANTS",

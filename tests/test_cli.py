@@ -127,7 +127,7 @@ class TestMembershipRecover:
         code, out, _ = run(capsys, ["membership", *COMMON, "--matrix", matrix])
         assert code == 0
         assert set(json.loads(out)) == {
-            "member", "residual", "variant", "chi", "psis", "tolerance", "effective_tolerance"
+            "member", "residual", "variant", "chi", "psis", "tolerance", "effective_tolerance", "defect_norm"
         }
 
     def test_effective_tolerance_applied(self, capsys):

@@ -460,10 +460,12 @@ class TestDesignMatrixOracle:
             (zn(4), zn(3), 5),
             (zn(3), BETA, 4),
             (B2, zn(3), 2),
+            # G is 2 x 5, wider than dim K_alpha: its pseudo-inverse comes from the SVD.
+            (B2, zn(3), 5),
             (B_NEAR, BETA, 2),
             (B_REPEATED, InnerFunction.blaschke([0.0, 0.0, 0.4]), 2),
         ],
-        ids=["z4-z3-k2", "z4-z3-k5", "z3-B-k4", "B2-z3-k2", "Bnear-B-k2", "Brepeated-k2"],
+        ids=["z4-z3-k2", "z4-z3-k5", "z3-B-k4", "B2-z3-k2", "B2-z3-k5", "Bnear-B-k2", "Brepeated-k2"],
     )
     def test_closed_form_matches_design_matrix(self, alpha, beta, k):
         rng = np.random.default_rng(11)
@@ -528,6 +530,7 @@ class TestSettingCache:
             with pytest.raises(ValueError, match="variant"):
                 call()
         assert setting._frames == {} and not {"shift_alpha_power", "shift_alpha_power_adj"} & set(vars(setting))
+        assert not {"shift_alpha", "shift_alpha_adj", "shift_beta", "shift_beta_adj"} & set(vars(setting))
         for variant in VARIANTS:
             membership(U, setting, variant)
             assert setting.frames(variant) is setting.frames(variant)
@@ -542,13 +545,31 @@ class TestSettingCache:
         assert setting.interpolation[2] is None
         arrays = [setting.shift_alpha, setting.shift_alpha_adj, setting.shift_beta, setting.shift_beta_adj]
         # The fourth frame constant, ||F||^2, is a float.
-        arrays += [setting.shift_alpha_power, setting.shift_alpha_power_adj] + [a for v in VARIANTS for a in setting.frames(v)[:3]]
+        frames = [setting.frames(v) for v in VARIANTS]
+        for f in frames:
+            assert isinstance(f.norm2, float)
+            adjoints = f.F.conj(), f.G.conj().T, f.G_pinv.conj().T
+            assert all(map(np.array_equal, (f.F_conj, f.G_adj, f.G_pinv_adj), adjoints))
+        arrays += [setting.shift_alpha_power, setting.shift_alpha_power_adj]
+        arrays += [a for f in frames for a in f if isinstance(a, np.ndarray)]
         arrays += [*setting.interpolation[:2], *folding.interpolation]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 a *= 2.0
+
+    def test_build_forms_no_shift(self):
+        # A build reads z^1024's 16 MiB identity rows alone; the shift and its
+        # adjoint, 16 MiB each, are formed when a routine first reads them.
+        names = {"shift_alpha", "shift_alpha_adj", "shift_beta", "shift_beta_adj"}
+
+        def run():
+            setting = CompressionSetting(zn(1024), zn(3), 2)
+            build_compression(L({1: 1}), setting)
+            assert not names & set(vars(setting))
+
+        assert traced_peak(run) < 24 << 20
 
     def test_pinv_matches_lstsq(self):
         # The adjoint shortcut (identity Gram), full-rank SVDs, and rank cuts.
