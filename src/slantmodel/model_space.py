@@ -4,12 +4,12 @@ N zeros at the origin).  A basis is the Takenaka-Malmquist rows, stored as
 Taylor coefficient arrays truncated at a certified order; when every zero is
 at the origin they are exactly 1, z, ..., z^{N-1}.  Column n of the rows is
 E[n] = A^n B for a lossless realization (A, B, C, D) in closed form, A the
-conjugate of the compressed shift (Ninness and Gustafsson, IEEE TAC 42, 1997).
-The conjugation f -> alpha conj(z f) comes from the same realization, as the
-solution of a Stein equation, with no rows.  A build holds the realization;
-the truncated rows and all that is read off them, the shift and the
-conjugation are computed on first read, and the leading columns of the rows
-can be read without them.
+conjugate of the compressed shift S (Ninness and Gustafsson, IEEE TAC 42,
+1997), whose one owner is the basis.  The conjugation f -> alpha conj(z f)
+and the kernels come from the same realization, with no rows.  A build holds
+the realization; the truncated rows and all that is read off them, the shift
+and the conjugation are computed on first read, and the leading columns of
+the rows can be read without them.
 """
 
 from __future__ import annotations
@@ -303,13 +303,13 @@ class ModelSpaceBasis:
     """Orthonormal basis of a model space: the Takenaka-Malmquist rows as a
     dim x (T + 1) array of Taylor coefficients truncated at a certified order
     T, or the identity rows when every zero is at the origin.  `build` holds
-    the realization.  The rows, their tail bound and Gram check, the matrix
-    of the compressed shift, the conjugation matrix and the expansion of the
-    inner function are each computed on first read, once, and are plain
-    instance attributes from then on, as is a refusal of the rows;
-    `first_columns` reads the leading columns of the rows without forming
-    them, and the shift and the conjugation read no rows.  Frozen, arrays
-    read-only.
+    the realization.  The rows, their tail bound and Gram check, the
+    compressed shift S and its adjoint, the conjugation matrix and the
+    expansion of the inner function are each computed on first read, once,
+    and are plain instance attributes from then on, as is a refusal of the
+    rows; `shift_power` gives S^n.  `first_columns` reads the leading
+    columns of the rows without forming them; the shift, the conjugation and
+    the kernels read no rows.  Frozen, arrays read-only.
     """
 
     inner: InnerFunction
@@ -401,11 +401,27 @@ class ModelSpaceBasis:
         return 0.0 if self._system is None else self._truncation.gram_error
 
     @functools.cached_property
-    def _shift(self) -> np.ndarray:
-        """conj(A), the matrix of the compressed shift; for z^N the nilpotent shift."""
-        shift = np.eye(self.dim, k=-1, dtype=complex) if self._system is None else self._system[1:-1, 1:-1].conj()
-        shift.setflags(write=False)
-        return shift
+    def shift(self) -> np.ndarray:
+        """S, the compression of multiplication by z: E[n + 1] = A E[n] gives
+        <z e_j, e_i> = conj(A[i, j]), with no tail.  Read-only."""
+        return self.shift_power(1)
+
+    @functools.cached_property
+    def shift_adj(self) -> np.ndarray:
+        """S^*, the conjugate transpose of `shift`, read-only."""
+        adjoint = self.shift.conj().T
+        adjoint.setflags(write=False)
+        return adjoint
+
+    def shift_power(self, n: int) -> np.ndarray:
+        """S^n, read-only: for z^N the shift by n, with no product and zero
+        from n = N on; otherwise conj(A)^n by repeated squaring."""
+        if self._system is None:
+            power = np.eye(self.dim, k=-min(n, self.dim), dtype=complex)
+        else:
+            power = np.linalg.matrix_power(self._system[1:-1, 1:-1].conj(), n)
+        power.setflags(write=False)
+        return power
 
     @functools.cached_property
     def _conjugation(self) -> np.ndarray:
@@ -454,16 +470,19 @@ class ModelSpaceBasis:
         return expansion
 
     def first_columns(self, n: int) -> np.ndarray:
-        """rows[:, :n], read-only and bit for bit, for 1 <= n <= T + 1.  The
-        rows hold their first 2^(s - 1) columns, s = `_first(least_order)`,
-        from doubling alone; until the rows are read, n up to that many come
-        from the same doubling, stopped at the first power of two >= n.  Past
-        that, once the rows exist, and for z^N, this is a slice of the rows."""
-        held = 1 << (_first(self.least_order) - 1)
-        if self._system is None or "rows" in vars(self) or n > held:
+        """rows[:, :n], read-only and bit for bit, for 1 <= n <= T + 1; for
+        z^N the identity's, with no rows.  The rows hold their first
+        2^(s - 1) columns, s = `_first(least_order)`, from doubling alone;
+        until the rows are read, n up to that many come from the same
+        doubling, stopped at the first power of two >= n.  Past that, and
+        once the rows exist, this is a slice of the rows."""
+        if self._system is None:
+            columns = np.eye(self.dim, n, dtype=complex)
+        elif "rows" in vars(self) or n > 1 << (_first(self.least_order) - 1):
             return self.rows[:, :n]
-        powers = _squares(self._system[1:-1, 1:-1], (n - 1).bit_length())
-        columns = _doubled(self._system, powers)[:, :n]
+        else:
+            powers = _squares(self._system[1:-1, 1:-1], (n - 1).bit_length())
+            columns = _doubled(self._system, powers)[:, :n]
         columns.setflags(write=False)
         return columns
 
@@ -486,24 +505,23 @@ class ModelSpaceBasis:
         return LaurentPoly.from_array(np.asarray(coords, dtype=complex) @ self.rows)
 
     def kernel(self, w: complex, n: int = 0) -> np.ndarray:
-        """Coordinates of the kernel representing f -> f^(n)(w)."""
+        """Coordinates of the kernel representing f -> f^(n)(w): the n-th
+        derivative of the rows (I - z A)^-1 B at w, conjugated,
+        n! S^n (I - conj(w) S)^-(n+1) conj(B), past T too and with no rows."""
         w = complex(w)
         if abs(w) >= 1.0:
             raise ValueError(f"kernel point {w} must lie in the open disk")
         if n < 0:
             raise ValueError("derivative order must be nonnegative")
-        if n >= self.dim and not any(self.inner.zeros):
-            return np.zeros(self.dim, dtype=complex)  # z^N: A is nilpotent
-        scale = derivative_scale(n)  # bounds the order off the origin too
-        if w == 0 and n < self.rows.shape[1]:
-            return scale * self.rows[:, n].conj()
-        # n! A^n (I - w A)^-(n+1) B, the derivative of the rows (I - z A)^-1 B,
-        # past T too; conj(A) is the shift.
-        power = np.linalg.matrix_power(self._shift, n)
+        # S^n = 0 for z^N from n = N on; elsewhere only by underflow, where
+        # n! may overflow.
+        if self._system is None and n >= self.dim:
+            return np.zeros(self.dim, dtype=complex)
+        scale, power = derivative_scale(n), self.shift_power(n)
         if w != 0:
-            resolvent = np.linalg.inv(np.eye(self.dim) - w.conjugate() * self._shift)
+            resolvent = np.linalg.inv(np.eye(self.dim) - w.conjugate() * self.shift)
             power = power @ np.linalg.matrix_power(resolvent, n + 1)
-        return scale * power @ self.rows[:, 0].conj()
+        return scale * (power @ self.first_columns(1)[:, 0].conj())
 
     def conjugate_vector(self, coords) -> np.ndarray:
         """The antilinear involution f -> alpha * conj(z f) in coordinates."""
@@ -512,11 +530,6 @@ class ModelSpaceBasis:
     def conjugation_matrix(self) -> np.ndarray:
         """Matrix C with coords(C f) = C @ conj(coords(f))."""
         return self._conjugation
-
-    def compressed_shift(self) -> tuple[np.ndarray, np.ndarray]:
-        """Matrix of the compression of multiplication by z, and its adjoint.
-        E[n + 1] = A E[n] gives <z e_j, e_i> = conj(A[i, j]), with no tail."""
-        return self._shift, self._shift.conj().T
 
 
 def _capped(*shape: int) -> None:

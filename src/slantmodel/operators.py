@@ -151,19 +151,20 @@ class Frames(NamedTuple):
 
 
 class CompressionSetting:
-    """Bases and shift matrices for a fixed (alpha, beta, k) triple, and the
-    constants of the membership fit: S_alpha^k and, per variant, the frames
-    with the pseudo-inverse of G and their adjoints; and per shift the block
-    of the zero test.  The shifts and those constants are computed on first
-    use, once, and are read-only, so no caller can leave them stale; a build
+    """The bases of a fixed (alpha, beta, k) triple, and the constants of the
+    membership fit: S_alpha^k and, per variant, the frames with the
+    pseudo-inverse of G and their adjoints; and per shift the block of the
+    zero test.  The compressed shifts and their adjoints are the bases' own
+    (`ModelSpaceBasis.shift`).  These constants are computed on first use,
+    once, and are read-only, so no caller can leave them stale; a build
     forms none of them.
 
     The model space of beta(z^k) inherits beta's measured truncation order:
     it is never formed, and the routines that need it apply beta's rows
     column by polyphase column (`ModelSpaceBasis.stretched_projection`).
 
-    The bases are built with their realizations and shifts alone; each
-    forms its truncated rows when a routine first reads them.  The t35
+    The bases are built with their realizations alone; each forms its
+    shift and its truncated rows when a routine first reads them.  The t35
     frames and the interpolation constants read only leading columns
     (`ModelSpaceBasis.first_columns`), so a t35 fit and its recovery need
     no rows while k and the dimensions stay within the columns that the
@@ -183,29 +184,9 @@ class CompressionSetting:
         self._zero_tests = {}
 
     @functools.cached_property
-    def shift_alpha(self) -> np.ndarray:
-        """S_alpha, the compressed shift of K_alpha."""
-        return _frozen(self.basis_alpha.compressed_shift()[0])[0]
-
-    @functools.cached_property
-    def shift_alpha_adj(self) -> np.ndarray:
-        """The adjoint of S_alpha."""
-        return _frozen(self.basis_alpha.compressed_shift()[1])[0]
-
-    @functools.cached_property
-    def shift_beta(self) -> np.ndarray:
-        """S_beta, the compressed shift of K_beta."""
-        return _frozen(self.basis_beta.compressed_shift()[0])[0]
-
-    @functools.cached_property
-    def shift_beta_adj(self) -> np.ndarray:
-        """The adjoint of S_beta."""
-        return _frozen(self.basis_beta.compressed_shift()[1])[0]
-
-    @functools.cached_property
     def shift_alpha_power(self) -> np.ndarray:
         """S_alpha^k."""
-        return _frozen(np.linalg.matrix_power(self.shift_alpha, self.k))[0]
+        return self.basis_alpha.shift_power(self.k)
 
     @functools.cached_property
     def shift_alpha_power_adj(self) -> np.ndarray:
@@ -428,7 +409,7 @@ def defect(U: OperatorMatrix, setting: CompressionSetting, variant: str = "t35")
         raise ValueError("matrix belongs to another pair of model spaces than the setting")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    M, Sb, Sb_adj = U.entries, setting.shift_beta, setting.shift_beta_adj
+    M, Sb, Sb_adj = U.entries, setting.basis_beta.shift, setting.basis_beta.shift_adj
     if variant == "t35":
         return M - Sb @ M @ setting.shift_alpha_power_adj
     if variant == "c38":
@@ -457,7 +438,7 @@ def defect_from_symbol(phi: LaurentPoly, setting: CompressionSetting) -> DefectD
     chi = ba.rows.conj() @ phi.to_array(-ba.truncation_order, 0)[::-1].conj()
     used = _used(setting)
     c, lo = _clip(phi, used, k, used, 1, bb.rows.shape[1])
-    psis = setting.shift_beta @ _compress(c, lo - used, np.eye(used), used, bb.rows)
+    psis = bb.shift @ _compress(c, lo - used, np.eye(used), used, bb.rows)
     return DefectDecomposition(chi=chi, psis=list(psis.T), variant="t35")
 
 

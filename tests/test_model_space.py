@@ -202,7 +202,7 @@ class TestMakeBasis:
         inner = InnerFunction.blaschke([0.9, 0.9, 0.9])
         basis = ModelSpaceBasis.build(inner)
         T = basis.truncation_order
-        a = basis.compressed_shift()[0].conj()
+        a = basis.shift.conj()
         rows = convolution_expansions(inner, 4 * T)[0]
         for t in (284, T):
             dropped = np.linalg.norm(rows[:, t + 1 :], axis=1).max()
@@ -281,7 +281,7 @@ class TestMakeBasis:
         finally:
             tracemalloc.stop()
         assert read == (4096, 4095, 0.0, 0.0) and peak <= 2**16
-        assert not {"_truncation_outcome", "rows", "_shift", "_conjugation"} & set(vars(basis))
+        assert not {"_truncation_outcome", "rows", "shift", "shift_adj", "_conjugation"} & set(vars(basis))
 
     def test_refusals_wait_for_the_rows(self, monkeypatch):
         # A double zero at 0.99997 needs T = 1059425 > 2^20, past the order
@@ -313,7 +313,7 @@ class TestMakeBasis:
         # I - A A^H = B B^H: the rows have unit norm over all frequencies, and
         # the row norms of A^n are the exact tails.
         basis = ModelSpaceBasis.build(InnerFunction.blaschke(zeros))
-        a, b = basis.compressed_shift()[0].conj(), basis.rows[:, 0]
+        a, b = basis.shift.conj(), basis.rows[:, 0]
         assert np.linalg.norm(np.eye(len(b)) - a @ a.conj().T - np.outer(b, b.conj())) <= 1e-15
 
     def test_monomial_degree_cap(self):
@@ -344,7 +344,7 @@ class TestFirstColumns:
         for n in sorted(w for w in widths if 1 <= w <= rows.shape[1]):
             basis = ModelSpaceBasis.build(inner)
             first = basis.first_columns(n)
-            assert ("rows" in vars(basis)) == (n > held or inner.kind == "monomial")
+            assert ("rows" in vars(basis)) == (n > held and inner.kind != "monomial")
             assert np.array_equal(first, rows[:, :n]) and not first.flags.writeable
             assert np.array_equal(basis.rows, rows)
             assert np.array_equal(basis.first_columns(n), first)
@@ -404,30 +404,45 @@ class TestKernel:
             with pytest.raises(FloatingPointError, match="derivative order 171"):
                 basis.kernel(w, 171)
         assert not ModelSpaceBasis.build(InnerFunction.monomial(3)).kernel(0, 200).any()
+        # S^2000 underflows to 0 on B[0.5], where 2000! 0.5^2000 overflows:
+        # only the nilpotent shift of z^N gives zero kernels.
+        with pytest.raises(FloatingPointError, match="derivative order 2000"):
+            ModelSpaceBasis.build(InnerFunction.blaschke([0.5])).kernel(0, 2000)
 
     @pytest.mark.parametrize("zeros", [[0.5], [0.5, -0.3], [0.0, 0.6j, 0.6j]], ids=["single", "pair", "origin-double"])
     def test_orders_past_truncation(self, zeros):
-        # The rows stop at T, the kernels do not: at the origin the kernel of
-        # order n is n! conj(A^n B), at w the conjugate of the n-th
-        # derivative of the series sum_m A^m B z^m, read here to m = 600.
+        # The rows stop at T, the kernels do not.
         basis = ModelSpaceBasis.build(InnerFunction.blaschke(zeros))
         T = basis.truncation_order
-        A, B = basis.compressed_shift()[0].conj(), basis.rows[:, 0]
-        columns = [B]
-        for _ in range(600):
-            columns.append(A @ columns[-1])
-        columns = np.array(columns).conj()
         for n in (T, T + 1, T + 7, 60, 170):
-            want = math.factorial(n) * columns[n]
-            assert np.abs(basis.kernel(0, n) - want).max() <= 1e-13 * np.abs(want).max()
-            if n > 60:  # 170! times the series' weights overflow a double
-                continue
-            for w in (0.3, -0.2j):
-                weights = np.array([math.perm(m, n) * w.conjugate() ** (m - n) for m in range(n, 601)])
-                want, scale = weights @ columns[n:], np.abs(weights) @ np.abs(columns[n:])
-                # The series' terms rotate with the zeros' phases, so its
-                # rounding is relative to the sum of their moduli.
-                assert np.abs(basis.kernel(w, n) - want).max() <= 1e-13 * scale.max()
+            # 170! times the series' weights off the origin overflow a double.
+            assert_kernels_match_series(basis, n, (0.3, -0.2j) if n <= 60 else ())
+
+    def test_reads_no_rows(self):
+        # Every kernel comes from the realization alone: near the circle it
+        # forms no rows, and past the order cap, where the rows are refused,
+        # it still answers.
+        basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.99995j, -0.5j]))
+        for w, n in ((0, 0), (0, 3), (0.3, 2), (-0.2j, 5)):
+            assert np.isfinite(basis.kernel(w, n)).all()
+        assert not {"rows", "_truncation_outcome"} & set(vars(basis))
+        basis = ModelSpaceBasis.build(InnerFunction.blaschke([0.99997, 0.99997]))
+        for n in range(6):
+            assert_kernels_match_series(basis, n, (0.3, -0.2j))
+        with pytest.raises(TruncationError, match="outside"):
+            basis.rows
+
+    def test_monomial_memory(self):
+        # S^n of z^1024 (16 MiB) times conj(B), then scaled: no second
+        # 1024 x 1024 array for n! S^n.
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(1024))
+        tracemalloc.start()
+        try:
+            kernel = basis.kernel(0, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(kernel, 6 * np.eye(1, 1024, 3)[0]) and peak <= 20 * 2**20
 
     def test_rejects_outside_disk(self):
         basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
@@ -444,6 +459,25 @@ class TestKernel:
             for n in range(3):
                 pairing = complex(np.vdot(basis.kernel(w, n), coords))
                 assert abs(pairing - derivative_at(f, w, n)) < 1e-8
+
+
+def assert_kernels_match_series(basis, n, points):
+    """At the origin the kernel of order n is n! conj(A^n B), at each of the
+    points w the conjugate of the n-th derivative of the series
+    sum_m A^m B z^m of the rows, read here to m = 600, with A = conj(S)."""
+    A, B = basis.shift.conj(), basis.first_columns(1)[:, 0]
+    columns = [B]
+    for _ in range(600):
+        columns.append(A @ columns[-1])
+    columns = np.array(columns).conj()
+    want = math.factorial(n) * columns[n]
+    assert np.abs(basis.kernel(0, n) - want).max() <= 1e-13 * np.abs(want).max()
+    for w in points:
+        weights = np.array([math.perm(m, n) * w.conjugate() ** (m - n) for m in range(n, 601)])
+        want, scale = weights @ columns[n:], np.abs(weights) @ np.abs(columns[n:])
+        # The series' terms rotate with the zeros' phases, so its rounding
+        # is relative to the sum of their moduli.
+        assert np.abs(basis.kernel(w, n) - want).max() <= 1e-13 * scale.max()
 
 
 class TestConjugation:
@@ -471,7 +505,7 @@ class TestConjugation:
 class TestCompressedShift:
     def test_jordan_block(self):
         basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
-        S, S_adj = basis.compressed_shift()
+        S, S_adj = basis.shift, basis.shift_adj
         jordan = np.diag([1.0, 1.0], -1)
         assert np.allclose(S, jordan)
         assert np.allclose(S_adj, jordan.T)
@@ -479,27 +513,47 @@ class TestCompressedShift:
     def test_shift_kills_top_power_when_alpha_vanishes_at_zero(self):
         # S applied to the conjugated point kernel gives -alpha(0) k_0.
         basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
-        S, _ = basis.compressed_shift()
+        S = basis.shift
         tilde = basis.conjugate_vector(basis.kernel(0, 0))
         assert np.allclose(S @ tilde, np.zeros(3))
 
     @pytest.mark.parametrize("inner", [InnerFunction.monomial(4), InnerFunction.blaschke([0.5, -0.3])])
     def test_conjugation_symmetry(self, inner):
         basis = ModelSpaceBasis.build(inner)
-        S, S_adj = basis.compressed_shift()
+        S, S_adj = basis.shift, basis.shift_adj
         C = basis.conjugation_matrix()
         assert np.abs(C @ S.conjugate() @ C.conjugate() - S_adj).max() < 1e-10
 
     def test_tilde_kernel_relation_blaschke(self, blaschke_basis):
         # S applied to the conjugated point kernel equals -alpha(0) k_0.
-        S, _ = blaschke_basis.compressed_shift()
+        S = blaschke_basis.shift
         tilde = blaschke_basis.conjugate_vector(blaschke_basis.kernel(0, 0))
         a0 = blaschke_basis.inner.evaluate(0.0)
         assert np.abs(S @ tilde + a0 * blaschke_basis.kernel(0, 0)).max() < 1e-8
 
+    def test_shift_power(self):
+        # z^N: the shift by n, bit for bit the matrix power, zero from n = N
+        # on whatever the size of n; elsewhere the power of conj(A).
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(6))
+        for n in (0, 1, 2, 5, 6, 11):
+            assert np.array_equal(basis.shift_power(n), np.linalg.matrix_power(basis.shift, n))
+        assert not basis.shift_power(10**20).any()
+        for zeros in ([0.5, -0.3], [0.4, -0.5j], [0, 0, 0.5, -0.3]):
+            blaschke = ModelSpaceBasis.build(InnerFunction.blaschke(zeros))
+            a = blaschke._system[1:-1, 1:-1]
+            assert np.array_equal(blaschke.shift, a.conj())
+            for n in (0, 1, 2, 7, 100):
+                assert np.array_equal(blaschke.shift_power(n), np.linalg.matrix_power(a.conj(), n))
+        for b in (basis, blaschke):
+            assert np.array_equal(b.shift_adj, b.shift.conj().T)
+            assert b.shift is b.shift and b.shift_adj is b.shift_adj
+            for a in (b.shift, b.shift_adj, b.shift_power(0), b.shift_power(3), basis.shift_power(10**20)):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 1.0
+
     def test_adjoint_is_backward_shift(self, rng, blaschke_basis):
         v = random_coords(rng, blaschke_basis.dim)
-        _, S_adj = blaschke_basis.compressed_shift()
+        S_adj = blaschke_basis.shift_adj
         direct = blaschke_basis.project(backward_shift_pow(blaschke_basis.reconstruct(v), 1))
         assert np.abs(S_adj @ v - direct).max() < 1e-10
 
@@ -619,7 +673,7 @@ class TestConvolutionOracle:
         # e_j[n] conj(e_i[n + 1]) with n >= T, below the certified tail.
         basis = ModelSpaceBasis.build(inner)
         truncated = _compress(np.ones(1), 1, basis.rows, 1, basis.rows)
-        assert np.abs(basis.compressed_shift()[0] - truncated).max() <= basis.tail_bound
+        assert np.abs(basis.shift - truncated).max() <= basis.tail_bound
 
     @pytest.mark.parametrize(
         "inner",

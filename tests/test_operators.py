@@ -60,12 +60,13 @@ def kron_basis(setting):
     row i k + j + 1, and z^k e_i(z^k) to the compressed shift of e_i at z^k."""
     bb, k = setting.basis_beta, setting.k
     rows = np.kron(bb.rows, np.eye(k))
-    shift = np.kron(bb.compressed_shift()[0], np.eye(k, k=1 - k)) + np.kron(np.eye(bb.dim), np.eye(k, k=-1))
+    shift = np.kron(bb.shift, np.eye(k, k=1 - k)) + np.kron(np.eye(bb.dim), np.eye(k, k=-1))
     big = ModelSpaceBasis(bb.inner.stretched(k), None, rows.shape[1] - 1)
     # What a build computes on first read is given here, so it is never computed.
     vars(big).update(
         rows=rows,
-        _shift=shift,
+        shift=shift,
+        shift_adj=shift.conj().T,
         _conjugation=np.kron(bb.conjugation_matrix(), np.eye(k)[::-1]),
         inner_expansion=np.kron(bb.inner_expansion, np.eye(1, k)[0])[: 2 * k * bb.rows.shape[1] + 1],
         tail_bound=bb.tail_bound,
@@ -239,7 +240,7 @@ class TestLoopOracle:
             assert np.array_equal(build_compression(phi, order_one).entries, loop_oracle(phi, ba, 1, bb))
         big = kron_basis(setting)
         assert np.array_equal(decimation_matrix(setting), loop_oracle(L({0: 1}), big, k, bb))
-        assert np.array_equal(ba.compressed_shift()[0], loop_oracle(L({1: 1}), ba, 1, ba))
+        assert np.array_equal(ba.shift, loop_oracle(L({1: 1}), ba, 1, ba))
 
     @pytest.mark.parametrize(
         "alpha,beta,k",
@@ -260,7 +261,7 @@ class TestLoopOracle:
             assert close(build_compression(phi, order_one).entries, loop_oracle(phi, ba, 1, bb))
         big = kron_basis(setting)
         assert close(decimation_matrix(setting), loop_oracle(L({0: 1}), big, k, bb))
-        assert close(ba.compressed_shift()[0], loop_oracle(L({1: 1}), ba, 1, ba))
+        assert close(ba.shift, loop_oracle(L({1: 1}), ba, 1, ba))
 
 
 class TestDecimationMatrix:
@@ -530,7 +531,8 @@ class TestSettingCache:
             with pytest.raises(ValueError, match="variant"):
                 call()
         assert setting._frames == {} and not {"shift_alpha_power", "shift_alpha_power_adj"} & set(vars(setting))
-        assert not {"shift_alpha", "shift_alpha_adj", "shift_beta", "shift_beta_adj"} & set(vars(setting))
+        bases = setting.basis_alpha, setting.basis_beta
+        assert not any({"shift", "shift_adj"} & set(vars(b)) for b in bases)
         for variant in VARIANTS:
             membership(U, setting, variant)
             assert setting.frames(variant) is setting.frames(variant)
@@ -543,7 +545,8 @@ class TestSettingCache:
             recover_symbol(membership(s.matrix(np.ones((2, 3))), s), s)
             assert s.interpolation is s.interpolation
         assert setting.interpolation[2] is None
-        arrays = [setting.shift_alpha, setting.shift_alpha_adj, setting.shift_beta, setting.shift_beta_adj]
+        arrays = [a for b in bases for a in (b.shift, b.shift_adj, b.shift_power(2))]
+        assert all(b.shift is b.shift and b.shift_adj is b.shift_adj for b in bases)
         # The fourth frame constant, ||F||^2, is a float.
         frames = [setting.frames(v) for v in VARIANTS]
         for f in frames:
@@ -562,14 +565,22 @@ class TestSettingCache:
     def test_build_forms_no_shift(self):
         # A build reads z^1024's 16 MiB identity rows alone; the shift and its
         # adjoint, 16 MiB each, are formed when a routine first reads them.
-        names = {"shift_alpha", "shift_alpha_adj", "shift_beta", "shift_beta_adj"}
-
         def run():
             setting = CompressionSetting(zn(1024), zn(3), 2)
             build_compression(L({1: 1}), setting)
-            assert not names & set(vars(setting))
+            assert not any({"shift", "shift_adj"} & set(vars(b)) for b in (setting.basis_alpha, setting.basis_beta))
 
         assert traced_peak(run) < 24 << 20
+
+    @pytest.mark.parametrize("variant", ["t35", "c38"])
+    def test_monomial_membership_memory(self, variant):
+        # S^2 of z^1024 is the shift by 2, with no product: the fit holds it
+        # and its adjoint (t35) or the conjugation matrix (c38), 16 MiB each.
+        def run():
+            setting = CompressionSetting(zn(1024), zn(3), 2)
+            assert membership(setting.matrix(np.zeros((3, 1024))), setting, variant).member
+
+        assert traced_peak(run) < 40 << 20
 
     def test_pinv_matches_lstsq(self):
         # The adjoint shortcut (identity Gram), full-rank SVDs, and rank cuts.
@@ -1455,7 +1466,7 @@ def dict_defect_from_symbol(phi, setting):
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
     chi = ba.project(conj_on_circle(phi))
     psis = [
-        setting.shift_beta @ bb.project(decimate(mul(phi, monomial(-(k - j))), k))
+        bb.shift @ bb.project(decimate(mul(phi, monomial(-(k - j))), k))
         for j in range(k)
     ]
     return chi, psis
@@ -1572,7 +1583,7 @@ class TestSymbolArrayOracle:
                 window = dense_clip(p, -ba.truncation_order, k * bb.truncation_order)
                 assert np.array_equal(build_compression(p, setting).entries, _compress(*window, ba.rows, k, bb.rows))
                 c, lo = dense_clip(p, k + 1 - used, k * bb.rows.shape[1])
-                psis = setting.shift_beta @ _compress(c, lo - k, np.eye(used), k, bb.rows)
+                psis = bb.shift @ _compress(c, lo - k, np.eye(used), k, bb.rows)
                 assert np.array_equal(np.array(defect_from_symbol(p, setting).psis).T, psis)
 
     def test_fold_matches_dense_clip_on_random_symbols(self, setting):
@@ -1587,7 +1598,7 @@ class TestSymbolArrayOracle:
             window = dense_clip(p, -ba.truncation_order, k * bb.truncation_order)
             assert np.array_equal(build_compression(p, setting).entries, _compress(*window, ba.rows, k, bb.rows))
             c, lo = dense_clip(p, k + 1 - used, k * bb.rows.shape[1])
-            psis = setting.shift_beta @ _compress(c, lo - k, np.eye(used), k, bb.rows)
+            psis = bb.shift @ _compress(c, lo - k, np.eye(used), k, bb.rows)
             assert np.array_equal(np.array(defect_from_symbol(p, setting).psis).T, psis)
 
     def test_compress_reads_only_its_windows(self, setting):
