@@ -18,7 +18,6 @@ from .operators import (
     canonical_symbol,
     conjugate_operator,
     conjugate_symbol,
-    decimation_matrix,
     defect,
     defect_from_symbol,
     membership,

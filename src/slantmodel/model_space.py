@@ -309,7 +309,7 @@ class ModelSpaceBasis:
     and are plain instance attributes from then on, as is a refusal of the
     rows; `shift_power` gives S^n.  `first_columns` reads the leading
     columns of the rows without forming them; the shift, the conjugation and
-    the kernels read no rows.  Frozen, arrays read-only.
+    the kernels read no rows, nor does `exact`.  Frozen, arrays read-only.
     """
 
     inner: InnerFunction
@@ -326,6 +326,11 @@ class ModelSpaceBasis:
     @property
     def dim(self) -> int:
         return self.inner.degree
+
+    @property
+    def exact(self) -> bool:
+        """True when every zero is at the origin: no realization, and the identity rows."""
+        return self._system is None
 
     @property
     def truncation_order(self) -> int:

@@ -139,11 +139,9 @@ class MembershipReport:
 
 class Frames(NamedTuple):
     """The constants of one variant's membership fit (`CompressionSetting.frames`),
-    every array read-only."""
+    every array read-only: what `membership`, `assemble_defect` and `rank_one` read."""
 
     F: np.ndarray
-    G: np.ndarray
-    G_pinv: np.ndarray
     norm2: float
     F_conj: np.ndarray
     G_adj: np.ndarray
@@ -152,9 +150,8 @@ class Frames(NamedTuple):
 
 class CompressionSetting:
     """The bases of a fixed (alpha, beta, k) triple, and the constants of the
-    membership fit: S_alpha^k and, per variant, the frames with the
-    pseudo-inverse of G and their adjoints; and per shift the block of the
-    zero test.  The compressed shifts and their adjoints are the bases' own
+    membership fit: S_alpha^k and, per variant, the frames; and per shift
+    the block of the zero test.  The compressed shifts and their adjoints are the bases' own
     (`ModelSpaceBasis.shift`).  These constants are computed on first use,
     once, and are read-only, so no caller can leave them stale; a build
     forms none of them.
@@ -194,9 +191,9 @@ class CompressionSetting:
         return _frozen(self.shift_alpha_power.conj().T)[0]
 
     def frames(self, variant: str) -> Frames:
-        """The variant's `Frames`: the frame vector F in K_beta, the dim
-        K_alpha x _used matrix G in K_alpha, the pseudo-inverse of G, ||F||^2,
-        and the adjoints the fit multiplies by.  Before the conjugations,
+        """The variant's `Frames`: the frame vector F in K_beta, ||F||^2, and
+        the adjoints the fit multiplies by, of the dim K_alpha x _used matrix
+        G in K_alpha and of its pseudo-inverse.  Before the conjugations,
         F = conj(rows_beta[:, 0]) is the kernel at 0 and column j of G,
         conj(rows_alpha[:, j]), represents f -> f^(j)(0) / j!: the derivative
         kernel of order j over j!."""
@@ -210,9 +207,8 @@ class CompressionSetting:
                 F = bb.conjugate_vector(F)
             if variant in ("c38", "c310b"):
                 G = ba.conjugation_matrix() @ G.conj()
-            G_pinv = _pinv(G)
-            adjoints = _frozen(F.conj(), G.conj().T, G_pinv.conj().T)
-            self._frames[variant] = Frames(*_frozen(F, G, G_pinv), float(np.vdot(F, F).real), *adjoints)
+            F, F_conj, G_adj, G_pinv_adj = _frozen(F, F.conj(), G.conj().T, _pinv(G).conj().T)
+            self._frames[variant] = Frames(F, float(np.vdot(F, F).real), F_conj, G_adj, G_pinv_adj)
         return self._frames[variant]
 
     def zero_test_block(self, shift: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,9 +234,8 @@ class CompressionSetting:
         and B the same for beta, whose column j holds the coordinates of the
         projection of z^j; and the fold conj(A^-1) rows_alpha[:, dim:_used],
         which moves the t35 parts psi_j, j >= dim K_alpha, onto j < dim with
-        Psi G^H kept.  A basis whose first dim columns are exactly the
-        identity (z^N) has no inverse, and the fold is None when _used <= dim
-        K_alpha.  Computed on first use, read-only."""
+        Psi G^H kept.  An exact basis (z^N) has no inverse, and the fold is
+        None when _used <= dim K_alpha.  Computed on first use, read-only."""
         ba, used = self.basis_alpha, _used(self)
         inv_a = _interpolant(ba)
         fold = None if used <= ba.dim else _frozen(inv_a.conj() @ ba.first_columns(used)[:, ba.dim :])[0]
@@ -248,8 +243,8 @@ class CompressionSetting:
 
     @property
     def exact(self) -> bool:
-        """True when neither basis drops a tail: both are z^N, up to the constant."""
-        return self.basis_alpha.tail_bound == self.basis_beta.tail_bound == 0.0
+        """True when both bases are exact (`ModelSpaceBasis.exact`); no rows are read."""
+        return self.basis_alpha.exact and self.basis_beta.exact
 
     def tol(self) -> float:
         return EXACT_TOL if self.exact else BLASCHKE_TOL
@@ -268,13 +263,12 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _interpolant(basis: ModelSpaceBasis) -> np.ndarray | None:
     """The read-only inverse of A = conj(rows[:, :dim]), which maps the
     coordinates of f in the model space to the coefficients of the polynomial
-    of degree < dim with the same projection; None when A is exactly the
-    identity (z^N).  A is invertible, as no nonzero polynomial of degree < dim
-    lies in alpha H^2."""
-    head = basis.first_columns(basis.dim)
-    if np.array_equal(head, np.eye(basis.dim)):
+    of degree < dim with the same projection; None on an exact basis, where
+    A is the identity.  A is invertible, as no nonzero polynomial of degree
+    < dim lies in alpha H^2."""
+    if basis.exact:
         return None
-    return _frozen(np.linalg.inv(head.conj()))[0]
+    return _frozen(np.linalg.inv(basis.first_columns(basis.dim).conj()))[0]
 
 
 def _pinv(G: np.ndarray) -> np.ndarray:
@@ -392,14 +386,6 @@ def build_compression(phi: LaurentPoly, setting: CompressionSetting) -> Operator
     return setting.matrix(_compress(*window, ba.rows, s, bb.rows))
 
 
-def decimation_matrix(setting: CompressionSetting) -> np.ndarray:
-    """Matrix of W_k from the model space of beta(z^k) into that of beta."""
-    # Column i k + j is z^j e_i(z^k), and W_k of it is e_i for j = 0, else 0:
-    # beta's Gram matrix in columns i k.
-    rows = setting.basis_beta.rows
-    return ((rows.conj() @ rows.T)[:, :, None] * np.eye(1, setting.k)).reshape(len(rows), -1)
-
-
 # -- defect operators ------------------------------------------------------
 
 
@@ -466,7 +452,7 @@ def membership(
     """
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValueError("tolerance must be positive and finite")
-    F, _, _, norm2, F_conj, G_adj, G_pinv_adj = setting.frames(variant)
+    F, norm2, F_conj, G_adj, G_pinv_adj = setting.frames(variant)
     D = defect(U, setting, variant)
     chi_conj = F_conj @ D / norm2
     R = D - F[:, None] * chi_conj
@@ -667,33 +653,33 @@ def conjugate_operator(
 def rank_one(
     setting: CompressionSetting, l: int, kind: str = "tilde_k"
 ) -> tuple[OperatorMatrix, LaurentPoly]:
-    """The two families of rank-one members, with their symbols.  Past the
-    truncation order of alpha's rows the kernel of order l comes from the
-    realization while the symbol compresses through those rows, so l > T_alpha
-    is refused, unless alpha's rows are exact (z^N, where both are 0)."""
+    """The two families of rank-one members, with their symbols: l! F G_l^H
+    of the c310a frames, C_beta k_0^beta (x) k_l^alpha ('tilde_k'), or of the
+    c310b frames, k_0^beta (x) C_alpha k_l^alpha ('k_tilde').  The frames end
+    at T_alpha, past which a symbol no longer compresses to its matrix, so
+    l > T_alpha is refused, unless alpha is exact (z^N, where both are 0)."""
     k = setting.k
     if not 0 <= strict_int(l, "index l") < k:
         raise ValueError(f"index l={l} out of range 0..{k - 1}")
+    if kind not in ("tilde_k", "k_tilde"):
+        raise ValueError(f"unknown rank-one kind {kind!r}")
     ba, bb = setting.basis_alpha, setting.basis_beta
-    if l > ba.truncation_order and ba.tail_bound:
+    frames = setting.frames("c310a" if kind == "tilde_k" else "c310b")
+    if l >= len(frames.G_adj) and not ba.exact:
         raise TruncationError(
             f"index l={l} is past alpha's truncation order {ba.truncation_order}: "
             "its symbol would not compress to its matrix"
         )
+    scale = derivative_scale(l)
+    row = frames.G_adj[l] if l < len(frames.G_adj) else np.zeros(ba.dim, dtype=complex)
     if kind == "tilde_k":
         # l! beta(z^k) z^-(l + k)
-        F = bb.conjugate_vector(bb.kernel(0, 0))
-        G = ba.kernel(0, l)
-        symbol = _place(bb.inner_expansion * derivative_scale(l), -(l + 1), 1, k, -l)
-    elif kind == "k_tilde":
-        # l! conj(alpha) z^(l + 1)
-        F = bb.kernel(0, 0)
-        G = ba.conjugate_vector(ba.kernel(0, l))
-        ea = ba.inner_expansion
-        symbol = LaurentPoly.from_array(ea[::-1].conj() * derivative_scale(l), l + 2 - len(ea))
+        symbol = _place(bb.inner_expansion * scale, -(l + 1), 1, k, -l)
     else:
-        raise ValueError(f"unknown rank-one kind {kind!r}")
-    return setting.matrix(np.outer(F, G.conjugate())), symbol
+        # l! conj(alpha) z^(l + 1)
+        ea = ba.inner_expansion
+        symbol = LaurentPoly.from_array(ea[::-1].conj() * scale, l + 2 - len(ea))
+    return setting.matrix(np.outer(frames.F, scale * row)), symbol
 
 
 __all__ = [
@@ -706,7 +692,6 @@ __all__ = [
     "VARIANTS",
     "DEFAULT_MEMBERSHIP_TOL",
     "build_compression",
-    "decimation_matrix",
     "defect",
     "defect_from_symbol",
     "assemble_defect",

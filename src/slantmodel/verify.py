@@ -46,7 +46,7 @@ DEFAULT_MENU = (
     (InnerFunction.monomial(4), InnerFunction.monomial(3), 2),
     (InnerFunction.monomial(4), InnerFunction.monomial(3), 5),
     (InnerFunction.monomial(3), InnerFunction.monomial(3), 2),
-    (InnerFunction.blaschke([0.5, -0.3j], cmath.exp(0.3j)), InnerFunction.monomial(3), 2),
+    (InnerFunction.blaschke([-0.3j, 0.5], cmath.exp(0.3j)), InnerFunction.monomial(3), 2),
 )
 
 # Every subject the harness must cover; the audit fails if one is missing.

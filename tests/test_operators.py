@@ -1,3 +1,4 @@
+import cmath
 import json
 import time
 import tracemalloc
@@ -16,13 +17,13 @@ from slantmodel.operators import (
     VARIANTS,
     CompressionSetting,
     DefectDecomposition,
+    Frames,
     NonMemberError,
     assemble_defect,
     build_compression,
     canonical_symbol,
     conjugate_operator,
     conjugate_symbol,
-    decimation_matrix,
     defect,
     defect_from_symbol,
     membership,
@@ -33,6 +34,7 @@ from slantmodel.operators import (
     _place,
     _reduced,
     _times_stretched,
+    _used,
 )
 from slantmodel.verify import random_laurent
 
@@ -55,9 +57,9 @@ def stretched_beta_expansion(setting):
 
 
 def kron_basis(setting):
-    """Reference basis of the model space of beta(z^k), in the polyphase
-    order of `decimation_matrix`: row i k + j is z^j e_i(z^k).  z moves it to
-    row i k + j + 1, and z^k e_i(z^k) to the compressed shift of e_i at z^k."""
+    """Reference basis of the model space of beta(z^k), in polyphase order:
+    row i k + j is z^j e_i(z^k).  z moves it to row i k + j + 1, and
+    z^k e_i(z^k) to the compressed shift of e_i at z^k."""
     bb, k = setting.basis_beta, setting.k
     rows = np.kron(bb.rows, np.eye(k))
     shift = np.kron(bb.shift, np.eye(k, k=1 - k)) + np.kron(np.eye(bb.dim), np.eye(k, k=-1))
@@ -238,8 +240,6 @@ class TestLoopOracle:
             phi = random_laurent(rng, -20, 40, terms=8)
             assert np.array_equal(build_compression(phi, setting).entries, loop_oracle(phi, ba, k, bb))
             assert np.array_equal(build_compression(phi, order_one).entries, loop_oracle(phi, ba, 1, bb))
-        big = kron_basis(setting)
-        assert np.array_equal(decimation_matrix(setting), loop_oracle(L({0: 1}), big, k, bb))
         assert np.array_equal(ba.shift, loop_oracle(L({1: 1}), ba, 1, ba))
 
     @pytest.mark.parametrize(
@@ -259,24 +259,16 @@ class TestLoopOracle:
             phi = random_laurent(rng, -6, 12, terms=6)
             assert close(build_compression(phi, setting).entries, loop_oracle(phi, ba, k, bb))
             assert close(build_compression(phi, order_one).entries, loop_oracle(phi, ba, 1, bb))
-        big = kron_basis(setting)
-        assert close(decimation_matrix(setting), loop_oracle(L({0: 1}), big, k, bb))
         assert close(ba.shift, loop_oracle(L({1: 1}), ba, 1, ba))
 
 
 class TestDecimationMatrix:
-    def test_monomial_selector(self, s243):
-        W = decimation_matrix(s243)
-        expected = np.zeros((3, 6))
-        for i in range(3):
-            expected[i, 2 * i] = 1
-        assert np.array_equal(W, expected)
-
     def test_factorization(self, rng, all_settings):
-        # Compression = W_k after multiplication into the stretched space.
+        # Compression = W_k after multiplication into the stretched space,
+        # W_k the loop oracle's compression of 1 from that space into K_beta.
         for setting in all_settings:
-            W = decimation_matrix(setting)
             big = kron_basis(setting)
+            W = loop_oracle(L({0: 1}), big, setting.k, setting.basis_beta)
             phi = random_laurent(rng, -5, 8, terms=6)
             U = build_compression(phi, setting)
             lifted = np.array([[inner(mul(phi, e), f) for e in vectors(setting.basis_alpha)] for f in vectors(big)])
@@ -547,11 +539,18 @@ class TestSettingCache:
         assert setting.interpolation[2] is None
         arrays = [a for b in bases for a in (b.shift, b.shift_adj, b.shift_power(2))]
         assert all(b.shift is b.shift and b.shift_adj is b.shift_adj for b in bases)
-        # The fourth frame constant, ||F||^2, is a float.
+        # The frames keep what the fit reads: ||F||^2 as a float, and the
+        # adjoints of G = conj(rows_alpha[:, :used]), conjugated by C_alpha
+        # for c38 and c310b, and of its pseudo-inverse, bit for bit.
+        assert Frames._fields == ("F", "norm2", "F_conj", "G_adj", "G_pinv_adj")
         frames = [setting.frames(v) for v in VARIANTS]
-        for f in frames:
+        ba = setting.basis_alpha
+        for variant, f in zip(VARIANTS, frames):
             assert isinstance(f.norm2, float)
-            adjoints = f.F.conj(), f.G.conj().T, f.G_pinv.conj().T
+            G = ba.first_columns(_used(setting)).conj()
+            if variant in ("c38", "c310b"):
+                G = ba.conjugation_matrix() @ G.conj()
+            adjoints = f.F.conj(), G.conj().T, _pinv(G).conj().T
             assert all(map(np.array_equal, (f.F_conj, f.G_adj, f.G_pinv_adj), adjoints))
         arrays += [setting.shift_alpha_power, setting.shift_alpha_power_adj]
         arrays += [a for f in frames for a in f if isinstance(a, np.ndarray)]
@@ -579,6 +578,25 @@ class TestSettingCache:
         def run():
             setting = CompressionSetting(zn(1024), zn(3), 2)
             assert membership(setting.matrix(np.zeros((3, 1024))), setting, variant).member
+
+        assert traced_peak(run) < 40 << 20
+
+    def test_monomial_rank_one_memory(self):
+        # tilde_k reads the first columns of the identity rows and beta's
+        # frame: no dense power of S (16 MiB at z^1024).
+        def run():
+            setting = CompressionSetting(zn(1024), zn(3), 3)
+            assert rank_one(setting, 1, "tilde_k")[0].norm() == 1.0
+
+        assert traced_peak(run) < 4 << 20
+
+    def test_monomial_recovery_memory(self):
+        # t35 recovery on z^N writes the parts as they are, with no identity
+        # head or identity to compare it with (16 MiB each at z^1024): the
+        # fit's S^2 and its adjoint are the peak.
+        def run():
+            setting = CompressionSetting(zn(1024), zn(3), 2)
+            assert recover_symbol(membership(setting.matrix(np.zeros((3, 1024))), setting), setting) == L({})
 
         assert traced_peak(run) < 40 << 20
 
@@ -624,6 +642,38 @@ class TestSettingCache:
         assert time.perf_counter() - start < 1.0
         assert report.member and report.residual <= 1e-13
         assert again.to_json() == report.to_json()
+
+
+class TestExact:
+    """Exactness is one basis flag, every zero at the origin, read with no
+    rows."""
+
+    def test_basis_flag(self):
+        exact = [zn(1), zn(5), InnerFunction.blaschke([0, 0, 0], cmath.exp(0.7j))]
+        for inner in exact + [InnerFunction.blaschke([0.5]), InnerFunction.blaschke([0, 0.5])]:
+            basis = ModelSpaceBasis.build(inner)
+            assert basis.exact == (inner in exact)
+            assert "rows" not in vars(basis)
+
+    def test_setting_reads_no_rows(self):
+        setting = CompressionSetting(B_NEAR, BETA, 2)
+        assert not setting.exact and setting.tol() == model_space.BLASCHKE_TOL
+        for basis in (setting.basis_alpha, setting.basis_beta):
+            assert not {"rows", "_truncation_outcome"} & set(vars(basis))  # what holds the rows
+        assert CompressionSetting(InnerFunction.blaschke([0, 0, 0], cmath.exp(0.7j)), zn(2), 2).exact
+
+    def test_refused_rows(self):
+        # B[0.99997, 0.99997] has its rows refused.  tilde_k at l < k <=
+        # least order + 1 reads two columns of them from the doubling, and a
+        # symbol of beta alone; k_tilde's symbol reads alpha's expansion.
+        setting = CompressionSetting(InnerFunction.blaschke([0.99997, 0.99997]), zn(2), 2)
+        assert setting.exact is False
+        mat, symbol = rank_one(setting, 1, "tilde_k")
+        ba, bb = setting.basis_alpha, setting.basis_beta
+        want = np.outer(bb.conjugate_vector(bb.kernel(0, 0)), ba.kernel(0, 1).conj())
+        assert np.abs(mat.entries - want).max() <= 1e-12 * np.abs(want).max() and symbol == L({1: 1})
+        with pytest.raises(TruncationError, match="outside"):
+            rank_one(setting, 1, "k_tilde")
 
 
 class TestRowsOnDemand:
@@ -1079,6 +1129,54 @@ class TestRankOne:
         for kind in ("tilde_k", "k_tilde"):
             mat, symbol = rank_one(exact, 45, kind)
             assert mat.norm() == 0.0 and build_compression(symbol, exact).norm() == 0.0
+
+    @pytest.mark.parametrize(
+        "alpha,beta,k,count",
+        [
+            (zn(4), zn(3), 5, 5),
+            (InnerFunction.blaschke([0.5, -0.3j], cmath.exp(0.3j)), zn(3), 4, 4),
+            (B_NEAR, InnerFunction.blaschke([0.4, -0.5j], cmath.exp(1j)), 6, 6),
+            (InnerFunction.blaschke([0, 0, 0], cmath.exp(0.7j)), InnerFunction.blaschke([0.3]), 5, 5),
+            (InnerFunction.blaschke([0.5]), zn(2), 50, 45),
+        ],
+        ids=["z4-z3-k5", "Bc-z3-k4", "Bnear-Bc-k6", "cz3-B-k5", "B05-z2-k50"],
+    )
+    def test_frame_products(self, alpha, beta, k, count):
+        # The rank-ones are l! F G_l^H of the c310a and c310b frames: the
+        # kernels C_beta k_0^beta, k_l^alpha (tilde_k) and k_0^beta,
+        # C_alpha k_l^alpha (k_tilde), formed here from `kernel` and
+        # `conjugate_vector`, bit for bit on an exact alpha.  Both refuse
+        # l > T_alpha on a truncated alpha.
+        setting = CompressionSetting(alpha, beta, k)
+        ba, bb = setting.basis_alpha, setting.basis_beta
+        for l in range(count):
+            for kind in ("tilde_k", "k_tilde"):
+                if l > ba.truncation_order and not ba.exact:
+                    with pytest.raises(TruncationError, match="truncation order"):
+                        rank_one(setting, l, kind)
+                    continue
+                if kind == "tilde_k":
+                    F, G = bb.conjugate_vector(bb.kernel(0, 0)), ba.kernel(0, l)
+                else:
+                    F, G = bb.kernel(0, 0), ba.conjugate_vector(ba.kernel(0, l))
+                want = np.outer(F, G.conj())
+                got = rank_one(setting, l, kind)[0].entries
+                if ba.exact:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_calls_no_kernel(self, monkeypatch, s243, sblaschke):
+        def refused(*args):
+            raise AssertionError("rank_one read a kernel or a power of S")
+
+        monkeypatch.setattr(ModelSpaceBasis, "kernel", refused)
+        monkeypatch.setattr(ModelSpaceBasis, "shift_power", refused)
+        for fixture in (s243, sblaschke):
+            setting = CompressionSetting(fixture.alpha, fixture.beta, fixture.k)
+            for l in range(setting.k):
+                for kind in ("tilde_k", "k_tilde"):
+                    rank_one(setting, l, kind)
 
     def test_index_out_of_range(self, s243):
         with pytest.raises(ValueError):
