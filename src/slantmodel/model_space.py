@@ -9,7 +9,9 @@ conjugate of the compressed shift S (Ninness and Gustafsson, IEEE TAC 42,
 and the kernels come from the same realization, with no rows.  A build holds
 the realization; the truncated rows and all that is read off them, the shift
 and the conjugation are computed on first read, and the leading columns of
-the rows can be read without them.
+the rows can be read without them.  When every zero is at the origin, S is
+the nilpotent shift and the conjugation c J a reversal, so both act on
+coefficient arrays by index, with no dense matrix.
 """
 
 from __future__ import annotations
@@ -307,9 +309,13 @@ class ModelSpaceBasis:
     compressed shift S and its adjoint, the conjugation matrix and the
     expansion of the inner function are each computed on first read, once,
     and are plain instance attributes from then on, as is a refusal of the
-    rows; `shift_power` gives S^n.  `first_columns` reads the leading
-    columns of the rows without forming them; the shift, the conjugation and
-    the kernels read no rows, nor does `exact`.  Frozen, arrays read-only.
+    rows; `shift_power` gives S^n.  The routines multiply by S^n, S^{*n}
+    and C as `shift_operands(n)` and `conjugation_operand`: on an exact basis
+    index maps, a slice, a reversal and a multiply by c, with no dense
+    matrix; on a Blaschke basis the cached dense S, S^* and C.
+    `first_columns` reads the leading columns of the rows without forming
+    them; the shift, the conjugation and the kernels read no rows, nor does
+    `exact`.  Frozen, arrays read-only.
     """
 
     inner: InnerFunction
@@ -428,6 +434,20 @@ class ModelSpaceBasis:
         power.setflags(write=False)
         return power
 
+    def shift_operands(self, n: int = 1) -> tuple:
+        """S^n and S^{*n} as operands of `@` from either side.  On an exact
+        basis they are index maps (`_Shift`), with no dense matrix; on a
+        Blaschke basis `shift` and `shift_adj` for n = 1, else
+        `shift_power(n)` and its conjugate transpose, read-only."""
+        if self.exact:
+            return _Shift(n, self.dim), _Shift(-n, self.dim)
+        if n == 1:
+            return self.shift, self.shift_adj
+        power = self.shift_power(n)
+        adjoint = power.conj().T
+        adjoint.setflags(write=False)
+        return power, adjoint
+
     @functools.cached_property
     def _conjugation(self) -> np.ndarray:
         """C, with coords(alpha conj(z f)) = C conj(coords(f)); c J for z^N.
@@ -529,12 +549,85 @@ class ModelSpaceBasis:
         return scale * (power @ self.first_columns(1)[:, 0].conj())
 
     def conjugate_vector(self, coords) -> np.ndarray:
-        """The antilinear involution f -> alpha * conj(z f) in coordinates."""
-        return self._conjugation @ np.asarray(coords, dtype=complex).conj()
+        """The antilinear involution f -> alpha * conj(z f) in coordinates:
+        C conj(coords), over the first axis of an array.  Contiguous, as the
+        dense product was: a reversed view of an exact basis's coordinates
+        would give `np.vdot` and other BLAS reductions another summation
+        order, and verify's residuals other last bits."""
+        return np.ascontiguousarray(self.conjugation_operand @ np.asarray(coords, dtype=complex).conj())
+
+    @functools.cached_property
+    def conjugation_operand(self):
+        """C as an operand of `@` from either side: on an exact basis c J as
+        an index map (`_Flip`), with no dense matrix; on a Blaschke basis the
+        matrix of `conjugation_matrix`."""
+        return _Flip(self.inner.constant, self.dim) if self.exact else self._conjugation
 
     def conjugation_matrix(self) -> np.ndarray:
-        """Matrix C with coords(C f) = C @ conj(coords(f))."""
+        """Matrix C with coords(C f) = C @ conj(coords(f)), formed on first
+        read.  The routines apply C as `conjugation_operand`, which does
+        not form it on an exact basis."""
         return self._conjugation
+
+
+class _Shift:
+    """S^n (move n) or S^{*n} (move -n) of an exact basis of dimension dim
+    as an operand of `@` from either side.  S^n moves coordinate j to j + n,
+    so a product is a slice into zeros, with the dense product's values and
+    no dense S^n.  An array of another size is refused, as a dense product
+    refuses it."""
+
+    __slots__ = ("dim", "moved", "kept")
+    __array_ufunc__ = None  # so that ndarray @ shift calls __rmatmul__
+
+    def __init__(self, move: int, dim: int):
+        kept = max(dim - abs(move), 0)
+        # S^n x: x[kept] lands in out[moved]; x S^n takes x[moved] to out[kept].
+        self.dim, self.moved, self.kept = dim, slice(dim - kept, None), slice(None, kept)
+        if move < 0:
+            self.moved, self.kept = self.kept, self.moved
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim not in (1, 2) or len(x) != self.dim:
+            raise ValueError(f"a {self.dim} x {self.dim} operand cannot multiply an array of shape {x.shape}")
+        out = np.zeros(x.shape, dtype=complex)
+        out[self.moved] = x[self.kept]
+        return out
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        if not x.ndim or x.shape[-1] != self.dim:
+            raise ValueError(f"an array of shape {x.shape} cannot multiply a {self.dim} x {self.dim} operand")
+        out = np.zeros(x.shape, dtype=complex)
+        out[..., self.kept] = x[..., self.moved]
+        return out
+
+
+class _Flip:
+    """c J, the conjugation matrix of an exact basis of dimension dim, as an
+    operand of `@` from either side (J is symmetric): it reverses the
+    coordinates and multiplies them by c, with the dense product's values,
+    bit for bit when c = 1, and no dense c J.  Its scale is c, or None for
+    c = 1, where a product is a reversed view of x.  An array of another
+    size is refused, as a dense product refuses it."""
+
+    __slots__ = ("scale", "dim")
+    __array_ufunc__ = None  # so that ndarray @ flip calls __rmatmul__
+
+    def __init__(self, constant: complex, dim: int):
+        self.scale, self.dim = (None if constant == 1 else constant), dim
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim not in (1, 2) or len(x) != self.dim:
+            raise ValueError(f"a {self.dim} x {self.dim} operand cannot multiply an array of shape {x.shape}")
+        return x[::-1] if self.scale is None else (self.scale * x)[::-1]
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        if not x.ndim or x.shape[-1] != self.dim:
+            raise ValueError(f"an array of shape {x.shape} cannot multiply a {self.dim} x {self.dim} operand")
+        return x[..., ::-1] if self.scale is None else (self.scale * x)[..., ::-1]
+
+    def conjugate(self) -> "_Flip":
+        return self if self.scale is None else _Flip(self.scale.conjugate(), self.dim)
 
 
 def _capped(*shape: int) -> None:

@@ -151,10 +151,13 @@ class Frames(NamedTuple):
 class CompressionSetting:
     """The bases of a fixed (alpha, beta, k) triple, and the constants of the
     membership fit: S_alpha^k and, per variant, the frames; and per shift
-    the block of the zero test.  The compressed shifts and their adjoints are the bases' own
-    (`ModelSpaceBasis.shift`).  These constants are computed on first use,
-    once, and are read-only, so no caller can leave them stale; a build
-    forms none of them.
+    the block of the zero test.  The bases give their compressed shifts and
+    conjugations as operands of `@` (`ModelSpaceBasis.shift_operands`,
+    `conjugation_operand`): index maps on an exact basis, with no dense
+    matrix, so S_alpha^k and its adjoint are formed and cached as matrices
+    for a Blaschke alpha only (`shift_operands`).
+    These constants are computed on first use, once, and are read-only, so
+    no caller can leave them stale; a build forms none of them.
 
     The model space of beta(z^k) inherits beta's measured truncation order:
     it is never formed, and the routines that need it apply beta's rows
@@ -181,14 +184,11 @@ class CompressionSetting:
         self._zero_tests = {}
 
     @functools.cached_property
-    def shift_alpha_power(self) -> np.ndarray:
-        """S_alpha^k."""
-        return self.basis_alpha.shift_power(self.k)
-
-    @functools.cached_property
-    def shift_alpha_power_adj(self) -> np.ndarray:
-        """The adjoint of S_alpha^k, its conjugate transpose."""
-        return _frozen(self.shift_alpha_power.conj().T)[0]
+    def shift_operands(self) -> tuple:
+        """S_beta, S_beta^*, S_alpha^k and S_alpha^{*k}, the operands of the
+        defect (`ModelSpaceBasis.shift_operands`): index maps on an exact
+        basis, dense matrices on a Blaschke one."""
+        return (*self.basis_beta.shift_operands(), *self.basis_alpha.shift_operands(self.k))
 
     def frames(self, variant: str) -> Frames:
         """The variant's `Frames`: the frame vector F in K_beta, ||F||^2, and
@@ -206,8 +206,11 @@ class CompressionSetting:
             if variant in ("c38", "c310a"):
                 F = bb.conjugate_vector(F)
             if variant in ("c38", "c310b"):
-                G = ba.conjugation_matrix() @ G.conj()
-            F, F_conj, G_adj, G_pinv_adj = _frozen(F, F.conj(), G.conj().T, _pinv(G).conj().T)
+                G = ba.conjugation_operand @ G.conj()
+            # On an exact basis G is columns of the identity, reversed and
+            # times c for C_alpha: G^H is its pseudo-inverse, with no Gram.
+            G_pinv_adj = G if ba.exact else _pinv(G).conj().T
+            F, F_conj, G_adj, G_pinv_adj = _frozen(F, F.conj(), G.conj().T, G_pinv_adj)
             self._frames[variant] = Frames(F, float(np.vdot(F, F).real), F_conj, G_adj, G_pinv_adj)
         return self._frames[variant]
 
@@ -273,9 +276,9 @@ def _interpolant(basis: ModelSpaceBasis) -> np.ndarray | None:
 
 def _pinv(G: np.ndarray) -> np.ndarray:
     """The pseudo-inverse of G.  That is G^H when the smaller of G G^H and
-    G^H G is exactly the identity, as for z^N; otherwise it comes from one
-    SVD, with the rank cut of lstsq(rcond=None): singular values <= eps
-    max(G.shape) sigma_1 are dropped."""
+    G^H G is exactly the identity; otherwise it comes from one SVD, with the
+    rank cut of lstsq(rcond=None): singular values <= eps max(G.shape)
+    sigma_1 are dropped."""
     adjoint = G.conj().T
     gram = G @ adjoint if G.shape[0] <= G.shape[1] else adjoint @ G
     if np.array_equal(gram, np.eye(len(gram))):
@@ -355,7 +358,7 @@ def _used(setting: CompressionSetting) -> int:
     coefficient of order j in K_alpha, which vanishes past the alpha row
     length.  That is k, with no need for T, for k <= least_order + 1."""
     ba, k = setting.basis_alpha, setting.k
-    return k if k <= ba.least_order + 1 else min(k, ba.rows.shape[1])
+    return k if k <= ba.least_order + 1 else min(k, ba.truncation_order + 1)
 
 
 def _reduced(phi: LaurentPoly, setting: CompressionSetting, shift: int) -> tuple[np.ndarray, int]:
@@ -390,19 +393,26 @@ def build_compression(phi: LaurentPoly, setting: CompressionSetting) -> Operator
 
 
 def defect(U: OperatorMatrix, setting: CompressionSetting, variant: str = "t35") -> np.ndarray:
-    """The shift combination whose low-rank structure decides membership."""
+    """The shift combination whose low-rank structure decides membership:
+    U - S_beta U S_alpha^{*k} (t35), U - S_beta^* U S_alpha^k (c38),
+    S_beta^* U - U S_alpha^{*k} (c310a) or S_beta U - U S_alpha^k (c310b).
+    Each side takes the route of its own basis
+    (`ModelSpaceBasis.shift_operands`): on an exact basis (every zero at the
+    origin) the shift moves entries by index, with no product; on a Blaschke
+    basis it is the product with the cached dense S_beta or S_alpha^k and
+    their adjoints."""
     if (U.alpha, U.beta) != (setting.alpha, setting.beta):
         raise ValueError("matrix belongs to another pair of model spaces than the setting")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    M, Sb, Sb_adj = U.entries, setting.basis_beta.shift, setting.basis_beta.shift_adj
+    M, (Sb, Sb_adj, Sa, Sa_adj) = U.entries, setting.shift_operands
     if variant == "t35":
-        return M - Sb @ M @ setting.shift_alpha_power_adj
+        return M - Sb @ M @ Sa_adj
     if variant == "c38":
-        return M - Sb_adj @ M @ setting.shift_alpha_power
+        return M - Sb_adj @ M @ Sa
     if variant == "c310a":
-        return Sb_adj @ M - M @ setting.shift_alpha_power_adj
-    return Sb @ M - M @ setting.shift_alpha_power
+        return Sb_adj @ M - M @ Sa_adj
+    return Sb @ M - M @ Sa
 
 
 def assemble_defect(dec: DefectDecomposition, setting: CompressionSetting) -> np.ndarray:
@@ -424,7 +434,7 @@ def defect_from_symbol(phi: LaurentPoly, setting: CompressionSetting) -> DefectD
     chi = ba.rows.conj() @ phi.to_array(-ba.truncation_order, 0)[::-1].conj()
     used = _used(setting)
     c, lo = _clip(phi, used, k, used, 1, bb.rows.shape[1])
-    psis = bb.shift @ _compress(c, lo - used, np.eye(used), used, bb.rows)
+    psis = setting.shift_operands[0] @ _compress(c, lo - used, np.eye(used), used, bb.rows)
     return DefectDecomposition(chi=chi, psis=list(psis.T), variant="t35")
 
 
@@ -632,7 +642,11 @@ def conjugate_operator(
     phi: LaurentPoly | None = None,
     U: OperatorMatrix | None = None,
 ) -> tuple[OperatorMatrix, LaurentPoly | None]:
-    """Sandwich C_beta U C_alpha; also transforms the symbol when given one."""
+    """Sandwich C_beta U C_alpha, the matrix C_beta conj(U) conj(C_alpha);
+    also transforms the symbol when given one.  On an exact basis (every
+    zero at the origin) C is c J, so its side reverses the entries and
+    multiplies them by c (`ModelSpaceBasis.conjugation_operand`); on a
+    Blaschke basis it is the product with the dense conjugation matrix."""
     if (phi is None) == (U is None):
         raise ValueError("provide exactly one of phi or U")
     psi = None
@@ -641,8 +655,8 @@ def conjugate_operator(
         psi = conjugate_symbol(phi, setting)
     elif (U.alpha, U.beta) != (setting.alpha, setting.beta):
         raise ValueError("matrix belongs to another pair of model spaces than the setting")
-    Ca = setting.basis_alpha.conjugation_matrix()
-    Cb = setting.basis_beta.conjugation_matrix()
+    Ca = setting.basis_alpha.conjugation_operand
+    Cb = setting.basis_beta.conjugation_operand
     sandwich = Cb @ U.entries.conjugate() @ Ca.conjugate()
     return setting.matrix(sandwich), psi
 

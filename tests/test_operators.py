@@ -522,14 +522,13 @@ class TestSettingCache:
         for call in (lambda: membership(U, setting, "bogus"), lambda: defect(U, setting, "bogus")):
             with pytest.raises(ValueError, match="variant"):
                 call()
-        assert setting._frames == {} and not {"shift_alpha_power", "shift_alpha_power_adj"} & set(vars(setting))
+        assert setting._frames == {} and "shift_operands" not in vars(setting)
         bases = setting.basis_alpha, setting.basis_beta
         assert not any({"shift", "shift_adj"} & set(vars(b)) for b in bases)
         for variant in VARIANTS:
             membership(U, setting, variant)
             assert setting.frames(variant) is setting.frames(variant)
-        assert setting.shift_alpha_power is setting.shift_alpha_power
-        assert setting.shift_alpha_power_adj is setting.shift_alpha_power_adj
+        assert setting.shift_operands is setting.shift_operands
         # Past k = dim K_alpha the parts psi_j, j >= 3, are folded onto the rest.
         folding = CompressionSetting(B_NEAR, BETA, 10)
         for s in (setting, folding):
@@ -552,7 +551,7 @@ class TestSettingCache:
                 G = ba.conjugation_matrix() @ G.conj()
             adjoints = f.F.conj(), G.conj().T, _pinv(G).conj().T
             assert all(map(np.array_equal, (f.F_conj, f.G_adj, f.G_pinv_adj), adjoints))
-        arrays += [setting.shift_alpha_power, setting.shift_alpha_power_adj]
+        arrays += list(setting.shift_operands)
         arrays += [a for f in frames for a in f if isinstance(a, np.ndarray)]
         arrays += [*setting.interpolation[:2], *folding.interpolation]
         for a in arrays:
@@ -571,34 +570,37 @@ class TestSettingCache:
 
         assert traced_peak(run) < 24 << 20
 
-    @pytest.mark.parametrize("variant", ["t35", "c38"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_monomial_membership_memory(self, variant):
-        # S^2 of z^1024 is the shift by 2, with no product: the fit holds it
-        # and its adjoint (t35) or the conjugation matrix (c38), 16 MiB each.
+        # On z^2048 the defect moves entries by index and C_alpha reverses
+        # them, so the fit forms no 2048 x 2048 array (64 MiB): it took
+        # S^2 and its adjoint, or S^2 and C_alpha, 129 MiB.
         def run():
-            setting = CompressionSetting(zn(1024), zn(3), 2)
-            assert membership(setting.matrix(np.zeros((3, 1024))), setting, variant).member
+            setting = CompressionSetting(zn(2048), zn(3), 2)
+            assert membership(setting.matrix(np.zeros((3, 2048))), setting, variant).member
 
-        assert traced_peak(run) < 40 << 20
+        assert traced_peak(run) < 4 << 20
 
     def test_monomial_rank_one_memory(self):
         # tilde_k reads the first columns of the identity rows and beta's
-        # frame: no dense power of S (16 MiB at z^1024).
+        # frame: no dense power of S (16 MiB at z^1024); k_tilde reverses
+        # them, times c, with no dense c J (16 MiB).
         def run():
             setting = CompressionSetting(zn(1024), zn(3), 3)
             assert rank_one(setting, 1, "tilde_k")[0].norm() == 1.0
+            assert rank_one(setting, 1, "k_tilde")[0].norm() == 1.0
 
         assert traced_peak(run) < 4 << 20
 
     def test_monomial_recovery_memory(self):
         # t35 recovery on z^N writes the parts as they are, with no identity
-        # head or identity to compare it with (16 MiB each at z^1024): the
-        # fit's S^2 and its adjoint are the peak.
+        # head or identity to compare it with, and its fit forms no dense
+        # S^2 (16 MiB each at z^1024).
         def run():
             setting = CompressionSetting(zn(1024), zn(3), 2)
             assert recover_symbol(membership(setting.matrix(np.zeros((3, 1024))), setting), setting) == L({})
 
-        assert traced_peak(run) < 40 << 20
+        assert traced_peak(run) < 4 << 20
 
     def test_pinv_matches_lstsq(self):
         # The adjoint shortcut (identity Gram), full-rank SVDs, and rank cuts.
@@ -674,6 +676,190 @@ class TestExact:
         assert np.abs(mat.entries - want).max() <= 1e-12 * np.abs(want).max() and symbol == L({1: 1})
         with pytest.raises(TruncationError, match="outside"):
             rank_one(setting, 1, "k_tilde")
+
+
+# Exact bases with c != 1, large and small.
+C_EXACT = InnerFunction.blaschke([0] * 16, cmath.exp(0.7j))
+C_EXACT2 = InnerFunction.blaschke([0] * 17, cmath.exp(-2.1j))
+C_SMALL = InnerFunction.blaschke([0] * 3, cmath.exp(1.3j))
+
+# z^N at k below, at and past N, an exact basis with c != 1 on either side,
+# mixed exact/Blaschke settings, and small exact bases such as the verify
+# suite's.
+INDEX_SETTINGS = [
+    (zn(20), zn(17), 2),
+    (zn(20), zn(17), 20),
+    (zn(20), zn(17), 23),
+    (zn(16), zn(16), 1),
+    (zn(16), zn(24), 7),
+    (C_EXACT, C_EXACT2, 2),
+    (C_EXACT, zn(18), 3),
+    (zn(18), BETA, 3),
+    (B2, zn(16), 2),
+    (B_NEAR, C_EXACT, 4),
+    (B3, BETA, 2),
+    (zn(5), zn(4), 2),
+    (zn(4), zn(3), 5),
+    (C_SMALL, zn(3), 2),
+]
+INDEX_IDS = ["z20-z17-k2", "z20-z17-k20", "z20-z17-k23", "z16-z16-k1", "z16-z24-k7", "cz16-cz17-k2",
+             "cz16-z18-k3", "z18-B-k3", "B2-z16-k2", "Bnear-cz16-k4", "B3-B-k2", "z5-z4-k2",
+             "z4-z3-k5", "cz3-z3-k2"]
+
+
+class TestIndexMaps:
+    """On an exact basis, of any dimension, S^n, S^{*n} and C = c J act by
+    index: the defect, the sandwich and the c38/c310b frames equal the
+    dense products, bit for bit where the constants are 1, and form no
+    dense operand."""
+
+    def test_route_by_exactness(self):
+        for inner, dense in ((zn(1), False), (zn(3), False), (C_SMALL, False), (zn(16), False), (B2, True)):
+            basis = ModelSpaceBasis.build(inner)
+            operands = *basis.shift_operands(), *basis.shift_operands(3), basis.conjugation_operand
+            assert all(isinstance(op, np.ndarray) == dense for op in operands)
+
+    @pytest.mark.parametrize("inner", [zn(20), C_SMALL, B2], ids=["z20", "cz3", "B2"])
+    def test_wrong_length_refused(self, inner):
+        # An index map refuses an array of another size, as the dense
+        # product does, and does not slice or reverse it.
+        basis = ModelSpaceBasis.build(inner)
+        short = np.ones(basis.dim + 2)
+        with pytest.raises(ValueError):
+            basis.conjugate_vector(short)
+        operands = *basis.shift_operands(2), basis.conjugation_operand
+        for op in operands:
+            for x in (short, np.ones((basis.dim - 1, 2)), np.ones((2, basis.dim + 1, 3))):
+                with pytest.raises(ValueError):
+                    op @ x
+            with pytest.raises(ValueError):
+                np.ones((3, basis.dim + 1)) @ op
+
+    def test_conjugate_vector_contiguous(self):
+        # The public involution returns a contiguous array, as the dense
+        # product did, so reductions over it keep their summation order.
+        basis = ModelSpaceBasis.build(zn(4))
+        g = np.random.default_rng(3)
+        v, w = (g.standard_normal(4) + 1j * g.standard_normal(4) for _ in range(2))
+        cv, cw = basis.conjugate_vector(v), basis.conjugate_vector(w)
+        dense_v, dense_w = basis.conjugation_matrix() @ v.conj(), basis.conjugation_matrix() @ w.conj()
+        assert cv.flags.c_contiguous and np.array_equal(cv, dense_v)
+        assert np.vdot(cw, cv) == np.vdot(dense_w, dense_v)
+
+    @pytest.mark.parametrize(
+        "inner", [zn(1), zn(4), zn(20), C_SMALL, C_EXACT, B2, B_NEAR], ids=["z1", "z4", "z20", "cz3", "cz16", "B2", "Bnear"]
+    )
+    def test_operands_match_dense(self, inner):
+        basis = ModelSpaceBasis.build(inner)
+        g = np.random.default_rng(5)
+        dim = basis.dim
+        C = basis.conjugation_matrix()
+        for shape in ((dim,), (dim, 3)):
+            x = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+            for got, want in ((basis.conjugation_operand @ x, C @ x), (x.T @ basis.conjugation_operand, x.T @ C)):
+                if inner.constant == 1:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        for n in sorted({0, 1, 2, dim - 1, dim, dim + 3}):
+            power = basis.shift_power(n)
+            for dense, operand in zip((power, power.conj().T), basis.shift_operands(n)):
+                for shape in ((dim,), (dim, 3)):
+                    x = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+                    assert np.array_equal(operand @ x, dense @ x)
+                    assert np.array_equal(x.T @ operand, x.T @ dense)
+
+    @pytest.mark.parametrize("alpha,beta,k", INDEX_SETTINGS, ids=INDEX_IDS)
+    def test_defect_matches_dense(self, alpha, beta, k):
+        setting = CompressionSetting(alpha, beta, k)
+        ba, bb = setting.basis_alpha, setting.basis_beta
+        g = np.random.default_rng(11)
+        inputs = [g.standard_normal((bb.dim, ba.dim)) + 1j * g.standard_normal((bb.dim, ba.dim))]
+        inputs.append(build_compression(random_laurent(g, -6, 10, terms=6), setting).entries)
+        for M in inputs:
+            U = setting.matrix(M)
+            got = {v: defect(U, setting, v) for v in VARIANTS}
+            # What the dense route read, formed here after the fit.
+            Sb, Sb_adj, Sa = bb.shift, bb.shift_adj, ba.shift_power(k)
+            Sa_adj = Sa.conj().T
+            want = {
+                "t35": M - Sb @ M @ Sa_adj,
+                "c38": M - Sb_adj @ M @ Sa,
+                "c310a": Sb_adj @ M - M @ Sa_adj,
+                "c310b": Sb @ M - M @ Sa,
+            }
+            assert all(np.array_equal(got[v], want[v]) for v in VARIANTS)
+            phi = random_laurent(g, -6, 3 * k + 8, terms=8)
+            used = _used(setting)
+            c, lo = dense_clip(phi, k + 1 - used, k * bb.rows.shape[1])
+            psis = bb.shift @ _compress(c, lo - k, np.eye(used), k, bb.rows)
+            assert np.array_equal(np.array(defect_from_symbol(phi, setting).psis).T, psis)
+
+    @pytest.mark.parametrize("alpha,beta,k", INDEX_SETTINGS, ids=INDEX_IDS)
+    def test_sandwich_and_frames_match_dense(self, alpha, beta, k):
+        # Bit for bit where both constants are 1; an exact basis with c != 1
+        # rounds c times an entry where the GEMM did, within 1e-15 relative.
+        setting = CompressionSetting(alpha, beta, k)
+        ba, bb = setting.basis_alpha, setting.basis_beta
+        bits = alpha.constant == 1 and beta.constant == 1
+
+        def agree(got, want):
+            if bits:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+        g = np.random.default_rng(13)
+        M = g.standard_normal((bb.dim, ba.dim)) + 1j * g.standard_normal((bb.dim, ba.dim))
+        got = conjugate_operator(setting, U=setting.matrix(M))[0].entries
+        agree(got, bb.conjugation_matrix() @ M.conj() @ ba.conjugation_matrix().conj())
+        G = ba.first_columns(_used(setting)).conj()
+        for variant in ("c38", "c310b"):
+            agree(setting.frames(variant).G_adj, (ba.conjugation_matrix() @ G.conj()).conj().T)
+
+    def test_exact_forms_no_dense_operand(self):
+        # The fit, the sandwich, the closed-form defect, recovery and the
+        # rank-ones on z^N read no dense S, S^*, S_alpha^k or C.
+        setting = CompressionSetting(C_EXACT, zn(17), 2)
+        U = build_compression(random_laurent(np.random.default_rng(17), -6, 10, terms=6), setting)
+        for variant in VARIANTS:
+            recover_symbol(membership(U, setting, variant), setting)
+            defect(U, setting, variant)
+        conjugate_operator(setting, U=U)
+        conjugate_operator(setting, phi=L({1: 1, -2: 3j}))
+        defect_from_symbol(L({4: 1}), setting)
+        for kind in ("tilde_k", "k_tilde"):
+            rank_one(setting, 1, kind)
+        assert not any(isinstance(op, np.ndarray) for op in setting.shift_operands)
+        for basis in (setting.basis_alpha, setting.basis_beta):
+            assert not {"shift", "shift_adj", "_conjugation"} & set(vars(basis))
+
+    def test_exact_pinv_is_adjoint(self):
+        # On an exact basis the frame G is a partial isometry, and the fit
+        # takes G^H as its pseudo-inverse with no Gram test: the same
+        # decision as `_pinv` where c = 1, and within 4 eps of lstsq's
+        # pseudo-inverse where |c|^2 rounds off 1.
+        g = np.random.default_rng(19)
+        cases = [(zn(n), k) for n in (1, 3, 4) for k in (1, 2, 4, 6)]
+        for _ in range(30):
+            alpha = InnerFunction.blaschke([0] * int(g.integers(1, 5)), cmath.exp(1j * g.uniform(-3, 3)))
+            cases.append((alpha, int(g.integers(1, 7))))
+        for alpha, k in cases:
+            setting = CompressionSetting(alpha, zn(2), k)
+            for variant in VARIANTS:
+                f = setting.frames(variant)
+                G = f.G_adj.conj().T
+                if alpha.constant == 1:
+                    assert np.array_equal(f.G_pinv_adj, _pinv(G).conj().T)
+                want = np.linalg.lstsq(G, np.eye(len(G)), rcond=None)[0].conj().T
+                assert np.abs(f.G_pinv_adj - want).max() <= 4 * np.finfo(float).eps
+
+    def test_used_reads_no_rows(self):
+        # Past k = N, z^N counts N = T + 1 frame columns with no rows.
+        setting = CompressionSetting(zn(1024), zn(3), 1025)
+        assert _used(setting) == 1024
+        assert rank_one(setting, 1, "k_tilde")[0].norm() == 1.0
+        assert not {"rows", "_truncation_outcome"} & set(vars(setting.basis_alpha))
 
 
 class TestRowsOnDemand:
