@@ -11,7 +11,9 @@ the realization; the truncated rows and all that is read off them, the shift
 and the conjugation are computed on first read, and the leading columns of
 the rows can be read without them.  When every zero is at the origin, S is
 the nilpotent shift and the conjugation c J a reversal, so both act on
-coefficient arrays by index, with no dense matrix.
+coefficient arrays by index, with no dense matrix; so do the identity rows,
+from which a compression gathers the symbol's terms, and the membership
+frame, whose columns are those of the identity or of c J.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ def coeff_json(coords: np.ndarray) -> dict:
     return {"coords": complex_pairs(coords)}
 
 
-def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray) -> np.ndarray:
+def _compress(phi: np.ndarray, lo: int, src, k: int, dst) -> np.ndarray:
     """Entries <W_k(phi src_j), dst_i>: the matrix of f -> P W_k(phi f) from
     the span of the src rows into that of the orthonormal dst rows.
 
@@ -190,6 +192,13 @@ def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray
     that span and the windows that reach it, never from the array's length,
     so the entries depend on those terms alone, bit for bit, however phi is
     padded.  Frequencies are Python ints.
+
+    Either side may be `_Identity`, the identity rows of an exact basis (a
+    `rows_operand`), rather than an array.  As the source it needs no
+    kernel: the kept coefficient k n of phi z^j is a term of phi, so they
+    are a gather (`_gathered`), exact.  As the destination its rows select
+    the kept coefficients, which are placed in rows n of a zero matrix,
+    with no product.  Either way no identity matrix is formed.
     """
     width = src.shape[1]
     # Kept: 0 <= q <= len(phi) + T_src - 1, in windows n0..n3 - 1.  They
@@ -210,8 +219,15 @@ def _compress(phi: np.ndarray, lo: int, src: np.ndarray, k: int, dst: np.ndarray
     phi, lo = phi[lead + r0 : lead + r1 + 1], lo + lead + r0
     n0, n3 = n0 + max(0, -((width - 1 - r0) // k)), min(n3, n0 + r1 // k + 1)
     count, q0 = n3 - n0, k * n0 - lo
-    layout = _route(k, src.shape, len(phi), count)
-    kept = _fourier(phi, q0, src, k, count) if layout is None else _banded(phi, q0, src, k, count, *layout)
+    if isinstance(src, _Identity):
+        kept = _gathered(phi, q0, k, count, width)
+    else:
+        layout = _route(k, src.shape, len(phi), count)
+        kept = _fourier(phi, q0, src, k, count) if layout is None else _banded(phi, q0, src, k, count, *layout)
+    if isinstance(dst, _Identity):
+        out = np.zeros((dst.shape[0], src.shape[0]), dtype=complex)
+        out[n0:n3] = kept
+        return out
     return dst[:, n0:n3].conj() @ kept
 
 
@@ -290,6 +306,19 @@ def _fourier(phi: np.ndarray, q0: int, src: np.ndarray, k: int, count: int) -> n
     return np.concatenate(kept).T
 
 
+def _gathered(phi: np.ndarray, q0: int, k: int, count: int, width: int) -> np.ndarray:
+    """As `_banded`, for the identity rows of this width: coefficient
+    q0 + k t of phi z^j is phi[q0 + k t - j], zero past phi's ends, so the
+    count x width array is one strided read of phi zero-padded by width - 1
+    at each end, reversed along the rows, with no product: exact."""
+    padded = np.zeros(len(phi) + 2 * width - 2, dtype=complex)
+    padded[width - 1 : width - 1 + len(phi)] = phi
+    size = padded.itemsize
+    # One window needs no stride, and k * size may pass int64.
+    strides = (k * size if count > 1 else 0, -size)
+    return np.ascontiguousarray(np.ndarray((count, width), complex, padded, (q0 + width - 1) * size, strides))
+
+
 class _Truncation(NamedTuple):
     """What a basis computes on the first read of its rows."""
 
@@ -312,10 +341,16 @@ class ModelSpaceBasis:
     rows; `shift_power` gives S^n.  The routines multiply by S^n, S^{*n}
     and C as `shift_operands(n)` and `conjugation_operand`: on an exact basis
     index maps, a slice, a reversal and a multiply by c, with no dense
-    matrix; on a Blaschke basis the cached dense S, S^* and C.
-    `first_columns` reads the leading columns of the rows without forming
-    them; the shift, the conjugation and the kernels read no rows, nor does
-    `exact`.  Frozen, arrays read-only.
+    matrix; on a Blaschke basis the cached dense S, S^* and C.  They read
+    the rows as `rows_operand` and the membership frame as `frame_operands`:
+    on an exact basis the identity rows (`_Identity`), which `_compress`
+    gathers from and places into, and column selections (`_Columns`), with
+    no N x N identity; on a Blaschke basis the rows and dense frames.  So
+    no pipeline routine reads `rows` of an exact basis, though it stays
+    readable there (the verify harness reads it).  `first_columns` reads
+    the leading columns of the rows without forming them; the shift, the
+    conjugation and the kernels read no rows, nor does `exact`.  Frozen,
+    arrays read-only.
     """
 
     inner: InnerFunction
@@ -511,14 +546,39 @@ class ModelSpaceBasis:
         columns.setflags(write=False)
         return columns
 
+    @functools.cached_property
+    def rows_operand(self):
+        """The rows as an operand of `@` from either side and of `_compress`:
+        on an exact basis the identity rows as an index map (`_Identity`),
+        with no dense identity; on a Blaschke basis `rows`.  Its shape is
+        dim x (T + 1) either way."""
+        return _Identity(self.dim) if self.exact else self.rows
+
+    def frame_operands(self, n: int, conjugated: bool = False) -> tuple:
+        """G and G^H as right operands of `@`, read-only: G = conj(rows[:, :n]),
+        whose column j represents f -> f^(j)(0) / j!, or C rows[:, :n] when
+        conjugated.  On an exact basis they are column selections of the
+        identity, or of c J (`_Columns`), with no dense matrix; on a Blaschke
+        basis arrays, formed per call."""
+        if self.exact:
+            flip = self.conjugation_operand if conjugated else None
+            return _Columns(self.dim, n, flip, False), _Columns(self.dim, n, flip, True)
+        G = self.first_columns(n).conj()
+        if conjugated:
+            G = self.conjugation_operand @ G.conj()
+        adjoint = G.conj().T
+        G.setflags(write=False)
+        adjoint.setflags(write=False)
+        return G, adjoint
+
     def stretched_projection(self, coeffs: np.ndarray, k: int) -> np.ndarray:
         """Taylor coefficients of the projection onto the model space of
         alpha(z^k) of f with coefficients 0..k (T + 1) - 1.  That space is the
         orthogonal sum of z^j K_alpha(z^k) over j < k, so column j of the
         (T + 1) x k array of f, frequencies j, j + k, ..., is projected by
         these rows: the space's own k dim rows are never formed."""
-        block = coeffs.reshape(self.rows.shape[1], k)
-        return (self.rows.T @ (self.rows.conj() @ block)).reshape(-1)
+        rows = self.rows_operand
+        return (rows.T @ (rows.conj() @ coeffs.reshape(rows.shape[1], k))).reshape(-1)
 
     # -- core maps ---------------------------------------------------------
 
@@ -628,6 +688,74 @@ class _Flip:
 
     def conjugate(self) -> "_Flip":
         return self if self.scale is None else _Flip(self.scale.conjugate(), self.dim)
+
+
+class _Identity:
+    """The identity rows of dimension dim, those of an exact basis, as an
+    operand of `@` from either side (so are its conjugate and transpose,
+    itself): the product is x itself, contiguous, as the dense product was,
+    and no dense identity.  `_compress` gathers from it as a source and
+    places into it as a destination.  An array of another size is refused,
+    as a dense product refuses it."""
+
+    __slots__ = ("shape",)
+    __array_ufunc__ = None  # so that ndarray @ rows calls __rmatmul__
+
+    def __init__(self, dim: int):
+        self.shape = (dim, dim)
+
+    @property
+    def T(self) -> "_Identity":
+        return self
+
+    def conj(self) -> "_Identity":
+        return self
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim not in (1, 2) or len(x) != self.shape[0]:
+            raise ValueError(f"a {self.shape[0]} x {self.shape[0]} operand cannot multiply an array of shape {x.shape}")
+        return np.ascontiguousarray(x, dtype=complex)
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        if not x.ndim or x.shape[-1] != self.shape[0]:
+            raise ValueError(f"an array of shape {x.shape} cannot multiply a {self.shape[0]} x {self.shape[0]} operand")
+        return np.ascontiguousarray(x, dtype=complex)
+
+
+class _Columns:
+    """G, the first count columns of the identity of dimension dim, or of
+    c J when flip is that `_Flip`, or G^H when adjoint: the membership frame
+    of an exact basis (`ModelSpaceBasis.frame_operands`), as the right
+    operand of `@`.  x @ G is the first count columns of x, or of x c J,
+    and x @ G^H puts x in the first count columns of a zero array, then
+    multiplies by conj(c) J: the dense product's values, bit for bit when
+    c = 1, contiguous, with no dense G.  Row l, read by `rank_one` and
+    `assemble_defect`, is a unit vector times the product's scale.  An array
+    of another size is refused, as a dense product refuses it."""
+
+    __slots__ = ("dim", "count", "flip", "adjoint")
+    __array_ufunc__ = None  # so that ndarray @ columns calls __rmatmul__
+
+    def __init__(self, dim: int, count: int, flip: "_Flip | None", adjoint: bool):
+        self.dim, self.count, self.flip, self.adjoint = dim, count, flip, adjoint
+
+    def __len__(self) -> int:
+        return self.count if self.adjoint else self.dim
+
+    def __getitem__(self, l: int) -> np.ndarray:
+        if not 0 <= l < len(self):
+            raise IndexError(f"row {l} is outside 0..{len(self) - 1}")
+        return np.eye(1, len(self), l, dtype=complex)[0] @ self
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        inner = self.count if self.adjoint else self.dim
+        if not x.ndim or x.shape[-1] != inner:
+            raise ValueError(f"an array of shape {x.shape} cannot multiply a {len(self)} x {inner} operand")
+        if not self.adjoint:
+            return np.ascontiguousarray((x if self.flip is None else x @ self.flip)[..., : self.count], dtype=complex)
+        out = np.zeros((*x.shape[:-1], self.dim), dtype=complex)
+        out[..., : self.count] = x
+        return out if self.flip is None else np.ascontiguousarray(out @ self.flip.conjugate())
 
 
 def _capped(*shape: int) -> None:

@@ -25,6 +25,7 @@ from .model_space import (
     ModelSpaceBasis,
     TruncationError,
     _compress,
+    _Identity,
     coeff_json,
     complex_pairs,
     derivative_scale,
@@ -139,7 +140,10 @@ class MembershipReport:
 
 class Frames(NamedTuple):
     """The constants of one variant's membership fit (`CompressionSetting.frames`),
-    every array read-only: what `membership`, `assemble_defect` and `rank_one` read."""
+    every array read-only: what `membership`, `assemble_defect` and `rank_one` read.
+    On an exact alpha G_adj and G_pinv_adj are column selections
+    (`ModelSpaceBasis.frame_operands`): right operands of `@` whose rows
+    can be read one by one, with no dense matrix."""
 
     F: np.ndarray
     norm2: float
@@ -164,7 +168,10 @@ class CompressionSetting:
     column by polyphase column (`ModelSpaceBasis.stretched_projection`).
 
     The bases are built with their realizations alone; each forms its
-    shift and its truncated rows when a routine first reads them.  The t35
+    shift and its truncated rows when a routine first reads them, and an
+    exact basis forms no rows at all: the routines read its rows and its
+    frames as index maps (`ModelSpaceBasis.rows_operand`,
+    `frame_operands`), so a z^N setting holds no N x N array.  The t35
     frames and the interpolation constants read only leading columns
     (`ModelSpaceBasis.first_columns`), so a t35 fit and its recovery need
     no rows while k and the dimensions stay within the columns that the
@@ -196,21 +203,21 @@ class CompressionSetting:
         G in K_alpha and of its pseudo-inverse.  Before the conjugations,
         F = conj(rows_beta[:, 0]) is the kernel at 0 and column j of G,
         conj(rows_alpha[:, j]), represents f -> f^(j)(0) / j!: the derivative
-        kernel of order j over j!."""
+        kernel of order j over j!.  G and G^H come from
+        `ModelSpaceBasis.frame_operands`: on an exact alpha column selections
+        of the identity, reversed and times c for C_alpha, so the fit's
+        products with them are slices, with no dense N x N matrix at k >= N."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         if variant not in self._frames:
             ba, bb = self.basis_alpha, self.basis_beta
             F = bb.first_columns(1)[:, 0].conj()
-            G = ba.first_columns(_used(self)).conj()
             if variant in ("c38", "c310a"):
                 F = bb.conjugate_vector(F)
-            if variant in ("c38", "c310b"):
-                G = ba.conjugation_operand @ G.conj()
-            # On an exact basis G is columns of the identity, reversed and
-            # times c for C_alpha: G^H is its pseudo-inverse, with no Gram.
-            G_pinv_adj = G if ba.exact else _pinv(G).conj().T
-            F, F_conj, G_adj, G_pinv_adj = _frozen(F, F.conj(), G.conj().T, G_pinv_adj)
+            G, G_adj = ba.frame_operands(_used(self), variant in ("c38", "c310b"))
+            # On an exact basis G^H is G's pseudo-inverse, with no Gram.
+            G_pinv_adj = G if ba.exact else _frozen(_pinv(G).conj().T)[0]
+            F, F_conj = _frozen(F, F.conj())
             self._frames[variant] = Frames(F, float(np.vdot(F, F).real), F_conj, G_adj, G_pinv_adj)
         return self._frames[variant]
 
@@ -223,9 +230,10 @@ class CompressionSetting:
             ba, bb = self.basis_alpha, self.basis_beta
             ta = ba.truncation_order
             reach = min(shift, ta) + 1
-            kappa = bb.rows[:, 0].conj() @ bb.rows
+            kappa = bb.first_columns(1)[:, 0].conj() @ bb.rows_operand
             out = np.linalg.norm(kappa[1:])
-            block = np.vstack([kappa[0] * np.eye(ta + 1, reach) - ba.rows.conj().T @ ba.rows[:, :reach], out * np.eye(reach)])
+            near = ba.rows_operand.conj().T @ ba.first_columns(reach)
+            block = np.vstack([kappa[0] * np.eye(ta + 1, reach) - near, out * np.eye(reach)])
             u, sv, _ = np.linalg.svd(block, full_matrices=False)
             self._zero_tests[shift] = _frozen(kappa, u, sv)
         return self._zero_tests[shift]
@@ -350,7 +358,7 @@ def _sum(*parts) -> tuple[np.ndarray, int]:
 
 def _head(coords: np.ndarray, basis: ModelSpaceBasis) -> tuple[np.ndarray, int]:
     """conj(f) on the circle for f with these coordinates: frequencies -T..0."""
-    return (coords @ basis.rows)[::-1].conj(), -basis.truncation_order
+    return (coords @ basis.rows_operand)[::-1].conj(), -basis.truncation_order
 
 
 def _used(setting: CompressionSetting) -> int:
@@ -369,10 +377,10 @@ def _reduced(phi: LaurentPoly, setting: CompressionSetting, shift: int) -> tuple
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
     ta = ba.truncation_order
     lo = -max(ta, shift)
-    w = phi.to_array(lo, k * bb.rows.shape[1] - 1 - shift)
+    w = phi.to_array(lo, k * (bb.truncation_order + 1) - 1 - shift)
     f = w[-lo - ta : 1 - lo][::-1].conj()
     w[-shift - lo : 1 - lo] = 0  # leaves z^shift g from frequency 0
-    head = _head(ba.rows.conj() @ f, ba)
+    head = _head(ba.rows_operand.conj() @ f, ba)
     return _sum(head, (bb.stretched_projection(w[-shift - lo :], k), -shift))
 
 
@@ -382,11 +390,14 @@ def _reduced(phi: LaurentPoly, setting: CompressionSetting, shift: int) -> tuple
 def build_compression(phi: LaurentPoly, setting: CompressionSetting) -> OperatorMatrix:
     """Matrix of f -> P_beta W_k(phi f) on the chosen bases, from phi over the
     windows k n - T_alpha..k n, n <= T_beta, that reach a kept coefficient,
-    folded onto the stride s = min(k, T_alpha + 1)."""
-    ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
-    s = min(k, ba.rows.shape[1])
-    window = _clip(phi, ba.rows.shape[1], k, s, 0, bb.truncation_order)
-    return setting.matrix(_compress(*window, ba.rows, s, bb.rows))
+    folded onto the stride s = min(k, T_alpha + 1).  The bases enter
+    `_compress` as their `rows_operand`s, so an exact side forms no rows:
+    on z^N -> z^M entry (i, j) is the term s i - j of the folded phi, a
+    gather, and into an exact beta the kept coefficients are placed."""
+    src, dst, k = setting.basis_alpha.rows_operand, setting.basis_beta.rows_operand, setting.k
+    s = min(k, src.shape[1])
+    window = _clip(phi, src.shape[1], k, s, 0, dst.shape[1] - 1)
+    return setting.matrix(_compress(*window, src, s, dst))
 
 
 # -- defect operators ------------------------------------------------------
@@ -429,12 +440,14 @@ def defect_from_symbol(phi: LaurentPoly, setting: CompressionSetting) -> DefectD
     chi = P_alpha conj(phi) and psi_j = S_beta P_beta W_k(z^(j-k) phi) for
     j < _used, the compression of z^-k phi from the span of 1, ..., z^(used-1)
     into K_beta.  Only phi over -T_alpha..0 and k n + 1 - used..k n,
-    1 <= n <= T_beta + 1, is read, the latter folded onto the stride used."""
+    1 <= n <= T_beta + 1, is read, the latter folded onto the stride used:
+    the span of 1, ..., z^(used-1) has the identity rows, from which
+    `_compress` gathers."""
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
-    chi = ba.rows.conj() @ phi.to_array(-ba.truncation_order, 0)[::-1].conj()
+    chi = ba.rows_operand.conj() @ phi.to_array(-ba.truncation_order, 0)[::-1].conj()
     used = _used(setting)
-    c, lo = _clip(phi, used, k, used, 1, bb.rows.shape[1])
-    psis = setting.shift_operands[0] @ _compress(c, lo - used, np.eye(used), used, bb.rows)
+    c, lo = _clip(phi, used, k, used, 1, bb.truncation_order + 1)
+    psis = setting.shift_operands[0] @ _compress(c, lo - used, _Identity(used), used, bb.rows_operand)
     return DefectDecomposition(chi=chi, psis=list(psis.T), variant="t35")
 
 
@@ -530,7 +543,7 @@ def recover_symbol(report: MembershipReport, setting: CompressionSetting) -> Lau
         return _place(*_sum(head, tail), used, k, 1 - used)
 
     head = _head(dec.chi, ba)
-    parts = (np.array(dec.psis) @ bb.rows).T  # row n, column j: coefficient n of psi_j
+    parts = (np.array(dec.psis) @ bb.rows_operand).T  # row n, column j: coefficient n of psi_j
     used = parts.shape[1]
 
     # Adjoint-form decomposition: beta(z^k) conj(chi) z^-k + conj(alpha)
@@ -625,7 +638,7 @@ def conjugate_symbol(phi: LaurentPoly, setting: CompressionSetting) -> LaurentPo
     """The symbol conj(alpha phi z^(k-1)) beta(z^k) of the conjugation sandwich
     of a symbol-built compression, from phi over the windows its matrix reads."""
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
-    ea, width = ba.inner_expansion, ba.rows.shape[1]
+    ea, width = ba.inner_expansion, ba.truncation_order + 1
     # Block n of alpha phi holds frequencies k n + t, -T_alpha <= t < len(ea):
     # at the stride s of that width they stay apart, and z^s stands for z^k.
     s = min(k, width + len(ea) - 1)
@@ -671,7 +684,9 @@ def rank_one(
     of the c310a frames, C_beta k_0^beta (x) k_l^alpha ('tilde_k'), or of the
     c310b frames, k_0^beta (x) C_alpha k_l^alpha ('k_tilde').  The frames end
     at T_alpha, past which a symbol no longer compresses to its matrix, so
-    l > T_alpha is refused, unless alpha is exact (z^N, where both are 0)."""
+    l > T_alpha is refused, unless alpha is exact (z^N, where both are 0).
+    Only row l of G^H is read: on an exact alpha a unit vector, times conj(c)
+    for c310b, with no dense frame."""
     k = setting.k
     if not 0 <= strict_int(l, "index l") < k:
         raise ValueError(f"index l={l} out of range 0..{k - 1}")

@@ -898,6 +898,29 @@ class TestKeptFrequencyCompression:
         assert np.array_equal(_compress(np.ones(1), 1, rows, 1 << 63, rows[:3]), np.zeros((3, 4)))
         assert np.array_equal(_compress(np.ones(1), 0, rows, 1 << 63, rows[:3]), np.outer(rows[0, :3], rows[0]))
 
+    @pytest.mark.parametrize("k", [1, 3, 40, 1 << 63])
+    @pytest.mark.parametrize("lo", [-9, 0, 5])
+    @pytest.mark.parametrize("phi_len", [1, 3, 8, 20], ids=["phi-one", "phi-short", "phi-equal", "phi-long"])
+    def test_identity_rows(self, phi_len, lo, k):
+        # The identity rows as an index map: gathered from as the source,
+        # placed into as the destination, with the band kernel's bits on the
+        # dense identity at every k, and a window of zeros read as one.
+        rng = np.random.default_rng(phi_len * 1000 + lo * 100 + k % 97)
+        phi, rows = random_coords(rng, phi_len), random_coords(rng, (2, 5))
+        phi[1::3] = 0
+
+        def dense(side):
+            return np.eye(side, dtype=complex) if isinstance(side, int) else side
+
+        def operand(side):
+            return model_space._Identity(side) if isinstance(side, int) else side
+
+        with recorded_routes(math.inf):
+            for src, dst in ((8, rows), (rows, 6), (8, 6), (6, 8)):
+                want = _compress(phi, lo, dense(src), k, dense(dst))
+                got = _compress(phi, lo, operand(src), k, operand(dst))
+                assert got.shape == want.shape and np.array_equal(got, want)
+
 
 class TestStretchedBasis:
     """The projection onto the model space of alpha(z^k) by alpha's own rows,

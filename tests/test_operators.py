@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 import time
 import tracemalloc
 from math import factorial
@@ -15,6 +16,7 @@ from slantmodel.laurent import LaurentPoly
 from slantmodel.model_space import InnerFunction, ModelSpaceBasis, TruncationError, _compress
 from slantmodel.operators import (
     VARIANTS,
+    _clip,
     CompressionSetting,
     DefectDecomposition,
     Frames,
@@ -561,14 +563,15 @@ class TestSettingCache:
                 a *= 2.0
 
     def test_build_forms_no_shift(self):
-        # A build reads z^1024's 16 MiB identity rows alone; the shift and its
-        # adjoint, 16 MiB each, are formed when a routine first reads them.
+        # A build on z^1024 gathers from the symbol, with no 16 MiB identity
+        # rows; the shift and its adjoint, 16 MiB each, are formed when a
+        # routine first reads them.
         def run():
             setting = CompressionSetting(zn(1024), zn(3), 2)
             build_compression(L({1: 1}), setting)
-            assert not any({"shift", "shift_adj"} & set(vars(b)) for b in (setting.basis_alpha, setting.basis_beta))
+            assert not any({"shift", "shift_adj", "rows"} & set(vars(b)) for b in (setting.basis_alpha, setting.basis_beta))
 
-        assert traced_peak(run) < 24 << 20
+        assert traced_peak(run) < 1 << 20
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_monomial_membership_memory(self, variant):
@@ -813,9 +816,11 @@ class TestIndexMaps:
         M = g.standard_normal((bb.dim, ba.dim)) + 1j * g.standard_normal((bb.dim, ba.dim))
         got = conjugate_operator(setting, U=setting.matrix(M))[0].entries
         agree(got, bb.conjugation_matrix() @ M.conj() @ ba.conjugation_matrix().conj())
+        # On an exact alpha the frames are column selections (`_Columns`),
+        # read here row by row.
         G = ba.first_columns(_used(setting)).conj()
         for variant in ("c38", "c310b"):
-            agree(setting.frames(variant).G_adj, (ba.conjugation_matrix() @ G.conj()).conj().T)
+            agree(np.asarray(setting.frames(variant).G_adj), (ba.conjugation_matrix() @ G.conj()).conj().T)
 
     def test_exact_forms_no_dense_operand(self):
         # The fit, the sandwich, the closed-form defect, recovery and the
@@ -848,11 +853,11 @@ class TestIndexMaps:
             setting = CompressionSetting(alpha, zn(2), k)
             for variant in VARIANTS:
                 f = setting.frames(variant)
-                G = f.G_adj.conj().T
+                G, G_pinv_adj = np.asarray(f.G_adj).conj().T, np.asarray(f.G_pinv_adj)
                 if alpha.constant == 1:
-                    assert np.array_equal(f.G_pinv_adj, _pinv(G).conj().T)
+                    assert np.array_equal(G_pinv_adj, _pinv(G).conj().T)
                 want = np.linalg.lstsq(G, np.eye(len(G)), rcond=None)[0].conj().T
-                assert np.abs(f.G_pinv_adj - want).max() <= 4 * np.finfo(float).eps
+                assert np.abs(G_pinv_adj - want).max() <= 4 * np.finfo(float).eps
 
     def test_used_reads_no_rows(self):
         # Past k = N, z^N counts N = T + 1 frame columns with no rows.
@@ -860,6 +865,188 @@ class TestIndexMaps:
         assert _used(setting) == 1024
         assert rank_one(setting, 1, "k_tilde")[0].norm() == 1.0
         assert not {"rows", "_truncation_outcome"} & set(vars(setting.basis_alpha))
+
+
+def exact_rows_refused(monkeypatch):
+    """Make reading `rows` raise on an exact basis; a Blaschke basis still
+    reads its rows, each time from its truncation."""
+
+    def rows(basis):
+        if basis.exact:
+            raise AssertionError(f"the rows of {basis.inner.to_json()} were read")
+        return basis._truncation.rows
+
+    monkeypatch.setattr(ModelSpaceBasis, "rows", property(rows))
+
+
+def dense_identity_build(phi, setting):
+    """build_compression through the kernels, with np.eye as the rows of an
+    exact side (as verify still passes them), and the kernel `_route` took:
+    'band', 'fft', or None when no term was read."""
+    ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
+    width = ba.truncation_order + 1
+    s = min(k, width)
+    src = np.eye(ba.dim) if ba.exact else ba.rows
+    dst = np.eye(bb.dim) if bb.exact else bb.rows
+    routes, route = [], model_space._route
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_space, "_route", lambda *args: routes.append(route(*args)) or routes[-1])
+        entries = _compress(*_clip(phi, width, k, s, 0, bb.truncation_order), src, s, dst)
+    return entries, ("fft" if routes[0] is None else "band") if routes else None
+
+
+# z^N at k below, at and past N, mixed settings either way, and small ones.
+ROWS_SETTINGS = [
+    (zn(64), zn(48), 3),
+    (zn(5), zn(3), 7),
+    (zn(6), BETA, 3),
+    (B3, zn(5), 2),
+    (C_SMALL, zn(4), 2),
+]
+ROWS_IDS = ["z64-z48-k3", "z5-z3-k7", "z6-B-k3", "B3-z5-k2", "cz3-z4-k2"]
+
+
+class TestRowsOperand:
+    """An exact basis enters the pipeline as index maps of its identity rows
+    (`rows_operand`) and of its frame columns (`frame_operands`): no routine
+    reads its rows, and the entries are those of the dense identity, bit for
+    bit where the dense route took the band kernel."""
+
+    @pytest.mark.parametrize("alpha,beta,k", ROWS_SETTINGS, ids=ROWS_IDS)
+    def test_no_rows_read(self, monkeypatch, alpha, beta, k):
+        exact_rows_refused(monkeypatch)
+        setting = CompressionSetting(alpha, beta, k)
+        ba, bb = setting.basis_alpha, setting.basis_beta
+        rng = np.random.default_rng(83)
+        phi = random_laurent(rng, -8, k * bb.dim + 4, terms=8)
+        U = build_compression(phi, setting)
+        dec = defect_from_symbol(phi, setting)
+        assert np.abs(assemble_defect(dec, setting) - defect(U, setting)).max() <= 1e-12 * max(1.0, U.norm())
+        for variant in VARIANTS:
+            report = membership(U, setting, variant)
+            assert report.member
+            assert np.abs(assemble_defect(report.decomposition, setting) - defect(U, setting, variant)).max() <= 1e-9
+            rebuilt = build_compression(recover_symbol(report, setting), setting)
+            assert np.abs(rebuilt.entries - U.entries).max() <= 1e-9 * max(1.0, U.norm())
+        for which in ("first", "second"):
+            V = build_compression(canonical_symbol(phi, setting, which), setting)
+            assert np.abs(V.entries - U.entries).max() <= 1e-9 * max(1.0, U.norm())
+        zeros = [L({-ba.dim: 1.5})] if ba.exact else []
+        zeros += [L({k * bb.dim: 1 - 2j})] if bb.exact else []
+        for which in ("p22", "p27"):
+            zero_test_sufficient(phi, setting, which)
+            assert all(zero_test_sufficient(z, setting, which) for z in zeros)
+        conjugated, psi = conjugate_operator(setting, phi=phi)
+        assert np.abs(build_compression(psi, setting).entries - conjugated.entries).max() <= 1e-9 * max(1.0, U.norm())
+        for kind in ("tilde_k", "k_tilde"):
+            mat, symbol = rank_one(setting, 1, kind)
+            assert np.abs(build_compression(symbol, setting).entries - mat.entries).max() <= 1e-9
+
+    @pytest.mark.parametrize("k", [2, 16, 17, 40, 10**20], ids=["k-below", "k-at", "k-past", "k-far", "k-1e20"])
+    def test_gather_matches_dense_identity(self, k):
+        # z^16 -> z^12: the gather and the placement against the band
+        # kernel on the dense identity rows, whatever k is, with terms
+        # outside every window, far out, and a window read as all zeros.
+        setting = CompressionSetting(zn(16), zn(12), k)
+        rng = np.random.default_rng(89)
+        symbols = [random_laurent(rng, -20, min(k, 40) * 12 + 20, terms=30) for _ in range(4)]
+        symbols.append(symbols[0] + L({-(10**18): 2.0, 10**18 + 1: -1j, k * 12 + 16: 3.0}))
+        symbols.append(L({k * 11 + 1: 1.0, -16: 2j} if k > 16 else {-16: 2j, 12 * k + 1: 1.0}))
+        symbols.append(L({}))
+        for phi in symbols:
+            want, kernel = dense_identity_build(phi, setting)
+            assert kernel in ("band", None)
+            assert np.array_equal(build_compression(phi, setting).entries, want)
+        assert not np.any(build_compression(symbols[-2], setting).entries)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,k",
+        [(zn(6), BETA, 3), (zn(6), B_NEAR, 8), (B3, zn(5), 2), (B2, zn(7), 9)],
+        ids=["z6-B-k3", "z6-Bnear-k8", "B3-z5-k2", "B2-z7-k9"],
+    )
+    def test_mixed_matches_dense_identity(self, alpha, beta, k):
+        # One side exact: a gather into beta's rows, or the kernel's kept
+        # coefficients placed into the identity rows, with the bits of the
+        # band kernel on the dense identity.
+        setting = CompressionSetting(alpha, beta, k)
+        rng = np.random.default_rng(97)
+        reach = k * setting.basis_beta.truncation_order
+        for _ in range(4):
+            phi = random_laurent(rng, -10, reach + 10, terms=12)
+            want, kernel = dense_identity_build(phi, setting)
+            assert kernel == "band"
+            assert np.array_equal(build_compression(phi, setting).entries, want)
+
+    def test_defect_from_symbol_matches_dense_identity(self):
+        # The span of 1, ..., z^(used-1) as the gathered source, bit for bit
+        # against `_compress` from np.eye(used) on the band kernel.
+        for alpha, beta, k in ROWS_SETTINGS:
+            setting = CompressionSetting(alpha, beta, k)
+            bb, used = setting.basis_beta, _used(setting)
+            phi = random_laurent(np.random.default_rng(101), -8, k * bb.dim + 4, terms=8)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(model_space, "FFT_COST", math.inf)
+                c, lo = _clip(phi, used, k, used, 1, bb.truncation_order + 1)
+                want = setting.shift_operands[0] @ _compress(c, lo - used, np.eye(used), used, bb.rows)
+            assert np.array_equal(np.array(defect_from_symbol(phi, setting).psis).T, want)
+
+    @pytest.mark.parametrize("inner", [zn(1), zn(5), C_SMALL, B2], ids=["z1", "z5", "cz3", "B2"])
+    def test_operands_match_dense(self, inner):
+        basis = ModelSpaceBasis.build(inner)
+        dim, g = basis.dim, np.random.default_rng(103)
+        rows = np.eye(dim) if basis.exact else basis.rows
+        assert isinstance(basis.rows_operand, np.ndarray) != basis.exact
+        for shape in ((dim,), (dim, 3)):
+            x = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+            if basis.exact:
+                assert np.array_equal(basis.rows_operand.conj() @ x, rows.conj() @ x)
+                assert np.array_equal(x.T @ basis.rows_operand.T, x.T @ rows.T)
+        for conjugated in (False, True):
+            for n in sorted({1, min(2, dim), dim}):
+                G = rows[:, :n].conj()
+                if conjugated:
+                    G = basis.conjugation_matrix() @ G.conj()
+                ops = basis.frame_operands(n, conjugated)
+                assert all(isinstance(op, np.ndarray) != basis.exact for op in ops)
+                x, y = (g.standard_normal((3, m)) + 1j * g.standard_normal((3, m)) for m in (dim, n))
+                # The products are contiguous, as the dense ones were.
+                assert (x @ ops[0]).flags.c_contiguous and (y @ ops[1]).flags.c_contiguous
+                for got, want in ((x @ ops[0], x @ G), (y @ ops[1], y @ G.conj().T), (np.asarray(ops[1]), G.conj().T)):
+                    if inner.constant == 1:
+                        assert np.array_equal(got, want)
+                    else:
+                        assert np.abs(got - want).max() <= 1e-15
+                with pytest.raises((ValueError, IndexError)):
+                    ops[1][n]
+
+    @pytest.mark.parametrize("inner", [zn(5), C_SMALL], ids=["z5", "cz3"])
+    def test_wrong_length_refused(self, inner):
+        basis = ModelSpaceBasis.build(inner)
+        rows, (G, G_adj) = basis.rows_operand, basis.frame_operands(2, True)
+        for x in (np.ones(basis.dim + 1), np.ones((basis.dim - 1, 2))):
+            with pytest.raises(ValueError):
+                rows @ x
+            with pytest.raises(ValueError):
+                x.T @ rows
+            with pytest.raises(ValueError):
+                x.T @ G
+        with pytest.raises(ValueError):
+            np.ones((2, 3)) @ G_adj
+
+    def test_large_order_memory(self):
+        # z^2048 -> z^3 at k = 2048: the frames select columns of the
+        # identity, with no 2048 x 2048 G or G^H (64 MiB each), and a build
+        # gathers from phi with no identity rows (64 MiB).
+        def run():
+            setting = CompressionSetting(zn(2048), zn(3), 2048)
+            U = build_compression(L({1: 1, -5: 2j, 4096: 3}), setting)
+            for variant in VARIANTS:
+                assert membership(U, setting, variant).member
+            for kind in ("tilde_k", "k_tilde"):
+                assert rank_one(setting, 1, kind)[0].norm() == 1.0
+            assert "rows" not in vars(setting.basis_alpha)
+
+        assert traced_peak(run) < 4 << 20
 
 
 class TestRowsOnDemand:
@@ -1202,6 +1389,18 @@ class TestZeroTest:
         for phi in generic + members:
             assert zero_test_sufficient(phi, setting, which) == dict_zero_test(phi, setting, which)
         assert all(zero_test_sufficient(phi, setting, which) for phi in members)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("alpha", [zn(3), InnerFunction.blaschke([0.5, 0.3j])], ids=["z3", "B"])
+    def test_complex_kappa(self, alpha, k):
+        # beta = B[-0.5i, 0.4] has the complex B_1 = r_1 0.5i, so kappa =
+        # P_beta 1 = conj(rows[:, 0]) @ rows is complex.  beta(z^k) h(z^k)
+        # and z^-(k-1) beta(z^k) h(z^k) are zero symbols; with kappa's
+        # conjugate dropped, p22 and p27 answer False on every one of them.
+        setting = CompressionSetting(alpha, InnerFunction.blaschke([-0.5j, 0.4]), k)
+        zero = mul(stretched_beta_expansion(setting), stretch(L({0: 1, 1: 0.3 - 0.2j}), k))
+        assert zero_test_sufficient(zero, setting, "p22")
+        assert zero_test_sufficient(shifted(zero, 1 - k), setting, "p27")
 
 
 class TestConjugation:
