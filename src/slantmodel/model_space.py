@@ -9,11 +9,11 @@ conjugate of the compressed shift S (Ninness and Gustafsson, IEEE TAC 42,
 and the kernels come from the same realization, with no rows.  A build holds
 the realization; the truncated rows and all that is read off them, the shift
 and the conjugation are computed on first read, and the leading columns of
-the rows can be read without them.  When every zero is at the origin, S is
-the nilpotent shift and the conjugation c J a reversal, so both act on
-coefficient arrays by index, with no dense matrix; so do the identity rows,
-from which a compression gathers the symbol's terms, and the membership
-frame, whose columns are those of the identity or of c J.
+the rows can be read without them.  When every zero is at the origin, S, its
+powers, the conjugation c J, the identity rows and the membership frame each
+have at most one nonzero entry in each row and column, so each is an index
+map (`_IndexMap`) that acts on coefficient arrays by slicing, with no dense
+matrix; a compression gathers the symbol's terms from the identity rows.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ TAIL_BOUND_LIMIT = 1e-12
 # Largest truncation order T.  It admits a single zero up to |w| = 0.99997,
 # whose rows then take 2^21 columns of A^n B.
 MAX_TRUNCATION = 1 << 20
-# Largest coefficient array of a build, 2^24 complex numbers (256 MB): the rows,
-# the shift or the conjugation of z^N, or 2 x dim x 2^S for the 2^(S-1) held
-# columns of the rows and the joined rows, at most 2^S columns, together.
+# Largest coefficient array of a build, 2^24 complex numbers (256 MB): the dense
+# form of an index map of z^N (its rows, shift or conjugation), or 2 x dim x 2^S
+# for the 2^(S-1) held columns of the rows and the joined rows, at most 2^S
+# columns, together.
 MAX_ENTRIES = 1 << 24
 # Columns per block of the tail sums (1 MB per row).
 TAIL_BLOCK = 1 << 16
@@ -193,8 +194,8 @@ def _compress(phi: np.ndarray, lo: int, src, k: int, dst) -> np.ndarray:
     so the entries depend on those terms alone, bit for bit, however phi is
     padded.  Frequencies are Python ints.
 
-    Either side may be `_Identity`, the identity rows of an exact basis (a
-    `rows_operand`), rather than an array.  As the source it needs no
+    Either side may be an `_IndexMap`, the identity rows of an exact basis
+    (a `rows_operand`), rather than an array.  As the source it needs no
     kernel: the kept coefficient k n of phi z^j is a term of phi, so they
     are a gather (`_gathered`), exact.  As the destination its rows select
     the kept coefficients, which are placed in rows n of a zero matrix,
@@ -219,12 +220,12 @@ def _compress(phi: np.ndarray, lo: int, src, k: int, dst) -> np.ndarray:
     phi, lo = phi[lead + r0 : lead + r1 + 1], lo + lead + r0
     n0, n3 = n0 + max(0, -((width - 1 - r0) // k)), min(n3, n0 + r1 // k + 1)
     count, q0 = n3 - n0, k * n0 - lo
-    if isinstance(src, _Identity):
+    if isinstance(src, _IndexMap):
         kept = _gathered(phi, q0, k, count, width)
     else:
         layout = _route(k, src.shape, len(phi), count)
         kept = _fourier(phi, q0, src, k, count) if layout is None else _banded(phi, q0, src, k, count, *layout)
-    if isinstance(dst, _Identity):
+    if isinstance(dst, _IndexMap):
         out = np.zeros((dst.shape[0], src.shape[0]), dtype=complex)
         out[n0:n3] = kept
         return out
@@ -338,19 +339,18 @@ class ModelSpaceBasis:
     compressed shift S and its adjoint, the conjugation matrix and the
     expansion of the inner function are each computed on first read, once,
     and are plain instance attributes from then on, as is a refusal of the
-    rows; `shift_power` gives S^n.  The routines multiply by S^n, S^{*n}
-    and C as `shift_operands(n)` and `conjugation_operand`: on an exact basis
-    index maps, a slice, a reversal and a multiply by c, with no dense
-    matrix; on a Blaschke basis the cached dense S, S^* and C.  They read
-    the rows as `rows_operand` and the membership frame as `frame_operands`:
-    on an exact basis the identity rows (`_Identity`), which `_compress`
-    gathers from and places into, and column selections (`_Columns`), with
-    no N x N identity; on a Blaschke basis the rows and dense frames.  So
-    no pipeline routine reads `rows` of an exact basis, though it stays
-    readable there (the verify harness reads it).  `first_columns` reads
-    the leading columns of the rows without forming them; the shift, the
-    conjugation and the kernels read no rows, nor does `exact`.  Frozen,
-    arrays read-only.
+    rows.  The routines multiply by S^n, S^{*n} and C as
+    `shift_operands(n)` and `conjugation_operand`, read the rows as
+    `rows_operand` and the membership frame as `frame_operands`: on an
+    exact basis each is an index map (`_IndexMap`), with no dense matrix,
+    and `_compress` gathers from the identity rows and places into them; on
+    a Blaschke basis the cached dense S, S^* and C, the rows and dense
+    frames.  The dense forms, `shift_power`, `first_columns` and `rows`,
+    are `np.asarray` of those maps on an exact basis, refused above
+    MAX_ENTRIES; no pipeline routine reads `rows` of an exact basis.
+    `first_columns` reads the leading columns of the rows without forming
+    them; the shift, the conjugation and the kernels read no rows, nor does
+    `exact`.  Frozen, arrays read-only.
     """
 
     inner: InnerFunction
@@ -384,13 +384,12 @@ class ModelSpaceBasis:
         whose A is the nilpotent shift.  Row i of A^n has the diagonal entry
         conj(w_i)^n, so T is at least the order of a single zero of modulus
         max |w|: that order above MAX_TRUNCATION, and arrays above
-        MAX_ENTRIES for it (dim x dim for z^N), are refused here, before
-        anything is allocated.  What needs the rows is refused on their
-        first read (`_truncation`)."""
+        MAX_ENTRIES for it, are refused here, before anything is allocated.
+        What needs the rows is refused on their first read (`_truncation`),
+        and on z^N what densifies an N x N index map."""
         dim, rho = inner.degree, max(map(abs, inner.zeros))
         order = _checked(math.ceil(math.log(TAIL_BOUND_LIMIT) / math.log(rho)) - 1 if rho else dim - 1)
         if not rho:
-            _capped(dim, dim)
             return cls(inner, None, order)
         _capped(2, dim, 1 << _first(order))
         return cls(inner, _realization([0j, *inner.zeros, 0j]), order)
@@ -422,7 +421,7 @@ class ModelSpaceBasis:
         matrix off the identity by more than GRAM_TOL are refused."""
         dim = self.dim
         if self._system is None:  # the identity rows: no tail, orthonormal exactly
-            rows, tail, gram_error, held, step = np.eye(dim, dtype=complex), 0.0, 0.0, dim, None
+            rows, tail, gram_error, held, step = np.asarray(self.rows_operand), 0.0, 0.0, dim, None
         else:
             rows, tail, held, step = _impulse_responses(self._system, _first(self.least_order))
             gram_error = float(np.abs(rows.conj() @ rows.T - np.eye(dim)).max())
@@ -446,46 +445,35 @@ class ModelSpaceBasis:
         """The largest entry of rows^* rows - I; 0 for z^N, with no rows formed."""
         return 0.0 if self._system is None else self._truncation.gram_error
 
-    @functools.cached_property
-    def shift(self) -> np.ndarray:
-        """S, the compression of multiplication by z: E[n + 1] = A E[n] gives
-        <z e_j, e_i> = conj(A[i, j]), with no tail.  Read-only."""
-        return self.shift_power(1)
-
-    @functools.cached_property
-    def shift_adj(self) -> np.ndarray:
-        """S^*, the conjugate transpose of `shift`, read-only."""
-        adjoint = self.shift.conj().T
-        adjoint.setflags(write=False)
-        return adjoint
-
     def shift_power(self, n: int) -> np.ndarray:
-        """S^n, read-only: for z^N the shift by n, with no product and zero
+        """S^n, read-only: for z^N the shift by n (`shift_operands`), zero
         from n = N on; otherwise conj(A)^n by repeated squaring."""
         if self._system is None:
-            power = np.eye(self.dim, k=-min(n, self.dim), dtype=complex)
+            power = np.asarray(self.shift_operands(n)[0])
         else:
             power = np.linalg.matrix_power(self._system[1:-1, 1:-1].conj(), n)
         power.setflags(write=False)
         return power
 
     def shift_operands(self, n: int = 1) -> tuple:
-        """S^n and S^{*n} as operands of `@` from either side.  On an exact
-        basis they are index maps (`_Shift`), with no dense matrix; on a
-        Blaschke basis `shift` and `shift_adj` for n = 1, else
-        `shift_power(n)` and its conjugate transpose, read-only."""
+        """S^n and S^{*n} as operands of `@` from either side.  S^n moves
+        coordinate j to j + n: on an exact basis an index map, with no dense
+        matrix; on a Blaschke basis `shift_power(n)` and its conjugate
+        transpose, read-only, formed once for n = 1 (E[n + 1] = A E[n] gives
+        <z e_j, e_i> = conj(A[i, j]), with no tail)."""
         if self.exact:
-            return _Shift(n, self.dim), _Shift(-n, self.dim)
-        if n == 1:
-            return self.shift, self.shift_adj
-        power = self.shift_power(n)
-        adjoint = power.conj().T
-        adjoint.setflags(write=False)
-        return power, adjoint
+            kept = max(self.dim - n, 0)
+            power = _IndexMap((self.dim, self.dim), slice(self.dim - kept, None), slice(0, kept))
+            return power, power.T
+        return self._shift if n == 1 else _adjoined(self.shift_power(n))
+
+    @functools.cached_property
+    def _shift(self) -> tuple:
+        return _adjoined(self.shift_power(1))
 
     @functools.cached_property
     def _conjugation(self) -> np.ndarray:
-        """C, with coords(alpha conj(z f)) = C conj(coords(f)); c J for z^N.
+        """C of a Blaschke basis, with coords(alpha conj(z f)) = C conj(coords(f)).
         On the circle alpha conj(z e_j) = c sqrt(1 - |w_j|^2) / (1 - conj(w_j) z)
         prod_{i>j} b_i, c times the impulse response (A^T)^n C^T, so C / c is
         X = sum_n conj(A)^n conj(B) C^T A^n, the solution of the Stein equation
@@ -494,18 +482,15 @@ class ModelSpaceBasis:
         unitary, so what is left out is below that.  C must be a unitary
         involution, C C^H = C conj(C) = I, within GRAM_TOL; it is refused
         otherwise, a NaN too."""
-        c, system = self.inner.constant, self._system
-        if system is None:
-            conjugation = c * np.eye(self.dim, dtype=complex)[::-1]
-        else:
-            x, power = np.outer(system[1:-1, 0].conj(), system[-1, 1:-1]), system[1:-1, 1:-1]
-            while (np.abs(power) ** 2).sum() > TAIL_BOUND_LIMIT**2:
-                x += power.conj() @ x @ power
-                power = power @ power
-            conjugation, eye = c * x, np.eye(len(x))
-            error = max(np.abs(x @ x.conj().T - eye).max(), np.abs(x @ x.conj() - eye).max())
-            if not error <= GRAM_TOL:
-                raise TruncationError(f"conjugation matrix deviates from a unitary involution by {error:.3e}")
+        system = self._system
+        x, power = np.outer(system[1:-1, 0].conj(), system[-1, 1:-1]), system[1:-1, 1:-1]
+        while (np.abs(power) ** 2).sum() > TAIL_BOUND_LIMIT**2:
+            x += power.conj() @ x @ power
+            power = power @ power
+        conjugation, eye = self.inner.constant * x, np.eye(len(x))
+        error = max(np.abs(x @ x.conj().T - eye).max(), np.abs(x @ x.conj() - eye).max())
+        if not error <= GRAM_TOL:
+            raise TruncationError(f"conjugation matrix deviates from a unitary involution by {error:.3e}")
         conjugation.setflags(write=False)
         return conjugation
 
@@ -536,8 +521,8 @@ class ModelSpaceBasis:
         until the rows are read, n up to that many come from the same
         doubling, stopped at the first power of two >= n.  Past that, and
         once the rows exist, this is a slice of the rows."""
-        if self._system is None:
-            columns = np.eye(self.dim, n, dtype=complex)
+        if self._system is None:  # the frame G, real there
+            columns = np.asarray(self.frame_operands(n)[0])
         elif "rows" in vars(self) or n > 1 << (_first(self.least_order) - 1):
             return self.rows[:, :n]
         else:
@@ -549,27 +534,26 @@ class ModelSpaceBasis:
     @functools.cached_property
     def rows_operand(self):
         """The rows as an operand of `@` from either side and of `_compress`:
-        on an exact basis the identity rows as an index map (`_Identity`),
-        with no dense identity; on a Blaschke basis `rows`.  Its shape is
-        dim x (T + 1) either way."""
-        return _Identity(self.dim) if self.exact else self.rows
+        on an exact basis the identity rows as an index map, with no dense
+        identity; on a Blaschke basis `rows`.  Its shape is dim x (T + 1)
+        either way."""
+        return _IndexMap((self.dim, self.dim)) if self.exact else self.rows
 
     def frame_operands(self, n: int, conjugated: bool = False) -> tuple:
         """G and G^H as right operands of `@`, read-only: G = conj(rows[:, :n]),
         whose column j represents f -> f^(j)(0) / j!, or C rows[:, :n] when
-        conjugated.  On an exact basis they are column selections of the
-        identity, or of c J (`_Columns`), with no dense matrix; on a Blaschke
-        basis arrays, formed per call."""
+        conjugated.  On an exact basis they are index maps, the first n
+        columns of the identity, or of c J, and their adjoints, with no dense
+        matrix; on a Blaschke basis arrays, formed per call."""
         if self.exact:
-            flip = self.conjugation_operand if conjugated else None
-            return _Columns(self.dim, n, flip, False), _Columns(self.dim, n, flip, True)
+            G = _IndexMap((self.dim, n), slice(0, n), slice(0, n))
+            if conjugated:  # c at (dim - 1 - j, j)
+                G = _IndexMap((self.dim, n), slice(self.dim - n, None), slice(n - 1, None, -1), self.inner.constant)
+            return G, G.conj().T
         G = self.first_columns(n).conj()
         if conjugated:
             G = self.conjugation_operand @ G.conj()
-        adjoint = G.conj().T
-        G.setflags(write=False)
-        adjoint.setflags(write=False)
-        return G, adjoint
+        return _adjoined(G)
 
     def stretched_projection(self, coeffs: np.ndarray, k: int) -> np.ndarray:
         """Taylor coefficients of the projection onto the model space of
@@ -604,7 +588,8 @@ class ModelSpaceBasis:
             return np.zeros(self.dim, dtype=complex)
         scale, power = derivative_scale(n), self.shift_power(n)
         if w != 0:
-            resolvent = np.linalg.inv(np.eye(self.dim) - w.conjugate() * self.shift)
+            shift = np.asarray(self.shift_operands()[0])
+            resolvent = np.linalg.inv(np.eye(self.dim) - w.conjugate() * shift)
             power = power @ np.linalg.matrix_power(resolvent, n + 1)
         return scale * (power @ self.first_columns(1)[:, 0].conj())
 
@@ -618,144 +603,92 @@ class ModelSpaceBasis:
 
     @functools.cached_property
     def conjugation_operand(self):
-        """C as an operand of `@` from either side: on an exact basis c J as
-        an index map (`_Flip`), with no dense matrix; on a Blaschke basis the
-        matrix of `conjugation_matrix`."""
-        return _Flip(self.inner.constant, self.dim) if self.exact else self._conjugation
-
-    def conjugation_matrix(self) -> np.ndarray:
-        """Matrix C with coords(C f) = C @ conj(coords(f)), formed on first
-        read.  The routines apply C as `conjugation_operand`, which does
-        not form it on an exact basis."""
+        """C, with coords(alpha conj(z f)) = C conj(coords(f)), as an
+        operand of `@` from either side: on an exact basis c J, z^j to
+        c z^(N-1-j), as an index map whose products are reversed views, with
+        no dense matrix; on a Blaschke basis the dense `_conjugation`."""
+        if self.exact:
+            return _IndexMap((self.dim, self.dim), cols=slice(None, None, -1), scale=self.inner.constant, view=True)
         return self._conjugation
 
 
-class _Shift:
-    """S^n (move n) or S^{*n} (move -n) of an exact basis of dimension dim
-    as an operand of `@` from either side.  S^n moves coordinate j to j + n,
-    so a product is a slice into zeros, with the dense product's values and
-    no dense S^n.  An array of another size is refused, as a dense product
-    refuses it."""
+class _IndexMap:
+    """A shape[0] x shape[1] matrix whose entries are zero but for entry
+    (rows[t], cols[t]) of each t, 1 or scale (None for 1): on an exact basis
+    S^n, S^{*n}, c J, the identity rows and the membership frames.  It is
+    an operand of `@` from either side, with the dense product's values,
+    bit for bit when the scale is 1, and no dense matrix: the slice of x at
+    one side's indices, times the scale, goes to the other side's in a zero
+    array.  Where those cover every index of the product, in order or
+    reversed, no zero array is made: the product is that slice reordered, a
+    view when `view` (the conjugation, whose sandwich copies nothing), else
+    contiguous as the dense product was: x itself where x already is.  Its
+    rows are read one by one by `rank_one` and `assemble_defect`.  An array
+    of another size is refused, as a dense product refuses it, and
+    `np.asarray` forms the dense matrix, above MAX_ENTRIES refused first."""
 
-    __slots__ = ("dim", "moved", "kept")
-    __array_ufunc__ = None  # so that ndarray @ shift calls __rmatmul__
+    __slots__ = ("shape", "rows", "cols", "scale", "view")
+    __array_ufunc__ = None  # so that ndarray @ map calls __rmatmul__
 
-    def __init__(self, move: int, dim: int):
-        kept = max(dim - abs(move), 0)
-        # S^n x: x[kept] lands in out[moved]; x S^n takes x[moved] to out[kept].
-        self.dim, self.moved, self.kept = dim, slice(dim - kept, None), slice(None, kept)
-        if move < 0:
-            self.moved, self.kept = self.kept, self.moved
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim not in (1, 2) or len(x) != self.dim:
-            raise ValueError(f"a {self.dim} x {self.dim} operand cannot multiply an array of shape {x.shape}")
-        out = np.zeros(x.shape, dtype=complex)
-        out[self.moved] = x[self.kept]
-        return out
-
-    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
-        if not x.ndim or x.shape[-1] != self.dim:
-            raise ValueError(f"an array of shape {x.shape} cannot multiply a {self.dim} x {self.dim} operand")
-        out = np.zeros(x.shape, dtype=complex)
-        out[..., self.kept] = x[..., self.moved]
-        return out
-
-
-class _Flip:
-    """c J, the conjugation matrix of an exact basis of dimension dim, as an
-    operand of `@` from either side (J is symmetric): it reverses the
-    coordinates and multiplies them by c, with the dense product's values,
-    bit for bit when c = 1, and no dense c J.  Its scale is c, or None for
-    c = 1, where a product is a reversed view of x.  An array of another
-    size is refused, as a dense product refuses it."""
-
-    __slots__ = ("scale", "dim")
-    __array_ufunc__ = None  # so that ndarray @ flip calls __rmatmul__
-
-    def __init__(self, constant: complex, dim: int):
-        self.scale, self.dim = (None if constant == 1 else constant), dim
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim not in (1, 2) or len(x) != self.dim:
-            raise ValueError(f"a {self.dim} x {self.dim} operand cannot multiply an array of shape {x.shape}")
-        return x[::-1] if self.scale is None else (self.scale * x)[::-1]
-
-    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
-        if not x.ndim or x.shape[-1] != self.dim:
-            raise ValueError(f"an array of shape {x.shape} cannot multiply a {self.dim} x {self.dim} operand")
-        return x[..., ::-1] if self.scale is None else (self.scale * x)[..., ::-1]
-
-    def conjugate(self) -> "_Flip":
-        return self if self.scale is None else _Flip(self.scale.conjugate(), self.dim)
-
-
-class _Identity:
-    """The identity rows of dimension dim, those of an exact basis, as an
-    operand of `@` from either side (so are its conjugate and transpose,
-    itself): the product is x itself, contiguous, as the dense product was,
-    and no dense identity.  `_compress` gathers from it as a source and
-    places into it as a destination.  An array of another size is refused,
-    as a dense product refuses it."""
-
-    __slots__ = ("shape",)
-    __array_ufunc__ = None  # so that ndarray @ rows calls __rmatmul__
-
-    def __init__(self, dim: int):
-        self.shape = (dim, dim)
+    def __init__(self, shape: tuple, rows: slice = slice(None), cols: slice = slice(None), scale=None, view: bool = False):
+        self.shape, self.rows, self.cols, self.view = shape, rows, cols, view
+        self.scale = None if scale == 1 else scale
 
     @property
-    def T(self) -> "_Identity":
-        return self
+    def T(self) -> "_IndexMap":
+        return _IndexMap(self.shape[::-1], self.cols, self.rows, self.scale, self.view)
 
-    def conj(self) -> "_Identity":
-        return self
+    def conj(self) -> "_IndexMap":
+        if self.scale is None:
+            return self
+        return _IndexMap(self.shape, self.rows, self.cols, self.scale.conjugate(), self.view)
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim not in (1, 2) or len(x) != self.shape[0]:
-            raise ValueError(f"a {self.shape[0]} x {self.shape[0]} operand cannot multiply an array of shape {x.shape}")
-        return np.ascontiguousarray(x, dtype=complex)
-
-    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
-        if not x.ndim or x.shape[-1] != self.shape[0]:
-            raise ValueError(f"an array of shape {x.shape} cannot multiply a {self.shape[0]} x {self.shape[0]} operand")
-        return np.ascontiguousarray(x, dtype=complex)
-
-
-class _Columns:
-    """G, the first count columns of the identity of dimension dim, or of
-    c J when flip is that `_Flip`, or G^H when adjoint: the membership frame
-    of an exact basis (`ModelSpaceBasis.frame_operands`), as the right
-    operand of `@`.  x @ G is the first count columns of x, or of x c J,
-    and x @ G^H puts x in the first count columns of a zero array, then
-    multiplies by conj(c) J: the dense product's values, bit for bit when
-    c = 1, contiguous, with no dense G.  Row l, read by `rank_one` and
-    `assemble_defect`, is a unit vector times the product's scale.  An array
-    of another size is refused, as a dense product refuses it."""
-
-    __slots__ = ("dim", "count", "flip", "adjoint")
-    __array_ufunc__ = None  # so that ndarray @ columns calls __rmatmul__
-
-    def __init__(self, dim: int, count: int, flip: "_Flip | None", adjoint: bool):
-        self.dim, self.count, self.flip, self.adjoint = dim, count, flip, adjoint
+    conjugate = conj
 
     def __len__(self) -> int:
-        return self.count if self.adjoint else self.dim
+        return self.shape[0]
 
     def __getitem__(self, l: int) -> np.ndarray:
         if not 0 <= l < len(self):
             raise IndexError(f"row {l} is outside 0..{len(self) - 1}")
         return np.eye(1, len(self), l, dtype=complex)[0] @ self
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        _capped(*self.shape)
+        dense = np.zeros(self.shape, dtype=complex)
+        dense[np.arange(self.shape[0])[self.rows], np.arange(self.shape[1])[self.cols]] = self.scale or 1
+        return dense
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim not in (1, 2) or len(x) != self.shape[1]:
+            raise ValueError(f"a {self.shape[0]} x {self.shape[1]} operand cannot multiply an array of shape {x.shape}")
+        return self._placed(x[self.cols], self.rows, self.shape[0], 0)
+
     def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
-        inner = self.count if self.adjoint else self.dim
-        if not x.ndim or x.shape[-1] != inner:
-            raise ValueError(f"an array of shape {x.shape} cannot multiply a {len(self)} x {inner} operand")
-        if not self.adjoint:
-            return np.ascontiguousarray((x if self.flip is None else x @ self.flip)[..., : self.count], dtype=complex)
-        out = np.zeros((*x.shape[:-1], self.dim), dtype=complex)
-        out[..., : self.count] = x
-        return out if self.flip is None else np.ascontiguousarray(out @ self.flip.conjugate())
+        if not x.ndim or x.shape[-1] != self.shape[0]:
+            raise ValueError(f"an array of shape {x.shape} cannot multiply a {self.shape[0]} x {self.shape[1]} operand")
+        return self._placed(x[..., self.rows], (..., self.cols), self.shape[1], -1)
+
+    def _placed(self, part: np.ndarray, at, size: int, axis: int) -> np.ndarray:
+        """part times the scale at the indices `at` of an axis of this size."""
+        if self.scale is not None:
+            part = self.scale * part
+        if part.shape[axis] == size:  # `at` is every index, in order or reversed: its own inverse
+            part = part[at]
+            return part if self.view else np.ascontiguousarray(part, dtype=complex)
+        shape = list(part.shape)
+        shape[axis] = size
+        out = np.zeros(shape, dtype=complex)
+        out[at] = part
+        return out
+
+
+def _adjoined(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a and its conjugate transpose, both read-only."""
+    adjoint = a.conj().T
+    a.setflags(write=False)
+    adjoint.setflags(write=False)
+    return a, adjoint
 
 
 def _capped(*shape: int) -> None:

@@ -25,7 +25,7 @@ from .model_space import (
     ModelSpaceBasis,
     TruncationError,
     _compress,
-    _Identity,
+    _IndexMap,
     coeff_json,
     complex_pairs,
     derivative_scale,
@@ -141,7 +141,7 @@ class MembershipReport:
 class Frames(NamedTuple):
     """The constants of one variant's membership fit (`CompressionSetting.frames`),
     every array read-only: what `membership`, `assemble_defect` and `rank_one` read.
-    On an exact alpha G_adj and G_pinv_adj are column selections
+    On an exact alpha G_adj and G_pinv_adj are index maps
     (`ModelSpaceBasis.frame_operands`): right operands of `@` whose rows
     can be read one by one, with no dense matrix."""
 
@@ -204,8 +204,8 @@ class CompressionSetting:
         F = conj(rows_beta[:, 0]) is the kernel at 0 and column j of G,
         conj(rows_alpha[:, j]), represents f -> f^(j)(0) / j!: the derivative
         kernel of order j over j!.  G and G^H come from
-        `ModelSpaceBasis.frame_operands`: on an exact alpha column selections
-        of the identity, reversed and times c for C_alpha, so the fit's
+        `ModelSpaceBasis.frame_operands`: on an exact alpha index maps, the
+        first columns of the identity, or of c J for C_alpha, so the fit's
         products with them are slices, with no dense N x N matrix at k >= N."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
@@ -283,14 +283,9 @@ def _interpolant(basis: ModelSpaceBasis) -> np.ndarray | None:
 
 
 def _pinv(G: np.ndarray) -> np.ndarray:
-    """The pseudo-inverse of G.  That is G^H when the smaller of G G^H and
-    G^H G is exactly the identity; otherwise it comes from one SVD, with the
-    rank cut of lstsq(rcond=None): singular values <= eps max(G.shape)
-    sigma_1 are dropped."""
-    adjoint = G.conj().T
-    gram = G @ adjoint if G.shape[0] <= G.shape[1] else adjoint @ G
-    if np.array_equal(gram, np.eye(len(gram))):
-        return adjoint
+    """The pseudo-inverse of G, from one SVD, with the rank cut of
+    lstsq(rcond=None): singular values <= eps max(G.shape) sigma_1 are
+    dropped."""
     u, sv, vh = np.linalg.svd(G, full_matrices=False)
     rank = np.count_nonzero(sv > np.finfo(float).eps * max(G.shape) * sv[0])
     return ((u[:, :rank] / sv[:rank]) @ vh[:rank]).conj().T
@@ -447,7 +442,7 @@ def defect_from_symbol(phi: LaurentPoly, setting: CompressionSetting) -> DefectD
     chi = ba.rows_operand.conj() @ phi.to_array(-ba.truncation_order, 0)[::-1].conj()
     used = _used(setting)
     c, lo = _clip(phi, used, k, used, 1, bb.truncation_order + 1)
-    psis = setting.shift_operands[0] @ _compress(c, lo - used, _Identity(used), used, bb.rows_operand)
+    psis = setting.shift_operands[0] @ _compress(c, lo - used, _IndexMap((used, used)), used, bb.rows_operand)
     return DefectDecomposition(chi=chi, psis=list(psis.T), variant="t35")
 
 

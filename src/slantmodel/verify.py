@@ -404,13 +404,13 @@ def _prop_conjugation(rng, ctx):
 @register("compressed_shift_adjoint", "compressed-shift", 1e-10, 1e-8)
 def _prop_compressed_shift(rng, ctx):
     ba = ctx.setting.basis_alpha
-    S, S_adj = ba.shift, ba.shift_adj
+    S, S_adj = map(np.asarray, ba.shift_operands())
     v = _vector(rng, ba.dim)
     # Adjoint acts as the coefficient backward shift on the space: P_alpha of
     # z^-1 f, by `_compress` from the row of f.
     direct = _compress(np.ones(1), -1, (v @ ba.rows)[None], 1, ba.rows)[:, 0]
     res = float(np.linalg.norm(S_adj @ v - direct))
-    C = ba.conjugation_matrix()
+    C = np.asarray(ba.conjugation_operand)
     res = max(res, float(np.abs(C @ S.conjugate() @ C.conjugate() - S_adj).max()))
     return res, {"v": v}
 
@@ -452,7 +452,7 @@ def _prop_symbol_from_parts(rng, ctx):
         psis.append(p - (value0 / norm2) * k0b)  # enforce psi(0) = 0
     # conj(f_chi) + sum_j (k - j)! z^j (S_beta^* psi_(k-j))(z^k) for j = 1..k:
     # block n of k coefficients from frequency 1 holds k n + 1..k n + k.
-    parts = np.array([factorial(k - j) * (bb.shift_adj @ psis[k - j]) @ bb.rows for j in range(1, k + 1)])
+    parts = np.array([factorial(k - j) * (bb.shift_operands()[1] @ psis[k - j]) @ bb.rows for j in range(1, k + 1)])
     phi = LaurentPoly.from_array(*_sum(_head(chi, ba), (parts.T.reshape(-1), 1)))
     U = build_compression(phi, ctx.setting)
     D = defect(U, ctx.setting, "t35")

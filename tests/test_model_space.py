@@ -202,7 +202,7 @@ class TestMakeBasis:
         inner = InnerFunction.blaschke([0.9, 0.9, 0.9])
         basis = ModelSpaceBasis.build(inner)
         T = basis.truncation_order
-        a = basis.shift.conj()
+        a = basis.shift_power(1).conj()
         rows = convolution_expansions(inner, 4 * T)[0]
         for t in (284, T):
             dropped = np.linalg.norm(rows[:, t + 1 :], axis=1).max()
@@ -281,7 +281,7 @@ class TestMakeBasis:
         finally:
             tracemalloc.stop()
         assert read == (4096, 4095, 0.0, 0.0) and peak <= 2**16
-        assert not {"_truncation_outcome", "rows", "shift", "shift_adj", "_conjugation"} & set(vars(basis))
+        assert not {"_truncation_outcome", "rows", "_shift", "_conjugation"} & set(vars(basis))
 
     def test_refusals_wait_for_the_rows(self, monkeypatch):
         # A double zero at 0.99997 needs T = 1059425 > 2^20, past the order
@@ -313,7 +313,7 @@ class TestMakeBasis:
         # I - A A^H = B B^H: the rows have unit norm over all frequencies, and
         # the row norms of A^n are the exact tails.
         basis = ModelSpaceBasis.build(InnerFunction.blaschke(zeros))
-        a, b = basis.shift.conj(), basis.rows[:, 0]
+        a, b = basis.shift_power(1).conj(), basis.rows[:, 0]
         assert np.linalg.norm(np.eye(len(b)) - a @ a.conj().T - np.outer(b, b.conj())) <= 1e-15
 
     def test_monomial_degree_cap(self):
@@ -465,7 +465,7 @@ def assert_kernels_match_series(basis, n, points):
     """At the origin the kernel of order n is n! conj(A^n B), at each of the
     points w the conjugate of the n-th derivative of the series
     sum_m A^m B z^m of the rows, read here to m = 600, with A = conj(S)."""
-    A, B = basis.shift.conj(), basis.first_columns(1)[:, 0]
+    A, B = basis.shift_power(1).conj(), basis.first_columns(1)[:, 0]
     columns = [B]
     for _ in range(600):
         columns.append(A @ columns[-1])
@@ -505,7 +505,7 @@ class TestConjugation:
 class TestCompressedShift:
     def test_jordan_block(self):
         basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
-        S, S_adj = basis.shift, basis.shift_adj
+        S, S_adj = map(np.asarray, basis.shift_operands())
         jordan = np.diag([1.0, 1.0], -1)
         assert np.allclose(S, jordan)
         assert np.allclose(S_adj, jordan.T)
@@ -513,49 +513,145 @@ class TestCompressedShift:
     def test_shift_kills_top_power_when_alpha_vanishes_at_zero(self):
         # S applied to the conjugated point kernel gives -alpha(0) k_0.
         basis = ModelSpaceBasis.build(InnerFunction.monomial(3))
-        S = basis.shift
+        S = basis.shift_operands()[0]
         tilde = basis.conjugate_vector(basis.kernel(0, 0))
         assert np.allclose(S @ tilde, np.zeros(3))
 
     @pytest.mark.parametrize("inner", [InnerFunction.monomial(4), InnerFunction.blaschke([0.5, -0.3])])
     def test_conjugation_symmetry(self, inner):
         basis = ModelSpaceBasis.build(inner)
-        S, S_adj = basis.shift, basis.shift_adj
-        C = basis.conjugation_matrix()
+        S, S_adj = map(np.asarray, basis.shift_operands())
+        C = np.asarray(basis.conjugation_operand)
         assert np.abs(C @ S.conjugate() @ C.conjugate() - S_adj).max() < 1e-10
 
     def test_tilde_kernel_relation_blaschke(self, blaschke_basis):
         # S applied to the conjugated point kernel equals -alpha(0) k_0.
-        S = blaschke_basis.shift
+        S = blaschke_basis.shift_operands()[0]
         tilde = blaschke_basis.conjugate_vector(blaschke_basis.kernel(0, 0))
         a0 = blaschke_basis.inner.evaluate(0.0)
         assert np.abs(S @ tilde + a0 * blaschke_basis.kernel(0, 0)).max() < 1e-8
 
     def test_shift_power(self):
-        # z^N: the shift by n, bit for bit the matrix power, zero from n = N
-        # on whatever the size of n; elsewhere the power of conj(A).
+        # z^N: the shift by n, zero from n = N on whatever the size of n;
+        # elsewhere the power of conj(A), with S and S^* formed once.
         basis = ModelSpaceBasis.build(InnerFunction.monomial(6))
         for n in (0, 1, 2, 5, 6, 11):
-            assert np.array_equal(basis.shift_power(n), np.linalg.matrix_power(basis.shift, n))
+            assert np.array_equal(basis.shift_power(n), np.eye(6, k=-n))
         assert not basis.shift_power(10**20).any()
         for zeros in ([0.5, -0.3], [0.4, -0.5j], [0, 0, 0.5, -0.3]):
             blaschke = ModelSpaceBasis.build(InnerFunction.blaschke(zeros))
             a = blaschke._system[1:-1, 1:-1]
-            assert np.array_equal(blaschke.shift, a.conj())
+            S, S_adj = blaschke.shift_operands()
+            assert np.array_equal(S, a.conj()) and np.array_equal(S_adj, S.conj().T)
             for n in (0, 1, 2, 7, 100):
                 assert np.array_equal(blaschke.shift_power(n), np.linalg.matrix_power(a.conj(), n))
-        for b in (basis, blaschke):
-            assert np.array_equal(b.shift_adj, b.shift.conj().T)
-            assert b.shift is b.shift and b.shift_adj is b.shift_adj
-            for a in (b.shift, b.shift_adj, b.shift_power(0), b.shift_power(3), basis.shift_power(10**20)):
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0, 0] = 1.0
+            assert blaschke.shift_operands() is blaschke.shift_operands()
+        for a in (S, S_adj, blaschke.shift_power(3), basis.shift_power(0), basis.shift_power(3), basis.shift_power(10**20)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
 
     def test_adjoint_is_backward_shift(self, rng, blaschke_basis):
         v = random_coords(rng, blaschke_basis.dim)
-        S_adj = blaschke_basis.shift_adj
+        S_adj = blaschke_basis.shift_operands()[1]
         direct = blaschke_basis.project(backward_shift_pow(blaschke_basis.reconstruct(v), 1))
         assert np.abs(S_adj @ v - direct).max() < 1e-10
+
+
+def index_map_cases(dim, c):
+    """(name, index map, the same matrix built with np.eye) for each map of
+    the exact basis c z^dim: S^n, S^{*n}, c J, the identity rows, and the
+    frames G, G^H, plain and conjugated."""
+    basis = ModelSpaceBasis.build(InnerFunction.blaschke([0] * dim, c))
+    J = c * np.eye(dim, dtype=complex)[::-1]
+    cases = [("J", basis.conjugation_operand, J), ("rows", basis.rows_operand, np.eye(dim))]
+    for n in sorted({0, 1, dim - 1, dim, dim + 3}):
+        S, S_adj = basis.shift_operands(n)
+        cases += [(f"S^{n}", S, np.eye(dim, k=-n)), (f"S*^{n}", S_adj, np.eye(dim, k=n))]
+    for n in sorted({1, dim}):
+        for conjugated, G in ((False, np.eye(dim, n)), (True, J[:, :n])):
+            ops = basis.frame_operands(n, conjugated)
+            cases += [(f"G{n}{'c' * conjugated}", ops[0], G), (f"G{n}{'c' * conjugated}^H", ops[1], G.conj().T)]
+    return cases
+
+
+class TestIndexMap:
+    """Every index map of an exact basis against the matrix built by hand:
+    products from either side, the transpose and conjugate, row reads, size
+    refusals, the contiguity of products and the densify's cap."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("c", [1, cmath.exp(0.7j)], ids=["c1", "c"])
+    def test_matches_hand_built(self, dim, c):
+        g = np.random.default_rng(dim)
+        for name, op, dense in index_map_cases(dim, c):
+            rows, cols = dense.shape
+            assert op.shape == dense.shape and len(op) == rows, name
+            for got, want in ((op, dense), (op.T, dense.T), (op.conj(), dense.conj()), (op.conjugate(), dense.conj())):
+                assert np.array_equal(np.asarray(got), want), name
+            for l in range(rows):
+                assert np.array_equal(op[l], dense[l]), name
+            for l in (-1, rows):
+                with pytest.raises(IndexError):
+                    op[l]
+            with pytest.raises(TypeError):
+                op[0] = 1.0
+            products = []
+            for shape in ((cols,), (cols, 3)):
+                x = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+                products.append((op @ x, dense @ x, x))
+            for shape in ((rows,), (3, rows), (2, 3, rows)):
+                x = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+                products.append((x @ op, x @ dense, x))
+            for got, want, x in products:
+                assert got.shape == want.shape, name
+                if c == 1:
+                    assert np.array_equal(got, want), name
+                else:
+                    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), name
+                # Products are contiguous, x itself for the identity, but for
+                # those of c J, which reverse x in place when c = 1.
+                if name == "J":
+                    assert c != 1 or np.shares_memory(got, x)
+                else:
+                    assert got.flags.c_contiguous, name
+                    assert name != "rows" or np.shares_memory(got, x)
+            for x in (np.ones(cols + 1), np.ones((cols + 1, 2)), np.ones((cols, 2, 2))):
+                with pytest.raises(ValueError):
+                    op @ x
+            for x in (np.ones(rows + 1), np.ones((2, rows + 1))):
+                with pytest.raises(ValueError):
+                    x @ op
+
+    def test_identity_copies_noncontiguous(self):
+        rows = ModelSpaceBasis.build(InnerFunction.monomial(4)).rows_operand
+        x = (np.arange(8) + 1j).reshape(2, 4)[:, ::-1].T
+        for got in (rows @ x, x.T @ rows):
+            assert got.flags.c_contiguous and np.array_equal(got, np.ascontiguousarray(got))
+        assert np.array_equal(rows @ x, x) and np.array_equal(x.T @ rows, x.T)
+
+    def test_densify_is_capped(self):
+        # z^5000 builds; its 5000 x 5000 maps are refused where they would
+        # be densified, before anything is allocated, and their products
+        # and one-column densifies stand.
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(5000))
+        tracemalloc.start()
+        try:
+            for dense in (
+                lambda: np.asarray(basis.rows_operand),
+                lambda: np.asarray(basis.conjugation_operand),
+                lambda: basis.shift_power(2),
+                lambda: basis.first_columns(5000),
+                lambda: basis.kernel(0.5, 1),
+            ):
+                with pytest.raises(TruncationError, match="cap"):
+                    dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+        assert np.array_equal(basis.first_columns(1)[:, 0], np.eye(1, 5000)[0])
+        assert np.array_equal(basis.shift_operands(4999)[0] @ np.arange(1.0, 5001.0), np.eye(1, 5000, 4999)[0])
+        assert basis.shift_operands(2)[1][0][2] == 1
 
 
 class TestStretchInner:
@@ -673,7 +769,7 @@ class TestConvolutionOracle:
         # e_j[n] conj(e_i[n + 1]) with n >= T, below the certified tail.
         basis = ModelSpaceBasis.build(inner)
         truncated = _compress(np.ones(1), 1, basis.rows, 1, basis.rows)
-        assert np.abs(basis.shift - truncated).max() <= basis.tail_bound
+        assert np.abs(basis.shift_power(1) - truncated).max() <= basis.tail_bound
 
     @pytest.mark.parametrize(
         "inner",
@@ -684,7 +780,7 @@ class TestConvolutionOracle:
         # The conjugation matrix from the Stein sum, formed with no rows,
         # against the Gram matrix of the rows and the mirror rows.
         basis = ModelSpaceBasis.build(inner)
-        C = basis.conjugation_matrix()
+        C = np.asarray(basis.conjugation_operand)
         assert "_truncation_outcome" not in vars(basis)
         assert np.abs(C - mirror_gram(basis)).max() <= 1e-13
 
@@ -729,12 +825,12 @@ class TestConjugationOracle:
     def test_mirror_gram_matches_compression(self, inner):
         # The conjugation matrix against the compression of alpha on the rows.
         basis = ModelSpaceBasis.build(inner)
-        assert np.abs(basis.conjugation_matrix() - compressed_conjugation(basis)).max() <= 1e-14
+        assert np.abs(np.asarray(basis.conjugation_operand) - compressed_conjugation(basis)).max() <= 1e-14
 
     @pytest.mark.parametrize("inner", INNERS, ids=IDS)
     def test_symmetric_involution(self, inner):
         basis = ModelSpaceBasis.build(inner)
-        C = basis.conjugation_matrix()
+        C = np.asarray(basis.conjugation_operand)
         assert np.linalg.norm(C - C.T) <= 1e-14
         assert np.linalg.norm(C @ C.conj() - np.eye(basis.dim)) <= 1e-13
 
@@ -744,14 +840,14 @@ class TestConjugationOracle:
         system = basis._system.copy()
         system[-1, 1] = math.nan
         with pytest.raises(TruncationError, match="involution"):
-            ModelSpaceBasis(basis.inner, system, basis.least_order).conjugation_matrix()
+            ModelSpaceBasis(basis.inner, system, basis.least_order).conjugation_operand
         monkeypatch.setattr(model_space, "GRAM_TOL", -1.0)
         with pytest.raises(TruncationError, match="involution"):
-            basis.conjugation_matrix()
+            np.asarray(basis.conjugation_operand)
 
     @pytest.mark.parametrize("degree", [1, 2, 4, 7])
     def test_monomial_is_the_flip(self, degree):
-        C = ModelSpaceBasis.build(InnerFunction.monomial(degree)).conjugation_matrix()
+        C = np.asarray(ModelSpaceBasis.build(InnerFunction.monomial(degree)).conjugation_operand)
         assert np.array_equal(C, np.eye(degree)[::-1])
 
 
@@ -913,7 +1009,7 @@ class TestKeptFrequencyCompression:
             return np.eye(side, dtype=complex) if isinstance(side, int) else side
 
         def operand(side):
-            return model_space._Identity(side) if isinstance(side, int) else side
+            return model_space._IndexMap((side, side)) if isinstance(side, int) else side
 
         with recorded_routes(math.inf):
             for src, dst in ((8, rows), (rows, 6), (8, 6), (6, 8)):
@@ -985,5 +1081,8 @@ class TestStretchedBasis:
                 ModelSpaceBasis.build(beta.stretched(k))
             assert time.perf_counter() - start < 0.5
             assert np.abs(basis.stretched_projection(image, k) - image).max() <= 1e-13 * np.linalg.norm(f)
+        # z^5000 builds, and its 5000 x 5000 identity rows are refused
+        # where they would be formed, on their first read.
+        basis = ModelSpaceBasis.build(InnerFunction.monomial(5000))
         with pytest.raises(TruncationError, match="cap"):
-            ModelSpaceBasis.build(InnerFunction.monomial(5000))
+            basis.rows

@@ -58,20 +58,26 @@ def stretched_beta_expansion(setting):
     return stretch(LaurentPoly.from_array(setting.basis_beta.inner_expansion), setting.k)
 
 
+def dense_shift(basis, n):
+    """S^n as a dense matrix: by np.eye on an exact basis, as no index map
+    forms it, and conj(A)^n by repeated squaring otherwise."""
+    return np.eye(basis.dim, k=-n, dtype=complex) if basis.exact else basis.shift_power(n)
+
+
+def dense_conjugation(basis):
+    """C as a dense matrix: c J by np.eye on an exact basis, the Stein sum otherwise."""
+    return basis.inner.constant * np.eye(basis.dim, dtype=complex)[::-1] if basis.exact else basis.conjugation_operand
+
+
 def kron_basis(setting):
     """Reference basis of the model space of beta(z^k), in polyphase order:
-    row i k + j is z^j e_i(z^k).  z moves it to row i k + j + 1, and
-    z^k e_i(z^k) to the compressed shift of e_i at z^k."""
+    row i k + j is z^j e_i(z^k)."""
     bb, k = setting.basis_beta, setting.k
     rows = np.kron(bb.rows, np.eye(k))
-    shift = np.kron(bb.shift, np.eye(k, k=1 - k)) + np.kron(np.eye(bb.dim), np.eye(k, k=-1))
     big = ModelSpaceBasis(bb.inner.stretched(k), None, rows.shape[1] - 1)
     # What a build computes on first read is given here, so it is never computed.
     vars(big).update(
         rows=rows,
-        shift=shift,
-        shift_adj=shift.conj().T,
-        _conjugation=np.kron(bb.conjugation_matrix(), np.eye(k)[::-1]),
         inner_expansion=np.kron(bb.inner_expansion, np.eye(1, k)[0])[: 2 * k * bb.rows.shape[1] + 1],
         tail_bound=bb.tail_bound,
         gram_error=bb.gram_error,
@@ -242,7 +248,7 @@ class TestLoopOracle:
             phi = random_laurent(rng, -20, 40, terms=8)
             assert np.array_equal(build_compression(phi, setting).entries, loop_oracle(phi, ba, k, bb))
             assert np.array_equal(build_compression(phi, order_one).entries, loop_oracle(phi, ba, 1, bb))
-        assert np.array_equal(ba.shift, loop_oracle(L({1: 1}), ba, 1, ba))
+        assert np.array_equal(ba.shift_power(1), loop_oracle(L({1: 1}), ba, 1, ba))
 
     @pytest.mark.parametrize(
         "alpha,beta,k",
@@ -261,7 +267,7 @@ class TestLoopOracle:
             phi = random_laurent(rng, -6, 12, terms=6)
             assert close(build_compression(phi, setting).entries, loop_oracle(phi, ba, k, bb))
             assert close(build_compression(phi, order_one).entries, loop_oracle(phi, ba, 1, bb))
-        assert close(ba.shift, loop_oracle(L({1: 1}), ba, 1, ba))
+        assert close(ba.shift_power(1), loop_oracle(L({1: 1}), ba, 1, ba))
 
 
 class TestDecimationMatrix:
@@ -526,7 +532,7 @@ class TestSettingCache:
                 call()
         assert setting._frames == {} and "shift_operands" not in vars(setting)
         bases = setting.basis_alpha, setting.basis_beta
-        assert not any({"shift", "shift_adj"} & set(vars(b)) for b in bases)
+        assert not any("_shift" in vars(b) for b in bases)
         for variant in VARIANTS:
             membership(U, setting, variant)
             assert setting.frames(variant) is setting.frames(variant)
@@ -538,8 +544,8 @@ class TestSettingCache:
             recover_symbol(membership(s.matrix(np.ones((2, 3))), s), s)
             assert s.interpolation is s.interpolation
         assert setting.interpolation[2] is None
-        arrays = [a for b in bases for a in (b.shift, b.shift_adj, b.shift_power(2))]
-        assert all(b.shift is b.shift and b.shift_adj is b.shift_adj for b in bases)
+        arrays = [a for b in bases for a in (*b.shift_operands(), b.shift_power(2))]
+        assert all(b.shift_operands() is b.shift_operands() for b in bases)
         # The frames keep what the fit reads: ||F||^2 as a float, and the
         # adjoints of G = conj(rows_alpha[:, :used]), conjugated by C_alpha
         # for c38 and c310b, and of its pseudo-inverse, bit for bit.
@@ -550,7 +556,7 @@ class TestSettingCache:
             assert isinstance(f.norm2, float)
             G = ba.first_columns(_used(setting)).conj()
             if variant in ("c38", "c310b"):
-                G = ba.conjugation_matrix() @ G.conj()
+                G = ba.conjugation_operand @ G.conj()
             adjoints = f.F.conj(), G.conj().T, _pinv(G).conj().T
             assert all(map(np.array_equal, (f.F_conj, f.G_adj, f.G_pinv_adj), adjoints))
         arrays += list(setting.shift_operands)
@@ -569,7 +575,7 @@ class TestSettingCache:
         def run():
             setting = CompressionSetting(zn(1024), zn(3), 2)
             build_compression(L({1: 1}), setting)
-            assert not any({"shift", "shift_adj", "rows"} & set(vars(b)) for b in (setting.basis_alpha, setting.basis_beta))
+            assert not any({"_shift", "rows"} & set(vars(b)) for b in (setting.basis_alpha, setting.basis_beta))
 
         assert traced_peak(run) < 1 << 20
 
@@ -606,7 +612,7 @@ class TestSettingCache:
         assert traced_peak(run) < 4 << 20
 
     def test_pinv_matches_lstsq(self):
-        # The adjoint shortcut (identity Gram), full-rank SVDs, and rank cuts.
+        # Partial isometries, full-rank SVDs, and rank cuts.
         rng = np.random.default_rng(61)
         A = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         isometries = [np.eye(4, 2), 1j * np.eye(3)[::-1], np.linalg.qr(A.T)[0].T]
@@ -745,7 +751,8 @@ class TestIndexMaps:
         g = np.random.default_rng(3)
         v, w = (g.standard_normal(4) + 1j * g.standard_normal(4) for _ in range(2))
         cv, cw = basis.conjugate_vector(v), basis.conjugate_vector(w)
-        dense_v, dense_w = basis.conjugation_matrix() @ v.conj(), basis.conjugation_matrix() @ w.conj()
+        J = np.eye(4, dtype=complex)[::-1]
+        dense_v, dense_w = J @ v.conj(), J @ w.conj()
         assert cv.flags.c_contiguous and np.array_equal(cv, dense_v)
         assert np.vdot(cw, cv) == np.vdot(dense_w, dense_v)
 
@@ -756,7 +763,7 @@ class TestIndexMaps:
         basis = ModelSpaceBasis.build(inner)
         g = np.random.default_rng(5)
         dim = basis.dim
-        C = basis.conjugation_matrix()
+        C = dense_conjugation(basis)
         for shape in ((dim,), (dim, 3)):
             x = g.standard_normal(shape) + 1j * g.standard_normal(shape)
             for got, want in ((basis.conjugation_operand @ x, C @ x), (x.T @ basis.conjugation_operand, x.T @ C)):
@@ -765,7 +772,7 @@ class TestIndexMaps:
                 else:
                     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
         for n in sorted({0, 1, 2, dim - 1, dim, dim + 3}):
-            power = basis.shift_power(n)
+            power = dense_shift(basis, n)
             for dense, operand in zip((power, power.conj().T), basis.shift_operands(n)):
                 for shape in ((dim,), (dim, 3)):
                     x = g.standard_normal(shape) + 1j * g.standard_normal(shape)
@@ -783,8 +790,8 @@ class TestIndexMaps:
             U = setting.matrix(M)
             got = {v: defect(U, setting, v) for v in VARIANTS}
             # What the dense route read, formed here after the fit.
-            Sb, Sb_adj, Sa = bb.shift, bb.shift_adj, ba.shift_power(k)
-            Sa_adj = Sa.conj().T
+            Sb, Sa = dense_shift(bb, 1), dense_shift(ba, k)
+            Sb_adj, Sa_adj = Sb.conj().T, Sa.conj().T
             want = {
                 "t35": M - Sb @ M @ Sa_adj,
                 "c38": M - Sb_adj @ M @ Sa,
@@ -795,7 +802,7 @@ class TestIndexMaps:
             phi = random_laurent(g, -6, 3 * k + 8, terms=8)
             used = _used(setting)
             c, lo = dense_clip(phi, k + 1 - used, k * bb.rows.shape[1])
-            psis = bb.shift @ _compress(c, lo - k, np.eye(used), k, bb.rows)
+            psis = Sb @ _compress(c, lo - k, np.eye(used), k, bb.rows)
             assert np.array_equal(np.array(defect_from_symbol(phi, setting).psis).T, psis)
 
     @pytest.mark.parametrize("alpha,beta,k", INDEX_SETTINGS, ids=INDEX_IDS)
@@ -815,12 +822,11 @@ class TestIndexMaps:
         g = np.random.default_rng(13)
         M = g.standard_normal((bb.dim, ba.dim)) + 1j * g.standard_normal((bb.dim, ba.dim))
         got = conjugate_operator(setting, U=setting.matrix(M))[0].entries
-        agree(got, bb.conjugation_matrix() @ M.conj() @ ba.conjugation_matrix().conj())
-        # On an exact alpha the frames are column selections (`_Columns`),
-        # read here row by row.
-        G = ba.first_columns(_used(setting)).conj()
+        agree(got, dense_conjugation(bb) @ M.conj() @ dense_conjugation(ba).conj())
+        # On an exact alpha the frames are index maps, densified here.
+        G = np.eye(ba.dim, _used(setting)) if ba.exact else ba.first_columns(_used(setting)).conj()
         for variant in ("c38", "c310b"):
-            agree(np.asarray(setting.frames(variant).G_adj), (ba.conjugation_matrix() @ G.conj()).conj().T)
+            agree(np.asarray(setting.frames(variant).G_adj), (dense_conjugation(ba) @ G.conj()).conj().T)
 
     def test_exact_forms_no_dense_operand(self):
         # The fit, the sandwich, the closed-form defect, recovery and the
@@ -837,7 +843,7 @@ class TestIndexMaps:
             rank_one(setting, 1, kind)
         assert not any(isinstance(op, np.ndarray) for op in setting.shift_operands)
         for basis in (setting.basis_alpha, setting.basis_beta):
-            assert not {"shift", "shift_adj", "_conjugation"} & set(vars(basis))
+            assert not {"_shift", "_conjugation"} & set(vars(basis))
 
     def test_exact_pinv_is_adjoint(self):
         # On an exact basis the frame G is a partial isometry, and the fit
@@ -855,7 +861,7 @@ class TestIndexMaps:
                 f = setting.frames(variant)
                 G, G_pinv_adj = np.asarray(f.G_adj).conj().T, np.asarray(f.G_pinv_adj)
                 if alpha.constant == 1:
-                    assert np.array_equal(G_pinv_adj, _pinv(G).conj().T)
+                    assert np.array_equal(G_pinv_adj, G)
                 want = np.linalg.lstsq(G, np.eye(len(G)), rcond=None)[0].conj().T
                 assert np.abs(G_pinv_adj - want).max() <= 4 * np.finfo(float).eps
 
@@ -1005,7 +1011,7 @@ class TestRowsOperand:
             for n in sorted({1, min(2, dim), dim}):
                 G = rows[:, :n].conj()
                 if conjugated:
-                    G = basis.conjugation_matrix() @ G.conj()
+                    G = dense_conjugation(basis) @ G.conj()
                 ops = basis.frame_operands(n, conjugated)
                 assert all(isinstance(op, np.ndarray) != basis.exact for op in ops)
                 x, y = (g.standard_normal((3, m)) + 1j * g.standard_normal((3, m)) for m in (dim, n))
@@ -1949,7 +1955,7 @@ def dict_defect_from_symbol(phi, setting):
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
     chi = ba.project(conj_on_circle(phi))
     psis = [
-        bb.shift @ bb.project(decimate(mul(phi, monomial(-(k - j))), k))
+        dense_shift(bb, 1) @ bb.project(decimate(mul(phi, monomial(-(k - j))), k))
         for j in range(k)
     ]
     return chi, psis
@@ -2066,7 +2072,7 @@ class TestSymbolArrayOracle:
                 window = dense_clip(p, -ba.truncation_order, k * bb.truncation_order)
                 assert np.array_equal(build_compression(p, setting).entries, _compress(*window, ba.rows, k, bb.rows))
                 c, lo = dense_clip(p, k + 1 - used, k * bb.rows.shape[1])
-                psis = bb.shift @ _compress(c, lo - k, np.eye(used), k, bb.rows)
+                psis = dense_shift(bb, 1) @ _compress(c, lo - k, np.eye(used), k, bb.rows)
                 assert np.array_equal(np.array(defect_from_symbol(p, setting).psis).T, psis)
 
     def test_fold_matches_dense_clip_on_random_symbols(self, setting):
@@ -2081,7 +2087,7 @@ class TestSymbolArrayOracle:
             window = dense_clip(p, -ba.truncation_order, k * bb.truncation_order)
             assert np.array_equal(build_compression(p, setting).entries, _compress(*window, ba.rows, k, bb.rows))
             c, lo = dense_clip(p, k + 1 - used, k * bb.rows.shape[1])
-            psis = bb.shift @ _compress(c, lo - k, np.eye(used), k, bb.rows)
+            psis = dense_shift(bb, 1) @ _compress(c, lo - k, np.eye(used), k, bb.rows)
             assert np.array_equal(np.array(defect_from_symbol(p, setting).psis).T, psis)
 
     def test_compress_reads_only_its_windows(self, setting):
