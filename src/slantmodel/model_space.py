@@ -6,7 +6,7 @@ at the origin they are exactly 1, z, ..., z^{N-1}.  Column n of the rows is
 E[n] = A^n B for a lossless realization (A, B, C, D) in closed form, A the
 conjugate of the compressed shift S (Ninness and Gustafsson, IEEE TAC 42,
 1997), whose one owner is the basis.  The conjugation f -> alpha conj(z f)
-and the kernels come from the same realization, with no rows.  A build holds
+comes from the same realization, with no rows.  A build holds
 the realization; the truncated rows and all that is read off them, the shift
 and the conjugation are computed on first read, and the leading columns of
 the rows can be read without them.  When every zero is at the origin, S, its
@@ -14,11 +14,11 @@ powers, the conjugation c J, the identity rows and the membership frame each
 have at most one nonzero entry in each row and column, so each is an index
 map (`_IndexMap`) that acts on coefficient arrays by slicing, with no dense
 matrix; a compression gathers the symbol's terms from the identity rows.
+The harness's reference kernels and alpha(z^k) are in `verify`.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import json
 import math
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .laurent import LaurentPoly, ascii_int, strict_int, strict_real
+from .laurent import ascii_int, strict_int, strict_real
 
 # Comparisons on exact bases (every zero at the origin), and on truncated ones.
 EXACT_TOL = 1e-12
@@ -104,25 +104,6 @@ class InnerFunction:
     def kind(self) -> str:
         """'monomial' for z^N (every zero at the origin and c = 1), else 'blaschke'."""
         return "blaschke" if any(self.zeros) or self.constant != 1 else "monomial"
-
-    def evaluate(self, z):
-        """alpha(z) at a complex number, or at each entry of an array."""
-        # The zeros at the origin give c z^d, so z^N is evaluated exactly.
-        val = self.constant * z ** self.zeros.count(0)
-        for w in filter(None, self.zeros):
-            val *= (z - w) / (1.0 - w.conjugate() * z)
-        return val
-
-    def stretched(self, k: int) -> "InnerFunction":
-        """The inner function z -> alpha(z^k): each zero w becomes the k k-th roots of w."""
-        if strict_int(k, "order k") < 1:
-            raise ValueError(f"order must be >= 1, got {k}")
-        roots = []
-        for w in self.zeros:
-            r = abs(w) ** (1.0 / k)
-            theta = cmath.phase(w)
-            roots.extend(r * cmath.exp(1j * (theta + 2 * math.pi * j) / k) for j in range(k))
-        return InnerFunction.blaschke(roots, self.constant)
 
     def to_json(self) -> dict:
         if self.kind == "monomial":
@@ -345,12 +326,11 @@ class ModelSpaceBasis:
     exact basis each is an index map (`_IndexMap`), with no dense matrix,
     and `_compress` gathers from the identity rows and places into them; on
     a Blaschke basis the cached dense S, S^* and C, the rows and dense
-    frames.  The dense forms, `shift_power`, `first_columns` and `rows`,
-    are `np.asarray` of those maps on an exact basis, refused above
-    MAX_ENTRIES; no pipeline routine reads `rows` of an exact basis.
-    `first_columns` reads the leading columns of the rows without forming
-    them; the shift, the conjugation and the kernels read no rows, nor does
-    `exact`.  Frozen, arrays read-only.
+    frames.  The dense forms, `first_columns` and `rows`, are `np.asarray`
+    of those maps on an exact basis, refused above MAX_ENTRIES; no
+    pipeline routine reads `rows` of an exact basis.  `first_columns` reads
+    the leading columns of the rows without forming them; the shift and the
+    conjugation read no rows, nor does `exact`.  Frozen, arrays read-only.
     """
 
     inner: InnerFunction
@@ -361,7 +341,7 @@ class ModelSpaceBasis:
     least_order: int
 
     def __post_init__(self):
-        if self._system is not None:
+        if not self.exact:
             self._system.setflags(write=False)
 
     @property
@@ -376,7 +356,7 @@ class ModelSpaceBasis:
     @property
     def truncation_order(self) -> int:
         """T; N - 1 for z^N, with no rows formed."""
-        return self.least_order if self._system is None else self.rows.shape[1] - 1
+        return self.least_order if self.exact else self.rows.shape[1] - 1
 
     @classmethod
     def build(cls, inner: InnerFunction) -> "ModelSpaceBasis":
@@ -420,7 +400,7 @@ class ModelSpaceBasis:
         above MAX_TRUNCATION, arrays above MAX_ENTRIES for it, and a Gram
         matrix off the identity by more than GRAM_TOL are refused."""
         dim = self.dim
-        if self._system is None:  # the identity rows: no tail, orthonormal exactly
+        if self.exact:  # the identity rows: no tail, orthonormal exactly
             rows, tail, gram_error, held, step = np.asarray(self.rows_operand), 0.0, 0.0, dim, None
         else:
             rows, tail, held, step = _impulse_responses(self._system, _first(self.least_order))
@@ -438,38 +418,33 @@ class ModelSpaceBasis:
     @functools.cached_property
     def tail_bound(self) -> float:
         """The l2 tail past T; 0 for z^N, with no rows formed."""
-        return 0.0 if self._system is None else self._truncation.tail_bound
+        return 0.0 if self.exact else self._truncation.tail_bound
 
     @functools.cached_property
     def gram_error(self) -> float:
         """The largest entry of rows^* rows - I; 0 for z^N, with no rows formed."""
-        return 0.0 if self._system is None else self._truncation.gram_error
-
-    def shift_power(self, n: int) -> np.ndarray:
-        """S^n, read-only: for z^N the shift by n (`shift_operands`), zero
-        from n = N on; otherwise conj(A)^n by repeated squaring."""
-        if self._system is None:
-            power = np.asarray(self.shift_operands(n)[0])
-        else:
-            power = np.linalg.matrix_power(self._system[1:-1, 1:-1].conj(), n)
-        power.setflags(write=False)
-        return power
+        return 0.0 if self.exact else self._truncation.gram_error
 
     def shift_operands(self, n: int = 1) -> tuple:
         """S^n and S^{*n} as operands of `@` from either side.  S^n moves
-        coordinate j to j + n: on an exact basis an index map, with no dense
-        matrix; on a Blaschke basis `shift_power(n)` and its conjugate
-        transpose, read-only, formed once for n = 1 (E[n + 1] = A E[n] gives
-        <z e_j, e_i> = conj(A[i, j]), with no tail)."""
+        coordinate j to j + n: on an exact basis an index map, zero from
+        n = N on, with no dense matrix; on a Blaschke basis conj(A)^n and its
+        conjugate transpose, read-only, formed once for n = 1
+        (E[n + 1] = A E[n] gives <z e_j, e_i> = conj(A[i, j]), with no tail)."""
         if self.exact:
             kept = max(self.dim - n, 0)
             power = _IndexMap((self.dim, self.dim), slice(self.dim - kept, None), slice(0, kept))
             return power, power.T
-        return self._shift if n == 1 else _adjoined(self.shift_power(n))
+        return self._shift if n == 1 else self._shift_power(n)
 
     @functools.cached_property
     def _shift(self) -> tuple:
-        return _adjoined(self.shift_power(1))
+        return self._shift_power(1)
+
+    def _shift_power(self, n: int) -> tuple:
+        """conj(A)^n of a Blaschke basis, by repeated squaring, and its adjoint."""
+        power = np.linalg.matrix_power(self._system[1:-1, 1:-1].conj(), n)
+        return _frozen(power, power.conj().T)
 
     @functools.cached_property
     def _conjugation(self) -> np.ndarray:
@@ -501,7 +476,7 @@ class ModelSpaceBasis:
         alpha[0] = c D and alpha[q h + r + 1] = c C A^(q h) E[:, r], r < h,
         from the h columns E of the rows that doubling fills."""
         c, length = self.inner.constant, 2 * self.truncation_order + 3
-        if self._system is None:
+        if self.exact:
             expansion = c * np.eye(1, length, self.dim, dtype=complex)[0]
         else:
             held, step, system = self._truncation.held, self._truncation.step, self._system
@@ -521,7 +496,7 @@ class ModelSpaceBasis:
         until the rows are read, n up to that many come from the same
         doubling, stopped at the first power of two >= n.  Past that, and
         once the rows exist, this is a slice of the rows."""
-        if self._system is None:  # the frame G, real there
+        if self.exact:  # the frame G, real there
             columns = np.asarray(self.frame_operands(n)[0])
         elif "rows" in vars(self) or n > 1 << (_first(self.least_order) - 1):
             return self.rows[:, :n]
@@ -553,7 +528,7 @@ class ModelSpaceBasis:
         G = self.first_columns(n).conj()
         if conjugated:
             G = self.conjugation_operand @ G.conj()
-        return _adjoined(G)
+        return _frozen(G, G.conj().T)
 
     def stretched_projection(self, coeffs: np.ndarray, k: int) -> np.ndarray:
         """Taylor coefficients of the projection onto the model space of
@@ -563,35 +538,6 @@ class ModelSpaceBasis:
         these rows: the space's own k dim rows are never formed."""
         rows = self.rows_operand
         return (rows.T @ (rows.conj() @ coeffs.reshape(rows.shape[1], k))).reshape(-1)
-
-    # -- core maps ---------------------------------------------------------
-
-    def project(self, f: LaurentPoly) -> np.ndarray:
-        """Coordinates of the orthogonal projection of f onto the model space."""
-        return self.rows.conj() @ f.to_array(0, self.rows.shape[1] - 1)
-
-    def reconstruct(self, coords) -> LaurentPoly:
-        return LaurentPoly.from_array(np.asarray(coords, dtype=complex) @ self.rows)
-
-    def kernel(self, w: complex, n: int = 0) -> np.ndarray:
-        """Coordinates of the kernel representing f -> f^(n)(w): the n-th
-        derivative of the rows (I - z A)^-1 B at w, conjugated,
-        n! S^n (I - conj(w) S)^-(n+1) conj(B), past T too and with no rows."""
-        w = complex(w)
-        if abs(w) >= 1.0:
-            raise ValueError(f"kernel point {w} must lie in the open disk")
-        if n < 0:
-            raise ValueError("derivative order must be nonnegative")
-        # S^n = 0 for z^N from n = N on; elsewhere only by underflow, where
-        # n! may overflow.
-        if self._system is None and n >= self.dim:
-            return np.zeros(self.dim, dtype=complex)
-        scale, power = derivative_scale(n), self.shift_power(n)
-        if w != 0:
-            shift = np.asarray(self.shift_operands()[0])
-            resolvent = np.linalg.inv(np.eye(self.dim) - w.conjugate() * shift)
-            power = power @ np.linalg.matrix_power(resolvent, n + 1)
-        return scale * (power @ self.first_columns(1)[:, 0].conj())
 
     def conjugate_vector(self, coords) -> np.ndarray:
         """The antilinear involution f -> alpha * conj(z f) in coordinates:
@@ -683,12 +629,11 @@ class _IndexMap:
         return out
 
 
-def _adjoined(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a and its conjugate transpose, both read-only."""
-    adjoint = a.conj().T
-    a.setflags(write=False)
-    adjoint.setflags(write=False)
-    return a, adjoint
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _capped(*shape: int) -> None:

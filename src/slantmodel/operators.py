@@ -25,6 +25,7 @@ from .model_space import (
     ModelSpaceBasis,
     TruncationError,
     _compress,
+    _frozen,
     _IndexMap,
     coeff_json,
     complex_pairs,
@@ -262,13 +263,6 @@ class CompressionSetting:
 
     def matrix(self, entries) -> OperatorMatrix:
         return OperatorMatrix(entries, self.alpha, self.beta)
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 def _interpolant(basis: ModelSpaceBasis) -> np.ndarray | None:

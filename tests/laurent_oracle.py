@@ -6,12 +6,16 @@ The library computes the decimation calculus on coefficient arrays only:
 q e(z^s) and a reversed conjugate array for conjugation on the circle.  These
 functions compute the same maps term by term on a LaurentPoly's frequency ->
 coefficient map, with nothing shared with those routines but the type.  The
-former LaurentPoly methods take the polynomial as their first argument.
+former LaurentPoly methods take the polynomial as their first argument, and
+so do the projection onto a basis's model space and its inverse, which read
+the rows alone.
 """
 
 from __future__ import annotations
 
 from math import perm
+
+import numpy as np
 
 from slantmodel.laurent import LaurentPoly
 
@@ -118,3 +122,13 @@ def backward_shift_pow(p: LaurentPoly, k: int) -> LaurentPoly:
     if not is_analytic(p):
         raise ValueError("backward shift is defined on analytic input only")
     return LaurentPoly({n - k: c for n, c in p.items() if n >= k})
+
+
+def project(basis, f: LaurentPoly) -> np.ndarray:
+    """Coordinates of the orthogonal projection of f onto the model space of a basis."""
+    return basis.rows.conj() @ f.to_array(0, basis.rows.shape[1] - 1)
+
+
+def reconstruct(basis, coords) -> LaurentPoly:
+    """The function with these coordinates in a basis."""
+    return LaurentPoly.from_array(np.asarray(coords, dtype=complex) @ basis.rows)

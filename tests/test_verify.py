@@ -1,3 +1,4 @@
+import cmath
 import json
 
 import numpy as np
@@ -20,6 +21,19 @@ from slantmodel.verify import (
 )
 
 FAST = SuiteConfig(seed=11, trials=3)
+
+# Spaces the default menu leaves out: a complex conjugation C with c != 1 on
+# both sides at k = 3, an exact alpha with c != 1, and a zero at 0.95 with a
+# repeated zero in beta.
+WIDE = (
+    (
+        InnerFunction.blaschke([0.5, 0.3j], cmath.exp(-0.4j)),
+        InnerFunction.blaschke([-0.5j, 0.4], cmath.exp(0.2j)),
+        3,
+    ),
+    (InnerFunction.blaschke([0] * 4, cmath.exp(0.7j)), InnerFunction.monomial(3), 2),
+    (InnerFunction.blaschke([0.95, -0.3, 0.2j]), InnerFunction.blaschke([0.4j, 0.4j]), 2),
+)
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +157,15 @@ class TestSuite:
         report = run_suite(SuiteConfig(seed=5, trials=2, menu=((alpha, beta, 2),)))
         assert report.all_passed, [(r.name, r.worst_residual) for r in report.results if r.fails]
         assert {r.space for r in report.results} == {label}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_wide_menu(self, seed):
+        # The reference kernels, the stretched inner function and the
+        # conjugation against complex and non-unit constants, a repeated
+        # zero and a zero near the circle, on top of the default menu.
+        report = run_suite(SuiteConfig(seed, 5, menu=DEFAULT_MENU + WIDE))
+        assert len(report.results) == 231 == len(registered_properties()) * 7
+        assert report.all_passed, [(r.name, r.space, r.worst_residual) for r in report.results if r.fails]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
