@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""One-line mutants of the library, and the checks that must kill them.
+
+Each entry names a file under src/slantmodel, a text that occurs in it
+exactly once, its replacement and the reason it matters.  The script copies
+src/ and tests/ to a temporary directory and applies each entry there in
+turn, never to the working tree.  A mutant is killed when
+
+    slantmodel verify --seed 0 --trials 5
+
+exits nonzero, or, for an entry that names one, when its tier-1 test fails.
+An entry marked equivalent changes no result (only the cost, say); it is
+run and reported but may survive.
+
+    python scripts/mutants.py
+
+runs every entry.  Exit 0 when every must-kill entry is killed; 1 when one
+survives; 2 when an entry's text does not occur exactly once, or the
+unmutated copy fails the checks themselves.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+SLICES = "tests/test_operators.py::TestSlices::test_fit_matches_dense"
+
+
+class Mutant(NamedTuple):
+    file: str  # under src/slantmodel
+    old: str  # occurs exactly once in the file
+    new: str
+    reason: str
+    test: str | None = None  # the tier-1 test that must kill it where verify does not
+    equivalent: bool = False
+
+
+MUTANTS = [
+    # The sliced defect, fit and sandwich of an exact setting (`_Slices`).
+    Mutant("operators.py", "s = min(setting.k, n)", "s = min(setting.k - 1, n)",
+           "the shift offset k -> k - 1 of the sliced defect", SLICES),
+    Mutant("operators.py", "(0 if cross else n if down else -n)", "(0 if cross else n - 1 if down else -n)",
+           "the beta shift's step N -> N - 1 in C order", SLICES),
+    Mutant("operators.py", "flat[step:] -= entries[:-step]", "flat[step:] += entries[:-step]",
+           "the sliced defect adds the shifted U", SLICES),
+    Mutant("operators.py", "D[:, self.columns] = kept", "D[:, self.columns] = D[:, self.columns]",
+           "the frame columns, where the difference wraps, not put back", SLICES),
+    Mutant("operators.py", "D[self.rows[0]] = M[self.rows[1]]", "D[self.rows[0]] = M[self.rows[0]]",
+           "the c310 defect's beta shift reads the rows it writes", SLICES),
+    Mutant("operators.py", "chi_conj = frames.F_conj[row] * D[row] / frames.norm2",
+           "chi_conj = frames.F_conj[row] * D[row - 1] / frames.norm2",
+           "chi read from the row next to F's", SLICES),
+    Mutant("operators.py", "columns = frame = slice(0, s)", "columns, frame = slice(0, s), slice(0, s - 1)",
+           "used -> used - 1: one psi_j short", SLICES),
+    Mutant("operators.py", "return cls((rows[0], slice(s, None)", "return cls((rows[1], slice(s, None)",
+           "the residual over F's row, not the block the frames leave out", SLICES),
+    Mutant("operators.py", "scale = None if right or setting.alpha.constant == 1 else setting.alpha.constant",
+           "scale = None", "the conjugated frame's c_alpha dropped from the psi_j", SLICES),
+    Mutant("operators.py", "V = M.conj()[::-1]", "V = M[::-1]", "the sandwich without the conjugate", SLICES),
+    Mutant("operators.py", "        V = cb * V", "        V = V", "the sandwich's scale c_beta dropped", SLICES),
+    Mutant("operators.py", "V = ca.conjugate() * V", "V = ca * V", "the sandwich's conj(c_alpha) taken as c_alpha",
+           SLICES),
+    # The closed-form zero-test block of an exact alpha.
+    Mutant("operators.py", "sigma = math.hypot(kappa[0].real - 1, kappa[0].imag, out)",
+           "sigma = math.hypot(kappa[0].real - 1, kappa[0].imag)",
+           "the closed-form norm of the zero-test block without ||kappa[1:]||",
+           "tests/test_operators.py::TestSlices::test_zero_test_closed_form"),
+    # The Baseline probe's entries whose text still occurs.
+    Mutant("operators.py", "F = bb.first_columns(1)[:, 0].conj()", "F = bb.first_columns(1)[:, 0]",
+           "the frame vector F without its conjugate",
+           "tests/test_verify.py::TestSuite::test_wide_menu"),
+    Mutant("model_space.py", "return _IndexMap(self.shape, self.rows, self.cols, self.scale.conjugate(), self.view)",
+           "return self", "an index map's conjugate keeps c (the Baseline's `_Flip.conjugate`)",
+           "tests/test_operators.py::TestIndexMaps::test_sandwich_and_frames_match_dense"),
+    Mutant("model_space.py", "(rows.T @ (rows.conj() @ coeffs", "(rows.T @ (rows @ coeffs",
+           "stretched_projection without the rows' conjugate",
+           "tests/test_model_space.py::TestStretchedBasis"),
+    Mutant("operators.py", "kappa = bb.first_columns(1)[:, 0].conj() @ bb.rows_operand",
+           "kappa = bb.first_columns(1)[:, 0] @ bb.rows_operand",
+           "kappa = P_beta 1 without its conjugate", "tests/test_operators.py::TestZeroTest::test_complex_kappa"),
+    Mutant("model_space.py", "c * system[-1, 1:-1]\n", "c * system[-1, 1:-1].conj()\n",
+           "inner_expansion from conj(C)", "tests/test_model_space.py"),
+    Mutant("operators.py", "s = min(k, src.shape[1])", "s = k",
+           "build_compression at the stride k: the same entries at a higher cost", equivalent=True),
+]
+
+
+def run(argv: list, cwd: Path) -> int:
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+    try:
+        return subprocess.run(argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return -1
+
+
+def verify(cwd: Path) -> int:
+    return run([sys.executable, "-m", "slantmodel.cli", "verify", "--seed", "0", "--trials", "5"], cwd)
+
+
+def pytest(tests: list, cwd: Path) -> int:
+    return run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests], cwd)
+
+
+def main() -> int:
+    for m in MUTANTS:
+        count = (ROOT / "src" / "slantmodel" / m.file).read_text().count(m.old)
+        if count != 1:
+            print(f"error: {m.file}: {m.old!r} occurs {count} times, not once")
+            return 2
+    survivors = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        tests = sorted({m.test for m in MUTANTS if m.test})
+        if verify(copy) or (tests and pytest(tests, copy)):
+            print("error: the unmutated copy fails verify or a named test")
+            return 2
+        for m in MUTANTS:
+            path = copy / "src" / "slantmodel" / m.file
+            original = path.read_text()
+            path.write_text(original.replace(m.old, m.new))
+            try:
+                if verify(copy):
+                    verdict = "killed by verify"
+                elif m.test and pytest([m.test], copy):
+                    verdict = f"killed by {m.test}"
+                else:
+                    verdict = "survived"
+            finally:
+                path.write_text(original)
+            if verdict == "survived" and not m.equivalent:
+                survivors += 1
+                verdict = "SURVIVED"
+            print(f"{'equivalent' if m.equivalent else 'must-kill'}: {m.file}: {m.reason}: {verdict}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {survivors} must-kill survivors")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

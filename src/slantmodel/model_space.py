@@ -14,6 +14,11 @@ powers, the conjugation c J, the identity rows and the membership frame each
 have at most one nonzero entry in each row and column, so each is an index
 map (`_IndexMap`) that acts on coefficient arrays by slicing, with no dense
 matrix; a compression gathers the symbol's terms from the identity rows.
+Its readers are the compression, the recovery, the canonical symbols and
+zero tests, the frames (and so `rank_one` and `assemble_defect`), a setting
+with one exact side, and the harness's dense references.  Where both sides
+are exact, `operators` slices the matrix itself for the defect, the
+membership fit and the conjugation sandwich, and multiplies by no map.
 The harness's reference kernels and alpha(z^k) are in `verify`.
 """
 

@@ -144,7 +144,9 @@ class Frames(NamedTuple):
     every array read-only: what `membership`, `assemble_defect` and `rank_one` read.
     On an exact alpha G_adj and G_pinv_adj are index maps
     (`ModelSpaceBasis.frame_operands`): right operands of `@` whose rows
-    can be read one by one, with no dense matrix."""
+    can be read one by one, with no dense matrix.  Where beta is exact too,
+    `membership` reads F's one nonzero entry, its conjugate and norm2, and
+    slices the defect for the rest (`_Slices`)."""
 
     F: np.ndarray
     norm2: float
@@ -160,7 +162,9 @@ class CompressionSetting:
     conjugations as operands of `@` (`ModelSpaceBasis.shift_operands`,
     `conjugation_operand`): index maps on an exact basis, with no dense
     matrix, so S_alpha^k and its adjoint are formed and cached as matrices
-    for a Blaschke alpha only (`shift_operands`).
+    for a Blaschke alpha only (`shift_operands`).  Where both bases are
+    exact (`exact`), the defect, the fit and the sandwich read none of
+    them: they are slices of the matrix (`slices`).
     These constants are computed on first use, once, and are read-only, so
     no caller can leave them stale; a build forms none of them.
 
@@ -188,7 +192,12 @@ class CompressionSetting:
         self.beta = beta
         self.basis_alpha = ModelSpaceBasis.build(alpha)
         self.basis_beta = ModelSpaceBasis.build(beta)
+        # Both bases exact (`ModelSpaceBasis.exact`), read with no rows: one
+        # attribute, as `defect`, `membership` and `conjugate_operator` test
+        # it on every call.
+        self.exact = self.basis_alpha.exact and self.basis_beta.exact
         self._frames = {}
+        self._slices = {}
         self._zero_tests = {}
 
     @functools.cached_property
@@ -206,8 +215,9 @@ class CompressionSetting:
         conj(rows_alpha[:, j]), represents f -> f^(j)(0) / j!: the derivative
         kernel of order j over j!.  G and G^H come from
         `ModelSpaceBasis.frame_operands`: on an exact alpha index maps, the
-        first columns of the identity, or of c J for C_alpha, so the fit's
-        products with them are slices, with no dense N x N matrix at k >= N."""
+        first columns of the identity, or of c J for C_alpha, with no dense
+        N x N matrix at k >= N.  On a setting where both bases are exact the
+        fit reads F's one nonzero entry and `slices` in their place."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         if variant not in self._frames:
@@ -222,21 +232,34 @@ class CompressionSetting:
             self._frames[variant] = Frames(F, float(np.vdot(F, F).real), F_conj, G_adj, G_pinv_adj)
         return self._frames[variant]
 
-    def zero_test_block(self, shift: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """kappa = P_beta 1 as coefficients, and U and sigma of the SVD of the
-        block of `zero_test_sufficient` for this shift: column t < min(shift,
-        T_alpha) + 1 holds kappa[0] e_t - conj(P_alpha z^t) at the frequencies
-        0 down to -T_alpha, then ||kappa[1:]|| e_t."""
+    def slices(self, variant: str) -> "_Slices":
+        """The variant's `_Slices`, for a setting where both bases are exact."""
+        if variant not in self._slices:
+            self._slices[variant] = _Slices.of(self, variant)
+        return self._slices[variant]
+
+    @functools.cached_property
+    def kappa(self) -> np.ndarray:
+        """kappa = P_beta 1 as coefficients, read-only: the directions of
+        `zero_test_sufficient` read it.  Computed on first use."""
+        bb = self.basis_beta
+        kappa = bb.first_columns(1)[:, 0].conj() @ bb.rows_operand
+        return _frozen(kappa)[0]
+
+    def zero_test_block(self, shift: int) -> tuple[np.ndarray, np.ndarray]:
+        """U and sigma of the SVD of the block of `zero_test_sufficient` for
+        this shift on a Blaschke alpha: column t < min(shift, T_alpha) + 1
+        holds kappa[0] e_t - conj(P_alpha z^t) at the frequencies 0 down to
+        -T_alpha, then ||kappa[1:]|| e_t."""
         if shift not in self._zero_tests:
-            ba, bb = self.basis_alpha, self.basis_beta
+            ba, kappa = self.basis_alpha, self.kappa
             ta = ba.truncation_order
             reach = min(shift, ta) + 1
-            kappa = bb.first_columns(1)[:, 0].conj() @ bb.rows_operand
             out = np.linalg.norm(kappa[1:])
             near = ba.rows_operand.conj().T @ ba.first_columns(reach)
             block = np.vstack([kappa[0] * np.eye(ta + 1, reach) - near, out * np.eye(reach)])
             u, sv, _ = np.linalg.svd(block, full_matrices=False)
-            self._zero_tests[shift] = _frozen(kappa, u, sv)
+            self._zero_tests[shift] = _frozen(u, sv)
         return self._zero_tests[shift]
 
     @functools.cached_property
@@ -252,11 +275,6 @@ class CompressionSetting:
         inv_a = _interpolant(ba)
         fold = None if used <= ba.dim else _frozen(inv_a.conj() @ ba.first_columns(used)[:, ba.dim :])[0]
         return inv_a, _interpolant(self.basis_beta), fold
-
-    @property
-    def exact(self) -> bool:
-        """True when both bases are exact (`ModelSpaceBasis.exact`); no rows are read."""
-        return self.basis_alpha.exact and self.basis_beta.exact
 
     def tol(self) -> float:
         return EXACT_TOL if self.exact else BLASCHKE_TOL
@@ -389,23 +407,132 @@ def build_compression(phi: LaurentPoly, setting: CompressionSetting) -> Operator
     return setting.matrix(_compress(*window, src, s, dst))
 
 
+# -- exact settings --------------------------------------------------------
+# On z^N -> z^M, of any constants, S is the coordinate shift, F and G select
+# coordinates and C is c J, so the defect, its fit and the conjugation
+# sandwich are slices of U, with no operand.
+#
+# Per variant: whether the beta side is S_beta, which moves rows down, rather
+# than S_beta^*; whether the alpha side is S_alpha^{*k}, which moves columns
+# right by k, rather than S_alpha^k; and whether the defect is the difference
+# of the two one-sided shifts of U (c310a, c310b) rather than U less both.
+_SHIFTS = {
+    "t35": (True, True, False),
+    "c38": (False, False, False),
+    "c310a": (False, True, True),
+    "c310b": (True, False, True),
+}
+
+
+class _Slices(NamedTuple):
+    """One variant's defect and fit on a setting where both bases are exact
+    (`CompressionSetting.slices`), as index arithmetic on U.  The shifts
+    leave out one row and s = min(k, N) columns of the defect, which are
+    the frames': F is e_0 against S_beta and c_beta e_(M-1), C_beta e_0,
+    against S_beta^*; G is the first s columns of the identity against
+    S_alpha^{*k}, and c_alpha times the last s reversed, C_alpha's, against
+    S_alpha^k.  In C order entry (i, j) of U is i N + j, so the shifts move
+    every entry by one `step`: the defect is one copy of U and one
+    contiguous difference, with the columns of G, where that difference
+    wraps from row to row, put back.  That gives the bits of the 2-D
+    strided difference of blocks, D[1:, s:] -= U[:-1, :N-s] for t35, which
+    numpy 2.4 takes 11 us over on 48 x 64 against 6.5 us for this form.
+    chi^H is then F's row of D, Z the columns of G, and the residual the
+    block that the frames leave out."""
+
+    block: tuple  # (rows, columns) the frames leave out
+    rows: tuple  # (to, from) of the beta shift
+    step: int  # +-s for the alpha shift, and +-N for the beta one unless cross
+    cross: bool  # D is the difference of the one-sided shifts
+    row: int  # F's nonzero entry
+    columns: slice  # G's columns
+    frame: slice  # G's columns, in the order of the psi_j
+    scale: complex | None  # c_alpha of a conjugated G; None for 1
+
+    @classmethod
+    def of(cls, setting: CompressionSetting, variant: str) -> "_Slices":
+        down, right, cross = _SHIFTS[variant]
+        m, n = setting.basis_beta.dim, setting.basis_alpha.dim
+        s = min(setting.k, n)
+        rows = (slice(1, None), slice(0, m - 1)) if down else (slice(0, m - 1), slice(1, None))
+        step = (s if right else -s) + (0 if cross else n if down else -n)
+        if right:
+            columns = frame = slice(0, s)
+        else:
+            columns, frame = slice(n - s, n), slice(n - 1, n - 1 - s if s < n else None, -1)
+        scale = None if right or setting.alpha.constant == 1 else setting.alpha.constant
+        return cls((rows[0], slice(s, None) if right else slice(0, n - s)), rows, step, cross,
+                   0 if down else m - 1, columns, frame, scale)
+
+    def defect(self, M: np.ndarray) -> np.ndarray:
+        """`defect` of M, with the values of the dense products."""
+        M = np.ascontiguousarray(M)
+        if self.cross:  # the beta side, then the alpha side taken off
+            D = np.zeros(M.shape, dtype=complex)
+            D[self.rows[0]] = M[self.rows[1]]
+        else:
+            D = M.copy()
+        kept = D[:, self.columns].copy() if self.cross else M[:, self.columns]
+        flat, entries, step = D.reshape(-1), M.reshape(-1), self.step
+        if step > 0:
+            flat[step:] -= entries[:-step]
+        else:
+            flat[:step] -= entries[-step:]
+        D[:, self.columns] = kept
+        return D
+
+    def fit(self, D: np.ndarray, frames: Frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """chi^H, Z and the entries of the residual of `membership`'s fit of
+        D.  R = D - F chi^H differs from D in F's row alone, and Z G^H puts
+        the columns of G back, so the residual is the block."""
+        row, frame = self.row, self.frame
+        chi_conj = frames.F_conj[row] * D[row] / frames.norm2
+        Z = D[:, frame].copy() if self.scale is None else self.scale * D[:, frame]
+        rest = D[row, frame] - frames.F[row] * chi_conj[frame]
+        Z[row] = rest if self.scale is None else self.scale * rest
+        return chi_conj, Z, D[self.block].ravel()
+
+
+def _sandwich(M: np.ndarray, setting: CompressionSetting) -> np.ndarray:
+    """C_beta conj(M) conj(C_alpha) on a setting where both bases are exact,
+    C = c J: conj(M) reversed both ways, times c_beta and then conj(c_alpha)
+    where they are not 1, as the index maps multiply; a view of one fresh
+    array when both are 1."""
+    cb, ca = setting.beta.constant, setting.alpha.constant
+    V = M.conj()[::-1]
+    if cb != 1:
+        V = cb * V
+    if ca != 1:
+        V = ca.conjugate() * V
+    return V[:, ::-1]
+
+
 # -- defect operators ------------------------------------------------------
+
+
+def _entries(U: OperatorMatrix, setting: CompressionSetting) -> np.ndarray:
+    """U's entries, refused when U belongs to another pair of model spaces."""
+    if (U.alpha, U.beta) != (setting.alpha, setting.beta):
+        raise ValueError("matrix belongs to another pair of model spaces than the setting")
+    return U.entries
 
 
 def defect(U: OperatorMatrix, setting: CompressionSetting, variant: str = "t35") -> np.ndarray:
     """The shift combination whose low-rank structure decides membership:
     U - S_beta U S_alpha^{*k} (t35), U - S_beta^* U S_alpha^k (c38),
     S_beta^* U - U S_alpha^{*k} (c310a) or S_beta U - U S_alpha^k (c310b).
-    Each side takes the route of its own basis
-    (`ModelSpaceBasis.shift_operands`): on an exact basis (every zero at the
-    origin) the shift moves entries by index, with no product; on a Blaschke
-    basis it is the product with the cached dense S_beta or S_alpha^k and
-    their adjoints."""
-    if (U.alpha, U.beta) != (setting.alpha, setting.beta):
-        raise ValueError("matrix belongs to another pair of model spaces than the setting")
+    Where both bases are exact it is one copy of U, or of its rows moved,
+    and one contiguous difference (`_Slices`).  Otherwise each side
+    takes the route of its own basis (`ModelSpaceBasis.shift_operands`): on
+    an exact basis the shift moves entries by index, with no product; on a
+    Blaschke basis it is the product with the cached dense S_beta or
+    S_alpha^k and their adjoints."""
+    M = _entries(U, setting)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    M, (Sb, Sb_adj, Sa, Sa_adj) = U.entries, setting.shift_operands
+    if setting.exact:
+        return setting.slices(variant).defect(M)
+    Sb, Sb_adj, Sa, Sa_adj = setting.shift_operands
     if variant == "t35":
         return M - Sb @ M @ Sa_adj
     if variant == "c38":
@@ -459,17 +586,26 @@ def membership(
     remainder R = D - F chi^H; the psi_j are the rows of Z^T, so F^H Psi = 0
     and the residual is ||R - Z G^H||_F = ||(I - P_F) D (I - P_G)||_F.  The
     products read the adjoints cached with the frames, so no conjugate
-    transpose is formed per call.  The matrix is a member when the residual
-    is at most tol * max(1, ||D||_F), for a finite tol > 0.
+    transpose is formed per call.  Where both bases are exact, D, chi, Z
+    and the residual are slices of U (`_Slices`), with the products'
+    values: chi^H is a row of D, Z its frame columns, and the residual the
+    norm of the block that the frames leave out.  The matrix is a member
+    when the residual is at most tol * max(1, ||D||_F), for a finite tol > 0.
     """
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValueError("tolerance must be positive and finite")
-    F, norm2, F_conj, G_adj, G_pinv_adj = setting.frames(variant)
-    D = defect(U, setting, variant)
-    chi_conj = F_conj @ D / norm2
-    R = D - F[:, None] * chi_conj
-    Z = R @ G_pinv_adj
-    E = R - Z @ G_adj
+    frames = setting.frames(variant)
+    if setting.exact:
+        slices = setting.slices(variant)
+        D = slices.defect(_entries(U, setting))
+        chi_conj, Z, E = slices.fit(D, frames)
+    else:
+        D = defect(U, setting, variant)
+        F, norm2, F_conj, G_adj, G_pinv_adj = frames
+        chi_conj = F_conj @ D / norm2
+        R = D - F[:, None] * chi_conj
+        Z = R @ G_pinv_adj
+        E = R - Z @ G_adj
     residual = math.sqrt(np.vdot(E, E).real)
     # numpy.linalg.norm(D) term for term, so the threshold is tol times it exactly.
     d = D.ravel(order="K")
@@ -586,26 +722,39 @@ def zero_test_sufficient(
     # z^-t kappa(z^k) - conj(P_alpha z^t), kappa = P_beta 1: column shift - t
     # of the polyphase array of rhs from frequency -shift, and for t < reach
     # also frequency -t of the alpha window -T_alpha..0.  Those directions are
-    # solved with that window in one block (`CompressionSetting.zero_test_block`),
-    # each column cut to its component along kappa[1:]; each later one alone in
-    # its column.  The rank cut is that of least squares on all directions at
-    # once: one relative to the block keeps its rounding noise when every
-    # direction in it vanishes.
-    kappa, u, sv = setting.zero_test_block(shift)
+    # solved with that window in one block, each column cut to its component
+    # along kappa[1:]; each later one alone in its column.  On a Blaschke
+    # alpha the block's projector comes from its SVD
+    # (`CompressionSetting.zero_test_block`).  On an exact alpha
+    # conj(P_alpha z^t) is e_t, so direction t < reach is v e_t over the pair
+    # of row t of the window and of `along`, v = (kappa[0] - 1,
+    # ||kappa[1:]||): the columns are orthogonal with the one norm sigma =
+    # ||v||, the projector is v v^H / sigma^2 on each pair, and the rest of
+    # the window meets no direction.  The rank cut is that of least squares
+    # on all directions at once: one relative to the block keeps its rounding
+    # noise when every direction in it vanishes.
+    kappa = setting.kappa
     reach = min(shift, ta) + 1
     cols = rhs[-shift - lo :].reshape(-1, k)
     near, far = cols[1:, shift + 1 - reach : shift + 1][:, ::-1], cols[:, : shift + 1 - reach]
     out = np.linalg.norm(kappa[1:])
     unit = kappa[1:] / out if out else kappa[1:]
     along = unit.conj() @ near
-    # Rows of the block: the window from frequency 0 down, then one per near column.
-    b = np.concatenate([rhs[-lo - ta : 1 - lo][::-1], along])
+    window = rhs[-lo - ta : 1 - lo][::-1]  # from frequency 0 down
+    if setting.basis_alpha.exact:
+        sigma = math.hypot(kappa[0].real - 1, kappa[0].imag, out)
+        # sigma = 0 (beta exact too) leaves no direction, and the cut drops u.
+        u, sv = np.array([[kappa[0] - 1], [out]]) / (sigma or 1.0), np.array([sigma])
+        b, rest = np.stack([window[:reach], along]), window[reach:]
+    else:
+        u, sv = setting.zero_test_block(shift)
+        b, rest = np.concatenate([window, along]), window[:0]
     whole = np.linalg.norm(kappa) if far.size else 0.0
     cut = np.finfo(float).eps * len(rhs) * max(sv[0], whole)
     u = u[:, sv > cut]
     if whole > cut:
         far = far - np.outer(kappa / whole, kappa.conj() @ far / whole)
-    parts = (b - u @ (u.conj().T @ b), near - np.outer(unit, along), far, cols[:, shift + 1 :])
+    parts = (b - u @ (u.conj().T @ b), rest, near - np.outer(unit, along), far, cols[:, shift + 1 :])
     residue = math.sqrt(sum(np.vdot(p, p).real for p in parts))
 
     tol = setting.tol() * max(1.0, phi.norm())
@@ -647,19 +796,22 @@ def conjugate_operator(
     """Sandwich C_beta U C_alpha, the matrix C_beta conj(U) conj(C_alpha);
     also transforms the symbol when given one.  On an exact basis (every
     zero at the origin) C is c J, so its side reverses the entries and
-    multiplies them by c (`ModelSpaceBasis.conjugation_operand`); on a
-    Blaschke basis it is the product with the dense conjugation matrix."""
+    multiplies them by c: where both bases are exact that is one reversed
+    conjugate of U (`_sandwich`), else the side's
+    `ModelSpaceBasis.conjugation_operand`.  On a Blaschke basis it is the
+    product with the dense conjugation matrix."""
     if (phi is None) == (U is None):
         raise ValueError("provide exactly one of phi or U")
     psi = None
     if phi is not None:
         U = build_compression(phi, setting)
         psi = conjugate_symbol(phi, setting)
-    elif (U.alpha, U.beta) != (setting.alpha, setting.beta):
-        raise ValueError("matrix belongs to another pair of model spaces than the setting")
+    M = _entries(U, setting)
+    if setting.exact:
+        return setting.matrix(_sandwich(M, setting)), psi
     Ca = setting.basis_alpha.conjugation_operand
     Cb = setting.basis_beta.conjugation_operand
-    sandwich = Cb @ U.entries.conjugate() @ Ca.conjugate()
+    sandwich = Cb @ M.conjugate() @ Ca.conjugate()
     return setting.matrix(sandwich), psi
 
 

@@ -887,6 +887,148 @@ class TestIndexMaps:
         assert not {"rows", "_truncation_outcome"} & set(vars(setting.basis_alpha))
 
 
+def dense_left(op, x):
+    """op @ x as sums of numpy's elementwise products, op's entry first, as
+    a scaled slice multiplies, with no BLAS: a sum of one nonzero product
+    and zeros is that product rounded once."""
+    return (op[:, :, None] * x[None, :, :]).sum(axis=1)
+
+
+def dense_right(x, op):
+    """x @ op as `dense_left`, op's entry first."""
+    return (op[None, :, :] * x[:, :, None]).sum(axis=1)
+
+
+def dense_fit(U, setting, variant, left=dense_left, right=dense_right):
+    """D, chi, Z, the residual and ||D||_F of `membership`, from the dense
+    shift and frame operands (np.asarray of the index maps) and the
+    products `left` and `right` (np.matmul for the plain `@`)."""
+    M = U.entries
+    Sb, Sb_adj, Sa, Sa_adj = map(np.asarray, setting.shift_operands)
+    D = {
+        "t35": lambda: M - right(left(Sb, M), Sa_adj),
+        "c38": lambda: M - right(left(Sb_adj, M), Sa),
+        "c310a": lambda: left(Sb_adj, M) - right(M, Sa_adj),
+        "c310b": lambda: left(Sb, M) - right(M, Sa),
+    }[variant]()
+    F, norm2, F_conj, G_adj, G_pinv_adj = setting.frames(variant)
+    chi_conj = left(F_conj[None], D)[0] / norm2
+    R = D - F[:, None] * chi_conj
+    Z = right(R, np.asarray(G_pinv_adj))
+    E = R - right(Z, np.asarray(G_adj))
+    return D, chi_conj.conj(), Z, math.sqrt(np.vdot(E, E).real), float(np.linalg.norm(D))
+
+
+# z^N -> z^M at k below, at and past N, square, of dimension 1, the
+# benchmark's z^64 -> z^48, and exact bases with c != 1 on either side.
+C_ALPHA = InnerFunction.blaschke([0] * 4, cmath.exp(0.7j))
+SLICE_SETTINGS = [
+    (zn(4), zn(3), 2),
+    (zn(4), zn(3), 5),
+    (zn(4), zn(3), 7),
+    (zn(3), zn(3), 3),
+    (zn(64), zn(48), 3),
+    (zn(1), zn(1), 2),
+    (C_ALPHA, zn(3), 2),
+    (zn(4), C_SMALL, 3),
+    (C_ALPHA, C_SMALL, 5),
+]
+SLICE_IDS = ["z4-z3-k2", "z4-z3-k5", "z4-z3-k7", "z3-z3-k3", "z64-z48-k3", "z1-z1-k2", "cz4-z3-k2", "z4-cz3-k3",
+             "cz4-cz3-k5"]
+
+
+class TestSlices:
+    """Where both bases are exact, the defect, the membership fit and the
+    sandwich are slices of U (`_Slices`, `_sandwich`) with the values of the
+    dense products: D, chi, the psi_j, ||D||_F and the sandwich bit for bit,
+    the residual within 4 ulp, and the same verdicts."""
+
+    @pytest.mark.parametrize("alpha,beta,k", SLICE_SETTINGS, ids=SLICE_IDS)
+    def test_fit_matches_dense(self, alpha, beta, k):
+        setting = CompressionSetting(alpha, beta, k)
+        ba, bb = setting.basis_alpha, setting.basis_beta
+        g = np.random.default_rng(23)
+        member = build_compression(random_laurent(g, -6, 3 * k + 6, terms=7), setting)
+        inputs = [
+            setting.matrix(g.standard_normal((bb.dim, ba.dim)) + 1j * g.standard_normal((bb.dim, ba.dim))),
+            member,
+            conjugate_operator(setting, U=member)[0],  # a member, reversed views
+        ]
+        bits = alpha.constant == 1 and beta.constant == 1
+        verdicts = set()
+        for U in inputs:
+            for variant in VARIANTS:
+                report = membership(U, setting, variant)
+                D, chi, Z, residual, norm = dense_fit(U, setting, variant)
+                assert np.array_equal(defect(U, setting, variant), D)
+                assert np.array_equal(report.decomposition.chi, chi)
+                assert np.array_equal(np.array(report.decomposition.psis).T, Z)
+                assert report.defect_norm == norm
+                # Where a constant is not 1, the dense fit leaves the rounding
+                # of c conj(c) / |c|^2 in F's row and G's columns, a few ulp of
+                # ||D||, which the slices, exact there, do not: a member's
+                # dense residual is that noise.
+                noise = not bits and residual <= 4 * np.spacing(norm)
+                assert abs(report.residual - residual) <= 4 * np.spacing(norm if noise else residual)
+                # Against the plain products (BLAS, which may round a scaled
+                # entry its own way): chi and Z within 4 ulp of their largest.
+                _, chi_at, Z_at, _, _ = dense_fit(U, setting, variant, np.matmul, np.matmul)
+                assert np.abs(report.decomposition.chi - chi_at).max() <= 4 * np.spacing(np.abs(chi_at).max())
+                if Z_at.size:
+                    assert np.abs(np.array(report.decomposition.psis).T - Z_at).max() <= 4 * np.spacing(
+                        np.abs(Z_at).max()
+                    )
+                assert report.member == (residual <= report.effective_tolerance)
+                verdicts.add((U is inputs[0], report.member))
+        assert (False, True) in verdicts  # every member is one
+        if ba.dim > k and bb.dim > 1:
+            assert (True, False) in verdicts  # a Gaussian matrix is not
+        # The sandwich: one reversed conjugate, times the constants.
+        Cb, Ca = np.asarray(bb.conjugation_operand), np.asarray(ba.conjugation_operand)
+        for U in inputs:
+            got = conjugate_operator(setting, U=U)[0].entries
+            assert np.array_equal(got, dense_right(dense_left(Cb, U.entries.conj()), Ca.conj()))
+            plain = Cb @ U.entries.conj() @ Ca.conj()
+            assert np.abs(got - plain).max() <= 4 * np.spacing(np.abs(plain).max())
+
+    def test_no_operand(self):
+        # The sliced routes read no shift or conjugation operand; the frames
+        # read C_beta once, where they are formed.
+        setting = CompressionSetting(C_ALPHA, C_SMALL, 2)
+        U = build_compression(L({1: 1, -2: 3j}), setting)
+        conjugate_operator(setting, U=U)
+        for basis in (setting.basis_alpha, setting.basis_beta):
+            assert "conjugation_operand" not in vars(basis)
+        for variant in VARIANTS:
+            membership(U, setting, variant)
+            defect(U, setting, variant)
+        assert "shift_operands" not in vars(setting)
+
+    @pytest.mark.parametrize(
+        "beta", [BETA, InnerFunction.blaschke([-0.5j, 0.4]), zn(3)], ids=["B", "B-complex-kappa", "z3"]
+    )
+    @pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (4, 4), (4, 10), (1, 1), (1, 4)])
+    def test_zero_test_closed_form(self, beta, n, k):
+        # On an exact alpha the block's columns are orthogonal with one norm,
+        # and p27 projects each pair of rows onto (kappa[0] - 1, ||kappa[1:]||)
+        # in closed form: the verdicts of least squares on all directions,
+        # and every zero symbol accepted.
+        setting = CompressionSetting(zn(n), beta, k)
+        rng = np.random.default_rng(83)
+        alpha_bar = conj_on_circle(dict_alpha(setting.basis_alpha))
+        generic = [random_laurent(rng, -k - 4, 0, terms=4) for _ in range(6)]
+        generic += [random_laurent(rng, -n - 2, 3 * k, terms=6) for _ in range(6)]
+        members = [
+            mul(alpha_bar, random_laurent(rng, -3, 0, terms=3))
+            + shifted(mul(stretched_beta_expansion(setting), random_laurent(rng, 0, 3, terms=3)), 1 - k)
+            for _ in range(4)
+        ]
+        for phi in generic + members:
+            assert zero_test_sufficient(phi, setting, "p27") == dict_zero_test(phi, setting, "p27")
+        assert all(zero_test_sufficient(phi, setting, "p27") for phi in members)
+        assert "_zero_tests" in vars(setting) and not setting._zero_tests  # no block, no SVD
+
+
 def exact_rows_refused(monkeypatch):
     """Make reading `rows` raise on an exact basis; a Blaschke basis still
     reads its rows, each time from its truncation."""
