@@ -44,6 +44,21 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
+    # The one table of the variants' shift choices (`_SHIFTS`) and its readers.
+    Mutant("operators.py", '"c310a": (False, True)', '"c310a": (True, True)',
+           "c310a's beta side taken as S_beta"),
+    Mutant("operators.py", '"c38": (False, False)', '"c38": (False, True)',
+           "c38's alpha side taken as S_alpha^{*k}, which makes it c310a",
+           "tests/test_operators.py::TestIndexMaps::test_defect_matches_dense"),
+    Mutant("operators.py", "            if not down:\n", "            if down:\n",
+           "F conjugated against S_beta, not S_beta^*"),
+    Mutant("operators.py", "ba.frame_operands(_used(self), not right)", "ba.frame_operands(_used(self), right)",
+           "G conjugated against S_alpha^{*k}, not S_alpha^k"),
+    Mutant("operators.py", "if down != right:\n        return beta @ M - M @ alpha",
+           "if down == right:\n        return beta @ M - M @ alpha",
+           "the dense defect's one-sided and two-sided forms swapped"),
+    Mutant("operators.py", "cross = down != right", "cross = down == right",
+           "the sliced defect's one-sided and two-sided forms swapped"),
     # The sliced defect, fit and sandwich of an exact setting (`_Slices`).
     Mutant("operators.py", "s = min(setting.k, n)", "s = min(setting.k - 1, n)",
            "the shift offset k -> k - 1 of the sliced defect", SLICES),
@@ -77,7 +92,7 @@ MUTANTS = [
     Mutant("operators.py", "F = bb.first_columns(1)[:, 0].conj()", "F = bb.first_columns(1)[:, 0]",
            "the frame vector F without its conjugate",
            "tests/test_verify.py::TestSuite::test_wide_menu"),
-    Mutant("model_space.py", "return _IndexMap(self.shape, self.rows, self.cols, self.scale.conjugate(), self.view)",
+    Mutant("model_space.py", "return _IndexMap(self.shape, self.rows, self.cols, self.scale.conjugate())",
            "return self", "an index map's conjugate keeps c (the Baseline's `_Flip.conjugate`)",
            "tests/test_operators.py::TestIndexMaps::test_sandwich_and_frames_match_dense"),
     Mutant("model_space.py", "(rows.T @ (rows.conj() @ coeffs", "(rows.T @ (rows @ coeffs",

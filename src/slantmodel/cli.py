@@ -205,7 +205,7 @@ def _run(args) -> int:
         payload = {
             "inner": inner.to_json(),
             "dim": basis.dim,
-            "backend": inner.kind,
+            "backend": "monomial" if basis.exact else "blaschke",
             "truncation_order": basis.truncation_order,
             "tail_bound": basis.tail_bound,
             "gram_error": basis.gram_error,

@@ -546,20 +546,17 @@ class ModelSpaceBasis:
 
     def conjugate_vector(self, coords) -> np.ndarray:
         """The antilinear involution f -> alpha * conj(z f) in coordinates:
-        C conj(coords), over the first axis of an array.  Contiguous, as the
-        dense product was: a reversed view of an exact basis's coordinates
-        would give `np.vdot` and other BLAS reductions another summation
-        order, and verify's residuals other last bits."""
-        return np.ascontiguousarray(self.conjugation_operand @ np.asarray(coords, dtype=complex).conj())
+        C conj(coords), over the first axis of an array."""
+        return self.conjugation_operand @ np.asarray(coords, dtype=complex).conj()
 
     @functools.cached_property
     def conjugation_operand(self):
         """C, with coords(alpha conj(z f)) = C conj(coords(f)), as an
         operand of `@` from either side: on an exact basis c J, z^j to
-        c z^(N-1-j), as an index map whose products are reversed views, with
-        no dense matrix; on a Blaschke basis the dense `_conjugation`."""
+        c z^(N-1-j), as an index map that reverses the coordinates, with no
+        dense matrix; on a Blaschke basis the dense `_conjugation`."""
         if self.exact:
-            return _IndexMap((self.dim, self.dim), cols=slice(None, None, -1), scale=self.inner.constant, view=True)
+            return _IndexMap((self.dim, self.dim), cols=slice(None, None, -1), scale=self.inner.constant)
         return self._conjugation
 
 
@@ -571,30 +568,27 @@ class _IndexMap:
     bit for bit when the scale is 1, and no dense matrix: the slice of x at
     one side's indices, times the scale, goes to the other side's in a zero
     array.  Where those cover every index of the product, in order or
-    reversed, no zero array is made: the product is that slice reordered, a
-    view when `view` (the conjugation, whose sandwich copies nothing), else
+    reversed, no zero array is made: the product is that slice reordered,
     contiguous as the dense product was: x itself where x already is.  Its
     rows are read one by one by `rank_one` and `assemble_defect`.  An array
     of another size is refused, as a dense product refuses it, and
     `np.asarray` forms the dense matrix, above MAX_ENTRIES refused first."""
 
-    __slots__ = ("shape", "rows", "cols", "scale", "view")
+    __slots__ = ("shape", "rows", "cols", "scale")
     __array_ufunc__ = None  # so that ndarray @ map calls __rmatmul__
 
-    def __init__(self, shape: tuple, rows: slice = slice(None), cols: slice = slice(None), scale=None, view: bool = False):
-        self.shape, self.rows, self.cols, self.view = shape, rows, cols, view
+    def __init__(self, shape: tuple, rows: slice = slice(None), cols: slice = slice(None), scale=None):
+        self.shape, self.rows, self.cols = shape, rows, cols
         self.scale = None if scale == 1 else scale
 
     @property
     def T(self) -> "_IndexMap":
-        return _IndexMap(self.shape[::-1], self.cols, self.rows, self.scale, self.view)
+        return _IndexMap(self.shape[::-1], self.cols, self.rows, self.scale)
 
     def conj(self) -> "_IndexMap":
         if self.scale is None:
             return self
-        return _IndexMap(self.shape, self.rows, self.cols, self.scale.conjugate(), self.view)
-
-    conjugate = conj
+        return _IndexMap(self.shape, self.rows, self.cols, self.scale.conjugate())
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -625,8 +619,7 @@ class _IndexMap:
         if self.scale is not None:
             part = self.scale * part
         if part.shape[axis] == size:  # `at` is every index, in order or reversed: its own inverse
-            part = part[at]
-            return part if self.view else np.ascontiguousarray(part, dtype=complex)
+            return np.ascontiguousarray(part[at], dtype=complex)
         shape = list(part.shape)
         shape[axis] = size
         out = np.zeros(shape, dtype=complex)

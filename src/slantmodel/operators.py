@@ -32,7 +32,14 @@ from .model_space import (
     derivative_scale,
 )
 
-VARIANTS = ("t35", "c38", "c310a", "c310b")
+# The four characterizations differ in two choices: whether the beta side is
+# S_beta, which moves rows down, rather than S_beta^*; and whether the alpha
+# side is S_alpha^{*k}, which moves columns right by k, rather than S_alpha^k.
+# Where the two differ (c310a, c310b) the defect is the difference of the
+# one-sided shifts of U, else U less both (`defect`); F is conjugated against
+# S_beta^* and G against S_alpha^k (`CompressionSetting.frames`).
+_SHIFTS = {"t35": (True, True), "c38": (False, False), "c310a": (False, True), "c310b": (True, False)}
+VARIANTS = tuple(_SHIFTS)
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
 
@@ -141,18 +148,20 @@ class MembershipReport:
 
 class Frames(NamedTuple):
     """The constants of one variant's membership fit (`CompressionSetting.frames`),
-    every array read-only: what `membership`, `assemble_defect` and `rank_one` read.
-    On an exact alpha G_adj and G_pinv_adj are index maps
+    every array read-only: what `defect`, `membership`, `assemble_defect` and
+    `rank_one` read.  On an exact alpha G_adj and G_pinv_adj are index maps
     (`ModelSpaceBasis.frame_operands`): right operands of `@` whose rows
     can be read one by one, with no dense matrix.  Where beta is exact too,
-    `membership` reads F's one nonzero entry, its conjugate and norm2, and
-    slices the defect for the rest (`_Slices`)."""
+    `slices` holds the variant's defect and fit as slices of the matrix
+    (`_Slices`), which read F's one nonzero entry, its conjugate and norm2;
+    elsewhere it is None."""
 
     F: np.ndarray
     norm2: float
     F_conj: np.ndarray
     G_adj: np.ndarray
     G_pinv_adj: np.ndarray
+    slices: _Slices | None
 
 
 class CompressionSetting:
@@ -164,7 +173,7 @@ class CompressionSetting:
     matrix, so S_alpha^k and its adjoint are formed and cached as matrices
     for a Blaschke alpha only (`shift_operands`).  Where both bases are
     exact (`exact`), the defect, the fit and the sandwich read none of
-    them: they are slices of the matrix (`slices`).
+    them: they are slices of the matrix (`Frames.slices`, `_sandwich`).
     These constants are computed on first use, once, and are read-only, so
     no caller can leave them stale; a build forms none of them.
 
@@ -193,11 +202,10 @@ class CompressionSetting:
         self.basis_alpha = ModelSpaceBasis.build(alpha)
         self.basis_beta = ModelSpaceBasis.build(beta)
         # Both bases exact (`ModelSpaceBasis.exact`), read with no rows: one
-        # attribute, as `defect`, `membership` and `conjugate_operator` test
-        # it on every call.
+        # attribute, as `defect` and `conjugate_operator` test it on every
+        # call.
         self.exact = self.basis_alpha.exact and self.basis_beta.exact
         self._frames = {}
-        self._slices = {}
         self._zero_tests = {}
 
     @functools.cached_property
@@ -217,26 +225,23 @@ class CompressionSetting:
         `ModelSpaceBasis.frame_operands`: on an exact alpha index maps, the
         first columns of the identity, or of c J for C_alpha, with no dense
         N x N matrix at k >= N.  On a setting where both bases are exact the
-        fit reads F's one nonzero entry and `slices` in their place."""
+        defect and the fit read F's one nonzero entry and the `_Slices` in
+        their place, built here with the rest."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         if variant not in self._frames:
+            down, right = _SHIFTS[variant]
             ba, bb = self.basis_alpha, self.basis_beta
             F = bb.first_columns(1)[:, 0].conj()
-            if variant in ("c38", "c310a"):
+            if not down:
                 F = bb.conjugate_vector(F)
-            G, G_adj = ba.frame_operands(_used(self), variant in ("c38", "c310b"))
+            G, G_adj = ba.frame_operands(_used(self), not right)
             # On an exact basis G^H is G's pseudo-inverse, with no Gram.
             G_pinv_adj = G if ba.exact else _frozen(_pinv(G).conj().T)[0]
             F, F_conj = _frozen(F, F.conj())
-            self._frames[variant] = Frames(F, float(np.vdot(F, F).real), F_conj, G_adj, G_pinv_adj)
+            slices = _Slices.of(self, variant) if self.exact else None
+            self._frames[variant] = Frames(F, float(np.vdot(F, F).real), F_conj, G_adj, G_pinv_adj, slices)
         return self._frames[variant]
-
-    def slices(self, variant: str) -> "_Slices":
-        """The variant's `_Slices`, for a setting where both bases are exact."""
-        if variant not in self._slices:
-            self._slices[variant] = _Slices.of(self, variant)
-        return self._slices[variant]
 
     @functools.cached_property
     def kappa(self) -> np.ndarray:
@@ -411,22 +416,11 @@ def build_compression(phi: LaurentPoly, setting: CompressionSetting) -> Operator
 # On z^N -> z^M, of any constants, S is the coordinate shift, F and G select
 # coordinates and C is c J, so the defect, its fit and the conjugation
 # sandwich are slices of U, with no operand.
-#
-# Per variant: whether the beta side is S_beta, which moves rows down, rather
-# than S_beta^*; whether the alpha side is S_alpha^{*k}, which moves columns
-# right by k, rather than S_alpha^k; and whether the defect is the difference
-# of the two one-sided shifts of U (c310a, c310b) rather than U less both.
-_SHIFTS = {
-    "t35": (True, True, False),
-    "c38": (False, False, False),
-    "c310a": (False, True, True),
-    "c310b": (True, False, True),
-}
 
 
 class _Slices(NamedTuple):
     """One variant's defect and fit on a setting where both bases are exact
-    (`CompressionSetting.slices`), as index arithmetic on U.  The shifts
+    (`Frames.slices`), as index arithmetic on U.  The shifts
     leave out one row and s = min(k, N) columns of the defect, which are
     the frames': F is e_0 against S_beta and c_beta e_(M-1), C_beta e_0,
     against S_beta^*; G is the first s columns of the identity against
@@ -451,7 +445,8 @@ class _Slices(NamedTuple):
 
     @classmethod
     def of(cls, setting: CompressionSetting, variant: str) -> "_Slices":
-        down, right, cross = _SHIFTS[variant]
+        down, right = _SHIFTS[variant]
+        cross = down != right
         m, n = setting.basis_beta.dim, setting.basis_alpha.dim
         s = min(setting.k, n)
         rows = (slice(1, None), slice(0, m - 1)) if down else (slice(0, m - 1), slice(1, None))
@@ -520,26 +515,25 @@ def _entries(U: OperatorMatrix, setting: CompressionSetting) -> np.ndarray:
 def defect(U: OperatorMatrix, setting: CompressionSetting, variant: str = "t35") -> np.ndarray:
     """The shift combination whose low-rank structure decides membership:
     U - S_beta U S_alpha^{*k} (t35), U - S_beta^* U S_alpha^k (c38),
-    S_beta^* U - U S_alpha^{*k} (c310a) or S_beta U - U S_alpha^k (c310b).
-    Where both bases are exact it is one copy of U, or of its rows moved,
-    and one contiguous difference (`_Slices`).  Otherwise each side
-    takes the route of its own basis (`ModelSpaceBasis.shift_operands`): on
-    an exact basis the shift moves entries by index, with no product; on a
-    Blaschke basis it is the product with the cached dense S_beta or
-    S_alpha^k and their adjoints."""
+    S_beta^* U - U S_alpha^{*k} (c310a) or S_beta U - U S_alpha^k (c310b):
+    the two sides from the variant's choices (`_SHIFTS`).  Where both bases
+    are exact it is one copy of U, or of its rows moved, and one contiguous
+    difference (`Frames.slices`).  Otherwise each side takes the route of
+    its own basis (`ModelSpaceBasis.shift_operands`): on an exact basis the
+    shift moves entries by index, with no product; on a Blaschke basis it
+    is the product with the cached dense S_beta or S_alpha^k and their
+    adjoints."""
     M = _entries(U, setting)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if setting.exact:
-        return setting.slices(variant).defect(M)
+        return setting.frames(variant).slices.defect(M)
+    down, right = _SHIFTS[variant]
     Sb, Sb_adj, Sa, Sa_adj = setting.shift_operands
-    if variant == "t35":
-        return M - Sb @ M @ Sa_adj
-    if variant == "c38":
-        return M - Sb_adj @ M @ Sa
-    if variant == "c310a":
-        return Sb_adj @ M - M @ Sa_adj
-    return Sb @ M - M @ Sa
+    beta, alpha = Sb if down else Sb_adj, Sa_adj if right else Sa
+    if down != right:
+        return beta @ M - M @ alpha
+    return M - beta @ M @ alpha
 
 
 def assemble_defect(dec: DefectDecomposition, setting: CompressionSetting) -> np.ndarray:
@@ -570,6 +564,7 @@ def defect_from_symbol(phi: LaurentPoly, setting: CompressionSetting) -> DefectD
 # -- membership ------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows is refused below, not warned of
 def membership(
     U: OperatorMatrix,
     setting: CompressionSetting,
@@ -586,22 +581,22 @@ def membership(
     remainder R = D - F chi^H; the psi_j are the rows of Z^T, so F^H Psi = 0
     and the residual is ||R - Z G^H||_F = ||(I - P_F) D (I - P_G)||_F.  The
     products read the adjoints cached with the frames, so no conjugate
-    transpose is formed per call.  Where both bases are exact, D, chi, Z
-    and the residual are slices of U (`_Slices`), with the products'
-    values: chi^H is a row of D, Z its frame columns, and the residual the
-    norm of the block that the frames leave out.  The matrix is a member
-    when the residual is at most tol * max(1, ||D||_F), for a finite tol > 0.
+    transpose is formed per call.  Where the frames carry `slices` (both
+    bases exact), chi, Z and the residual are slices of D, with the
+    products' values: chi^H is a row of D, Z its frame columns, and the
+    residual the norm of the block that the frames leave out.  The matrix
+    is a member when the residual is at most tol * max(1, ||D||_F), for a
+    finite tol > 0; a residual or ||D||_F that is not finite, from entries
+    whose squares overflow, is refused with FloatingPointError.
     """
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValueError("tolerance must be positive and finite")
     frames = setting.frames(variant)
-    if setting.exact:
-        slices = setting.slices(variant)
-        D = slices.defect(_entries(U, setting))
-        chi_conj, Z, E = slices.fit(D, frames)
+    D = defect(U, setting, variant)
+    if frames.slices is not None:
+        chi_conj, Z, E = frames.slices.fit(D, frames)
     else:
-        D = defect(U, setting, variant)
-        F, norm2, F_conj, G_adj, G_pinv_adj = frames
+        F, norm2, F_conj, G_adj, G_pinv_adj, _ = frames
         chi_conj = F_conj @ D / norm2
         R = D - F[:, None] * chi_conj
         Z = R @ G_pinv_adj
@@ -610,6 +605,8 @@ def membership(
     # numpy.linalg.norm(D) term for term, so the threshold is tol times it exactly.
     d = D.ravel(order="K")
     norm = math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag))
+    if not (math.isfinite(residual) and math.isfinite(norm)):
+        raise FloatingPointError(f"the defect's norm {norm} or the fit's residual {residual} is not finite")
     effective = tol * max(1.0, norm)
     return MembershipReport(
         member=residual <= effective,
@@ -637,7 +634,8 @@ def recover_symbol(report: MembershipReport, setting: CompressionSetting) -> Lau
             f"tolerance {report.effective_tolerance:.3e})"
         )
     variant = report.variant
-    if variant in ("c310a", "c310b"):
+    down, right = _SHIFTS[variant]
+    if down != right:
         # Mixed-defect decompositions have no direct recovery formula; reuse
         # the base variant on the same matrix.
         base = membership(report.source, setting, "t35", report.tolerance)
@@ -811,7 +809,7 @@ def conjugate_operator(
         return setting.matrix(_sandwich(M, setting)), psi
     Ca = setting.basis_alpha.conjugation_operand
     Cb = setting.basis_beta.conjugation_operand
-    sandwich = Cb @ M.conjugate() @ Ca.conjugate()
+    sandwich = Cb @ M.conj() @ Ca.conj()
     return setting.matrix(sandwich), psi
 
 

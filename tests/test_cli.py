@@ -300,6 +300,14 @@ class TestVerifyInfo:
         assert obj["dim"] == 4 and obj["backend"] == "monomial"
         assert obj["gram_error"] == 0.0
 
+    def test_info_backend_from_basis(self, capsys):
+        # c z^3 runs on the exact path, as z^3 does: the backend is read from
+        # the basis, not from how the input was spelled.
+        code, out, _ = run(capsys, ["info", "--alpha", '{"zeros":[0,0,0],"constant":{"re":0,"im":1}}'])
+        obj = json.loads(out)
+        assert code == 0 and obj["backend"] == "monomial"
+        assert obj["tail_bound"] == 0.0 and obj["truncation_order"] == 2
+
     @pytest.mark.parametrize("name", ["alpha.json", "zeros.json"])
     def test_info_from_file(self, capsys, tmp_path, monkeypatch, name):
         # Only "z" and "z^N" are the monomial shorthand; "zeros.json" is a file.
@@ -389,6 +397,14 @@ class TestErrors:
         code, _, err = run(capsys, argv)
         assert code == 3 and "outside" in err
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("command", ["membership", "recover"])
+    def test_overflowing_norm_is_numeric_error(self, capsys, command):
+        # ||D||_F overflows: no verdict against an infinite threshold.
+        data = [[1e160, 0]] + [[0, 0]] * 10 + [[3e159, 0]]
+        matrix = json.dumps({"rows": 3, "cols": 4, "data": data})
+        code, out, err = run(capsys, [command, *COMMON, "--matrix", matrix])
+        assert code == 3 and "not finite" in err and not out
 
     def test_rows_refused_only_where_read(self, capsys):
         # A double zero at 0.99997 needs T = 1059425 > 2^20, which only the

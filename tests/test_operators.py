@@ -46,6 +46,7 @@ from slantmodel.operators import (
     recover_symbol,
     zero_test_sufficient,
     _pinv,
+    _Slices,
     _place,
     _reduced,
     _times_stretched,
@@ -424,6 +425,18 @@ class TestMembership:
         with pytest.raises(NonMemberError, match=f"{rejected.effective_tolerance:.3e}"):
             recover_symbol(rejected, s243)
 
+    @pytest.mark.parametrize("scale", [1e154, 1e155])
+    def test_overflowing_norm_refused(self, scale):
+        # Past these scales ||D||_F or the residual overflows, and with it the
+        # threshold tol * ||D||_F: such a matrix is refused, with no warning,
+        # rather than reported a member against an infinite threshold.
+        for alpha, beta in ((zn(4), zn(3)), (zn(4), BETA), (B_NEAR, BETA)):
+            setting = CompressionSetting(alpha, beta, 2)
+            U = setting.matrix(scale * np.random.default_rng(1).standard_normal((beta.degree, alpha.degree)))
+            for variant in VARIANTS:
+                with pytest.raises(FloatingPointError, match="not finite"):
+                    membership(U, setting, variant)
+
     def test_report_json(self, rng, s243):
         report = membership(build_compression(L({2: 1}), s243), s243)
         obj = report.to_json()
@@ -563,8 +576,16 @@ class TestSettingCache:
         # The frames keep what the fit reads: ||F||^2 as a float, and the
         # adjoints of G = conj(rows_alpha[:, :used]), conjugated by C_alpha
         # for c38 and c310b, and of its pseudo-inverse, bit for bit.
-        assert Frames._fields == ("F", "norm2", "F_conj", "G_adj", "G_pinv_adj")
+        assert Frames._fields == ("F", "norm2", "F_conj", "G_adj", "G_pinv_adj", "slices")
         frames = [setting.frames(v) for v in VARIANTS]
+        # The exact slices are cached with the frames, one per variant, and
+        # only where both bases are exact.
+        assert all(f.slices is None for f in frames)
+        exact = CompressionSetting(zn(4), zn(3), 2)
+        for variant in VARIANTS:
+            slices = exact.frames(variant).slices
+            assert isinstance(slices, _Slices) and exact.frames(variant).slices is slices
+        assert len({id(exact.frames(v).slices) for v in VARIANTS}) == len(VARIANTS)
         ba = setting.basis_alpha
         for variant, f in zip(VARIANTS, frames):
             assert isinstance(f.norm2, float)
@@ -911,7 +932,7 @@ def dense_fit(U, setting, variant, left=dense_left, right=dense_right):
         "c310a": lambda: left(Sb_adj, M) - right(M, Sa_adj),
         "c310b": lambda: left(Sb, M) - right(M, Sa),
     }[variant]()
-    F, norm2, F_conj, G_adj, G_pinv_adj = setting.frames(variant)
+    F, norm2, F_conj, G_adj, G_pinv_adj, _ = setting.frames(variant)
     chi_conj = left(F_conj[None], D)[0] / norm2
     R = D - F[:, None] * chi_conj
     Z = right(R, np.asarray(G_pinv_adj))
