@@ -32,6 +32,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
 SLICES = "tests/test_operators.py::TestSlices::test_fit_matches_dense"
+TABLE = "tests/test_operators.py::TestMonomialTable::test_matches_compress"
 
 
 class Mutant(NamedTuple):
@@ -103,8 +104,15 @@ MUTANTS = [
            "kappa = P_beta 1 without its conjugate", "tests/test_operators.py::TestZeroTest::test_complex_kappa"),
     Mutant("model_space.py", "c * system[-1, 1:-1]\n", "c * system[-1, 1:-1].conj()\n",
            "inner_expansion from conj(C)", "tests/test_model_space.py"),
+    # The monomial table of a B -> B setting (`CompressionSetting.monomials`).
+    # verify cannot reach it: DEFAULT_MENU has no entry with both bases Blaschke.
+    Mutant("operators.py", "at = start + src.shape[1] - 1", "at = start + src.shape[1]",
+           "the table read one row past z^start (verify's menu has no B -> B entry to reach it)", TABLE),
+    Mutant("operators.py", "columns.transpose(2, 1, 0).reshape(F, -1)", "columns.reshape(F, -1)",
+           "the table reshaped without its transpose (verify's menu has no B -> B entry to reach it)", TABLE),
     Mutant("operators.py", "s = min(k, src.shape[1])", "s = k",
-           "build_compression at the stride k: the same entries at a higher cost", equivalent=True),
+           "build_compression at the stride k: the same entries from `_compress` at a higher cost, but a B -> B "
+           "table, laid out at the folded stride, read at the wrong rows past k = T_alpha + 1", TABLE),
 ]
 
 

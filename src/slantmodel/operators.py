@@ -21,6 +21,7 @@ from .laurent import LaurentPoly, strict_int, strict_real
 from .model_space import (
     BLASCHKE_TOL,
     EXACT_TOL,
+    WINDOW_ENTRIES,
     InnerFunction,
     ModelSpaceBasis,
     TruncationError,
@@ -174,8 +175,11 @@ class CompressionSetting:
     for a Blaschke alpha only (`shift_operands`).  Where both bases are
     exact (`exact`), the defect, the fit and the sandwich read none of
     them: they are slices of the matrix (`Frames.slices`, `_sandwich`).
-    These constants are computed on first use, once, and are read-only, so
-    no caller can leave them stale; a build forms none of them.
+    Where both are Blaschke, the compressions of the monomials
+    (`monomials`) make every build after the first one product.  These
+    constants are computed on first use, once, and are read-only, so no
+    caller can leave them stale; a build forms `monomials` alone of them,
+    and the inverse routines never form it.
 
     The model space of beta(z^k) inherits beta's measured truncation order:
     it is never formed, and the routines that need it apply beta's rows
@@ -242,6 +246,32 @@ class CompressionSetting:
             slices = _Slices.of(self, variant) if self.exact else None
             self._frames[variant] = Frames(F, float(np.vdot(F, F).real), F_conj, G_adj, G_pinv_adj, slices)
         return self._frames[variant]
+
+    @functools.cached_property
+    def monomials(self) -> np.ndarray | None:
+        """The F x (dim_beta dim_alpha) table whose row f + T_alpha holds
+        the compression of z^f in C order, for the folded frequencies
+        -T_alpha..s T_beta that a build reads, s = min(k, T_alpha + 1),
+        F = s T_beta + T_alpha + 1: U_phi is linear in phi, so a build is
+        the folded phi times rows of it (`build_compression`).  The pairing
+        is symmetric: column j of every U_(z^f) is `_compress` of alpha's row
+        j, read as a symbol from frequency -T_alpha, from the identity rows
+        of width F, a gather.  None where either basis is exact (an exact
+        alpha gathers already, and a mixed setting keeps `_compress`), or
+        where the gather, (T_beta + 1) F, or the table, F dim_alpha dim_beta,
+        is above WINDOW_ENTRIES.  Formed on the first build, read-only."""
+        ba, bb = self.basis_alpha, self.basis_beta
+        if ba.exact or bb.exact:
+            return None
+        src, dst = ba.rows_operand, bb.rows_operand
+        width = src.shape[1]
+        s = min(self.k, width)
+        F = s * (dst.shape[1] - 1) + width
+        if F * max(dst.shape[1], src.shape[0] * dst.shape[0]) > WINDOW_ENTRIES:
+            return None
+        identity = _IndexMap((F, F))
+        columns = np.stack([_compress(row, 1 - width, identity, s, dst) for row in src])  # (j, i, f)
+        return _frozen(columns.transpose(2, 1, 0).reshape(F, -1))[0]
 
     @functools.cached_property
     def kappa(self) -> np.ndarray:
@@ -402,14 +432,21 @@ def _reduced(phi: LaurentPoly, setting: CompressionSetting, shift: int) -> tuple
 def build_compression(phi: LaurentPoly, setting: CompressionSetting) -> OperatorMatrix:
     """Matrix of f -> P_beta W_k(phi f) on the chosen bases, from phi over the
     windows k n - T_alpha..k n, n <= T_beta, that reach a kept coefficient,
-    folded onto the stride s = min(k, T_alpha + 1).  The bases enter
-    `_compress` as their `rows_operand`s, so an exact side forms no rows:
-    on z^N -> z^M entry (i, j) is the term s i - j of the folded phi, a
-    gather, and into an exact beta the kept coefficients are placed."""
+    folded onto the stride s = min(k, T_alpha + 1).  Between two Blaschke
+    bases within the budget of `CompressionSetting.monomials` the matrix is
+    sum_f phi_f U_(z^f), one product of the folded phi with the rows of the
+    setting's table, which the first build forms.  Elsewhere the bases
+    enter `_compress` as their `rows_operand`s, so an exact side forms no
+    rows: on z^N -> z^M entry (i, j) is the term s i - j of the folded phi,
+    a gather, and into an exact beta the kept coefficients are placed."""
     src, dst, k = setting.basis_alpha.rows_operand, setting.basis_beta.rows_operand, setting.k
     s = min(k, src.shape[1])
-    window = _clip(phi, src.shape[1], k, s, 0, dst.shape[1] - 1)
-    return setting.matrix(_compress(*window, src, s, dst))
+    w, start = _clip(phi, src.shape[1], k, s, 0, dst.shape[1] - 1)
+    table = setting.monomials
+    if table is None:
+        return setting.matrix(_compress(w, start, src, s, dst))
+    at = start + src.shape[1] - 1  # the row of z^start
+    return setting.matrix((w @ table[at : at + len(w)]).reshape(dst.shape[0], src.shape[0]))
 
 
 # -- exact settings --------------------------------------------------------

@@ -54,6 +54,7 @@ from slantmodel.operators import (
 )
 from slantmodel import verify
 from slantmodel.verify import kernel, random_laurent, stretched
+from test_verify import WIDE
 
 
 def L(d):
@@ -2159,6 +2160,28 @@ def dense_clip(phi, lo, hi):
 FAR = L({-(10**18): 1.5, 10**18: -2j})
 
 
+def folded_compress(phi, setting):
+    """`_compress` on the rows and on phi folded by `_clip`, as
+    `build_compression` calls it where the setting has no monomial table."""
+    src, dst, k = setting.basis_alpha.rows, setting.basis_beta.rows, setting.k
+    s = min(k, src.shape[1])
+    return _compress(*_clip(phi, src.shape[1], k, s, 0, dst.shape[1] - 1), src, s, dst)
+
+
+# The monomial table sums the terms of an entry in another order than
+# `_compress`: at most 1.9e-15 of max|U| apart on the random symbols tried.
+TABLE_TOL = 1e-13
+
+
+def assert_built(setting, built, want):
+    """Built entries against `_compress`'s: bit for bit where the setting has
+    no monomial table, else within TABLE_TOL of max|U|, so exactly where U = 0."""
+    if setting.monomials is None:
+        assert np.array_equal(built, want)
+    else:
+        assert np.abs(built - want).max() <= TABLE_TOL * np.abs(want).max()
+
+
 def read_mask(size, lo, width, k, count):
     """Which frequencies lo..lo + size - 1 a window k n - width < f <= k n,
     0 <= n < count, reads."""
@@ -2242,13 +2265,16 @@ class TestSymbolArrayOracle:
 
     def test_fold_matches_dense_clip(self, setting):
         # The dense window at stride k gives the same entries, bit for bit, as
-        # the windows folded onto stride min(k, T_alpha + 1).
+        # the windows folded onto stride min(k, T_alpha + 1); the build
+        # gives them within `assert_built`.
         ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
         used = min(k, ba.rows.shape[1])
         for phi in [*self.symbols(setting), self.spread(setting)]:
             for p in (phi, phi + FAR):
                 window = dense_clip(p, -ba.truncation_order, k * bb.truncation_order)
-                assert np.array_equal(build_compression(p, setting).entries, _compress(*window, ba.rows, k, bb.rows))
+                want = _compress(*window, ba.rows, k, bb.rows)
+                assert np.array_equal(folded_compress(p, setting), want)
+                assert_built(setting, build_compression(p, setting).entries, want)
                 c, lo = dense_clip(p, k + 1 - used, k * bb.rows.shape[1])
                 psis = dense_shift(bb, 1) @ _compress(c, lo - k, np.eye(used), k, bb.rows)
                 assert np.array_equal(np.array(defect_from_symbol(p, setting).psis).T, psis)
@@ -2263,7 +2289,9 @@ class TestSymbolArrayOracle:
         for case in range(72):
             p = random_laurent(rng, *span, terms=int(rng.integers(1, 25))) + (FAR if case % 2 else L({}))
             window = dense_clip(p, -ba.truncation_order, k * bb.truncation_order)
-            assert np.array_equal(build_compression(p, setting).entries, _compress(*window, ba.rows, k, bb.rows))
+            want = _compress(*window, ba.rows, k, bb.rows)
+            assert np.array_equal(folded_compress(p, setting), want)
+            assert_built(setting, build_compression(p, setting).entries, want)
             c, lo = dense_clip(p, k + 1 - used, k * bb.rows.shape[1])
             psis = dense_shift(bb, 1) @ _compress(c, lo - k, np.eye(used), k, bb.rows)
             assert np.array_equal(np.array(defect_from_symbol(p, setting).psis).T, psis)
@@ -2404,3 +2432,119 @@ class TestSymbolArrayOracle:
             assert np.abs(diff).max() <= 10 * tol
             far = defect_from_symbol(phi + FAR, setting)
             assert np.array_equal(far.chi, dec.chi) and np.array_equal(np.array(far.psis), np.array(dec.psis))
+
+
+# -- the monomial table of a Blaschke setting ------------------------------------
+
+PAIR = (InnerFunction.blaschke([0.5, 0.3j]), InnerFunction.blaschke([-0.5j, 0.4]))
+T_PAIR = ModelSpaceBasis.build(PAIR[0]).truncation_order
+B99 = InnerFunction.blaschke([0.99, -0.3, 0.2j])
+FARTHER = L({-(10**40): 1.5, 10**40: -2j})
+
+
+class TestMonomialTable:
+    """Between two Blaschke bases within its budget a build sums the rows of
+    `CompressionSetting.monomials`, the compressions of the monomials, and
+    agrees with `_compress` on the same folded window within TABLE_TOL."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            (B_NEAR, BETA, 2),
+            (B99, BETA, 2),
+            WIDE[0],
+            WIDE[2],
+            *((*PAIR, k) for k in (1, 2, T_PAIR, T_PAIR + 1, T_PAIR + 2, 10**20)),
+        ],
+        ids=["nearcircle-k2", "rho99-k2", "wide-c-k3", "wide-near-k2",
+             "pair-k1", "pair-k2", "pair-kT", "pair-kT+1", "pair-kT+2", "pair-k1e20"],
+    )
+    def setting(self, request):
+        return CompressionSetting(*request.param)
+
+    def symbols(self, setting):
+        """Random symbols with terms in the windows k n - T_alpha..k n,
+        n <= T_beta, two past their ends and between them, at any k."""
+        k, width, count = setting.k, setting.basis_alpha.truncation_order + 1, setting.basis_beta.truncation_order + 1
+        rng = np.random.default_rng(101)
+        out = []
+        for _ in range(10):
+            n, r = rng.integers(0, count + 1, size=8), rng.integers(-2, width + 2, size=8)
+            values = rng.standard_normal(16).view(complex)
+            out.append(L({k * int(a) - int(b): complex(c) for a, b, c in zip(n, r, values)}))
+        return out
+
+    def test_matches_compress(self, setting):
+        assert setting.monomials is not None
+        ta, tb, k = setting.basis_alpha.truncation_order, setting.basis_beta.truncation_order, setting.k
+        ends = [L({-ta: 1.0}), L({k * tb: 1j})]  # the first and last terms a build reads
+        for phi in [*self.symbols(setting), *ends]:
+            want = folded_compress(phi, setting)
+            assert want.any()
+            assert_built(setting, build_compression(phi, setting).entries, want)
+            assert_built(setting, build_compression(phi + FARTHER, setting).entries, want)
+
+    def test_unread_terms_build_zero(self, setting):
+        ta, tb, k = setting.basis_alpha.truncation_order, setting.basis_beta.truncation_order, setting.k
+        for phi in (L({}), FARTHER, L({-ta - 1: 1.0}), L({k * tb + 1: 1.0})):
+            assert not build_compression(phi, setting).entries.any()
+            assert not folded_compress(phi, setting).any()
+
+    def test_table_is_read_only(self, setting):
+        assert not setting.monomials.flags.writeable
+
+    @pytest.mark.parametrize(
+        "alpha,beta,k",
+        [
+            (zn(3), BETA, 2),
+            (B3, zn(3), 2),
+            (zn(4), zn(3), 2),
+            # The long symbol's setting: T = 27617 on both sides, F = 55235.
+            (InnerFunction.blaschke([0.999, -0.3, 0.2j]), InnerFunction.blaschke([0.999j, -0.5j]), 1),
+            # F = 22099 at k = 600: a gather of 41 F entries is past the budget.
+            (B_NEAR, BETA, 600),
+        ],
+        ids=["z3-B", "B3-z3", "z4-z3", "long-symbol", "nearcircle-k600"],
+    )
+    def test_absent(self, alpha, beta, k):
+        # An exact side, or a table or gather past WINDOW_ENTRIES, keeps `_compress`.
+        setting = CompressionSetting(alpha, beta, k)
+        assert setting.monomials is None
+        phi = random_laurent(np.random.default_rng(107), -4, 9, terms=5)
+        assert np.array_equal(build_compression(phi, setting).entries, folded_compress(phi, setting))
+
+
+class TestMonomialsOnDemand:
+    """Only a build forms the monomial table: the inverse routines and the
+    zero-test block read none of it."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("alpha", [B3, B_NEAR], ids=["B3", "Bnear"])
+    def test_inverse_routines_form_no_table(self, alpha, variant):
+        built = CompressionSetting(alpha, BETA, 2)
+        U = build_compression(random_laurent(np.random.default_rng(103), -6, 10, terms=6), built)
+        assert built.monomials is not None
+        fresh = CompressionSetting(alpha, BETA, 2)
+        report = membership(U, fresh, variant)
+        assert report.member
+        recover_symbol(report, fresh)
+        conjugate_operator(fresh, U=U)
+        for shift in (0, 1):
+            fresh.zero_test_block(shift)
+        assert "monomials" not in vars(fresh)
+
+    @pytest.mark.parametrize("alpha", [B_NEAR, B99], ids=["nearcircle", "rho99"])
+    def test_table_memory(self, alpha):
+        # The gather of each column, (T_beta + 1) F entries, and the table,
+        # F dim_alpha dim_beta, are each at most WINDOW_ENTRIES complex
+        # numbers, 4 MiB (traced peaks 0.46 and 2.1 MiB).
+        setting = CompressionSetting(alpha, BETA, 2)
+        setting.basis_alpha.rows, setting.basis_beta.rows
+        assert traced_peak(lambda: setting.monomials) <= model_space.WINDOW_ENTRIES * 16
+        assert setting.monomials is not None
+
+    def test_over_budget_forms_no_table(self):
+        setting = CompressionSetting(B_NEAR, BETA, 600)
+        setting.basis_alpha.rows, setting.basis_beta.rows
+        assert traced_peak(lambda: setting.monomials) < 1 << 14
+        assert setting.monomials is None
