@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
 SLICES = "tests/test_operators.py::TestSlices::test_fit_matches_dense"
 TABLE = "tests/test_operators.py::TestMonomialTable::test_matches_compress"
+ZERO_TEST = "tests/test_operators.py::TestZeroTestReference"
 
 
 class Mutant(NamedTuple):
@@ -49,8 +50,7 @@ MUTANTS = [
     Mutant("operators.py", '"c310a": (False, True)', '"c310a": (True, True)',
            "c310a's beta side taken as S_beta"),
     Mutant("operators.py", '"c38": (False, False)', '"c38": (False, True)',
-           "c38's alpha side taken as S_alpha^{*k}, which makes it c310a",
-           "tests/test_operators.py::TestIndexMaps::test_defect_matches_dense"),
+           "c38's alpha side taken as S_alpha^{*k}, which makes it c310a"),
     Mutant("operators.py", "            if not down:\n", "            if down:\n",
            "F conjugated against S_beta, not S_beta^*"),
     Mutant("operators.py", "ba.frame_operands(_used(self), not right)", "ba.frame_operands(_used(self), right)",
@@ -84,11 +84,17 @@ MUTANTS = [
     Mutant("operators.py", "        V = cb * V", "        V = V", "the sandwich's scale c_beta dropped", SLICES),
     Mutant("operators.py", "V = ca.conjugate() * V", "V = ca * V", "the sandwich's conj(c_alpha) taken as c_alpha",
            SLICES),
-    # The closed-form zero-test block of an exact alpha.
-    Mutant("operators.py", "sigma = math.hypot(kappa[0].real - 1, kappa[0].imag, out)",
-           "sigma = math.hypot(kappa[0].real - 1, kappa[0].imag)",
-           "the closed-form norm of the zero-test block without ||kappa[1:]||",
-           "tests/test_operators.py::TestSlices::test_zero_test_closed_form"),
+    # The zero test's closed-form projector, from the Gram matrix c I + gamma G^H G
+    # of its block X.  verify's menu has beta = z^3 alone, where kappa = 1: c = 1
+    # and kappa_0 - 1 = 0 hide these.
+    Mutant("operators.py", "x = (y - gamma * (W @", "x = (y + gamma * (W @",
+           "the zero test's Gram matrix c I - gamma G^H G: gamma's sign flipped", ZERO_TEST),
+    Mutant("operators.py", "/ diag))) / c", "/ diag))) / math.sqrt(c)",
+           "the zero test's weight 1 / c on the complement of G's row space taken as 1 / ||kappa||", ZERO_TEST),
+    Mutant("operators.py", "- G.conj().T @ (rows @ window)", "- G.T @ (rows @ window)",
+           "X^H b with G^T for G^H", ZERO_TEST),
+    Mutant("operators.py", "y = k0.conjugate() * window", "y = k0 * window",
+           "X^H b without conj(kappa_0), which is 1 - |beta(0)|^2, real", ZERO_TEST, equivalent=True),
     # The Baseline probe's entries whose text still occurs.
     Mutant("operators.py", "F = bb.first_columns(1)[:, 0].conj()", "F = bb.first_columns(1)[:, 0]",
            "the frame vector F without its conjugate",

@@ -167,14 +167,15 @@ class Frames(NamedTuple):
 
 class CompressionSetting:
     """The bases of a fixed (alpha, beta, k) triple, and the constants of the
-    membership fit: S_alpha^k and, per variant, the frames; and per shift
-    the block of the zero test.  The bases give their compressed shifts and
-    conjugations as operands of `@` (`ModelSpaceBasis.shift_operands`,
-    `conjugation_operand`): index maps on an exact basis, with no dense
-    matrix, so S_alpha^k and its adjoint are formed and cached as matrices
-    for a Blaschke alpha only (`shift_operands`).  Where both bases are
-    exact (`exact`), the defect, the fit and the sandwich read none of
-    them: they are slices of the matrix (`Frames.slices`, `_sandwich`).
+    membership fit: S_alpha^k and, per variant, the frames; and kappa =
+    P_beta 1 of the zero test, whose projector needs no other constant.  The
+    bases give their compressed shifts and conjugations as operands of `@`
+    (`ModelSpaceBasis.shift_operands`, `conjugation_operand`): index maps
+    on an exact basis, with no dense matrix, so S_alpha^k and its adjoint
+    are formed and cached as matrices for a Blaschke alpha only
+    (`shift_operands`).  Where both bases are exact (`exact`), the defect,
+    the fit and the sandwich read none of them: they are slices of the
+    matrix (`Frames.slices`, `_sandwich`).
     Where both are Blaschke, the compressions of the monomials
     (`monomials`) make every build after the first one product.  These
     constants are computed on first use, once, and are read-only, so no
@@ -210,7 +211,6 @@ class CompressionSetting:
         # call.
         self.exact = self.basis_alpha.exact and self.basis_beta.exact
         self._frames = {}
-        self._zero_tests = {}
 
     @functools.cached_property
     def shift_operands(self) -> tuple:
@@ -280,22 +280,6 @@ class CompressionSetting:
         bb = self.basis_beta
         kappa = bb.first_columns(1)[:, 0].conj() @ bb.rows_operand
         return _frozen(kappa)[0]
-
-    def zero_test_block(self, shift: int) -> tuple[np.ndarray, np.ndarray]:
-        """U and sigma of the SVD of the block of `zero_test_sufficient` for
-        this shift on a Blaschke alpha: column t < min(shift, T_alpha) + 1
-        holds kappa[0] e_t - conj(P_alpha z^t) at the frequencies 0 down to
-        -T_alpha, then ||kappa[1:]|| e_t."""
-        if shift not in self._zero_tests:
-            ba, kappa = self.basis_alpha, self.kappa
-            ta = ba.truncation_order
-            reach = min(shift, ta) + 1
-            out = np.linalg.norm(kappa[1:])
-            near = ba.rows_operand.conj().T @ ba.first_columns(reach)
-            block = np.vstack([kappa[0] * np.eye(ta + 1, reach) - near, out * np.eye(reach)])
-            u, sv, _ = np.linalg.svd(block, full_matrices=False)
-            self._zero_tests[shift] = _frozen(u, sv)
-        return self._zero_tests[shift]
 
     @functools.cached_property
     def interpolation(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
@@ -747,8 +731,8 @@ def zero_test_sufficient(
     """
     if which not in ("p22", "p27"):
         raise ValueError(f"unknown zero test {which!r}")
-    k = setting.k
-    ta = setting.basis_alpha.truncation_order
+    ba, k = setting.basis_alpha, setting.k
+    ta = ba.truncation_order
     shift = 0 if which == "p22" else k - 1
     rhs, lo = _reduced(phi, setting, shift)
 
@@ -756,40 +740,47 @@ def zero_test_sufficient(
     # can absorb; minimize the residue over that window.  Direction t is
     # z^-t kappa(z^k) - conj(P_alpha z^t), kappa = P_beta 1: column shift - t
     # of the polyphase array of rhs from frequency -shift, and for t < reach
-    # also frequency -t of the alpha window -T_alpha..0.  Those directions are
-    # solved with that window in one block, each column cut to its component
-    # along kappa[1:]; each later one alone in its column.  On a Blaschke
-    # alpha the block's projector comes from its SVD
-    # (`CompressionSetting.zero_test_block`).  On an exact alpha
-    # conj(P_alpha z^t) is e_t, so direction t < reach is v e_t over the pair
-    # of row t of the window and of `along`, v = (kappa[0] - 1,
-    # ||kappa[1:]||): the columns are orthogonal with the one norm sigma =
-    # ||v||, the projector is v v^H / sigma^2 on each pair, and the rest of
-    # the window meets no direction.  The rank cut is that of least squares
-    # on all directions at once: one relative to the block keeps its rounding
-    # noise when every direction in it vanishes.
+    # also frequency -t of the alpha window -T_alpha..0.  Each later one is
+    # alone in its column.  The first reach, each cut to its component along
+    # kappa[1:], are the block X = [kappa_0 E - rows^H G; ||kappa[1:]|| I] on
+    # (window, along), G = rows[:, :reach].  As rows rows^H = I, X^H X is
+    # c I + gamma G^H G, c = ||kappa||^2, gamma = 1 - 2 Re kappa_0: with
+    # G^H G = W W^H, W = V S from the SVD of G (dim K_alpha x reach), X's
+    # squared singular values are c + gamma s_i^2, summed here from terms
+    # >= 0 so that they do not cancel, and c on the complement of G's row
+    # space, and (X^H X)^-1 = (I - gamma W (c + gamma S^2)^-1 W^H) / c.  So
+    # the residue b - X (X^H X)^+ X^H b forms no block.  On an exact alpha G
+    # selects coordinates: every s_i is 1, with no SVD, and c + gamma is
+    # |kappa_0 - 1|^2 + ||kappa[1:]||^2.  The rank cut is that of least
+    # squares on all directions at once: one relative to the block keeps its
+    # rounding noise when every direction in it vanishes.  ||kappa|| >=
+    # kappa_0 = 1 - |beta(0)|^2 is never under it; a direction that is gets
+    # weight 0, its gamma s_i^2 cancelling the 1 / c.
     kappa = setting.kappa
+    k0, out = complex(kappa[0]), float(np.linalg.norm(kappa[1:]))
+    c, gamma = abs(k0) ** 2 + out**2, 1 - 2 * k0.real
     reach = min(shift, ta) + 1
     cols = rhs[-shift - lo :].reshape(-1, k)
     near, far = cols[1:, shift + 1 - reach : shift + 1][:, ::-1], cols[:, : shift + 1 - reach]
-    out = np.linalg.norm(kappa[1:])
     unit = kappa[1:] / out if out else kappa[1:]
     along = unit.conj() @ near
     window = rhs[-lo - ta : 1 - lo][::-1]  # from frequency 0 down
-    if setting.basis_alpha.exact:
-        sigma = math.hypot(kappa[0].real - 1, kappa[0].imag, out)
-        # sigma = 0 (beta exact too) leaves no direction, and the cut drops u.
-        u, sv = np.array([[kappa[0] - 1], [out]]) / (sigma or 1.0), np.array([sigma])
-        b, rest = np.stack([window[:reach], along]), window[reach:]
+    rows, G = ba.rows_operand, ba.frame_operands(reach)[0].conj()
+    if ba.exact:
+        s2, W = np.ones(reach), _IndexMap((reach, reach))
     else:
-        u, sv = setting.zero_test_block(shift)
-        b, rest = np.concatenate([window, along]), window[:0]
-    whole = np.linalg.norm(kappa) if far.size else 0.0
-    cut = np.finfo(float).eps * len(rhs) * max(sv[0], whole)
-    u = u[:, sv > cut]
-    if whole > cut:
-        far = far - np.outer(kappa / whole, kappa.conj() @ far / whole)
-    parts = (b - u @ (u.conj().T @ b), rest, near - np.outer(unit, along), far, cols[:, shift + 1 :])
+        _, s, vh = np.linalg.svd(G, full_matrices=False)
+        s2, W = s * s, vh.conj().T * s
+    lam = abs(k0 - s2) ** 2 + s2 * (1 - s2) + out**2
+    top = max(lam.max(), c if reach > len(s2) or far.size else 0.0)
+    cut = np.finfo(float).eps * len(rhs) * math.sqrt(top)
+    y = k0.conjugate() * window[:reach] - G.conj().T @ (rows @ window) + out * along
+    diag = np.where(lam > cut**2, lam, gamma * s2)
+    x = (y - gamma * (W @ ((W.conj().T @ y) / diag))) / c
+    fitted = window + rows.conj().T @ (G @ x)
+    fitted[:reach] -= k0 * x
+    far = far - np.outer(kappa, kappa.conj() @ far) / c
+    parts = (fitted, along - out * x, near - np.outer(unit, along), far, cols[:, shift + 1 :])
     residue = math.sqrt(sum(np.vdot(p, p).real for p in parts))
 
     tol = setting.tol() * max(1.0, phi.norm())

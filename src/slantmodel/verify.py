@@ -86,6 +86,7 @@ REQUIRED_ANCHORS = frozenset(
         "conjugation-membership-invariance",
         "rank-one-membership",
         "rank-one-symbols",
+        "variant-defects",
     }
 )
 
@@ -688,6 +689,27 @@ def _prop_rank_one_symbols(rng, ctx):
             built = build_compression(symbol, ctx.setting)
             res = max(res, float(np.abs(built.entries - U.entries).max()))
     return res, {"k": ctx.k}
+
+
+# Registered last, so that the rows before it keep their generators.
+@register("variant_defects", "variant-defects", 1e-12, 1e-12)
+def _prop_variant_defects(rng, ctx):
+    # Each variant's defect against its own formula in the dense shifts,
+    # relative to max|U|: a variant that takes another's side fails here.
+    if rng.uniform() < 0.5:
+        U = build_compression(_symbol(rng, ctx), ctx.setting)
+    else:
+        U = _matrix(rng, ctx)
+    M = U.entries
+    Sb, Sb_adj, Sa, Sa_adj = map(np.asarray, ctx.setting.shift_operands)
+    formulas = {
+        "t35": M - Sb @ M @ Sa_adj,
+        "c38": M - Sb_adj @ M @ Sa,
+        "c310a": Sb_adj @ M - M @ Sa_adj,
+        "c310b": Sb @ M - M @ Sa,
+    }
+    res = max(float(np.abs(defect(U, ctx.setting, v) - formulas[v]).max()) for v in VARIANTS)
+    return res / (float(np.abs(M).max()) or 1.0), {"matrix": U}
 
 
 def _broken_property(rng, ctx):
