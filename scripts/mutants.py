@@ -60,6 +60,10 @@ MUTANTS = [
            "the dense defect's one-sided and two-sided forms swapped"),
     Mutant("operators.py", "cross = down != right", "cross = down == right",
            "the sliced defect's one-sided and two-sided forms swapped"),
+    # The one recovery route: a report of any variant but t35 refits t35.
+    Mutant("operators.py", 'if report.variant != "t35":', 'if report.variant in ("c310a", "c310b"):',
+           "a c38 report's own parts sent down the t35 route (verify's adjoint_form_roundtrip)",
+           "tests/test_operators.py::TestSymbolArrayOracle::test_recover"),
     # The sliced defect, fit and sandwich of an exact setting (`_Slices`).
     Mutant("operators.py", "s = min(setting.k, n)", "s = min(setting.k - 1, n)",
            "the shift offset k -> k - 1 of the sliced defect", SLICES),

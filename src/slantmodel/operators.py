@@ -129,7 +129,8 @@ class MembershipReport:
     tolerance: float
     effective_tolerance: float
     defect_norm: float
-    # Source matrix kept for recovery routes; not part of the JSON schema.
+    # Source matrix kept so that recover_symbol can refit t35 on it; not
+    # part of the JSON schema.
     source: OperatorMatrix = field(default=None, repr=False)
 
     @property
@@ -646,61 +647,43 @@ def membership(
 def recover_symbol(report: MembershipReport, setting: CompressionSetting) -> LaurentPoly:
     """A symbol whose compression reproduces the reported matrix.
 
-    Coefficient-level agreement with any originally used symbol is not
-    promised; symbols are never unique.
+    There is one route, t35's interpolation, with at most
+    n + (m - 1) min(k, n) terms, which reads only the first columns of the
+    bases' rows; a report of any other variant refits t35 on its source
+    matrix first.  Coefficient-level
+    agreement with any originally used symbol is not promised; symbols are
+    never unique.
     """
     if not report.member:
         raise NonMemberError(
             f"matrix is not a member (residual {report.residual:.3e} > "
             f"tolerance {report.effective_tolerance:.3e})"
         )
-    variant = report.variant
-    down, right = _SHIFTS[variant]
-    if down != right:
-        # Mixed-defect decompositions have no direct recovery formula; reuse
-        # the base variant on the same matrix.
+    if report.variant != "t35":
         base = membership(report.source, setting, "t35", report.tolerance)
         if not base.member:
             raise NonMemberError("base-variant fit rejected the matrix")
         return recover_symbol(base, setting)
 
-    ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
-    dec = report.decomposition
-    if variant == "t35":
-        # conj(g) + sum_j p_j(z^k) z^-j, g and p_j the polynomials of degree
-        # below the dimension with the projections chi and psi_j: they differ
-        # from those by terms of alpha H^2 and beta H^2, and conj(alpha H^2)
-        # and z^-j beta(z^k) H^2, j < k, compress to 0.  Parts past
-        # j = dim K_alpha are first folded onto the others.  On z^N, g = chi
-        # and p_j = psi_j.  Block n holds frequencies k n - used + 1..k n,
-        # and frequency k n - j sits at used n + used - 1 - j.  With used < k,
-        # used is dim K_alpha and conj(g) is block 0.
-        inv_a, inv_b, fold = setting.interpolation
-        psis = np.array(dec.psis)
-        if fold is not None:
-            psis = psis[: ba.dim] + fold @ psis[ba.dim :]
-        g = dec.chi if inv_a is None else inv_a @ dec.chi
-        parts = psis.T if inv_b is None else inv_b @ psis.T  # row n, column j: coefficient n of p_j
-        used = parts.shape[1]
-        head = g[::-1].conj(), 1 - len(g)
-        tail = parts[:, ::-1].reshape(-1), 1 - used
-        return _place(*_sum(head, tail), used, k, 1 - used)
-
-    head = _head(dec.chi, ba)
-    parts = (np.array(dec.psis) @ bb.rows_operand).T  # row n, column j: coefficient n of psi_j
+    # conj(g) + sum_j p_j(z^k) z^-j, g and p_j the polynomials of degree
+    # below the dimension with the projections chi and psi_j: they differ
+    # from those by terms of alpha H^2 and beta H^2, and conj(alpha H^2)
+    # and z^-j beta(z^k) H^2, j < k, compress to 0.  Parts past
+    # j = dim K_alpha are first folded onto the others.  On z^N, g = chi
+    # and p_j = psi_j.  Block n holds frequencies k n - used + 1..k n,
+    # and frequency k n - j sits at used n + used - 1 - j.  With used < k,
+    # used is dim K_alpha and conj(g) is block 0.
+    ba, dec = setting.basis_alpha, report.decomposition
+    inv_a, inv_b, fold = setting.interpolation
+    psis = np.array(dec.psis)
+    if fold is not None:
+        psis = psis[: ba.dim] + fold @ psis[ba.dim :]
+    g = dec.chi if inv_a is None else inv_a @ dec.chi
+    parts = psis.T if inv_b is None else inv_b @ psis.T  # row n, column j: coefficient n of p_j
     used = parts.shape[1]
-
-    # Adjoint-form decomposition: beta(z^k) conj(chi) z^-k + conj(alpha)
-    # sum_j psi_j(z^k) z^(j + 1).  Block n holds frequencies
-    # k n + 2 - len(ea)..k n + used, and frequency k n + j + 1 of the sum sits
-    # at s n + j from 1.
-    ea, eb = ba.inner_expansion, bb.inner_expansion
-    s = min(k, used + len(ea) - 1)
-    blocks = np.zeros((len(parts), s), dtype=complex)
-    blocks[:, :used] = parts
-    first = _times_stretched(head[0], eb, s), head[1] - s
-    second = np.convolve(ea[::-1].conj(), blocks.reshape(-1)), 2 - len(ea)
-    return _place(*_sum(first, second), s, k, 2 - len(ea))
+    head = g[::-1].conj(), 1 - len(g)
+    tail = parts[:, ::-1].reshape(-1), 1 - used
+    return _place(*_sum(head, tail), used, setting.k, 1 - used)
 
 
 # -- canonical symbols and zero tests --------------------------------------

@@ -410,14 +410,16 @@ class TestErrors:
         # A double zero at 0.99997 needs T = 1059425 > 2^20, which only the
         # measured tail shows: info reads the rows and refuses them, while
         # t35 membership and recovery at k = 2 read two columns and answer.
+        # Every variant recovers through that t35 fit, so each answers too.
         alpha = '{"zeros": [0.99997, 0.99997]}'
         code, _, err = run(capsys, ["info", "--alpha", alpha])
         assert code == 3 and "outside" in err
         common = ["--k", "2", "--alpha", alpha, "--beta", "z^2", "--matrix", json.dumps({"rows": 2, "cols": 2, "data": [[0, 0]] * 4})]
         code, out, _ = run(capsys, ["membership", *common])
         assert code == 0 and json.loads(out)["member"] is True
-        code, out, _ = run(capsys, ["recover", *common])
-        assert code == 0 and json.loads(out) == {"coeffs": []}
+        for variant in ("t35", "c38", "c310a", "c310b"):
+            code, out, _ = run(capsys, ["recover", *common, "--variant", variant])
+            assert code == 0 and json.loads(out) == {"coeffs": []}
 
     @pytest.mark.parametrize(
         "argv",

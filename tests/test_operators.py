@@ -1296,15 +1296,21 @@ class TestRowsOnDemand:
     @pytest.mark.parametrize("zeros", [[0.99995j, -0.5j], [0.99997, 0.99997]], ids=["B99995i", "double-99997"])
     def test_conjugated_fits_read_no_rows(self, variant, zeros):
         # c38 and c310b read the conjugation matrices, which come from the
-        # realizations: no rows are formed, not even where they are refused.
-        # At k = 2 every 2 x 2 matrix is a member (n + (m - 1) min(k, n) = 4).
+        # realizations: no rows are formed, not even where they are refused,
+        # and recovery refits t35, which reads none either.  At k = 2 every
+        # 2 x 2 matrix is a member (n + (m - 1) min(k, n) = 4).
         inner = InnerFunction.blaschke(zeros)
         g = np.random.default_rng(71)
         U = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
         for entries in (np.zeros((2, 2)), U):
             setting = CompressionSetting(inner, inner, 2)
             reports = []
-            assert traced_peak(lambda: reports.append(membership(setting.matrix(entries), setting, variant))) < 1 << 20
+
+            def fit_and_recover():
+                reports.append(membership(setting.matrix(entries), setting, variant))
+                recover_symbol(reports[0], setting)
+
+            assert traced_peak(fit_and_recover) < 1 << 20
             assert reports[0].member
             for basis in (setting.basis_alpha, setting.basis_beta):
                 assert "_truncation_outcome" not in vars(basis)  # what holds the rows
@@ -1899,6 +1905,25 @@ class TestReadSpan:
         assert time.perf_counter() - start < 2.0
         assert psi == conjugate_symbol(self.PHI, setting)
 
+    def test_c38_recovery_at_order_1e4(self, spaces):
+        # c38 recovery refits t35: at most n + (m - 1) min(k, n) terms, with
+        # no stretch of beta's expansion over the k T_beta frequencies.
+        setting = CompressionSetting(*spaces, 10**4)
+        U = build_compression(self.PHI, setting)
+        out = []
+
+        def roundtrip():
+            phi = recover_symbol(membership(U, setting, "c38"), setting)
+            out.extend((phi, build_compression(phi, setting)))
+
+        start = time.perf_counter()
+        peak = traced_peak(roundtrip)
+        assert time.perf_counter() - start < 0.5
+        assert peak < 4 << 20
+        phi, rebuilt = out
+        assert len(phi) <= operator_space_dim(setting)
+        assert np.linalg.norm(rebuilt.entries - U.entries) <= 1e-12 * np.linalg.norm(U.entries)
+
 
 class TestShortRecovery:
     """t35 recovery writes chi and the psi_j as polynomials of degree < dim,
@@ -2392,19 +2417,21 @@ class TestSymbolArrayOracle:
     def test_recover(self, setting, variant):
         # t35 writes its parts as the polynomials of degree < dim with the
         # same projections; on z^N those are the parts themselves, and the
-        # symbol is the paper's own, term for term.
+        # symbol is the paper's own, term for term.  A c38 report recovers
+        # through the t35 fit of its matrix, and the paper's adjoint form of
+        # its own parts (`dict_recover`) still rebuilds the matrix.
         for U in self.members(setting):
             report = membership(U, setting, variant)
             assert report.member
             got = recover_symbol(report, setting)
+            self.agree(setting, got, short_recover(membership(U, setting), setting))
             if variant == "c38":
-                self.agree(setting, got, dict_recover(report, setting))
-                continue
-            self.agree(setting, got, short_recover(report, setting))
-            if setting.exact:
+                rebuilt = build_compression(dict_recover(report, setting), setting).entries
+                assert np.abs(rebuilt - U.entries).max() <= 1e-12 * max(1.0, np.abs(U.entries).max())
+            elif setting.exact:
                 assert got == dict_recover(report, setting)
 
-    @pytest.mark.parametrize("variant", ["t35", "c310a", "c310b"])
+    @pytest.mark.parametrize("variant", ["t35", "c38", "c310a", "c310b"])
     def test_recovered_support(self, setting, variant):
         # At most n + (m - 1) min(k, n) terms, on the frequencies k i - j.
         support = short_support(setting)
