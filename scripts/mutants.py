@@ -34,6 +34,7 @@ TIMEOUT_S = 300
 SLICES = "tests/test_operators.py::TestSlices::test_fit_matches_dense"
 TABLE = "tests/test_operators.py::TestMonomialTable::test_matches_compress"
 ZERO_TEST = "tests/test_operators.py::TestZeroTestReference"
+FIT_OPERATOR = "tests/test_operators.py::TestFitOperator"
 
 
 class Mutant(NamedTuple):
@@ -88,6 +89,23 @@ MUTANTS = [
     Mutant("operators.py", "        V = cb * V", "        V = V", "the sandwich's scale c_beta dropped", SLICES),
     Mutant("operators.py", "V = ca.conjugate() * V", "V = ca * V", "the sandwich's conj(c_alpha) taken as c_alpha",
            SLICES),
+    # The per-setting operators of a small setting that is not all-exact
+    # (`CompressionSetting.fit_operator`, `sandwich_operator`), formed by the
+    # products on the stack of unit matrices.  verify's one such entry,
+    # B[-0.3i,0.5] -> z^3, has ||F|| = 1, which hides a second division by it.
+    Mutant("operators.py", "return M - beta @ M @ alpha", "return M + beta @ M @ alpha",
+           "the sign of the shifted term of the defect, on U and on the unit matrices (verify's variant_defects)"),
+    Mutant("operators.py", "chi_conj = F_conj @ D / norm2", "chi_conj = F_conj @ D / norm2 / norm2",
+           "chi divided by ||F||^2 twice", FIT_OPERATOR),
+    Mutant("operators.py", "@ setting.basis_alpha.conjugation_operand.conj()",
+           "@ setting.basis_alpha.conjugation_operand",
+           "the sandwich's conj(C_alpha) taken as C_alpha, in the operator and the products "
+           "(verify's conjugation_symbol_transform)"),
+    Mutant("operators.py", "K @ M.conj().ravel()", "K @ M.ravel()",
+           "the product with the sandwich's operator without conj(U) (verify's conjugation_symbol_transform)"),
+    Mutant("operators.py", "m * n * (2 * m * n + n + m * _used(self)) <= OPERATOR_ENTRIES",
+           "m * n * (2 * m * n + n + m * _used(self)) > OPERATOR_ENTRIES",
+           "the cut inverted: the products on a small setting, an operator on a large one", FIT_OPERATOR),
     # The zero test's closed-form projector, from the Gram matrix c I + gamma G^H G
     # of its block X.  verify's menu has beta = z^3 alone, where kappa = 1: c = 1
     # and kappa_0 - 1 = 0 hide these.

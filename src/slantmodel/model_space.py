@@ -570,7 +570,7 @@ class _IndexMap:
     array.  Where those cover every index of the product, in order or
     reversed, no zero array is made: the product is that slice reordered,
     contiguous as the dense product was: x itself where x already is.  Its
-    rows are read one by one by `rank_one` and `assemble_defect`.  An array
+    rows are read one by one by `rank_one`.  An array
     of another size is refused, as a dense product refuses it, and
     `np.asarray` forms the dense matrix, above MAX_ENTRIES refused first."""
 

@@ -42,6 +42,16 @@ from .model_space import (
 _SHIFTS = {"t35": (True, True), "c38": (False, False), "c310a": (False, True), "c310b": (True, False)}
 VARIANTS = tuple(_SHIFTS)
 DEFAULT_MEMBERSHIP_TOL = 1e-9
+# The most entries of a per-setting operator that stands in for the products
+# of the fit or of the sandwich (`CompressionSetting.fit_operator`,
+# `sandwich_operator`).  A product with it costs about its entries, the
+# products about ten (fit) or two (sandwich) numpy calls.  On a sweep of
+# Blaschke settings, dim_beta dim_alpha from 2 to 256 and k from 2 to 1000
+# (2-vCPU VM, one BLAS thread), the operators within 2^14 entries took
+# 0.29-0.94 (fit) and 0.37-1.12 (sandwich) of the products' time; past it
+# every sandwich reading was slower, from 20,736 entries, and the fit's
+# from 31,232.
+OPERATOR_ENTRIES = 1 << 14
 
 
 class NonMemberError(Exception):
@@ -156,7 +166,10 @@ class Frames(NamedTuple):
     can be read one by one, with no dense matrix.  Where beta is exact too,
     `slices` holds the variant's defect and fit as slices of the matrix
     (`_Slices`), which read F's one nonzero entry, its conjugate and norm2;
-    elsewhere it is None."""
+    elsewhere it is None, and the fit is the products with these frames or,
+    on a small setting, one product with the matrix formed from them
+    (`CompressionSetting.fit_operator`), which is kept apart from the
+    frames so that their other readers never form it."""
 
     F: np.ndarray
     norm2: float
@@ -176,7 +189,12 @@ class CompressionSetting:
     are formed and cached as matrices for a Blaschke alpha only
     (`shift_operands`).  Where both bases are exact (`exact`), the defect,
     the fit and the sandwich read none of them: they are slices of the
-    matrix (`Frames.slices`, `_sandwich`).
+    matrix (`Frames.slices`, `_sandwich`).  Elsewhere, on a setting small
+    enough (OPERATOR_ENTRIES), each variant's fit and the sandwich are one
+    product with a matrix formed from those products on the unit matrices
+    (`fit_operator`, `sandwich_operator`): the first `membership` of a
+    variant forms its own, the first sandwich forms its own, and no other
+    routine forms either.
     Where both are Blaschke, the compressions of the monomials
     (`monomials`) make every build after the first one product.  These
     constants are computed on first use, once, and are read-only, so no
@@ -212,6 +230,7 @@ class CompressionSetting:
         # call.
         self.exact = self.basis_alpha.exact and self.basis_beta.exact
         self._frames = {}
+        self._fit_operators = {}
 
     @functools.cached_property
     def shift_operands(self) -> tuple:
@@ -247,6 +266,43 @@ class CompressionSetting:
             slices = _Slices.of(self, variant) if self.exact else None
             self._frames[variant] = Frames(F, float(np.vdot(F, F).real), F_conj, G_adj, G_pinv_adj, slices)
         return self._frames[variant]
+
+    def fit_operator(self, variant: str) -> np.ndarray | None:
+        """The variant's fit as one matrix L, read-only, where the setting is
+        not all-exact and L has at most OPERATOR_ENTRIES entries: for vec(U)
+        in C order, L vec(U) is vec(D), chi^H, vec(Z) and vec(E) of
+        `membership`'s fit, one after the other.  Each is linear in U, so L is
+        the products of that fit (`_product_fit`) run once on the stack of the
+        dim_beta dim_alpha unit matrices, whose outputs are L's columns.  None
+        elsewhere: an exact setting fits by slices, and a larger one by the
+        products.  Formed on the variant's first `membership`, once."""
+        if variant not in self._fit_operators:
+            m, n = self.basis_beta.dim, self.basis_alpha.dim
+            L = None
+            if not self.exact and m * n * (2 * m * n + n + m * _used(self)) <= OPERATOR_ENTRIES:
+                parts = _product_fit(self._units(), self, variant)
+                L = _frozen(np.concatenate([p.reshape(m * n, -1) for p in parts], axis=1).T.copy())[0]
+            self._fit_operators[variant] = L
+        return self._fit_operators[variant]
+
+    @functools.cached_property
+    def sandwich_operator(self) -> np.ndarray | None:
+        """The sandwich as one matrix K, read-only, where the setting is not
+        all-exact and K, (dim_beta dim_alpha)^2 entries, has at most
+        OPERATOR_ENTRIES: vec(C_beta conj(U) conj(C_alpha)) = K conj(vec U),
+        in C order, K the products of the sandwich (`_product_sandwich`) on
+        the stack of unit matrices.  None elsewhere.  Formed on the first
+        `conjugate_operator`."""
+        mn = self.basis_beta.dim * self.basis_alpha.dim
+        if self.exact or mn * mn > OPERATOR_ENTRIES:
+            return None
+        return _frozen(_product_sandwich(self._units(), self).reshape(mn, mn).T.copy())[0]
+
+    def _units(self) -> np.ndarray:
+        """The dim_beta x dim_alpha unit matrices, in C order, as one stack:
+        a linear map of U run on it gives the columns of its matrix."""
+        m, n = self.basis_beta.dim, self.basis_alpha.dim
+        return np.eye(m * n, dtype=complex).reshape(-1, m, n)
 
     @functools.cached_property
     def monomials(self) -> np.ndarray | None:
@@ -550,21 +606,29 @@ def defect(U: OperatorMatrix, setting: CompressionSetting, variant: str = "t35")
         raise ValueError(f"unknown variant {variant!r}")
     if setting.exact:
         return setting.frames(variant).slices.defect(M)
+    return _product_defect(M, setting, variant)
+
+
+def _product_defect(M: np.ndarray, setting: CompressionSetting, variant: str) -> np.ndarray:
+    """`defect` by the products with the shift operands, of one matrix or of
+    a stack of them; an index map multiplies one matrix from the left, so a
+    stack takes the dense form of the beta side."""
     down, right = _SHIFTS[variant]
     Sb, Sb_adj, Sa, Sa_adj = setting.shift_operands
     beta, alpha = Sb if down else Sb_adj, Sa_adj if right else Sa
+    if M.ndim > 2:
+        beta = np.asarray(beta)
     if down != right:
         return beta @ M - M @ alpha
     return M - beta @ M @ alpha
 
 
 def assemble_defect(dec: DefectDecomposition, setting: CompressionSetting) -> np.ndarray:
-    """Matrix of frame_beta (x) chi + sum_j psi_j (x) frame_alpha_j."""
+    """Matrix of frame_beta (x) chi + sum_j psi_j (x) frame_alpha_j, the
+    sum as one product Psi G^H, Psi's columns the psi_j; a part past the
+    frame's columns meets a zero G_j and is left out."""
     frames = setting.frames(dec.variant)
-    out = np.outer(frames.F, dec.chi.conjugate())
-    for psi, g_adj in zip(dec.psis, frames.G_adj):
-        out = out + np.outer(psi, g_adj)
-    return out
+    return np.outer(frames.F, dec.chi.conjugate()) + np.array(dec.psis[: len(frames.G_adj)]).T @ frames.G_adj
 
 
 def defect_from_symbol(phi: LaurentPoly, setting: CompressionSetting) -> DefectDecomposition:
@@ -601,12 +665,19 @@ def membership(
     P_F D part, and Z = R (G^+)^H, with the setting's pseudo-inverse of G,
     is the minimum-norm least-squares solution of Z G^H = R for the
     remainder R = D - F chi^H; the psi_j are the rows of Z^T, so F^H Psi = 0
-    and the residual is ||R - Z G^H||_F = ||(I - P_F) D (I - P_G)||_F.  The
-    products read the adjoints cached with the frames, so no conjugate
-    transpose is formed per call.  Where the frames carry `slices` (both
-    bases exact), chi, Z and the residual are slices of D, with the
+    and the residual is ||R - Z G^H||_F = ||(I - P_F) D (I - P_G)||_F.
+
+    The fit takes one of three routes.  Where the frames carry `slices`
+    (both bases exact), chi, Z and the residual are slices of D, with the
     products' values: chi^H is a row of D, Z its frame columns, and the
-    residual the norm of the block that the frames leave out.  The matrix
+    residual the norm of the block that the frames leave out.  On a
+    setting that is not all-exact, D, chi^H, Z and E = R - Z G^H are linear
+    in U, so where their matrix (`CompressionSetting.fit_operator`) has at
+    most OPERATOR_ENTRIES entries they are one product of it with vec(U),
+    within rounding of the products.  Elsewhere they are the products with
+    the shift operands and with the adjoints cached with the frames
+    (`_product_fit`, which also forms that matrix), so no conjugate
+    transpose is formed per call.  The matrix
     is a member when the residual is at most tol * max(1, ||D||_F), for a
     finite tol > 0; a residual or ||D||_F that is not finite, from entries
     whose squares overflow, is refused with FloatingPointError.
@@ -614,15 +685,16 @@ def membership(
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValueError("tolerance must be positive and finite")
     frames = setting.frames(variant)
-    D = defect(U, setting, variant)
+    M = _entries(U, setting)
     if frames.slices is not None:
+        D = frames.slices.defect(M)
         chi_conj, Z, E = frames.slices.fit(D, frames)
+    elif (L := setting.fit_operator(variant)) is not None:
+        mn, n = M.size, M.shape[1]
+        out = L @ M.ravel()
+        D, chi_conj, Z, E = out[:mn], out[mn : mn + n], out[mn + n : -mn].reshape(M.shape[0], -1), out[-mn:]
     else:
-        F, norm2, F_conj, G_adj, G_pinv_adj, _ = frames
-        chi_conj = F_conj @ D / norm2
-        R = D - F[:, None] * chi_conj
-        Z = R @ G_pinv_adj
-        E = R - Z @ G_adj
+        D, chi_conj, Z, E = _product_fit(M, setting, variant)
     residual = math.sqrt(np.vdot(E, E).real)
     # numpy.linalg.norm(D) term for term, so the threshold is tol times it exactly.
     d = D.ravel(order="K")
@@ -639,6 +711,18 @@ def membership(
         defect_norm=norm,
         source=U,
     )
+
+
+def _product_fit(M: np.ndarray, setting: CompressionSetting, variant: str) -> tuple:
+    """D, chi^H, Z and E = R - Z G^H of `membership`'s fit by the products
+    with the frames, of one matrix or of a stack of them (the unit matrices
+    that form `CompressionSetting.fit_operator`)."""
+    F, norm2, F_conj, G_adj, G_pinv_adj, _ = setting.frames(variant)
+    D = _product_defect(M, setting, variant)
+    chi_conj = F_conj @ D / norm2
+    R = D - F[:, None] * chi_conj[..., None, :]
+    Z = R @ G_pinv_adj
+    return D, chi_conj, Z, R - Z @ G_adj
 
 
 # -- symbol recovery -------------------------------------------------------
@@ -806,9 +890,12 @@ def conjugate_operator(
     also transforms the symbol when given one.  On an exact basis (every
     zero at the origin) C is c J, so its side reverses the entries and
     multiplies them by c: where both bases are exact that is one reversed
-    conjugate of U (`_sandwich`), else the side's
-    `ModelSpaceBasis.conjugation_operand`.  On a Blaschke basis it is the
-    product with the dense conjugation matrix."""
+    conjugate of U (`_sandwich`).  Elsewhere the sandwich is linear in
+    conj(U): within OPERATOR_ENTRIES it is one product of the setting's
+    `sandwich_operator` with conj(vec U), within rounding of the products,
+    and past it the products (`_product_sandwich`) with each side's
+    `ModelSpaceBasis.conjugation_operand`, the dense conjugation matrix on
+    a Blaschke basis and an index map on an exact one."""
     if (phi is None) == (U is None):
         raise ValueError("provide exactly one of phi or U")
     psi = None
@@ -818,10 +905,20 @@ def conjugate_operator(
     M = _entries(U, setting)
     if setting.exact:
         return setting.matrix(_sandwich(M, setting)), psi
-    Ca = setting.basis_alpha.conjugation_operand
+    K = setting.sandwich_operator
+    if K is None:
+        return setting.matrix(_product_sandwich(M, setting)), psi
+    return setting.matrix((K @ M.conj().ravel()).reshape(M.shape)), psi
+
+
+def _product_sandwich(M: np.ndarray, setting: CompressionSetting) -> np.ndarray:
+    """C_beta conj(M) conj(C_alpha) by the products with the conjugation
+    operands, of one matrix or of a stack of them, for which C_beta takes
+    its dense form (`_product_defect`)."""
     Cb = setting.basis_beta.conjugation_operand
-    sandwich = Cb @ M.conj() @ Ca.conj()
-    return setting.matrix(sandwich), psi
+    if M.ndim > 2:
+        Cb = np.asarray(Cb)
+    return Cb @ M.conj() @ setting.basis_alpha.conjugation_operand.conj()
 
 
 # -- rank-one constructors -------------------------------------------------

@@ -87,6 +87,7 @@ REQUIRED_ANCHORS = frozenset(
         "rank-one-membership",
         "rank-one-symbols",
         "variant-defects",
+        "decomposition-assembles",
     }
 )
 
@@ -691,7 +692,8 @@ def _prop_rank_one_symbols(rng, ctx):
     return res, {"k": ctx.k}
 
 
-# Registered last, so that the rows before it keep their generators.
+# Registered last, in the order they came, so that the rows before each keep
+# their generators.
 @register("variant_defects", "variant-defects", 1e-12, 1e-12)
 def _prop_variant_defects(rng, ctx):
     # Each variant's defect against its own formula in the dense shifts,
@@ -710,6 +712,23 @@ def _prop_variant_defects(rng, ctx):
     }
     res = max(float(np.abs(defect(U, ctx.setting, v) - formulas[v]).max()) for v in VARIANTS)
     return res / (float(np.abs(M).max()) or 1.0), {"matrix": U}
+
+
+@register("decomposition_assembles", "decomposition-assembles", 1e-10, 1e-8)
+def _prop_decomposition_assembles(rng, ctx):
+    # A member's reported chi and psi_j, in every variant, assemble back to
+    # its defect: the parts that recovery does not read (c38, c310a, c310b)
+    # and the rows of Z that no verdict sees.
+    phi = _symbol(rng, ctx)
+    U = build_compression(phi, ctx.setting)
+    res = 0.0
+    for v in VARIANTS:
+        report = membership(U, ctx.setting, v)
+        if not report.member:
+            return float("inf"), {"phi": phi}
+        assembled = assemble_defect(report.decomposition, ctx.setting)
+        res = max(res, float(np.abs(assembled - defect(U, ctx.setting, v)).max()))
+    return res, {"phi": phi}
 
 
 def _broken_property(rng, ctx):

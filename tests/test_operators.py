@@ -24,7 +24,7 @@ from laurent_oracle import (
     stretch,
     sub,
 )
-from slantmodel import model_space
+from slantmodel import model_space, operators
 from slantmodel.laurent import LaurentPoly
 from slantmodel.model_space import InnerFunction, ModelSpaceBasis, TruncationError, _compress
 from slantmodel.operators import (
@@ -48,6 +48,8 @@ from slantmodel.operators import (
     _pinv,
     _Slices,
     _place,
+    _product_fit,
+    _product_sandwich,
     _reduced,
     _times_stretched,
     _used,
@@ -843,8 +845,11 @@ class TestIndexMaps:
 
     @pytest.mark.parametrize("alpha,beta,k", INDEX_SETTINGS, ids=INDEX_IDS)
     def test_sandwich_and_frames_match_dense(self, alpha, beta, k):
-        # Bit for bit where both constants are 1; an exact basis with c != 1
-        # rounds c times an entry where the GEMM did, within 1e-15 relative.
+        # The products with the index maps: bit for bit where both constants
+        # are 1; an exact basis with c != 1 rounds c times an entry where the
+        # GEMM did, within 1e-15 relative.  A small mixed setting's sandwich
+        # is one product with its `sandwich_operator`, which sums in another
+        # order: within 4 ulp of the largest entry.
         setting = CompressionSetting(alpha, beta, k)
         ba, bb = setting.basis_alpha, setting.basis_beta
         bits = alpha.constant == 1 and beta.constant == 1
@@ -857,8 +862,13 @@ class TestIndexMaps:
 
         g = np.random.default_rng(13)
         M = g.standard_normal((bb.dim, ba.dim)) + 1j * g.standard_normal((bb.dim, ba.dim))
+        want = dense_conjugation(bb) @ M.conj() @ dense_conjugation(ba).conj()
         got = conjugate_operator(setting, U=setting.matrix(M))[0].entries
-        agree(got, dense_conjugation(bb) @ M.conj() @ dense_conjugation(ba).conj())
+        if setting.sandwich_operator is None:
+            agree(got, want)
+        else:
+            agree(_product_sandwich(M, setting), want)
+            assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
         # On an exact alpha the frames are index maps, densified here.
         G = np.eye(ba.dim, _used(setting)) if ba.exact else ba.first_columns(_used(setting)).conj()
         for variant in ("c38", "c310b"):
@@ -1054,6 +1064,140 @@ class TestSlices:
         monkeypatch.setattr(model_space._IndexMap, "__array__", refused)
         assert [zero_test_sufficient(phi, setting, "p27") for phi in generic + members] == want
         assert all(want[len(generic) :])
+
+
+# Blaschke both ways, the benchmark's, mixed either way, and unit-modulus
+# constants on a Blaschke side, on an exact side, and on both.
+CB2 = InnerFunction.blaschke([-0.3j, 0.5], cmath.exp(0.3j))
+FIT_SETTINGS = [
+    (B3, BETA, 2),
+    (B_NEAR, BETA, 2),
+    (B3, zn(3), 2),
+    (zn(3), BETA, 3),
+    WIDE[0],
+    (C_SMALL, BETA, 2),
+    (CB2, C_SMALL, 5),
+]
+FIT_IDS = ["B3-B-k2", "Bnear-B-k2", "B3-z3-k2", "z3-B-k3", "cB2-cB2-k3", "cz3-B-k2", "cB2-cz3-k5"]
+
+
+def count_formations(monkeypatch):
+    """Counts the stacks of unit matrices that the operators are formed on."""
+    formed = []
+    units = CompressionSetting._units
+    monkeypatch.setattr(CompressionSetting, "_units", lambda self: formed.append(self) or units(self))
+    return formed
+
+
+class TestFitOperator:
+    """On a setting that is not all-exact and within OPERATOR_ENTRIES, the
+    fit and the sandwich are one product with a matrix that their products
+    formed on the unit matrices (`CompressionSetting.fit_operator`,
+    `sandwich_operator`): the values of the products within rounding, the
+    same verdicts, and the same refusals."""
+
+    @pytest.mark.parametrize("alpha,beta,k", FIT_SETTINGS, ids=FIT_IDS)
+    def test_fit_matches_dense(self, alpha, beta, k):
+        # chi, the psi_j, the residual and ||D||_F within 32 ulp of the
+        # largest entry (of ||D|| for the residual, a member's being noise):
+        # the BLAS products differ from `dense_fit` by up to 17 ulp of chi
+        # on these settings, and the operator by up to 19 of Z.
+        setting = CompressionSetting(alpha, beta, k)
+        ba, bb = setting.basis_alpha, setting.basis_beta
+        g = np.random.default_rng(29)
+        members = [build_compression(random_laurent(g, -6, 3 * k + 6, terms=7), setting) for _ in range(4)]
+        gaussian = [setting.matrix(g.standard_normal((bb.dim, ba.dim)) + 1j * g.standard_normal((bb.dim, ba.dim)))
+                    for _ in range(4)]
+        bumped = [setting.matrix(U.entries + 1e-6 * G.entries) for U, G in zip(members, gaussian)]
+        verdicts = set()
+        for U in members + gaussian + bumped:
+            for variant in VARIANTS:
+                report = membership(U, setting, variant)
+                assert setting.fit_operator(variant) is not None
+                D, chi, Z, residual, norm = dense_fit(U, setting, variant)
+                psis = np.array(report.decomposition.psis).T
+                assert np.abs(report.decomposition.chi - chi).max() <= 32 * np.spacing(np.abs(chi).max())
+                assert np.abs(psis - Z).max() <= 32 * np.spacing(np.abs(Z).max())
+                assert abs(report.residual - residual) <= 32 * np.spacing(norm)
+                assert abs(report.defect_norm - norm) <= 32 * np.spacing(norm)
+                assert report.member == (residual <= report.tolerance * max(1.0, norm))
+                verdicts.add((any(U is V for V in members), report.member))
+        assert (True, False) not in verdicts  # every member is one
+        if ba.dim > k:
+            assert (False, True) not in verdicts  # no Gaussian or bumped matrix is
+        # The sandwich against the products with the dense C.
+        Cb, Ca = dense_conjugation(bb), dense_conjugation(ba)
+        for U in members + gaussian:
+            got = conjugate_operator(setting, U=U)[0].entries
+            want = Cb @ U.entries.conj() @ Ca.conj()
+            assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
+        assert setting.sandwich_operator is not None
+
+    def test_formed_once_read_only(self, monkeypatch):
+        formed = count_formations(monkeypatch)
+        setting = CompressionSetting(B3, BETA, 2)
+        U = build_compression(L({1: 1, -2: 3j}), setting)
+        # The other readers of the frames form no operator.
+        for variant in VARIANTS:
+            parts = DefectDecomposition(np.ones(3), [np.ones(2)] * _used(setting), variant)
+            assemble_defect(parts, setting)
+            defect(U, setting, variant)
+        for kind in ("tilde_k", "k_tilde"):
+            rank_one(setting, 1, kind)
+        assert formed == [] and setting._fit_operators == {} and "sandwich_operator" not in vars(setting)
+        for _ in range(2):
+            for variant in VARIANTS:
+                membership(U, setting, variant)
+            conjugate_operator(setting, U=U)
+        assert formed == [setting] * 5
+        for op in [setting.fit_operator(v) for v in VARIANTS] + [setting.sandwich_operator]:
+            with pytest.raises(ValueError, match="read-only"):
+                op[0, 0] = 1.0
+
+    def test_cut(self, monkeypatch):
+        # B3 -> B at k = 2: L has 6 (2 * 6 + 3 + 2 * 2) = 114 entries, K 36.
+        for cut, fit, sandwich in ((114, True, True), (113, False, True), (35, False, False)):
+            monkeypatch.setattr(operators, "OPERATOR_ENTRIES", cut)
+            setting = CompressionSetting(B3, BETA, 2)
+            U = build_compression(L({1: 1, -2: 3j}), setting)
+            membership(U, setting)
+            conjugate_operator(setting, U=U)
+            assert (setting.fit_operator("t35") is not None, setting.sandwich_operator is not None) == (fit, sandwich)
+
+    @pytest.mark.parametrize("alpha,beta", [(zn(70), BETA), (B3, zn(60))], ids=["z70-B", "B3-z60"])
+    def test_above_cut_runs_products(self, monkeypatch, alpha, beta):
+        # dim_beta dim_alpha = 140 or 180: both operators are past 2^14
+        # entries, so none is formed, and the products run on U itself.
+        formed = count_formations(monkeypatch)
+        ranks = []
+        for name in ("_product_fit", "_product_sandwich"):
+            run = getattr(operators, name)
+            monkeypatch.setattr(operators, name, lambda M, *rest, run=run: ranks.append(M.ndim) or run(M, *rest))
+        setting = CompressionSetting(alpha, beta, 2)
+        ba, bb = setting.basis_alpha, setting.basis_beta
+        g = np.random.default_rng(31)
+        M = g.standard_normal((bb.dim, ba.dim)) + 1j * g.standard_normal((bb.dim, ba.dim))
+        for variant in VARIANTS:
+            report = membership(setting.matrix(M), setting, variant)
+            D, chi_conj, Z, E = _product_fit(M, setting, variant)
+            assert np.array_equal(report.decomposition.chi, chi_conj.conj())
+            assert np.array_equal(np.array(report.decomposition.psis).T, Z)
+            assert setting.fit_operator(variant) is None
+        sandwich = conjugate_operator(setting, U=setting.matrix(M))[0].entries
+        assert np.array_equal(sandwich, _product_sandwich(M, setting))
+        assert setting.sandwich_operator is None and formed == []
+        assert ranks == [2] * (len(VARIANTS) + 1)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_overflow_refused(self, variant):
+        # Entries 1e160 and 3e159 give a finite product with L, but ||D||^2
+        # overflows: refused, as on the products and the slices.
+        setting = CompressionSetting(B3, BETA, 2)
+        M = np.zeros((2, 3), dtype=complex)
+        M[0, 0], M[-1, -1] = 1e160, 3e159
+        with pytest.raises(FloatingPointError):
+            membership(setting.matrix(M), setting, variant)
+        assert setting.fit_operator(variant) is not None
 
 
 def exact_rows_refused(monkeypatch):

@@ -164,7 +164,7 @@ class TestSuite:
         # conjugation against complex and non-unit constants, a repeated
         # zero and a zero near the circle, on top of the default menu.
         report = run_suite(SuiteConfig(seed, 5, menu=DEFAULT_MENU + WIDE))
-        assert len(report.results) == 238 == len(registered_properties()) * 7
+        assert len(report.results) == 245 == len(registered_properties()) * 7
         assert report.all_passed, [(r.name, r.space, r.worst_residual) for r in report.results if r.fails]
 
     def test_config_validation(self):
