@@ -89,9 +89,9 @@ MUTANTS = [
     Mutant("operators.py", "        V = cb * V", "        V = V", "the sandwich's scale c_beta dropped", SLICES),
     Mutant("operators.py", "V = ca.conjugate() * V", "V = ca * V", "the sandwich's conj(c_alpha) taken as c_alpha",
            SLICES),
-    # The per-setting operators of a small setting that is not all-exact
-    # (`CompressionSetting.fit_operator`, `sandwich_operator`), formed by the
-    # products on the stack of unit matrices.  verify's one such entry,
+    # The per-setting operators of a small setting (`CompressionSetting.fit_operator`,
+    # `sandwich_operator`), formed by the products on the stack of unit
+    # matrices where the setting is not all-exact.  verify's one such entry,
     # B[-0.3i,0.5] -> z^3, has ||F|| = 1, which hides a second division by it.
     Mutant("operators.py", "return M - beta @ M @ alpha", "return M + beta @ M @ alpha",
            "the sign of the shifted term of the defect, on U and on the unit matrices (verify's variant_defects)"),
@@ -103,9 +103,16 @@ MUTANTS = [
            "(verify's conjugation_symbol_transform)"),
     Mutant("operators.py", "K @ M.conj().ravel()", "K @ M.ravel()",
            "the product with the sandwich's operator without conj(U) (verify's conjugation_symbol_transform)"),
-    Mutant("operators.py", "m * n * (2 * m * n + n + m * _used(self)) <= OPERATOR_ENTRIES",
-           "m * n * (2 * m * n + n + m * _used(self)) > OPERATOR_ENTRIES",
-           "the cut inverted: the products on a small setting, an operator on a large one", FIT_OPERATOR),
+    Mutant("operators.py", "mn * (2 * mn + n + m * _used(self)) <= OPERATOR_ENTRIES",
+           "mn * (2 * mn + n + m * _used(self)) > OPERATOR_ENTRIES",
+           "the cut inverted: the slices or the products on a small setting, an operator on a large one",
+           FIT_OPERATOR),
+    # An exact setting's fit operator is its slices run on the unit matrices
+    # as one trailing axis; verify's exact entries fit by it.
+    Mutant("operators.py", "D.reshape(-1, *M.shape[2:]), M.reshape(-1, *M.shape[2:])",
+           "D.reshape(-1), M.reshape(-1)",
+           "the sliced defect's step taken over the trailing axis too, which shifts the unit matrices into "
+           "each other (verify's exact entries)"),
     # The zero test's closed-form projector, from the Gram matrix c I + gamma G^H G
     # of its block X.  verify's menu has beta = z^3 alone, where kappa = 1: c = 1
     # and kappa_0 - 1 = 0 hide these.
@@ -117,6 +124,10 @@ MUTANTS = [
            "X^H b with G^T for G^H", ZERO_TEST),
     Mutant("operators.py", "y = k0.conjugate() * window", "y = k0 * window",
            "X^H b without conj(kappa_0), which is 1 - |beta(0)|^2, real", ZERO_TEST, equivalent=True),
+    # The decomposition that membership reports, assembled back to the
+    # defect (verify's decomposition_assembles).
+    Mutant("operators.py", "np.outer(frames.F, dec.chi.conjugate())", "np.outer(frames.F, dec.chi)",
+           "assemble_defect's F chi^H term without the conjugate (verify's decomposition_assembles)"),
     # The Baseline probe's entries whose text still occurs.
     Mutant("operators.py", "F = bb.first_columns(1)[:, 0].conj()", "F = bb.first_columns(1)[:, 0]",
            "the frame vector F without its conjugate",

@@ -43,14 +43,16 @@ _SHIFTS = {"t35": (True, True), "c38": (False, False), "c310a": (False, True), "
 VARIANTS = tuple(_SHIFTS)
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 # The most entries of a per-setting operator that stands in for the products
-# of the fit or of the sandwich (`CompressionSetting.fit_operator`,
-# `sandwich_operator`).  A product with it costs about its entries, the
-# products about ten (fit) or two (sandwich) numpy calls.  On a sweep of
-# Blaschke settings, dim_beta dim_alpha from 2 to 256 and k from 2 to 1000
-# (2-vCPU VM, one BLAS thread), the operators within 2^14 entries took
-# 0.29-0.94 (fit) and 0.37-1.12 (sandwich) of the products' time; past it
-# every sandwich reading was slower, from 20,736 entries, and the fit's
-# from 31,232.
+# or the slices of the fit, or for the products of the sandwich
+# (`CompressionSetting.fit_operator`, `sandwich_operator`).  A product with
+# it costs about its entries, the products about ten (fit) or two
+# (sandwich) numpy calls.  On a sweep of Blaschke settings, dim_beta
+# dim_alpha from 2 to 256 and k from 2 to 1000 (2-vCPU VM, one BLAS
+# thread), the operators within 2^14 entries took 0.29-0.94 (fit) and
+# 0.37-1.12 (sandwich) of the products' time; past it every sandwich
+# reading was slower, from 20,736 entries, and the fit's from 31,232.  On
+# z^N -> z^M settings, k from 2 to 30, the fit's operator took 0.58-0.86
+# of the slices' time at 408-14,880 entries (t35 membership, same VM).
 OPERATOR_ENTRIES = 1 << 14
 
 
@@ -166,10 +168,11 @@ class Frames(NamedTuple):
     can be read one by one, with no dense matrix.  Where beta is exact too,
     `slices` holds the variant's defect and fit as slices of the matrix
     (`_Slices`), which read F's one nonzero entry, its conjugate and norm2;
-    elsewhere it is None, and the fit is the products with these frames or,
-    on a small setting, one product with the matrix formed from them
-    (`CompressionSetting.fit_operator`), which is kept apart from the
-    frames so that their other readers never form it."""
+    elsewhere it is None, and the fit is the products with these frames.
+    On a small setting the fit is one product with the matrix that the
+    slices or the products form (`CompressionSetting.fit_operator`), which
+    is kept apart from the frames so that their other readers never form
+    it."""
 
     F: np.ndarray
     norm2: float
@@ -189,12 +192,13 @@ class CompressionSetting:
     are formed and cached as matrices for a Blaschke alpha only
     (`shift_operands`).  Where both bases are exact (`exact`), the defect,
     the fit and the sandwich read none of them: they are slices of the
-    matrix (`Frames.slices`, `_sandwich`).  Elsewhere, on a setting small
-    enough (OPERATOR_ENTRIES), each variant's fit and the sandwich are one
-    product with a matrix formed from those products on the unit matrices
-    (`fit_operator`, `sandwich_operator`): the first `membership` of a
-    variant forms its own, the first sandwich forms its own, and no other
-    routine forms either.
+    matrix (`Frames.slices`, `_sandwich`).  On a setting small enough
+    (OPERATOR_ENTRIES), each variant's fit is one product with a matrix
+    that the slices or those products form on the unit matrices
+    (`fit_operator`), and so is the sandwich where the setting is not
+    all-exact (`sandwich_operator`): the first `membership` of a variant
+    forms its own, the first sandwich forms its own, and no other routine
+    forms either.
     Where both are Blaschke, the compressions of the monomials
     (`monomials`) make every build after the first one product.  These
     constants are computed on first use, once, and are read-only, so no
@@ -268,20 +272,29 @@ class CompressionSetting:
         return self._frames[variant]
 
     def fit_operator(self, variant: str) -> np.ndarray | None:
-        """The variant's fit as one matrix L, read-only, where the setting is
-        not all-exact and L has at most OPERATOR_ENTRIES entries: for vec(U)
-        in C order, L vec(U) is vec(D), chi^H, vec(Z) and vec(E) of
-        `membership`'s fit, one after the other.  Each is linear in U, so L is
-        the products of that fit (`_product_fit`) run once on the stack of the
-        dim_beta dim_alpha unit matrices, whose outputs are L's columns.  None
-        elsewhere: an exact setting fits by slices, and a larger one by the
-        products.  Formed on the variant's first `membership`, once."""
+        """The variant's fit as one matrix L, read-only, where L has at most
+        OPERATOR_ENTRIES entries: for vec(U) in C order, L vec(U) is vec(D),
+        chi^H, vec(Z) and the entries E of the residual of `membership`'s
+        fit, one after the other.  Each is linear in U, so L is the fit run
+        once on the dim_beta dim_alpha unit matrices: where the setting is
+        all-exact, its `_Slices` on the unit matrices as one trailing axis,
+        whose outputs are L's rows, with E the block that the frames leave
+        out; elsewhere the products of the fit (`_product_fit`) on their
+        stack, whose outputs are L's columns, with E = R - Z G^H.  None
+        on a larger setting, which fits by the slices or the products.
+        Formed on the variant's first `membership`, once."""
         if variant not in self._fit_operators:
             m, n = self.basis_beta.dim, self.basis_alpha.dim
-            L = None
-            if not self.exact and m * n * (2 * m * n + n + m * _used(self)) <= OPERATOR_ENTRIES:
-                parts = _product_fit(self._units(), self, variant)
-                L = _frozen(np.concatenate([p.reshape(m * n, -1) for p in parts], axis=1).T.copy())[0]
+            mn, L = m * n, None
+            if mn * (2 * mn + n + m * _used(self)) <= OPERATOR_ENTRIES:
+                frames = self.frames(variant)
+                if frames.slices is None:
+                    parts = _product_fit(self._units(), self, variant)
+                    L = np.concatenate([p.reshape(mn, -1) for p in parts], axis=1).T.copy()
+                else:
+                    D = frames.slices.defect(self._units().reshape(m, n, mn))
+                    L = np.concatenate([p.reshape(-1, mn) for p in (D, *frames.slices.fit(D, frames))])
+                L = _frozen(L)[0]
             self._fit_operators[variant] = L
         return self._fit_operators[variant]
 
@@ -300,7 +313,10 @@ class CompressionSetting:
 
     def _units(self) -> np.ndarray:
         """The dim_beta x dim_alpha unit matrices, in C order, as one stack:
-        a linear map of U run on it gives the columns of its matrix."""
+        a linear map of U run on it gives the columns of its matrix.  The
+        stack is the identity, which is symmetric, so reshaped to
+        (dim_beta, dim_alpha, -1) it is the same matrices along a trailing
+        axis."""
         m, n = self.basis_beta.dim, self.basis_alpha.dim
         return np.eye(m * n, dtype=complex).reshape(-1, m, n)
 
@@ -510,7 +526,11 @@ class _Slices(NamedTuple):
     strided difference of blocks, D[1:, s:] -= U[:-1, :N-s] for t35, which
     numpy 2.4 takes 11 us over on 48 x 64 against 6.5 us for this form.
     chi^H is then F's row of D, Z the columns of G, and the residual the
-    block that the frames leave out."""
+    block that the frames leave out.
+
+    U may carry a trailing axis, (M, N, t): each of its t matrices takes the
+    operations of a 2-D U.  On the M N unit matrices the outputs are the
+    rows of the fit's matrix (`CompressionSetting.fit_operator`)."""
 
     block: tuple  # (rows, columns) the frames leave out
     rows: tuple  # (to, from) of the beta shift
@@ -546,7 +566,7 @@ class _Slices(NamedTuple):
         else:
             D = M.copy()
         kept = D[:, self.columns].copy() if self.cross else M[:, self.columns]
-        flat, entries, step = D.reshape(-1), M.reshape(-1), self.step
+        flat, entries, step = D.reshape(-1, *M.shape[2:]), M.reshape(-1, *M.shape[2:]), self.step
         if step > 0:
             flat[step:] -= entries[:-step]
         else:
@@ -563,7 +583,7 @@ class _Slices(NamedTuple):
         Z = D[:, frame].copy() if self.scale is None else self.scale * D[:, frame]
         rest = D[row, frame] - frames.F[row] * chi_conj[frame]
         Z[row] = rest if self.scale is None else self.scale * rest
-        return chi_conj, Z, D[self.block].ravel()
+        return chi_conj, Z, D[self.block].reshape(-1, *D.shape[2:])
 
 
 def _sandwich(M: np.ndarray, setting: CompressionSetting) -> np.ndarray:
@@ -667,32 +687,34 @@ def membership(
     remainder R = D - F chi^H; the psi_j are the rows of Z^T, so F^H Psi = 0
     and the residual is ||R - Z G^H||_F = ||(I - P_F) D (I - P_G)||_F.
 
-    The fit takes one of three routes.  Where the frames carry `slices`
-    (both bases exact), chi, Z and the residual are slices of D, with the
-    products' values: chi^H is a row of D, Z its frame columns, and the
-    residual the norm of the block that the frames leave out.  On a
-    setting that is not all-exact, D, chi^H, Z and E = R - Z G^H are linear
-    in U, so where their matrix (`CompressionSetting.fit_operator`) has at
-    most OPERATOR_ENTRIES entries they are one product of it with vec(U),
-    within rounding of the products.  Elsewhere they are the products with
-    the shift operands and with the adjoints cached with the frames
-    (`_product_fit`, which also forms that matrix), so no conjugate
-    transpose is formed per call.  The matrix
-    is a member when the residual is at most tol * max(1, ||D||_F), for a
-    finite tol > 0; a residual or ||D||_F that is not finite, from entries
-    whose squares overflow, is refused with FloatingPointError.
+    The fit takes one of three routes.  D, chi^H, Z and the entries E of
+    the residual are linear in U, so where their matrix
+    (`CompressionSetting.fit_operator`, which the next two routes form) has
+    at most OPERATOR_ENTRIES entries they are one product of it with
+    vec(U): within rounding of the products, and with the slices' bits
+    where both bases are exact with constant 1, as its entries are then 0
+    and +-1.  Past it, where the frames carry `slices` (both bases exact),
+    chi, Z and the residual are slices of D, with the products' values:
+    chi^H is a row of D, Z its frame columns, and the residual the norm of
+    the block that the frames leave out.  Elsewhere they are the products
+    with the shift operands and with the adjoints cached with the frames
+    (`_product_fit`), so no conjugate transpose is formed per call.  The
+    matrix is a member when the residual is at most tol * max(1, ||D||_F),
+    for a finite tol > 0; a residual or ||D||_F that is not finite, from
+    entries whose squares overflow, is refused with FloatingPointError.
     """
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValueError("tolerance must be positive and finite")
     frames = setting.frames(variant)
     M = _entries(U, setting)
-    if frames.slices is not None:
+    if (L := setting.fit_operator(variant)) is not None:
+        (m, n), mn = M.shape, M.size
+        z = mn + n + m * len(frames.G_adj)
+        out = L @ M.ravel()
+        D, chi_conj, Z, E = out[:mn], out[mn : mn + n], out[mn + n : z].reshape(m, -1), out[z:]
+    elif frames.slices is not None:
         D = frames.slices.defect(M)
         chi_conj, Z, E = frames.slices.fit(D, frames)
-    elif (L := setting.fit_operator(variant)) is not None:
-        mn, n = M.size, M.shape[1]
-        out = L @ M.ravel()
-        D, chi_conj, Z, E = out[:mn], out[mn : mn + n], out[mn + n : -mn].reshape(M.shape[0], -1), out[-mn:]
     else:
         D, chi_conj, Z, E = _product_fit(M, setting, variant)
     residual = math.sqrt(np.vdot(E, E).real)

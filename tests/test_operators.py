@@ -973,7 +973,11 @@ class TestSlices:
     """Where both bases are exact, the defect, the membership fit and the
     sandwich are slices of U (`_Slices`, `_sandwich`) with the values of the
     dense products: D, chi, the psi_j, ||D||_F and the sandwich bit for bit,
-    the residual within 4 ulp, and the same verdicts."""
+    the residual within 4 ulp, on one matrix and on a stack of them along a
+    trailing axis, which forms the fit operator.  Through `membership`,
+    which reads that operator on a small setting, the same bits where both
+    constants are 1 (its entries are 0 and +-1), and the same verdicts; the
+    rounding of the other constants is bounded in `TestFitOperator`."""
 
     @pytest.mark.parametrize("alpha,beta,k", SLICE_SETTINGS, ids=SLICE_IDS)
     def test_fit_matches_dense(self, alpha, beta, k):
@@ -986,30 +990,45 @@ class TestSlices:
             member,
             conjugate_operator(setting, U=member)[0],  # a member, reversed views
         ]
+        stack = np.stack([U.entries for U in inputs], axis=-1)
         bits = alpha.constant == 1 and beta.constant == 1
         verdicts = set()
-        for U in inputs:
-            for variant in VARIANTS:
-                report = membership(U, setting, variant)
+        for variant in VARIANTS:
+            frames = setting.frames(variant)
+            D_stack = frames.slices.defect(stack)
+            fit_stack = frames.slices.fit(D_stack, frames)
+            for t, U in enumerate(inputs):
                 D, chi, Z, residual, norm = dense_fit(U, setting, variant)
-                assert np.array_equal(defect(U, setting, variant), D)
-                assert np.array_equal(report.decomposition.chi, chi)
-                assert np.array_equal(np.array(report.decomposition.psis).T, Z)
-                assert report.defect_norm == norm
+                got_D = frames.slices.defect(U.entries)
+                chi_conj, got_Z, E = frames.slices.fit(got_D, frames)
+                assert np.array_equal(got_D, D) and np.array_equal(defect(U, setting, variant), D)
+                assert np.array_equal(chi_conj.conj(), chi)
+                assert np.array_equal(got_Z, Z)
+                # The trailing axis takes each matrix through the same operations.
+                assert np.array_equal(D_stack[..., t], got_D)
+                for part, got in zip(fit_stack, (chi_conj, got_Z, E)):
+                    assert np.array_equal(part[..., t], got)
                 # Where a constant is not 1, the dense fit leaves the rounding
                 # of c conj(c) / |c|^2 in F's row and G's columns, a few ulp of
                 # ||D||, which the slices, exact there, do not: a member's
                 # dense residual is that noise.
+                sliced = math.sqrt(np.vdot(E, E).real)
                 noise = not bits and residual <= 4 * np.spacing(norm)
-                assert abs(report.residual - residual) <= 4 * np.spacing(norm if noise else residual)
+                assert abs(sliced - residual) <= 4 * np.spacing(norm if noise else residual)
                 # Against the plain products (BLAS, which may round a scaled
                 # entry its own way): chi and Z within 4 ulp of their largest.
                 _, chi_at, Z_at, _, _ = dense_fit(U, setting, variant, np.matmul, np.matmul)
-                assert np.abs(report.decomposition.chi - chi_at).max() <= 4 * np.spacing(np.abs(chi_at).max())
+                assert np.abs(chi_conj.conj() - chi_at).max() <= 4 * np.spacing(np.abs(chi_at).max())
                 if Z_at.size:
-                    assert np.abs(np.array(report.decomposition.psis).T - Z_at).max() <= 4 * np.spacing(
-                        np.abs(Z_at).max()
-                    )
+                    assert np.abs(got_Z - Z_at).max() <= 4 * np.spacing(np.abs(Z_at).max())
+                # membership: D's entries are differences of U's, bit for bit
+                # on every setting, and the fit's too where both constants are 1.
+                report = membership(U, setting, variant)
+                assert report.defect_norm == norm
+                if bits:
+                    assert np.array_equal(report.decomposition.chi, chi)
+                    assert np.array_equal(np.array(report.decomposition.psis).T, Z)
+                    assert report.residual == sliced
                 assert report.member == (residual <= report.effective_tolerance)
                 verdicts.add((U is inputs[0], report.member))
         assert (False, True) in verdicts  # every member is one
@@ -1066,8 +1085,9 @@ class TestSlices:
         assert all(want[len(generic) :])
 
 
-# Blaschke both ways, the benchmark's, mixed either way, and unit-modulus
-# constants on a Blaschke side, on an exact side, and on both.
+# Blaschke both ways, the benchmark's, mixed either way, unit-modulus
+# constants on a Blaschke side, on an exact side, and on both, and exact
+# settings, of constant 1 and not.
 CB2 = InnerFunction.blaschke([-0.3j, 0.5], cmath.exp(0.3j))
 FIT_SETTINGS = [
     (B3, BETA, 2),
@@ -1077,8 +1097,13 @@ FIT_SETTINGS = [
     WIDE[0],
     (C_SMALL, BETA, 2),
     (CB2, C_SMALL, 5),
+    (zn(4), zn(3), 2),
+    (C_ALPHA, zn(3), 2),
+    (zn(4), C_SMALL, 3),
+    (C_ALPHA, C_SMALL, 5),
 ]
-FIT_IDS = ["B3-B-k2", "Bnear-B-k2", "B3-z3-k2", "z3-B-k3", "cB2-cB2-k3", "cz3-B-k2", "cB2-cz3-k5"]
+FIT_IDS = ["B3-B-k2", "Bnear-B-k2", "B3-z3-k2", "z3-B-k3", "cB2-cB2-k3", "cz3-B-k2", "cB2-cz3-k5", "z4-z3-k2",
+           "cz4-z3-k2", "z4-cz3-k3", "cz4-cz3-k5"]
 
 
 def count_formations(monkeypatch):
@@ -1090,10 +1115,11 @@ def count_formations(monkeypatch):
 
 
 class TestFitOperator:
-    """On a setting that is not all-exact and within OPERATOR_ENTRIES, the
-    fit and the sandwich are one product with a matrix that their products
-    formed on the unit matrices (`CompressionSetting.fit_operator`,
-    `sandwich_operator`): the values of the products within rounding, the
+    """Within OPERATOR_ENTRIES the fit is one product with a matrix that the
+    fit formed on the unit matrices (`CompressionSetting.fit_operator`): the
+    products on a setting that is not all-exact, the slices on an exact
+    one.  So is the sandwich on a setting that is not all-exact
+    (`sandwich_operator`).  The values of the products within rounding, the
     same verdicts, and the same refusals."""
 
     @pytest.mark.parametrize("alpha,beta,k", FIT_SETTINGS, ids=FIT_IDS)
@@ -1101,7 +1127,9 @@ class TestFitOperator:
         # chi, the psi_j, the residual and ||D||_F within 32 ulp of the
         # largest entry (of ||D|| for the residual, a member's being noise):
         # the BLAS products differ from `dense_fit` by up to 17 ulp of chi
-        # on these settings, and the operator by up to 19 of Z.
+        # on these settings, and the operator by up to 19 of Z.  On an exact
+        # setting with a constant c != 1 the operator's entries are c and -c,
+        # so the GEMV rounds c (a - b) of the slices as c a - c b.
         setting = CompressionSetting(alpha, beta, k)
         ba, bb = setting.basis_alpha, setting.basis_beta
         g = np.random.default_rng(29)
@@ -1131,28 +1159,56 @@ class TestFitOperator:
             got = conjugate_operator(setting, U=U)[0].entries
             want = Cb @ U.entries.conj() @ Ca.conj()
             assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
-        assert setting.sandwich_operator is not None
+        # An exact setting's sandwich is one reversed conjugate, no operator.
+        assert (setting.sandwich_operator is None) == setting.exact
 
     def test_formed_once_read_only(self, monkeypatch):
         formed = count_formations(monkeypatch)
-        setting = CompressionSetting(B3, BETA, 2)
-        U = build_compression(L({1: 1, -2: 3j}), setting)
-        # The other readers of the frames form no operator.
-        for variant in VARIANTS:
-            parts = DefectDecomposition(np.ones(3), [np.ones(2)] * _used(setting), variant)
-            assemble_defect(parts, setting)
-            defect(U, setting, variant)
-        for kind in ("tilde_k", "k_tilde"):
-            rank_one(setting, 1, kind)
-        assert formed == [] and setting._fit_operators == {} and "sandwich_operator" not in vars(setting)
-        for _ in range(2):
+        for setting in (CompressionSetting(B3, BETA, 2), CompressionSetting(zn(4), zn(3), 2)):
+            ba, bb = setting.basis_alpha, setting.basis_beta
+            U = build_compression(L({1: 1, -2: 3j}), setting)
+            # The other readers of the frames form no operator.
             for variant in VARIANTS:
-                membership(U, setting, variant)
-            conjugate_operator(setting, U=U)
-        assert formed == [setting] * 5
-        for op in [setting.fit_operator(v) for v in VARIANTS] + [setting.sandwich_operator]:
-            with pytest.raises(ValueError, match="read-only"):
-                op[0, 0] = 1.0
+                parts = DefectDecomposition(np.ones(ba.dim), [np.ones(bb.dim)] * _used(setting), variant)
+                assemble_defect(parts, setting)
+                defect(U, setting, variant)
+            for kind in ("tilde_k", "k_tilde"):
+                rank_one(setting, 1, kind)
+            assert formed == [] and setting._fit_operators == {} and "sandwich_operator" not in vars(setting)
+            for _ in range(2):
+                for variant in VARIANTS:
+                    membership(U, setting, variant)
+                conjugate_operator(setting, U=U)
+            # Four fits, and the sandwich of a setting that is not all-exact.
+            ops = [setting.fit_operator(v) for v in VARIANTS]
+            if not setting.exact:
+                ops.append(setting.sandwich_operator)
+            assert formed == [setting] * len(ops)
+            for op in ops:
+                with pytest.raises(ValueError, match="read-only"):
+                    op[0, 0] = 1.0
+            formed.clear()
+
+    @pytest.mark.parametrize("n,m,k,fit", [(10, 8, 2, True), (9, 9, 4, False)], ids=["z10-z8-k2", "z9-z9-k4"])
+    def test_exact_cut(self, n, m, k, fit):
+        # z^10 -> z^8 at k = 2: L has 80 (2 * 80 + 10 + 8 * 2) = 14,880
+        # entries, within 2^14; z^9 -> z^9 at k = 4 has 81 (162 + 9 + 9 * 4)
+        # = 16,767, past it, and fits by the slices.  Constant 1: either way
+        # the values of `dense_fit` bit for bit.
+        setting = CompressionSetting(zn(n), zn(m), k)
+        g = np.random.default_rng(37)
+        member = build_compression(random_laurent(g, -6, 3 * k + 6, terms=7), setting)
+        gaussian = setting.matrix(g.standard_normal((m, n)) + 1j * g.standard_normal((m, n)))
+        for U in (member, gaussian):
+            for variant in VARIANTS:
+                report = membership(U, setting, variant)
+                assert (setting.fit_operator(variant) is not None) == fit
+                D, chi, Z, residual, norm = dense_fit(U, setting, variant)
+                assert np.array_equal(report.decomposition.chi, chi)
+                assert np.array_equal(np.array(report.decomposition.psis).T, Z)
+                assert abs(report.residual - residual) <= 4 * np.spacing(residual)
+                assert report.defect_norm == norm
+                assert report.member == (U is member)
 
     def test_cut(self, monkeypatch):
         # B3 -> B at k = 2: L has 6 (2 * 6 + 3 + 2 * 2) = 114 entries, K 36.
@@ -1191,13 +1247,15 @@ class TestFitOperator:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_overflow_refused(self, variant):
         # Entries 1e160 and 3e159 give a finite product with L, but ||D||^2
-        # overflows: refused, as on the products and the slices.
-        setting = CompressionSetting(B3, BETA, 2)
-        M = np.zeros((2, 3), dtype=complex)
-        M[0, 0], M[-1, -1] = 1e160, 3e159
-        with pytest.raises(FloatingPointError):
-            membership(setting.matrix(M), setting, variant)
-        assert setting.fit_operator(variant) is not None
+        # overflows: refused, as on the products and the slices, on a
+        # Blaschke setting and on an exact one, c != 1 included.
+        for alpha, beta in ((B3, BETA), (zn(4), zn(3)), (C_ALPHA, zn(3))):
+            setting = CompressionSetting(alpha, beta, 2)
+            M = np.zeros((beta.degree, alpha.degree), dtype=complex)
+            M[0, 0], M[-1, -1] = 1e160, 3e159
+            with pytest.raises(FloatingPointError):
+                membership(setting.matrix(M), setting, variant)
+            assert setting.fit_operator(variant) is not None
 
 
 def exact_rows_refused(monkeypatch):
