@@ -103,10 +103,17 @@ MUTANTS = [
            "(verify's conjugation_symbol_transform)"),
     Mutant("operators.py", "K @ M.conj().ravel()", "K @ M.ravel()",
            "the product with the sandwich's operator without conj(U) (verify's conjugation_symbol_transform)"),
-    Mutant("operators.py", "mn * (2 * mn + n + m * _used(self)) <= OPERATOR_ENTRIES",
-           "mn * (2 * mn + n + m * _used(self)) > OPERATOR_ENTRIES",
+    Mutant("operators.py", "if mn * (mn + n + m * used + e) > OPERATOR_ENTRIES:",
+           "if mn * (mn + n + m * used + e) <= OPERATOR_ENTRIES:",
            "the cut inverted: the slices or the products on a small setting, an operator on a large one",
            FIT_OPERATOR),
+    Mutant("operators.py", "e = (m - 1) * (n - used) if self.exact else mn", "e = mn",
+           "an exact L's E counted as all mn entries of R - Z G^H: z^9 -> z^9 at k = 4 fits by the slices",
+           FIT_OPERATOR),
+    # Each operator is formed on the second call that reads it
+    # (`CompressionSetting._second_read`).
+    Mutant("operators.py", "        if key not in self._read_once:\n", "        if False:\n",
+           "every operator formed on its first read, by a one-shot call too", FIT_OPERATOR),
     # An exact setting's fit operator is its slices run on the unit matrices
     # as one trailing axis; verify's exact entries fit by it.
     Mutant("operators.py", "D.reshape(-1, *M.shape[2:]), M.reshape(-1, *M.shape[2:])",

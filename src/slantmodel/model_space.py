@@ -331,8 +331,8 @@ class ModelSpaceBasis:
     exact basis each is an index map (`_IndexMap`), with no dense matrix,
     and `_compress` gathers from the identity rows and places into them; on
     a Blaschke basis the cached dense S, S^* and C, the rows and dense
-    frames.  The dense forms, `first_columns` and `rows`, are `np.asarray`
-    of those maps on an exact basis, refused above MAX_ENTRIES; no
+    frames.  The dense forms, `first_columns` and `rows`, are the dense
+    matrices of those maps on an exact basis, refused above MAX_ENTRIES; no
     pipeline routine reads `rows` of an exact basis.  `first_columns` reads
     the leading columns of the rows without forming them; the shift and the
     conjugation read no rows, nor does `exact`.  Frozen, arrays read-only.
@@ -501,8 +501,9 @@ class ModelSpaceBasis:
         until the rows are read, n up to that many come from the same
         doubling, stopped at the first power of two >= n.  Past that, and
         once the rows exist, this is a slice of the rows."""
-        if self.exact:  # the frame G, real there
-            columns = np.asarray(self.frame_operands(n)[0])
+        if self.exact:  # the frame G, real there: one call, as a fresh setting's frames read it
+            _capped(self.dim, n)
+            columns = np.eye(self.dim, n, dtype=complex)
         elif "rows" in vars(self) or n > 1 << (_first(self.least_order) - 1):
             return self.rows[:, :n]
         else:

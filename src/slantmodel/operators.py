@@ -52,8 +52,28 @@ DEFAULT_MEMBERSHIP_TOL = 1e-9
 # 0.37-1.12 (sandwich) of the products' time; past it every sandwich
 # reading was slower, from 20,736 entries, and the fit's from 31,232.  On
 # z^N -> z^M settings, k from 2 to 30, the fit's operator took 0.58-0.86
-# of the slices' time at 408-14,880 entries (t35 membership, same VM).
+# of the slices' time at 408-14,880 entries (t35 membership, same VM; E
+# counted as mn entries there, as the cut then did).
 OPERATOR_ENTRIES = 1 << 14
+
+
+class _FormedOnSecondRead:
+    """A per-setting operator read as an attribute, formed by the decorated
+    method on the attribute's second read (`CompressionSetting._second_read`)
+    and kept in the instance, as `functools.cached_property` keeps it from
+    the first: once formed, a read is one lookup of the instance's dict."""
+
+    def __init__(self, form):
+        self.form = form
+        self.__doc__ = form.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, setting, owner=None):
+        if setting is None:
+            return self
+        return setting._second_read(vars(setting), self.name, lambda: self.form(setting))
 
 
 class NonMemberError(Exception):
@@ -169,10 +189,10 @@ class Frames(NamedTuple):
     `slices` holds the variant's defect and fit as slices of the matrix
     (`_Slices`), which read F's one nonzero entry, its conjugate and norm2;
     elsewhere it is None, and the fit is the products with these frames.
-    On a small setting the fit is one product with the matrix that the
-    slices or the products form (`CompressionSetting.fit_operator`), which
-    is kept apart from the frames so that their other readers never form
-    it."""
+    On a small setting a repeated fit is one product with the matrix that
+    the slices or the products form (`CompressionSetting.fit_operator`),
+    which is kept apart from the frames so that their other readers never
+    form it."""
 
     F: np.ndarray
     norm2: float
@@ -196,14 +216,16 @@ class CompressionSetting:
     (OPERATOR_ENTRIES), each variant's fit is one product with a matrix
     that the slices or those products form on the unit matrices
     (`fit_operator`), and so is the sandwich where the setting is not
-    all-exact (`sandwich_operator`): the first `membership` of a variant
-    forms its own, the first sandwich forms its own, and no other routine
-    forms either.
-    Where both are Blaschke, the compressions of the monomials
-    (`monomials`) make every build after the first one product.  These
-    constants are computed on first use, once, and are read-only, so no
-    caller can leave them stale; a build forms `monomials` alone of them,
-    and the inverse routines never form it.
+    all-exact (`sandwich_operator`).  Where both are Blaschke, the
+    compressions of the monomials (`monomials`) make a build one product.
+    Each of these operators is formed on the second call that reads it, not
+    the first (`_second_read`): a variant's second `membership`, the second
+    sandwich, the second build.  The first takes the route of a setting
+    past the cut, so a one-shot caller, such as a CLI command, forms none;
+    a repeated one pays that one direct call, once.  No other routine forms
+    them: a build reads `monomials` alone of them, and the inverse routines
+    never read it.  Every constant is computed once and is read-only, so
+    no caller can leave it stale.
 
     The model space of beta(z^k) inherits beta's measured truncation order:
     it is never formed, and the routines that need it apply beta's rows
@@ -235,6 +257,20 @@ class CompressionSetting:
         self.exact = self.basis_alpha.exact and self.basis_beta.exact
         self._frames = {}
         self._fit_operators = {}
+        self._read_once = set()
+
+    def _second_read(self, slots: dict, key: str, form) -> np.ndarray | None:
+        """The rent-or-buy rule of the per-setting operators, for the slot
+        `key` of `slots` that does not hold its operator yet: None on the
+        slot's first read, which is only noted, so that the caller takes the
+        direct route; on the second, the operator, formed by `form()` and
+        put in the slot (None past its cut), where every later read finds
+        it with no test here."""
+        if key not in self._read_once:
+            self._read_once.add(key)
+            return None
+        op = slots[key] = form()
+        return op
 
     @functools.cached_property
     def shift_operands(self) -> tuple:
@@ -281,31 +317,43 @@ class CompressionSetting:
         whose outputs are L's rows, with E the block that the frames leave
         out; elsewhere the products of the fit (`_product_fit`) on their
         stack, whose outputs are L's columns, with E = R - Z G^H.  None
-        on a larger setting, which fits by the slices or the products.
-        Formed on the variant's first `membership`, once."""
-        if variant not in self._fit_operators:
-            m, n = self.basis_beta.dim, self.basis_alpha.dim
-            mn, L = m * n, None
-            if mn * (2 * mn + n + m * _used(self)) <= OPERATOR_ENTRIES:
-                frames = self.frames(variant)
-                if frames.slices is None:
-                    parts = _product_fit(self._units(), self, variant)
-                    L = np.concatenate([p.reshape(mn, -1) for p in parts], axis=1).T.copy()
-                else:
-                    D = frames.slices.defect(self._units().reshape(m, n, mn))
-                    L = np.concatenate([p.reshape(-1, mn) for p in (D, *frames.slices.fit(D, frames))])
-                L = _frozen(L)[0]
-            self._fit_operators[variant] = L
-        return self._fit_operators[variant]
+        on a larger setting, which fits by the slices or the products, and
+        on the variant's first read: L is formed on the second, that is on
+        the variant's second `membership`, once (`_second_read`)."""
+        try:
+            return self._fit_operators[variant]
+        except KeyError:
+            return self._second_read(self._fit_operators, variant, lambda: self._form_fit(variant))
 
-    @functools.cached_property
+    def _form_fit(self, variant: str) -> np.ndarray | None:
+        """`fit_operator`, formed; None past the cut.  The cut counts L's
+        entries, mn (mn + n + m used + e): D, chi^H, Z, and E, which is the
+        (m - 1)(n - used) block that the frames leave out on an all-exact
+        setting (used = min(k, n) there) and all mn entries of R - Z G^H
+        elsewhere."""
+        m, n, used = self.basis_beta.dim, self.basis_alpha.dim, _used(self)
+        mn = m * n
+        e = (m - 1) * (n - used) if self.exact else mn
+        if mn * (mn + n + m * used + e) > OPERATOR_ENTRIES:
+            return None
+        frames = self.frames(variant)
+        if frames.slices is None:
+            parts = _product_fit(self._units(), self, variant)
+            L = np.concatenate([p.reshape(mn, -1) for p in parts], axis=1).T.copy()
+        else:
+            D = frames.slices.defect(self._units().reshape(m, n, mn))
+            L = np.concatenate([p.reshape(-1, mn) for p in (D, *frames.slices.fit(D, frames))])
+        return _frozen(L)[0]
+
+    @_FormedOnSecondRead
     def sandwich_operator(self) -> np.ndarray | None:
         """The sandwich as one matrix K, read-only, where the setting is not
         all-exact and K, (dim_beta dim_alpha)^2 entries, has at most
         OPERATOR_ENTRIES: vec(C_beta conj(U) conj(C_alpha)) = K conj(vec U),
         in C order, K the products of the sandwich (`_product_sandwich`) on
-        the stack of unit matrices.  None elsewhere.  Formed on the first
-        `conjugate_operator`."""
+        the stack of unit matrices.  None elsewhere, and on the first read:
+        K is formed on the second, that is on the second
+        `conjugate_operator` of a setting that is not all-exact."""
         mn = self.basis_beta.dim * self.basis_alpha.dim
         if self.exact or mn * mn > OPERATOR_ENTRIES:
             return None
@@ -320,7 +368,7 @@ class CompressionSetting:
         m, n = self.basis_beta.dim, self.basis_alpha.dim
         return np.eye(m * n, dtype=complex).reshape(-1, m, n)
 
-    @functools.cached_property
+    @_FormedOnSecondRead
     def monomials(self) -> np.ndarray | None:
         """The F x (dim_beta dim_alpha) table whose row f + T_alpha holds
         the compression of z^f in C order, for the folded frequencies
@@ -332,7 +380,8 @@ class CompressionSetting:
         of width F, a gather.  None where either basis is exact (an exact
         alpha gathers already, and a mixed setting keeps `_compress`), or
         where the gather, (T_beta + 1) F, or the table, F dim_alpha dim_beta,
-        is above WINDOW_ENTRIES.  Formed on the first build, read-only."""
+        is above WINDOW_ENTRIES, and on the first read: formed on the
+        second, that is on the setting's second build, read-only."""
         ba, bb = self.basis_alpha, self.basis_beta
         if ba.exact or bb.exact:
             return None
@@ -492,10 +541,12 @@ def build_compression(phi: LaurentPoly, setting: CompressionSetting) -> Operator
     folded onto the stride s = min(k, T_alpha + 1).  Between two Blaschke
     bases within the budget of `CompressionSetting.monomials` the matrix is
     sum_f phi_f U_(z^f), one product of the folded phi with the rows of the
-    setting's table, which the first build forms.  Elsewhere the bases
-    enter `_compress` as their `rows_operand`s, so an exact side forms no
-    rows: on z^N -> z^M entry (i, j) is the term s i - j of the folded phi,
-    a gather, and into an exact beta the kept coefficients are placed."""
+    setting's table, which the second build forms; the first build on a
+    setting takes `_compress`, as a setting past the budget does.
+    Elsewhere the bases enter `_compress` as their `rows_operand`s, so an
+    exact side forms no rows: on z^N -> z^M entry (i, j) is the term s i - j
+    of the folded phi, a gather, and into an exact beta the kept
+    coefficients are placed."""
     src, dst, k = setting.basis_alpha.rows_operand, setting.basis_beta.rows_operand, setting.k
     s = min(k, src.shape[1])
     w, start = _clip(phi, src.shape[1], k, s, 0, dst.shape[1] - 1)
@@ -693,7 +744,10 @@ def membership(
     at most OPERATOR_ENTRIES entries they are one product of it with
     vec(U): within rounding of the products, and with the slices' bits
     where both bases are exact with constant 1, as its entries are then 0
-    and +-1.  Past it, where the frames carry `slices` (both bases exact),
+    and +-1.  The variant's first fit on a setting forms no matrix, and
+    its second forms it, so a one-shot fit takes the next two routes.
+    Past the cut, and on that first fit, where the frames carry `slices`
+    (both bases exact),
     chi, Z and the residual are slices of D, with the products' values:
     chi^H is a row of D, Z its frame columns, and the residual the norm of
     the block that the frames leave out.  Elsewhere they are the products
@@ -915,9 +969,10 @@ def conjugate_operator(
     conjugate of U (`_sandwich`).  Elsewhere the sandwich is linear in
     conj(U): within OPERATOR_ENTRIES it is one product of the setting's
     `sandwich_operator` with conj(vec U), within rounding of the products,
-    and past it the products (`_product_sandwich`) with each side's
-    `ModelSpaceBasis.conjugation_operand`, the dense conjugation matrix on
-    a Blaschke basis and an index map on an exact one."""
+    from the setting's second sandwich on, which forms it; the first, and
+    every one past the cut, is the products (`_product_sandwich`) with each
+    side's `ModelSpaceBasis.conjugation_operand`, the dense conjugation
+    matrix on a Blaschke basis and an index map on an exact one."""
     if (phi is None) == (U is None):
         raise ValueError("provide exactly one of phi or U")
     psi = None

@@ -342,6 +342,31 @@ class TestParserReuse:
         assert code == 0 and json.loads(out)["dim"] == 2
 
 
+class TestOneShotSetting:
+    def test_commands_form_no_operator(self, capsys, monkeypatch):
+        # Each command builds its setting and reads it once, so it takes the
+        # direct routes and forms no fit operator, sandwich operator or
+        # monomial table: each is formed on a setting's second use.  On
+        # B3 -> B at k = 2 every one is within its cut.
+        alpha = InnerFunction.blaschke([0.5, -0.3, 0.2j])
+        beta = InnerFunction.blaschke([0.4, -0.5j])
+        spaces = ["--k", "2", "--alpha", json.dumps(alpha.to_json()), "--beta", json.dumps(beta.to_json())]
+        U = build_compression(LaurentPoly({1: 1, -2: 3j}), CompressionSetting(alpha, beta, 2))
+        matrix = json.dumps(U.to_json())
+        settings = []
+        init = CompressionSetting.__init__
+        monkeypatch.setattr(CompressionSetting, "__init__", lambda self, *args: settings.append(self) or init(self, *args))
+        for argv in (["membership", "--matrix", matrix], ["recover", "--matrix", matrix],
+                     ["recover", "--variant", "c38", "--matrix", matrix], ["conjugate", "--matrix", matrix],
+                     ["build", "--symbol", sym({1: 1, -2: 3j})]):
+            code, _, _ = run(capsys, [argv[0], *spaces, *argv[1:]])
+            assert code == 0
+        assert len(settings) == 5
+        for setting in settings:
+            assert setting._fit_operators == {}
+            assert not {"sandwich_operator", "monomials"} & set(vars(setting))
+
+
 class TestErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 2
