@@ -34,6 +34,7 @@ TIMEOUT_S = 300
 SLICES = "tests/test_operators.py::TestSlices::test_fit_matches_dense"
 TABLE = "tests/test_operators.py::TestMonomialTable::test_matches_compress"
 ZERO_TEST = "tests/test_operators.py::TestZeroTestReference"
+ZERO_OPERATOR = "tests/test_operators.py::TestZeroTestOperator"
 FIT_OPERATOR = "tests/test_operators.py::TestFitOperator"
 
 
@@ -125,12 +126,24 @@ MUTANTS = [
     # and kappa_0 - 1 = 0 hide these.
     Mutant("operators.py", "x = (y - gamma * (W @", "x = (y + gamma * (W @",
            "the zero test's Gram matrix c I - gamma G^H G: gamma's sign flipped", ZERO_TEST),
-    Mutant("operators.py", "/ diag))) / c", "/ diag))) / math.sqrt(c)",
+    Mutant("operators.py", "/ diag[:, None]))) / c", "/ diag[:, None]))) / math.sqrt(c)",
            "the zero test's weight 1 / c on the complement of G's row space taken as 1 / ||kappa||", ZERO_TEST),
     Mutant("operators.py", "- G.conj().T @ (rows @ window)", "- G.T @ (rows @ window)",
            "X^H b with G^T for G^H", ZERO_TEST),
     Mutant("operators.py", "y = k0.conjugate() * window", "y = k0 * window",
            "X^H b without conj(kappa_0), which is 1 - |beta(0)|^2, real", ZERO_TEST, equivalent=True),
+    # The zero test as one product with Z (`CompressionSetting.zero_test_operator`),
+    # `_residue` run once on the identity: formed on a setting's second test
+    # of a shift, within the cut.  Every verify setting is within it, and a
+    # row tests each shift ten times, so Z serves all but the first.
+    Mutant("operators.py", "Z @ w", "Z @ np.roll(w, 1)",
+           "the product with Z reads phi's window one frequency off (verify's zero_sufficient rows)"),
+    Mutant("operators.py", "[::-1].conj(), -basis.truncation_order", "[::-1], -basis.truncation_order",
+           "the conjugate dropped from the head of `_reduced`, in the route and in Z (verify's canonical and "
+           "zero rows)"),
+    Mutant("operators.py", "if rows * width > OPERATOR_ENTRIES:", "if rows * width <= OPERATOR_ENTRIES:",
+           "Z's cut inverted: the route on a small setting, Z formed on a large one (it changes no verdict)",
+           ZERO_OPERATOR),
     # The decomposition that membership reports, assembled back to the
     # defect (verify's decomposition_assembles).
     Mutant("operators.py", "np.outer(frames.F, dec.chi.conjugate())", "np.outer(frames.F, dec.chi)",

@@ -541,9 +541,11 @@ class ModelSpaceBasis:
         alpha(z^k) of f with coefficients 0..k (T + 1) - 1.  That space is the
         orthogonal sum of z^j K_alpha(z^k) over j < k, so column j of the
         (T + 1) x k array of f, frequencies j, j + k, ..., is projected by
-        these rows: the space's own k dim rows are never formed."""
+        these rows: the space's own k dim rows are never formed.  coeffs may
+        carry a trailing axis, one f per column: its columns then sit side
+        by side in the polyphase array, which the rows project together."""
         rows = self.rows_operand
-        return (rows.T @ (rows.conj() @ coeffs.reshape(rows.shape[1], k))).reshape(-1)
+        return (rows.T @ (rows.conj() @ coeffs.reshape(rows.shape[1], -1))).reshape(coeffs.shape)
 
     def conjugate_vector(self, coords) -> np.ndarray:
         """The antilinear involution f -> alpha * conj(z f) in coordinates:

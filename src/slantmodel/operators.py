@@ -216,16 +216,17 @@ class CompressionSetting:
     (OPERATOR_ENTRIES), each variant's fit is one product with a matrix
     that the slices or those products form on the unit matrices
     (`fit_operator`), and so is the sandwich where the setting is not
-    all-exact (`sandwich_operator`).  Where both are Blaschke, the
-    compressions of the monomials (`monomials`) make a build one product.
-    Each of these operators is formed on the second call that reads it, not
-    the first (`_second_read`): a variant's second `membership`, the second
-    sandwich, the second build.  The first takes the route of a setting
-    past the cut, so a one-shot caller, such as a CLI command, forms none;
-    a repeated one pays that one direct call, once.  No other routine forms
-    them: a build reads `monomials` alone of them, and the inverse routines
-    never read it.  Every constant is computed once and is read-only, so
-    no caller can leave it stale.
+    all-exact (`sandwich_operator`), and each shift's zero test
+    (`zero_test_operator`).  Where both are Blaschke, the compressions of
+    the monomials (`monomials`) make a build one product.  Each of these
+    operators is formed on the second call that reads it, not the first
+    (`_second_read`): a variant's second `membership`, the second sandwich,
+    the second build, the second zero test of a shift.  The first takes the
+    route of a setting past the cut, so a one-shot caller, such as a CLI
+    command, forms none; a repeated one pays that one direct call, once.
+    No other routine forms them: a build reads `monomials` alone of them,
+    and the inverse routines never read it.  Every constant is computed
+    once and is read-only, so no caller can leave it stale.
 
     The model space of beta(z^k) inherits beta's measured truncation order:
     it is never formed, and the routines that need it apply beta's rows
@@ -257,12 +258,14 @@ class CompressionSetting:
         self.exact = self.basis_alpha.exact and self.basis_beta.exact
         self._frames = {}
         self._fit_operators = {}
+        self._zero_tests = {}
         self._read_once = set()
 
-    def _second_read(self, slots: dict, key: str, form) -> np.ndarray | None:
+    def _second_read(self, slots: dict, key, form) -> np.ndarray | None:
         """The rent-or-buy rule of the per-setting operators, for the slot
-        `key` of `slots` that does not hold its operator yet: None on the
-        slot's first read, which is only noted, so that the caller takes the
+        `key` of `slots` that does not hold its operator yet, keys of every
+        kind of slot noted in the one set `_read_once`: None on the slot's
+        first read, which is only noted, so that the caller takes the
         direct route; on the second, the operator, formed by `form()` and
         put in the slot (None past its cut), where every later read finds
         it with no test here."""
@@ -395,6 +398,34 @@ class CompressionSetting:
         columns = np.stack([_compress(row, 1 - width, identity, s, dst) for row in src])  # (j, i, f)
         return _frozen(columns.transpose(2, 1, 0).reshape(F, -1))[0]
 
+    def zero_test_operator(self, shift: int) -> np.ndarray | None:
+        """The zero test's residue as one matrix Z, read-only, where Z has at
+        most OPERATOR_ENTRIES entries: for phi over `_window`, Z @ phi's
+        window is the residue vector whose norm `zero_test_sufficient`
+        compares with its tolerance.  The residue is linear in phi, so Z is
+        `_residue` run once on np.eye(W), W the window's length: its
+        T_alpha + 1 + k (T_beta + 1) rows are the residue of each frequency.
+        One slot per shift, keyed by the int shift, which no variant or
+        operator name in `_read_once` equals.  None on a larger setting,
+        whose every test runs `_residue` on phi's window, and on the
+        shift's first read: Z is formed on the second, that is on the
+        setting's second test of that shift, once (`_second_read`)."""
+        try:
+            return self._zero_tests[shift]
+        except KeyError:
+            return self._second_read(self._zero_tests, shift, lambda: self._form_zero_test(shift))
+
+    def _form_zero_test(self, shift: int) -> np.ndarray | None:
+        """`zero_test_operator`, formed; None past the cut, which counts Z's
+        entries."""
+        lo, hi = _window(self, shift)
+        width = hi - lo + 1
+        rows = self.basis_alpha.truncation_order + 1 + self.k * (self.basis_beta.truncation_order + 1)
+        if rows * width > OPERATOR_ENTRIES:
+            return None
+        parts = _residue(np.eye(width, dtype=complex), self, shift)
+        return _frozen(np.concatenate([p.reshape(-1, width) for p in parts]))[0]
+
     @functools.cached_property
     def kappa(self) -> np.ndarray:
         """kappa = P_beta 1 as coefficients, read-only: the directions of
@@ -495,18 +526,21 @@ def _place(coeffs: np.ndarray, lo: int, s: int, k: int, base: int) -> LaurentPol
 
 
 def _sum(*parts) -> tuple[np.ndarray, int]:
-    """The (coeffs, lo) parts added into one array over the union of their windows."""
+    """The (coeffs, lo) parts added into one array over the union of their
+    windows, along the first axis: the parts share any trailing axis."""
     lo = min(p_lo for _, p_lo in parts)
     hi = max(p_lo + len(c) for c, p_lo in parts)
-    out = np.zeros(hi - lo, dtype=complex)
+    out = np.zeros((hi - lo, *parts[0][0].shape[1:]), dtype=complex)
     for c, p_lo in parts:
         out[p_lo - lo : p_lo - lo + len(c)] += c
     return out, lo
 
 
 def _head(coords: np.ndarray, basis: ModelSpaceBasis) -> tuple[np.ndarray, int]:
-    """conj(f) on the circle for f with these coordinates: frequencies -T..0."""
-    return (coords @ basis.rows_operand)[::-1].conj(), -basis.truncation_order
+    """conj(f) on the circle for f with these coordinates: frequencies -T..0,
+    along the first axis, as the coordinates are; they may carry a trailing
+    axis."""
+    return (basis.rows_operand.T @ coords)[::-1].conj(), -basis.truncation_order
 
 
 def _used(setting: CompressionSetting) -> int:
@@ -517,15 +551,24 @@ def _used(setting: CompressionSetting) -> int:
     return k if k <= ba.least_order + 1 else min(k, ba.truncation_order + 1)
 
 
-def _reduced(phi: LaurentPoly, setting: CompressionSetting, shift: int) -> tuple[np.ndarray, int]:
+def _window(setting: CompressionSetting, shift: int) -> tuple[int, int]:
+    """The first and last frequency of phi that `_reduced` reads:
+    -max(T_alpha, shift)..k (T_beta + 1) - 1 - shift."""
+    ta, k = setting.basis_alpha.truncation_order, setting.k
+    return -max(ta, shift), k * (setting.basis_beta.truncation_order + 1) - 1 - shift
+
+
+def _reduced(w: np.ndarray, setting: CompressionSetting, shift: int) -> tuple[np.ndarray, int]:
     """conj(P_alpha f) + z^-shift P_{beta(z^k)}(z^shift g) for phi = conj(f) + g,
-    f from the frequencies <= 0 and g from those >= 1: frequencies
-    -max(T_alpha, shift)..k (T_beta + 1) - 1 - shift, beta(z^k) truncated
-    with beta.  Only phi over that window is read."""
+    f from the frequencies <= 0 and g from those >= 1, beta(z^k) truncated
+    with beta: w holds phi over `_window`, from its first frequency, and the
+    result spans the same frequencies.  Linear in phi, so w may carry a
+    trailing axis, one symbol per column, as the rows of a stack are
+    projected together (`ModelSpaceBasis.stretched_projection`).  w's
+    frequencies -shift..0 are overwritten."""
     ba, bb, k = setting.basis_alpha, setting.basis_beta, setting.k
     ta = ba.truncation_order
     lo = -max(ta, shift)
-    w = phi.to_array(lo, k * (bb.truncation_order + 1) - 1 - shift)
     f = w[-lo - ta : 1 - lo][::-1].conj()
     w[-shift - lo : 1 - lo] = 0  # leaves z^shift g from frequency 0
     head = _head(ba.rows_operand.conj() @ f, ba)
@@ -860,7 +903,8 @@ def canonical_symbol(
     """
     if which not in ("first", "second"):
         raise ValueError(f"unknown canonical form {which!r}")
-    return LaurentPoly.from_array(*_reduced(phi, setting, 0 if which == "first" else setting.k - 1))
+    shift = 0 if which == "first" else setting.k - 1
+    return LaurentPoly.from_array(*_reduced(phi.to_array(*_window(setting, shift)), setting, shift))
 
 
 def zero_test_sufficient(
@@ -870,14 +914,42 @@ def zero_test_sufficient(
 
     Decides membership of phi in conj(alpha H^2) + beta(z^k) H^2 ('p22') or
     conj(alpha H^2) + z^{-(k-1)} beta(z^k) H^2 ('p27').  True implies the
-    compression matrix vanishes; false does not imply it doesn't.
+    compression matrix vanishes; false does not imply it doesn't.  The
+    residue of the test is linear in phi over `_window`: from the setting's
+    second test of a shift on, within OPERATOR_ENTRIES, it is one product
+    with the setting's `zero_test_operator`; the first test, and every one
+    past the cut, runs the projector on phi's window (`_residue`).
     """
     if which not in ("p22", "p27"):
         raise ValueError(f"unknown zero test {which!r}")
+    shift = 0 if which == "p22" else setting.k - 1
+    w = phi.to_array(*_window(setting, shift))
+    Z = setting.zero_test_operator(shift)
+    parts = _residue(w[:, None], setting, shift) if Z is None else (Z @ w,)
+    residue = math.sqrt(sum(np.vdot(p, p).real for p in parts))
+
+    tol = setting.tol() * max(1.0, phi.norm())
+    if residue > tol:
+        return False
+    built = build_compression(phi, setting)
+    if built.norm() > tol * 100:
+        raise RuntimeError(
+            "zero-symbol test accepted a symbol whose matrix is nonzero; "
+            "this indicates a backend accuracy problem"
+        )
+    return True
+
+
+def _residue(w: np.ndarray, setting: CompressionSetting, shift: int) -> tuple[np.ndarray, ...]:
+    """The parts of the zero test's residue: what of `_reduced` no ambiguity
+    direction absorbs, T_alpha + 1 + k (T_beta + 1) entries in all.  w
+    holds symbols over `_window`, one per column, and each part keeps that
+    column axis last.  phi's window as one column is the test of phi; on
+    np.eye(W) the parts, stacked, are the matrix Z of
+    `CompressionSetting.zero_test_operator`, the residue of each frequency."""
     ba, k = setting.basis_alpha, setting.k
     ta = ba.truncation_order
-    shift = 0 if which == "p22" else k - 1
-    rhs, lo = _reduced(phi, setting, shift)
+    rhs, lo = _reduced(w, setting, shift)
 
     # The split is ambiguous on frequencies -shift..0, which either summand
     # can absorb; minimize the residue over that window.  Direction t is
@@ -903,10 +975,10 @@ def zero_test_sufficient(
     k0, out = complex(kappa[0]), float(np.linalg.norm(kappa[1:]))
     c, gamma = abs(k0) ** 2 + out**2, 1 - 2 * k0.real
     reach = min(shift, ta) + 1
-    cols = rhs[-shift - lo :].reshape(-1, k)
+    cols = rhs[-shift - lo :].reshape(-1, k, rhs.shape[1])
     near, far = cols[1:, shift + 1 - reach : shift + 1][:, ::-1], cols[:, : shift + 1 - reach]
     unit = kappa[1:] / out if out else kappa[1:]
-    along = unit.conj() @ near
+    along = (near.T @ unit.conj()).T
     window = rhs[-lo - ta : 1 - lo][::-1]  # from frequency 0 down
     rows, G = ba.rows_operand, ba.frame_operands(reach)[0].conj()
     if ba.exact:
@@ -919,23 +991,11 @@ def zero_test_sufficient(
     cut = np.finfo(float).eps * len(rhs) * math.sqrt(top)
     y = k0.conjugate() * window[:reach] - G.conj().T @ (rows @ window) + out * along
     diag = np.where(lam > cut**2, lam, gamma * s2)
-    x = (y - gamma * (W @ ((W.conj().T @ y) / diag))) / c
+    x = (y - gamma * (W @ ((W.conj().T @ y) / diag[:, None]))) / c
     fitted = window + rows.conj().T @ (G @ x)
     fitted[:reach] -= k0 * x
-    far = far - np.outer(kappa, kappa.conj() @ far) / c
-    parts = (fitted, along - out * x, near - np.outer(unit, along), far, cols[:, shift + 1 :])
-    residue = math.sqrt(sum(np.vdot(p, p).real for p in parts))
-
-    tol = setting.tol() * max(1.0, phi.norm())
-    if residue > tol:
-        return False
-    built = build_compression(phi, setting)
-    if built.norm() > tol * 100:
-        raise RuntimeError(
-            "zero-symbol test accepted a symbol whose matrix is nonzero; "
-            "this indicates a backend accuracy problem"
-        )
-    return True
+    far = far - np.multiply.outer(kappa, (far.T @ kappa.conj()).T) / c
+    return fitted, along - out * x, near - np.multiply.outer(unit, along), far, cols[:, shift + 1 :]
 
 
 # -- conjugation intertwining ----------------------------------------------

@@ -20,7 +20,7 @@ from time import perf_counter
 import numpy as np
 
 from .laurent import LaurentPoly, strict_int
-from .model_space import InnerFunction, ModelSpaceBasis, _compress, complex_pairs, derivative_scale
+from .model_space import InnerFunction, ModelSpaceBasis, _compress, _IndexMap, complex_pairs, derivative_scale
 from .operators import (
     CompressionSetting,
     OperatorMatrix,
@@ -197,7 +197,7 @@ def _has_pattern_constraints(ctx: MenuContext) -> bool:
 # `_place`, f(z) g(z^s) by `_times_stretched`, conjugation on the circle by
 # the reversed conjugate array.
 
-_UNIT = np.ones((1, 1), dtype=complex)  # the row of the constant 1
+_UNIT = _IndexMap((1, 1))  # the row of the constant 1
 
 
 def _dense(p: LaurentPoly) -> tuple[np.ndarray, int]:
@@ -213,13 +213,13 @@ def _decimated(f, k: int):
     n0, n1 = -(-lo // k), (lo + len(c) - 1) // k
     if n1 < n0:
         return np.zeros(1, dtype=complex), 0
-    return _compress(c, lo - k * n0, _UNIT, k, np.eye(n1 - n0 + 1))[:, 0], n0
+    return _compress(c, lo - k * n0, _UNIT, k, _IndexMap((n1 - n0 + 1,) * 2))[:, 0], n0
 
 
 def _backward(f, k: int):
     """S*^k f = P(z^-k f) for analytic f: `_compress` of z^-k f at stride 1."""
     c, lo = f
-    return _compress(c, lo - k, _UNIT, 1, np.eye(max(1, lo + len(c) - k)))[:, 0], 0
+    return _compress(c, lo - k, _UNIT, 1, _IndexMap((max(1, lo + len(c) - k),) * 2))[:, 0], 0
 
 
 def _stretched(f, k: int, m: int = 0):
@@ -349,7 +349,7 @@ def _prop_monomial_sandwich(rng, ctx):
     a, k = _dense(f), ctx.k
     # Column j is W_k(z^(j + 1 - k) f(z^k)) from frequency a[1], for every
     # |j + 1 - k| < k at once: f at column k - 1 and zero elsewhere.
-    W = _compress(_stretched(a, k)[0], 1 - k, np.eye(2 * k - 1), k, np.eye(len(a[0])))
+    W = _compress(_stretched(a, k)[0], 1 - k, _IndexMap((2 * k - 1,) * 2), k, _IndexMap((len(a[0]),) * 2))
     W[:, k - 1] -= a[0]
     return float(np.linalg.norm(W, axis=0).max()), {"f": f}
 

@@ -345,9 +345,11 @@ class TestParserReuse:
 class TestOneShotSetting:
     def test_commands_form_no_operator(self, capsys, monkeypatch):
         # Each command builds its setting and reads it once, so it takes the
-        # direct routes and forms no fit operator, sandwich operator or
-        # monomial table: each is formed on a setting's second use.  On
-        # B3 -> B at k = 2 every one is within its cut.
+        # direct routes and forms no fit operator, sandwich operator,
+        # monomial table or zero-test operator: each is formed on a
+        # setting's second use.  On B3 -> B at k = 2 every one is within its
+        # cut.  z^100 lies past the zero tests' window, which ends at
+        # k (T_beta + 1) - 1 = 81: both accept it and build its matrix.
         alpha = InnerFunction.blaschke([0.5, -0.3, 0.2j])
         beta = InnerFunction.blaschke([0.4, -0.5j])
         spaces = ["--k", "2", "--alpha", json.dumps(alpha.to_json()), "--beta", json.dumps(beta.to_json())]
@@ -358,12 +360,14 @@ class TestOneShotSetting:
         monkeypatch.setattr(CompressionSetting, "__init__", lambda self, *args: settings.append(self) or init(self, *args))
         for argv in (["membership", "--matrix", matrix], ["recover", "--matrix", matrix],
                      ["recover", "--variant", "c38", "--matrix", matrix], ["conjugate", "--matrix", matrix],
-                     ["build", "--symbol", sym({1: 1, -2: 3j})]):
+                     ["build", "--symbol", sym({1: 1, -2: 3j})], ["canonical", "--symbol", sym({1: 1, -2: 3j})],
+                     ["iszero", "--which", "p22", "--symbol", sym({100: 1})],
+                     ["iszero", "--which", "p27", "--symbol", sym({100: 1})]):
             code, _, _ = run(capsys, [argv[0], *spaces, *argv[1:]])
             assert code == 0
-        assert len(settings) == 5
+        assert len(settings) == 8
         for setting in settings:
-            assert setting._fit_operators == {}
+            assert setting._fit_operators == {} and setting._zero_tests == {}
             assert not {"sandwich_operator", "monomials"} & set(vars(setting))
 
 

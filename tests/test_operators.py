@@ -51,8 +51,10 @@ from slantmodel.operators import (
     _product_fit,
     _product_sandwich,
     _reduced,
+    _residue,
     _times_stretched,
     _used,
+    _window,
 )
 from slantmodel import verify
 from slantmodel.verify import kernel, random_laurent, stretched
@@ -1093,6 +1095,11 @@ class TestSlices:
         monkeypatch.setattr(model_space._IndexMap, "__array__", refused)
         assert [zero_test_sufficient(phi, setting, "p27") for phi in generic + members] == want
         assert all(want[len(generic) :])
+        # The second test formed Z under the same patches, or found it past
+        # the cut; into z^3 it is within the cut at every k here.
+        assert k - 1 in setting._zero_tests
+        if setting.basis_beta.exact:
+            assert setting.zero_test_operator(k - 1) is not None
 
 
 # Blaschke both ways, the benchmark's, mixed either way, unit-modulus
@@ -1735,7 +1742,7 @@ class TestCompressionSetting:
         for _ in range(3):
             phi = random_laurent(rng, -6, 150, terms=7)
             for which, shift in (("first", 0), ("second", 1)):
-                coeffs, lo = _reduced(phi, setting, shift)
+                coeffs, lo = _reduced(phi.to_array(*_window(setting, shift)), setting, shift)
                 assert (lo, lo + len(coeffs) - 1) == (-2, 81 - shift)
                 got = canonical_symbol(phi, setting, which)
                 want = dict_canonical(phi, setting, which).to_array(-2, 81)
@@ -2461,7 +2468,7 @@ def block_zero_tests(phis, setting, which):
     u, sv, _ = np.linalg.svd(block, full_matrices=False)
     verdicts = []
     for phi in phis:
-        rhs, lo = _reduced(phi, setting, shift)
+        rhs, lo = _reduced(phi.to_array(*_window(setting, shift)), setting, shift)
         cols = rhs[-shift - lo :].reshape(-1, k)
         near, far = cols[1:, shift + 1 - reach : shift + 1][:, ::-1], cols[:, : shift + 1 - reach]
         whole = np.linalg.norm(kappa) if far.size else 0.0
@@ -2965,3 +2972,77 @@ class TestZeroTestReference:
         assert all(got[::5]) and not any(got[3::5])
         if k <= 5 and setting.basis_alpha.truncation_order < 100:
             assert got == [dict_zero_test(phi, setting, which) for phi in phis]
+
+
+class TestZeroTestOperator:
+    """The zero test's residue as one product with Z
+    (`CompressionSetting.zero_test_operator`), which `_residue` forms on the
+    identity on a setting's second test of a shift, within OPERATOR_ENTRIES
+    only.  On `TestZeroTestReference`'s settings B3 -> B at k = 2 is within
+    the cut (Z of 124 x 123 for p22, 124 x 122 for p27); B3 -> B at k = 5
+    (247 x 246) and B_NEAR -> B at k = 539 are past it."""
+
+    # |residue by Z - residue by the route| on the settings within the cut,
+    # in ulp of the norm of phi over the window: at most 10.2 measured, on
+    # B3 -> B[0, 0.5] for p27.
+    ULPS = 32
+
+    @pytest.mark.parametrize("which", ["p22", "p27"])
+    @pytest.mark.parametrize("beta", [BETA, InnerFunction.blaschke([-0.5j, 0.4]), B_ZERO], ids=["B", "B-swapped", "B-zero"])
+    @pytest.mark.parametrize(
+        "alpha,k,within", [(B3, 2, True), (B3, 5, False), (B_NEAR, 539, False)], ids=["B3-k2", "B3-k5", "Bnear-k539"]
+    )
+    def test_route_then_operator(self, monkeypatch, alpha, beta, k, within, which):
+        setting = CompressionSetting(alpha, beta, k)
+        shift = 0 if which == "p22" else k - 1
+        lo, hi = _window(setting, shift)
+        phis = TestZeroTestReference.symbols(setting, which)
+        want = block_zero_tests(phis, setting, which)
+        columns = []  # of each w that `_residue` runs on: 1 for a test by the route, W to form Z
+
+        def counted(w, *args):
+            columns.append(w.shape[1])
+            if w.shape[1] > 1 and not within:
+                raise AssertionError("Z formed past the cut")
+            return _residue(w, *args)
+
+        monkeypatch.setattr(operators, "_residue", counted)
+        got = [zero_test_sufficient(phis[0], setting, which)]
+        assert columns == [1] and setting._zero_tests == {}  # the first test takes the route
+        got += [zero_test_sufficient(phi, setting, which) for phi in phis[1:]]
+        assert got == want
+        Z = setting.zero_test_operator(shift)
+        if not within:
+            assert Z is None and columns == [1] * len(phis)
+            return
+        # Formed once, on the second test, from the identity; read-only.
+        assert columns == [1, hi - lo + 1]
+        rows = setting.basis_alpha.truncation_order + 1 + k * (setting.basis_beta.truncation_order + 1)
+        assert Z.shape == (rows, hi - lo + 1) and Z.size <= operators.OPERATOR_ENTRIES
+        assert not Z.flags.writeable
+        for phi in phis:
+            w = phi.to_array(lo, hi)
+            route = math.sqrt(sum(np.vdot(p, p).real for p in _residue(w[:, None].copy(), setting, shift)))
+            assert abs(np.linalg.norm(Z @ w) - route) <= self.ULPS * np.spacing(np.linalg.norm(w))
+
+    def test_one_slot_per_shift(self):
+        # p22 and p27 read the slots of shifts 0 and k - 1, apart from each
+        # other and from the fit operators' variant names; at k = 1 both
+        # are shift 0, one slot.
+        setting = CompressionSetting(zn(4), zn(3), 2)
+        U = build_compression(L({1: 1, -2: 3j}), setting)
+        phi = L({-1: 1, 3: 2j})
+        membership(U, setting)
+        zero_test_sufficient(phi, setting, "p22")
+        assert setting._zero_tests == {} and setting._fit_operators == {}
+        zero_test_sufficient(phi, setting, "p22")
+        zero_test_sufficient(phi, setting, "p27")
+        assert set(setting._zero_tests) == {0} and setting._fit_operators == {}
+        zero_test_sufficient(phi, setting, "p27")
+        assert setting.zero_test_operator(0).shape == (10, 9) and setting.zero_test_operator(1).shape == (10, 8)
+        membership(U, setting)
+        assert set(setting._fit_operators) == {"t35"}
+        once = CompressionSetting(zn(4), zn(3), 1)
+        zero_test_sufficient(phi, once, "p22")
+        zero_test_sufficient(phi, once, "p27")
+        assert set(once._zero_tests) == {0}
