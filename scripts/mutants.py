@@ -90,8 +90,8 @@ MUTANTS = [
     Mutant("operators.py", "        V = cb * V", "        V = V", "the sandwich's scale c_beta dropped", SLICES),
     Mutant("operators.py", "V = ca.conjugate() * V", "V = ca * V", "the sandwich's conj(c_alpha) taken as c_alpha",
            SLICES),
-    # The per-setting operators of a small setting (`CompressionSetting.fit_operator`,
-    # `sandwich_operator`), formed by the products on the stack of unit
+    # The per-setting operators of a small setting (`CompressionSetting.operator`,
+    # 'fit' and 'sandwich'), formed by the products on the stack of unit
     # matrices where the setting is not all-exact.  verify's one such entry,
     # B[-0.3i,0.5] -> z^3, has ||F|| = 1, which hides a second division by it.
     Mutant("operators.py", "return M - beta @ M @ alpha", "return M + beta @ M @ alpha",
@@ -111,10 +111,15 @@ MUTANTS = [
     Mutant("operators.py", "e = (m - 1) * (n - used) if self.exact else mn", "e = mn",
            "an exact L's E counted as all mn entries of R - Z G^H: z^9 -> z^9 at k = 4 fits by the slices",
            FIT_OPERATOR),
-    # Each operator is formed on the second call that reads it
-    # (`CompressionSetting._second_read`).
+    Mutant("operators.py", "if mn * mn > OPERATOR_ENTRIES:", "if mn * mn <= OPERATOR_ENTRIES:",
+           "K's cut inverted: the products on a small setting, K formed on a large one", FIT_OPERATOR),
+    # Each operator is read through one store and formed on the second call
+    # that reads its key (`CompressionSetting.operator`).
     Mutant("operators.py", "        if key not in self._read_once:\n", "        if False:\n",
            "every operator formed on its first read, by a one-shot call too", FIT_OPERATOR),
+    Mutant("operators.py", "key = (kind, arg)", "key = (kind, None)",
+           "a key without its argument: each variant reads the L of the first variant formed, and p27 the Z "
+           "of p22 (verify's variant and zero rows)"),
     # An exact setting's fit operator is its slices run on the unit matrices
     # as one trailing axis; verify's exact entries fit by it.
     Mutant("operators.py", "D.reshape(-1, *M.shape[2:]), M.reshape(-1, *M.shape[2:])",
@@ -132,7 +137,7 @@ MUTANTS = [
            "X^H b with G^T for G^H", ZERO_TEST),
     Mutant("operators.py", "y = k0.conjugate() * window", "y = k0 * window",
            "X^H b without conj(kappa_0), which is 1 - |beta(0)|^2, real", ZERO_TEST, equivalent=True),
-    # The zero test as one product with Z (`CompressionSetting.zero_test_operator`),
+    # The zero test as one product with Z (`CompressionSetting.operator`, 'zero'),
     # `_residue` run once on the identity: formed on a setting's second test
     # of a shift, within the cut.  Every verify setting is within it, and a
     # row tests each shift ten times, so Z serves all but the first.
@@ -163,7 +168,7 @@ MUTANTS = [
            "kappa = P_beta 1 without its conjugate", "tests/test_operators.py::TestZeroTest::test_complex_kappa"),
     Mutant("model_space.py", "c * system[-1, 1:-1]\n", "c * system[-1, 1:-1].conj()\n",
            "inner_expansion from conj(C)", "tests/test_model_space.py"),
-    # The monomial table of a B -> B setting (`CompressionSetting.monomials`).
+    # The monomial table of a B -> B setting (`CompressionSetting.operator`, 'table').
     # verify cannot reach it: DEFAULT_MENU has no entry with both bases Blaschke.
     Mutant("operators.py", "at = start + src.shape[1] - 1", "at = start + src.shape[1]",
            "the table read one row past z^start (verify's menu has no B -> B entry to reach it)", TABLE),

@@ -44,7 +44,7 @@ VARIANTS = tuple(_SHIFTS)
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 # The most entries of a per-setting operator that stands in for the products
 # or the slices of the fit, or for the products of the sandwich
-# (`CompressionSetting.fit_operator`, `sandwich_operator`).  A product with
+# (`CompressionSetting.operator`, 'fit' and 'sandwich').  A product with
 # it costs about its entries, the products about ten (fit) or two
 # (sandwich) numpy calls.  On a sweep of Blaschke settings, dim_beta
 # dim_alpha from 2 to 256 and k from 2 to 1000 (2-vCPU VM, one BLAS
@@ -55,25 +55,6 @@ DEFAULT_MEMBERSHIP_TOL = 1e-9
 # of the slices' time at 408-14,880 entries (t35 membership, same VM; E
 # counted as mn entries there, as the cut then did).
 OPERATOR_ENTRIES = 1 << 14
-
-
-class _FormedOnSecondRead:
-    """A per-setting operator read as an attribute, formed by the decorated
-    method on the attribute's second read (`CompressionSetting._second_read`)
-    and kept in the instance, as `functools.cached_property` keeps it from
-    the first: once formed, a read is one lookup of the instance's dict."""
-
-    def __init__(self, form):
-        self.form = form
-        self.__doc__ = form.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, setting, owner=None):
-        if setting is None:
-            return self
-        return setting._second_read(vars(setting), self.name, lambda: self.form(setting))
 
 
 class NonMemberError(Exception):
@@ -190,7 +171,7 @@ class Frames(NamedTuple):
     (`_Slices`), which read F's one nonzero entry, its conjugate and norm2;
     elsewhere it is None, and the fit is the products with these frames.
     On a small setting a repeated fit is one product with the matrix that
-    the slices or the products form (`CompressionSetting.fit_operator`),
+    the slices or the products form (`CompressionSetting.operator`, 'fit'),
     which is kept apart from the frames so that their other readers never
     form it."""
 
@@ -213,20 +194,20 @@ class CompressionSetting:
     (`shift_operands`).  Where both bases are exact (`exact`), the defect,
     the fit and the sandwich read none of them: they are slices of the
     matrix (`Frames.slices`, `_sandwich`).  On a setting small enough
-    (OPERATOR_ENTRIES), each variant's fit is one product with a matrix
-    that the slices or those products form on the unit matrices
-    (`fit_operator`), and so is the sandwich where the setting is not
-    all-exact (`sandwich_operator`), and each shift's zero test
-    (`zero_test_operator`).  Where both are Blaschke, the compressions of
-    the monomials (`monomials`) make a build one product.  Each of these
-    operators is formed on the second call that reads it, not the first
-    (`_second_read`): a variant's second `membership`, the second sandwich,
-    the second build, the second zero test of a shift.  The first takes the
-    route of a setting past the cut, so a one-shot caller, such as a CLI
-    command, forms none; a repeated one pays that one direct call, once.
-    No other routine forms them: a build reads `monomials` alone of them,
-    and the inverse routines never read it.  Every constant is computed
-    once and is read-only, so no caller can leave it stale.
+    (OPERATOR_ENTRIES), each variant's fit is one product with a matrix L
+    that the slices or those products form on the unit matrices, and so
+    is the sandwich where the setting is not all-exact (K), and each
+    shift's zero test (Z).  Where both are Blaschke, the table of the
+    monomials' compressions makes a build one product.  All four are read
+    through one method, `operator`, from one store, and each is formed on
+    the second call that reads it, not the first: a variant's second
+    `membership`, the second sandwich, the second build, the second zero
+    test of a shift.  The first takes the route of a setting past the cut,
+    so a one-shot caller, such as a CLI command, forms none; a repeated
+    one pays that one direct call, once.  No other routine forms them: a
+    build reads the table alone of them, and the inverse routines never
+    read it.  Every constant is computed once and is read-only, so no
+    caller can leave it stale.
 
     The model space of beta(z^k) inherits beta's measured truncation order:
     it is never formed, and the routines that need it apply beta's rows
@@ -257,22 +238,27 @@ class CompressionSetting:
         # call.
         self.exact = self.basis_alpha.exact and self.basis_beta.exact
         self._frames = {}
-        self._fit_operators = {}
-        self._zero_tests = {}
+        self._operators = {}
         self._read_once = set()
 
-    def _second_read(self, slots: dict, key, form) -> np.ndarray | None:
-        """The rent-or-buy rule of the per-setting operators, for the slot
-        `key` of `slots` that does not hold its operator yet, keys of every
-        kind of slot noted in the one set `_read_once`: None on the slot's
-        first read, which is only noted, so that the caller takes the
-        direct route; on the second, the operator, formed by `form()` and
-        put in the slot (None past its cut), where every later read finds
-        it with no test here."""
+    def operator(self, kind: str, arg=None) -> np.ndarray | None:
+        """The read-only operator of a kind: the fit's L of the variant arg
+        ('fit'), the sandwich's K ('sandwich'), the monomial table ('table')
+        or the zero test's Z of the shift arg ('zero'), from the kind's
+        former in `_FORMERS`, None past its cut.  One store, keyed by kind
+        and arg together, and one rent-or-buy rule: a key's first read is
+        only noted and gives None, so that the caller takes the direct route
+        and a one-shot caller forms nothing; the second forms the operator
+        and stores it; every later read is one lookup."""
+        key = (kind, arg)
+        try:
+            return self._operators[key]
+        except KeyError:
+            form = self._FORMERS[kind]  # an unknown kind raises here
         if key not in self._read_once:
             self._read_once.add(key)
             return None
-        op = slots[key] = form()
+        op = self._operators[key] = form(self, arg)
         return op
 
     @functools.cached_property
@@ -310,30 +296,16 @@ class CompressionSetting:
             self._frames[variant] = Frames(F, float(np.vdot(F, F).real), F_conj, G_adj, G_pinv_adj, slices)
         return self._frames[variant]
 
-    def fit_operator(self, variant: str) -> np.ndarray | None:
-        """The variant's fit as one matrix L, read-only, where L has at most
-        OPERATOR_ENTRIES entries: for vec(U) in C order, L vec(U) is vec(D),
-        chi^H, vec(Z) and the entries E of the residual of `membership`'s
-        fit, one after the other.  Each is linear in U, so L is the fit run
-        once on the dim_beta dim_alpha unit matrices: where the setting is
-        all-exact, its `_Slices` on the unit matrices as one trailing axis,
-        whose outputs are L's rows, with E the block that the frames leave
-        out; elsewhere the products of the fit (`_product_fit`) on their
-        stack, whose outputs are L's columns, with E = R - Z G^H.  None
-        on a larger setting, which fits by the slices or the products, and
-        on the variant's first read: L is formed on the second, that is on
-        the variant's second `membership`, once (`_second_read`)."""
-        try:
-            return self._fit_operators[variant]
-        except KeyError:
-            return self._second_read(self._fit_operators, variant, lambda: self._form_fit(variant))
-
     def _form_fit(self, variant: str) -> np.ndarray | None:
-        """`fit_operator`, formed; None past the cut.  The cut counts L's
-        entries, mn (mn + n + m used + e): D, chi^H, Z, and E, which is the
-        (m - 1)(n - used) block that the frames leave out on an all-exact
-        setting (used = min(k, n) there) and all mn entries of R - Z G^H
-        elsewhere."""
+        """The variant's fit as one matrix L: for vec(U) in C order, L vec(U)
+        is vec(D), chi^H, vec(Z) and the entries E of the residual of
+        `membership`'s fit, one after the other.  Each is linear in U, so L
+        is the fit run on the dim_beta dim_alpha unit matrices: on an
+        all-exact setting its `_Slices` along one trailing axis, whose
+        outputs are L's rows, E the (m - 1)(n - used) block that the frames
+        leave out; elsewhere the products (`_product_fit`) on their stack,
+        whose outputs are L's columns, E all mn entries of R - Z G^H.  None
+        where L's mn (mn + n + m used + e) entries pass OPERATOR_ENTRIES."""
         m, n, used = self.basis_beta.dim, self.basis_alpha.dim, _used(self)
         mn = m * n
         e = (m - 1) * (n - used) if self.exact else mn
@@ -348,17 +320,13 @@ class CompressionSetting:
             L = np.concatenate([p.reshape(-1, mn) for p in (D, *frames.slices.fit(D, frames))])
         return _frozen(L)[0]
 
-    @_FormedOnSecondRead
-    def sandwich_operator(self) -> np.ndarray | None:
-        """The sandwich as one matrix K, read-only, where the setting is not
-        all-exact and K, (dim_beta dim_alpha)^2 entries, has at most
-        OPERATOR_ENTRIES: vec(C_beta conj(U) conj(C_alpha)) = K conj(vec U),
-        in C order, K the products of the sandwich (`_product_sandwich`) on
-        the stack of unit matrices.  None elsewhere, and on the first read:
-        K is formed on the second, that is on the second
-        `conjugate_operator` of a setting that is not all-exact."""
+    def _form_sandwich(self, _) -> np.ndarray | None:
+        """The sandwich as one matrix K: vec(C_beta conj(U) conj(C_alpha)) =
+        K conj(vec U), in C order, K the products (`_product_sandwich`) on
+        the stack of unit matrices.  None where its (dim_beta dim_alpha)^2
+        entries pass OPERATOR_ENTRIES.  An all-exact setting never reads it."""
         mn = self.basis_beta.dim * self.basis_alpha.dim
-        if self.exact or mn * mn > OPERATOR_ENTRIES:
+        if mn * mn > OPERATOR_ENTRIES:
             return None
         return _frozen(_product_sandwich(self._units(), self).reshape(mn, mn).T.copy())[0]
 
@@ -371,8 +339,7 @@ class CompressionSetting:
         m, n = self.basis_beta.dim, self.basis_alpha.dim
         return np.eye(m * n, dtype=complex).reshape(-1, m, n)
 
-    @_FormedOnSecondRead
-    def monomials(self) -> np.ndarray | None:
+    def _form_table(self, _) -> np.ndarray | None:
         """The F x (dim_beta dim_alpha) table whose row f + T_alpha holds
         the compression of z^f in C order, for the folded frequencies
         -T_alpha..s T_beta that a build reads, s = min(k, T_alpha + 1),
@@ -383,8 +350,7 @@ class CompressionSetting:
         of width F, a gather.  None where either basis is exact (an exact
         alpha gathers already, and a mixed setting keeps `_compress`), or
         where the gather, (T_beta + 1) F, or the table, F dim_alpha dim_beta,
-        is above WINDOW_ENTRIES, and on the first read: formed on the
-        second, that is on the setting's second build, read-only."""
+        is above WINDOW_ENTRIES."""
         ba, bb = self.basis_alpha, self.basis_beta
         if ba.exact or bb.exact:
             return None
@@ -398,26 +364,12 @@ class CompressionSetting:
         columns = np.stack([_compress(row, 1 - width, identity, s, dst) for row in src])  # (j, i, f)
         return _frozen(columns.transpose(2, 1, 0).reshape(F, -1))[0]
 
-    def zero_test_operator(self, shift: int) -> np.ndarray | None:
-        """The zero test's residue as one matrix Z, read-only, where Z has at
-        most OPERATOR_ENTRIES entries: for phi over `_window`, Z @ phi's
-        window is the residue vector whose norm `zero_test_sufficient`
-        compares with its tolerance.  The residue is linear in phi, so Z is
-        `_residue` run once on np.eye(W), W the window's length: its
-        T_alpha + 1 + k (T_beta + 1) rows are the residue of each frequency.
-        One slot per shift, keyed by the int shift, which no variant or
-        operator name in `_read_once` equals.  None on a larger setting,
-        whose every test runs `_residue` on phi's window, and on the
-        shift's first read: Z is formed on the second, that is on the
-        setting's second test of that shift, once (`_second_read`)."""
-        try:
-            return self._zero_tests[shift]
-        except KeyError:
-            return self._second_read(self._zero_tests, shift, lambda: self._form_zero_test(shift))
-
-    def _form_zero_test(self, shift: int) -> np.ndarray | None:
-        """`zero_test_operator`, formed; None past the cut, which counts Z's
-        entries."""
+    def _form_zero(self, shift: int) -> np.ndarray | None:
+        """The zero test's residue as one matrix Z: Z @ phi's window
+        (`_window`) is the residue vector of `zero_test_sufficient`.  It is
+        linear in phi, so Z is `_residue` run on np.eye(W), W the window's
+        length, with T_alpha + 1 + k (T_beta + 1) rows.  None where Z's
+        entries pass OPERATOR_ENTRIES."""
         lo, hi = _window(self, shift)
         width = hi - lo + 1
         rows = self.basis_alpha.truncation_order + 1 + self.k * (self.basis_beta.truncation_order + 1)
@@ -425,6 +377,9 @@ class CompressionSetting:
             return None
         parts = _residue(np.eye(width, dtype=complex), self, shift)
         return _frozen(np.concatenate([p.reshape(-1, width) for p in parts]))[0]
+
+    # The former of each kind of `operator`, called with the key's argument.
+    _FORMERS = {"fit": _form_fit, "sandwich": _form_sandwich, "table": _form_table, "zero": _form_zero}
 
     @functools.cached_property
     def kappa(self) -> np.ndarray:
@@ -582,9 +537,9 @@ def build_compression(phi: LaurentPoly, setting: CompressionSetting) -> Operator
     """Matrix of f -> P_beta W_k(phi f) on the chosen bases, from phi over the
     windows k n - T_alpha..k n, n <= T_beta, that reach a kept coefficient,
     folded onto the stride s = min(k, T_alpha + 1).  Between two Blaschke
-    bases within the budget of `CompressionSetting.monomials` the matrix is
-    sum_f phi_f U_(z^f), one product of the folded phi with the rows of the
-    setting's table, which the second build forms; the first build on a
+    bases within the table's budget the matrix is sum_f phi_f U_(z^f), one
+    product of the folded phi with the rows of the setting's
+    `operator('table')`, which the second build forms; the first build on a
     setting takes `_compress`, as a setting past the budget does.
     Elsewhere the bases enter `_compress` as their `rows_operand`s, so an
     exact side forms no rows: on z^N -> z^M entry (i, j) is the term s i - j
@@ -593,7 +548,7 @@ def build_compression(phi: LaurentPoly, setting: CompressionSetting) -> Operator
     src, dst, k = setting.basis_alpha.rows_operand, setting.basis_beta.rows_operand, setting.k
     s = min(k, src.shape[1])
     w, start = _clip(phi, src.shape[1], k, s, 0, dst.shape[1] - 1)
-    table = setting.monomials
+    table = setting.operator("table")
     if table is None:
         return setting.matrix(_compress(w, start, src, s, dst))
     at = start + src.shape[1] - 1  # the row of z^start
@@ -624,7 +579,7 @@ class _Slices(NamedTuple):
 
     U may carry a trailing axis, (M, N, t): each of its t matrices takes the
     operations of a 2-D U.  On the M N unit matrices the outputs are the
-    rows of the fit's matrix (`CompressionSetting.fit_operator`)."""
+    rows of the fit's matrix (`CompressionSetting.operator`, 'fit')."""
 
     block: tuple  # (rows, columns) the frames leave out
     rows: tuple  # (to, from) of the beta shift
@@ -782,8 +737,8 @@ def membership(
     and the residual is ||R - Z G^H||_F = ||(I - P_F) D (I - P_G)||_F.
 
     The fit takes one of three routes.  D, chi^H, Z and the entries E of
-    the residual are linear in U, so where their matrix
-    (`CompressionSetting.fit_operator`, which the next two routes form) has
+    the residual are linear in U, so where their matrix L (the setting's
+    `operator('fit', variant)`, which the next two routes form) has
     at most OPERATOR_ENTRIES entries they are one product of it with
     vec(U): within rounding of the products, and with the slices' bits
     where both bases are exact with constant 1, as its entries are then 0
@@ -804,7 +759,7 @@ def membership(
         raise ValueError("tolerance must be positive and finite")
     frames = setting.frames(variant)
     M = _entries(U, setting)
-    if (L := setting.fit_operator(variant)) is not None:
+    if (L := setting.operator("fit", variant)) is not None:
         (m, n), mn = M.shape, M.size
         z = mn + n + m * len(frames.G_adj)
         out = L @ M.ravel()
@@ -835,7 +790,7 @@ def membership(
 def _product_fit(M: np.ndarray, setting: CompressionSetting, variant: str) -> tuple:
     """D, chi^H, Z and E = R - Z G^H of `membership`'s fit by the products
     with the frames, of one matrix or of a stack of them (the unit matrices
-    that form `CompressionSetting.fit_operator`)."""
+    that form the fit's operator, `CompressionSetting._form_fit`)."""
     F, norm2, F_conj, G_adj, G_pinv_adj, _ = setting.frames(variant)
     D = _product_defect(M, setting, variant)
     chi_conj = F_conj @ D / norm2
@@ -917,14 +872,14 @@ def zero_test_sufficient(
     compression matrix vanishes; false does not imply it doesn't.  The
     residue of the test is linear in phi over `_window`: from the setting's
     second test of a shift on, within OPERATOR_ENTRIES, it is one product
-    with the setting's `zero_test_operator`; the first test, and every one
-    past the cut, runs the projector on phi's window (`_residue`).
+    with the setting's `operator('zero', shift)`; the first test, and
+    every one past the cut, runs the projector on phi's window (`_residue`).
     """
     if which not in ("p22", "p27"):
         raise ValueError(f"unknown zero test {which!r}")
     shift = 0 if which == "p22" else setting.k - 1
     w = phi.to_array(*_window(setting, shift))
-    Z = setting.zero_test_operator(shift)
+    Z = setting.operator("zero", shift)
     parts = _residue(w[:, None], setting, shift) if Z is None else (Z @ w,)
     residue = math.sqrt(sum(np.vdot(p, p).real for p in parts))
 
@@ -946,7 +901,7 @@ def _residue(w: np.ndarray, setting: CompressionSetting, shift: int) -> tuple[np
     holds symbols over `_window`, one per column, and each part keeps that
     column axis last.  phi's window as one column is the test of phi; on
     np.eye(W) the parts, stacked, are the matrix Z of
-    `CompressionSetting.zero_test_operator`, the residue of each frequency."""
+    `CompressionSetting._form_zero`, the residue of each frequency."""
     ba, k = setting.basis_alpha, setting.k
     ta = ba.truncation_order
     rhs, lo = _reduced(w, setting, shift)
@@ -1028,7 +983,7 @@ def conjugate_operator(
     multiplies them by c: where both bases are exact that is one reversed
     conjugate of U (`_sandwich`).  Elsewhere the sandwich is linear in
     conj(U): within OPERATOR_ENTRIES it is one product of the setting's
-    `sandwich_operator` with conj(vec U), within rounding of the products,
+    `operator('sandwich')` with conj(vec U), within rounding of the products,
     from the setting's second sandwich on, which forms it; the first, and
     every one past the cut, is the products (`_product_sandwich`) with each
     side's `ModelSpaceBasis.conjugation_operand`, the dense conjugation
@@ -1042,7 +997,7 @@ def conjugate_operator(
     M = _entries(U, setting)
     if setting.exact:
         return setting.matrix(_sandwich(M, setting)), psi
-    K = setting.sandwich_operator
+    K = setting.operator("sandwich")
     if K is None:
         return setting.matrix(_product_sandwich(M, setting)), psi
     return setting.matrix((K @ M.conj().ravel()).reshape(M.shape)), psi

@@ -367,8 +367,7 @@ class TestOneShotSetting:
             assert code == 0
         assert len(settings) == 8
         for setting in settings:
-            assert setting._fit_operators == {} and setting._zero_tests == {}
-            assert not {"sandwich_operator", "monomials"} & set(vars(setting))
+            assert setting._operators == {}
 
 
 class TestErrors:

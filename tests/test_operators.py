@@ -860,8 +860,8 @@ class TestIndexMaps:
         # The products with the index maps: bit for bit where both constants
         # are 1; an exact basis with c != 1 rounds c times an entry where the
         # GEMM did, within 1e-15 relative.  A small mixed setting's second
-        # sandwich is one product with its `sandwich_operator`, which sums in
-        # another order: within 4 ulp of the largest entry.
+        # sandwich is one product with its operator K, which sums in another
+        # order: within 4 ulp of the largest entry.
         setting = CompressionSetting(alpha, beta, k)
         ba, bb = setting.basis_alpha, setting.basis_beta
         bits = alpha.constant == 1 and beta.constant == 1
@@ -877,7 +877,7 @@ class TestIndexMaps:
         want = dense_conjugation(bb) @ M.conj() @ dense_conjugation(ba).conj()
         first, got = (conjugate_operator(setting, U=setting.matrix(M))[0].entries for _ in range(2))
         agree(first, want)  # the products, or the reversal of an exact setting
-        if vars(setting).get("sandwich_operator") is None:
+        if stored(setting, "sandwich").get(None) is None:
             agree(got, want)
         else:
             assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
@@ -1097,9 +1097,9 @@ class TestSlices:
         assert all(want[len(generic) :])
         # The second test formed Z under the same patches, or found it past
         # the cut; into z^3 it is within the cut at every k here.
-        assert k - 1 in setting._zero_tests
+        assert k - 1 in stored(setting, "zero")
         if setting.basis_beta.exact:
-            assert setting.zero_test_operator(k - 1) is not None
+            assert setting.operator("zero", k - 1) is not None
 
 
 # Blaschke both ways, the benchmark's, mixed either way, unit-modulus
@@ -1123,11 +1123,18 @@ FIT_IDS = ["B3-B-k2", "Bnear-B-k2", "B3-z3-k2", "z3-B-k3", "cB2-cB2-k3", "cz3-B-
            "cz4-z3-k2", "z4-cz3-k3", "cz4-cz3-k5"]
 
 
-def second_read(setting, name):
-    """The per-setting operator `name` as a routine reads it once the
-    setting has read it before: formed by this call if it was not yet."""
-    getattr(setting, name)
-    return getattr(setting, name)
+def second_read(setting, kind, arg=None):
+    """The per-setting operator of `kind` and `arg` as a routine reads it
+    once the setting has read it before: formed by this call if it was
+    not yet."""
+    setting.operator(kind, arg)
+    return setting.operator(kind, arg)
+
+
+def stored(setting, kind):
+    """The operators of `kind` that the setting holds, by argument, None
+    for one past its cut, read from the store with no read of its own."""
+    return {arg: op for (held, arg), op in setting._operators.items() if held == kind}
 
 
 def assert_fits_agree(got, want):
@@ -1143,20 +1150,25 @@ def assert_fits_agree(got, want):
 
 
 def count_formations(monkeypatch):
-    """Counts the stacks of unit matrices that the operators are formed on."""
+    """Records each call of a former of `CompressionSetting.operator`, the
+    one path that forms an operator, as (setting, kind, arg, operator)."""
     formed = []
-    units = CompressionSetting._units
-    monkeypatch.setattr(CompressionSetting, "_units", lambda self: formed.append(self) or units(self))
+    for kind, form in CompressionSetting._FORMERS.items():
+        def counted(setting, arg, kind=kind, form=form):
+            formed.append((setting, kind, arg, form(setting, arg)))
+            return formed[-1][-1]
+
+        monkeypatch.setitem(CompressionSetting._FORMERS, kind, counted)
     return formed
 
 
 class TestFitOperator:
     """Within OPERATOR_ENTRIES a repeated fit is one product with a matrix
-    that the fit formed on the unit matrices (`CompressionSetting.fit_operator`):
-    the products on a setting that is not all-exact, the slices on an exact
-    one.  So is a repeated sandwich on a setting that is not all-exact
-    (`sandwich_operator`), and a repeated build between two Blaschke bases
-    (`monomials`).  Each is formed on the second call that reads it; the
+    that the fit formed on the unit matrices (`CompressionSetting.operator`,
+    'fit'): the products on a setting that is not all-exact, the slices on
+    an exact one.  So is a repeated sandwich on a setting that is not
+    all-exact ('sandwich'), and a repeated build between two Blaschke bases
+    ('table').  Each is formed on the second call that reads it; the
     first takes the route of a setting past the cut.  The values of the
     products within rounding, the same verdicts, and the same refusals."""
 
@@ -1180,7 +1192,7 @@ class TestFitOperator:
             for variant in VARIANTS:
                 report = membership(U, setting, variant)
                 # The first fit of each variant forms nothing, the second L.
-                assert (setting._fit_operators.get(variant) is not None) == (U is not members[0])
+                assert (stored(setting, "fit").get(variant) is not None) == (U is not members[0])
                 D, chi, Z, residual, norm = dense_fit(U, setting, variant)
                 psis = np.array(report.decomposition.psis).T
                 assert np.abs(report.decomposition.chi - chi).max() <= 32 * np.spacing(np.abs(chi).max())
@@ -1199,7 +1211,7 @@ class TestFitOperator:
             want = Cb @ U.entries.conj() @ Ca.conj()
             assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
         # An exact setting's sandwich is one reversed conjugate, no operator.
-        assert (vars(setting).get("sandwich_operator") is None) == setting.exact
+        assert (stored(setting, "sandwich").get(None) is None) == setting.exact
 
     @pytest.mark.parametrize("alpha,beta,k", FIT_SETTINGS, ids=FIT_IDS)
     def test_first_call_matches_operator(self, alpha, beta, k):
@@ -1222,7 +1234,7 @@ class TestFitOperator:
             for variant in VARIANTS:
                 setting = CompressionSetting(alpha, beta, k)
                 first, report = (membership(setting.matrix(M), setting, variant) for _ in range(2))
-                assert setting._fit_operators[variant] is not None
+                assert stored(setting, "fit")[variant] is not None
                 if bits:
                     assert first.to_json() == report.to_json()
                 else:
@@ -1231,7 +1243,7 @@ class TestFitOperator:
             if exact:
                 assert np.array_equal(first, got)
             else:
-                assert vars(setting)["sandwich_operator"] is not None
+                assert stored(setting, "sandwich")[None] is not None
                 assert np.abs(got - first).max() <= 4 * np.spacing(np.abs(first).max())
 
     def test_formed_once_read_only(self, monkeypatch):
@@ -1253,20 +1265,24 @@ class TestFitOperator:
             for variant in VARIANTS:
                 membership(U, setting, variant)
             conjugate_operator(setting, U=U)
-            cached = {"sandwich_operator", "monomials"} & set(vars(setting))
-            assert formed == [] and setting._fit_operators == {} and not cached
+            assert formed == [] and setting._operators == {}
             for _ in range(2):
                 assert_built(setting, build_compression(phi, setting).entries, U.entries)
                 for variant in VARIANTS:
                     membership(U, setting, variant)
                 conjugate_operator(setting, U=U)
-            ops = [setting._fit_operators[v] for v in VARIANTS]
+            ops = [stored(setting, "fit")[v] for v in VARIANTS]
             if not setting.exact:
-                ops.append(vars(setting)["sandwich_operator"])
-            assert formed == [setting] * len(ops)
-            assert (vars(setting)["monomials"] is None) == setting.exact
+                ops.append(stored(setting, "sandwich")[None])
+            # Each former ran once, on this setting; K only where it is not all-exact.
+            keys = {("fit", v) for v in VARIANTS} | {("table", None)}
             if not setting.exact:
-                ops.append(vars(setting)["monomials"])
+                keys.add(("sandwich", None))
+            assert len(formed) == len(keys) and {(kind, arg) for _, kind, arg, _ in formed} == keys
+            assert all(f[0] is setting for f in formed)
+            assert (stored(setting, "table")[None] is None) == setting.exact
+            if not setting.exact:
+                ops.append(stored(setting, "table")[None])
             for op in ops:
                 with pytest.raises(ValueError, match="read-only"):
                     op[0, 0] = 1.0
@@ -1296,7 +1312,7 @@ class TestFitOperator:
                 assert abs(report.residual - residual) <= 4 * np.spacing(residual)
                 assert report.defect_norm == norm
                 assert report.member == (U is member)
-            assert (setting._fit_operators[variant] is not None) == fit
+            assert (stored(setting, "fit")[variant] is not None) == fit
 
     def test_cut(self, monkeypatch):
         # B3 -> B at k = 2: L has 6 (2 * 6 + 3 + 2 * 2) = 114 entries, K 36.
@@ -1307,7 +1323,7 @@ class TestFitOperator:
             for _ in range(2):
                 membership(U, setting)
                 conjugate_operator(setting, U=U)
-            formed = setting._fit_operators["t35"], vars(setting)["sandwich_operator"]
+            formed = stored(setting, "fit")["t35"], stored(setting, "sandwich")[None]
             assert (formed[0] is not None, formed[1] is not None) == (fit, sandwich)
 
     @pytest.mark.parametrize("alpha,beta", [(zn(70), BETA), (B3, zn(60))], ids=["z70-B", "B3-z60"])
@@ -1315,6 +1331,7 @@ class TestFitOperator:
         # dim_beta dim_alpha = 140 or 180: both operators are past 2^14
         # entries, so none is formed, and the products run on U itself.
         formed = count_formations(monkeypatch)
+        monkeypatch.setattr(CompressionSetting, "_units", lambda self: pytest.fail("unit matrices formed past the cut"))
         ranks = []
         for name in ("_product_fit", "_product_sandwich"):
             run = getattr(operators, name)
@@ -1329,11 +1346,12 @@ class TestFitOperator:
                 report = membership(setting.matrix(M), setting, variant)
                 assert np.array_equal(report.decomposition.chi, chi_conj.conj())
                 assert np.array_equal(np.array(report.decomposition.psis).T, Z)
-            assert setting.fit_operator(variant) is None
+            assert setting.operator("fit", variant) is None
         for _ in range(2):
             sandwich = conjugate_operator(setting, U=setting.matrix(M))[0].entries
             assert np.array_equal(sandwich, _product_sandwich(M, setting))
-        assert setting.sandwich_operator is None and formed == []
+        assert setting.operator("sandwich") is None
+        assert formed and all(op is None for *_, op in formed)  # each former gave None past the cut
         assert ranks == [2] * 2 * (len(VARIANTS) + 1)
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -1349,7 +1367,50 @@ class TestFitOperator:
             for formed in (False, True):
                 with pytest.raises(FloatingPointError):
                     membership(setting.matrix(M), setting, variant)
-                assert (setting._fit_operators.get(variant) is not None) == formed
+                assert (stored(setting, "fit").get(variant) is not None) == formed
+
+
+class TestOperatorStore:
+    """The one rent-or-buy rule of `CompressionSetting.operator`, kind by
+    kind, on B3 -> B at k = 2, which is within every cut, the table's too:
+    a key's first read is only noted, its second forms the operator once,
+    every later read finds the same read-only array, and a None past the
+    cut is kept, never formed again.  The fit's variants and the zero
+    test's shifts each hold their own slot."""
+
+    K = 2
+
+    @pytest.mark.parametrize(
+        "kind,args,cut",
+        [("fit", ("t35", "c38"), "OPERATOR_ENTRIES"), ("sandwich", (None,), "OPERATOR_ENTRIES"),
+         ("table", (None,), "WINDOW_ENTRIES"), ("zero", (0, K - 1), "OPERATOR_ENTRIES")],
+        ids=["fit", "sandwich", "table", "zero"],
+    )
+    def test_rule(self, monkeypatch, kind, args, cut):
+        formed = count_formations(monkeypatch)
+        setting = CompressionSetting(B3, BETA, self.K)
+        ops = []
+        for arg in args:
+            # A key's first read forms nothing, though another of its kind is held.
+            assert setting.operator(kind, arg) is None and len(formed) == len(ops)
+            op = setting.operator(kind, arg)
+            assert len(formed) == len(ops) + 1 and formed[-1][:3] == (setting, kind, arg)
+            assert op is not None and not op.flags.writeable
+            for _ in range(3):
+                assert setting.operator(kind, arg) is op
+            ops.append(op)
+        assert len(formed) == len(args) and set(stored(setting, kind)) == set(args)
+        if len(ops) == 2:
+            assert ops[0].shape != ops[1].shape or not np.array_equal(ops[0], ops[1])
+        monkeypatch.setattr(operators, cut, 0)
+        past = CompressionSetting(B3, BETA, self.K)
+        formed.clear()
+        assert past.operator(kind, args[0]) is None and formed == []
+        for _ in range(3):
+            assert past.operator(kind, args[0]) is None
+        assert [f[1:] for f in formed] == [(kind, args[0], None)]
+        with pytest.raises(KeyError):
+            past.operator("bogus")
 
 
 def exact_rows_refused(monkeypatch):
@@ -2540,7 +2601,7 @@ TABLE_TOL = 1e-13
 def assert_built(setting, built, want):
     """Built entries against `_compress`'s: bit for bit where the setting has
     no monomial table, else within TABLE_TOL of max|U|, so exactly where U = 0."""
-    if vars(setting).get("monomials") is None:  # as the build found it: no table formed, or none within budget
+    if stored(setting, "table").get(None) is None:  # as the build found it: no table formed, or none within budget
         assert np.array_equal(built, want)
     else:
         assert np.abs(built - want).max() <= TABLE_TOL * np.abs(want).max()
@@ -2810,7 +2871,7 @@ FARTHER = L({-(10**40): 1.5, 10**40: -2j})
 
 class TestMonomialTable:
     """Between two Blaschke bases within its budget a build sums the rows of
-    `CompressionSetting.monomials`, the compressions of the monomials, and
+    `CompressionSetting.operator('table')`, the compressions of the monomials, and
     agrees with `_compress` on the same folded window within TABLE_TOL."""
 
     @pytest.fixture(
@@ -2849,7 +2910,7 @@ class TestMonomialTable:
             assert_built(setting, build_compression(phi, setting).entries, want)
             assert_built(setting, build_compression(phi + FARTHER, setting).entries, want)
         # The first build took `_compress`; the second formed the table.
-        assert vars(setting)["monomials"] is not None
+        assert stored(setting, "table")[None] is not None
 
     def test_unread_terms_build_zero(self, setting):
         ta, tb, k = setting.basis_alpha.truncation_order, setting.basis_beta.truncation_order, setting.k
@@ -2858,7 +2919,7 @@ class TestMonomialTable:
             assert not folded_compress(phi, setting).any()
 
     def test_table_is_read_only(self, setting):
-        assert not second_read(setting, "monomials").flags.writeable
+        assert not second_read(setting, "table").flags.writeable
 
     @pytest.mark.parametrize(
         "alpha,beta,k",
@@ -2876,7 +2937,7 @@ class TestMonomialTable:
     def test_absent(self, alpha, beta, k):
         # An exact side, or a table or gather past WINDOW_ENTRIES, keeps `_compress`.
         setting = CompressionSetting(alpha, beta, k)
-        assert second_read(setting, "monomials") is None
+        assert second_read(setting, "table") is None
         phi = random_laurent(np.random.default_rng(107), -4, 9, terms=5)
         assert np.array_equal(build_compression(phi, setting).entries, folded_compress(phi, setting))
 
@@ -2891,7 +2952,7 @@ class TestMonomialsOnDemand:
         built = CompressionSetting(alpha, BETA, 2)
         phi = random_laurent(np.random.default_rng(103), -6, 10, terms=6)
         U = build_compression(phi, built)
-        assert second_read(built, "monomials") is not None
+        assert second_read(built, "table") is not None
         fresh = CompressionSetting(alpha, BETA, 2)
         report = membership(U, fresh, variant)
         assert report.member
@@ -2899,7 +2960,7 @@ class TestMonomialsOnDemand:
         conjugate_operator(fresh, U=U)
         # phi is no zero symbol, so no build checks the verdict.
         assert not any(zero_test_sufficient(phi, fresh, which) for which in ("p22", "p27"))
-        assert "monomials" not in vars(fresh)
+        assert None not in stored(fresh, "table")
 
     @pytest.mark.parametrize("alpha", [B_NEAR, B99], ids=["nearcircle", "rho99"])
     def test_table_memory(self, alpha):
@@ -2908,15 +2969,15 @@ class TestMonomialsOnDemand:
         # numbers, 4 MiB (traced peaks 0.46 and 2.1 MiB).
         setting = CompressionSetting(alpha, BETA, 2)
         setting.basis_alpha.rows, setting.basis_beta.rows
-        assert setting.monomials is None  # the first read forms nothing
-        assert traced_peak(lambda: setting.monomials) <= model_space.WINDOW_ENTRIES * 16
-        assert setting.monomials is not None
+        assert setting.operator("table") is None  # the first read forms nothing
+        assert traced_peak(lambda: setting.operator("table")) <= model_space.WINDOW_ENTRIES * 16
+        assert setting.operator("table") is not None
 
     def test_over_budget_forms_no_table(self):
         setting = CompressionSetting(B_NEAR, BETA, 600)
         setting.basis_alpha.rows, setting.basis_beta.rows
-        assert traced_peak(lambda: second_read(setting, "monomials")) < 1 << 14
-        assert "monomials" in vars(setting) and setting.monomials is None
+        assert traced_peak(lambda: second_read(setting, "table")) < 1 << 14
+        assert None in stored(setting, "table") and setting.operator("table") is None
 
 
 B_ZERO = InnerFunction.blaschke([0.0, 0.5])  # beta(0) = 0: kappa = 1
@@ -2976,7 +3037,7 @@ class TestZeroTestReference:
 
 class TestZeroTestOperator:
     """The zero test's residue as one product with Z
-    (`CompressionSetting.zero_test_operator`), which `_residue` forms on the
+    (`CompressionSetting.operator`, 'zero'), which `_residue` forms on the
     identity on a setting's second test of a shift, within OPERATOR_ENTRIES
     only.  On `TestZeroTestReference`'s settings B3 -> B at k = 2 is within
     the cut (Z of 124 x 123 for p22, 124 x 122 for p27); B3 -> B at k = 5
@@ -3008,10 +3069,10 @@ class TestZeroTestOperator:
 
         monkeypatch.setattr(operators, "_residue", counted)
         got = [zero_test_sufficient(phis[0], setting, which)]
-        assert columns == [1] and setting._zero_tests == {}  # the first test takes the route
+        assert columns == [1] and stored(setting, "zero") == {}  # the first test takes the route
         got += [zero_test_sufficient(phi, setting, which) for phi in phis[1:]]
         assert got == want
-        Z = setting.zero_test_operator(shift)
+        Z = setting.operator("zero", shift)
         if not within:
             assert Z is None and columns == [1] * len(phis)
             return
@@ -3034,15 +3095,15 @@ class TestZeroTestOperator:
         phi = L({-1: 1, 3: 2j})
         membership(U, setting)
         zero_test_sufficient(phi, setting, "p22")
-        assert setting._zero_tests == {} and setting._fit_operators == {}
+        assert stored(setting, "zero") == {} and stored(setting, "fit") == {}
         zero_test_sufficient(phi, setting, "p22")
         zero_test_sufficient(phi, setting, "p27")
-        assert set(setting._zero_tests) == {0} and setting._fit_operators == {}
+        assert set(stored(setting, "zero")) == {0} and stored(setting, "fit") == {}
         zero_test_sufficient(phi, setting, "p27")
-        assert setting.zero_test_operator(0).shape == (10, 9) and setting.zero_test_operator(1).shape == (10, 8)
+        assert setting.operator("zero", 0).shape == (10, 9) and setting.operator("zero", 1).shape == (10, 8)
         membership(U, setting)
-        assert set(setting._fit_operators) == {"t35"}
+        assert set(stored(setting, "fit")) == {"t35"}
         once = CompressionSetting(zn(4), zn(3), 1)
         zero_test_sufficient(phi, once, "p22")
         zero_test_sufficient(phi, once, "p27")
-        assert set(once._zero_tests) == {0}
+        assert set(stored(once, "zero")) == {0}
