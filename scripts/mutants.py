@@ -71,14 +71,15 @@ MUTANTS = [
            "the shift offset k -> k - 1 of the sliced defect", SLICES),
     Mutant("operators.py", "(0 if cross else n if down else -n)", "(0 if cross else n - 1 if down else -n)",
            "the beta shift's step N -> N - 1 in C order", SLICES),
-    Mutant("operators.py", "flat[step:] -= entries[:-step]", "flat[step:] += entries[:-step]",
+    Mutant("operators.py", "flat[..., step:] -= entries[..., :-step]", "flat[..., step:] += entries[..., :-step]",
            "the sliced defect adds the shifted U", SLICES),
-    Mutant("operators.py", "D[:, self.columns] = kept", "D[:, self.columns] = D[:, self.columns]",
+    Mutant("operators.py", "D[..., self.columns] = kept", "D[..., self.columns] = D[..., self.columns]",
            "the frame columns, where the difference wraps, not put back", SLICES),
-    Mutant("operators.py", "D[self.rows[0]] = M[self.rows[1]]", "D[self.rows[0]] = M[self.rows[0]]",
+    Mutant("operators.py", "D[..., self.rows[0], :] = M[..., self.rows[1], :]",
+           "D[..., self.rows[0], :] = M[..., self.rows[0], :]",
            "the c310 defect's beta shift reads the rows it writes", SLICES),
-    Mutant("operators.py", "chi_conj = frames.F_conj[row] * D[row] / frames.norm2",
-           "chi_conj = frames.F_conj[row] * D[row - 1] / frames.norm2",
+    Mutant("operators.py", "chi_conj = frames.F_conj[row] * D[..., row, :] / frames.norm2",
+           "chi_conj = frames.F_conj[row] * D[..., row - 1, :] / frames.norm2",
            "chi read from the row next to F's", SLICES),
     Mutant("operators.py", "columns = frame = slice(0, s)", "columns, frame = slice(0, s), slice(0, s - 1)",
            "used -> used - 1: one psi_j short", SLICES),
@@ -120,11 +121,13 @@ MUTANTS = [
     Mutant("operators.py", "key = (kind, arg)", "key = (kind, None)",
            "a key without its argument: each variant reads the L of the first variant formed, and p27 the Z "
            "of p22 (verify's variant and zero rows)"),
-    # An exact setting's fit operator is its slices run on the unit matrices
-    # as one trailing axis; verify's exact entries fit by it.
-    Mutant("operators.py", "D.reshape(-1, *M.shape[2:]), M.reshape(-1, *M.shape[2:])",
+    # The fit and sandwich operators are the routes run on the stack of unit
+    # matrices along the leading axis: the slices on an exact setting, the
+    # products, through the index maps of an exact side, on a mixed one.
+    # verify's exact entries and its B[-0.3i,0.5] -> z^3 form them.
+    Mutant("operators.py", "D.reshape(*M.shape[:-2], -1), M.reshape(*M.shape[:-2], -1)",
            "D.reshape(-1), M.reshape(-1)",
-           "the sliced defect's step taken over the trailing axis too, which shifts the unit matrices into "
+           "the sliced defect's step taken across the stack axis too, which shifts the unit matrices into "
            "each other (verify's exact entries)"),
     # The zero test's closed-form projector, from the Gram matrix c I + gamma G^H G
     # of its block X.  verify's menu has beta = z^3 alone, where kappa = 1: c = 1
@@ -177,6 +180,12 @@ MUTANTS = [
     Mutant("operators.py", "s = min(k, src.shape[1])", "s = k",
            "build_compression at the stride k: the same entries from `_compress` at a higher cost, but a B -> B "
            "table, laid out at the folded stride, read at the wrong rows past k = T_alpha + 1", TABLE),
+    # An index map multiplies a leading stack of matrices on its right along
+    # their rows, as the products on the unit matrices read it.
+    Mutant("model_space.py", "x[(..., self.cols, *tail)], (..., self.rows, *tail), self.shape[0], -1 - len(tail))",
+           "x[self.cols], self.rows, self.shape[0], 0)",
+           "an index map reads a stack on its right along axis 0, the stack's, not -2, the matrices' rows "
+           "(verify's B[-0.3i,0.5] -> z^3, whose L and K multiply the unit matrices by z^3's maps)"),
 ]
 
 

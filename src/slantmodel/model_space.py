@@ -572,10 +572,11 @@ class _IndexMap:
     one side's indices, times the scale, goes to the other side's in a zero
     array.  Where those cover every index of the product, in order or
     reversed, no zero array is made: the product is that slice reordered,
-    contiguous as the dense product was: x itself where x already is.  Its
-    rows are read one by one by `rank_one`.  An array
-    of another size is refused, as a dense product refuses it, and
-    `np.asarray` forms the dense matrix, above MAX_ENTRIES refused first."""
+    contiguous as the dense product was: x itself where x already is.  Either
+    side multiplies a leading stack matrix by matrix, as matmul does.  Its
+    rows are read one by one by `rank_one`.  An array of another size, or
+    0-d, is refused, as a dense product refuses it, and `np.asarray` forms
+    the dense matrix, above MAX_ENTRIES refused first."""
 
     __slots__ = ("shape", "rows", "cols", "scale")
     __array_ufunc__ = None  # so that ndarray @ map calls __rmatmul__
@@ -608,9 +609,10 @@ class _IndexMap:
         return dense
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim not in (1, 2) or len(x) != self.shape[1]:
+        tail = (slice(None),) * (x.ndim > 1)  # a matrix's column axis, kept whole; a vector has none
+        if not x.ndim or x.shape[-1 - len(tail)] != self.shape[1]:
             raise ValueError(f"a {self.shape[0]} x {self.shape[1]} operand cannot multiply an array of shape {x.shape}")
-        return self._placed(x[self.cols], self.rows, self.shape[0], 0)
+        return self._placed(x[(..., self.cols, *tail)], (..., self.rows, *tail), self.shape[0], -1 - len(tail))
 
     def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
         if not x.ndim or x.shape[-1] != self.shape[0]:

@@ -300,25 +300,24 @@ class CompressionSetting:
         """The variant's fit as one matrix L: for vec(U) in C order, L vec(U)
         is vec(D), chi^H, vec(Z) and the entries E of the residual of
         `membership`'s fit, one after the other.  Each is linear in U, so L
-        is the fit run on the dim_beta dim_alpha unit matrices: on an
-        all-exact setting its `_Slices` along one trailing axis, whose
-        outputs are L's rows, E the (m - 1)(n - used) block that the frames
-        leave out; elsewhere the products (`_product_fit`) on their stack,
-        whose outputs are L's columns, E all mn entries of R - Z G^H.  None
-        where L's mn (mn + n + m used + e) entries pass OPERATOR_ENTRIES."""
+        is the fit run on the stack of unit matrices (`_units`), its outputs
+        one row per matrix, joined and transposed as K is: on an all-exact
+        setting its `_Slices`, E the (m - 1)(n - used) block that the frames
+        leave out; elsewhere the products (`_product_fit`), E all mn entries
+        of R - Z G^H.  None where L's mn (mn + n + m used + e) entries pass
+        OPERATOR_ENTRIES."""
         m, n, used = self.basis_beta.dim, self.basis_alpha.dim, _used(self)
         mn = m * n
         e = (m - 1) * (n - used) if self.exact else mn
         if mn * (mn + n + m * used + e) > OPERATOR_ENTRIES:
             return None
-        frames = self.frames(variant)
+        frames, units = self.frames(variant), self._units()
         if frames.slices is None:
-            parts = _product_fit(self._units(), self, variant)
-            L = np.concatenate([p.reshape(mn, -1) for p in parts], axis=1).T.copy()
+            parts = _product_fit(units, self, variant)
         else:
-            D = frames.slices.defect(self._units().reshape(m, n, mn))
-            L = np.concatenate([p.reshape(-1, mn) for p in (D, *frames.slices.fit(D, frames))])
-        return _frozen(L)[0]
+            D = frames.slices.defect(units)
+            parts = D, *frames.slices.fit(D, frames)
+        return _frozen(np.concatenate([p.reshape(mn, -1) for p in parts], axis=1).T.copy())[0]
 
     def _form_sandwich(self, _) -> np.ndarray | None:
         """The sandwich as one matrix K: vec(C_beta conj(U) conj(C_alpha)) =
@@ -331,11 +330,11 @@ class CompressionSetting:
         return _frozen(_product_sandwich(self._units(), self).reshape(mn, mn).T.copy())[0]
 
     def _units(self) -> np.ndarray:
-        """The dim_beta x dim_alpha unit matrices, in C order, as one stack:
-        a linear map of U run on it gives the columns of its matrix.  The
-        stack is the identity, which is symmetric, so reshaped to
-        (dim_beta, dim_alpha, -1) it is the same matrices along a trailing
-        axis."""
+        """The dim_beta x dim_alpha unit matrices, in C order, as one stack on
+        the leading axis, as numpy's matmul and every route that maps matrices
+        take a stack (the slices, the products, the index maps): a linear map
+        of U run on it gives the columns of its matrix.  Symbol windows stack
+        on the trailing axis, one per column (`_reduced`, `_residue`)."""
         m, n = self.basis_beta.dim, self.basis_alpha.dim
         return np.eye(m * n, dtype=complex).reshape(-1, m, n)
 
@@ -577,9 +576,9 @@ class _Slices(NamedTuple):
     chi^H is then F's row of D, Z the columns of G, and the residual the
     block that the frames leave out.
 
-    U may carry a trailing axis, (M, N, t): each of its t matrices takes the
-    operations of a 2-D U.  On the M N unit matrices the outputs are the
-    rows of the fit's matrix (`CompressionSetting.operator`, 'fit')."""
+    U may be a stack (t, M, N) on the leading axis, whose t matrices each
+    take the operations of a 2-D U: on the unit matrices (`_units`) the
+    outputs form the fit's matrix (`CompressionSetting.operator`, 'fit')."""
 
     block: tuple  # (rows, columns) the frames leave out
     rows: tuple  # (to, from) of the beta shift
@@ -611,16 +610,16 @@ class _Slices(NamedTuple):
         M = np.ascontiguousarray(M)
         if self.cross:  # the beta side, then the alpha side taken off
             D = np.zeros(M.shape, dtype=complex)
-            D[self.rows[0]] = M[self.rows[1]]
+            D[..., self.rows[0], :] = M[..., self.rows[1], :]
         else:
             D = M.copy()
-        kept = D[:, self.columns].copy() if self.cross else M[:, self.columns]
-        flat, entries, step = D.reshape(-1, *M.shape[2:]), M.reshape(-1, *M.shape[2:]), self.step
+        kept = D[..., self.columns].copy() if self.cross else M[..., self.columns]
+        flat, entries, step = D.reshape(*M.shape[:-2], -1), M.reshape(*M.shape[:-2], -1), self.step
         if step > 0:
-            flat[step:] -= entries[:-step]
+            flat[..., step:] -= entries[..., :-step]
         else:
-            flat[:step] -= entries[-step:]
-        D[:, self.columns] = kept
+            flat[..., :step] -= entries[..., -step:]
+        D[..., self.columns] = kept
         return D
 
     def fit(self, D: np.ndarray, frames: Frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -628,11 +627,11 @@ class _Slices(NamedTuple):
         D.  R = D - F chi^H differs from D in F's row alone, and Z G^H puts
         the columns of G back, so the residual is the block."""
         row, frame = self.row, self.frame
-        chi_conj = frames.F_conj[row] * D[row] / frames.norm2
-        Z = D[:, frame].copy() if self.scale is None else self.scale * D[:, frame]
-        rest = D[row, frame] - frames.F[row] * chi_conj[frame]
-        Z[row] = rest if self.scale is None else self.scale * rest
-        return chi_conj, Z, D[self.block].reshape(-1, *D.shape[2:])
+        chi_conj = frames.F_conj[row] * D[..., row, :] / frames.norm2
+        Z = D[..., frame].copy() if self.scale is None else self.scale * D[..., frame]
+        rest = D[..., row, frame] - frames.F[row] * chi_conj[..., frame]
+        Z[..., row, :] = rest if self.scale is None else self.scale * rest
+        return chi_conj, Z, D[(..., *self.block)].reshape(*D.shape[:-2], -1)
 
 
 def _sandwich(M: np.ndarray, setting: CompressionSetting) -> np.ndarray:
@@ -680,13 +679,10 @@ def defect(U: OperatorMatrix, setting: CompressionSetting, variant: str = "t35")
 
 def _product_defect(M: np.ndarray, setting: CompressionSetting, variant: str) -> np.ndarray:
     """`defect` by the products with the shift operands, of one matrix or of
-    a stack of them; an index map multiplies one matrix from the left, so a
-    stack takes the dense form of the beta side."""
+    a leading stack of them, which an index map multiplies with no dense form."""
     down, right = _SHIFTS[variant]
     Sb, Sb_adj, Sa, Sa_adj = setting.shift_operands
     beta, alpha = Sb if down else Sb_adj, Sa_adj if right else Sa
-    if M.ndim > 2:
-        beta = np.asarray(beta)
     if down != right:
         return beta @ M - M @ alpha
     return M - beta @ M @ alpha
@@ -789,8 +785,8 @@ def membership(
 
 def _product_fit(M: np.ndarray, setting: CompressionSetting, variant: str) -> tuple:
     """D, chi^H, Z and E = R - Z G^H of `membership`'s fit by the products
-    with the frames, of one matrix or of a stack of them (the unit matrices
-    that form the fit's operator, `CompressionSetting._form_fit`)."""
+    with the frames, of one matrix or of a leading stack of them (the unit
+    matrices that form the fit's operator, `CompressionSetting._form_fit`)."""
     F, norm2, F_conj, G_adj, G_pinv_adj, _ = setting.frames(variant)
     D = _product_defect(M, setting, variant)
     chi_conj = F_conj @ D / norm2
@@ -981,13 +977,16 @@ def conjugate_operator(
     also transforms the symbol when given one.  On an exact basis (every
     zero at the origin) C is c J, so its side reverses the entries and
     multiplies them by c: where both bases are exact that is one reversed
-    conjugate of U (`_sandwich`).  Elsewhere the sandwich is linear in
-    conj(U): within OPERATOR_ENTRIES it is one product of the setting's
-    `operator('sandwich')` with conj(vec U), within rounding of the products,
-    from the setting's second sandwich on, which forms it; the first, and
-    every one past the cut, is the products (`_product_sandwich`) with each
-    side's `ModelSpaceBasis.conjugation_operand`, the dense conjugation
-    matrix on a Blaschke basis and an index map on an exact one."""
+    conjugate of U (`_sandwich`), which rounds (c_beta conj(x)) conj(c_alpha),
+    bits the tests pin, where the operator K below would round (c_beta
+    conj(c_alpha)) conj(x); so K is never read there.  Elsewhere the
+    sandwich is linear in conj(U): within OPERATOR_ENTRIES it is one product
+    of the setting's `operator('sandwich')` with conj(vec U), within rounding
+    of the products, from the setting's second sandwich on, which forms it;
+    the first, and every one past the cut, is the products
+    (`_product_sandwich`) with each side's `ModelSpaceBasis.conjugation_operand`,
+    the dense conjugation matrix on a Blaschke basis and an index map on an
+    exact one."""
     if (phi is None) == (U is None):
         raise ValueError("provide exactly one of phi or U")
     psi = None
@@ -1005,12 +1004,8 @@ def conjugate_operator(
 
 def _product_sandwich(M: np.ndarray, setting: CompressionSetting) -> np.ndarray:
     """C_beta conj(M) conj(C_alpha) by the products with the conjugation
-    operands, of one matrix or of a stack of them, for which C_beta takes
-    its dense form (`_product_defect`)."""
-    Cb = setting.basis_beta.conjugation_operand
-    if M.ndim > 2:
-        Cb = np.asarray(Cb)
-    return Cb @ M.conj() @ setting.basis_alpha.conjugation_operand.conj()
+    operands, of one matrix or of a leading stack of them (`_product_defect`)."""
+    return setting.basis_beta.conjugation_operand @ M.conj() @ setting.basis_alpha.conjugation_operand.conj()
 
 
 # -- rank-one constructors -------------------------------------------------

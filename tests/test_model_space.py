@@ -601,25 +601,30 @@ class TestIndexMap:
             with pytest.raises(TypeError):
                 op[0] = 1.0
             products = []
-            for shape in ((cols,), (cols, 3)):
+            for shape in ((cols,), (cols, 3), (2, cols, 3)):
                 x = g.standard_normal(shape) + 1j * g.standard_normal(shape)
-                products.append((op @ x, dense @ x, x))
+                # A leading stack is multiplied matrix by matrix.
+                want = dense @ x if x.ndim < 3 else np.stack([dense @ m for m in x])
+                products.append((op @ x, want, x, lambda m: op @ m))
             for shape in ((rows,), (3, rows), (2, 3, rows)):
                 x = g.standard_normal(shape) + 1j * g.standard_normal(shape)
-                products.append((x @ op, x @ dense, x))
-            for got, want, x in products:
+                products.append((x @ op, x @ dense, x, lambda m: m @ op))
+            for got, want, x, product in products:
                 assert got.shape == want.shape, name
                 if c == 1:
                     assert np.array_equal(got, want), name
                 else:
                     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), name
+                if x.ndim == 3:
+                    assert all(np.array_equal(got[t], product(m)) for t, m in enumerate(x)), name
                 # Products are contiguous, x itself for the identity.
                 assert got.flags.c_contiguous, name
                 assert name != "rows" or np.shares_memory(got, x)
-            for x in (np.ones(cols + 1), np.ones((cols + 1, 2)), np.ones((cols, 2, 2))):
+            # A wrong-sized matrix axis is refused, under a stack too, and so is a 0-d array.
+            for x in (np.ones(cols + 1), np.ones((cols + 1, 2)), np.ones((cols, cols + 1, 2)), np.ones(())):
                 with pytest.raises(ValueError):
                     op @ x
-            for x in (np.ones(rows + 1), np.ones((2, rows + 1))):
+            for x in (np.ones(rows + 1), np.ones((2, rows + 1)), np.ones(())):
                 with pytest.raises(ValueError):
                     x @ op
 

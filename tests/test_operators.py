@@ -48,6 +48,7 @@ from slantmodel.operators import (
     _pinv,
     _Slices,
     _place,
+    _product_defect,
     _product_fit,
     _product_sandwich,
     _reduced,
@@ -985,8 +986,8 @@ class TestSlices:
     """Where both bases are exact, the defect, the membership fit and the
     sandwich are slices of U (`_Slices`, `_sandwich`) with the values of the
     dense products: D, chi, the psi_j, ||D||_F and the sandwich bit for bit,
-    the residual within 4 ulp, on one matrix and on a stack of them along a
-    trailing axis, which forms the fit operator.  Through `membership`,
+    the residual within 4 ulp, on one matrix and on a stack of them along the
+    leading axis, which forms the fit operator.  Through `membership`,
     which reads that operator on a small setting, the same bits where both
     constants are 1 (its entries are 0 and +-1), and the same verdicts; the
     rounding of the other constants is bounded in `TestFitOperator`."""
@@ -1002,7 +1003,7 @@ class TestSlices:
             member,
             conjugate_operator(setting, U=member)[0],  # a member, reversed views
         ]
-        stack = np.stack([U.entries for U in inputs], axis=-1)
+        stack = np.stack([U.entries for U in inputs])
         bits = alpha.constant == 1 and beta.constant == 1
         verdicts = set()
         for variant in VARIANTS:
@@ -1016,10 +1017,10 @@ class TestSlices:
                 assert np.array_equal(got_D, D) and np.array_equal(defect(U, setting, variant), D)
                 assert np.array_equal(chi_conj.conj(), chi)
                 assert np.array_equal(got_Z, Z)
-                # The trailing axis takes each matrix through the same operations.
-                assert np.array_equal(D_stack[..., t], got_D)
+                # The leading axis takes each matrix through the same operations.
+                assert np.array_equal(D_stack[t], got_D)
                 for part, got in zip(fit_stack, (chi_conj, got_Z, E)):
-                    assert np.array_equal(part[..., t], got)
+                    assert np.array_equal(part[t], got)
                 # Where a constant is not 1, the dense fit leaves the rounding
                 # of c conj(c) / |c|^2 in F's row and G's columns, a few ulp of
                 # ||D||, which the slices, exact there, do not: a member's
@@ -1411,6 +1412,66 @@ class TestOperatorStore:
         assert [f[1:] for f in formed] == [(kind, args[0], None)]
         with pytest.raises(KeyError):
             past.operator("bogus")
+
+
+STACK_SETTINGS = [(zn(4), zn(3), 2), (C_ALPHA, C_SMALL, 2), (CB2, zn(3), 2), (zn(3), BETA, 2), (B3, BETA, 2)]
+STACK_IDS = ["z4-z3-k2", "cz4-cz3-k2", "cB2-z3-k2", "z3-B-k2", "B3-B-k2"]
+
+
+class TestStackAxis:
+    """Every route that maps a matrix takes a stack of them on the leading
+    axis, (t, dim_beta, dim_alpha), as numpy's matmul does: the slices, the
+    products and the index maps.  On a stack each route gives, matrix by
+    matrix, the bits of its call on that matrix alone, and the per-setting
+    operators, formed on the stack of unit matrices, densify no index map."""
+
+    @pytest.mark.parametrize("alpha,beta,k", STACK_SETTINGS, ids=STACK_IDS)
+    def test_stack_is_matrix_by_matrix(self, alpha, beta, k):
+        setting = CompressionSetting(alpha, beta, k)
+        ba, bb = setting.basis_alpha, setting.basis_beta
+        g = np.random.default_rng(43)
+
+        def stack(*shape):
+            return g.standard_normal((3, *shape)) + 1j * g.standard_normal((3, *shape))
+
+        def matrix_by_matrix(route, X):
+            got, alone = route(X), [route(M) for M in X]
+            if not isinstance(got, tuple):
+                got, alone = (got,), [(a,) for a in alone]
+            for i, part in enumerate(got):
+                assert len(part) == len(X) and all(np.array_equal(part[t], a[i]) for t, a in enumerate(alone))
+
+        X = stack(bb.dim, ba.dim)
+        for variant in VARIANTS:
+            frames = setting.frames(variant)
+            if setting.exact:
+                matrix_by_matrix(frames.slices.defect, X)
+                matrix_by_matrix(lambda M: frames.slices.fit(frames.slices.defect(M), frames), X)
+            matrix_by_matrix(lambda M: _product_defect(M, setting, variant), X)
+            matrix_by_matrix(lambda M: _product_fit(M, setting, variant), X)
+        matrix_by_matrix(lambda M: _product_sandwich(M, setting), X)
+        maps = [*setting.shift_operands, bb.conjugation_operand, ba.conjugation_operand, bb.rows_operand,
+                ba.rows_operand]
+        maps += [op for v in VARIANTS for op in setting.frames(v)[3:5]]
+        maps = [op for op in maps if isinstance(op, model_space._IndexMap)]
+        assert maps or not (ba.exact or bb.exact)
+        for op in maps:
+            matrix_by_matrix(lambda M: op @ M, stack(op.shape[1], 2))
+            matrix_by_matrix(lambda M: M @ op, stack(2, op.shape[0]))
+
+    def test_operators_densify_no_index_map(self, monkeypatch):
+        # verify's mixed entry B[-0.3i,0.5] -> z^3: L and K are formed from
+        # the products on the unit matrices, through z^3's index maps, with
+        # no dense form of them.
+        setting = CompressionSetting(CB2, zn(3), 2)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an index map was densified")
+
+        monkeypatch.setattr(model_space._IndexMap, "__array__", refused)
+        ops = [second_read(setting, "fit", v) for v in VARIANTS] + [second_read(setting, "sandwich")]
+        assert all(op is not None for op in ops)
+        assert isinstance(setting.shift_operands[0], model_space._IndexMap)
 
 
 def exact_rows_refused(monkeypatch):
